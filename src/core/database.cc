@@ -28,6 +28,15 @@ int64_t Int64FromEnvOr(const char* name, int64_t fallback) {
   return static_cast<int64_t>(v);
 }
 
+// The typed plan error for a pattern the subset DP cannot plan (its
+// table has 2^n entries); empty when the pattern fits.
+std::string PatternSizeError(const QueryGraph& query) {
+  const int n = query.num_vertices();
+  if (n >= 1 && n <= DpOptimizer::kMaxQueryVertices) return {};
+  return "pattern has " + std::to_string(n) + " query vertices; the optimizer plans 1 to " +
+         std::to_string(DpOptimizer::kMaxQueryVertices);
+}
+
 }  // namespace
 
 Database::Database(Graph graph) : graph_(std::move(graph)) {
@@ -199,6 +208,11 @@ std::unique_ptr<PreparedQuery> Database::Prepare(const std::string& text,
     return prepared;
   }
   prepared->query_ = std::move(parsed.query);
+  prepared->error_ = PatternSizeError(prepared->query_);
+  if (!prepared->error_.empty()) {
+    prepared->status_ = QueryOutcome::Status::kPlanError;
+    return prepared;
+  }
   prepared->has_limit_ = parsed.has_limit;
   prepared->limit_ = parsed.limit;
   for (const CypherParam& param : parsed.params) {
@@ -402,6 +416,11 @@ std::unique_ptr<PreparedQuery> Database::ClonePrepared(const PreparedQuery& src)
 
 QueryOutcome Database::Execute(const QueryGraph& query) {
   QueryOutcome out;
+  out.error = PatternSizeError(query);
+  if (!out.error.empty()) {
+    out.status = QueryOutcome::Status::kPlanError;
+    return out;
+  }
   if (!concurrent_ingest_active() && store_->HasPendingUpdates()) store_->FlushAll();
   DpOptimizer* optimizer = CachedOptimizer();
   std::unique_ptr<Plan> plan = optimizer->Optimize(query);
@@ -452,6 +471,8 @@ QueryOutcome Database::ExecuteCypher(const std::string& text, RowConsumer* consu
 }
 
 std::string Database::Explain(const QueryGraph& query) {
+  std::string error = PatternSizeError(query);
+  if (!error.empty()) return "(error: " + error + ")";
   if (!concurrent_ingest_active() && store_->HasPendingUpdates()) store_->FlushAll();
   DpOptimizer* optimizer = CachedOptimizer();
   std::unique_ptr<Plan> plan = optimizer->Optimize(query);

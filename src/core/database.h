@@ -138,9 +138,11 @@ class Database {
 
   // Parses + optimizes `text` once into a reusable PreparedQuery (always
   // non-null; parse/plan failures are carried in its status and
-  // re-reported by Execute). Prefer Session::Prepare, which caches on
-  // normalized query text and revalidates against the store/graph
-  // version counters.
+  // re-reported by Execute). A pattern with more than
+  // DpOptimizer::kMaxQueryVertices query vertices is a kPlanError naming
+  // the limit, here and in Execute(QueryGraph) / Explain. Prefer
+  // Session::Prepare, which caches on normalized query text and
+  // revalidates against the store/graph version counters.
   std::unique_ptr<PreparedQuery> Prepare(const std::string& text,
                                          const PrepareOptions& options = {});
 

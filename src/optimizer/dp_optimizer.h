@@ -36,14 +36,27 @@ struct PlanStep {
 // lists sorted on a shared non-ID property (including edge-partitioned
 // lists). The cost metric is i-cost: the total estimated size of the
 // adjacency lists a plan's E/I and MULTI-EXTEND operators read.
+//
+// Per query of n vertices, m edges and c conjuncts the DP visits all 2^n
+// bound sets and, from each reachable one, every one-vertex E/I
+// extension and every MULTI-EXTEND group: O(2^n * n * (m + c)) work over
+// a table of 2^n 24-byte entries. Access paths are matched against the
+// INDEX STORE once per (edge, target, EP bound edge, sort) and memoized
+// for the call, so the matcher's cost does not scale with 2^n.
 class DpOptimizer {
  public:
+  // The largest pattern the subset DP plans (its table has 2^n entries,
+  // 24 MB at n = 20). Callers reject larger patterns with a typed error
+  // before calling Optimize.
+  static constexpr int kMaxQueryVertices = 20;
+
   DpOptimizer(const Graph* graph, const IndexStore* store);
 
   // Returns the lowest-i-cost plan, or nullptr if the query graph is
   // disconnected / unsupported. `sink` replaces the default counting
   // SinkOp as the pipeline's terminal operator when non-null (the
-  // serving layer passes a ProjectSinkOp).
+  // serving layer passes a ProjectSinkOp). Requires 1 <= n <=
+  // kMaxQueryVertices query vertices.
   std::unique_ptr<Plan> Optimize(const QueryGraph& query,
                                  std::unique_ptr<Operator> sink = nullptr);
 

@@ -200,6 +200,7 @@ std::vector<CandidateList> IndexMatcher::FindVertexLists(Direction dir, label_t 
                                                          const ExtensionPredicate& ext_pred,
                                                          const SortCriterion* required_sort) const {
   std::vector<CandidateList> candidates;
+  candidates.reserve(1 + store_->vp_indexes().size());  // primary + every VP index
   const Catalog& catalog = store_->graph()->catalog();
 
   auto consider = [&](ListDescriptor::Source source, const PrimaryIndex* primary,

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <string_view>
 #include <vector>
 
 namespace aplus {
@@ -90,10 +91,13 @@ class Lexer {
   size_t pos_ = 0;
 };
 
-std::string Upper(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  return out;
+// Case-insensitive match of an identifier against an upper-case keyword.
+bool IsKeyword(std::string_view ident, std::string_view keyword) {
+  if (ident.size() != keyword.size()) return false;
+  for (size_t i = 0; i < ident.size(); ++i) {
+    if (std::toupper(static_cast<unsigned char>(ident[i])) != keyword[i]) return false;
+  }
+  return true;
 }
 
 class Parser {
@@ -101,8 +105,9 @@ class Parser {
   Parser(const std::string& text, const Catalog& catalog) : catalog_(catalog) {
     Lexer lexer(text);
     for (Token token = lexer.Next();; token = lexer.Next()) {
-      tokens_.push_back(token);
-      if (token.kind == Token::Kind::kEnd) break;
+      const bool end = token.kind == Token::Kind::kEnd;
+      tokens_.push_back(std::move(token));
+      if (end) break;
     }
   }
 
@@ -147,7 +152,7 @@ class Parser {
     return i < tokens_.size() ? tokens_[i] : tokens_.back();
   }
 
-  bool Accept(const std::string& op) {
+  bool Accept(std::string_view op) {
     if (Peek().kind == Token::Kind::kOp && Peek().text == op) {
       ++pos_;
       return true;
@@ -155,17 +160,17 @@ class Parser {
     return false;
   }
 
-  bool AcceptKeyword(const std::string& kw) {
-    if (Peek().kind == Token::Kind::kIdent && Upper(Peek().text) == kw) {
+  bool AcceptKeyword(std::string_view kw) {
+    if (Peek().kind == Token::Kind::kIdent && IsKeyword(Peek().text, kw)) {
       ++pos_;
       return true;
     }
     return false;
   }
 
-  bool Expect(const std::string& op) {
+  bool Expect(std::string_view op) {
     if (Accept(op)) return true;
-    result_.error = "expected '" + op + "', got '" + Peek().text + "'";
+    result_.error = "expected '" + std::string(op) + "', got '" + Peek().text + "'";
     return false;
   }
 
@@ -274,7 +279,7 @@ class Parser {
     }
     ref->is_edge = vertex_var < 0;
     ref->var = ref->is_edge ? edge_var : vertex_var;
-    if (Upper(prop) == "ID") {
+    if (IsKeyword(prop, "ID")) {
       ref->is_id = true;
       return true;
     }
@@ -289,12 +294,11 @@ class Parser {
 
   // AggFn of an identifier token, kNone when it is not an aggregate name.
   static AggFn AggFnOf(const std::string& ident) {
-    std::string up = Upper(ident);
-    if (up == "COUNT") return AggFn::kCount;
-    if (up == "SUM") return AggFn::kSum;
-    if (up == "MIN") return AggFn::kMin;
-    if (up == "MAX") return AggFn::kMax;
-    if (up == "AVG") return AggFn::kAvg;
+    if (IsKeyword(ident, "COUNT")) return AggFn::kCount;
+    if (IsKeyword(ident, "SUM")) return AggFn::kSum;
+    if (IsKeyword(ident, "MIN")) return AggFn::kMin;
+    if (IsKeyword(ident, "MAX")) return AggFn::kMax;
+    if (IsKeyword(ident, "AVG")) return AggFn::kAvg;
     return AggFn::kNone;
   }
 

@@ -7,11 +7,7 @@
 
 #include <algorithm>
 
-#include "core/database.h"
-#include "datagen/financial_props.h"
-#include "datagen/label_assigner.h"
-#include "datagen/power_law_generator.h"
-#include "util/rng.h"
+#include "random_query.h"
 
 namespace aplus {
 namespace {
@@ -105,136 +101,19 @@ class BruteForcer {
   uint64_t count_ = 0;
 };
 
-// Random connected query: a spanning chain plus random extra edges.
-QueryGraph RandomQuery(Rng* rng, const Graph& graph, const FinancialPropKeys& keys) {
-  QueryGraph query;
-  int n = 3 + static_cast<int>(rng->NextBounded(2));  // 3..4 vertices
-  for (int i = 0; i < n; ++i) {
-    label_t label = kInvalidLabel;
-    if (rng->NextDouble() < 0.5) {
-      label = static_cast<label_t>(rng->NextBounded(graph.catalog().num_vertex_labels()));
-    }
-    query.AddVertex("q" + std::to_string(i), label);
-  }
-  auto random_edge_label = [&]() -> label_t {
-    if (rng->NextDouble() < 0.6) {
-      return static_cast<label_t>(rng->NextBounded(graph.catalog().num_edge_labels()));
-    }
-    return kInvalidLabel;
-  };
-  // Spanning chain with random orientation.
-  for (int i = 1; i < n; ++i) {
-    if (rng->NextDouble() < 0.5) {
-      query.AddEdge(i - 1, i, random_edge_label());
-    } else {
-      query.AddEdge(i, i - 1, random_edge_label());
-    }
-  }
-  // Extra edges (may create cycles / multi-edges).
-  int extra = static_cast<int>(rng->NextBounded(3));
-  for (int i = 0; i < extra; ++i) {
-    int a = static_cast<int>(rng->NextBounded(n));
-    int b = static_cast<int>(rng->NextBounded(n));
-    if (a == b) continue;
-    query.AddEdge(a, b, random_edge_label());
-  }
-  // Pin one vertex sometimes (keeps brute force fast too).
-  if (rng->NextDouble() < 0.6) {
-    query.mutable_vertex(0).bound =
-        static_cast<vertex_id_t>(rng->NextBounded(graph.num_vertices()));
-    query.mutable_vertex(0).label = kInvalidLabel;
-  }
-  // Random predicates from the workload menu.
-  if (rng->NextDouble() < 0.5) {
-    QueryComparison amount;
-    amount.lhs = QueryPropRef{0, true, keys.amount, false};
-    amount.op = rng->NextDouble() < 0.5 ? CmpOp::kGt : CmpOp::kLt;
-    amount.rhs_const = Value::Int64(rng->NextInRange(1, 1000));
-    query.AddPredicate(amount);
-  }
-  if (rng->NextDouble() < 0.4 && query.num_vertices() >= 3) {
-    QueryComparison city_eq;
-    city_eq.lhs = QueryPropRef{1, false, keys.city, false};
-    city_eq.op = CmpOp::kEq;
-    city_eq.rhs_is_const = false;
-    city_eq.rhs_ref = QueryPropRef{2, false, keys.city, false};
-    query.AddPredicate(city_eq);
-  }
-  if (rng->NextDouble() < 0.4 && query.num_edges() >= 2) {
-    QueryComparison flow;
-    flow.lhs = QueryPropRef{0, true, keys.date, false};
-    flow.op = CmpOp::kLt;
-    flow.rhs_is_const = false;
-    flow.rhs_ref = QueryPropRef{1, true, keys.date, false};
-    query.AddPredicate(flow);
-  }
-  return query;
-}
-
 class OptimizerFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(OptimizerFuzzTest, PlansMatchBruteForce) {
   uint64_t seed = static_cast<uint64_t>(GetParam());
   Rng rng(seed * 7919 + 13);
 
-  Graph graph;
-  PowerLawParams params;
-  params.num_vertices = 150 + rng.NextBounded(100);
-  params.avg_degree = 3.0 + rng.NextDouble() * 3.0;
-  params.seed = seed + 1;
-  GeneratePowerLawGraph(params, &graph);
-  AssignRandomLabels(2, 2, seed + 2, &graph);
-  FinancialPropKeys keys = AddFinancialProperties(seed + 3, &graph, 10);
-
-  Database db(std::move(graph));
-
-  // Random primary configuration.
-  IndexConfig config;
-  switch (rng.NextBounded(4)) {
-    case 0:
-      config = IndexConfig::Flat();
-      break;
-    case 1:
-      config = IndexConfig::Default();
-      break;
-    case 2:
-      config = IndexConfig::Default();
-      config.partitions.push_back({PartitionSource::kNbrLabel, kInvalidPropKey});
-      break;
-    default:
-      config = IndexConfig::Default();
-      config.sorts.clear();
-      config.sorts.push_back({SortSource::kNbrLabel, kInvalidPropKey});
-      config.sorts.push_back({SortSource::kNbrId, kInvalidPropKey});
-      break;
-  }
-  db.BuildPrimaryIndexes(config);
-
-  // Random secondary indexes.
-  if (rng.NextDouble() < 0.5) {
-    IndexConfig vpc = IndexConfig::Default();
-    vpc.sorts.clear();
-    vpc.sorts.push_back({SortSource::kNbrProp, keys.city});
-    db.CreateVpIndex("VPc", Predicate(), vpc, Direction::kFwd);
-    db.CreateVpIndex("VPc", Predicate(), vpc, Direction::kBwd);
-  }
-  if (rng.NextDouble() < 0.4) {
-    Predicate large;
-    large.AddConst(PropRef{PropSite::kAdjEdge, keys.amount, false, false}, CmpOp::kGt,
-                   Value::Int64(500));
-    db.CreateVpIndex("big", large, IndexConfig::Default(), Direction::kFwd);
-  }
-  if (rng.NextDouble() < 0.4) {
-    Predicate flow;
-    flow.AddRef(PropRef{PropSite::kBoundEdge, keys.date, false, false}, CmpOp::kLt,
-                PropRef{PropSite::kAdjEdge, keys.date, false, false});
-    db.CreateEpIndex("flow", EpKind::kDstFwd, flow, IndexConfig::Default());
-  }
+  FinancialPropKeys keys;
+  std::unique_ptr<Database> db = RandomDatabase(seed, &rng, &keys);
 
   for (int q = 0; q < 4; ++q) {
-    QueryGraph query = RandomQuery(&rng, db.graph(), keys);
-    uint64_t expected = BruteForcer(db.graph(), query).Count();
-    QueryOutcome result = db.Execute(query);
+    QueryGraph query = RandomQuery(&rng, db->graph(), keys);
+    uint64_t expected = BruteForcer(db->graph(), query).Count();
+    QueryOutcome result = db->Execute(query);
     ASSERT_EQ(result.count, expected)
         << "seed=" << seed << " query=" << q << "\nplan:\n"
         << result.plan;

@@ -243,6 +243,46 @@ TEST_F(OptimizerTest, MultiExtendChosenForCityEquality) {
   EXPECT_TRUE(has_multi);
 }
 
+TEST_F(OptimizerTest, MultiExtendKeepsOffsetEqualityResidual) {
+  // a2.city = a4.city groups a2 and a4 into a MULTI-EXTEND merge on
+  // city; a2.city = a4.city + 1 is not implied by that merge and must
+  // stay a residual filter (together the two admit no match).
+  IndexConfig city_config = IndexConfig::Default();
+  city_config.sorts.clear();
+  city_config.sorts.push_back({SortSource::kNbrProp, ex_.city_key});
+  OneHopViewDef all;
+  all.name = "VPc";
+  store_.CreateVpIndex(all, city_config, Direction::kFwd);
+  store_.CreateVpIndex(all, city_config, Direction::kBwd);
+
+  QueryGraph query;
+  int a1 = query.AddVertex("a1", kInvalidLabel, ex_.accounts[1]);
+  int a2 = query.AddVertex("a2");
+  int a4 = query.AddVertex("a4");
+  query.AddEdge(a1, a2, ex_.wire_label, "e1");
+  query.AddEdge(a1, a4, ex_.dd_label, "e2");
+  QueryComparison eq;
+  eq.lhs = QueryPropRef{a2, false, ex_.city_key, false};
+  eq.op = CmpOp::kEq;
+  eq.rhs_is_const = false;
+  eq.rhs_ref = QueryPropRef{a4, false, ex_.city_key, false};
+  query.AddPredicate(eq);
+  QueryComparison shifted = eq;
+  shifted.rhs_addend = 1;
+  query.AddPredicate(shifted);
+
+  DpOptimizer optimizer(&ex_.graph, &store_);
+  auto plan = optimizer.Optimize(query);
+  ASSERT_NE(plan, nullptr);
+  bool has_multi = false;
+  for (const PlanStep& step : optimizer.last_steps()) {
+    if (step.kind == PlanStep::Kind::kMultiExtend) has_multi = true;
+  }
+  EXPECT_TRUE(has_multi);
+  EXPECT_EQ(plan->Execute(), BruteForce(query)) << optimizer.DescribeSteps(query);
+  EXPECT_EQ(plan->Execute(), 0u);
+}
+
 TEST_F(OptimizerTest, EpIndexUsedForCrossEdgePredicate) {
   // Example 7 core: r1 bound to t13; extend to r2 with Pf(r1, r2).
   TwoHopViewDef view;

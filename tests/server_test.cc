@@ -254,6 +254,26 @@ TEST_F(ServerTest, DeadlineProducesTimeoutFrame) {
   EXPECT_TRUE(retry.ok()) << retry.error;
 }
 
+TEST_F(ServerTest, OversizedPatternReturnsPlanErrorFrame) {
+  StartServer();
+  auto client = Connect();
+  // 21 query vertices exceed the optimizer's limit of 20: a typed error
+  // frame, not a crashed server.
+  std::string text = "MATCH (v0)";
+  for (int i = 1; i < 21; ++i) text += "-[:E]->(v" + std::to_string(i) + ")";
+  text += " WHERE v0.ID = 3 RETURN COUNT(*)";
+  Client::PreparedInfo oversized = client->Prepare(text);
+  EXPECT_EQ(oversized.status, wire::WireStatus::kPlanError) << oversized.error;
+  EXPECT_NE(oversized.error.find("1 to 20"), std::string::npos) << oversized.error;
+  // The same connection serves the next request.
+  Client::PreparedInfo info = client->Prepare(kPointCount);
+  ASSERT_TRUE(info.ok()) << info.error;
+  Client::Result result = client->Execute(info.stmt_id, {{"src", Value::Int64(7)}});
+  ASSERT_TRUE(result.ok()) << result.error;
+  auto oracle = OracleRows(kPointCount, {{"src", Value::Int64(7)}});
+  EXPECT_EQ(Canon(result.rows.rows), Canon(oracle));
+}
+
 TEST_F(ServerTest, AdmissionFullReturnsOverloadedFrame) {
   Rebuild(20000);
   db_->admission().Configure({/*max_concurrent=*/1, /*max_queue=*/0, /*queue_timeout_ms=*/0});

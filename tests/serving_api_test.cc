@@ -449,6 +449,43 @@ TEST_F(ServingApiTest, BindAndExecuteErrorPaths) {
   EXPECT_TRUE(bad.plan.empty());
 }
 
+// (v0)-[:E]->(v1)-[:E]-> ... ->(v<n-1>) with v0 pinned to vertex 3.
+std::string AnchoredPathText(int vertices) {
+  std::string text = "MATCH (v0)";
+  for (int i = 1; i < vertices; ++i) text += "-[:E]->(v" + std::to_string(i) + ")";
+  return text + " WHERE v0.ID = 3 RETURN COUNT(*)";
+}
+
+TEST_F(ServingApiTest, OversizedPatternIsATypedPlanError) {
+  // 21 query vertices exceed the subset DP's limit of 20: every planning
+  // entry point reports kPlanError naming the limit instead of aborting.
+  const std::string text = AnchoredPathText(21);
+  std::unique_ptr<PreparedQuery> prepared = db_->Prepare(text);
+  EXPECT_EQ(prepared->status(), QueryOutcome::Status::kPlanError);
+  EXPECT_NE(prepared->error().find("21 query vertices"), std::string::npos) << prepared->error();
+  EXPECT_NE(prepared->error().find("1 to 20"), std::string::npos) << prepared->error();
+  EXPECT_EQ(prepared->Execute().status, QueryOutcome::Status::kPlanError);
+  Session session(db_.get());
+  EXPECT_EQ(session.Execute(text).status, QueryOutcome::Status::kPlanError);
+  EXPECT_NE(db_->Explain(text).find("1 to 20"), std::string::npos) << db_->Explain(text);
+
+  QueryGraph path;
+  path.AddVertex("v0", kInvalidLabel, 3);
+  for (int i = 1; i < 21; ++i) {
+    path.AddVertex("v" + std::to_string(i));
+    path.AddEdge(i - 1, i, elabel_);
+  }
+  QueryOutcome out = db_->Execute(path);
+  EXPECT_EQ(out.status, QueryOutcome::Status::kPlanError);
+  EXPECT_NE(out.error.find("1 to 20"), std::string::npos) << out.error;
+  EXPECT_EQ(db_->Explain(path).rfind("(error: ", 0), 0u) << db_->Explain(path);
+
+  // 20 vertices fit: the anchored path plans (one scan, 19 extends).
+  std::unique_ptr<PreparedQuery> fits = db_->Prepare(AnchoredPathText(20));
+  ASSERT_TRUE(fits->ok()) << fits->error();
+  EXPECT_NE(fits->plan_text().find("SCAN v0 (ID=3)"), std::string::npos) << fits->plan_text();
+}
+
 TEST_F(ServingApiTest, DdlInvalidatesPreparedQueriesAndCacheReprepares) {
   Session session(db_.get());
   PreparedQuery* prepared = session.Prepare(kTwoHopText);

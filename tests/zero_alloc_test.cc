@@ -12,6 +12,7 @@
 #include <new>
 
 #include "core/database.h"
+#include "datagen/financial_props.h"
 #include "datagen/label_assigner.h"
 #include "datagen/power_law_generator.h"
 #include "index/index_store.h"
@@ -481,6 +482,47 @@ TEST_F(ZeroAllocTest, MultiExtendSteadyStateDoesNotAllocate) {
       EXPECT_GT(state.count, 0u);
     }
   }
+}
+
+
+TEST(PrepareAllocTest, AdHocPrepareStaysWithinAllocationBudget) {
+  // An ad hoc MF3 text (Figure 6) prepared under D+VPc+EPc: parse, DP
+  // optimization and plan construction. Before the optimizer memoized
+  // its access paths and kept a parent-pointer plan table, one Prepare
+  // of this text made 1149 heap allocations; the budget is half of that.
+  constexpr uint64_t kBudget = 1149 / 2;
+  Graph graph;
+  PowerLawParams params;
+  params.num_vertices = 2000;
+  params.avg_degree = 8.0;
+  params.seed = 41;
+  GeneratePowerLawGraph(params, &graph);
+  FinancialPropKeys keys = AddFinancialProperties(42, &graph, kNumCities);
+  graph.catalog().RegisterCategoryValue(keys.acc, "CQ");
+  graph.catalog().RegisterCategoryValue(keys.acc, "SV");
+  Database db(std::move(graph));
+  db.BuildPrimaryIndexes();
+  ASSERT_TRUE(db.ExecuteDdl("CREATE 1-HOP VIEW VPc MATCH vs-[eadj]->vd INDEX AS FW-BW "
+                            "PARTITION BY eadj.label SORT BY vnbr.city")
+                  .ok);
+  ASSERT_TRUE(db.ExecuteDdl("CREATE 2-HOP VIEW EPc MATCH vs-[eb]->vd-[eadj]->vnbr "
+                            "WHERE eb.date<eadj.date, eadj.amount<eb.amount, "
+                            "eb.amount<eadj.amount+50 INDEX AS PARTITION BY eadj.label, "
+                            "vnbr.acc SORT BY vnbr.city")
+                  .ok);
+  const std::string mf3 =
+      "MATCH (a1)-[e1:E]->(a2), (a1)-[e2:E]->(a3)-[e3:E]->(a5), (a1)-[e4:E]->(a4) "
+      "WHERE a3.ID = 17, a2.city = a4.city, a4.city = a5.city, a1.acc = CQ, a2.acc = CQ, "
+      "a3.acc = CQ, a4.acc = CQ, a5.acc = SV, e2.date < e3.date, e2.amount > e3.amount, "
+      "e2.amount < e3.amount + 50 RETURN COUNT(*)";
+  // Warm-up: builds the cached optimizer and its catalog statistics.
+  ASSERT_TRUE(db.Prepare(mf3)->ok());
+  uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  std::unique_ptr<PreparedQuery> prepared = db.Prepare(mf3);
+  uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
+  ASSERT_TRUE(prepared->ok()) << prepared->error();
+  EXPECT_LE(allocs, kBudget) << "Database::Prepare of MF3 allocated " << allocs << " times";
+  std::printf("Prepare(MF3) allocations: %llu\n", static_cast<unsigned long long>(allocs));
 }
 
 }  // namespace
