@@ -19,15 +19,6 @@ int IntFromEnvOr(const char* name, int fallback) {
   return static_cast<int>(v);
 }
 
-int64_t Int64FromEnvOr(const char* name, int64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  long long v = std::strtoll(env, &end, 10);
-  if (end == env || v < 0) return fallback;
-  return static_cast<int64_t>(v);
-}
-
 // The typed plan error for a pattern the subset DP cannot plan (its
 // table has 2^n entries); empty when the pattern fits.
 std::string PatternSizeError(const QueryGraph& query) {
@@ -35,6 +26,26 @@ std::string PatternSizeError(const QueryGraph& query) {
   if (n >= 1 && n <= DpOptimizer::kMaxQueryVertices) return {};
   return "pattern has " + std::to_string(n) + " query vertices; the optimizer plans 1 to " +
          std::to_string(DpOptimizer::kMaxQueryVertices);
+}
+
+// A QueryGraph as the parser would hand over a bare MATCH of it: no
+// parameters, no RETURN, so it prepares into a counting projection.
+ParsedCypher BareMatch(const QueryGraph& query) {
+  ParsedCypher parsed;
+  parsed.query = query;
+  return parsed;
+}
+
+// The one-shot tail shared by ExecuteCypher and Execute(QueryGraph).
+QueryOutcome ExecuteOnce(PreparedQuery* prepared, RowConsumer* consumer, int num_threads) {
+  QueryOutcome out = prepared->Execute(consumer, num_threads);
+  if (out.ok()) out.plan = prepared->plan_text();
+  return out;
+}
+
+std::string ExplainPrepared(const PreparedQuery& prepared) {
+  if (!prepared.ok()) return "(error: " + prepared.error() + ")";
+  return prepared.plan_text();
 }
 
 }  // namespace
@@ -199,14 +210,22 @@ void Database::EndConcurrentIngest() {
 
 std::unique_ptr<PreparedQuery> Database::Prepare(const std::string& text,
                                                  const PrepareOptions& options) {
-  std::unique_ptr<PreparedQuery> prepared(new PreparedQuery(this));
-  prepared->normalized_text_ = NormalizeQueryText(text);
   ParsedCypher parsed = ParseCypher(text, graph_.catalog());
-  if (!parsed.ok()) {
+  std::unique_ptr<PreparedQuery> prepared;
+  if (parsed.ok()) {
+    prepared = PrepareParsed(std::move(parsed), options);
+  } else {
+    prepared.reset(new PreparedQuery(this));
     prepared->status_ = QueryOutcome::Status::kParseError;
     prepared->error_ = parsed.error;
-    return prepared;
   }
+  prepared->normalized_text_ = NormalizeQueryText(text);
+  return prepared;
+}
+
+std::unique_ptr<PreparedQuery> Database::PrepareParsed(ParsedCypher parsed,
+                                                       const PrepareOptions& options) {
+  std::unique_ptr<PreparedQuery> prepared(new PreparedQuery(this));
   prepared->query_ = std::move(parsed.query);
   prepared->error_ = PatternSizeError(prepared->query_);
   if (!prepared->error_.empty()) {
@@ -414,76 +433,18 @@ std::unique_ptr<PreparedQuery> Database::ClonePrepared(const PreparedQuery& src)
   return clone;
 }
 
-QueryOutcome Database::Execute(const QueryGraph& query) {
-  QueryOutcome out;
-  out.error = PatternSizeError(query);
-  if (!out.error.empty()) {
-    out.status = QueryOutcome::Status::kPlanError;
-    return out;
-  }
-  if (!concurrent_ingest_active() && store_->HasPendingUpdates()) store_->FlushAll();
-  DpOptimizer* optimizer = CachedOptimizer();
-  std::unique_ptr<Plan> plan = optimizer->Optimize(query);
-  if (plan == nullptr) {
-    out.status = QueryOutcome::Status::kPlanError;
-    out.error = "no plan found (disconnected or unsupported query)";
-    return out;
-  }
-  // Governance parity with the serving path: the programmatic
-  // (QueryGraph) one-shot honors APLUS_QUERY_TIMEOUT_MS, APLUS_MEM_CAP
-  // and APLUS_MEM_CAP_TOTAL too, so a whole binary — table benches
-  // included — respects the caps, not just Session traffic.
-  ExecToken token;
-  MemoryBudget budget;
-  const int64_t timeout_ms = Int64FromEnvOr("APLUS_QUERY_TIMEOUT_MS", 0);
-  if (timeout_ms > 0) token.ArmDeadlineMillis(timeout_ms);
-  const uint64_t mem_cap = static_cast<uint64_t>(Int64FromEnvOr("APLUS_MEM_CAP", 0));
-  budget.Reset(mem_cap);
-  MemoryBudget::SetProcessCeiling(
-      static_cast<uint64_t>(Int64FromEnvOr("APLUS_MEM_CAP_TOTAL", 0)));
-  plan->SetExecContext(&token, &budget);
-  QueryResult result = RunPlan(plan.get());
-  out.count = result.count;
-  out.seconds = result.seconds;
-  switch (token.reason()) {
-    case StopReason::kTimeout:
-      out.status = QueryOutcome::Status::kTimeout;
-      out.error = "query deadline exceeded (APLUS_QUERY_TIMEOUT_MS=" +
-                  std::to_string(timeout_ms) + " ms)";
-      break;
-    case StopReason::kResourceExhausted:
-      out.status = QueryOutcome::Status::kResourceExhausted;
-      out.error =
-          "memory budget exceeded (APLUS_MEM_CAP=" + std::to_string(mem_cap) + " bytes)";
-      break;
-    default:
-      break;
-  }
-  out.plan = RenderPlanTree(query, graph_.catalog(), optimizer->last_steps());
-  return out;
+QueryOutcome Database::Execute(const QueryGraph& query, int num_threads) {
+  return ExecuteOnce(PrepareParsed(BareMatch(query), {}).get(), nullptr, num_threads);
 }
 
 QueryOutcome Database::ExecuteCypher(const std::string& text, RowConsumer* consumer) {
-  std::unique_ptr<PreparedQuery> prepared = Prepare(text);
-  QueryOutcome out = prepared->Execute(consumer);
-  if (out.ok()) out.plan = prepared->plan_text();
-  return out;
+  return ExecuteOnce(Prepare(text).get(), consumer, 1);
 }
 
 std::string Database::Explain(const QueryGraph& query) {
-  std::string error = PatternSizeError(query);
-  if (!error.empty()) return "(error: " + error + ")";
-  if (!concurrent_ingest_active() && store_->HasPendingUpdates()) store_->FlushAll();
-  DpOptimizer* optimizer = CachedOptimizer();
-  std::unique_ptr<Plan> plan = optimizer->Optimize(query);
-  if (plan == nullptr) return "(no plan)";
-  return RenderPlanTree(query, graph_.catalog(), optimizer->last_steps());
+  return ExplainPrepared(*PrepareParsed(BareMatch(query), {}));
 }
 
-std::string Database::Explain(const std::string& text) {
-  std::unique_ptr<PreparedQuery> prepared = Prepare(text);
-  if (!prepared->ok()) return "(error: " + prepared->error() + ")";
-  return prepared->plan_text();
-}
+std::string Database::Explain(const std::string& text) { return ExplainPrepared(*Prepare(text)); }
 
 }  // namespace aplus

@@ -11,7 +11,6 @@
 #include "index/maintenance.h"
 #include "optimizer/dp_optimizer.h"
 #include "query/cypher_parser.h"
-#include "query/executor.h"
 #include "query/query_graph.h"
 #include "storage/graph.h"
 #include "view/ddl_parser.h"
@@ -51,8 +50,8 @@ struct ConcurrentIngestOptions {
 //   q->Bind("src", Value::Int64(42));
 //   QueryOutcome out = q->Execute(&my_row_consumer);   // streams RowBatches
 //
-// One-shot paths (Execute / ExecuteCypher) parse + optimize per call and
-// also report through QueryOutcome.
+// One-shot paths (Execute / ExecuteCypher) prepare per call, run that
+// PreparedQuery once, and report through its QueryOutcome.
 class Segment;
 
 class Database {
@@ -156,15 +155,22 @@ class Database {
   // optimize once per distinct query text, clone per connection.
   std::unique_ptr<PreparedQuery> ClonePrepared(const PreparedQuery& src);
 
-  // Optimizes and runs a programmatic pattern (counting); flushes
-  // pending index updates first.
-  QueryOutcome Execute(const QueryGraph& query);
+  // Runs a programmatic pattern once and counts its matches with
+  // `num_threads` workers. The pattern is prepared exactly like a bare
+  // Cypher MATCH (no parameters, no RETURN) and executed through
+  // PreparedQuery::Execute, so it shares that path's admission control
+  // (kOverloaded), deadline and memory governance (with their error
+  // texts), and end-to-end `seconds`. On success `plan` is the same
+  // text Explain renders, ending in the `ProjectSink (count)` line.
+  QueryOutcome Execute(const QueryGraph& query, int num_threads = 1);
 
   // One-shot Cypher: Prepare + Execute. Rows stream to `consumer` when
   // the query projects and one is given.
   QueryOutcome ExecuteCypher(const std::string& text, RowConsumer* consumer = nullptr);
 
-  // Figure 6-style plan rendering without executing.
+  // Figure 6-style plan rendering without executing; a failed prepare
+  // renders as "(error: <message>)". A QueryGraph renders exactly as
+  // the equivalent bare-MATCH Cypher text does.
   std::string Explain(const QueryGraph& query);
   std::string Explain(const std::string& text);
 
@@ -180,6 +186,12 @@ class Database {
   // Rebuilds the cached optimizer when the index set or the graph
   // changed since it was created.
   DpOptimizer* CachedOptimizer();
+
+  // The back half of Prepare, shared with the QueryGraph one-shots:
+  // pattern-size check, parameters, result path (projected columns plus
+  // the sink stage chain), flush, optimize, render, slots and versions.
+  std::unique_ptr<PreparedQuery> PrepareParsed(ParsedCypher parsed,
+                                               const PrepareOptions& options);
 
   Graph graph_;
   // Mapping behind segment-backed primary pages; null for in-memory

@@ -81,8 +81,13 @@ bool PreparedQuery::current() const {
   // the plan points into). Plain edge growth does NOT invalidate: probe
   // paths merge run + delta views, so a prepared plan keeps returning
   // correct rows across online ingest. Plan *quality* staleness from
-  // large growth is a cache policy, handled by Session::Prepare.
+  // large growth is a cache policy: see stale().
   return plan_ != nullptr && store_version_ == db_->index_store().version();
+}
+
+bool PreparedQuery::stale() const {
+  const uint64_t num_edges = db_->graph().num_edges();
+  return !current() || num_edges < num_edges_ || num_edges > num_edges_ * 2;
 }
 
 void PreparedQuery::RefreshSlots() {
@@ -283,20 +288,12 @@ QueryOutcome PreparedQuery::Execute(RowConsumer* consumer, int num_threads) {
                                  ? timeout_millis_
                                  : Int64FromEnv("APLUS_QUERY_TIMEOUT_MS", 0);
   if (timeout_ms > 0) controls_.token.ArmDeadlineMillis(timeout_ms);
-  // Memory budget: explicit set_mem_cap_bytes wins, then APLUS_MEM_CAP,
-  // then the deprecated group-by-era alias. The source name is kept for
-  // the kResourceExhausted error message.
-  uint64_t mem_cap = 0;
-  const char* mem_cap_source = "APLUS_MEM_CAP";
-  if (mem_cap_bytes_ >= 0) {
-    mem_cap = static_cast<uint64_t>(mem_cap_bytes_);
-    mem_cap_source = "set_mem_cap_bytes";
-  } else if (std::getenv("APLUS_MEM_CAP") != nullptr) {
-    mem_cap = static_cast<uint64_t>(Int64FromEnv("APLUS_MEM_CAP", 0));
-  } else if (std::getenv("APLUS_GROUPBY_MEM_CAP") != nullptr) {
-    mem_cap = static_cast<uint64_t>(Int64FromEnv("APLUS_GROUPBY_MEM_CAP", 0));
-    mem_cap_source = "APLUS_GROUPBY_MEM_CAP";
-  }
+  // Memory budget: explicit set_mem_cap_bytes wins, then APLUS_MEM_CAP.
+  // The source name is kept for the kResourceExhausted error message.
+  const bool explicit_cap = mem_cap_bytes_ >= 0;
+  const uint64_t mem_cap = static_cast<uint64_t>(
+      explicit_cap ? mem_cap_bytes_ : Int64FromEnv("APLUS_MEM_CAP", 0));
+  const char* mem_cap_source = explicit_cap ? "set_mem_cap_bytes" : "APLUS_MEM_CAP";
   controls_.budget.Reset(mem_cap);
   MemoryBudget::SetProcessCeiling(
       static_cast<uint64_t>(Int64FromEnv("APLUS_MEM_CAP_TOTAL", 0)));
@@ -307,8 +304,7 @@ QueryOutcome PreparedQuery::Execute(RowConsumer* consumer, int num_threads) {
   // sort, the Finish emission) after the plan's own timer stops, and the
   // caller waits for all of it.
   WallTimer timer;
-  uint64_t count =
-      num_threads == kUseEnvThreads ? plan_->Execute() : plan_->Execute(num_threads);
+  uint64_t count = plan_->Execute(num_threads);
   // Partial batches drain on the calling thread once the workers joined
   // (into each pipeline's own stage chain for staged queries).
   for (int i = 0; i < plan_->num_pipelines(); ++i) {
@@ -352,11 +348,8 @@ QueryOutcome PreparedQuery::Execute(RowConsumer* consumer, int num_threads) {
     for (int i = 1; i < plan_->num_pipelines(); ++i) {
       worker_sinks_.push_back(static_cast<ProjectSinkOp*>(plan_->sink(i)));
     }
-    // The env-thread path runs ProjectSinkOp plans serially (see
-    // Plan::Execute()), so its worker partials are empty: merge serially.
-    int merge_threads = num_threads == kUseEnvThreads ? 1 : num_threads;
     primary->MergeAllStages(worker_sinks_.data(), static_cast<int>(worker_sinks_.size()),
-                            merge_threads);
+                            num_threads);
     primary->FinishStages();
     out.rows = controls_.rows_emitted;
     // The deadline (or a cancel) can land mid-cascade — the sort / group
@@ -403,13 +396,7 @@ PreparedQuery* Session::Prepare(const std::string& text, const PrepareOptions& o
   ++tick_;
   auto it = cache_.find(key);
   if (it != cache_.end()) {
-    // A cached plan stays *valid* across ingest (current() checks the
-    // store version only), but its join order was costed on the graph as
-    // of Prepare; once the graph doubles, re-prepare for plan quality.
-    uint64_t num_edges = db_->graph().num_edges();
-    uint64_t prepared_edges = it->second.prepared->num_edges_at_prepare();
-    bool quality_stale = num_edges < prepared_edges || num_edges > prepared_edges * 2;
-    if (it->second.prepared->current() && !quality_stale) {
+    if (!it->second.prepared->stale()) {
       ++cache_hits_;
       it->second.last_used = tick_;
       return it->second.prepared.get();

@@ -7,17 +7,17 @@
 #include <vector>
 
 #include "query/cypher_parser.h"
-#include "query/executor.h"
+#include "query/plan.h"
 #include "query/row_sink.h"
 
 namespace aplus {
 
 class Database;
 
-// The single result type of the serving API: every query/command path
-// (prepared execution, one-shot Cypher, programmatic QueryGraph runs)
-// reports through it. Errors land in `status` + `error` — never in the
-// plan text or a magic count.
+// The single result type of the serving API: every query path
+// (prepared execution, one-shot Cypher, programmatic QueryGraph runs —
+// all of them PreparedQuery::Execute) reports through it. Errors land in
+// `status` + `error` — never in the plan text or a magic count.
 struct QueryOutcome {
   enum class Status : uint8_t {
     kOk = 0,
@@ -55,10 +55,10 @@ struct QueryOutcome {
   // MATCH count.
   uint64_t rows = 0;
   double seconds = 0.0;
-  // Figure 6-style plan rendering. Filled by the one-shot paths
-  // (Database::Execute/ExecuteCypher); PreparedQuery::Execute leaves it
-  // empty so the steady-state hot path stays allocation-free — read
-  // PreparedQuery::plan_text() instead.
+  // Figure 6-style plan rendering. Filled on success by the one-shot
+  // paths (Database::Execute/ExecuteCypher, Session::Execute);
+  // PreparedQuery::Execute leaves it empty so the steady-state hot path
+  // stays allocation-free — read PreparedQuery::plan_text() instead.
   std::string plan;
 
   bool ok() const { return status == Status::kOk; }
@@ -117,10 +117,9 @@ class PreparedQuery {
   void ClearBindings();
 
   // Runs the plan. Rows stream to `consumer` (may be null: rows are
-  // counted, then dropped). `num_threads` as in RunPlan: kUseEnvThreads
-  // defers to APLUS_THREADS (serial for projecting queries), >= 1 pins
-  // the worker count.
-  QueryOutcome Execute(RowConsumer* consumer = nullptr, int num_threads = kUseEnvThreads);
+  // counted, then dropped). `num_threads` is the worker count, as in
+  // Plan::Execute.
+  QueryOutcome Execute(RowConsumer* consumer = nullptr, int num_threads = 1);
 
   // Wall-clock deadline for each Execute, in milliseconds: every worker
   // polls it cooperatively and the execute returns kTimeout with partial
@@ -137,13 +136,19 @@ class PreparedQuery {
   // Per-query memory budget, in bytes, charged by the group/sort/project
   // arenas and plan scratch; crossing it returns kResourceExhausted.
   // 0 removes the cap; a negative value (the default) defers to
-  // APLUS_MEM_CAP, then the deprecated APLUS_GROUPBY_MEM_CAP alias.
+  // APLUS_MEM_CAP.
   void set_mem_cap_bytes(int64_t bytes) { mem_cap_bytes_ = bytes; }
 
   // True while the plan is still valid against the database's index
   // store version and graph edge count; false means Execute will return
   // kInvalidated and the query must be re-prepared.
   bool current() const;
+
+  // True when a plan cache should re-prepare: the plan is no longer
+  // current(), or the graph's edge count left [prepared, 2 x prepared],
+  // so the join order was costed on a graph that has since shrunk or
+  // doubled. Session and the server's shared plan cache both apply it.
+  bool stale() const;
 
   const std::string& plan_text() const { return plan_text_; }
   // Output schema: what the consumer receives per batch. For aggregate /
@@ -161,9 +166,6 @@ class PreparedQuery {
   // the match count.
   bool count_star_only() const { return count_star_only_; }
   const std::string& normalized_text() const { return normalized_text_; }
-  // Edge count the plan was costed against (Session's plan-quality
-  // re-prepare heuristic compares it to the live graph).
-  uint64_t num_edges_at_prepare() const { return num_edges_; }
 
  private:
   friend class Database;
@@ -239,7 +241,7 @@ class Session {
   // One-shot convenience: Prepare (cached) + Execute. Parameterized
   // queries must go through Prepare/Bind.
   QueryOutcome Execute(const std::string& text, RowConsumer* consumer = nullptr,
-                       int num_threads = kUseEnvThreads);
+                       int num_threads = 1);
 
   uint64_t cache_hits() const { return cache_hits_; }
   uint64_t cache_misses() const { return cache_misses_; }

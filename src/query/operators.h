@@ -188,7 +188,6 @@ class SinkOp : public Operator {
     if (callback_) callback_(*state);
   }
   std::unique_ptr<Operator> Clone() const override { return std::make_unique<SinkOp>(callback_); }
-  bool has_callback() const { return static_cast<bool>(callback_); }
   std::string Describe() const override { return "Sink"; }
 
  private:

@@ -1,29 +1,11 @@
 #include "query/plan.h"
 
-#include <cstdlib>
-
 #include "util/epoch.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace aplus {
-
-namespace {
-
-// Default worker count for Plan::Execute(): the APLUS_THREADS
-// environment variable, so serving deployments (and CI) can parallelize
-// every plan without touching call sites. Unset/unparsable = 1.
-int DefaultNumThreads() {
-  const char* env = std::getenv("APLUS_THREADS");
-  if (env == nullptr) return 1;
-  long v = std::strtol(env, nullptr, 10);
-  if (v < 1) return 1;
-  if (v > Plan::kMaxThreads) return Plan::kMaxThreads;
-  return static_cast<int>(v);
-}
-
-}  // namespace
 
 Plan::Plan(std::vector<std::unique_ptr<Operator>> ops, int num_query_vertices,
            int num_query_edges)
@@ -32,18 +14,6 @@ Plan::Plan(std::vector<std::unique_ptr<Operator>> ops, int num_query_vertices,
       num_query_edges_(num_query_edges) {
   APLUS_CHECK_GE(ops_.size(), 2u) << "plan needs at least a scan and a sink";
   for (size_t i = 0; i + 1 < ops_.size(); ++i) ops_[i]->set_next(ops_[i + 1].get());
-}
-
-uint64_t Plan::Execute() {
-  int num_threads = DefaultNumThreads();
-  if (num_threads > 1) {
-    // The env knob never opts a callback (or a non-counting sink such as
-    // the serving path's ProjectSinkOp) into concurrent invocation on
-    // the caller's behalf; that requires an explicit Execute(n).
-    auto* sink = dynamic_cast<SinkOp*>(ops_.back().get());
-    if (sink == nullptr || sink->has_callback()) num_threads = 1;
-  }
-  return Execute(num_threads);
 }
 
 uint64_t Plan::ExecuteSerial(ScanOp* scan) {

@@ -24,21 +24,16 @@ class Plan {
  public:
   Plan(std::vector<std::unique_ptr<Operator>> ops, int num_query_vertices, int num_query_edges);
 
-  // Runs the pipeline and returns the number of complete matches. The
-  // worker count comes from the APLUS_THREADS environment variable
-  // (default 1). Plans whose SinkOp carries a callback ignore the env
-  // knob and stay serial — concurrent callback execution must be
-  // requested explicitly through Execute(num_threads), which is the
-  // caller's acknowledgement of the SinkOp thread-safety contract.
-  uint64_t Execute();
-
-  // Runs the pipeline with `num_threads` workers using morsel-driven
-  // parallelism: the leading ScanOp's vertex domain is carved into
-  // morsels handed out through an atomic cursor, and each worker drives
-  // its own cloned pipeline replica (private operator scratch, private
-  // MatchState, private SinkOp callback copy) over the morsels it
-  // claims. Match counts accumulate per worker and merge once at the
-  // end. See SinkOp for the callback thread-safety contract.
+  // Runs the pipeline and returns the number of complete matches, with
+  // `num_threads` workers (clamped to [1, kMaxThreads]) using
+  // morsel-driven parallelism: the leading ScanOp's vertex domain is
+  // carved into morsels handed out through an atomic cursor, and each
+  // worker drives its own cloned pipeline replica (private operator
+  // scratch, private MatchState, private SinkOp callback copy) over the
+  // morsels it claims. Match counts accumulate per worker and merge once
+  // at the end. Passing num_threads > 1 to a plan whose SinkOp carries a
+  // callback is the caller's acknowledgement of the SinkOp thread-safety
+  // contract.
   uint64_t Execute(int num_threads);
 
   // One line per operator, root first (Figure 6 style).

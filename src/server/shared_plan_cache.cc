@@ -8,13 +8,6 @@ SharedPlanCache::Shard& SharedPlanCache::ShardFor(const std::string& key) {
   return shards_[std::hash<std::string>{}(key) % kNumShards];
 }
 
-bool SharedPlanCache::EntryStale(const Entry& entry) const {
-  if (entry.store_version != db_->index_store().version()) return true;
-  const uint64_t num_edges = db_->graph().num_edges();
-  return num_edges < entry.num_edges_at_prepare ||
-         num_edges > entry.num_edges_at_prepare * 2;
-}
-
 SharedPlanCache::Lease SharedPlanCache::Acquire(const std::string& text,
                                                 const PrepareOptions& options) {
   const std::string key = NormalizeQueryText(text);
@@ -24,7 +17,7 @@ SharedPlanCache::Lease SharedPlanCache::Acquire(const std::string& text,
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
-      if (EntryStale(*it->second)) {
+      if (it->second->master->stale()) {
         shard.map.erase(it);  // instances drain back through Release and drop
       } else {
         entry = it->second;
@@ -67,12 +60,10 @@ SharedPlanCache::Lease SharedPlanCache::Acquire(const std::string& text,
   }
   auto fresh = std::make_shared<Entry>();
   fresh->key = key;
-  fresh->store_version = db_->index_store().version();
-  fresh->num_edges_at_prepare = master->num_edges_at_prepare();
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(key);
-    if (it != shard.map.end() && !EntryStale(*it->second)) {
+    if (it != shard.map.end() && !it->second->master->stale()) {
       entry = it->second;  // lost the publish race
     } else {
       fresh->master = std::move(master);
@@ -99,7 +90,7 @@ SharedPlanCache::Lease SharedPlanCache::Acquire(const std::string& text,
 void SharedPlanCache::Release(Lease* lease) {
   if (lease->owned == nullptr) return;
   std::shared_ptr<Entry> entry = std::static_pointer_cast<Entry>(lease->entry);
-  if (entry != nullptr && lease->owned->ok() && !EntryStale(*entry)) {
+  if (entry != nullptr && lease->owned->ok() && !entry->master->stale()) {
     // A pooled instance must not leak the previous owner's parameter
     // values into the next checkout: clear the bound flags so Execute
     // refuses until the new owner binds.

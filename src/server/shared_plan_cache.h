@@ -26,12 +26,11 @@ namespace aplus {
 //     Database::ClonePrepared from the master under the entry mutex);
 //     the caller owns it exclusively until Release(), so Bind/Execute on
 //     a checked-out instance take no locks at all.
-//   * Version invalidation mirrors Session::Prepare: an entry is stale
-//     when the index-store version moved (DDL / index rebuild) or the
-//     graph's edge count left [prepared, 2 x prepared] (ingest grew or
-//     shrank the graph past plan quality). Stale entries are dropped
-//     whole — instances still checked out drain back through Release()
-//     and are discarded there.
+//   * Version invalidation is Session::Prepare's: an entry is stale when
+//     its master is (PreparedQuery::stale — the index-store version
+//     moved, or ingest grew or shrank the graph past plan quality).
+//     Stale entries are dropped whole — instances still checked out
+//     drain back through Release() and are discarded there.
 //
 // A hit is an Acquire served from the shared plan (pool pop or clone) —
 // no parse, no optimizer. After warmup a steady request mix should sit
@@ -80,8 +79,6 @@ class SharedPlanCache {
 
   struct Entry {
     std::string key;
-    uint64_t store_version = 0;
-    uint64_t num_edges_at_prepare = 0;
     std::mutex mu;  // guards master (as clone source) + pool
     std::unique_ptr<PreparedQuery> master;  // clone template; never executed
     std::vector<std::unique_ptr<PreparedQuery>> pool;
@@ -93,7 +90,6 @@ class SharedPlanCache {
   };
 
   Shard& ShardFor(const std::string& key);
-  bool EntryStale(const Entry& entry) const;
 
   Database* db_;
   std::vector<Shard> shards_;

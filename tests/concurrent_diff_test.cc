@@ -15,8 +15,9 @@
 //     final edge set — merges lost nothing and tombstones erased
 //     exactly the deleted edges.
 //
-// Runs 3 seeds x {1, 4} reader threads (the concurrency-stress CI lane
-// executes this suite under TSan with APLUS_THREADS=4). Nightly scales
+// Runs 3 seeds x {1, 4} reader threads; each reader's two-hop counts run
+// with TestThreads() workers (the concurrency-stress CI lane executes
+// this suite under TSan with APLUS_THREADS=4). Nightly scales
 // the graph through APLUS_CONC_VERTICES / APLUS_CONC_DEGREE.
 
 #include <gtest/gtest.h>
@@ -34,6 +35,7 @@
 #include "core/database.h"
 #include "datagen/power_law_generator.h"
 #include "util/rng.h"
+#include "test_threads.h"
 
 namespace aplus {
 namespace {
@@ -189,7 +191,7 @@ class ConcurrentDiffTest : public ::testing::TestWithParam<uint64_t> {
             ASSERT_TRUE(out.ok()) << out.error;
             for (int64_t b : rc.values) ++obs.one_hop_rows[b];
             ASSERT_TRUE(q.two->Bind("src", Value::Int64(src)));
-            QueryOutcome out2 = q.two->Execute(nullptr);
+            QueryOutcome out2 = q.two->Execute(nullptr, TestThreads());
             ASSERT_TRUE(out2.ok()) << out2.error;
             obs.two_hop_count = out2.count;
             per_thread[t].push_back(std::move(obs));

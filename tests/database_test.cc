@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+#include <vector>
+
 #include "core/database.h"
 #include "datagen/example_graph.h"
+#include "datagen/financial_props.h"
+#include "datagen/power_law_generator.h"
+#include "test_threads.h"
 
 namespace aplus {
 namespace {
@@ -38,7 +45,7 @@ TEST_F(DatabaseTest, RunSimpleQuery) {
   int a = query.AddVertex("a", account_label_);
   int b = query.AddVertex("b", account_label_);
   query.AddEdge(a, b, wire_label_);
-  QueryOutcome result = db_->Execute(query);
+  QueryOutcome result = db_->Execute(query, TestThreads());
   EXPECT_EQ(result.count, 9u);
   EXPECT_FALSE(result.plan.empty());
 }
@@ -54,7 +61,7 @@ TEST_F(DatabaseTest, ReconfigureViaDdl) {
   int a = query.AddVertex("a", account_label_);
   int b = query.AddVertex("b", account_label_);
   query.AddEdge(a, b, wire_label_);
-  EXPECT_EQ(db_->Execute(query).count, 9u);
+  EXPECT_EQ(db_->Execute(query, TestThreads()).count, 9u);
 }
 
 TEST_F(DatabaseTest, CreateOneHopViewViaDdl) {
@@ -99,7 +106,7 @@ TEST_F(DatabaseTest, InsertThroughMaintainerThenQuery) {
   int a = query.AddVertex("a", account_label_);
   int b = query.AddVertex("b", account_label_);
   query.AddEdge(a, b, wire_label_);
-  uint64_t before = db_->Execute(query).count;
+  uint64_t before = db_->Execute(query, TestThreads()).count;
 
   Graph& g = db_->graph();
   edge_id_t e = g.AddEdge(accounts_[0], accounts_[1], wire_label_);
@@ -107,7 +114,7 @@ TEST_F(DatabaseTest, InsertThroughMaintainerThenQuery) {
   g.edge_props().mutable_column(date_key_)->SetInt64(e, 99);
   db_->maintainer().OnEdgeInserted(e);
   // Run() flushes pending updates automatically.
-  EXPECT_EQ(db_->Execute(query).count, before + 1);
+  EXPECT_EQ(db_->Execute(query, TestThreads()).count, before + 1);
 }
 
 TEST_F(DatabaseTest, MemoryReporting) {
@@ -134,10 +141,141 @@ TEST_F(DatabaseTest, ExampleFourCurrencyQuery) {
   usd.op = CmpOp::kEq;
   usd.rhs_const = Value::Category(0);  // USD
   query.AddPredicate(usd);
-  QueryOutcome result = db_->Execute(query);
+  QueryOutcome result = db_->Execute(query, TestThreads());
   // USD wires: t5 (v4->v2), t8 (v2->v4), t9 (v4->v5), t14 (v3->v4),
   // t20 (v1->v4). Owned sources: v1..v5 all owned; all 5 qualify.
   EXPECT_EQ(result.count, 5u);
+}
+
+// The QueryGraph one-shots prepare a pattern exactly like the bare-MATCH
+// Cypher text of it, so both render the same plan and count the same
+// matches, under D and under D+VPc (city-sorted offset lists).
+class OneShotPathTest : public ::testing::Test {
+ protected:
+  OneShotPathTest() {
+    Graph graph;
+    PowerLawParams params;
+    params.num_vertices = 1000;
+    params.avg_degree = 6.0;
+    params.seed = 41;
+    GeneratePowerLawGraph(params, &graph);
+    keys_ = AddFinancialProperties(42, &graph, /*num_cities=*/8);
+    graph.catalog().RegisterCategoryValue(keys_.acc, "CQ");
+    graph.catalog().RegisterCategoryValue(keys_.acc, "SV");
+    elabel_ = graph.catalog().FindEdgeLabel("E");
+    db_ = std::make_unique<Database>(std::move(graph));
+    db_->BuildPrimaryIndexes();
+  }
+
+  // D+VPc: city-sorted secondary VP indexes in both directions.
+  bool CreateVpc() {
+    return db_->ExecuteDdl("CREATE 1-HOP VIEW VPc MATCH vs-[eadj]->vd INDEX AS FW-BW "
+                           "PARTITION BY eadj.label SORT BY vnbr.city")
+        .ok;
+  }
+
+  // One pattern in both spellings.
+  struct Case {
+    std::string name;
+    QueryGraph graph;
+    std::string text;
+  };
+
+  std::vector<Case> Cases() const {
+    std::vector<Case> cases;
+    {
+      Case two_hop{"2-hop", {}, "MATCH (a)-[r1:E]->(b)-[r2:E]->(c)"};
+      int a = two_hop.graph.AddVertex("a");
+      int b = two_hop.graph.AddVertex("b");
+      int c = two_hop.graph.AddVertex("c");
+      two_hop.graph.AddEdge(a, b, elabel_, "r1");
+      two_hop.graph.AddEdge(b, c, elabel_, "r2");
+      cases.push_back(std::move(two_hop));
+    }
+    {
+      Case triangle{"triangle", {}, "MATCH (a)-[r1:E]->(b)-[r2:E]->(c), (a)-[r3:E]->(c)"};
+      int a = triangle.graph.AddVertex("a");
+      int b = triangle.graph.AddVertex("b");
+      int c = triangle.graph.AddVertex("c");
+      triangle.graph.AddEdge(a, b, elabel_, "r1");
+      triangle.graph.AddEdge(b, c, elabel_, "r2");
+      triangle.graph.AddEdge(a, c, elabel_, "r3");
+      cases.push_back(std::move(triangle));
+    }
+    {
+      // MF1 (Figure 5a): a directed 4-cycle of CQ accounts with
+      // a2.city = a4.city.
+      Case mf1{"MF1", {},
+               "MATCH (a1)-[e1:E]->(a2)-[e2:E]->(a3)-[e3:E]->(a4)-[e4:E]->(a1) WHERE "
+               "a1.acc = CQ, a2.acc = CQ, a3.acc = CQ, a4.acc = CQ, a2.city = a4.city"};
+      QueryGraph& q = mf1.graph;
+      for (int i = 1; i <= 4; ++i) q.AddVertex("a" + std::to_string(i));
+      for (int i = 1; i <= 4; ++i) q.AddEdge(i - 1, i % 4, elabel_, "e" + std::to_string(i));
+      const category_t cq = db_->graph().catalog().FindCategoryValue(keys_.acc, "CQ");
+      for (int v = 0; v < 4; ++v) {
+        QueryComparison acc;
+        acc.lhs = QueryPropRef{v, false, keys_.acc, false};
+        acc.rhs_const = Value::Category(cq);
+        q.AddPredicate(acc);
+      }
+      QueryComparison city;
+      city.lhs = QueryPropRef{1, false, keys_.city, false};
+      city.rhs_is_const = false;
+      city.rhs_ref = QueryPropRef{3, false, keys_.city, false};
+      q.AddPredicate(city);
+      cases.push_back(std::move(mf1));
+    }
+    return cases;
+  }
+
+  void ExpectSameAsCypher() {
+    for (const Case& c : Cases()) {
+      SCOPED_TRACE(c.name);
+      const std::string plan = db_->Explain(c.graph);
+      EXPECT_EQ(plan, db_->Explain(c.text));
+      EXPECT_NE(plan.find("ProjectSink (count)"), std::string::npos) << plan;
+      QueryOutcome cypher = db_->ExecuteCypher(c.text);
+      ASSERT_TRUE(cypher.ok()) << cypher.error;
+      for (int threads : {1, 4}) {
+        QueryOutcome out = db_->Execute(c.graph, threads);
+        ASSERT_TRUE(out.ok()) << out.error;
+        EXPECT_EQ(out.count, cypher.count) << "threads=" << threads;
+        EXPECT_EQ(out.plan, plan);
+      }
+    }
+  }
+
+  FinancialPropKeys keys_;
+  label_t elabel_ = kInvalidLabel;
+  std::unique_ptr<Database> db_;
+};
+
+TEST_F(OneShotPathTest, QueryGraphMatchesCypherUnderD) { ExpectSameAsCypher(); }
+
+TEST_F(OneShotPathTest, QueryGraphMatchesCypherUnderVpc) {
+  ASSERT_TRUE(CreateVpc());
+  ExpectSameAsCypher();
+}
+
+// APLUS_MEM_CAP reaches the QueryGraph one-shot with the prepared path's
+// typed status and error text: MF1's MULTI-EXTEND over city-sorted VPc
+// offset lists grows run-decode scratch, which charges the budget.
+TEST_F(OneShotPathTest, QueryGraphHonorsEnvMemCap) {
+  ASSERT_TRUE(CreateVpc());
+  const QueryGraph mf1 = Cases().back().graph;
+  ASSERT_NE(db_->Explain(mf1).find("MULTI-EXTEND"), std::string::npos) << db_->Explain(mf1);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    setenv("APLUS_MEM_CAP", "1", 1);
+    QueryOutcome capped = db_->Execute(mf1, threads);
+    unsetenv("APLUS_MEM_CAP");
+    EXPECT_EQ(capped.status, QueryOutcome::Status::kResourceExhausted);
+    EXPECT_NE(capped.error.find("memory budget exceeded (APLUS_MEM_CAP=1 bytes)"),
+              std::string::npos)
+        << capped.error;
+    EXPECT_TRUE(capped.plan.empty());
+    EXPECT_TRUE(db_->Execute(mf1, threads).ok());
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "datagen/financial_props.h"
 #include "datagen/label_assigner.h"
 #include "datagen/power_law_generator.h"
+#include "test_threads.h"
 
 namespace aplus {
 namespace {
@@ -70,7 +71,7 @@ TEST(IntegrationTest, ConfigsAgreeOnLabelledSubgraphQueries) {
   // Config D.
   db.BuildPrimaryIndexes(IndexConfig::Default());
   std::vector<uint64_t> counts_d;
-  for (const QueryGraph& q : queries) counts_d.push_back(db.Execute(q).count);
+  for (const QueryGraph& q : queries) counts_d.push_back(db.Execute(q, TestThreads()).count);
 
   // Config Ds: sort by neighbour label then ID.
   IndexConfig ds = IndexConfig::Default();
@@ -79,7 +80,7 @@ TEST(IntegrationTest, ConfigsAgreeOnLabelledSubgraphQueries) {
   ds.sorts.push_back({SortSource::kNbrId, kInvalidPropKey});
   db.BuildPrimaryIndexes(ds);
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(db.Execute(queries[i]).count, counts_d[i]) << "Ds query " << i;
+    EXPECT_EQ(db.Execute(queries[i], TestThreads()).count, counts_d[i]) << "Ds query " << i;
   }
 
   // Config Dp: add neighbour-label partitioning.
@@ -87,7 +88,7 @@ TEST(IntegrationTest, ConfigsAgreeOnLabelledSubgraphQueries) {
   dp.partitions.push_back({PartitionSource::kNbrLabel, kInvalidPropKey});
   db.BuildPrimaryIndexes(dp);
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(db.Execute(queries[i]).count, counts_d[i]) << "Dp query " << i;
+    EXPECT_EQ(db.Execute(queries[i], TestThreads()).count, counts_d[i]) << "Dp query " << i;
   }
 
   // Baselines agree too (built over the moved-into graph).
@@ -134,7 +135,7 @@ TEST(IntegrationTest, FraudConfigsAgree) {
   a1_small.rhs_const = Value::Int64(50);
   q.AddPredicate(a1_small);
 
-  uint64_t base = db.Execute(q).count;
+  uint64_t base = db.Execute(q, TestThreads()).count;
 
   // Add VPc (city-sorted, both directions): counts must not change.
   IndexConfig city_config = IndexConfig::Default();
@@ -142,7 +143,7 @@ TEST(IntegrationTest, FraudConfigsAgree) {
   city_config.sorts.push_back({SortSource::kNbrProp, keys.city});
   db.CreateVpIndex("VPc", Predicate(), city_config, Direction::kFwd);
   db.CreateVpIndex("VPc", Predicate(), city_config, Direction::kBwd);
-  EXPECT_EQ(db.Execute(q).count, base);
+  EXPECT_EQ(db.Execute(q, TestThreads()).count, base);
 
   LinkedListEngine ll(&db.graph());
   EXPECT_EQ(ll.CountMatches(q), base);
@@ -184,7 +185,7 @@ TEST(IntegrationTest, MoneyFlowWithEpIndexAgrees) {
   a1_small.rhs_const = Value::Int64(100);
   q.AddPredicate(a1_small);
 
-  uint64_t base = db.Execute(q).count;
+  uint64_t base = db.Execute(q, TestThreads()).count;
 
   Predicate flow;
   flow.AddRef(PropRef{PropSite::kBoundEdge, keys.date, false, false}, CmpOp::kLt,
@@ -192,7 +193,7 @@ TEST(IntegrationTest, MoneyFlowWithEpIndexAgrees) {
   flow.AddRef(PropRef{PropSite::kBoundEdge, keys.amount, false, false}, CmpOp::kGt,
               PropRef{PropSite::kAdjEdge, keys.amount, false, false});
   db.CreateEpIndex("MoneyFlow", EpKind::kDstFwd, flow, IndexConfig::Default());
-  EXPECT_EQ(db.Execute(q).count, base);
+  EXPECT_EQ(db.Execute(q, TestThreads()).count, base);
 
   FlatAdjEngine flat(&db.graph());
   EXPECT_EQ(flat.CountMatches(q), base);

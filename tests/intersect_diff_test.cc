@@ -17,6 +17,7 @@
 #include "query/plan.h"
 #include "util/bit_util.h"
 #include "util/rng.h"
+#include "test_threads.h"
 
 namespace aplus {
 namespace {
@@ -279,7 +280,7 @@ TEST_P(IntersectDiffTest, BoundSourcesMatchBaseline) {
         for (int v : src_vars) builder.Scan(v);
         auto plan = builder.ExtendIntersect(lists, c).Build();
         uint64_t expected = engine_->CountMatches(query);
-        EXPECT_EQ(plan->Execute(), expected)
+        EXPECT_EQ(plan->Execute(TestThreads()), expected)
             << "z=" << z << " offset=" << offset << " tuple=" << tuple;
         total += expected;
       }
@@ -317,7 +318,7 @@ TEST_P(IntersectDiffTest, BoundedRangesMatchBaseline) {
       PlanBuilder builder(&graph_, &query);
       auto plan = builder.Scan(a0).Scan(a1).ExtendIntersect(lists, c).Build();
       uint64_t expected = engine_->CountMatches(query);
-      EXPECT_EQ(plan->Execute(), expected) << "offset=" << offset << " tuple=" << tuple;
+      EXPECT_EQ(plan->Execute(TestThreads()), expected) << "offset=" << offset << " tuple=" << tuple;
     }
   }
 }
@@ -337,7 +338,7 @@ TEST_P(IntersectDiffTest, TriangleMatchesBaseline) {
   auto plan =
       builder.Scan(a).Extend(FwdList(a, el0_, b, 0)).ExtendIntersect(lists, c).Build();
   uint64_t expected = engine_->CountMatches(query);
-  EXPECT_EQ(plan->Execute(), expected);
+  EXPECT_EQ(plan->Execute(TestThreads()), expected);
   EXPECT_GT(expected, 0u) << "no triangles in the generated graph";
 }
 
@@ -353,7 +354,7 @@ TEST_P(IntersectDiffTest, ClosingProbeMatchesBaseline) {
                   .Extend(FwdList(a, el0_, b, 0))
                   .Extend(FwdList(b, el1_, a, 1), {}, /*closing=*/true)
                   .Build();
-  EXPECT_EQ(plan->Execute(), engine_->CountMatches(query));
+  EXPECT_EQ(plan->Execute(TestThreads()), engine_->CountMatches(query));
 }
 
 // MULTI-EXTEND on property-sorted offset lists vs the equivalent
@@ -389,7 +390,7 @@ TEST_P(IntersectDiffTest, MultiExtendMatchesBaseline) {
     PlanBuilder builder(&graph_, &query);
     auto plan = builder.Scan(a).MultiExtend({l1, l2}).Build();
     uint64_t expected = engine_->CountMatches(query);
-    EXPECT_EQ(plan->Execute(), expected) << "tuple=" << tuple;
+    EXPECT_EQ(plan->Execute(TestThreads()), expected) << "tuple=" << tuple;
   }
 }
 
@@ -424,7 +425,7 @@ TEST_P(IntersectDiffTest, AllKernelLevelsMatchBaseline) {
           for (int v : src_vars) builder.Scan(v);
           auto plan = builder.ExtendIntersect(lists, c).Build();
           uint64_t expected = engine_->CountMatches(query);
-          EXPECT_EQ(plan->Execute(), expected)
+          EXPECT_EQ(plan->Execute(TestThreads()), expected)
               << "level=" << ToString(level) << " z=" << z << " offset=" << offset
               << " tuple=" << tuple;
           total += expected;
@@ -445,7 +446,7 @@ TEST_P(IntersectDiffTest, AllKernelLevelsMatchBaseline) {
                       .Extend(FwdList(a, el0_, b, 0))
                       .ExtendIntersect(lists, c)
                       .Build();
-      EXPECT_EQ(plan->Execute(), engine_->CountMatches(query))
+      EXPECT_EQ(plan->Execute(TestThreads()), engine_->CountMatches(query))
           << "triangle level=" << ToString(level);
     }
     {
@@ -459,7 +460,7 @@ TEST_P(IntersectDiffTest, AllKernelLevelsMatchBaseline) {
                       .Extend(FwdList(a, el0_, b, 0))
                       .Extend(FwdList(b, el1_, a, 1), {}, /*closing=*/true)
                       .Build();
-      EXPECT_EQ(plan->Execute(), engine_->CountMatches(query))
+      EXPECT_EQ(plan->Execute(TestThreads()), engine_->CountMatches(query))
           << "closing probe level=" << ToString(level);
     }
     for (uint64_t tuple = 0; tuple < 6; ++tuple) {
@@ -489,7 +490,7 @@ TEST_P(IntersectDiffTest, AllKernelLevelsMatchBaseline) {
       l2.target_edge_var = 1;
       PlanBuilder builder(&graph_, &query);
       auto plan = builder.Scan(a).MultiExtend({l1, l2}).Build();
-      EXPECT_EQ(plan->Execute(), engine_->CountMatches(query))
+      EXPECT_EQ(plan->Execute(TestThreads()), engine_->CountMatches(query))
           << "multi-extend level=" << ToString(level) << " tuple=" << tuple;
     }
     EXPECT_GT(total, 0u) << "level=" << ToString(level)

@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "random_query.h"
+#include "test_threads.h"
 
 namespace aplus {
 namespace {
@@ -113,7 +114,7 @@ TEST_P(OptimizerFuzzTest, PlansMatchBruteForce) {
   for (int q = 0; q < 4; ++q) {
     QueryGraph query = RandomQuery(&rng, db->graph(), keys);
     uint64_t expected = BruteForcer(db->graph(), query).Count();
-    QueryOutcome result = db->Execute(query);
+    QueryOutcome result = db->Execute(query, TestThreads());
     ASSERT_EQ(result.count, expected)
         << "seed=" << seed << " query=" << q << "\nplan:\n"
         << result.plan;

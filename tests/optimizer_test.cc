@@ -5,6 +5,7 @@
 #include "optimizer/dp_optimizer.h"
 #include "optimizer/index_advisor.h"
 #include "optimizer/plan_printer.h"
+#include "test_threads.h"
 
 namespace aplus {
 namespace {
@@ -73,7 +74,7 @@ TEST_F(OptimizerTest, SingleEdgeQuery) {
   DpOptimizer optimizer(&ex_.graph, &store_);
   auto plan = optimizer.Optimize(query);
   ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->Execute(), BruteForce(query));
+  EXPECT_EQ(plan->Execute(TestThreads()), BruteForce(query));
 }
 
 TEST_F(OptimizerTest, TwoHopMatchesBruteForce) {
@@ -86,7 +87,7 @@ TEST_F(OptimizerTest, TwoHopMatchesBruteForce) {
   DpOptimizer optimizer(&ex_.graph, &store_);
   auto plan = optimizer.Optimize(query);
   ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->Execute(), BruteForce(query));
+  EXPECT_EQ(plan->Execute(TestThreads()), BruteForce(query));
 }
 
 TEST_F(OptimizerTest, LabelledTriangleUsesIntersection) {
@@ -103,7 +104,7 @@ TEST_F(OptimizerTest, LabelledTriangleUsesIntersection) {
   DpOptimizer optimizer(&ex_.graph, &store_);
   auto plan = optimizer.Optimize(query);
   ASSERT_NE(plan, nullptr);
-  uint64_t count = plan->Execute();
+  uint64_t count = plan->Execute(TestThreads());
   EXPECT_EQ(count, BruteForce(query));
   EXPECT_GE(count, 1u);  // v1 -t17-> v2 -t8-> v4, v1 -t20-> v4
   // The last extension closes two edges -> must be an intersection.
@@ -128,7 +129,7 @@ TEST_F(OptimizerTest, UnlabelledTriangleFallsBackToVerify) {
   DpOptimizer optimizer(&ex_.graph, &store_);
   auto plan = optimizer.Optimize(query);
   ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->Execute(), BruteForce(query));
+  EXPECT_EQ(plan->Execute(TestThreads()), BruteForce(query));
 }
 
 TEST_F(OptimizerTest, PredicatePushedIntoScanAndResiduals) {
@@ -144,7 +145,7 @@ TEST_F(OptimizerTest, PredicatePushedIntoScanAndResiduals) {
   DpOptimizer optimizer(&ex_.graph, &store_);
   auto plan = optimizer.Optimize(query);
   ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->Execute(), BruteForce(query));
+  EXPECT_EQ(plan->Execute(TestThreads()), BruteForce(query));
 }
 
 TEST_F(OptimizerTest, UsesVpIndexWhenPredicateSubsumes) {
@@ -168,7 +169,7 @@ TEST_F(OptimizerTest, UsesVpIndexWhenPredicateSubsumes) {
   DpOptimizer optimizer(&ex_.graph, &store_);
   auto plan = optimizer.Optimize(query);
   ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->Execute(), BruteForce(query));
+  EXPECT_EQ(plan->Execute(TestThreads()), BruteForce(query));
   // The chosen extend should read the VP index (it is smaller).
   bool uses_vp = false;
   for (const PlanStep& step : optimizer.last_steps()) {
@@ -200,7 +201,7 @@ TEST_F(OptimizerTest, RejectsVpIndexWhenQueryIsBroader) {
   DpOptimizer optimizer(&ex_.graph, &store_);
   auto plan = optimizer.Optimize(query);
   ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->Execute(), BruteForce(query));
+  EXPECT_EQ(plan->Execute(TestThreads()), BruteForce(query));
   for (const PlanStep& step : optimizer.last_steps()) {
     for (const ListDescriptor& list : step.lists) {
       EXPECT_NE(list.source, ListDescriptor::Source::kVp);
@@ -235,7 +236,7 @@ TEST_F(OptimizerTest, MultiExtendChosenForCityEquality) {
   DpOptimizer optimizer(&ex_.graph, &store_);
   auto plan = optimizer.Optimize(query);
   ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->Execute(), BruteForce(query));
+  EXPECT_EQ(plan->Execute(TestThreads()), BruteForce(query));
   bool has_multi = false;
   for (const PlanStep& step : optimizer.last_steps()) {
     if (step.kind == PlanStep::Kind::kMultiExtend) has_multi = true;
@@ -279,8 +280,8 @@ TEST_F(OptimizerTest, MultiExtendKeepsOffsetEqualityResidual) {
     if (step.kind == PlanStep::Kind::kMultiExtend) has_multi = true;
   }
   EXPECT_TRUE(has_multi);
-  EXPECT_EQ(plan->Execute(), BruteForce(query)) << optimizer.DescribeSteps(query);
-  EXPECT_EQ(plan->Execute(), 0u);
+  EXPECT_EQ(plan->Execute(TestThreads()), BruteForce(query)) << optimizer.DescribeSteps(query);
+  EXPECT_EQ(plan->Execute(TestThreads()), 0u);
 }
 
 TEST_F(OptimizerTest, EpIndexUsedForCrossEdgePredicate) {
@@ -316,7 +317,7 @@ TEST_F(OptimizerTest, EpIndexUsedForCrossEdgePredicate) {
   DpOptimizer optimizer(&ex_.graph, &store_);
   auto plan = optimizer.Optimize(query);
   ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->Execute(), BruteForce(query));
+  EXPECT_EQ(plan->Execute(TestThreads()), BruteForce(query));
   bool uses_ep = false;
   for (const PlanStep& step : optimizer.last_steps()) {
     for (const ListDescriptor& list : step.lists) {

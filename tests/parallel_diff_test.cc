@@ -12,7 +12,6 @@
 #include "datagen/label_assigner.h"
 #include "datagen/power_law_generator.h"
 #include "index/index_store.h"
-#include "query/executor.h"
 #include "query/intersect_kernels.h"
 #include "query/plan.h"
 #include "util/rng.h"

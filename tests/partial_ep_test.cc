@@ -10,6 +10,7 @@
 #include "core/database.h"
 #include "datagen/financial_props.h"
 #include "datagen/power_law_generator.h"
+#include "test_threads.h"
 
 namespace aplus {
 namespace {
@@ -111,11 +112,11 @@ TEST_F(PartialEpTest, RuntimeFallbackMatchesMaterializedLists) {
 
 TEST_F(PartialEpTest, QueriesCountIdenticallyUnderBudget) {
   QueryGraph query = FlowQuery();
-  uint64_t base = db_->Execute(query).count;
+  uint64_t base = db_->Execute(query, TestThreads()).count;
 
   // Full EP index: counts unchanged, EP plan used.
   db_->CreateEpIndex("full", EpKind::kDstFwd, FlowPred(), IndexConfig::Default());
-  EXPECT_EQ(db_->Execute(query).count, base);
+  EXPECT_EQ(db_->Execute(query, TestThreads()).count, base);
   db_->index_store().DropSecondaryIndexes();
 
   // Partial EP index at a small budget: the ExtendOp fallback must keep
@@ -123,7 +124,7 @@ TEST_F(PartialEpTest, QueriesCountIdenticallyUnderBudget) {
   EpIndex* partial = db_->CreateEpIndex("partial", EpKind::kDstFwd, FlowPred(),
                                         IndexConfig::Default(), nullptr, 4096);
   ASSERT_FALSE(partial->fully_materialized());
-  EXPECT_EQ(db_->Execute(query).count, base);
+  EXPECT_EQ(db_->Execute(query, TestThreads()).count, base);
 }
 
 TEST_F(PartialEpTest, PartialIndexExcludedFromSortedIntersections) {
@@ -142,9 +143,9 @@ TEST_F(PartialEpTest, PartialIndexExcludedFromSortedIntersections) {
   city_eq.rhs_is_const = false;
   city_eq.rhs_ref = QueryPropRef{2, false, keys_.city, false};
   query.AddPredicate(city_eq);
-  uint64_t with_partial = db_->Execute(query).count;
+  uint64_t with_partial = db_->Execute(query, TestThreads()).count;
   db_->index_store().DropSecondaryIndexes();
-  EXPECT_EQ(db_->Execute(query).count, with_partial);
+  EXPECT_EQ(db_->Execute(query, TestThreads()).count, with_partial);
 }
 
 }  // namespace

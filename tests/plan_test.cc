@@ -5,8 +5,8 @@
 #include "datagen/example_graph.h"
 #include "datagen/power_law_generator.h"
 #include "index/index_store.h"
-#include "query/executor.h"
 #include "query/plan.h"
+#include "test_threads.h"
 
 namespace aplus {
 namespace {
@@ -37,7 +37,7 @@ TEST_F(PlanTest, SinkCallbackSeesBindings) {
   std::vector<vertex_id_t> seen;
   auto plan = builder.Scan(a).Extend(list).Build(
       [&](const MatchState& state) { seen.push_back(state.v[1]); });
-  EXPECT_EQ(plan->Execute(), 3u);
+  EXPECT_EQ(plan->Execute(TestThreads()), 3u);
   // v1's Wire targets: v2 (t17), v3 (t4), v4 (t20), neighbour-ID sorted.
   EXPECT_EQ(seen, (std::vector<vertex_id_t>{ex_.accounts[1], ex_.accounts[2], ex_.accounts[3]}));
 }
@@ -75,8 +75,8 @@ TEST_F(PlanTest, ExecuteIsRepeatable) {
   list.target_edge_var = 0;
   PlanBuilder builder(&ex_.graph, &query);
   auto plan = builder.Scan(a).Extend(list).Build();
-  uint64_t first = plan->Execute();
-  uint64_t second = plan->Execute();
+  uint64_t first = plan->Execute(TestThreads());
+  uint64_t second = plan->Execute(TestThreads());
   EXPECT_EQ(first, second);
   EXPECT_EQ(first, 11u);  // 11 DD transfers
   EXPECT_GE(plan->last_execute_seconds(), 0.0);

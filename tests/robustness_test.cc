@@ -27,6 +27,7 @@
 #include "util/fault.h"
 #include "util/memory_tracker.h"
 #include "util/rng.h"
+#include "test_threads.h"
 
 namespace aplus {
 namespace {
@@ -323,6 +324,56 @@ TEST_F(RobustnessTest, AdmissionQueueAdmitsWhenSlotFrees) {
   EXPECT_TRUE(other.Execute(kLightText).ok());
   runner.join();
   db_->admission().Configure({0, 0, 0});
+}
+
+// A programmatic pattern: a directed path over `hops` E-edges.
+QueryGraph PathQuery(const Database& db, int hops) {
+  const label_t elabel = db.graph().catalog().FindEdgeLabel("E");
+  QueryGraph query;
+  query.AddVertex("v0");
+  for (int i = 1; i <= hops; ++i) {
+    query.AddVertex("v" + std::to_string(i));
+    query.AddEdge(i - 1, i, elabel, "r" + std::to_string(i));
+  }
+  return query;
+}
+
+// The QueryGraph one-shot runs through PreparedQuery::Execute, so it
+// takes an execute slot like every other query: with the only slot held
+// and no queue, it is rejected before running.
+TEST_F(RobustnessTest, QueryGraphOneShotHonorsAdmission) {
+  const QueryGraph one_hop = PathQuery(*db_, 1);
+  db_->admission().Configure({/*max_concurrent=*/1, /*max_queue=*/0, /*queue_timeout_ms=*/0});
+  {
+    AdmissionSlot held(&db_->admission());
+    ASSERT_TRUE(held.admitted());
+    QueryOutcome rejected = db_->Execute(one_hop, TestThreads());
+    EXPECT_EQ(rejected.status, Status::kOverloaded);
+    EXPECT_NE(rejected.error.find("APLUS_MAX_CONCURRENT"), std::string::npos) << rejected.error;
+    EXPECT_EQ(rejected.count, 0u);
+  }
+  // Slot released: the same pattern admits and runs.
+  QueryOutcome admitted = db_->Execute(one_hop, TestThreads());
+  ASSERT_TRUE(admitted.ok()) << admitted.error;
+  EXPECT_EQ(admitted.count, db_->graph().num_edges());
+  db_->admission().Configure({0, 0, 0});
+  EXPECT_EQ(db_->admission().running(), 0);
+}
+
+// APLUS_QUERY_TIMEOUT_MS reaches the QueryGraph one-shot with the
+// prepared path's typed status and error text (database_test covers
+// APLUS_MEM_CAP, which needs a plan that grows scratch).
+TEST_F(RobustnessTest, QueryGraphOneShotHonorsEnvDeadline) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    setenv("APLUS_QUERY_TIMEOUT_MS", "50", 1);
+    QueryOutcome timed_out = db_->Execute(PathQuery(*db_, 4), threads);
+    unsetenv("APLUS_QUERY_TIMEOUT_MS");
+    EXPECT_EQ(timed_out.status, Status::kTimeout);
+    EXPECT_NE(timed_out.error.find("deadline exceeded (50 ms)"), std::string::npos)
+        << timed_out.error;
+    EXPECT_TRUE(timed_out.plan.empty());
+  }
 }
 
 // After every failure mode, the same session + prepared plan must

@@ -21,6 +21,7 @@
 #include "core/database.h"
 #include "datagen/power_law_generator.h"
 #include "util/rng.h"
+#include "test_threads.h"
 
 namespace aplus {
 namespace {
@@ -237,7 +238,7 @@ TEST_F(ServingApiTest, CountStarIsTheDegenerateAggregate) {
   int c = q.AddVertex("c");
   q.AddEdge(a, b, elabel_, "r1");
   q.AddEdge(b, c, elabel_, "r2");
-  QueryOutcome programmatic = db_->Execute(q);
+  QueryOutcome programmatic = db_->Execute(q, TestThreads());
   ASSERT_TRUE(programmatic.ok()) << programmatic.error;
   EXPECT_EQ(out.count, programmatic.count);
   QueryOutcome bare = session.Execute("MATCH (a)-[r1:E]->(b)-[r2:E]->(c)");
@@ -256,19 +257,19 @@ TEST_F(ServingApiTest, CountStarIsTheDegenerateAggregate) {
 }
 
 TEST_F(ServingApiTest, GroupByMemoryCapReturnsResourceExhausted) {
-  // APLUS_GROUPBY_MEM_CAP bounds the grouped-aggregate arena: crossing
+  // APLUS_MEM_CAP bounds the grouped-aggregate arena: crossing
   // it aborts the execution cleanly with kResourceExhausted — no rows
   // delivered, no crash — and the knob is re-read on every Execute.
   Session session(db_.get());
   const std::string text = "MATCH (a)-[r:E]->(b) RETURN a, COUNT(*)";
-  ::setenv("APLUS_GROUPBY_MEM_CAP", "256", 1);
+  ::setenv("APLUS_MEM_CAP", "256", 1);
   RowCollector rc;
   QueryOutcome out = session.Execute(text, &rc);
-  ::unsetenv("APLUS_GROUPBY_MEM_CAP");
+  ::unsetenv("APLUS_MEM_CAP");
   EXPECT_FALSE(out.ok());
   EXPECT_EQ(out.status, QueryOutcome::Status::kResourceExhausted);
   EXPECT_STREQ(ToString(out.status), "RESOURCE_EXHAUSTED");
-  EXPECT_NE(out.error.find("APLUS_GROUPBY_MEM_CAP"), std::string::npos) << out.error;
+  EXPECT_NE(out.error.find("APLUS_MEM_CAP"), std::string::npos) << out.error;
   EXPECT_EQ(out.rows, 0u);
   EXPECT_TRUE(rc.rows.empty());
   // With the knob unset the same cached plan runs to completion.
@@ -278,7 +279,7 @@ TEST_F(ServingApiTest, GroupByMemoryCapReturnsResourceExhausted) {
   EXPECT_GT(ok.rows, 0u);
   EXPECT_EQ(ok.rows, rc2.rows.size());
   // A generous cap never triggers, serial or parallel.
-  ::setenv("APLUS_GROUPBY_MEM_CAP", "104857600", 1);
+  ::setenv("APLUS_MEM_CAP", "104857600", 1);
   for (int threads : {1, 4}) {
     RowCollector rc3;
     PreparedQuery* prepared = session.Prepare(text);
@@ -287,7 +288,7 @@ TEST_F(ServingApiTest, GroupByMemoryCapReturnsResourceExhausted) {
     ASSERT_TRUE(big.ok()) << big.error;
     EXPECT_EQ(rc3.rows.size(), rc2.rows.size()) << "threads=" << threads;
   }
-  ::unsetenv("APLUS_GROUPBY_MEM_CAP");
+  ::unsetenv("APLUS_MEM_CAP");
 }
 
 TEST_F(ServingApiTest, GroupedAggregateOrderByLimitEndToEnd) {
@@ -475,7 +476,7 @@ TEST_F(ServingApiTest, OversizedPatternIsATypedPlanError) {
     path.AddVertex("v" + std::to_string(i));
     path.AddEdge(i - 1, i, elabel_);
   }
-  QueryOutcome out = db_->Execute(path);
+  QueryOutcome out = db_->Execute(path, TestThreads());
   EXPECT_EQ(out.status, QueryOutcome::Status::kPlanError);
   EXPECT_NE(out.error.find("1 to 20"), std::string::npos) << out.error;
   EXPECT_EQ(db_->Explain(path).rfind("(error: ", 0), 0u) << db_->Explain(path);
@@ -595,7 +596,7 @@ TEST_F(ServingApiTest, PreparedExecuteFlushesPendingDeletes) {
   int a = one_hop.AddVertex("a");
   int b = one_hop.AddVertex("b");
   one_hop.AddEdge(a, b, elabel_, "r");
-  EXPECT_EQ(db_->Execute(one_hop).count, after.count);
+  EXPECT_EQ(db_->Execute(one_hop, TestThreads()).count, after.count);
 }
 
 TEST_F(ServingApiTest, RepeatedIdConstraintsIntersectInsteadOfOverwriting) {
