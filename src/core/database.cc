@@ -1,23 +1,16 @@
 #include "core/database.h"
 
-#include <cstdlib>
+#include <limits>
 
 #include "optimizer/plan_printer.h"
 #include "storage/segment.h"
+#include "util/env.h"
 #include "util/epoch.h"
 #include "util/logging.h"
 
 namespace aplus {
 
 namespace {
-
-int IntFromEnvOr(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  long v = std::strtol(env, nullptr, 10);
-  if (v < 0) return fallback;
-  return static_cast<int>(v);
-}
 
 // The typed plan error for a pattern the subset DP cannot plan (its
 // table has 2^n entries); empty when the pattern fits.
@@ -55,12 +48,13 @@ Database::Database(Graph graph) : graph_(std::move(graph)) {
   maintainer_ = std::make_unique<Maintainer>(&graph_, store_.get());
   // Optional admission control (disabled unless APLUS_MAX_CONCURRENT is
   // set): queue depth defaults to the slot count, queue wait to 100 ms.
-  const int max_concurrent = IntFromEnvOr("APLUS_MAX_CONCURRENT", 0);
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  const int max_concurrent = static_cast<int>(EnvInt("APLUS_MAX_CONCURRENT", 0, kIntMax));
   if (max_concurrent > 0) {
     AdmissionConfig config;
     config.max_concurrent = max_concurrent;
-    config.max_queue = IntFromEnvOr("APLUS_ADMISSION_QUEUE", max_concurrent);
-    config.queue_timeout_ms = IntFromEnvOr("APLUS_ADMISSION_TIMEOUT_MS", 100);
+    config.max_queue = static_cast<int>(EnvInt("APLUS_ADMISSION_QUEUE", max_concurrent, kIntMax));
+    config.queue_timeout_ms = EnvInt("APLUS_ADMISSION_TIMEOUT_MS", 100, kIntMax);
     admission_.Configure(config);
   }
 }
@@ -167,19 +161,20 @@ DdlResult Database::ExecuteDdl(const std::string& command) {
   return result;
 }
 
+bool Database::PlanStale(uint64_t store_version, uint64_t num_edges) const {
+  const uint64_t now = graph_.num_edges();
+  return store_version != store_->version() || now < num_edges || now > num_edges * 2;
+}
+
 DpOptimizer* Database::CachedOptimizer() {
   // The optimizer's catalog statistics are a cost model, not a
   // correctness input, so ingest does not have to rebuild it per edge:
-  // refresh on DDL (version bump), on shrinkage, or once the graph has
-  // grown enough (2x) that its cardinality estimates are meaningfully
-  // stale. This keeps Prepare cheap while updates stream in.
-  uint64_t num_edges = graph_.num_edges();
-  bool stale = optimizer_ == nullptr || optimizer_store_version_ != store_->version() ||
-               num_edges < optimizer_num_edges_ || num_edges > optimizer_num_edges_ * 2;
-  if (stale) {
+  // it refreshes under the same rule that re-plans cached queries. This
+  // keeps Prepare cheap while updates stream in.
+  if (optimizer_ == nullptr || PlanStale(optimizer_store_version_, optimizer_num_edges_)) {
     optimizer_ = std::make_unique<DpOptimizer>(&graph_, store_.get());
     optimizer_store_version_ = store_->version();
-    optimizer_num_edges_ = num_edges;
+    optimizer_num_edges_ = graph_.num_edges();
   }
   return optimizer_.get();
 }
@@ -369,6 +364,7 @@ std::unique_ptr<PreparedQuery> Database::PrepareParsed(ParsedCypher parsed,
     prepared->columns_ = std::move(out_schema);
   }
   prepared->has_stages_ = !stages.empty();
+  std::lock_guard<std::mutex> lock(prepare_mu_);
   // During concurrent ingest the probe paths merge deltas themselves;
   // flushing here would serialize Prepare against the ingest thread.
   if (!concurrent_ingest_active() && store_->HasPendingUpdates()) store_->FlushAll();

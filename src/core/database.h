@@ -3,9 +3,11 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "core/admission.h"
+#include "core/plan_cache.h"
 #include "core/session.h"
 #include "index/index_store.h"
 #include "index/maintenance.h"
@@ -43,7 +45,7 @@ struct ConcurrentIngestOptions {
 //   db.BuildPrimaryIndexes();
 //   db.ExecuteDdl("RECONFIGURE PRIMARY INDEXES ...");
 //
-//   Session session(&db);  // one per serving thread
+//   Session session(&db);  // one per serving thread; plans are shared
 //   PreparedQuery* q = session.Prepare(
 //       "MATCH (a)-[r1:W]->(b)-[r2:W]->(c) WHERE a.ID = $src "
 //       "RETURN b, c, r2.amount LIMIT 100");
@@ -139,21 +141,22 @@ class Database {
   // non-null; parse/plan failures are carried in its status and
   // re-reported by Execute). A pattern with more than
   // DpOptimizer::kMaxQueryVertices query vertices is a kPlanError naming
-  // the limit, here and in Execute(QueryGraph) / Explain. Prefer
-  // Session::Prepare, which caches on normalized query text and
-  // revalidates against the store/graph version counters.
+  // the limit, here and in Execute(QueryGraph) / Explain. Thread-safe
+  // (prepares serialize internally), though not against DDL or the
+  // ingest thread. Prefer Session::Prepare or plan_cache(), which
+  // optimize each normalized text once and revalidate it against the
+  // store/graph version counters.
   std::unique_ptr<PreparedQuery> Prepare(const std::string& text,
                                          const PrepareOptions& options = {});
 
-  // Deep-clones a successfully prepared query without re-parsing or
-  // re-optimizing: every physical operator (and sink stage) of `src`'s
-  // primary pipeline is cloned into a fresh Plan wired to a fresh
-  // PreparedQuery with its own ExecControls, empty scratch, and all
-  // parameters unbound. `src` is read-only here and must not be
-  // executing concurrently. This is the cross-session shared plan
-  // cache's checkout path (src/server/shared_plan_cache.h): parse +
-  // optimize once per distinct query text, clone per connection.
-  std::unique_ptr<PreparedQuery> ClonePrepared(const PreparedQuery& src);
+  // The one plan cache every Session and server connection leases from.
+  PlanCache& plan_cache() { return plan_cache_; }
+
+  // The staleness rule shared by plans and the cached optimizer: state
+  // costed at (store_version, num_edges) is stale once DDL moved the
+  // index-store version or the graph's edge count left
+  // [num_edges, 2 x num_edges].
+  bool PlanStale(uint64_t store_version, uint64_t num_edges) const;
 
   // Runs a programmatic pattern once and counts its matches with
   // `num_threads` workers. The pattern is prepared exactly like a bare
@@ -183,9 +186,20 @@ class Database {
   AdmissionController& admission() { return admission_; }
 
  private:
-  // Rebuilds the cached optimizer when the index set or the graph
-  // changed since it was created.
+  friend class PlanCache;
+
+  // Rebuilds the cached optimizer when it is PlanStale. Caller holds
+  // prepare_mu_.
   DpOptimizer* CachedOptimizer();
+
+  // Deep-clones a successfully prepared query without re-parsing or
+  // re-optimizing: every physical operator (and sink stage) of `src`'s
+  // primary pipeline is cloned into a fresh Plan wired to a fresh
+  // PreparedQuery with its own ExecControls, empty scratch, and all
+  // parameters unbound. `src` is read-only here and must not be
+  // executing concurrently. This is PlanCache's checkout path: optimize
+  // once per distinct query text, clone per lease.
+  std::unique_ptr<PreparedQuery> ClonePrepared(const PreparedQuery& src);
 
   // The back half of Prepare, shared with the QueryGraph one-shots:
   // pattern-size check, parameters, result path (projected columns plus
@@ -200,11 +214,17 @@ class Database {
   std::unique_ptr<Segment> segment_;
   std::unique_ptr<IndexStore> store_;
   std::unique_ptr<Maintainer> maintainer_;
-  std::unique_ptr<DpOptimizer> optimizer_;
   AdmissionController admission_;
   std::atomic<bool> ingest_active_{false};
+  // Serializes the flush + optimize + render half of every prepare: the
+  // cached optimizer below is rebuilt in place.
+  std::mutex prepare_mu_;
+  std::unique_ptr<DpOptimizer> optimizer_;
   uint64_t optimizer_store_version_ = ~0ULL;
   uint64_t optimizer_num_edges_ = 0;
+  // Declared last so cached plans, which point into the index store, are
+  // destroyed first.
+  PlanCache plan_cache_{this};
 };
 
 }  // namespace aplus

@@ -1,29 +1,16 @@
 #include "core/session.h"
 
+#include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <limits>
 
 #include "core/admission.h"
 #include "core/database.h"
+#include "util/env.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
 namespace aplus {
-
-namespace {
-
-// Non-negative int64 from an env knob; `fallback` when unset/unparsable.
-int64_t Int64FromEnv(const char* name, int64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  long long v = std::strtoll(env, &end, 10);
-  if (end == env || v < 0) return fallback;
-  return static_cast<int64_t>(v);
-}
-
-}  // namespace
 
 const char* ToString(QueryOutcome::Status status) {
   switch (status) {
@@ -86,8 +73,7 @@ bool PreparedQuery::current() const {
 }
 
 bool PreparedQuery::stale() const {
-  const uint64_t num_edges = db_->graph().num_edges();
-  return !current() || num_edges < num_edges_ || num_edges > num_edges_ * 2;
+  return plan_ == nullptr || db_->PlanStale(store_version_, num_edges_);
 }
 
 void PreparedQuery::RefreshSlots() {
@@ -219,6 +205,14 @@ void PreparedQuery::ClearBindings() {
   bind_error_.clear();
 }
 
+void PreparedQuery::ResetTo(const PreparedQuery& master) {
+  ClearBindings();
+  timeout_millis_ = master.timeout_millis_;
+  mem_cap_bytes_ = master.mem_cap_bytes_;
+  controls_.token.Reset();
+  controls_.budget.Reset(0);
+}
+
 QueryOutcome PreparedQuery::Execute(RowConsumer* consumer, int num_threads) {
   QueryOutcome out;
   if (!ok()) {
@@ -286,17 +280,17 @@ QueryOutcome PreparedQuery::Execute(RowConsumer* consumer, int num_threads) {
   if (pre_cancelled) controls_.token.Cancel();
   const int64_t timeout_ms = timeout_millis_ >= 0
                                  ? timeout_millis_
-                                 : Int64FromEnv("APLUS_QUERY_TIMEOUT_MS", 0);
+                                 : EnvInt("APLUS_QUERY_TIMEOUT_MS", 0);
   if (timeout_ms > 0) controls_.token.ArmDeadlineMillis(timeout_ms);
   // Memory budget: explicit set_mem_cap_bytes wins, then APLUS_MEM_CAP.
   // The source name is kept for the kResourceExhausted error message.
   const bool explicit_cap = mem_cap_bytes_ >= 0;
   const uint64_t mem_cap = static_cast<uint64_t>(
-      explicit_cap ? mem_cap_bytes_ : Int64FromEnv("APLUS_MEM_CAP", 0));
+      explicit_cap ? mem_cap_bytes_ : EnvInt("APLUS_MEM_CAP", 0));
   const char* mem_cap_source = explicit_cap ? "set_mem_cap_bytes" : "APLUS_MEM_CAP";
   controls_.budget.Reset(mem_cap);
   MemoryBudget::SetProcessCeiling(
-      static_cast<uint64_t>(Int64FromEnv("APLUS_MEM_CAP_TOTAL", 0)));
+      static_cast<uint64_t>(EnvInt("APLUS_MEM_CAP_TOTAL", 0)));
   for (int i = 0; i < plan_->num_pipelines(); ++i) {
     static_cast<ProjectSinkOp*>(plan_->sink(i))->ResetBatch();
   }
@@ -394,34 +388,36 @@ QueryOutcome PreparedQuery::Execute(RowConsumer* consumer, int num_threads) {
 PreparedQuery* Session::Prepare(const std::string& text, const PrepareOptions& options) {
   std::string key = NormalizeQueryText(text);
   ++tick_;
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    if (!it->second.prepared->stale()) {
+  auto it = statements_.find(key);
+  if (it != statements_.end()) {
+    if (!it->second.lease->stale()) {
       ++cache_hits_;
       it->second.last_used = tick_;
-      return it->second.prepared.get();
+      return it->second.lease.get();
     }
-    cache_.erase(it);  // stale: the store moved on, or the graph outgrew the plan
+    statements_.erase(it);  // stale: the store moved on, or the graph outgrew the plan
   }
-  ++cache_misses_;
-  std::unique_ptr<PreparedQuery> prepared = db_->Prepare(text, options);
-  PreparedQuery* raw = prepared.get();
-  if (!raw->ok()) {
-    last_failed_ = std::move(prepared);
-    return last_failed_.get();
+  PlanCache::Lease lease = db_->plan_cache().Acquire(text, options);
+  if (lease.hit()) {
+    ++cache_hits_;
+  } else {
+    ++cache_misses_;
   }
-  // Session-wide default deadline, stamped at prepare time; a later
+  PreparedQuery* query = lease.get();
+  if (!query->ok()) {
+    last_failed_ = std::move(lease);
+    return query;
+  }
+  // Session-wide default deadline, stamped per lease; a later
   // set_deadline_millis on the prepared query overrides it.
-  if (default_deadline_millis_ >= 0) raw->set_deadline_millis(default_deadline_millis_);
-  if (cache_.size() >= kMaxCachedQueries) {
-    auto victim = cache_.begin();
-    for (auto entry = cache_.begin(); entry != cache_.end(); ++entry) {
-      if (entry->second.last_used < victim->second.last_used) victim = entry;
-    }
-    cache_.erase(victim);
+  if (default_deadline_millis_ >= 0) query->set_deadline_millis(default_deadline_millis_);
+  if (statements_.size() >= kMaxCachedQueries) {
+    statements_.erase(std::min_element(
+        statements_.begin(), statements_.end(),
+        [](const auto& a, const auto& b) { return a.second.last_used < b.second.last_used; }));
   }
-  cache_.emplace(std::move(key), CacheEntry{std::move(prepared), tick_});
-  return raw;
+  statements_.emplace(std::move(key), Statement{std::move(lease), tick_});
+  return query;
 }
 
 QueryOutcome Session::Execute(const std::string& text, RowConsumer* consumer,

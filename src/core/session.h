@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/plan_cache.h"
 #include "query/cypher_parser.h"
 #include "query/plan.h"
 #include "query/row_sink.h"
@@ -79,12 +80,12 @@ struct PrepareOptions {
 // RowConsumer. Steady-state Bind + Execute performs zero heap
 // allocations after warm-up (asserted by tests/zero_alloc_test.cc).
 //
-// Thread-safety: a PreparedQuery is NOT thread-safe — use one Session
-// (and thus one PreparedQuery instance) per thread, and never share one
-// mid-execute. Execute(consumer, k > 1) runs the plan morsel-parallel;
-// for plain projections the consumer's OnBatch then fires concurrently
-// from the workers (the final partial flush is always on the calling
-// thread). Staged queries (aggregation / ORDER BY) instead accumulate
+// Thread-safety: a PreparedQuery is NOT thread-safe — each Session and
+// server statement leases its own instance from the database's
+// PlanCache; never share one mid-execute. Execute(consumer, k > 1) runs
+// the plan morsel-parallel; for plain projections the consumer's
+// OnBatch then fires concurrently from the workers (the final partial
+// flush is always on the calling thread). Staged queries (aggregation / ORDER BY) instead accumulate
 // per-worker partial state, merge it once the workers joined, and
 // deliver every batch from the calling thread.
 class PreparedQuery {
@@ -110,10 +111,8 @@ class PreparedQuery {
   bool Bind(const std::string& name, const Value& value);
   const std::string& bind_error() const { return bind_error_; }
 
-  // Unbinds every parameter (pooled-instance hygiene: a shared-cache
-  // instance returned by one connection must not execute with its
-  // previous owner's values — see src/server/shared_plan_cache.h).
-  // Execute reports kBindError until the parameters are re-bound.
+  // Unbinds every parameter; Execute reports kBindError until they are
+  // re-bound. A PlanCache lease does this when it returns its instance.
   void ClearBindings();
 
   // Runs the plan. Rows stream to `consumer` (may be null: rows are
@@ -147,7 +146,7 @@ class PreparedQuery {
   // True when a plan cache should re-prepare: the plan is no longer
   // current(), or the graph's edge count left [prepared, 2 x prepared],
   // so the join order was costed on a graph that has since shrunk or
-  // doubled. Session and the server's shared plan cache both apply it.
+  // doubled (Database::PlanStale, the optimizer's own refresh rule).
   bool stale() const;
 
   const std::string& plan_text() const { return plan_text_; }
@@ -169,8 +168,14 @@ class PreparedQuery {
 
  private:
   friend class Database;
+  friend class PlanCache;
 
   explicit PreparedQuery(Database* db) : db_(db) {}
+
+  // Puts an idle instance back into `master`'s state: parameters unbound,
+  // the master's deadline and memory cap, no pending Cancel(), and an
+  // empty memory budget (retained arenas are re-charged as they grow).
+  void ResetTo(const PreparedQuery& master);
 
   struct ParamInfo {
     std::string name;
@@ -214,28 +219,28 @@ class PreparedQuery {
   int slots_pipelines_ = 0;
 };
 
-// A per-thread serving handle: wraps a Database with a prepared-query
-// cache keyed on normalized query text. Cache entries are revalidated
-// against the store/graph version counters on every Prepare, so DDL
-// (RECONFIGURE / CREATE ... VIEW) and ingest transparently re-plan on
-// the next request. Sessions are cheap; use one per thread (neither the
-// Session nor its PreparedQuerys are thread-safe).
+// A serving handle: a statement table from normalized query text to the
+// instance leased from the database's PlanCache. A held lease whose plan
+// is not stale() answers Prepare; otherwise the Session leases afresh,
+// so DDL and ingest re-plan transparently and a text another Session
+// prepared is a clone, not a second optimization. Not thread-safe: use
+// one per thread (they may prepare concurrently); never outlive the
+// Database.
 class Session {
  public:
-  // Cache capacity: a long-lived session serving literal-inlined (un-
-  // parameterized) texts must not grow without bound, so the least-
-  // recently-used entry is evicted once this many are cached.
-  static constexpr size_t kMaxCachedQueries = 256;
+  // Statement table capacity: a long-lived session serving literal-
+  // inlined (un-parameterized) texts must not grow without bound, so the
+  // least-recently-used statement is released once this many are held.
+  static constexpr size_t kMaxCachedQueries = PlanCache::kMaxEntries;
 
   explicit Session(Database* db) : db_(db) {}
 
-  // Returns the cached (or freshly prepared) query for `text`. The
-  // pointer is owned by the session and stays valid until the entry is
-  // re-prepared (version-stale), LRU-evicted, or the session dies — so
-  // per-request code should call Prepare each time (hits are cheap)
-  // rather than holding the pointer across unrelated Prepares.
-  // `options` apply on cache misses only. Prepare failures are returned
-  // but not cached.
+  // Returns the held (or freshly leased) query for `text`. The pointer
+  // stays valid until the statement is re-leased (stale), LRU-released,
+  // or the session dies — so per-request code should call Prepare each
+  // time (hits are cheap) rather than holding the pointer across
+  // unrelated Prepares. `options` apply only when the text is optimized.
+  // Prepare failures are returned but not held.
   PreparedQuery* Prepare(const std::string& text, const PrepareOptions& options = {});
 
   // One-shot convenience: Prepare (cached) + Execute. Parameterized
@@ -243,24 +248,26 @@ class Session {
   QueryOutcome Execute(const std::string& text, RowConsumer* consumer = nullptr,
                        int num_threads = 1);
 
+  // This session's lookups: a hit is a held statement or a lease served
+  // from a cached plan; a miss ran the optimizer.
   uint64_t cache_hits() const { return cache_hits_; }
   uint64_t cache_misses() const { return cache_misses_; }
-  size_t cache_size() const { return cache_.size(); }
+  size_t cache_size() const { return statements_.size(); }
 
-  // Default per-execute deadline stamped onto queries prepared after
-  // this call (explicit set_deadline_millis overrides it per query).
+  // Default per-execute deadline stamped onto queries leased after this
+  // call (explicit set_deadline_millis overrides it per query).
   // Negative (the default) leaves queries on APLUS_QUERY_TIMEOUT_MS.
   void set_default_deadline_millis(int64_t millis) { default_deadline_millis_ = millis; }
 
  private:
-  struct CacheEntry {
-    std::unique_ptr<PreparedQuery> prepared;
-    uint64_t last_used = 0;  // Prepare tick, for LRU eviction
+  struct Statement {
+    PlanCache::Lease lease;
+    uint64_t last_used = 0;  // Prepare tick, for LRU release
   };
 
   Database* db_;
-  std::unordered_map<std::string, CacheEntry> cache_;
-  std::unique_ptr<PreparedQuery> last_failed_;  // error holder, not cached
+  std::unordered_map<std::string, Statement> statements_;
+  PlanCache::Lease last_failed_;  // error holder, not held in the table
   int64_t default_deadline_millis_ = -1;
   uint64_t tick_ = 0;
   uint64_t cache_hits_ = 0;

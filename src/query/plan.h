@@ -62,7 +62,7 @@ class Plan {
   // Upper bound on the worker count of Execute(num_threads).
   static constexpr int kMaxThreads = 256;
 
-  // --- Plan-clone support (server/shared_plan_cache.cc) ---
+  // --- Plan-clone support (core/plan_cache.cc) ---
   //
   // The primary pipeline's operators and the query dimensions, for
   // re-materializing an equivalent Plan (Operator::Clone per op) without

@@ -137,8 +137,8 @@ int main(int argc, char** argv) {
               "plan cache %llu hits / %llu misses)\n",
               static_cast<unsigned long long>(server.queries()),
               static_cast<unsigned long long>(server.batch_saved()),
-              static_cast<unsigned long long>(server.plan_cache().hits()),
-              static_cast<unsigned long long>(server.plan_cache().misses()));
+              static_cast<unsigned long long>(db.plan_cache().hits()),
+              static_cast<unsigned long long>(db.plan_cache().misses()));
   server.Stop();
   return 0;
 }

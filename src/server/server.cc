@@ -64,7 +64,7 @@ ServerOptions ServerOptions::FromEnv() {
 }
 
 Server::Server(Database* db, const ServerOptions& options)
-    : db_(db), options_(options), cache_(db) {}
+    : db_(db), options_(options) {}
 
 Server::~Server() { Stop(); }
 
@@ -437,8 +437,8 @@ void Server::DispatchExecute(Connection* conn, const wire::FrameView& frame) {
   req->max_rows = max_rows;
   conn->busy = true;
 
-  if (options_.batching && req->stmt->lease.valid()) {
-    std::string key = req->stmt->lease.query->normalized_text();
+  if (options_.batching && req->stmt->lease->ok()) {
+    std::string key = req->stmt->lease->normalized_text();
     key.push_back('\x1f');
     key.append(reinterpret_cast<const char*>(&req->deadline_millis),
                sizeof(req->deadline_millis));
@@ -475,18 +475,16 @@ void Server::DispatchExecute(Connection* conn, const wire::FrameView& frame) {
 }
 
 void Server::RunPrepare(Connection* conn, uint32_t stmt_id, std::string text) {
-  SharedPlanCache::Lease lease = cache_.Acquire(text);
+  PlanCache::Lease lease = db_->plan_cache().Acquire(text, PrepareOptions{});
   Completion completion;
   completion.conn = conn;
-  if (!lease.query->ok()) {
-    wire::AppendErrorFrame(wire::ToWire(lease.query->status()), lease.query->error(),
-                           &completion.response);
+  PreparedQuery* q = lease.get();
+  if (!q->ok()) {
+    wire::AppendErrorFrame(wire::ToWire(q->status()), q->error(), &completion.response);
     completion.drop_stmt_id = stmt_id;
-    cache_.Release(&lease);
     PostCompletion(std::move(completion));
     return;
   }
-  PreparedQuery* q = lease.query;
   wire::FrameWriter w(&completion.response);
   w.BeginFrame(wire::FrameType::kPrepared);
   w.PutU32(stmt_id);
@@ -517,7 +515,7 @@ void Server::RunExecuteGroup(const std::string& group_key, std::shared_ptr<ExecR
   }
 
   Statement* stmt = leader->stmt;
-  PreparedQuery* q = stmt->lease.query;
+  PreparedQuery* q = stmt->lease.get();
   QueryOutcome outcome;
   bool bound = true;
   for (const auto& param : leader->params) {
@@ -657,10 +655,7 @@ void Server::HandleCloseStmt(Connection* conn, const wire::FrameView& frame) {
     return;
   }
   auto it = conn->stmts.find(stmt_id);
-  if (it != conn->stmts.end()) {
-    CloseStatement(conn, it->second.get());
-    conn->stmts.erase(it);
-  }
+  if (it != conn->stmts.end()) conn->stmts.erase(it);
   wire::FrameWriter w(&conn->out);
   w.BeginFrame(wire::FrameType::kClosed);
   w.PutU32(stmt_id);
@@ -670,9 +665,9 @@ void Server::HandleCloseStmt(Connection* conn, const wire::FrameView& frame) {
 void Server::HandleStats(Connection* conn) {
   wire::FrameWriter w(&conn->out);
   w.BeginFrame(wire::FrameType::kStatsResult);
-  w.PutU64(cache_.hits());
-  w.PutU64(cache_.misses());
-  w.PutU64(cache_.size());
+  w.PutU64(db_->plan_cache().hits());
+  w.PutU64(db_->plan_cache().misses());
+  w.PutU64(db_->plan_cache().size());
   w.PutU64(queries());
   w.PutU64(batch_saved());
   w.EndFrame();
@@ -737,14 +732,7 @@ void Server::FlushOut(Connection* conn) {
   conn->out_start = 0;
 }
 
-void Server::CloseStatement(Connection* conn, Statement* stmt) {
-  (void)conn;
-  if (stmt->lease.query != nullptr) cache_.Release(&stmt->lease);
-}
-
 void Server::DestroyConnection(Connection* conn) {
-  for (auto& entry : conn->stmts) CloseStatement(conn, entry.second.get());
-  conn->stmts.clear();
   if (conn->fd >= 0) close(conn->fd);
   delete conn;
 }

@@ -14,7 +14,6 @@
 
 #include "core/database.h"
 #include "server/protocol.h"
-#include "server/shared_plan_cache.h"
 #include "storage/value.h"
 #include "util/thread_pool.h"
 
@@ -42,8 +41,8 @@ struct ServerOptions {
 };
 
 // The aplusd front-end: accepts wire-protocol connections
-// (server/protocol.h), prepares statements through the cross-session
-// SharedPlanCache, and executes them on a TaskQueue worker pool while a
+// (server/protocol.h), prepares statements through the database's
+// PlanCache (shared with every embedded Session), and executes them on a TaskQueue worker pool while a
 // single poll(2) loop thread owns all socket I/O.
 //
 // Threading model:
@@ -65,7 +64,7 @@ struct ServerOptions {
 //     across its members and may go morsel-parallel.
 //
 // Request batching (APLUS_SERVER_BATCH): concurrent EXECUTE frames that
-// hit the same shared-cache plan entry with byte-identical parameters,
+// hit the same cached plan entry with byte-identical parameters,
 // deadline and max_rows are grouped; the first worker to start seals the
 // group, executes ONCE (num_threads = min(group, 4)), and every member
 // connection receives its own copy of the result spool. Per-connection
@@ -95,7 +94,6 @@ class Server {
   // The bound port (the real one when options.port was 0).
   int port() const { return port_; }
 
-  SharedPlanCache& plan_cache() { return cache_; }
   uint64_t queries() const { return queries_.load(std::memory_order_relaxed); }
   // Executes answered from a batch leader's pass instead of running.
   uint64_t batch_saved() const { return batch_saved_.load(std::memory_order_relaxed); }
@@ -110,7 +108,7 @@ class Server {
   };
 
   struct Statement {
-    SharedPlanCache::Lease lease;
+    PlanCache::Lease lease;  // returned to the cache when the statement dies
     std::vector<uint8_t> spool;  // concatenated kRows frames
     std::vector<SpoolChunk> chunks;
     size_t next_chunk = 0;  // FETCH cursor
@@ -192,13 +190,11 @@ class Server {
   void FinishJob(Connection* conn);  // busy=false + replay deferred
   void SendError(Connection* conn, wire::WireStatus status, const std::string& message);
   void FlushOut(Connection* conn);
-  void CloseStatement(Connection* conn, Statement* stmt);
   void DestroyConnection(Connection* conn);
   void WakeLoop();
 
   Database* db_;
   ServerOptions options_;
-  SharedPlanCache cache_;
   TaskQueue workers_;
 
   int listen_fd_ = -1;

@@ -18,7 +18,9 @@
 // Runs 3 seeds x {1, 4} reader threads; each reader's two-hop counts run
 // with TestThreads() workers (the concurrency-stress CI lane executes
 // this suite under TSan with APLUS_THREADS=4). Nightly scales
-// the graph through APLUS_CONC_VERTICES / APLUS_CONC_DEGREE.
+// the graph through APLUS_CONC_VERTICES / APLUS_CONC_DEGREE. A last test
+// has four Sessions prepare and execute concurrently through the
+// database's one plan cache.
 
 #include <gtest/gtest.h>
 
@@ -362,6 +364,65 @@ TEST_P(ConcurrentDiffTest, InlineMergeModeStaysExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConcurrentDiffTest, ::testing::Values(11u, 29u, 47u));
+
+// Sessions on different threads prepare concurrently through the
+// database's one plan cache: the same texts race to be optimized and
+// different texts interleave with them. Every count must equal a serial
+// run, and each distinct text is optimized exactly once.
+TEST(ConcurrentPrepareTest, SessionsOnManyThreadsShareOnePlanCache) {
+  PowerLawParams params;
+  params.num_vertices = 2000;
+  params.avg_degree = 5.0;
+  params.seed = 3;
+  Graph graph;
+  GeneratePowerLawGraph(params, &graph);
+  Database db(std::move(graph));
+  db.BuildPrimaryIndexes();
+
+  const std::vector<std::string> texts = {
+      kOneHopText, kTwoHopText,
+      "MATCH (a)-[r1:E]->(b)<-[r2:E]-(c) WHERE a.ID = $src RETURN COUNT(*)"};
+  const std::vector<vertex_id_t> probes = {0, 1, 5, 34, 144, 999};
+  // Serial reference, prepared outside the plan cache.
+  std::map<std::pair<size_t, vertex_id_t>, uint64_t> want;
+  for (size_t t = 0; t < texts.size(); ++t) {
+    std::unique_ptr<PreparedQuery> q = db.Prepare(texts[t]);
+    ASSERT_TRUE(q->ok()) << q->error();
+    for (vertex_id_t src : probes) {
+      ASSERT_TRUE(q->Bind("src", Value::Int64(src)));
+      want[{t, src}] = q->Execute().count;
+    }
+  }
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 8;
+  std::vector<std::thread> threads;
+  std::vector<std::map<std::pair<size_t, vertex_id_t>, uint64_t>> got(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        Session session(&db);  // a fresh session each round: fresh leases
+        for (size_t i = 0; i < texts.size(); ++i) {
+          // Threads start on different texts, so same-text and
+          // different-text prepares overlap.
+          const size_t text = (i + static_cast<size_t>(t)) % texts.size();
+          PreparedQuery* q = session.Prepare(texts[text]);
+          ASSERT_TRUE(q->ok()) << q->error();
+          for (vertex_id_t src : probes) {
+            ASSERT_TRUE(q->Bind("src", Value::Int64(src)));
+            QueryOutcome out = q->Execute(nullptr, 1);
+            ASSERT_TRUE(out.ok()) << out.error;
+            got[t][{text, src}] = out.count;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], want) << "thread " << t;
+  EXPECT_EQ(db.plan_cache().misses(), texts.size());
+  EXPECT_EQ(db.plan_cache().hits(), kThreads * kRounds * texts.size() - texts.size());
+}
 
 }  // namespace
 }  // namespace aplus

@@ -326,6 +326,37 @@ TEST_F(RobustnessTest, AdmissionQueueAdmitsWhenSlotFrees) {
   db_->admission().Configure({0, 0, 0});
 }
 
+// Integer knobs take their default unless the whole value is a
+// non-negative integer: a junk queue depth keeps the slot-count queue
+// and a junk wait keeps 100 ms (instead of parsing as 0 and rejecting
+// every waiter), and a suffixed memory cap is no cap at all.
+TEST_F(RobustnessTest, MalformedEnvKnobsFallBackToDefaults) {
+  setenv("APLUS_MAX_CONCURRENT", "1", 1);
+  setenv("APLUS_ADMISSION_QUEUE", "abc", 1);
+  setenv("APLUS_ADMISSION_TIMEOUT_MS", "abc", 1);
+  Database db(MakeGraph());
+  unsetenv("APLUS_MAX_CONCURRENT");
+  unsetenv("APLUS_ADMISSION_QUEUE");
+  unsetenv("APLUS_ADMISSION_TIMEOUT_MS");
+  db.BuildPrimaryIndexes();
+  Session session(&db);
+  PreparedQuery* light = session.Prepare(kLightText);
+  ASSERT_TRUE(light->ok()) << light->error();
+  {
+    AdmissionSlot held(&db.admission());
+    ASSERT_TRUE(held.admitted());
+    QueryOutcome queued = light->Execute(nullptr, 1);
+    EXPECT_EQ(queued.status, Status::kOverloaded);
+    EXPECT_NE(queued.error.find("timed out"), std::string::npos) << queued.error;
+  }
+  EXPECT_TRUE(light->Execute(nullptr, 1).ok());
+
+  setenv("APLUS_MEM_CAP", "1kB", 1);
+  QueryOutcome uncapped = session.Execute("MATCH (a)-[r1:E]->(b) RETURN b, COUNT(*)");
+  unsetenv("APLUS_MEM_CAP");
+  EXPECT_TRUE(uncapped.ok()) << uncapped.error;
+}
+
 // A programmatic pattern: a directed path over `hops` E-edges.
 QueryGraph PathQuery(const Database& db, int hops) {
   const label_t elabel = db.graph().catalog().FindEdgeLabel("E");

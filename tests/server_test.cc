@@ -313,23 +313,23 @@ TEST_F(ServerTest, SharedPlanCacheHitsAcrossConnectionsAndInvalidates) {
   auto a = Connect();
   auto b = Connect();
   ASSERT_TRUE(a->Prepare(kPointLookup).ok());
-  EXPECT_EQ(server_->plan_cache().misses(), 1u);
-  EXPECT_EQ(server_->plan_cache().hits(), 0u);
+  EXPECT_EQ(db_->plan_cache().misses(), 1u);
+  EXPECT_EQ(db_->plan_cache().hits(), 0u);
   // Second connection, same text: served from the shared plan.
   ASSERT_TRUE(b->Prepare(kPointLookup).ok());
-  EXPECT_EQ(server_->plan_cache().misses(), 1u);
-  EXPECT_EQ(server_->plan_cache().hits(), 1u);
+  EXPECT_EQ(db_->plan_cache().misses(), 1u);
+  EXPECT_EQ(db_->plan_cache().hits(), 1u);
   // Whitespace variants normalize onto the same entry.
   ASSERT_TRUE(b->Prepare("  MATCH (a)-[r1:E]->(b)-[r2:E]->(c)   WHERE a.ID = $src "
                          "RETURN b, c, r2.amt  ")
                   .ok());
-  EXPECT_EQ(server_->plan_cache().hits(), 2u);
+  EXPECT_EQ(db_->plan_cache().hits(), 2u);
 
   // DDL (index rebuild) bumps the store version: the entry is stale and
   // the next prepare re-optimizes.
   db_->BuildPrimaryIndexes();
   ASSERT_TRUE(a->Prepare(kPointLookup).ok());
-  EXPECT_EQ(server_->plan_cache().misses(), 2u);
+  EXPECT_EQ(db_->plan_cache().misses(), 2u);
 
   // Ingest growing the graph past 2x the planned edge count also
   // invalidates (plan quality heuristic, mirroring Session::Prepare).
@@ -343,7 +343,7 @@ TEST_F(ServerTest, SharedPlanCacheHitsAcrossConnectionsAndInvalidates) {
     db_->maintainer().OnEdgeInserted(e);
   }
   ASSERT_TRUE(b->Prepare(kPointLookup).ok());
-  EXPECT_EQ(server_->plan_cache().misses(), 3u);
+  EXPECT_EQ(db_->plan_cache().misses(), 3u);
   // And the re-prepared plan still answers correctly on the grown graph.
   auto c = Connect();
   Client::PreparedInfo info = c->Prepare(kPointLookup);
@@ -352,6 +352,30 @@ TEST_F(ServerTest, SharedPlanCacheHitsAcrossConnectionsAndInvalidates) {
   ASSERT_TRUE(result.ok()) << result.error;
   EXPECT_EQ(Canon(result.rows.rows),
             Canon(OracleRows(kPointLookup, {{"src", Value::Int64(7)}})));
+}
+
+// Literal-inlined texts must not grow the plan cache without bound, and
+// an evicted entry must not strand the statements that lease from it.
+TEST_F(ServerTest, PlanCacheIsBoundedAndLeasesOutliveEviction) {
+  StartServer();
+  auto client = Connect();
+  auto text_of = [](size_t i) {
+    return "MATCH (a)-[r1:E]->(b) WHERE a.ID = " + std::to_string(i) + " RETURN b";
+  };
+  std::vector<uint32_t> stmt_ids;
+  for (size_t i = 0; i < PlanCache::kMaxEntries + 40; ++i) {
+    Client::PreparedInfo info = client->Prepare(text_of(i));
+    ASSERT_TRUE(info.ok()) << info.error;
+    stmt_ids.push_back(info.stmt_id);
+  }
+  EXPECT_LE(db_->plan_cache().size(), PlanCache::kMaxEntries);
+  EXPECT_EQ(db_->plan_cache().misses(), PlanCache::kMaxEntries + 40);
+  // The earliest statements' entries were evicted; their leases still run.
+  for (size_t i = 0; i < 3; ++i) {
+    Client::Result result = client->Execute(stmt_ids[i], {});
+    ASSERT_TRUE(result.ok()) << result.error;
+    EXPECT_EQ(Canon(result.rows.rows), Canon(OracleRows(text_of(i))));
+  }
 }
 
 TEST_F(ServerTest, MalformedFramesFailTypedNotFatal) {
@@ -553,8 +577,8 @@ TEST_F(ServerTest, EightClientSoakWithHighCacheHitRate) {
   }
   for (std::thread& t : threads) t.join();
 
-  const uint64_t hits = server_->plan_cache().hits();
-  const uint64_t misses = server_->plan_cache().misses();
+  const uint64_t hits = db_->plan_cache().hits();
+  const uint64_t misses = db_->plan_cache().misses();
   ASSERT_GT(hits + misses, 0u);
   // 3 texts, 8 clients x 8 rounds of prepares: after the 3 warmup
   // misses everything is a shared-plan hit (>= 90% acceptance bar).

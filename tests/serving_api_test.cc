@@ -636,5 +636,54 @@ TEST_F(ServingApiTest, SessionCacheIsBounded) {
   EXPECT_GT(session.cache_size(), 0u);
 }
 
+// Sessions lease from the database's one plan cache: a second Session
+// preparing the same text clones the shared plan instead of optimizing.
+TEST_F(ServingApiTest, SessionsSharePlansThroughTheDatabaseCache) {
+  Session first(db_.get());
+  PreparedQuery* a = first.Prepare(kTwoHopText);
+  ASSERT_TRUE(a->ok()) << a->error();
+  Session second(db_.get());
+  PreparedQuery* b = second.Prepare(kTwoHopText);
+  ASSERT_TRUE(b->ok()) << b->error();
+  EXPECT_NE(a, b);  // each session owns its instance
+  EXPECT_EQ(first.cache_misses(), 1u);
+  EXPECT_EQ(second.cache_misses(), 0u);
+  EXPECT_EQ(second.cache_hits(), 1u);
+  EXPECT_EQ(db_->plan_cache().misses(), 1u);
+  EXPECT_EQ(db_->plan_cache().hits(), 1u);
+  ASSERT_TRUE(a->Bind("src", Value::Int64(7)));
+  ASSERT_TRUE(b->Bind("src", Value::Int64(7)));
+  EXPECT_EQ(a->Execute().count, b->Execute().count);
+}
+
+// A pooled instance goes back in the master's state: the next owner
+// sees no Cancel(), deadline, memory cap or bindings left by the last.
+TEST_F(ServingApiTest, ReturnedInstanceCarriesNoPreviousOwnerState) {
+  const std::string literal = "MATCH (a)-[r1:E]->(b)-[r2:E]->(c) WHERE a.ID = 7 RETURN b, c";
+  {
+    Session session(db_.get());
+    PreparedQuery* q = session.Prepare(literal);
+    ASSERT_TRUE(q->ok()) << q->error();
+    q->Cancel();  // idle: would stop the next Execute
+    q->set_deadline_millis(1);
+    q->set_mem_cap_bytes(1);
+    PreparedQuery* p = session.Prepare(kTwoHopText);
+    ASSERT_TRUE(p->ok()) << p->error();
+    ASSERT_TRUE(p->Bind("src", Value::Int64(7)));
+  }
+  Session fresh(db_.get());
+  PreparedQuery* q = fresh.Prepare(literal);
+  ASSERT_TRUE(q->ok()) << q->error();
+  EXPECT_EQ(q->deadline_millis(), -1);
+  QueryOutcome out = q->Execute();
+  EXPECT_EQ(out.status, QueryOutcome::Status::kOk) << out.error;
+  EXPECT_EQ(out.count, db_->Prepare(literal)->Execute().count);
+  PreparedQuery* p = fresh.Prepare(kTwoHopText);
+  ASSERT_TRUE(p->ok()) << p->error();
+  EXPECT_EQ(p->Execute().status, QueryOutcome::Status::kBindError);  // unbound
+  EXPECT_EQ(fresh.cache_hits(), 2u);  // both were the pooled instances
+  EXPECT_EQ(db_->plan_cache().misses(), 2u);
+}
+
 }  // namespace
 }  // namespace aplus

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "util/bit_util.h"
+#include "util/env.h"
 #include "util/memory_tracker.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -92,6 +95,27 @@ TEST(MemoryTrackerTest, Accounting) {
   EXPECT_EQ(tracker.Get(b), 400u);
   EXPECT_EQ(tracker.Total(), 1400u);
   EXPECT_NE(tracker.Report().find("primary"), std::string::npos);
+}
+
+TEST(EnvIntTest, TakesOnlyWholeNonNegativeIntegersInRange) {
+  const char* kName = "APLUS_UTIL_TEST_KNOB";
+  unsetenv(kName);
+  EXPECT_EQ(EnvInt(kName, 7), 7);
+  auto parse = [&](const char* value, int64_t max = std::numeric_limits<int64_t>::max()) {
+    setenv(kName, value, 1);
+    const int64_t v = EnvInt(kName, 7, max);
+    unsetenv(kName);
+    return v;
+  };
+  EXPECT_EQ(parse("0"), 0);
+  EXPECT_EQ(parse("42"), 42);
+  EXPECT_EQ(parse("9223372036854775807"), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(parse("2147483647", std::numeric_limits<int>::max()), 2147483647);
+  for (const char* junk : {"", "abc", "50ms", "-1", "+5", " 5", "5 ", "1e3", "0x10"}) {
+    EXPECT_EQ(parse(junk), 7) << "'" << junk << "'";
+  }
+  EXPECT_EQ(parse("9223372036854775808"), 7);  // overflows int64
+  EXPECT_EQ(parse("2147483648", std::numeric_limits<int>::max()), 7);
 }
 
 TEST(TimerTest, MeasuresSomething) {
