@@ -206,15 +206,10 @@ void Database::EndConcurrentIngest() {
 std::unique_ptr<PreparedQuery> Database::Prepare(const std::string& text,
                                                  const PrepareOptions& options) {
   ParsedCypher parsed = ParseCypher(text, graph_.catalog());
-  std::unique_ptr<PreparedQuery> prepared;
-  if (parsed.ok()) {
-    prepared = PrepareParsed(std::move(parsed), options);
-  } else {
-    prepared.reset(new PreparedQuery(this));
-    prepared->status_ = QueryOutcome::Status::kParseError;
-    prepared->error_ = parsed.error;
-  }
-  prepared->normalized_text_ = NormalizeQueryText(text);
+  if (parsed.ok()) return PrepareParsed(std::move(parsed), options);
+  std::unique_ptr<PreparedQuery> prepared(new PreparedQuery(this));
+  prepared->status_ = QueryOutcome::Status::kParseError;
+  prepared->error_ = std::move(parsed.error);
   return prepared;
 }
 

@@ -1,11 +1,11 @@
 #include "core/session.h"
 
 #include <algorithm>
-#include <cctype>
 #include <limits>
 
 #include "core/admission.h"
 #include "core/database.h"
+#include "util/ascii.h"
 #include "util/env.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -45,7 +45,7 @@ std::string NormalizeQueryText(const std::string& text) {
   bool in_string = false;  // inside a '...' literal: whitespace is significant
   for (char c : text) {
     if (c == '\'') in_string = !in_string;
-    if (!in_string && std::isspace(static_cast<unsigned char>(c))) {
+    if (!in_string && IsAsciiSpace(c)) {
       pending_space = !out.empty();
       continue;
     }

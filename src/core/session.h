@@ -164,6 +164,9 @@ class PreparedQuery {
   // materialization and Execute synthesizes the single output row from
   // the match count.
   bool count_star_only() const { return count_star_only_; }
+  // The plan cache's key for this query's text (NormalizeQueryText):
+  // set on plans leased from the PlanCache (and so from Session and the
+  // server), empty for a direct Database::Prepare.
   const std::string& normalized_text() const { return normalized_text_; }
 
  private:

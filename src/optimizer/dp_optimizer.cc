@@ -312,9 +312,11 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
 
   // Builds the ExtensionPredicate for extending along query edge `qe_id`
   // towards vertex `target`, optionally pairing with bound edge `eb_id`
-  // (for EP lists; -1 otherwise).
-  auto build_ext_pred = [&](int qe_id, int target, int eb_id) -> ExtensionPredicate {
-    ExtensionPredicate ext;
+  // (for EP lists; -1 otherwise), into the reused `ext`.
+  ExtensionPredicate ext;
+  auto build_ext_pred = [&](int qe_id, int target, int eb_id) {
+    ext.pred.Clear();
+    ext.query_conjunct_ids.clear();
     for (size_t c = 0; c < conjuncts.size(); ++c) {
       const QueryComparison& cmp = conjuncts[c];
       // A $param conjunct has no constant until bind time: it can never
@@ -356,7 +358,6 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
       ext.pred.Add(std::move(translated));
       ext.query_conjunct_ids.push_back(static_cast<int>(c));
     }
-    return ext;
   };
 
   // Folds $param range conjuncts on the candidate's first sort key into
@@ -447,10 +448,11 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
   // (-1: vertex-bound lists), so each (qe_id, target, eb_id, sort)
   // group is matched against the INDEX STORE once per call; `memo`
   // holds its first strictly cheapest candidate's index in `cands`, or
-  // kNoCandidate.
+  // kNoCandidate. `found` is the matcher's reused output.
   constexpr int kUnmatched = -2;
   constexpr int kNoCandidate = -1;
   std::vector<CandidateList> cands;
+  CandidateScratch found;
   std::vector<int> memo(static_cast<size_t>(num_edges) * 2 * (num_edges + 1) * sorts.size(),
                         kUnmatched);
   auto match_group = [&](int qe_id, int target, int eb_id, int sort) -> int {
@@ -464,10 +466,9 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
     Direction dir = qe.from == pivot ? Direction::kFwd : Direction::kBwd;
     label_t nbr_label = query.vertex(target).label;
     const SortCriterion* required_sort = sort == kNoSort ? nullptr : &sorts[sort];
-    ExtensionPredicate ext = build_ext_pred(qe_id, target, eb_id);
-    std::vector<CandidateList> found;
+    build_ext_pred(qe_id, target, eb_id);
     if (eb_id < 0) {
-      found = matcher.FindVertexLists(dir, qe.label, nbr_label, ext, required_sort);
+      matcher.FindVertexLists(dir, qe.label, nbr_label, ext, required_sort, &found);
     } else {
       const QueryEdge& eb = query.edge(eb_id);
       EpKind kind;
@@ -476,7 +477,7 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
       } else {
         kind = dir == Direction::kFwd ? EpKind::kSrcBwd : EpKind::kSrcFwd;
       }
-      found = matcher.FindEdgeLists(kind, qe.label, nbr_label, ext, required_sort);
+      matcher.FindEdgeLists(kind, qe.label, nbr_label, ext, required_sort, &found);
     }
     vertex_id_t target_bound = query.vertex(target).bound;
     size_t best = 0;
@@ -491,7 +492,7 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
       if (c.est_len < found[best].est_len) best = i;
     }
     if (found.empty()) return slot = kNoCandidate;
-    cands.push_back(std::move(found[best]));
+    cands.push_back(found[best]);  // a copy: `found` keeps its capacity
     return slot = static_cast<int>(cands.size()) - 1;
   };
   // The cheapest access path for extending along `qe_id` from bound set
@@ -686,6 +687,8 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
     step.kind = record.kind;
     step.scan_var = record.scan_var;
     step.target_var = record.target_var;
+    step.lists.reserve(record.lists_end - record.lists_begin);
+    step.residual.reserve(record.residual_end - record.residual_begin);
     for (uint32_t j = record.lists_begin; j < record.lists_end; ++j) {
       step.lists.push_back(cands[step_lists[j]].desc);
     }

@@ -156,19 +156,36 @@ SortResolution ResolveSort(const IndexConfig& config, bool innermost, label_t nb
 
 }  // namespace
 
-size_t IndexMatcher::BindPartitionPrefix(const IndexConfig& config, label_t edge_label,
-                                         label_t nbr_label, const ExtensionPredicate& ext_pred,
-                                         std::vector<category_t>* cats,
-                                         std::vector<int>* consumed) const {
+CandidateList& CandidateScratch::Add() {
+  if (size_ == lists_.size()) {
+    ++size_;
+    return lists_.emplace_back();
+  }
+  // Reset a retired slot, keeping its vectors' capacity.
+  CandidateList& candidate = lists_[size_++];
+  std::vector<category_t> cats = std::move(candidate.desc.cats);
+  std::vector<int> covered = std::move(candidate.covered_conjuncts);
+  cats.clear();
+  covered.clear();
+  candidate = CandidateList();
+  candidate.desc.cats = std::move(cats);
+  candidate.covered_conjuncts = std::move(covered);
+  return candidate;
+}
+
+void IndexMatcher::BindPartitionPrefix(const IndexConfig& config, label_t edge_label,
+                                       label_t nbr_label, const ExtensionPredicate& ext_pred,
+                                       CandidateList* candidate) const {
+  std::vector<category_t>* cats = &candidate->desc.cats;
   const auto& conjuncts = ext_pred.pred.conjuncts();
   for (const PartitionCriterion& criterion : config.partitions) {
     switch (criterion.source) {
       case PartitionSource::kEdgeLabel:
-        if (edge_label == kInvalidLabel) return cats->size();
+        if (edge_label == kInvalidLabel) return;
         cats->push_back(edge_label);
         break;
       case PartitionSource::kNbrLabel:
-        if (nbr_label == kInvalidLabel) return cats->size();
+        if (nbr_label == kInvalidLabel) return;
         cats->push_back(nbr_label);
         break;
       case PartitionSource::kEdgeProp:
@@ -185,22 +202,20 @@ size_t IndexMatcher::BindPartitionPrefix(const IndexConfig& config, label_t edge
             break;
           }
         }
-        if (found < 0) return cats->size();
+        if (found < 0) return;
         cats->push_back(static_cast<category_t>(conjuncts[found].rhs_const.AsInt64()));
-        consumed->push_back(found);
+        candidate->covered_conjuncts.push_back(ext_pred.query_conjunct_ids[found]);
         break;
       }
     }
   }
-  return cats->size();
 }
 
-std::vector<CandidateList> IndexMatcher::FindVertexLists(Direction dir, label_t edge_label,
-                                                         label_t nbr_label,
-                                                         const ExtensionPredicate& ext_pred,
-                                                         const SortCriterion* required_sort) const {
-  std::vector<CandidateList> candidates;
-  candidates.reserve(1 + store_->vp_indexes().size());  // primary + every VP index
+void IndexMatcher::FindVertexLists(Direction dir, label_t edge_label, label_t nbr_label,
+                                   const ExtensionPredicate& ext_pred,
+                                   const SortCriterion* required_sort,
+                                   CandidateScratch* out) const {
+  out->Clear();
   const Catalog& catalog = store_->graph()->catalog();
 
   auto consider = [&](ListDescriptor::Source source, const PrimaryIndex* primary,
@@ -213,18 +228,19 @@ std::vector<CandidateList> IndexMatcher::FindVertexLists(Direction dir, label_t 
         source == ListDescriptor::Source::kVp ? vp->view().pred : empty;
     if (!PredicateSubsumes(index_pred, ext_pred.pred, nullptr)) return;
 
-    CandidateList candidate;
+    CandidateList& candidate = out->Add();
     candidate.desc.source = source;
     candidate.desc.primary = primary;
     candidate.desc.vp = vp;
 
-    std::vector<int> consumed;
-    BindPartitionPrefix(config, edge_label, nbr_label, ext_pred, &candidate.desc.cats,
-                        &consumed);
+    BindPartitionPrefix(config, edge_label, nbr_label, ext_pred, &candidate);
     bool innermost = candidate.desc.cats.size() == config.partitions.size();
 
     SortResolution sort = ResolveSort(config, innermost, nbr_label, required_sort);
-    if (!sort.usable) return;
+    if (!sort.usable) {
+      out->PopBack();
+      return;
+    }
     candidate.desc.nbr_sorted = sort.nbr_sorted;
     if (sort.label_pinned) {
       candidate.desc.has_lower_bound = true;
@@ -249,11 +265,8 @@ std::vector<CandidateList> IndexMatcher::FindVertexLists(Direction dir, label_t 
       candidate.desc.target_vertex_label = nbr_label;
     }
 
-    // Covered conjuncts: those consumed by partition binding plus those
-    // guaranteed by the view predicate.
-    for (int pos : consumed) {
-      candidate.covered_conjuncts.push_back(ext_pred.query_conjunct_ids[pos]);
-    }
+    // Covered conjuncts: those consumed by partition binding (already
+    // recorded) plus those guaranteed by the view predicate.
     CollectGuaranteed(index_pred, ext_pred, &candidate.covered_conjuncts);
 
     // Estimated list length.
@@ -290,7 +303,6 @@ std::vector<CandidateList> IndexMatcher::FindVertexLists(Direction dir, label_t 
     candidate.est_out = out;
     candidate.allow_param_range_bounds = sort.allow_range_bounds;
     if (sort.allow_range_bounds) ApplySortKeyBounds(config, ext_pred, &candidate);
-    candidates.push_back(std::move(candidate));
   };
 
   const PrimaryIndex* primary = store_->primary(dir);
@@ -299,14 +311,13 @@ std::vector<CandidateList> IndexMatcher::FindVertexLists(Direction dir, label_t 
     if (vp->direction() != dir) continue;
     consider(ListDescriptor::Source::kVp, vp->primary(), vp.get());
   }
-  return candidates;
 }
 
-std::vector<CandidateList> IndexMatcher::FindEdgeLists(EpKind kind, label_t edge_label,
-                                                       label_t nbr_label,
-                                                       const ExtensionPredicate& ext_pred,
-                                                       const SortCriterion* required_sort) const {
-  std::vector<CandidateList> candidates;
+void IndexMatcher::FindEdgeLists(EpKind kind, label_t edge_label, label_t nbr_label,
+                                 const ExtensionPredicate& ext_pred,
+                                 const SortCriterion* required_sort,
+                                 CandidateScratch* out) const {
+  out->Clear();
   const Catalog& catalog = store_->graph()->catalog();
   for (const auto& ep : store_->ep_indexes()) {
     if (ep->kind() != kind) continue;
@@ -317,15 +328,16 @@ std::vector<CandidateList> IndexMatcher::FindEdgeLists(EpKind kind, label_t edge
     const IndexConfig& config = ep->config();
     if (!PredicateSubsumes(ep->view().pred, ext_pred.pred, nullptr)) continue;
 
-    CandidateList candidate;
+    CandidateList& candidate = out->Add();
     candidate.desc.source = ListDescriptor::Source::kEp;
     candidate.desc.ep = ep.get();
-    std::vector<int> consumed;
-    BindPartitionPrefix(config, edge_label, nbr_label, ext_pred, &candidate.desc.cats,
-                        &consumed);
+    BindPartitionPrefix(config, edge_label, nbr_label, ext_pred, &candidate);
     bool innermost = candidate.desc.cats.size() == config.partitions.size();
     SortResolution sort = ResolveSort(config, innermost, nbr_label, required_sort);
-    if (!sort.usable) continue;
+    if (!sort.usable) {
+      out->PopBack();
+      continue;
+    }
     candidate.desc.nbr_sorted = sort.nbr_sorted;
     if (sort.label_pinned) {
       candidate.desc.has_lower_bound = true;
@@ -347,9 +359,6 @@ std::vector<CandidateList> IndexMatcher::FindEdgeLists(EpKind kind, label_t edge
     if (!nbr_label_covered && nbr_label != kInvalidLabel) {
       candidate.desc.target_vertex_label = nbr_label;
     }
-    for (int pos : consumed) {
-      candidate.covered_conjuncts.push_back(ext_pred.query_conjunct_ids[pos]);
-    }
     CollectGuaranteed(ep->view().pred, ext_pred, &candidate.covered_conjuncts);
 
     double est = stats_->num_edges == 0
@@ -369,9 +378,7 @@ std::vector<CandidateList> IndexMatcher::FindEdgeLists(EpKind kind, label_t edge
     candidate.est_out = out;
     candidate.allow_param_range_bounds = sort.allow_range_bounds;
     if (sort.allow_range_bounds) ApplySortKeyBounds(config, ext_pred, &candidate);
-    candidates.push_back(std::move(candidate));
   }
-  return candidates;
 }
 
 }  // namespace aplus

@@ -40,6 +40,30 @@ struct CandidateList {
   bool allow_param_range_bounds = false;
 };
 
+// Caller-owned output of the IndexMatcher lookups: [begin, end) are the
+// last lookup's candidates. Slots past the end keep their vectors'
+// capacity, so a scratch reused across lookups (the optimizer keeps one
+// per Optimize call) allocates only while it grows.
+class CandidateScratch {
+ public:
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  CandidateList& operator[](size_t i) { return lists_[i]; }
+  const CandidateList* begin() const { return lists_.data(); }
+  const CandidateList* end() const { return lists_.data() + size_; }
+
+  void Clear() { size_ = 0; }
+  // Appends a default-initialized candidate; the reference is valid
+  // until the next Add.
+  CandidateList& Add();
+  // Drops the candidate the last Add returned.
+  void PopBack() { --size_; }
+
+ private:
+  std::vector<CandidateList> lists_;
+  size_t size_ = 0;
+};
+
 // Matches extension requirements against the INDEX STORE: checks sort
 // compatibility, binds partition-category prefixes from equality
 // predicates / labels, and verifies view-predicate subsumption
@@ -53,24 +77,25 @@ class IndexMatcher {
   // query edge with label `edge_label` towards a vertex with label
   // `nbr_label` (either may be kInvalidLabel). If `required_sort` is
   // non-null, only lists whose first sort criterion equals it qualify.
-  std::vector<CandidateList> FindVertexLists(Direction dir, label_t edge_label,
-                                             label_t nbr_label,
-                                             const ExtensionPredicate& ext_pred,
-                                             const SortCriterion* required_sort) const;
+  // Replaces the contents of `out`.
+  void FindVertexLists(Direction dir, label_t edge_label, label_t nbr_label,
+                       const ExtensionPredicate& ext_pred, const SortCriterion* required_sort,
+                       CandidateScratch* out) const;
 
   // Lists for an edge-bound extension of kind `kind` (EP indexes only).
-  // ext_pred may contain cross-edge conjuncts (eb vs eadj).
-  std::vector<CandidateList> FindEdgeLists(EpKind kind, label_t edge_label, label_t nbr_label,
-                                           const ExtensionPredicate& ext_pred,
-                                           const SortCriterion* required_sort) const;
+  // ext_pred may contain cross-edge conjuncts (eb vs eadj). Replaces the
+  // contents of `out`.
+  void FindEdgeLists(EpKind kind, label_t edge_label, label_t nbr_label,
+                     const ExtensionPredicate& ext_pred, const SortCriterion* required_sort,
+                     CandidateScratch* out) const;
 
  private:
   // Tries to bind a category prefix for `config.partitions` from labels
-  // and equality conjuncts. Returns the number of bound criteria and
-  // appends consumed conjunct positions (indices into ext_pred.pred).
-  size_t BindPartitionPrefix(const IndexConfig& config, label_t edge_label, label_t nbr_label,
-                             const ExtensionPredicate& ext_pred, std::vector<category_t>* cats,
-                             std::vector<int>* consumed) const;
+  // and equality conjuncts into candidate->desc.cats; the query
+  // conjuncts of the consumed equalities go to
+  // candidate->covered_conjuncts.
+  void BindPartitionPrefix(const IndexConfig& config, label_t edge_label, label_t nbr_label,
+                           const ExtensionPredicate& ext_pred, CandidateList* candidate) const;
 
   const IndexStore* store_;
   const GraphStats* stats_;

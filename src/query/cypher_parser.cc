@@ -1,9 +1,10 @@
 #include "query/cypher_parser.h"
 
-#include <cctype>
 #include <charconv>
 #include <string_view>
 #include <vector>
+
+#include "util/ascii.h"
 
 namespace aplus {
 
@@ -13,81 +14,66 @@ namespace {
 // over-long number must surface as a parse error, never as a thrown
 // std::out_of_range. Each requires the whole token to convert.
 template <typename T>
-bool ParseNumberLiteral(const std::string& text, T* out) {
+bool ParseNumberLiteral(std::string_view text, T* out) {
   const char* end = text.data() + text.size();
   auto [ptr, ec] = std::from_chars(text.data(), end, *out);
   return ec == std::errc() && ptr == end;
 }
 
+// A token's text is a view into the query text; kError marks an
+// unterminated string literal and ends the token stream.
 struct Token {
-  enum class Kind { kIdent, kNumber, kString, kParam, kOp, kEnd };
+  enum class Kind { kIdent, kNumber, kString, kParam, kOp, kEnd, kError };
   Kind kind = Kind::kEnd;
-  std::string text;
+  std::string_view text;
 };
+
+bool IsIdentChar(char c) { return IsAsciiAlnum(c) || c == '_'; }
 
 class Lexer {
  public:
-  explicit Lexer(const std::string& text) : text_(text) {}
+  explicit Lexer(std::string_view text) : text_(text) {}
 
   Token Next() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-    if (pos_ >= text_.size()) return Token{Token::Kind::kEnd, ""};
-    char c = text_[pos_];
+    while (pos_ < text_.size() && IsAsciiSpace(text_[pos_])) ++pos_;
+    if (pos_ >= text_.size()) return Token{Token::Kind::kEnd, {}};
+    const size_t start = pos_;
+    const char c = text_[pos_];
     if (c == '\'') {
-      // Single-quoted string literal.
-      size_t end = text_.find('\'', pos_ + 1);
-      if (end == std::string::npos) {
+      // Single-quoted string literal, no escapes.
+      size_t end = text_.find('\'', start + 1);
+      if (end == std::string_view::npos) {
         pos_ = text_.size();
-        return Token{Token::Kind::kString, ""};
+        return Token{Token::Kind::kError, {}};
       }
-      Token token{Token::Kind::kString, text_.substr(pos_ + 1, end - pos_ - 1)};
       pos_ = end + 1;
-      return token;
+      return Token{Token::Kind::kString, text_.substr(start + 1, end - start - 1)};
     }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      size_t start = pos_;
-      while (pos_ < text_.size() && (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                                     text_[pos_] == '.')) {
-        ++pos_;
-      }
+    if (IsAsciiDigit(c)) {
+      while (pos_ < text_.size() && (IsAsciiDigit(text_[pos_]) || text_[pos_] == '.')) ++pos_;
       return Token{Token::Kind::kNumber, text_.substr(start, pos_ - start)};
     }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t start = pos_;
-      while (pos_ < text_.size() && (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-                                     text_[pos_] == '_')) {
-        ++pos_;
-      }
+    if (IsAsciiAlpha(c) || c == '_') {
+      while (pos_ < text_.size() && IsIdentChar(text_[pos_])) ++pos_;
       return Token{Token::Kind::kIdent, text_.substr(start, pos_ - start)};
     }
-    if (c == '$') {
+    if (c == '$' && start + 1 < text_.size() && IsIdentChar(text_[start + 1])) {
       // $name parameter placeholder. A bare '$' falls through as an
       // operator token and errors downstream.
-      size_t start = pos_ + 1;
-      size_t end = start;
-      while (end < text_.size() && (std::isalnum(static_cast<unsigned char>(text_[end])) ||
-                                    text_[end] == '_')) {
-        ++end;
-      }
-      if (end > start) {
-        pos_ = end;
-        return Token{Token::Kind::kParam, text_.substr(start, end - start)};
-      }
+      pos_ = start + 1;
+      while (pos_ < text_.size() && IsIdentChar(text_[pos_])) ++pos_;
+      return Token{Token::Kind::kParam, text_.substr(start + 1, pos_ - start - 1)};
     }
-    // Multi-character operators.
-    static const char* kMulti[] = {"<=", ">=", "<>", "->", "<-"};
-    for (const char* op : kMulti) {
-      if (text_.compare(pos_, 2, op) == 0) {
-        pos_ += 2;
-        return Token{Token::Kind::kOp, op};
-      }
-    }
-    ++pos_;
-    return Token{Token::Kind::kOp, std::string(1, c)};
+    // Two-character operators: <= >= <> <- ->.
+    const char next = start + 1 < text_.size() ? text_[start + 1] : '\0';
+    const bool two = (c == '<' && (next == '=' || next == '>' || next == '-')) ||
+                     (c == '>' && next == '=') || (c == '-' && next == '>');
+    pos_ = start + (two ? 2 : 1);
+    return Token{Token::Kind::kOp, text_.substr(start, pos_ - start)};
   }
 
  private:
-  const std::string& text_;
+  std::string_view text_;
   size_t pos_ = 0;
 };
 
@@ -95,58 +81,68 @@ class Lexer {
 bool IsKeyword(std::string_view ident, std::string_view keyword) {
   if (ident.size() != keyword.size()) return false;
   for (size_t i = 0; i < ident.size(); ++i) {
-    if (std::toupper(static_cast<unsigned char>(ident[i])) != keyword[i]) return false;
+    if (AsciiToUpper(ident[i]) != keyword[i]) return false;
   }
   return true;
 }
 
 class Parser {
  public:
-  Parser(const std::string& text, const Catalog& catalog) : catalog_(catalog) {
+  Parser(std::string_view text, const Catalog& catalog) : catalog_(catalog) {
+    // Every token consumes at least one byte, plus the closing kEnd.
+    tokens_.reserve(text.size() + 1);
     Lexer lexer(text);
     for (Token token = lexer.Next();; token = lexer.Next()) {
-      const bool end = token.kind == Token::Kind::kEnd;
-      tokens_.push_back(std::move(token));
-      if (end) break;
+      tokens_.push_back(token);
+      if (token.kind == Token::Kind::kEnd || token.kind == Token::Kind::kError) break;
     }
   }
 
   ParsedCypher Parse() {
+    ParseQuery();
+    return std::move(result_);
+  }
+
+ private:
+  // Fills result_; on failure result_.error says why.
+  void ParseQuery() {
+    if (tokens_.back().kind == Token::Kind::kError) {
+      result_.error = "unterminated string literal";
+      return;
+    }
     if (!AcceptKeyword("MATCH")) {
       result_.error = "query must start with MATCH";
-      return result_;
+      return;
     }
     do {
-      if (!ParsePattern()) return result_;
+      if (!ParsePattern()) return;
     } while (Accept(","));
     if (AcceptKeyword("WHERE")) {
       do {
-        if (!ParseCondition()) return result_;
+        if (!ParseCondition()) return;
       } while (Accept(",") || AcceptKeyword("AND"));
     }
     if (AcceptKeyword("RETURN")) {
-      if (!ParseReturn()) return result_;
+      if (!ParseReturn()) return;
     }
     if (AcceptKeyword("ORDER")) {
-      if (!ParseOrderBy()) return result_;
+      if (!ParseOrderBy()) return;
     }
     if (AcceptKeyword("LIMIT")) {
       if (Peek().kind != Token::Kind::kNumber ||
-          Peek().text.find('.') != std::string::npos ||
+          Peek().text.find('.') != std::string_view::npos ||
           !ParseNumberLiteral(Peek().text, &result_.limit)) {
         result_.error = "expected non-negative integer after LIMIT";
-        return result_;
+        return;
       }
       result_.has_limit = true;
       ++pos_;
     }
     if (Peek().kind != Token::Kind::kEnd) {
-      result_.error = "unexpected trailing token '" + Peek().text + "'";
+      result_.error = "unexpected trailing token '" + std::string(Peek().text) + "'";
     }
-    return result_;
   }
 
- private:
   const Token& Peek(size_t ahead = 0) const {
     size_t i = pos_ + ahead;
     return i < tokens_.size() ? tokens_[i] : tokens_.back();
@@ -170,7 +166,7 @@ class Parser {
 
   bool Expect(std::string_view op) {
     if (Accept(op)) return true;
-    result_.error = "expected '" + std::string(op) + "', got '" + Peek().text + "'";
+    result_.error = "expected '" + std::string(op) + "', got '" + std::string(Peek().text) + "'";
     return false;
   }
 
@@ -181,7 +177,7 @@ class Parser {
       result_.error = "expected node variable";
       return -1;
     }
-    std::string name = Peek().text;
+    std::string_view name = Peek().text;
     ++pos_;
     label_t label = kInvalidLabel;
     if (Accept(":")) {
@@ -189,9 +185,9 @@ class Parser {
         result_.error = "expected node label";
         return -1;
       }
-      label = catalog_.FindVertexLabel(Peek().text);
+      label = catalog_.FindVertexLabel(std::string(Peek().text));
       if (label == kInvalidLabel) {
-        result_.error = "unknown vertex label " + Peek().text;
+        result_.error = "unknown vertex label " + std::string(Peek().text);
         return -1;
       }
       ++pos_;
@@ -220,7 +216,7 @@ class Parser {
         return true;  // pattern ends at a node
       }
       // [name][:Label] inside brackets (both optional).
-      std::string edge_name;
+      std::string_view edge_name;
       label_t edge_label = kInvalidLabel;
       if (!Expect("[")) return false;
       if (Peek().kind == Token::Kind::kIdent) {
@@ -232,9 +228,9 @@ class Parser {
           result_.error = "expected edge label";
           return false;
         }
-        edge_label = catalog_.FindEdgeLabel(Peek().text);
+        edge_label = catalog_.FindEdgeLabel(std::string(Peek().text));
         if (edge_label == kInvalidLabel) {
-          result_.error = "unknown edge label " + Peek().text;
+          result_.error = "unknown edge label " + std::string(Peek().text);
           return false;
         }
         ++pos_;
@@ -262,19 +258,19 @@ class Parser {
       result_.error = "expected variable reference";
       return false;
     }
-    std::string var_name = Peek().text;
+    std::string_view var_name = Peek().text;
     ++pos_;
     if (!Expect(".")) return false;
     if (Peek().kind != Token::Kind::kIdent) {
       result_.error = "expected property name after '.'";
       return false;
     }
-    std::string prop = Peek().text;
+    std::string_view prop = Peek().text;
     ++pos_;
     int vertex_var = result_.query.FindVertex(var_name);
     int edge_var = result_.query.FindEdge(var_name);
     if (vertex_var < 0 && edge_var < 0) {
-      result_.error = "unknown variable " + var_name;
+      result_.error = "unknown variable " + std::string(var_name);
       return false;
     }
     ref->is_edge = vertex_var < 0;
@@ -284,16 +280,16 @@ class Parser {
       return true;
     }
     ref->key = catalog_.FindProperty(
-        prop, ref->is_edge ? PropTargetKind::kEdge : PropTargetKind::kVertex);
+        std::string(prop), ref->is_edge ? PropTargetKind::kEdge : PropTargetKind::kVertex);
     if (ref->key == kInvalidPropKey) {
-      result_.error = "unknown property " + prop;
+      result_.error = "unknown property " + std::string(prop);
       return false;
     }
     return true;
   }
 
   // AggFn of an identifier token, kNone when it is not an aggregate name.
-  static AggFn AggFnOf(const std::string& ident) {
+  static AggFn AggFnOf(std::string_view ident) {
     if (IsKeyword(ident, "COUNT")) return AggFn::kCount;
     if (IsKeyword(ident, "SUM")) return AggFn::kSum;
     if (IsKeyword(ident, "MIN")) return AggFn::kMin;
@@ -309,7 +305,7 @@ class Parser {
       result_.error = std::string("expected variable reference in ") + clause;
       return false;
     }
-    std::string var_name = Peek().text;
+    std::string_view var_name = Peek().text;
     if (Peek(1).kind == Token::Kind::kOp && Peek(1).text == ".") {
       if (!ParseRef(&item->ref)) {
         // ParseRef reports unknown variables/properties; sharpen the
@@ -317,20 +313,20 @@ class Parser {
         result_.error += std::string(" (in ") + clause + ")";
         return false;
       }
-      item->name = var_name + "." + (item->ref.is_id ? "ID" : PropName(item->ref.key));
+      item->name = std::string(var_name) + "." + (item->ref.is_id ? "ID" : PropName(item->ref.key));
       return true;
     }
     ++pos_;
     int vertex_var = result_.query.FindVertex(var_name);
     int edge_var = result_.query.FindEdge(var_name);
     if (vertex_var < 0 && edge_var < 0) {
-      result_.error = "unknown variable " + var_name + " in " + clause;
+      result_.error = "unknown variable " + std::string(var_name) + " in " + clause;
       return false;
     }
     item->ref.is_edge = vertex_var < 0;
     item->ref.var = item->ref.is_edge ? edge_var : vertex_var;
     item->ref.is_id = true;
-    item->name = var_name;
+    item->name = std::string(var_name);
     return true;
   }
 
@@ -430,18 +426,18 @@ class Parser {
   // Registers (or re-finds) parameter $name with the given expected
   // type; -1 and a parse error when the name is reused with a
   // conflicting expectation.
-  int RegisterParam(const std::string& name, ValueType expected, prop_key_t key) {
+  int RegisterParam(std::string_view name, ValueType expected, prop_key_t key) {
     for (size_t i = 0; i < result_.params.size(); ++i) {
       CypherParam& p = result_.params[i];
       if (p.name != name) continue;
       if (p.expected != expected || p.key != key) {
-        result_.error = "parameter $" + name + " used with conflicting types";
+        result_.error = "parameter $" + std::string(name) + " used with conflicting types";
         return -1;
       }
       return static_cast<int>(i);
     }
     CypherParam p;
-    p.name = name;
+    p.name = std::string(name);
     p.expected = expected;
     p.key = key;
     result_.params.push_back(std::move(p));
@@ -464,7 +460,7 @@ class Parser {
     } else if (Accept(">")) {
       cmp.op = CmpOp::kGt;
     } else {
-      result_.error = "expected comparison operator, got '" + Peek().text + "'";
+      result_.error = "expected comparison operator, got '" + std::string(Peek().text) + "'";
       return false;
     }
     // Right-hand side: literal, <var>.<prop> [+ int], or identifier
@@ -472,24 +468,24 @@ class Parser {
     const Token& rhs = Peek();
     if (rhs.kind == Token::Kind::kNumber) {
       ++pos_;
-      if (rhs.text.find('.') != std::string::npos) {
+      if (rhs.text.find('.') != std::string_view::npos) {
         double d = 0.0;
         if (!ParseNumberLiteral(rhs.text, &d)) {
-          result_.error = "malformed numeric literal '" + rhs.text + "'";
+          result_.error = "malformed numeric literal '" + std::string(rhs.text) + "'";
           return false;
         }
         cmp.rhs_const = Value::Double(d);
       } else {
         int64_t v = 0;
         if (!ParseNumberLiteral(rhs.text, &v)) {
-          result_.error = "integer literal out of range '" + rhs.text + "'";
+          result_.error = "integer literal out of range '" + std::string(rhs.text) + "'";
           return false;
         }
         cmp.rhs_const = Value::Int64(v);
       }
     } else if (rhs.kind == Token::Kind::kString) {
       ++pos_;
-      cmp.rhs_const = Value::String(rhs.text);
+      cmp.rhs_const = Value::String(std::string(rhs.text));
     } else if (rhs.kind == Token::Kind::kParam) {
       ++pos_;
       // `<vertex>.ID = $p` is a parameter pin: the plan is optimized
@@ -503,7 +499,7 @@ class Parser {
         if (idx < 0) return false;
         CypherParam& param = result_.params[idx];
         if (param.pin_var >= 0 && param.pin_var != cmp.lhs.var) {
-          result_.error = "parameter $" + rhs.text + " pins multiple variables";
+          result_.error = "parameter $" + std::string(rhs.text) + " pins multiple variables";
           return false;
         }
         param.pin_var = cmp.lhs.var;
@@ -536,13 +532,13 @@ class Parser {
         ++pos_;
         if (cmp.lhs.key == kInvalidPropKey ||
             catalog_.property(cmp.lhs.key).type != ValueType::kCategory) {
-          result_.error = "identifier constant '" + rhs.text +
+          result_.error = "identifier constant '" + std::string(rhs.text) +
                           "' requires a categorical left-hand property";
           return false;
         }
-        category_t cat = catalog_.FindCategoryValue(cmp.lhs.key, rhs.text);
+        category_t cat = catalog_.FindCategoryValue(cmp.lhs.key, std::string(rhs.text));
         if (cat == kInvalidCategory) {
-          result_.error = "unknown category value " + rhs.text;
+          result_.error = "unknown category value " + std::string(rhs.text);
           return false;
         }
         cmp.rhs_const = Value::Category(cat);

@@ -40,6 +40,17 @@ namespace aplus {
 //
 // LIMIT caps the emitted rows (LIMIT 0 is valid and yields no rows); it
 // applies to the final output, i.e. after aggregation and ordering.
+//
+// Lexing is ASCII: identifiers are letters, digits and '_' not starting
+// with a digit, a $name parameter is '$' and one or more of those
+// characters, numbers are digits and '.', and whitespace is the "C"
+// locale's space class. A
+// string literal is '...' with no escape sequences; one with no closing
+// quote is the parse error "unterminated string literal". Any other
+// byte, including bytes >= 0x80, is a one-character operator token that
+// the grammar rejects. Everything the result holds (names, literals,
+// parameter names, the error) is an owned copy, never a view into
+// `text`.
 
 // One $name placeholder. The expected type is derived from the
 // comparison the parameter appears in (kInt64 for .ID comparisons, the

@@ -22,30 +22,31 @@ const char* ToString(AggFn fn) {
   return "?";
 }
 
-int QueryGraph::AddVertex(const std::string& name, label_t label, vertex_id_t bound) {
+int QueryGraph::AddVertex(std::string_view name, label_t label, vertex_id_t bound) {
   APLUS_CHECK(FindVertex(name) < 0) << "duplicate query vertex " << name;
-  vertices_.push_back(QueryVertex{name, label, bound});
+  vertices_.push_back(QueryVertex{std::string(name), label, bound});
   return static_cast<int>(vertices_.size() - 1);
 }
 
-int QueryGraph::AddEdge(int from, int to, label_t label, const std::string& name) {
+int QueryGraph::AddEdge(int from, int to, label_t label, std::string_view name) {
   APLUS_CHECK_GE(from, 0);
   APLUS_CHECK_LT(from, num_vertices());
   APLUS_CHECK_GE(to, 0);
   APLUS_CHECK_LT(to, num_vertices());
-  std::string edge_name = name.empty() ? "e" + std::to_string(edges_.size() + 1) : name;
-  edges_.push_back(QueryEdge{edge_name, from, to, label});
+  std::string edge_name =
+      name.empty() ? "e" + std::to_string(edges_.size() + 1) : std::string(name);
+  edges_.push_back(QueryEdge{std::move(edge_name), from, to, label});
   return static_cast<int>(edges_.size() - 1);
 }
 
-int QueryGraph::FindVertex(const std::string& name) const {
+int QueryGraph::FindVertex(std::string_view name) const {
   for (size_t i = 0; i < vertices_.size(); ++i) {
     if (vertices_[i].name == name) return static_cast<int>(i);
   }
   return -1;
 }
 
-int QueryGraph::FindEdge(const std::string& name) const {
+int QueryGraph::FindEdge(std::string_view name) const {
   for (size_t i = 0; i < edges_.size(); ++i) {
     if (edges_[i].name == name) return static_cast<int>(i);
   }

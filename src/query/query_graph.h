@@ -2,6 +2,7 @@
 #define APLUS_QUERY_QUERY_GRAPH_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "storage/graph.h"
@@ -77,13 +78,13 @@ struct QueryEdge {
 // across the A+ engine and the baseline engines.
 class QueryGraph {
  public:
-  int AddVertex(const std::string& name, label_t label = kInvalidLabel,
+  int AddVertex(std::string_view name, label_t label = kInvalidLabel,
                 vertex_id_t bound = kInvalidVertex);
-  int AddEdge(int from, int to, label_t label = kInvalidLabel, const std::string& name = "");
+  int AddEdge(int from, int to, label_t label = kInvalidLabel, std::string_view name = {});
   void AddPredicate(QueryComparison cmp) { predicates_.push_back(std::move(cmp)); }
 
-  int FindVertex(const std::string& name) const;
-  int FindEdge(const std::string& name) const;
+  int FindVertex(std::string_view name) const;
+  int FindEdge(std::string_view name) const;
 
   int num_vertices() const { return static_cast<int>(vertices_.size()); }
   int num_edges() const { return static_cast<int>(edges_.size()); }

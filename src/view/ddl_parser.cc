@@ -1,7 +1,8 @@
 #include "view/ddl_parser.h"
 
-#include <cctype>
 #include <vector>
+
+#include "util/ascii.h"
 
 namespace aplus {
 
@@ -20,7 +21,7 @@ std::vector<Token> Tokenize(const std::string& text) {
   auto push_op = [&tokens](std::string op) { tokens.push_back(Token{std::move(op), true}); };
   while (i < text.size()) {
     char c = text[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (IsAsciiSpace(c)) {
       ++i;
       continue;
     }
@@ -51,8 +52,7 @@ std::vector<Token> Tokenize(const std::string& text) {
       continue;
     }
     size_t start = i;
-    while (i < text.size() && (std::isalnum(static_cast<unsigned char>(text[i])) ||
-                               text[i] == '_' || text[i] == '.')) {
+    while (i < text.size() && (IsAsciiAlnum(text[i]) || text[i] == '_' || text[i] == '.')) {
       ++i;
     }
     if (i == start) {  // unknown character; skip it
@@ -66,7 +66,7 @@ std::vector<Token> Tokenize(const std::string& text) {
 
 std::string Upper(const std::string& s) {
   std::string out = s;
-  for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  for (char& c : out) c = AsciiToUpper(c);
   return out;
 }
 
@@ -321,7 +321,7 @@ class Parser {
         return false;
       }
       std::string rhs = tokens_[pos_].text;
-      if (rhs.find('.') != std::string::npos && !std::isdigit(static_cast<unsigned char>(rhs[0]))) {
+      if (rhs.find('.') != std::string::npos && !IsAsciiDigit(rhs[0])) {
         cmp.rhs_is_const = false;
         if (!ParseRef(&cmp.rhs_ref, cmd, true)) return false;
         // Optional "+ <int>" addend.
@@ -335,7 +335,7 @@ class Parser {
       } else {
         ++pos_;
         cmp.rhs_is_const = true;
-        if (std::isdigit(static_cast<unsigned char>(rhs[0])) || rhs[0] == '-') {
+        if (IsAsciiDigit(rhs[0]) || rhs[0] == '-') {
           if (rhs.find('.') != std::string::npos) {
             cmp.rhs_const = Value::Double(std::stod(rhs));
           } else {

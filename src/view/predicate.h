@@ -90,6 +90,9 @@ class Predicate {
   Predicate& AddConst(PropRef lhs, CmpOp op, Value constant);
   Predicate& AddRef(PropRef lhs, CmpOp op, PropRef rhs, int64_t addend = 0);
 
+  // Back to TRUE, keeping the conjunct storage.
+  void Clear() { conjuncts_.clear(); }
+
   bool IsTrue() const { return conjuncts_.empty(); }
   const std::vector<Comparison>& conjuncts() const { return conjuncts_; }
 

@@ -4,9 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <memory>
+#include <string>
+#include <utility>
+
 #include "core/database.h"
 #include "datagen/example_graph.h"
 #include "query/cypher_parser.h"
+#include "util/rng.h"
 
 namespace aplus {
 namespace {
@@ -334,6 +340,174 @@ TEST_F(CypherParserTest, EndToEndThroughDatabase) {
   EXPECT_EQ(alice.count, 6u);
   // Parse errors surface cleanly.
   EXPECT_FALSE(db.ExecuteCypher("MATCH garbage").ok());
+}
+
+TEST_F(CypherParserTest, UnterminatedStringLiteralIsAParseError) {
+  // The literal must not swallow the rest of the query into an empty
+  // constant.
+  const std::string text =
+      "MATCH (c1:Customer)-[r1]->(a1) WHERE c1.name = 'Alice RETURN COUNT(*)";
+  ParsedCypher parsed = ParseCypher(text, ex_.graph.catalog());
+  EXPECT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error, "unterminated string literal");
+  Database db(std::move(ex_.graph));
+  db.BuildPrimaryIndexes();
+  std::unique_ptr<PreparedQuery> prepared = db.Prepare(text);
+  EXPECT_EQ(prepared->status(), QueryOutcome::Status::kParseError);
+  EXPECT_EQ(prepared->error(), "unterminated string literal");
+}
+
+TEST_F(CypherParserTest, EveryErrorMessage) {
+  // One text per message the parser emits, with the exact wording and
+  // the offending token it quotes.
+  const std::pair<const char*, const char*> cases[] = {
+      {"SELECT * FROM t", "query must start with MATCH"},
+      {"MATCH (a)-[r]->(b) LIMIT x", "expected non-negative integer after LIMIT"},
+      {"MATCH (a)-[r]->(b) LIMIT 1.5", "expected non-negative integer after LIMIT"},
+      {"MATCH (a)-[r]->(b) foo", "unexpected trailing token 'foo'"},
+      {"MATCH a", "expected '(', got 'a'"},
+      {"MATCH (a", "expected ')', got ''"},
+      {"MATCH (a)-[r]-(b)", "expected '->', got '-'"},
+      {"MATCH (a)<-[r]->(b)", "expected '-', got '->'"},
+      {"MATCH (5)", "expected node variable"},
+      {"MATCH (a:)", "expected node label"},
+      {"MATCH (a:Nonexistent)", "unknown vertex label Nonexistent"},
+      {"MATCH (a)-[:]->(b)", "expected edge label"},
+      {"MATCH (a)-[:NoSuchLabel]->(b)", "unknown edge label NoSuchLabel"},
+      {"MATCH (a)-[r]->(b) WHERE 5 = a.ID", "expected variable reference"},
+      {"MATCH (a)-[r]->(b) WHERE a.5 = 1", "expected property name after '.'"},
+      {"MATCH (a)-[r]->(b) WHERE a ID = 1", "expected '.', got 'ID'"},
+      {"MATCH (a)-[r]->(b) WHERE z.ID = 1", "unknown variable z"},
+      {"MATCH (a)-[r]->(b) WHERE a.nonexistent > 5", "unknown property nonexistent"},
+      {"MATCH (a)-[r]->(b) RETURN 5", "expected variable reference in RETURN"},
+      {"MATCH (a)-[r]->(b) RETURN", "expected variable reference in RETURN"},
+      {"MATCH (a)-[r]->(b) RETURN a ORDER BY 5", "expected variable reference in ORDER BY"},
+      {"MATCH (a)-[r]->(b) RETURN c.city", "unknown variable c (in RETURN)"},
+      {"MATCH (a)-[r]->(b) RETURN a ORDER BY b.nope", "unknown property nope (in ORDER BY)"},
+      {"MATCH (a)-[r]->(b) RETURN c", "unknown variable c in RETURN"},
+      {"MATCH (a)-[r]->(b) RETURN SUM(*)", "SUM(*) is not supported; COUNT(*) only"},
+      {"MATCH (a)-[r]->(b) RETURN SUM(b.city)",
+       "SUM(b.city) requires an int64 or double argument"},
+      {"MATCH (a)-[r]->(b) RETURN DISTINCT COUNT(*)",
+       "RETURN DISTINCT cannot be combined with aggregates"},
+      {"MATCH (a)-[r]->(b) RETURN a ORDER a", "expected BY after ORDER"},
+      {"MATCH (a)-[r]->(b) ORDER BY a", "ORDER BY requires a RETURN projection"},
+      {"MATCH (a)-[r]->(b) RETURN a ORDER BY r.amount",
+       "ORDER BY key r.amount is not a RETURN item"},
+      {"MATCH (a)-[r]->(b) WHERE a.name = $x AND r.amount > $x",
+       "parameter $x used with conflicting types"},
+      {"MATCH (a)-[r]->(b) WHERE a.ID ! 5", "expected comparison operator, got '!'"},
+      {"MATCH (a)-[r]->(b) WHERE r.amount > 1.2.3", "malformed numeric literal '1.2.3'"},
+      {"MATCH (a)-[r]->(b) WHERE r.amount > 99999999999999999999999",
+       "integer literal out of range '99999999999999999999999'"},
+      {"MATCH (a)-[r]->(b) WHERE a.ID = $p, b.ID = $p", "parameter $p pins multiple variables"},
+      {"MATCH (a)-[r]->(b)-[s]->(c) WHERE r.amount > s.amount + x", "expected integer addend"},
+      {"MATCH (a)-[r]->(b) WHERE a.name = Bob",
+       "identifier constant 'Bob' requires a categorical left-hand property"},
+      {"MATCH (a)-[r]->(b) WHERE r.currency = JPY", "unknown category value JPY"},
+      {"MATCH (a)-[r]->(b) WHERE a.ID = (", "expected right-hand side"},
+  };
+  for (const auto& [text, message] : cases) {
+    ParsedCypher parsed = ParseCypher(text, ex_.graph.catalog());
+    EXPECT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.error, message) << text;
+  }
+}
+
+// Byte-level mutants of the MF1-MF5 and MR1-MR3 texts must parse or
+// fail with a message, never crash. Each mutant lives in its own heap
+// buffer that is freed before the result is read, so a parse result
+// that kept a view into the text shows up under AddressSanitizer.
+TEST(CypherParserMutationTest, MutantsParseOrFailCleanly) {
+  Catalog catalog;
+  catalog.AddEdgeLabel("E");
+  prop_key_t acc = catalog.AddProperty("acc", PropTargetKind::kVertex, ValueType::kCategory, 2);
+  catalog.RegisterCategoryValue(acc, "CQ");
+  catalog.RegisterCategoryValue(acc, "SV");
+  catalog.AddProperty("city", PropTargetKind::kVertex, ValueType::kCategory, 4417);
+  catalog.AddProperty("amount", PropTargetKind::kEdge, ValueType::kInt64);
+  catalog.AddProperty("date", PropTargetKind::kEdge, ValueType::kInt64);
+  catalog.AddProperty("time", PropTargetKind::kEdge, ValueType::kInt64);
+  // Pf(ei, ej) of Section V-D with alpha = 50.
+  auto flow = [](const std::string& ei, const std::string& ej) {
+    return ei + ".date < " + ej + ".date, " + ei + ".amount > " + ej + ".amount, " + ei +
+           ".amount < " + ej + ".amount + 50";
+  };
+  const std::string flow12 = flow("e1", "e2");
+  const std::string flow23 = flow("e2", "e3");
+  const std::string flow34 = flow("e3", "e4");
+  const std::string seeds[] = {
+      "MATCH (a1)-[e1:E]->(a2)-[e2:E]->(a3)-[e3:E]->(a4)-[e4:E]->(a1) WHERE a1.ID = 17, "
+      "a1.acc = CQ, a2.acc = CQ, a3.acc = CQ, a4.acc = CQ, a2.city = a4.city RETURN COUNT(*)",
+      "MATCH (a1)-[e1:E]->(a2)-[e2:E]->(a3)-[e3:E]->(a4) WHERE a1.ID = 17, "
+      "a1.city = a2.city, a2.city = a3.city, a3.city = a4.city RETURN COUNT(*)",
+      "MATCH (a1)-[e1:E]->(a2), (a1)-[e2:E]->(a3)-[e3:E]->(a5), (a1)-[e4:E]->(a4) "
+      "WHERE a3.ID = 17, a2.city = a4.city, a4.city = a5.city, a1.acc = CQ, a2.acc = CQ, "
+      "a3.acc = CQ, a4.acc = CQ, a5.acc = SV, " + flow23 + " RETURN COUNT(*)",
+      "MATCH (a1)-[e1:E]->(a2)-[e2:E]->(a3), (a1)-[e3:E]->(a4)-[e4:E]->(a5) "
+      "WHERE a1.ID = 17, a1.city = 5, a2.city = a4.city, a2.acc = CQ, a3.acc = CQ, "
+      "a4.acc = SV, a5.acc = SV, " + flow12 + ", " + flow34 + " RETURN COUNT(*)",
+      "MATCH (a1)-[e1:E]->(a2)-[e2:E]->(a3)-[e3:E]->(a4)-[e4:E]->(a5) WHERE a1.ID = 17, "
+      "a1.acc = CQ, a2.acc = CQ, a3.acc = CQ, a4.acc = CQ, a5.acc = CQ, " + flow12 + ", " +
+          flow23 + ", " + flow34 + " RETURN COUNT(*)",
+      "MATCH (a1)-[e1:E]->(a2), (a3)-[f1:E]->(a2) WHERE a1.ID = $src, e1.time < $alpha "
+      "RETURN a3, COUNT(*) ORDER BY COUNT(*) DESC LIMIT 10",
+      "MATCH (a1)-[e1:E]->(a2), (a4)-[f1:E]->(a2), (a1)-[e2:E]->(a3), (a4)-[f2:E]->(a3) "
+      "WHERE a1.ID = 3, e1.time < 50000, e2.time < 50000 RETURN COUNT(*)",
+      "MATCH (a1)-[e1:E]->(a2), (a5)-[f1:E]->(a2), (a1)-[e2:E]->(a3), (a5)-[f2:E]->(a3), "
+      "(a1)-[e3:E]->(a4), (a5)-[f3:E]->(a4) WHERE a1.ID = 3, e1.time < 50000, "
+      "e2.time < 50000, e3.time < 50000 RETURN DISTINCT a5 LIMIT 5",
+  };
+  for (const std::string& seed : seeds) {
+    ParsedCypher parsed = ParseCypher(seed, catalog);
+    ASSERT_TRUE(parsed.ok()) << parsed.error << ": " << seed;
+  }
+  const std::string alphabet =
+      "aAcCdDeEhHMRTWY_ ()[]-<>:.,=+*!'$0123456789\t\n\x80\xc3\xa9\xff";
+  Rng rng(0x5eed);
+  constexpr int kMutants = 2000;
+  int rejected = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    ParsedCypher parsed;
+    {
+      std::string mutant = seeds[i % std::size(seeds)];
+      for (int edits = 1 + static_cast<int>(rng.NextBounded(3)); edits > 0; --edits) {
+        const size_t pos = rng.NextBounded(mutant.size() + 1);
+        const char byte = alphabet[rng.NextBounded(alphabet.size())];
+        switch (rng.NextBounded(3)) {
+          case 0:
+            mutant.insert(mutant.begin() + pos, byte);
+            break;
+          case 1:
+            if (pos < mutant.size()) mutant.erase(pos, 1);
+            break;
+          default:
+            if (pos < mutant.size()) mutant[pos] = byte;
+            break;
+        }
+      }
+      parsed = ParseCypher(mutant, catalog);
+    }
+    // Read every string the result owns after the text is gone.
+    size_t bytes = parsed.error.size();
+    for (int v = 0; v < parsed.query.num_vertices(); ++v) {
+      bytes += parsed.query.vertex(v).name.size();
+    }
+    for (int e = 0; e < parsed.query.num_edges(); ++e) bytes += parsed.query.edge(e).name.size();
+    for (const CypherParam& param : parsed.params) bytes += param.name.size();
+    for (const ReturnItem& item : parsed.returns) bytes += item.name.size();
+    for (const QueryComparison& cmp : parsed.query.predicates()) {
+      if (cmp.rhs_const.type() == ValueType::kString) bytes += cmp.rhs_const.AsString().size();
+    }
+    EXPECT_GT(bytes, 0u);
+    if (!parsed.ok()) {
+      EXPECT_FALSE(parsed.error.empty()) << "mutant " << i;
+      ++rejected;
+    }
+  }
+  // Both outcomes occur, so the mutants reach past the first token.
+  EXPECT_GT(rejected, 0);
+  EXPECT_LT(rejected, kMutants);
 }
 
 }  // namespace

@@ -32,8 +32,8 @@ class IndexMatcherTest : public ::testing::Test {
 TEST_F(IndexMatcherTest, PrimaryAlwaysUsableWithoutSortRequirement) {
   IndexMatcher matcher(&store_, &stats_);
   ExtensionPredicate ext = NoPred();
-  auto candidates =
-      matcher.FindVertexLists(Direction::kFwd, kInvalidLabel, kInvalidLabel, ext, nullptr);
+  CandidateScratch candidates;
+  matcher.FindVertexLists(Direction::kFwd, kInvalidLabel, kInvalidLabel, ext, nullptr, &candidates);
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0].desc.source, ListDescriptor::Source::kPrimary);
   // Whole-vertex slice spans label partitions -> not neighbour sorted.
@@ -44,8 +44,9 @@ TEST_F(IndexMatcherTest, EdgeLabelPinsInnermostSortedSlice) {
   IndexMatcher matcher(&store_, &stats_);
   ExtensionPredicate ext = NoPred();
   SortCriterion nbr_id{SortSource::kNbrId, kInvalidPropKey};
-  auto candidates =
-      matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel, ext, &nbr_id);
+  CandidateScratch candidates;
+  matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel, ext, &nbr_id,
+                          &candidates);
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_TRUE(candidates[0].desc.nbr_sorted);
   ASSERT_EQ(candidates[0].desc.cats.size(), 1u);
@@ -58,8 +59,8 @@ TEST_F(IndexMatcherTest, NoSortedCandidateWithoutEdgeLabel) {
   IndexMatcher matcher(&store_, &stats_);
   ExtensionPredicate ext = NoPred();
   SortCriterion nbr_id{SortSource::kNbrId, kInvalidPropKey};
-  auto candidates =
-      matcher.FindVertexLists(Direction::kFwd, kInvalidLabel, kInvalidLabel, ext, &nbr_id);
+  CandidateScratch candidates;
+  matcher.FindVertexLists(Direction::kFwd, kInvalidLabel, kInvalidLabel, ext, &nbr_id, &candidates);
   EXPECT_TRUE(candidates.empty());
 }
 
@@ -75,8 +76,9 @@ TEST_F(IndexMatcherTest, DsConfigPinsNbrLabelForSortedAccess) {
   IndexMatcher matcher(&store_, &stats_);
   ExtensionPredicate ext = NoPred();
   SortCriterion nbr_id{SortSource::kNbrId, kInvalidPropKey};
-  auto candidates = matcher.FindVertexLists(Direction::kFwd, ex_.wire_label,
-                                            ex_.account_label, ext, &nbr_id);
+  CandidateScratch candidates;
+  matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, ex_.account_label, ext, &nbr_id,
+                          &candidates);
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_TRUE(candidates[0].desc.nbr_sorted);
   EXPECT_TRUE(candidates[0].desc.has_lower_bound);
@@ -87,8 +89,9 @@ TEST_F(IndexMatcherTest, DsConfigPinsNbrLabelForSortedAccess) {
   EXPECT_EQ(candidates[0].desc.target_vertex_label, kInvalidLabel);
 
   // Without a target label, Ds cannot serve sorted intersections.
-  auto unlabelled = matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel,
-                                            ext, &nbr_id);
+  CandidateScratch unlabelled;
+  matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel, ext, &nbr_id,
+                          &unlabelled);
   EXPECT_TRUE(unlabelled.empty());
 }
 
@@ -107,8 +110,9 @@ TEST_F(IndexMatcherTest, RangePredicateBecomesSortKeyBound) {
   ext.pred.AddConst(PropRef{PropSite::kAdjEdge, ex_.amount_key, false, false}, CmpOp::kLt,
                     Value::Int64(100));
   ext.query_conjunct_ids.push_back(7);
-  auto candidates =
-      matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel, ext, nullptr);
+  CandidateScratch candidates;
+  matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel, ext, nullptr,
+                          &candidates);
   bool found_bounded = false;
   for (const CandidateList& c : candidates) {
     if (c.desc.source != ListDescriptor::Source::kVp) continue;
@@ -132,8 +136,9 @@ TEST_F(IndexMatcherTest, ViewPredicateSubsumptionGatesVpCandidates) {
   IndexMatcher matcher(&store_, &stats_);
 
   // Query wants amount > 100: the index (> 50) subsumes it.
-  auto subsumed = matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel,
-                                          AmountGt(100), nullptr);
+  CandidateScratch subsumed;
+  matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel, AmountGt(100), nullptr,
+                          &subsumed);
   bool has_vp = false;
   for (const CandidateList& c : subsumed) {
     if (c.desc.source == ListDescriptor::Source::kVp) has_vp = true;
@@ -141,8 +146,9 @@ TEST_F(IndexMatcherTest, ViewPredicateSubsumptionGatesVpCandidates) {
   EXPECT_TRUE(has_vp);
 
   // Query wants amount > 10: the index would miss edges in (10, 50].
-  auto broader = matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel,
-                                         AmountGt(10), nullptr);
+  CandidateScratch broader;
+  matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel, AmountGt(10), nullptr,
+                          &broader);
   for (const CandidateList& c : broader) {
     EXPECT_NE(c.desc.source, ListDescriptor::Source::kVp);
   }
@@ -161,28 +167,29 @@ TEST_F(IndexMatcherTest, EpCandidatesFilterByKind) {
   ext.pred.AddRef(PropRef{PropSite::kBoundEdge, ex_.date_key, false, false}, CmpOp::kLt,
                   PropRef{PropSite::kAdjEdge, ex_.date_key, false, false});
   ext.query_conjunct_ids.push_back(0);
-  auto match = matcher.FindEdgeLists(EpKind::kDstFwd, kInvalidLabel, kInvalidLabel, ext,
-                                     nullptr);
+  CandidateScratch match;
+  matcher.FindEdgeLists(EpKind::kDstFwd, kInvalidLabel, kInvalidLabel, ext, nullptr, &match);
   EXPECT_EQ(match.size(), 1u);
-  auto wrong_kind = matcher.FindEdgeLists(EpKind::kSrcBwd, kInvalidLabel, kInvalidLabel, ext,
-                                          nullptr);
+  CandidateScratch wrong_kind;
+  matcher.FindEdgeLists(EpKind::kSrcBwd, kInvalidLabel, kInvalidLabel, ext, nullptr, &wrong_kind);
   EXPECT_TRUE(wrong_kind.empty());
 
   // Without the cross-edge conjunct in the query the view is not
   // subsumed.
   ExtensionPredicate none;
-  EXPECT_TRUE(matcher.FindEdgeLists(EpKind::kDstFwd, kInvalidLabel, kInvalidLabel, none,
-                                    nullptr)
-                  .empty());
+  CandidateScratch unsubsumed;
+  matcher.FindEdgeLists(EpKind::kDstFwd, kInvalidLabel, kInvalidLabel, none, nullptr,
+                        &unsubsumed);
+  EXPECT_TRUE(unsubsumed.empty());
 }
 
 TEST_F(IndexMatcherTest, EstimatesReflectPartitionsAndFilters) {
   IndexMatcher matcher(&store_, &stats_);
   ExtensionPredicate ext = NoPred();
-  auto whole =
-      matcher.FindVertexLists(Direction::kFwd, kInvalidLabel, kInvalidLabel, ext, nullptr);
-  auto wires =
-      matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel, ext, nullptr);
+  CandidateScratch whole;
+  matcher.FindVertexLists(Direction::kFwd, kInvalidLabel, kInvalidLabel, ext, nullptr, &whole);
+  CandidateScratch wires;
+  matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel, ext, nullptr, &wires);
   ASSERT_EQ(whole.size(), 1u);
   ASSERT_EQ(wires.size(), 1u);
   EXPECT_LT(wires[0].est_len, whole[0].est_len);
