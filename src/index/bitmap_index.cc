@@ -2,6 +2,7 @@
 
 #include "util/logging.h"
 #include "util/timer.h"
+#include "view/compiled_predicate.h"
 
 namespace aplus {
 
@@ -12,6 +13,7 @@ double BitmapIndex::Build() {
   WallTimer timer;
   num_edges_indexed_ = 0;
   page_bits_.assign(primary_->num_pages(), {});
+  CompiledPredicate pred(graph_, view_.pred);
   for (uint32_t p = 0; p < primary_->num_pages(); ++p) {
     const IdListPage& page = primary_->page(p);
     APLUS_CHECK(!page.is_packed()) << "bitmap indexes require raw primary pages";
@@ -26,7 +28,7 @@ double BitmapIndex::Build() {
       ctx.nbr = page.nbrs[i];
       ctx.src = graph_->edge_src(e);
       ctx.dst = graph_->edge_dst(e);
-      if (view_.pred.Eval(ctx)) {
+      if (pred.Eval(ctx)) {
         bits[i >> 6] |= 1ULL << (i & 63);
         ++num_edges_indexed_;
       }

@@ -1,10 +1,13 @@
 #include "index/ep_index.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <thread>
 
 #include "util/logging.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace aplus {
@@ -21,6 +24,7 @@ EpIndex::EpIndex(const Graph* graph, const PrimaryIndex* primary_fwd,
   APLUS_CHECK(view_.pred.HasCrossEdgeConjunct())
       << "2-hop view " << view_.name
       << " must have a predicate accessing both edges (Section III-B2)";
+  compiled_ = CompiledPredicate(graph_, view_.pred);
   base_primary_ = AdjDirection(view_.kind) == Direction::kFwd ? primary_fwd : primary_bwd;
 }
 
@@ -32,7 +36,179 @@ bool EpIndex::EvalViewPred(edge_id_t eb, edge_id_t eadj, vertex_id_t nbr) const 
   ctx.nbr = nbr;
   ctx.src = graph_->edge_src(eb);
   ctx.dst = graph_->edge_dst(eb);
-  return view_.pred.Eval(ctx);
+  return compiled_.Eval(ctx);
+}
+
+struct EpIndex::AnchorScratch {
+  struct Candidate {
+    uint32_t bucket;
+    uint32_t offset;
+    SortKey key;  // key.eid / key.nbr are the entry's eadj / vnbr
+  };
+  vertex_id_t anchor = kInvalidVertex;
+  std::vector<Candidate> candidates;  // in (bucket, key) order
+  CompiledPredicate::AdjBatch batch;  // aligned with `candidates`
+  CompiledPredicate::BoundTerms terms;
+  std::vector<uint32_t> sel;
+};
+
+void EpIndex::PrepareAnchor(vertex_id_t anchor, AnchorScratch* scratch) const {
+  scratch->anchor = anchor;
+  std::vector<AnchorScratch::Candidate>& candidates = scratch->candidates;
+  candidates.clear();
+  const vertex_id_t* nbrs;
+  const edge_id_t* eids;
+  uint32_t len;
+  base_primary_->GetListBase(anchor, &nbrs, &eids, &len);
+  for (uint32_t i = 0; i < len; ++i) {
+    edge_id_t eadj = eids[i];
+    vertex_id_t nbr = nbrs[i];
+    if (!compiled_.PassesAdjSide(eadj, nbr)) continue;
+    candidates.push_back({base_primary_->BucketOf(config_, fanouts_, eadj, nbr), i,
+                          base_primary_->ComputeSortKey(config_, eadj, nbr)});
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const AnchorScratch::Candidate& a, const AnchorScratch::Candidate& b) {
+              if (a.bucket != b.bucket) return a.bucket < b.bucket;
+              return a.key < b.key;
+            });
+  scratch->batch.Clear();
+  for (const AnchorScratch::Candidate& c : candidates) {
+    compiled_.Gather(c.key.eid, c.key.nbr, &scratch->batch);
+  }
+  scratch->sel.resize(candidates.size());
+}
+
+void EpIndex::SelectEntries(edge_id_t eb, AnchorScratch* scratch,
+                            std::vector<ListEntry>* out) const {
+  if (!compiled_.BindBound(eb, &scratch->terms)) return;
+  uint32_t n = compiled_.SelectCross(scratch->terms, scratch->batch, scratch->sel.data());
+  for (uint32_t k = 0; k < n; ++k) {
+    const AnchorScratch::Candidate& c = scratch->candidates[scratch->sel[k]];
+    if (c.key.eid == eb) continue;  // a 2-path uses two distinct edges
+    out->push_back({c.bucket, c.offset});
+  }
+}
+
+uint64_t EpIndex::AssemblePage(OffsetListPage* page, const EntrySpan* slots,
+                               std::vector<uint32_t>* offsets) const {
+  uint32_t num_slots = kGroupSize * fanout_product_;
+  page->csr.assign(num_slots + 1, 0);
+  offsets->clear();
+  for (uint32_t s = 0; s < kGroupSize; ++s) {
+    uint32_t base = s * fanout_product_;
+    for (uint32_t k = 0; k < slots[s].size; ++k) {
+      const ListEntry& entry = slots[s].data[k];
+      page->csr[base + entry.bucket + 1]++;
+      offsets->push_back(entry.offset);
+    }
+  }
+  for (uint32_t s = 0; s < num_slots; ++s) page->csr[s + 1] += page->csr[s];
+  page->SetOffsets(*offsets);
+  return offsets->size();
+}
+
+uint64_t EpIndex::BuildPage(uint32_t page_idx) {
+  edge_id_t first = static_cast<edge_id_t>(page_idx) * kGroupSize;
+  edge_id_t last = std::min<uint64_t>(graph_->num_edges(), first + kGroupSize);
+  AnchorScratch scratch;
+  std::vector<ListEntry> entries;
+  size_t begins[kGroupSize + 1] = {};
+  for (edge_id_t eb = first; eb < last; ++eb) {
+    begins[eb - first] = entries.size();
+    vertex_id_t anchor = AnchorOf(eb);
+    if (anchor != scratch.anchor) PrepareAnchor(anchor, &scratch);
+    SelectEntries(eb, &scratch, &entries);
+  }
+  begins[last - first] = entries.size();
+  EntrySpan slots[kGroupSize];
+  for (uint32_t s = 0; s < last - first; ++s) {
+    slots[s] = {entries.data() + begins[s], static_cast<uint32_t>(begins[s + 1] - begins[s])};
+  }
+  std::vector<uint32_t> offsets;
+  return AssemblePage(pages_[page_idx].get(), slots, &offsets);
+}
+
+namespace {
+
+// Cores this process may run on: its affinity mask, so a build pinned to
+// one core does not time-slice workers there.
+uint32_t UsableCores() {
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    return static_cast<uint32_t>(CPU_COUNT(&allowed));
+  }
+  unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
+
+}  // namespace
+
+void EpIndex::BuildAll(uint32_t num_threads) {
+  uint64_t ne = graph_->num_edges();
+  uint64_t nv = graph_->num_vertices();
+  // The bound edges grouped by anchor, ascending within each anchor.
+  std::vector<uint64_t> anchor_begin(nv + 1, 0);
+  for (edge_id_t eb = 0; eb < ne; ++eb) anchor_begin[AnchorOf(eb) + 1]++;
+  for (uint64_t v = 0; v < nv; ++v) anchor_begin[v + 1] += anchor_begin[v];
+  std::vector<edge_id_t> by_anchor(ne);
+  {
+    std::vector<uint64_t> cursor(anchor_begin.begin(), anchor_begin.end() - 1);
+    for (edge_id_t eb = 0; eb < ne; ++eb) by_anchor[cursor[AnchorOf(eb)]++] = eb;
+  }
+
+  // Where each eb's list landed: a worker's buffer and a range in it.
+  struct Placement {
+    uint32_t worker = 0;
+    uint32_t size = 0;
+    uint64_t begin = 0;
+  };
+  std::vector<Placement> placements(ne);
+  std::vector<std::vector<ListEntry>> buffers(num_threads);
+  constexpr uint64_t kAnchorsPerClaim = 64;
+  std::atomic<uint64_t> next_anchor{0};
+  ThreadPool::Global().ParallelRun(static_cast<int>(num_threads), [&](int worker) {
+    AnchorScratch scratch;
+    std::vector<ListEntry>& out = buffers[worker];
+    while (true) {
+      uint64_t begin = next_anchor.fetch_add(kAnchorsPerClaim);
+      if (begin >= nv) break;
+      uint64_t end = std::min(nv, begin + kAnchorsPerClaim);
+      for (uint64_t v = begin; v < end; ++v) {
+        if (anchor_begin[v] == anchor_begin[v + 1]) continue;
+        PrepareAnchor(static_cast<vertex_id_t>(v), &scratch);
+        for (uint64_t k = anchor_begin[v]; k < anchor_begin[v + 1]; ++k) {
+          edge_id_t eb = by_anchor[k];
+          size_t start = out.size();
+          SelectEntries(eb, &scratch, &out);
+          placements[eb] = {static_cast<uint32_t>(worker),
+                            static_cast<uint32_t>(out.size() - start), start};
+        }
+      }
+    }
+  });
+
+  uint32_t num_pages = static_cast<uint32_t>(pages_.size());
+  std::atomic<uint32_t> next_page{0};
+  std::atomic<uint64_t> total_indexed{0};
+  ThreadPool::Global().ParallelRun(static_cast<int>(num_threads), [&](int) {
+    std::vector<uint32_t> offsets;
+    uint64_t local = 0;
+    while (true) {
+      uint32_t p = next_page.fetch_add(1);
+      if (p >= num_pages) break;
+      EntrySpan slots[kGroupSize];
+      for (uint32_t s = 0; s < kGroupSize; ++s) {
+        edge_id_t eb = static_cast<edge_id_t>(p) * kGroupSize + s;
+        if (eb >= ne) break;
+        const Placement& placed = placements[eb];
+        slots[s] = {buffers[placed.worker].data() + placed.begin, placed.size};
+      }
+      local += AssemblePage(pages_[p].get(), slots, &offsets);
+    }
+    total_indexed.fetch_add(local);
+  });
+  num_edges_indexed_ = total_indexed.load();
 }
 
 double EpIndex::Build() {
@@ -51,11 +227,6 @@ double EpIndex::Build() {
   for (uint32_t p = 0; p < num_pages; ++p) pages_.push_back(std::make_unique<OffsetListPage>());
   num_edges_indexed_ = 0;
 
-  // Pages are independent, so the build parallelizes over them — the
-  // paper creates edge-partitioned indexes with 16 threads (Section V-A)
-  // while everything else stays single-threaded.
-  unsigned hw = std::thread::hardware_concurrency();
-  uint32_t num_threads = std::min<uint32_t>(hw == 0 ? 1 : hw, 16);
   fully_materialized_ = true;
   if (budget_bytes_ > 0) {
     // Partial materialization: build pages in order until the budget is
@@ -64,90 +235,24 @@ double EpIndex::Build() {
     // deterministic.
     size_t used = 0;
     for (uint32_t p = 0; p < num_pages; ++p) {
-      BuildGroup(p);
+      num_edges_indexed_ += BuildPage(p);
       used += pages_[p]->MemoryBytes();
       if (used >= budget_bytes_ && p + 1 < num_pages) {
         fully_materialized_ = false;
         break;
       }
     }
-  } else if (num_threads <= 1 || num_pages < 2 * num_threads) {
-    for (uint32_t p = 0; p < num_pages; ++p) BuildGroup(p);
   } else {
-    std::atomic<uint32_t> next_page{0};
-    std::atomic<uint64_t> total_indexed{0};
-    auto worker = [&]() {
-      uint64_t local = 0;
-      while (true) {
-        uint32_t p = next_page.fetch_add(1);
-        if (p >= num_pages) break;
-        local += BuildGroupCounted(p);
-      }
-      total_indexed.fetch_add(local);
-    };
-    std::vector<std::thread> threads;
-    threads.reserve(num_threads);
-    for (uint32_t t = 0; t < num_threads; ++t) threads.emplace_back(worker);
-    for (std::thread& thread : threads) thread.join();
-    num_edges_indexed_ = total_indexed.load();
+    // The paper creates edge-partitioned indexes with 16 threads
+    // (Section V-A) while everything else stays single-threaded.
+    uint32_t num_threads = std::min<uint32_t>(UsableCores(), 16);
+    if (num_pages < 2 * num_threads) num_threads = 1;
+    BuildAll(num_threads);
   }
   pending_.assign(pages_.size(), 0);
   pending_total_ = 0;
   build_seconds_ = timer.ElapsedSeconds();
   return build_seconds_;
-}
-
-void EpIndex::BuildGroup(uint32_t page_idx) {
-  num_edges_indexed_ += BuildGroupCounted(page_idx);
-}
-
-uint64_t EpIndex::BuildGroupCounted(uint32_t page_idx) {
-  OffsetListPage& page = *pages_[page_idx];
-  uint64_t ne = graph_->num_edges();
-  edge_id_t first = static_cast<edge_id_t>(page_idx) * kGroupSize;
-  edge_id_t last = std::min<uint64_t>(ne, first + kGroupSize);
-
-  struct Entry {
-    uint32_t bucket;
-    SortKey key;
-    uint32_t offset;
-  };
-  std::vector<Entry> entries;
-
-  for (edge_id_t eb = first; eb < last; ++eb) {
-    vertex_id_t anchor = AnchorOf(eb);
-    const vertex_id_t* nbrs;
-    const edge_id_t* eids;
-    uint32_t len;
-    base_primary_->GetListBase(anchor, &nbrs, &eids, &len);
-    uint32_t slot = static_cast<uint32_t>(eb % kGroupSize);
-    for (uint32_t i = 0; i < len; ++i) {
-      edge_id_t eadj = eids[i];
-      if (eadj == eb) continue;  // a 2-path uses two distinct edges
-      vertex_id_t nbr = nbrs[i];
-      if (!EvalViewPred(eb, eadj, nbr)) continue;
-      Entry entry;
-      entry.bucket =
-          slot * fanout_product_ + base_primary_->BucketOf(config_, fanouts_, eadj, nbr);
-      entry.key = base_primary_->ComputeSortKey(config_, eadj, nbr);
-      entry.offset = i;
-      entries.push_back(entry);
-    }
-  }
-
-  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    if (a.bucket != b.bucket) return a.bucket < b.bucket;
-    return a.key < b.key;
-  });
-  uint32_t slots = kGroupSize * fanout_product_;
-  page.csr.assign(slots + 1, 0);
-  for (const Entry& entry : entries) page.csr[entry.bucket + 1]++;
-  for (uint32_t s = 0; s < slots; ++s) page.csr[s + 1] += page.csr[s];
-  std::vector<uint32_t> offsets;
-  offsets.reserve(entries.size());
-  for (const Entry& entry : entries) offsets.push_back(entry.offset);
-  page.SetOffsets(offsets);
-  return entries.size();
 }
 
 AdjListSlice EpIndex::GetList(edge_id_t eb, const std::vector<category_t>& cats) const {
@@ -249,7 +354,7 @@ void EpIndex::RebuildGroup(uint32_t page_idx) {
     return;
   }
   num_edges_indexed_ -= page.num_entries();
-  BuildGroup(page_idx);
+  num_edges_indexed_ += BuildPage(page_idx);
   if (page_idx < pending_.size()) {
     pending_total_ -= pending_[page_idx];
     pending_[page_idx] = 0;

@@ -9,6 +9,7 @@
 #include "index/index_config.h"
 #include "index/offset_list.h"
 #include "index/primary_index.h"
+#include "view/compiled_predicate.h"
 #include "view/view_def.h"
 
 namespace aplus {
@@ -23,6 +24,21 @@ namespace aplus {
 // that satisfy the view predicate together with eb. The predicate must
 // reference both edges (enforced at construction), otherwise the lists
 // would be duplicates of a 1-hop view's lists.
+//
+// Build is anchor-major. The view predicate is compiled once into typed
+// comparisons (CompiledPredicate) split into bound-side (eb, vs, vd),
+// adjacent-side (eadj, vnbr) and cross conjuncts. Worker threads take
+// ranges of anchor vertices; for each anchor they read its base list
+// once, drop the entries failing the adjacent-side conjuncts, compute
+// each entry's partition bucket and sort key once (neither depends on
+// eb), order the entries by (bucket, key) and gather the cross
+// conjuncts' adjacent operands in that order. Every eb anchored there
+// then runs only the typed cross-conjunct filter over that gather, and
+// the passing offsets come out already in list order. A grouping by eb
+// finally assembles the 64-edge offset-list pages. Single-page rebuilds
+// (RebuildGroup) and the budget-limited build derive a page eb by eb
+// through the same gather and filter, so pages are byte-identical
+// whichever path built them.
 class EpIndex {
  public:
   // `primary_fwd`/`primary_bwd` are the primary indexes; the one matching
@@ -63,6 +79,9 @@ class EpIndex {
     return page_idx < pages_.size() && !pages_[page_idx]->csr.empty();
   }
   bool fully_materialized() const { return fully_materialized_; }
+  uint32_t num_pages() const { return static_cast<uint32_t>(pages_.size()); }
+  // Offset-list page p: the lists of bound edges [64p, 64p + 64).
+  const OffsetListPage& page(uint32_t p) const { return *pages_[p]; }
   size_t budget_bytes() const { return budget_bytes_; }
 
   // Runtime fallback for unmaterialized bound edges: calls
@@ -78,12 +97,8 @@ class EpIndex {
       edge_id_t eadj = base.EdgeAt(i);
       if (eadj == eb) continue;
       vertex_id_t nbr = base.NbrAt(i);
-      if (EvalViewPredPublic(eb, eadj, nbr)) fn(i, eadj, nbr);
+      if (EvalViewPred(eb, eadj, nbr)) fn(i, eadj, nbr);
     }
-  }
-
-  bool EvalViewPredPublic(edge_id_t eb, edge_id_t eadj, vertex_id_t nbr) const {
-    return EvalViewPred(eb, eadj, nbr);
   }
 
   size_t MemoryBytes() const;
@@ -107,11 +122,33 @@ class EpIndex {
   static constexpr uint32_t kUpdateBufferCapacity = 256;
 
  private:
+  // One entry of an EP list under construction: its partition bucket
+  // within eb's slot and its offset into the anchor's base list.
+  struct ListEntry {
+    uint32_t bucket;
+    uint32_t offset;
+  };
+  struct EntrySpan {
+    const ListEntry* data = nullptr;
+    uint32_t size = 0;
+  };
+  // One anchor's base list in (bucket, key) order, with the cross
+  // conjuncts' adjacent operands gathered (defined in the .cc).
+  struct AnchorScratch;
+
   bool EvalViewPred(edge_id_t eb, edge_id_t eadj, vertex_id_t nbr) const;
-  void BuildGroup(uint32_t page_idx);
-  // Thread-safe variant: derives one page and returns its entry count
-  // without touching num_edges_indexed_.
-  uint64_t BuildGroupCounted(uint32_t page_idx);
+  void PrepareAnchor(vertex_id_t anchor, AnchorScratch* scratch) const;
+  // Appends eb's list, in list order, from its prepared anchor.
+  void SelectEntries(edge_id_t eb, AnchorScratch* scratch, std::vector<ListEntry>* out) const;
+  // Writes one page from its kGroupSize slots' lists; returns its entry
+  // count. `offsets` is scratch.
+  uint64_t AssemblePage(OffsetListPage* page, const EntrySpan* slots,
+                        std::vector<uint32_t>* offsets) const;
+  // The anchor-major build of every page over `num_threads` threads.
+  void BuildAll(uint32_t num_threads);
+  // Derives one page eb by eb and returns its entry count without
+  // touching num_edges_indexed_.
+  uint64_t BuildPage(uint32_t page_idx);
   bool MarkPending(uint32_t page_idx);
 
   const Graph* graph_;
@@ -119,6 +156,7 @@ class EpIndex {
   const PrimaryIndex* primary_bwd_;
   const PrimaryIndex* base_primary_;
   TwoHopViewDef view_;
+  CompiledPredicate compiled_;  // view_.pred
   IndexConfig config_;
   std::vector<uint32_t> fanouts_;
   uint32_t fanout_product_ = 1;

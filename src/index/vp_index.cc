@@ -16,17 +16,18 @@ VpIndex::VpIndex(const Graph* graph, const PrimaryIndex* primary, OneHopViewDef 
                 (cmp.rhs_is_const || cmp.rhs_ref.site != PropSite::kBoundEdge))
         << "1-hop view predicates cannot reference eb";
   }
+  compiled_ = CompiledPredicate(graph_, view_.pred);
 }
 
 bool VpIndex::EvalViewPred(edge_id_t e, vertex_id_t nbr) const {
-  if (view_.pred.IsTrue()) return true;
+  if (compiled_.IsTrue()) return true;
   EvalContext ctx;
   ctx.graph = graph_;
   ctx.adj_edge = e;
   ctx.nbr = nbr;
   ctx.src = graph_->edge_src(e);
   ctx.dst = graph_->edge_dst(e);
-  return view_.pred.Eval(ctx);
+  return compiled_.Eval(ctx);
 }
 
 double VpIndex::Build() {

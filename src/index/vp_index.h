@@ -9,6 +9,7 @@
 #include "index/index_config.h"
 #include "index/offset_list.h"
 #include "index/primary_index.h"
+#include "view/compiled_predicate.h"
 #include "view/view_def.h"
 
 namespace aplus {
@@ -74,6 +75,7 @@ class VpIndex {
   const Graph* graph_;
   const PrimaryIndex* primary_;
   OneHopViewDef view_;
+  CompiledPredicate compiled_;  // view_.pred
   IndexConfig config_;
   bool shared_levels_ = false;
   std::vector<uint32_t> fanouts_;

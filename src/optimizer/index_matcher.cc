@@ -192,12 +192,19 @@ void IndexMatcher::BindPartitionPrefix(const IndexConfig& config, label_t edge_l
       case PartitionSource::kNbrProp: {
         PropSite site = criterion.source == PartitionSource::kEdgeProp ? PropSite::kAdjEdge
                                                                        : PropSite::kNbrVertex;
+        // Only a literal inside the domain names a partition; any other
+        // (the null slot's index, past the fanout, negative, non-integer)
+        // stays a residual filter.
+        const int64_t domain_size =
+            store_->graph()->catalog().property(criterion.key).domain_size;
         int found = -1;
         for (size_t q = 0; q < conjuncts.size(); ++q) {
           const Comparison& cmp = conjuncts[q];
           if (cmp.op == CmpOp::kEq && cmp.rhs_is_const && cmp.lhs.site == site &&
               !cmp.lhs.is_label && !cmp.lhs.is_id && cmp.lhs.key == criterion.key &&
-              !cmp.rhs_const.is_null()) {
+              (cmp.rhs_const.type() == ValueType::kInt64 ||
+               cmp.rhs_const.type() == ValueType::kCategory) &&
+              cmp.rhs_const.AsInt64() >= 0 && cmp.rhs_const.AsInt64() < domain_size) {
             found = static_cast<int>(q);
             break;
           }

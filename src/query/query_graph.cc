@@ -78,16 +78,8 @@ bool EvalQueryComparison(const Graph& graph, const QueryComparison& cmp,
                          const MatchState& state) {
   Value lhs = ReadQueryPropRef(graph, cmp.lhs, state);
   if (lhs.is_null()) return false;
-  Value rhs = cmp.rhs_is_const ? cmp.rhs_const : ReadQueryPropRef(graph, cmp.rhs_ref, state);
-  if (rhs.is_null()) return false;
-  if (!cmp.rhs_is_const && cmp.rhs_addend != 0) {
-    if (rhs.type() == ValueType::kDouble) {
-      rhs = Value::Double(rhs.AsDouble() + static_cast<double>(cmp.rhs_addend));
-    } else {
-      rhs = Value::Int64(rhs.AsInt64() + cmp.rhs_addend);
-    }
-  }
-  return ApplyCmp(cmp.op, Value::Compare(lhs, rhs));
+  if (cmp.rhs_is_const) return EvalValues(cmp.op, lhs, cmp.rhs_const, 0);
+  return EvalValues(cmp.op, lhs, ReadQueryPropRef(graph, cmp.rhs_ref, state), cmp.rhs_addend);
 }
 
 bool ComparisonIsBound(const QueryComparison& cmp, const MatchState& state) {

@@ -182,19 +182,27 @@ bool ApplyCmp(CmpOp op, int three_way) {
   return false;
 }
 
+bool EvalValues(CmpOp op, const Value& lhs, Value rhs, int64_t addend) {
+  if (lhs.is_null() || rhs.is_null()) return false;
+  if (addend != 0) {
+    if (rhs.type() == ValueType::kDouble) {
+      rhs = Value::Double(rhs.AsDouble() + static_cast<double>(addend));
+    } else {
+      int64_t sum;
+      if (__builtin_add_overflow(rhs.AsInt64(), addend, &sum)) {
+        return ApplyCmp(op, addend > 0 ? -1 : 1);
+      }
+      rhs = Value::Int64(sum);
+    }
+  }
+  return ApplyCmp(op, Value::Compare(lhs, rhs));
+}
+
 bool EvalComparison(const Comparison& cmp, const EvalContext& ctx) {
   Value lhs = ReadPropRef(cmp.lhs, ctx);
   if (lhs.is_null()) return false;
-  Value rhs = cmp.rhs_is_const ? cmp.rhs_const : ReadPropRef(cmp.rhs_ref, ctx);
-  if (rhs.is_null()) return false;
-  if (!cmp.rhs_is_const && cmp.rhs_addend != 0) {
-    if (rhs.type() == ValueType::kDouble) {
-      rhs = Value::Double(rhs.AsDouble() + static_cast<double>(cmp.rhs_addend));
-    } else {
-      rhs = Value::Int64(rhs.AsInt64() + cmp.rhs_addend);
-    }
-  }
-  return ApplyCmp(cmp.op, Value::Compare(lhs, rhs));
+  if (cmp.rhs_is_const) return EvalValues(cmp.op, lhs, cmp.rhs_const, 0);
+  return EvalValues(cmp.op, lhs, ReadPropRef(cmp.rhs_ref, ctx), cmp.rhs_addend);
 }
 
 }  // namespace aplus

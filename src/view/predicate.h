@@ -111,6 +111,11 @@ class Predicate {
   std::vector<Comparison> conjuncts_;
 };
 
+// `lhs op rhs + addend` under Value::Compare; false when either side is
+// null. An integer rhs whose sum with the addend overflows int64 lies
+// beyond every int64, so the sign of the addend decides the comparison.
+bool EvalValues(CmpOp op, const Value& lhs, Value rhs, int64_t addend);
+
 // Evaluates one comparison under `ctx`.
 bool EvalComparison(const Comparison& cmp, const EvalContext& ctx);
 

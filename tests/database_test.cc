@@ -278,5 +278,121 @@ TEST_F(OneShotPathTest, QueryGraphHonorsEnvMemCap) {
   }
 }
 
+// A partition-category literal outside the property's domain names no
+// partition: `acc = 2` (the null slot's index), `acc = 3` and
+// `acc = 100000` (past the fanout) and a negative literal stay residual
+// filters and count exactly what a primary-only (D) database counts,
+// through VP, EP and primary lists partitioned on vnbr.acc.
+class CategoryLiteralTest : public ::testing::Test {
+ protected:
+  static std::unique_ptr<Database> Open(const std::string& ddl) {
+    Graph graph;
+    PowerLawParams params;
+    params.num_vertices = 400;
+    params.avg_degree = 6.0;
+    params.seed = 7;
+    GeneratePowerLawGraph(params, &graph);
+    FinancialPropKeys keys = AddFinancialProperties(8, &graph, /*num_cities=*/5);
+    PropertyColumn* acc = graph.vertex_props().mutable_column(keys.acc);
+    for (vertex_id_t v = 0; v < graph.num_vertices(); v += 4) acc->SetNull(v);
+    auto db = std::make_unique<Database>(std::move(graph));
+    db->BuildPrimaryIndexes();
+    if (!ddl.empty()) {
+      DdlResult r = db->ExecuteDdl(ddl);
+      EXPECT_TRUE(r.ok) << r.message;
+    }
+    return db;
+  }
+
+  static std::vector<std::string> Texts(vertex_id_t anchor, int64_t literal) {
+    std::string pin = "a.ID = " + std::to_string(anchor);
+    std::string acc = std::to_string(literal);
+    return {"MATCH (a)-[e1:E]->(b) WHERE " + pin + ", b.acc = " + acc,
+            "MATCH (b)-[e1:E]->(a) WHERE " + pin + ", b.acc = " + acc,
+            "MATCH (a)-[e1:E]->(b)-[e2:E]->(c) WHERE " + pin + ", e1.date < e2.date, c.acc = " +
+                acc};
+  }
+};
+
+TEST_F(CategoryLiteralTest, OutOfDomainLiteralsCountLikePrimaryOnly) {
+  std::unique_ptr<Database> reference = Open("");
+  const std::vector<std::string> ddls = {
+      "CREATE 1-HOP VIEW VPa MATCH vs-[eadj]->vd INDEX AS FW-BW "
+      "PARTITION BY eadj.label, vnbr.acc",
+      "CREATE 2-HOP VIEW EPa MATCH vs-[eb]->vd-[eadj]->vnbr WHERE eb.date<eadj.date "
+      "INDEX AS PARTITION BY eadj.label, vnbr.acc",
+      "RECONFIGURE PRIMARY INDEXES PARTITION BY eadj.label, vnbr.acc"};
+  const uint32_t domain = kNumAccountTypes;
+  for (const std::string& ddl : ddls) {
+    SCOPED_TRACE(ddl);
+    std::unique_ptr<Database> tuned = Open(ddl);
+    uint64_t in_domain_matches = 0;
+    for (vertex_id_t anchor : {0u, 1u, 2u, 3u, 6u, 17u}) {
+      for (int64_t literal : {int64_t{0}, int64_t{1}, int64_t{domain}, int64_t{domain} + 1,
+                              int64_t{100000}}) {
+        for (const std::string& text : Texts(anchor, literal)) {
+          SCOPED_TRACE(text);
+          QueryOutcome expected = reference->ExecuteCypher(text);
+          QueryOutcome got = tuned->ExecuteCypher(text);
+          ASSERT_TRUE(expected.ok()) << expected.error;
+          ASSERT_TRUE(got.ok()) << got.error;
+          EXPECT_EQ(got.count, expected.count);
+          if (literal < domain) {
+            in_domain_matches += got.count;
+          } else {
+            EXPECT_EQ(got.count, 0u);
+          }
+        }
+      }
+    }
+    EXPECT_GT(in_domain_matches, 0u);
+
+    // A negative literal, which Cypher cannot spell.
+    const prop_key_t acc = tuned->graph().catalog().FindProperty("acc", PropTargetKind::kVertex);
+    QueryGraph query;
+    int a = query.AddVertex("a");
+    int b = query.AddVertex("b");
+    query.AddEdge(a, b, tuned->graph().catalog().FindEdgeLabel("E"), "e1");
+    QueryComparison pin;
+    pin.lhs = QueryPropRef{a, false, kInvalidPropKey, true};
+    pin.rhs_const = Value::Int64(0);
+    query.AddPredicate(pin);
+    QueryComparison negative;
+    negative.lhs = QueryPropRef{b, false, acc, false};
+    negative.rhs_const = Value::Int64(-1);
+    query.AddPredicate(negative);
+    QueryOutcome got = tuned->Execute(query, TestThreads());
+    ASSERT_TRUE(got.ok()) << got.error;
+    EXPECT_EQ(got.count, reference->Execute(query, TestThreads()).count);
+    EXPECT_EQ(got.count, 0u);
+  }
+}
+
+// A residual addend past INT64_MAX compares against the exact sum.
+TEST(AddendOverflowTest, CypherResidualComparesAgainstTheExactSum) {
+  Graph graph;
+  label_t v = graph.catalog().AddVertexLabel("V");
+  label_t e = graph.catalog().AddEdgeLabel("E");
+  prop_key_t w = graph.AddEdgeProperty("w", ValueType::kInt64);
+  for (int i = 0; i < 4; ++i) graph.AddVertex(v);
+  edge_id_t e01 = graph.AddEdge(0, 1, e);
+  edge_id_t e12 = graph.AddEdge(1, 2, e);
+  edge_id_t e13 = graph.AddEdge(1, 3, e);
+  graph.edge_props().mutable_column(w)->SetInt64(e01, 5);
+  graph.edge_props().mutable_column(w)->SetInt64(e12, 3);
+  graph.edge_props().mutable_column(w)->SetInt64(e13, 4);
+  Database db(std::move(graph));
+  db.BuildPrimaryIndexes();
+  // 5 < 3 + INT64_MAX and 5 < 4 + INT64_MAX both hold.
+  QueryOutcome out = db.ExecuteCypher(
+      "MATCH (a)-[e1:E]->(b)-[e2:E]->(c) WHERE e1.w < e2.w + 9223372036854775807");
+  ASSERT_TRUE(out.ok()) << out.error;
+  EXPECT_EQ(out.count, 2u);
+  out = db.ExecuteCypher(
+      "MATCH (a)-[e1:E]->(b)-[e2:E]->(c) WHERE e1.w > e2.w + 9223372036854775807");
+  ASSERT_TRUE(out.ok()) << out.error;
+  EXPECT_EQ(out.count, 0u);
+}
+
 }  // namespace
 }  // namespace aplus

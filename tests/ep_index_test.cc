@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "datagen/example_graph.h"
 #include "datagen/financial_props.h"
+#include "datagen/label_assigner.h"
 #include "datagen/power_law_generator.h"
 #include "index/ep_index.h"
 
@@ -189,6 +192,174 @@ TEST_F(EpIndexTest, EdgesCanAppearInManyLists) {
   EXPECT_LT(static_cast<double>(ep.MemoryBytes()),
             static_cast<double>(fwd.MemoryBytes()) +
                 12.0 * static_cast<double>(ep.num_edges_indexed()));
+}
+
+// The anchor-major Build(), the page-by-page RebuildGroup() and the
+// budget-limited sequential build must produce the same pages, and those
+// pages must hold exactly the brute-force lists: every entry of the
+// anchor's base list other than eb that satisfies Predicate::Eval,
+// ordered by (partition bucket, sort key).
+class EpBuildIdentityTest : public ::testing::Test {
+ protected:
+  EpBuildIdentityTest() {
+    PowerLawParams params;
+    params.num_vertices = 700;
+    params.avg_degree = 7.0;
+    params.seed = 23;
+    GeneratePowerLawGraph(params, &graph_);
+    // Self-loops put eb into its own anchor's base list.
+    const label_t label = graph_.edge_label(0);
+    for (vertex_id_t v = 0; v < 40; v += 3) graph_.AddEdge(v, v, label);
+    AssignRandomLabels(2, 3, 29, &graph_);
+    keys_ = AddFinancialProperties(31, &graph_, /*num_cities=*/9);
+    // Nulls on every property the view and the config read.
+    for (vertex_id_t v = 0; v < graph_.num_vertices(); v += 5) {
+      graph_.vertex_props().mutable_column(keys_.acc)->SetNull(v);
+    }
+    for (vertex_id_t v = 2; v < graph_.num_vertices(); v += 6) {
+      graph_.vertex_props().mutable_column(keys_.city)->SetNull(v);
+    }
+    for (edge_id_t e = 0; e < graph_.num_edges(); e += 7) {
+      graph_.edge_props().mutable_column(keys_.amount)->SetNull(e);
+    }
+    for (edge_id_t e = 3; e < graph_.num_edges(); e += 11) {
+      graph_.edge_props().mutable_column(keys_.date)->SetNull(e);
+    }
+    fwd_ = std::make_unique<PrimaryIndex>(&graph_, Direction::kFwd);
+    bwd_ = std::make_unique<PrimaryIndex>(&graph_, Direction::kBwd);
+    fwd_->Build(IndexConfig::Default());
+    bwd_->Build(IndexConfig::Default());
+  }
+
+  // Cross, adjacent-side and bound-side conjuncts, an addend included.
+  TwoHopViewDef View(EpKind kind) const {
+    TwoHopViewDef view;
+    view.name = "flow";
+    view.kind = kind;
+    auto edge = [](PropSite site, prop_key_t key) { return PropRef{site, key, false, false}; };
+    view.pred.AddRef(edge(PropSite::kBoundEdge, keys_.date), CmpOp::kLe,
+                     edge(PropSite::kAdjEdge, keys_.date));
+    view.pred.AddRef(edge(PropSite::kAdjEdge, keys_.amount), CmpOp::kLt,
+                     edge(PropSite::kBoundEdge, keys_.amount), 300);
+    view.pred.AddRef(edge(PropSite::kBoundEdge, keys_.amount), CmpOp::kGe,
+                     edge(PropSite::kAdjEdge, keys_.amount), -400);
+    view.pred.AddConst(PropRef{PropSite::kNbrVertex, keys_.city, false, false}, CmpOp::kGe,
+                       Value::Category(1));
+    view.pred.AddConst(PropRef{PropSite::kSrcVertex, keys_.acc, false, false}, CmpOp::kNe,
+                       Value::Category(1));
+    return view;
+  }
+
+  std::vector<IndexConfig> Configs() const {
+    IndexConfig tuned = IndexConfig::Default();
+    tuned.partitions.push_back({PartitionSource::kNbrProp, keys_.acc});
+    tuned.sorts.clear();
+    tuned.sorts.push_back({SortSource::kNbrProp, keys_.city});
+    return {IndexConfig::Default(), tuned};
+  }
+
+  static bool SamePage(const OffsetListPage& a, const OffsetListPage& b) {
+    return a.csr == b.csr && a.width == b.width && a.bytes == b.bytes;
+  }
+
+  // Brute-force list of eb: base offsets in (bucket, key) order.
+  std::vector<uint32_t> ReferenceList(const EpIndex& ep, edge_id_t eb) const {
+    const PrimaryIndex* base = ep.base_primary();
+    std::vector<uint32_t> fanouts;
+    for (const PartitionCriterion& p : ep.config().partitions) {
+      fanouts.push_back(PartitionFanout(graph_.catalog(), p));
+    }
+    const vertex_id_t* nbrs;
+    const edge_id_t* eids;
+    uint32_t len;
+    base->GetListBase(ep.AnchorOf(eb), &nbrs, &eids, &len);
+    struct Ref {
+      uint32_t bucket;
+      SortKey key;
+      uint32_t offset;
+    };
+    std::vector<Ref> refs;
+    for (uint32_t i = 0; i < len; ++i) {
+      if (eids[i] == eb) continue;
+      EvalContext ctx;
+      ctx.graph = &graph_;
+      ctx.bound_edge = eb;
+      ctx.adj_edge = eids[i];
+      ctx.nbr = nbrs[i];
+      ctx.src = graph_.edge_src(eb);
+      ctx.dst = graph_.edge_dst(eb);
+      if (!ep.view().pred.Eval(ctx)) continue;
+      refs.push_back({base->BucketOf(ep.config(), fanouts, eids[i], nbrs[i]),
+                      base->ComputeSortKey(ep.config(), eids[i], nbrs[i]), i});
+    }
+    std::sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
+      if (a.bucket != b.bucket) return a.bucket < b.bucket;
+      return a.key < b.key;
+    });
+    std::vector<uint32_t> offsets;
+    for (const Ref& r : refs) offsets.push_back(r.offset);
+    return offsets;
+  }
+
+  Graph graph_;
+  FinancialPropKeys keys_;
+  std::unique_ptr<PrimaryIndex> fwd_;
+  std::unique_ptr<PrimaryIndex> bwd_;
+};
+
+TEST_F(EpBuildIdentityTest, BulkRebuildAndBudgetBuildsAgree) {
+  for (EpKind kind : {EpKind::kDstFwd, EpKind::kDstBwd, EpKind::kSrcFwd, EpKind::kSrcBwd}) {
+    for (const IndexConfig& config : Configs()) {
+      SCOPED_TRACE(std::string(ToString(kind)) + " partitions=" +
+                   std::to_string(config.partitions.size()));
+      EpIndex ep(&graph_, fwd_.get(), bwd_.get(), View(kind), config);
+      ep.Build();
+      ASSERT_EQ(ep.num_pages(), (graph_.num_edges() + kGroupSize - 1) / kGroupSize);
+
+      // Lists and the indexed-edge count against the brute force.
+      uint64_t expected_total = 0;
+      for (edge_id_t eb = 0; eb < graph_.num_edges(); ++eb) {
+        std::vector<uint32_t> expected = ReferenceList(ep, eb);
+        expected_total += expected.size();
+        AdjListSlice slice = ep.GetFullList(eb);
+        std::vector<uint32_t> got;
+        for (uint32_t i = 0; i < slice.size(); ++i) {
+          got.push_back(static_cast<uint32_t>(slice.BaseOffsetAt(i)));
+        }
+        ASSERT_EQ(got, expected) << "eb " << eb;
+      }
+      EXPECT_EQ(ep.num_edges_indexed(), expected_total);
+      EXPECT_GT(expected_total, 0u);
+
+      // Single-page rebuilds re-derive byte-identical pages.
+      std::vector<OffsetListPage> built;
+      std::vector<size_t> built_bytes;
+      for (uint32_t p = 0; p < ep.num_pages(); ++p) {
+        built.push_back(ep.page(p));
+        built_bytes.push_back(ep.page(p).MemoryBytes());
+      }
+      for (uint32_t p = 0; p < ep.num_pages(); ++p) {
+        ep.RebuildGroup(p);
+        ASSERT_TRUE(SamePage(ep.page(p), built[p])) << "page " << p;
+      }
+      EXPECT_EQ(ep.num_edges_indexed(), expected_total);
+
+      // A budget-limited build matches the full build on what it holds.
+      EpIndex partial(&graph_, fwd_.get(), bwd_.get(), View(kind), config,
+                      ep.MemoryBytes() / 2);
+      partial.Build();
+      EXPECT_FALSE(partial.fully_materialized());
+      uint32_t materialized = 0;
+      for (uint32_t p = 0; p < partial.num_pages(); ++p) {
+        if (!partial.IsMaterialized(static_cast<edge_id_t>(p) * kGroupSize)) continue;
+        ++materialized;
+        ASSERT_TRUE(SamePage(partial.page(p), built[p])) << "page " << p;
+        EXPECT_EQ(partial.page(p).MemoryBytes(), built_bytes[p]);
+      }
+      EXPECT_GT(materialized, 0u);
+      EXPECT_LT(materialized, ep.num_pages());
+    }
+  }
 }
 
 }  // namespace

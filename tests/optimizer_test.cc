@@ -3,7 +3,6 @@
 #include "datagen/example_graph.h"
 #include "index/index_store.h"
 #include "optimizer/dp_optimizer.h"
-#include "optimizer/index_advisor.h"
 #include "optimizer/plan_printer.h"
 #include "test_threads.h"
 
@@ -338,38 +337,6 @@ TEST_F(OptimizerTest, PlanTreeRenders) {
   std::string tree = RenderPlanTree(query, ex_.graph.catalog(), optimizer.last_steps());
   EXPECT_NE(tree.find("SCAN"), std::string::npos);
   EXPECT_NE(tree.find("EXTEND"), std::string::npos);
-}
-
-TEST_F(OptimizerTest, IndexAdvisorEnumeratesCandidates) {
-  QueryGraph query;
-  int a = query.AddVertex("a");
-  int b = query.AddVertex("b");
-  query.AddEdge(a, b, kInvalidLabel, "e1");
-  QueryComparison eq_cur;
-  eq_cur.lhs = QueryPropRef{0, true, ex_.currency_key, false};
-  eq_cur.op = CmpOp::kEq;
-  eq_cur.rhs_const = Value::Category(kCurrencyUsd);
-  query.AddPredicate(eq_cur);
-  QueryComparison range_amt;
-  range_amt.lhs = QueryPropRef{0, true, ex_.amount_key, false};
-  range_amt.op = CmpOp::kGt;
-  range_amt.rhs_const = Value::Int64(10000);
-  query.AddPredicate(range_amt);
-
-  std::vector<const QueryGraph*> workload{&query};
-  std::vector<IndexCandidate> candidates = EnumerateIndexCandidates(ex_.graph, workload);
-  bool has_partition = false;
-  bool has_sort = false;
-  for (const IndexCandidate& c : candidates) {
-    if (c.kind == IndexCandidate::Kind::kPartitionCriterion && c.key == ex_.currency_key) {
-      has_partition = true;
-    }
-    if (c.kind == IndexCandidate::Kind::kSortCriterion && c.key == ex_.amount_key) {
-      has_sort = true;
-    }
-  }
-  EXPECT_TRUE(has_partition);
-  EXPECT_TRUE(has_sort);
 }
 
 }  // namespace

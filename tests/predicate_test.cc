@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "datagen/example_graph.h"
 #include "view/predicate.h"
 
@@ -107,6 +109,44 @@ TEST_F(PredicateTest, ToStringRendersKeywords) {
   std::string text = pred.ToString(ex_.graph.catalog());
   EXPECT_NE(text.find("eadj.amount"), std::string::npos);
   EXPECT_NE(text.find(">"), std::string::npos);
+}
+
+TEST_F(PredicateTest, AddendOverflowComparesAgainstTheExactSum) {
+  // eb = t13 (amount 10), eadj = t19 (amount 5). A sum past INT64_MAX
+  // exceeds every int64 and one below INT64_MIN undercuts every int64;
+  // a wrapped sum would flip each answer below.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const PropRef adj{PropSite::kAdjEdge, ex_.amount_key, false, false};
+  const PropRef bound{PropSite::kBoundEdge, ex_.amount_key, false, false};
+  EvalContext ctx = Ctx(ex_.transfers[18], 0);
+  ctx.bound_edge = ex_.transfers[12];
+  auto eval = [&ctx](const PropRef& lhs, CmpOp op, const PropRef& rhs, int64_t addend) {
+    Predicate pred;
+    pred.AddRef(lhs, op, rhs, addend);
+    return pred.Eval(ctx);
+  };
+  EXPECT_TRUE(eval(adj, CmpOp::kLt, bound, kMax));     // 5 < 10 + MAX
+  EXPECT_TRUE(eval(adj, CmpOp::kLe, bound, kMax));
+  EXPECT_FALSE(eval(adj, CmpOp::kGt, bound, kMax));
+  EXPECT_FALSE(eval(adj, CmpOp::kEq, bound, kMax));
+  EXPECT_TRUE(eval(adj, CmpOp::kNe, bound, kMax));
+  EXPECT_TRUE(eval(bound, CmpOp::kLt, adj, kMax - 1));  // 10 < 5 + MAX - 1
+  EXPECT_TRUE(eval(adj, CmpOp::kGt, bound, kMin));     // no overflow: 5 > 10 + MIN
+  EXPECT_FALSE(eval(adj, CmpOp::kLt, bound, kMin));
+
+  // Negative overflow needs a negative rhs: -3 + MIN < every int64.
+  EXPECT_TRUE(EvalValues(CmpOp::kGt, Value::Int64(kMin), Value::Int64(-3), kMin));
+  EXPECT_TRUE(EvalValues(CmpOp::kGe, Value::Int64(0), Value::Int64(-3), kMin));
+  EXPECT_FALSE(EvalValues(CmpOp::kLe, Value::Int64(kMin), Value::Int64(-1), kMin));
+  EXPECT_FALSE(EvalValues(CmpOp::kEq, Value::Int64(kMax), Value::Int64(kMax), 1));
+  EXPECT_TRUE(EvalValues(CmpOp::kLt, Value::Int64(kMax), Value::Int64(kMax), 1));
+  // The exact sum when it fits; doubles add in double.
+  EXPECT_TRUE(EvalValues(CmpOp::kEq, Value::Int64(kMax), Value::Int64(kMax - 50), 50));
+  EXPECT_TRUE(EvalValues(CmpOp::kEq, Value::Int64(kMin), Value::Int64(kMin + 50), -50));
+  EXPECT_TRUE(EvalValues(CmpOp::kLt, Value::Double(1.5), Value::Double(1.0), 1));
+  EXPECT_FALSE(EvalValues(CmpOp::kLt, Value::Null(), Value::Int64(0), kMax));
+  EXPECT_FALSE(EvalValues(CmpOp::kLt, Value::Int64(0), Value::Null(), kMax));
 }
 
 TEST(CmpOpTest, FlipIsInvolutionCompatible) {
