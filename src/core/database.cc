@@ -126,6 +126,13 @@ DdlResult Database::ExecuteDdl(const std::string& command) {
     result.message = cmd.error;
     return result;
   }
+  // Reject an unbuildable partitioning before any index is touched.
+  std::vector<uint32_t> fanouts;
+  uint32_t fanout_product = 1;
+  if (!ResolveFanouts(graph_.catalog(), cmd.config.partitions, &fanouts, &fanout_product,
+                      &result.message)) {
+    return result;
+  }
   switch (cmd.kind) {
     case DdlCommand::Kind::kReconfigure: {
       result.seconds = BuildPrimaryIndexes(cmd.config);

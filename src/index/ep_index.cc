@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 
 #include "util/logging.h"
@@ -213,13 +214,10 @@ void EpIndex::BuildAll(uint32_t num_threads) {
 
 double EpIndex::Build() {
   WallTimer timer;
-  fanouts_.clear();
-  fanout_product_ = 1;
-  for (const PartitionCriterion& p : config_.partitions) {
-    uint32_t fanout = PartitionFanout(graph_->catalog(), p);
-    fanouts_.push_back(fanout);
-    fanout_product_ *= fanout;
-  }
+  std::string error;
+  APLUS_CHECK(ResolveFanouts(graph_->catalog(), config_.partitions, &fanouts_, &fanout_product_,
+                             &error))
+      << error;
   uint64_t ne = graph_->num_edges();
   uint32_t num_pages = static_cast<uint32_t>((ne + kGroupSize - 1) / kGroupSize);
   pages_.clear();

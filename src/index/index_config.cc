@@ -34,6 +34,30 @@ uint32_t PartitionFanout(const Catalog& catalog, const PartitionCriterion& crite
   return 0;
 }
 
+bool ResolveFanouts(const Catalog& catalog, const std::vector<PartitionCriterion>& partitions,
+                    std::vector<uint32_t>* fanouts, uint32_t* product, std::string* error) {
+  fanouts->clear();
+  uint64_t total = 1;
+  for (const PartitionCriterion& criterion : partitions) {
+    uint32_t fanout = PartitionFanout(catalog, criterion);
+    if (fanout == 0) {
+      *error = "partition level " + ToString(catalog, criterion) + " has an empty domain";
+      return false;
+    }
+    // total < 2^24 and fanout < 2^32, so the product cannot wrap.
+    total *= fanout;
+    if (total >= kMaxFanoutProduct) {
+      *error = "partition fan-out product reaches " + std::to_string(total) + " at level " +
+               ToString(catalog, criterion) + " (the limit is below " +
+               std::to_string(kMaxFanoutProduct) + ")";
+      return false;
+    }
+    fanouts->push_back(fanout);
+  }
+  *product = static_cast<uint32_t>(total);
+  return true;
+}
+
 std::string ToString(const Catalog& catalog, const PartitionCriterion& criterion) {
   switch (criterion.source) {
     case PartitionSource::kEdgeLabel:

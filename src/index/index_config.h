@@ -77,6 +77,17 @@ struct IndexConfig {
 // null slot. Label counts are snapshotted at build time.
 uint32_t PartitionFanout(const Catalog& catalog, const PartitionCriterion& criterion);
 
+// Upper bound (exclusive) on the product of a config's partition
+// fan-outs: every page holds 64 * product + 1 CSR entries.
+inline constexpr uint64_t kMaxFanoutProduct = uint64_t{1} << 24;
+
+// Resolves the fan-out of every partitioning level and their product.
+// Returns false with a description in *error when a level has an empty
+// domain or the product reaches kMaxFanoutProduct. The one place every
+// index build, DDL command and segment open checks a partitioning.
+bool ResolveFanouts(const Catalog& catalog, const std::vector<PartitionCriterion>& partitions,
+                    std::vector<uint32_t>* fanouts, uint32_t* product, std::string* error);
+
 std::string ToString(const Catalog& catalog, const PartitionCriterion& criterion);
 std::string ToString(const Catalog& catalog, const SortCriterion& criterion);
 

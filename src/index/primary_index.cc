@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
+#include "index/page_build.h"
 #include "util/epoch.h"
 #include "util/fault.h"
 #include "util/logging.h"
@@ -65,6 +67,23 @@ uint32_t PrimaryIndex::BucketOf(const IndexConfig& config, const std::vector<uin
   return bucket;
 }
 
+int64_t ColumnSortKey(const PropertyColumn* col, uint64_t id) {
+  APLUS_CHECK(col != nullptr);
+  if (id >= col->size() || col->IsNull(id)) return kNullSortKey;
+  switch (col->type()) {
+    case ValueType::kInt64:
+    case ValueType::kBool:
+      return col->GetInt64(id);
+    case ValueType::kCategory:
+      return col->GetCategoryOrNullSlot(id);
+    case ValueType::kDouble:
+      return EncodeDoubleSortKey(col->GetDouble(id));
+    default:
+      APLUS_CHECK(false) << "sort criterion on unsupported type " << ToString(col->type());
+  }
+  return 0;
+}
+
 int64_t EntrySortKey(const Graph& graph, const SortCriterion& criterion, edge_id_t e,
                      vertex_id_t nbr) {
   switch (criterion.source) {
@@ -73,25 +92,9 @@ int64_t EntrySortKey(const Graph& graph, const SortCriterion& criterion, edge_id
     case SortSource::kNbrLabel:
       return graph.vertex_label(nbr);
     case SortSource::kEdgeProp:
-    case SortSource::kNbrProp: {
-      bool is_edge = criterion.source == SortSource::kEdgeProp;
-      const PropertyStore& store = is_edge ? graph.edge_props() : graph.vertex_props();
-      const PropertyColumn* col = store.column(criterion.key);
-      APLUS_CHECK(col != nullptr);
-      uint64_t id = is_edge ? e : nbr;
-      if (id >= col->size() || col->IsNull(id)) return kNullSortKey;
-      switch (col->type()) {
-        case ValueType::kInt64:
-        case ValueType::kBool:
-          return col->GetInt64(id);
-        case ValueType::kCategory:
-          return col->GetCategoryOrNullSlot(id);
-        case ValueType::kDouble:
-          return EncodeDoubleSortKey(col->GetDouble(id));
-        default:
-          APLUS_CHECK(false) << "sort criterion on unsupported type " << ToString(col->type());
-      }
-    }
+      return ColumnSortKey(graph.edge_props().column(criterion.key), e);
+    case SortSource::kNbrProp:
+      return ColumnSortKey(graph.vertex_props().column(criterion.key), nbr);
   }
   return 0;
 }
@@ -114,23 +117,12 @@ SortKey PrimaryIndex::ComputeSortKey(const IndexConfig& config, edge_id_t e,
   return key;
 }
 
-double PrimaryIndex::Build(const IndexConfig& config) {
-  WallTimer timer;
-  std::lock_guard<std::mutex> lock(writer_mu_);
+void PrimaryIndex::ResetLocked(const IndexConfig& config) {
   config_ = config;
-  fanouts_.clear();
-  fanout_product_ = 1;
-  for (const PartitionCriterion& p : config_.partitions) {
-    uint32_t fanout = PartitionFanout(graph_->catalog(), p);
-    APLUS_CHECK_GT(fanout, 0u) << "empty partition domain";
-    fanouts_.push_back(fanout);
-    APLUS_CHECK_LT(static_cast<uint64_t>(fanout_product_) * fanout, 1ULL << 24)
-        << "partitioning fan-out too large";
-    fanout_product_ *= fanout;
-  }
-
-  uint64_t nv = graph_->num_vertices();
-  uint32_t num_pages = static_cast<uint32_t>((nv + kGroupSize - 1) / kGroupSize);
+  std::string error;
+  APLUS_CHECK(ResolveFanouts(graph_->catalog(), config_.partitions, &fanouts_, &fanout_product_,
+                             &error))
+      << error;
   // A rebuild is DDL: callers quiesce queries first, but retire the old
   // versions anyway so the protocol is uniform.
   for (PageSlot& slot : pages_) {
@@ -139,6 +131,35 @@ double PrimaryIndex::Build(const IndexConfig& config) {
     slot.run.store(nullptr, std::memory_order_relaxed);
     slot.delta.store(nullptr, std::memory_order_relaxed);
   }
+}
+
+namespace {
+
+// Stages 2 and 3 of the page build over one page's entries.
+std::unique_ptr<IdListPage> SealRun(const PageEntry* entries, size_t n, uint32_t fanout_product,
+                                    PageSorter<PageEntry>* sorter) {
+  auto page = std::make_unique<IdListPage>();
+  uint32_t num_slots = kGroupSize * fanout_product;
+  page->csr_store.resize(num_slots + 1);
+  const PageEntry* sorted = sorter->Sort(entries, n, num_slots, page->csr_store.data());
+  page->nbr_store.resize(n);
+  page->eid_store.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    page->nbr_store[i] = sorted[i].nbr;
+    page->eid_store[i] = sorted[i].eid;
+  }
+  page->Seal();
+  return page;
+}
+
+}  // namespace
+
+double PrimaryIndex::Build(const IndexConfig& config) {
+  WallTimer timer;
+  std::lock_guard<std::mutex> lock(writer_mu_);
+  ResetLocked(config);
+  uint64_t nv = graph_->num_vertices();
+  uint32_t num_pages = static_cast<uint32_t>((nv + kGroupSize - 1) / kGroupSize);
   if (pages_.size() < num_pages) {
     pages_.reserve(num_pages);
     while (pages_.size() < num_pages) pages_.emplace_back();
@@ -146,20 +167,32 @@ double PrimaryIndex::Build(const IndexConfig& config) {
     pages_.resize(num_pages);
   }
 
-  // Distribute edges to their page.
-  std::vector<uint32_t> page_counts(num_pages, 0);
+  // Stage 1: scatter every edge, in edge-id order, into its page's range.
   uint64_t ne = graph_->num_edges();
-  for (edge_id_t e = 0; e < ne; ++e) page_counts[PageOf(OwnerOf(e))]++;
-  std::vector<std::vector<edge_id_t>> page_edges(num_pages);
-  for (uint32_t p = 0; p < num_pages; ++p) page_edges[p].reserve(page_counts[p]);
-  for (edge_id_t e = 0; e < ne; ++e) page_edges[PageOf(OwnerOf(e))].push_back(e);
-
-  uint64_t indexed = 0;
-  for (uint32_t p = 0; p < num_pages; ++p) {
-    pages_[p].run.store(BuildRun(page_edges[p]).release(), std::memory_order_release);
-    indexed += page_edges[p].size();
+  std::vector<uint64_t> page_begin(num_pages + 1, 0);
+  for (edge_id_t e = 0; e < ne; ++e) page_begin[PageOf(OwnerOf(e)) + 1]++;
+  for (uint32_t p = 0; p < num_pages; ++p) page_begin[p + 1] += page_begin[p];
+  ListKeys keys(*graph_, config_, fanouts_);
+  std::unique_ptr<PageEntry[]> entries(new PageEntry[ne]);
+  {
+    std::vector<uint64_t> cursor(page_begin.begin(), page_begin.end() - 1);
+    for (edge_id_t e = 0; e < ne; ++e) {
+      vertex_id_t owner = OwnerOf(e);
+      vertex_id_t nbr = NbrOf(e);
+      entries[cursor[PageOf(owner)]++] = {
+          (owner % kGroupSize) * fanout_product_ + keys.BucketOf(e, nbr), nbr, e};
+    }
   }
-  num_edges_indexed_.store(indexed, std::memory_order_relaxed);
+
+  // Stages 2 and 3, page by page.
+  PageSorter<PageEntry> sorter(&keys);
+  for (uint32_t p = 0; p < num_pages; ++p) {
+    pages_[p].run.store(SealRun(entries.get() + page_begin[p], page_begin[p + 1] - page_begin[p],
+                                fanout_product_, &sorter)
+                            .release(),
+                        std::memory_order_release);
+  }
+  num_edges_indexed_.store(ne, std::memory_order_relaxed);
   pending_updates_.store(0, std::memory_order_relaxed);
   EpochManager::Global().TryReclaim();
   build_seconds_ = timer.ElapsedSeconds();
@@ -167,38 +200,16 @@ double PrimaryIndex::Build(const IndexConfig& config) {
 }
 
 std::unique_ptr<IdListPage> PrimaryIndex::BuildRun(const std::vector<edge_id_t>& edges) const {
-  auto page = std::make_unique<IdListPage>();
-  uint32_t slots = kGroupSize * fanout_product_;
-
-  std::vector<BuildEntry> entries;
+  ListKeys keys(*graph_, config_, fanouts_);
+  std::vector<PageEntry> entries;
   entries.reserve(edges.size());
   for (edge_id_t e : edges) {
     vertex_id_t owner = OwnerOf(e);
     vertex_id_t nbr = NbrOf(e);
-    BuildEntry entry;
-    entry.bucket = (owner % kGroupSize) * fanout_product_ + BucketOf(config_, fanouts_, e, nbr);
-    entry.nbr = nbr;
-    entry.eid = e;
-    entry.key = ComputeSortKey(config_, e, nbr);
-    entries.push_back(entry);
+    entries.push_back({(owner % kGroupSize) * fanout_product_ + keys.BucketOf(e, nbr), nbr, e});
   }
-  std::sort(entries.begin(), entries.end(), [](const BuildEntry& a, const BuildEntry& b) {
-    if (a.bucket != b.bucket) return a.bucket < b.bucket;
-    return a.key < b.key;
-  });
-
-  page->csr_store.assign(slots + 1, 0);
-  for (const BuildEntry& entry : entries) page->csr_store[entry.bucket + 1]++;
-  for (uint32_t s = 0; s < slots; ++s) page->csr_store[s + 1] += page->csr_store[s];
-
-  page->nbr_store.resize(entries.size());
-  page->eid_store.resize(entries.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    page->nbr_store[i] = entries[i].nbr;
-    page->eid_store[i] = entries[i].eid;
-  }
-  page->Seal();
-  return page;
+  PageSorter<PageEntry> sorter(&keys);
+  return SealRun(entries.data(), entries.size(), fanout_product_, &sorter);
 }
 
 AdjListSlice PrimaryIndex::SliceFromRun(const IdListPage* run, vertex_id_t v,
@@ -412,21 +423,7 @@ void PrimaryIndex::AttachSegmentPages(const IndexConfig& config,
                                       std::vector<std::unique_ptr<IdListPage>> pages,
                                       uint64_t num_edges) {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  config_ = config;
-  fanouts_.clear();
-  fanout_product_ = 1;
-  for (const PartitionCriterion& p : config_.partitions) {
-    uint32_t fanout = PartitionFanout(graph_->catalog(), p);
-    APLUS_CHECK_GT(fanout, 0u) << "empty partition domain";
-    fanouts_.push_back(fanout);
-    fanout_product_ *= fanout;
-  }
-  for (PageSlot& slot : pages_) {
-    EpochManager::Global().Retire(slot.run.load(std::memory_order_relaxed));
-    EpochManager::Global().Retire(slot.delta.load(std::memory_order_relaxed));
-    slot.run.store(nullptr, std::memory_order_relaxed);
-    slot.delta.store(nullptr, std::memory_order_relaxed);
-  }
+  ResetLocked(config);
   pages_.clear();
   pages_.reserve(pages.size());
   for (auto& page : pages) {

@@ -46,6 +46,9 @@ inline constexpr int64_t kNullSortKey = INT64_MAX;
 // merge, which re-derives entry keys at probe time.
 int64_t EntrySortKey(const Graph& graph, const SortCriterion& criterion, edge_id_t e,
                      vertex_id_t nbr);
+// The property part of EntrySortKey: the key of id `id` in `col` (nulls
+// and ids past the column's end sort last).
+int64_t ColumnSortKey(const PropertyColumn* col, uint64_t id);
 
 // Reusable scratch for materializing a merged run+delta view of one
 // list. Owned by the probing ListDescriptor (cloned per worker replica),
@@ -78,6 +81,13 @@ struct ListMergeScratch {
 // reconfigurable at runtime (RECONFIGURE PRIMARY INDEXES): Build() can be
 // called again with a new config, which is exactly the paper's index
 // reconfiguration (the IR column of Table II).
+//
+// Build() is the bucketed page build of index/page_build.h: one pass in
+// edge-id order scatters a 16-byte {slot, nbr, eid} entry per edge into
+// its page's range of one transient array (freed before Build returns),
+// then each page is counting-sorted by slot, which yields its CSR, and
+// each list is sorted on its own. Page merges run the same two stages
+// over the page's surviving and buffered edges.
 //
 // Concurrency model: each page slot holds an immutable sorted run and an
 // optional PageDelta behind atomic pointers. Readers (GetListSnapshot)
@@ -203,13 +213,6 @@ class PrimaryIndex {
   static constexpr uint32_t kUpdateBufferCapacity = 32;
 
  private:
-  struct BuildEntry {
-    uint32_t bucket;
-    vertex_id_t nbr;
-    edge_id_t eid;
-    SortKey key;
-  };
-
   // One page's published state. Only ever mutated under writer_mu_;
   // readers load the pointers with acquire semantics. Moves happen only
   // while the vector grows under writer_mu_ with no concurrent readers
@@ -229,6 +232,9 @@ class PrimaryIndex {
     PageSlot& operator=(const PageSlot&) = delete;
   };
 
+  // Installs `config` and its fan-outs, retiring every page.
+  void ResetLocked(const IndexConfig& config);
+  // A sorted run over `edges` (all owned by one page, in any order).
   std::unique_ptr<IdListPage> BuildRun(const std::vector<edge_id_t>& edges) const;
   // Publishes `run` as the page's new sorted run and clears its delta;
   // the old run/delta are retired through the EpochManager.

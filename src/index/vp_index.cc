@@ -1,7 +1,9 @@
 #include "index/vp_index.h"
 
 #include <algorithm>
+#include <string>
 
+#include "index/page_build.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -30,100 +32,84 @@ bool VpIndex::EvalViewPred(edge_id_t e, vertex_id_t nbr) const {
   return compiled_.Eval(ctx);
 }
 
+// Buffers of the page build, reused across the pages of one build.
+struct VpIndex::BuildScratch {
+  BuildScratch(const Graph& graph, const IndexConfig& config, const std::vector<uint32_t>& fanouts)
+      : keys(graph, config, fanouts), sorter(&keys) {}
+  // `sorter` points at `keys`.
+  BuildScratch(const BuildScratch&) = delete;
+  BuildScratch& operator=(const BuildScratch&) = delete;
+
+  ListKeys keys;
+  PageSorter<OffsetEntry> sorter;
+  std::vector<OffsetEntry> entries;
+  std::vector<uint32_t> shared_csr;  // shared levels: equals the primary's, then dropped
+  std::vector<uint32_t> offsets;
+};
+
 double VpIndex::Build() {
   WallTimer timer;
-  fanouts_.clear();
-  fanout_product_ = 1;
-  for (const PartitionCriterion& p : config_.partitions) {
-    uint32_t fanout = PartitionFanout(graph_->catalog(), p);
-    fanouts_.push_back(fanout);
-    fanout_product_ *= fanout;
-  }
+  std::string error;
+  APLUS_CHECK(ResolveFanouts(graph_->catalog(), config_.partitions, &fanouts_, &fanout_product_,
+                             &error))
+      << error;
   pages_.clear();
   uint32_t num_pages = primary_->num_pages();
   pages_.reserve(num_pages);
   for (uint32_t p = 0; p < num_pages; ++p) pages_.push_back(std::make_unique<OffsetListPage>());
   num_edges_indexed_ = 0;
-  for (uint32_t p = 0; p < num_pages; ++p) BuildGroup(p);
+  BuildScratch scratch(*graph_, config_, fanouts_);
+  for (uint32_t p = 0; p < num_pages; ++p) BuildGroup(p, &scratch);
   build_seconds_ = timer.ElapsedSeconds();
   return build_seconds_;
 }
 
-void VpIndex::BuildGroup(uint32_t page_idx) {
+void VpIndex::BuildGroup(uint32_t page_idx, BuildScratch* scratch) {
   OffsetListPage& page = *pages_[page_idx];
   uint64_t nv = graph_->num_vertices();
   vertex_id_t first = page_idx * kGroupSize;
   vertex_id_t last = static_cast<vertex_id_t>(
       std::min<uint64_t>(nv, static_cast<uint64_t>(first) + kGroupSize));
 
-  struct Entry {
-    uint32_t bucket;  // slot * fanout_product + partition path
-    SortKey key;
-    uint32_t offset;  // position within the owner's full primary list
-  };
-  std::vector<Entry> entries;
-
+  // With shared levels an entry's slot is the primary's innermost bucket
+  // holding it, so the lists keep the primary's boundaries and only
+  // their order changes.
+  const uint32_t fp = shared_levels_ ? primary_->fanout_product() : fanout_product_;
+  std::vector<OffsetEntry>& entries = scratch->entries;
+  entries.clear();
   for (vertex_id_t v = first; v < last; ++v) {
     const vertex_id_t* nbrs;
     const edge_id_t* eids;
     uint32_t len;
     primary_->GetListBase(v, &nbrs, &eids, &len);
-    uint32_t slot = v % kGroupSize;
+    if (len == 0) continue;
+    uint32_t slot_base = (v % kGroupSize) * fp;
+    if (shared_levels_) {
+      // No view predicate: every entry of v is in the view.
+      const uint32_t* csr = primary_->page(page_idx).csr + slot_base;
+      uint32_t i = 0;
+      for (uint32_t b = 0; b < fp; ++b) {
+        for (uint32_t end = csr[b + 1] - csr[0]; i < end; ++i) {
+          entries.push_back({slot_base + b, nbrs[i], eids[i], i});
+        }
+      }
+      continue;
+    }
     for (uint32_t i = 0; i < len; ++i) {
-      edge_id_t e = eids[i];
-      vertex_id_t nbr = nbrs[i];
-      if (!EvalViewPred(e, nbr)) continue;
-      Entry entry;
-      entry.bucket = shared_levels_
-                         ? slot  // shared mode keeps primary bucket order implicitly
-                         : slot * fanout_product_ +
-                               primary_->BucketOf(config_, fanouts_, e, nbr);
-      entry.key = primary_->ComputeSortKey(config_, e, nbr);
-      entry.offset = i;
-      entries.push_back(entry);
+      if (!EvalViewPred(eids[i], nbrs[i])) continue;
+      uint32_t slot = slot_base + scratch->keys.BucketOf(eids[i], nbrs[i]);
+      entries.push_back({slot, nbrs[i], eids[i], i});
     }
   }
 
-  if (shared_levels_) {
-    // Identical boundaries to the primary page: re-sort within each
-    // innermost primary sublist only. Recompute buckets as the primary
-    // innermost slot so grouping matches primary sublist boundaries.
-    const IdListPage& ppage = primary_->page(page_idx);
-    uint32_t pfp = primary_->fanout_product();
-    // Assign each entry its primary innermost bucket (entry.bucket holds
-    // the owner slot at this point): the bucket is the last CSR position
-    // in the owner's range whose start is <= the absolute entry position.
-    for (Entry& entry : entries) {
-      uint32_t slot_base = entry.bucket * pfp;
-      uint32_t abs_pos = ppage.csr[slot_base] + entry.offset;
-      const uint32_t* begin_it = ppage.csr + slot_base;
-      const uint32_t* end_it = ppage.csr + slot_base + pfp + 1;
-      const uint32_t* it = std::upper_bound(begin_it, end_it, abs_pos);
-      entry.bucket = slot_base + static_cast<uint32_t>(it - begin_it) - 1;
-    }
-    std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-      if (a.bucket != b.bucket) return a.bucket < b.bucket;
-      return a.key < b.key;
-    });
-    std::vector<uint32_t> offsets;
-    offsets.reserve(entries.size());
-    for (const Entry& entry : entries) offsets.push_back(entry.offset);
-    page.csr.clear();
-    page.SetOffsets(offsets);
-  } else {
-    std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-      if (a.bucket != b.bucket) return a.bucket < b.bucket;
-      return a.key < b.key;
-    });
-    uint32_t slots = kGroupSize * fanout_product_;
-    page.csr.assign(slots + 1, 0);
-    for (const Entry& entry : entries) page.csr[entry.bucket + 1]++;
-    for (uint32_t s = 0; s < slots; ++s) page.csr[s + 1] += page.csr[s];
-    std::vector<uint32_t> offsets;
-    offsets.reserve(entries.size());
-    for (const Entry& entry : entries) offsets.push_back(entry.offset);
-    page.SetOffsets(offsets);
-  }
+  uint32_t num_slots = kGroupSize * fp;
+  std::vector<uint32_t>& csr = shared_levels_ ? scratch->shared_csr : page.csr;
+  csr.assign(num_slots + 1, 0);
+  const OffsetEntry* sorted =
+      scratch->sorter.Sort(entries.data(), entries.size(), num_slots, csr.data());
+  scratch->offsets.resize(entries.size());
+  for (size_t i = 0; i < entries.size(); ++i) scratch->offsets[i] = sorted[i].offset;
+  page.SetOffsets(scratch->offsets);
   num_edges_indexed_ += entries.size();
 }
 
@@ -206,7 +192,8 @@ void VpIndex::RebuildGroup(uint32_t page_idx) {
   // (BuildGroup adds the new count back).
   OffsetListPage& page = *pages_[page_idx];
   num_edges_indexed_ -= page.num_entries();
-  BuildGroup(page_idx);
+  BuildScratch scratch(*graph_, config_, fanouts_);
+  BuildGroup(page_idx, &scratch);
   if (page_idx < pending_.size()) {
     pending_total_ -= pending_[page_idx];
     pending_[page_idx] = 0;

@@ -49,6 +49,9 @@ class VpIndex {
   AdjListSlice GetList(vertex_id_t v, const std::vector<category_t>& cats) const;
   AdjListSlice GetFullList(vertex_id_t v) const { return GetList(v, {}); }
 
+  uint32_t num_pages() const { return static_cast<uint32_t>(pages_.size()); }
+  const OffsetListPage& page(uint32_t p) const { return *pages_[p]; }
+
   size_t MemoryBytes() const;
   uint64_t num_edges_indexed() const { return num_edges_indexed_; }
   double build_seconds() const { return build_seconds_; }
@@ -69,8 +72,11 @@ class VpIndex {
   static constexpr uint32_t kUpdateBufferCapacity = 32;
 
  private:
+  struct BuildScratch;
+
   bool EvalViewPred(edge_id_t e, vertex_id_t nbr) const;
-  void BuildGroup(uint32_t page_idx);
+  // Builds one page with the bucketed page build (index/page_build.h).
+  void BuildGroup(uint32_t page_idx, BuildScratch* scratch);
 
   const Graph* graph_;
   const PrimaryIndex* primary_;

@@ -320,9 +320,12 @@ bool ParseIndexPart(const uint8_t* base, uint64_t file_size, uint64_t off, uint6
     return Fail(error, "segment: index page count mismatch");
   }
 
+  std::vector<uint32_t> fanouts;
   uint32_t fanout_product = 1;
-  for (const PartitionCriterion& c : part->config.partitions) {
-    fanout_product *= PartitionFanout(graph.catalog(), c);
+  std::string fanout_error;
+  if (!ResolveFanouts(graph.catalog(), part->config.partitions, &fanouts, &fanout_product,
+                      &fanout_error)) {
+    return Fail(error, "segment: " + fanout_error);
   }
   const uint32_t expected_csr_len = kGroupSize * fanout_product + 1;
 

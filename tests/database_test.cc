@@ -394,5 +394,42 @@ TEST(AddendOverflowTest, CypherResidualComparesAgainstTheExactSum) {
   EXPECT_EQ(out.count, 0u);
 }
 
+// Two categorical properties of domain 5000 fan a list out into
+// 5001 * 5001 = 25,010,001 sublists, past the 2^24 bound on a page's
+// partition product: the DDL must fail with a typed error before any
+// index is touched, and the database keeps serving its old config.
+TEST(FanoutBoundTest, OversizedPartitionFanoutIsATypedDdlError) {
+  Graph graph;
+  label_t v = graph.catalog().AddVertexLabel("V");
+  label_t e = graph.catalog().AddEdgeLabel("E");
+  graph.AddEdgeProperty("a", ValueType::kCategory, 5000);
+  graph.AddVertexProperty("b", ValueType::kCategory, 5000);
+  for (int i = 0; i < 4; ++i) graph.AddVertex(v);
+  graph.AddEdge(0, 1, e);
+  graph.AddEdge(1, 2, e);
+  graph.AddEdge(1, 3, e);
+  Database db(std::move(graph));
+  db.BuildPrimaryIndexes();
+  const char* query = "MATCH (a)-[e1:E]->(b)-[e2:E]->(c) RETURN COUNT(*)";
+  ASSERT_EQ(db.ExecuteCypher(query).count, 2u);
+
+  DdlResult reconfigure =
+      db.ExecuteDdl("RECONFIGURE PRIMARY INDEXES PARTITION BY eadj.a, vnbr.b");
+  EXPECT_FALSE(reconfigure.ok);
+  EXPECT_NE(reconfigure.message.find("fan-out"), std::string::npos) << reconfigure.message;
+  for (Direction dir : {Direction::kFwd, Direction::kBwd}) {
+    EXPECT_TRUE(db.index_store().primary(dir)->config().SamePartitioning(IndexConfig::Default()));
+  }
+  EXPECT_EQ(db.ExecuteCypher(query).count, 2u);
+
+  DdlResult view = db.ExecuteDdl(
+      "CREATE 1-HOP VIEW Wide MATCH vs-[eadj]->vd INDEX AS FW-BW PARTITION BY eadj.a, vnbr.b");
+  EXPECT_FALSE(view.ok);
+  EXPECT_NE(view.message.find("fan-out"), std::string::npos) << view.message;
+  EXPECT_EQ(db.index_store().FindVpIndex("Wide", Direction::kFwd), nullptr);
+  EXPECT_EQ(db.index_store().FindVpIndex("Wide", Direction::kBwd), nullptr);
+  EXPECT_EQ(db.ExecuteCypher(query).count, 2u);
+}
+
 }  // namespace
 }  // namespace aplus

@@ -8,6 +8,8 @@
 #include "datagen/financial_props.h"
 #include "datagen/power_law_generator.h"
 #include "index/primary_index.h"
+#include "page_reference.h"
+#include "util/rng.h"
 
 namespace aplus {
 namespace {
@@ -212,6 +214,54 @@ TEST_F(PrimaryIndexTest, PartitionLevelBytesGrowWithFanout) {
   config.sorts.push_back({SortSource::kNbrId, kInvalidPropKey});
   partitioned.Build(config);
   EXPECT_GT(partitioned.PartitionLevelBytes(), flat.PartitionLevelBytes());
+}
+
+// ---------------------------------------------------------------------
+// Build identity: the bucketed page build against a page-wide sort
+// ---------------------------------------------------------------------
+
+TEST(PrimaryBuildIdentityTest, BuildMatchesPageWideSort) {
+  // 301 vertices: the last page is partial and the last 20 are isolated.
+  EdgeCaseGraph g = MakeEdgeCaseGraph(11, 301, 4000);
+  std::vector<bool> live(g.graph.num_edges(), true);
+  for (Direction dir : {Direction::kFwd, Direction::kBwd}) {
+    // One index reconfigured through every config, as RECONFIGURE does.
+    PrimaryIndex index(&g.graph, dir);
+    for (const auto& [name, config] : IdentityConfigs(g)) {
+      SCOPED_TRACE(name + (dir == Direction::kFwd ? " FW" : " BW"));
+      index.Build(config);
+      EXPECT_EQ(index.num_edges_indexed(), g.graph.num_edges());
+      ExpectPrimaryMatchesReference(index, live);
+    }
+  }
+}
+
+TEST(PrimaryBuildIdentityTest, InsertsAndDeletesThenFlushMatchAFreshBuild) {
+  for (const auto& [name, config] : IdentityConfigs(MakeEdgeCaseGraph(12, 301, 0))) {
+    for (Direction dir : {Direction::kFwd, Direction::kBwd}) {
+      SCOPED_TRACE(name + (dir == Direction::kFwd ? " FW" : " BW"));
+      EdgeCaseGraph g = MakeEdgeCaseGraph(12, 301, 1500);
+      PrimaryIndex index(&g.graph, dir);
+      index.Build(config);
+      std::vector<bool> live(g.graph.num_edges(), true);
+      Rng rng(13);
+      for (int op = 0; op < 2000; ++op) {
+        if (rng.NextBounded(3) == 0) {
+          edge_id_t e = rng.NextBounded(live.size());
+          if (!live[e]) continue;
+          index.DeleteEdge(e);
+          live[e] = false;
+        } else {
+          edge_id_t e = AddEdgeCaseEdge(&g, &rng, 281);
+          live.push_back(true);
+          index.InsertEdge(e);
+        }
+      }
+      index.FlushUpdates();
+      // Equal to a build of the surviving edges, byte for byte.
+      ExpectPrimaryMatchesReference(index, live);
+    }
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <mutex>
 #include <string>
@@ -410,6 +411,44 @@ TEST(SegmentTest, CorruptedSegmentFailsClosedOrStaysSafe) {
     }
   }
   std::remove(fuzz_path.c_str());
+  std::remove(path.c_str());
+}
+
+// A segment whose index config fans each list out into 5001 * 5001
+// sublists (past the 2^24 bound on a page's partition product) must fail
+// to open with a typed error. The sealed config is written as
+// PARTITION BY eadj.label, vnbr.label and its criteria are then patched
+// to eadj.a, vnbr.b, two categorical properties of domain 5000.
+TEST(SegmentTest, OversizedPartitionFanoutFailsToOpen) {
+  Graph graph = MakeGraph(10);
+  prop_key_t a = graph.AddEdgeProperty("a", ValueType::kCategory, 5000);
+  prop_key_t b = graph.AddVertexProperty("b", ValueType::kCategory, 5000);
+  Database db(std::move(graph));
+  IndexConfig config;
+  config.partitions.push_back({PartitionSource::kEdgeLabel, kInvalidPropKey});
+  config.partitions.push_back({PartitionSource::kNbrLabel, kInvalidPropKey});
+  config.sorts.push_back({SortSource::kNbrId, kInvalidPropKey});
+  db.BuildPrimaryIndexes(config);
+  std::string path = TempPath("aplus_seg_fanout.seg");
+  std::string error;
+  ASSERT_TRUE(db.SealToSegment(path, &error)) << error;
+  ASSERT_NE(Database::OpenFromSegment(path, &error), nullptr) << error;
+
+  std::vector<uint8_t> bytes = ReadFile(path);
+  const uint32_t sealed[] = {2, 1, 0, kInvalidPropKey, 1, kInvalidPropKey, 0, kInvalidPropKey};
+  const uint32_t patched[] = {2, 1, 2, a, 3, b, 0, kInvalidPropKey};
+  int patches = 0;
+  for (size_t pos = 0; pos + sizeof(sealed) <= bytes.size(); pos += alignof(uint32_t)) {
+    if (std::memcmp(bytes.data() + pos, sealed, sizeof(sealed)) == 0) {
+      std::memcpy(bytes.data() + pos, patched, sizeof(patched));
+      ++patches;
+    }
+  }
+  ASSERT_EQ(patches, 2);  // the FW and BW index configs
+  WriteFile(path, bytes.data(), bytes.size());
+  error.clear();
+  EXPECT_EQ(Database::OpenFromSegment(path, &error), nullptr);
+  EXPECT_NE(error.find("fan-out"), std::string::npos) << error;
   std::remove(path.c_str());
 }
 

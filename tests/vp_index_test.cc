@@ -6,6 +6,8 @@
 #include "datagen/financial_props.h"
 #include "datagen/power_law_generator.h"
 #include "index/vp_index.h"
+#include "page_reference.h"
+#include "util/rng.h"
 
 namespace aplus {
 namespace {
@@ -164,6 +166,71 @@ TEST_F(VpIndexTest, BwdDirectionIndexesInEdges) {
   vp.Build();
   // v2's incoming transfers + owns edge.
   EXPECT_EQ(vp.GetFullList(ex_.accounts[1]).size(), 5u);
+}
+
+// ---------------------------------------------------------------------
+// Build identity: the bucketed page build against a page-wide sort
+// ---------------------------------------------------------------------
+
+// The views of each identity config: all edges (shared levels when the
+// partitioning equals the primary's) and eadj.amount > 0 (own levels).
+std::vector<OneHopViewDef> IdentityViews(const EdgeCaseGraph& g) {
+  OneHopViewDef all;
+  all.name = "all";
+  OneHopViewDef positive;
+  positive.name = "positive";
+  positive.pred.AddConst(PropRef{PropSite::kAdjEdge, g.amount, false, false}, CmpOp::kGt,
+                         Value::Int64(0));
+  return {all, positive};
+}
+
+TEST(VpBuildIdentityTest, BuildMatchesPageWideSort) {
+  EdgeCaseGraph g = MakeEdgeCaseGraph(21, 301, 4000);
+  std::vector<std::pair<std::string, IndexConfig>> configs = IdentityConfigs(g);
+  for (Direction dir : {Direction::kFwd, Direction::kBwd}) {
+    // The primary under D, and under a two-level partitioning.
+    for (size_t primary_config : {size_t{0}, size_t{4}}) {
+      PrimaryIndex primary(&g.graph, dir);
+      primary.Build(configs[primary_config].second);
+      for (const auto& [name, config] : configs) {
+        for (const OneHopViewDef& view : IdentityViews(g)) {
+          SCOPED_TRACE(view.name + " " + name + " over " + configs[primary_config].first +
+                       (dir == Direction::kFwd ? " FW" : " BW"));
+          VpIndex vp(&g.graph, &primary, view, config);
+          vp.Build();
+          ExpectVpMatchesReference(vp);
+        }
+      }
+    }
+  }
+}
+
+TEST(VpBuildIdentityTest, RebuiltGroupsMatchPageWideSort) {
+  for (Direction dir : {Direction::kFwd, Direction::kBwd}) {
+    EdgeCaseGraph g = MakeEdgeCaseGraph(22, 301, 1500);
+    std::vector<std::pair<std::string, IndexConfig>> configs = IdentityConfigs(g);
+    PrimaryIndex primary(&g.graph, dir);
+    primary.Build(IndexConfig::Default());
+    std::vector<std::unique_ptr<VpIndex>> vps;
+    for (const auto& [name, config] : configs) {
+      for (const OneHopViewDef& view : IdentityViews(g)) {
+        vps.push_back(std::make_unique<VpIndex>(&g.graph, &primary, view, config));
+        vps.back()->Build();
+      }
+    }
+    Rng rng(23);
+    for (int i = 0; i < 1000; ++i) {
+      edge_id_t e = AddEdgeCaseEdge(&g, &rng, 281);
+      primary.InsertEdge(e);
+      for (auto& vp : vps) vp->InsertEdge(e);
+    }
+    primary.FlushUpdates();
+    for (auto& vp : vps) {
+      SCOPED_TRACE(vp->name() + (dir == Direction::kFwd ? " FW" : " BW"));
+      vp->FlushUpdates();
+      ExpectVpMatchesReference(*vp);
+    }
+  }
 }
 
 }  // namespace
