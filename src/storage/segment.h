@@ -108,8 +108,16 @@ class Segment {
 
 // Writes the sealed segment file for `graph` + `store` at `path`. Both
 // primary indexes must be built and clean (no pending deltas) — the
-// Database seal path flushes first. Returns false with a description in
-// *error on I/O failure or unmet preconditions.
+// Database seal path flushes first.
+//
+// The file is streamed in one forward pass into a temporary file beside
+// `path` (`path`.XXXXXX, same filesystem), the header is patched in at
+// offset 0, and the temporary is renamed over `path`. A reader that
+// already maps an older file at `path` keeps that file's inode and so
+// its snapshot. On any failure the temporary is unlinked, `path` is left
+// as it was, and false is returned with a "seal: ..." description in
+// *error that names the system error. The seal does not fsync the file
+// or its directory: a crash right after it returns may lose the file.
 bool SealSegment(const Graph& graph, const IndexStore& store, const std::string& path,
                  std::string* error);
 

@@ -2,7 +2,9 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <vector>
 
 #include "util/logging.h"
 
@@ -13,33 +15,53 @@ namespace {
 constexpr uint32_t kMagic = 0x41504c53;  // "APLS"
 constexpr uint32_t kVersion = 1;
 
+// Buffered little-endian writer: each field is a memcpy into a 64 KiB
+// buffer that reaches the stream in large chunks (a snapshot is millions
+// of 4-byte fields, too many for one virtual ostream::write each).
+// Finish() drains the buffer and reports the stream state.
 class Writer {
  public:
-  explicit Writer(std::ostream* out) : out_(out) {}
+  explicit Writer(std::ostream* out) : out_(out), buf_(kBufferBytes) {}
 
-  void U32(uint32_t v) { out_->write(reinterpret_cast<const char*>(&v), sizeof(v)); }
-  void U64(uint64_t v) { out_->write(reinterpret_cast<const char*>(&v), sizeof(v)); }
-  void I64(int64_t v) { out_->write(reinterpret_cast<const char*>(&v), sizeof(v)); }
-  void F64(double v) { out_->write(reinterpret_cast<const char*>(&v), sizeof(v)); }
-  void U8(uint8_t v) { out_->write(reinterpret_cast<const char*>(&v), sizeof(v)); }
+  void U32(uint32_t v) { Raw(&v, sizeof(v)); }
+  void U64(uint64_t v) { Raw(&v, sizeof(v)); }
+  void I64(int64_t v) { Raw(&v, sizeof(v)); }
+  void F64(double v) { Raw(&v, sizeof(v)); }
+  void U8(uint8_t v) { Raw(&v, sizeof(v)); }
 
   void Str(const std::string& s) {
     U64(s.size());
-    out_->write(s.data(), static_cast<std::streamsize>(s.size()));
+    Raw(s.data(), s.size());
   }
 
-  template <typename T>
-  void Vec(const std::vector<T>& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    U64(v.size());
-    out_->write(reinterpret_cast<const char*>(v.data()),
-                static_cast<std::streamsize>(v.size() * sizeof(T)));
+  bool Finish() {
+    Drain();
+    return out_->good();
   }
-
-  bool ok() const { return out_->good(); }
 
  private:
+  static constexpr size_t kBufferBytes = 64 << 10;
+
+  void Raw(const void* p, size_t n) {
+    if (n > kBufferBytes - used_) {
+      Drain();
+      if (n >= kBufferBytes) {
+        out_->write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
+        return;
+      }
+    }
+    std::memcpy(buf_.data() + used_, p, n);
+    used_ += n;
+  }
+
+  void Drain() {
+    out_->write(buf_.data(), static_cast<std::streamsize>(used_));
+    used_ = 0;
+  }
+
   std::ostream* out_;
+  std::vector<char> buf_;
+  size_t used_ = 0;
 };
 
 class Reader {
@@ -219,7 +241,7 @@ bool SaveGraphToStream(const Graph& graph, std::ostream& out) {
       WriteColumn(&w, *col, meta.target == PropTargetKind::kVertex ? nv : ne);
     }
   }
-  return w.ok();
+  return w.Finish();
 }
 
 bool LoadGraphFromStream(std::istream& in, Graph* graph, const std::string& origin) {

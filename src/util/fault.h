@@ -26,6 +26,7 @@ inline constexpr const char* kAlloc = "alloc";              // MemoryBudget::Cha
 inline constexpr const char* kDeltaFull = "delta_full";     // PrimaryIndex::InsertEdge
 inline constexpr const char* kIngestAddEdge = "ingest_add_edge";  // Graph::AddEdge
 inline constexpr const char* kPoolDispatch = "pool_dispatch";     // ThreadPool::Run
+inline constexpr const char* kSealWrite = "seal_write";  // every write of SealSegment
 
 namespace internal {
 extern std::atomic<bool> g_enabled;

@@ -9,13 +9,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <future>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/database.h"
@@ -25,6 +30,8 @@
 #include "storage/codec.h"
 #include "storage/segment.h"
 #include "storage/serialize.h"
+#include "digest_graphs.h"
+#include "util/fault.h"
 #include "util/rng.h"
 
 namespace aplus {
@@ -237,10 +244,10 @@ const char* kDiffQueries[] = {
     "MATCH (a)-[r:E]->(b) RETURN a, b, r.amount ORDER BY r.amount DESC, a, b LIMIT 50",
 };
 
-Graph MakeGraph(uint64_t seed) {
+Graph MakeGraph(uint64_t seed, uint64_t num_vertices = 3000) {
   Graph graph;
   PowerLawParams params;
-  params.num_vertices = 3000;
+  params.num_vertices = num_vertices;
   params.avg_degree = 7.0;
   params.seed = seed;
   GeneratePowerLawGraph(params, &graph);
@@ -461,6 +468,209 @@ TEST(SegmentTest, GarbageSegmentFailsClosed) {
   std::string error;
   EXPECT_EQ(OpenSegment(path, &error), nullptr);
   EXPECT_FALSE(error.empty());
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Sealing: byte identity, atomic replacement, failed writes
+// ---------------------------------------------------------------------
+
+// FNV-1a 64 digests of the sealed files of the two digest graphs
+// (tests/digest_graphs.h) under APLUS_SEGMENT_COMPRESS = auto, on, off.
+// They pin the APSG v1 bytes: a seal of these graphs must keep writing
+// exactly these files.
+struct SealDigest {
+  const char* graph;
+  const char* mode;
+  uint64_t digest;
+};
+const SealDigest kSealDigests[] = {
+    {"topology", "auto", 0xe4215a982927fd7cULL}, {"topology", "on", 0xb82ca0f6bf4dfd23ULL},
+    {"topology", "off", 0xac7ffc825fea0ad3ULL},  {"property", "auto", 0xe4b4d8a5c828f0bfULL},
+    {"property", "on", 0xe4b4d8a5c828f0bfULL},   {"property", "off", 0xfb07597cb315ced6ULL},
+};
+
+TEST(SegmentTest, SealedBytesMatchRecordedDigests) {
+  for (const SealDigest& expected : kSealDigests) {
+    SCOPED_TRACE(std::string(expected.graph) + " compress=" + expected.mode);
+    ScopedEnv compress("APLUS_SEGMENT_COMPRESS", expected.mode);
+    Database db(std::string(expected.graph) == "topology" ? MakeTopologyDigestGraph()
+                                                          : MakePropertyDigestGraph());
+    db.BuildPrimaryIndexes();
+    std::string path = TempPath("aplus_seg_digest.seg");
+    std::string error;
+    ASSERT_TRUE(db.SealToSegment(path, &error)) << error;
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "0x%016llxULL",
+                  static_cast<unsigned long long>(Fnv1a64File(path)));
+    EXPECT_EQ(Fnv1a64File(path), expected.digest) << "sealed file digest " << hex;
+    std::unique_ptr<Database> reopened = Database::OpenFromSegment(path, &error);
+    ASSERT_NE(reopened, nullptr) << error;
+    EXPECT_EQ(reopened->graph().num_edges(), db.graph().num_edges());
+    std::remove(path.c_str());
+  }
+}
+
+// Runs `fn` on its own thread and returns its result, failing the test
+// if it has not returned within `seconds`. A reader of a mapping whose
+// file was rewritten underneath it can spin forever; a hung thread
+// cannot be joined, so the process exits and the suite reports it.
+template <typename Fn>
+auto WithDeadline(double seconds, Fn fn) -> decltype(fn()) {
+  std::packaged_task<decltype(fn())()> task(std::move(fn));
+  auto result = task.get_future();
+  std::thread worker(std::move(task));
+  if (result.wait_for(std::chrono::duration<double>(seconds)) != std::future_status::ready) {
+    ADD_FAILURE() << "query did not finish within " << seconds << " s";
+    std::fflush(nullptr);
+    std::_Exit(1);
+  }
+  worker.join();
+  return result.get();
+}
+
+// One-hop, two-hop and triangle counts.
+std::vector<uint64_t> ShapeCounts(Database* db) {
+  std::vector<uint64_t> counts;
+  for (const char* text : {"MATCH (a)-[r:E]->(b) RETURN COUNT(*)",
+                           "MATCH (a)-[r1:E]->(b)-[r2:E]->(c) RETURN COUNT(*)", kDiffQueries[0]}) {
+    auto prepared = db->Prepare(text);
+    EXPECT_TRUE(prepared->ok()) << text << ": " << prepared->error();
+    QueryOutcome out = prepared->Execute();
+    EXPECT_TRUE(out.ok()) << text << ": " << out.error;
+    counts.push_back(out.count);
+  }
+  return counts;
+}
+
+// `graph`'s edges with their destinations shuffled: every vertex keeps
+// its in- and out-degree, so every index page keeps its entry count and
+// a raw-page seal has exactly the same size, but the paths differ.
+Graph ShuffleDestinations(const Graph& graph, uint64_t seed) {
+  std::vector<vertex_id_t> dsts;
+  for (edge_id_t e = 0; e < graph.num_edges(); ++e) dsts.push_back(graph.edge_dst(e));
+  Rng rng(seed);
+  for (size_t i = dsts.size(); i > 1; --i) std::swap(dsts[i - 1], dsts[rng.NextBounded(i)]);
+  Graph shuffled;
+  label_t vlabel = shuffled.catalog().AddVertexLabel("V");
+  label_t elabel = shuffled.catalog().AddEdgeLabel("E");
+  for (vertex_id_t v = 0; v < graph.num_vertices(); ++v) shuffled.AddVertex(vlabel);
+  for (edge_id_t e = 0; e < graph.num_edges(); ++e) {
+    shuffled.AddEdge(graph.edge_src(e), dsts[e], elabel);
+  }
+  AddFinancialProperties(seed, &shuffled, 40);
+  return shuffled;
+}
+
+// Re-sealing to a path an open reader maps must not touch that reader's
+// bytes: the seal publishes a new file by rename, so the reader keeps
+// the old inode. Raw pages only, so the shuffled graph seals to a file
+// of exactly the same size.
+TEST(SegmentTest, ResealKeepsOpenReadersOnTheirSnapshot) {
+  ScopedEnv compress("APLUS_SEGMENT_COMPRESS", "off");
+  std::string path = TempPath("aplus_seg_reseal.seg");
+  std::string error;
+  Database a(MakeGraph(61, 4000));
+  a.BuildPrimaryIndexes();
+  const std::vector<uint64_t> a_counts = ShapeCounts(&a);
+  ASSERT_TRUE(a.SealToSegment(path, &error)) << error;
+  const uint64_t a_size = std::filesystem::file_size(path);
+  std::unique_ptr<Database> reader = Database::OpenFromSegment(path, &error);
+  ASSERT_NE(reader, nullptr) << error;
+  EXPECT_EQ(WithDeadline(60, [&] { return ShapeCounts(reader.get()); }), a_counts);
+
+  struct Reseal {
+    const char* name;
+    Graph graph;
+    int size_vs_a;  // sign of (sealed size - A's sealed size)
+  };
+  Reseal reseals[] = {{"smaller", MakeGraph(62, 2000), -1},
+                      {"same size", ShuffleDestinations(a.graph(), 63), 0},
+                      {"larger", MakeGraph(64, 8000), 1}};
+  for (Reseal& next : reseals) {
+    SCOPED_TRACE(next.name);
+    Database db(std::move(next.graph));
+    db.BuildPrimaryIndexes();
+    const std::vector<uint64_t> counts = ShapeCounts(&db);
+    ASSERT_NE(counts, a_counts);
+    ASSERT_TRUE(db.SealToSegment(path, &error)) << error;
+    const uint64_t size = std::filesystem::file_size(path);
+    EXPECT_EQ((size > a_size) - (size < a_size), next.size_vs_a) << size << " vs " << a_size;
+
+    EXPECT_EQ(WithDeadline(60, [&] { return ShapeCounts(reader.get()); }), a_counts);
+    std::unique_ptr<Database> fresh = Database::OpenFromSegment(path, &error);
+    ASSERT_NE(fresh, nullptr) << error;
+    EXPECT_EQ(ShapeCounts(fresh.get()), counts);
+  }
+  std::remove(path.c_str());
+}
+
+// Clears the fault spec on scope exit.
+struct FaultGuard {
+  ~FaultGuard() { fault::Clear(); }
+};
+
+// Temporary seal files (`path`.XXXXXX) left in the directory of `path`.
+std::vector<std::string> TempSiblings(const std::string& path) {
+  std::filesystem::path p(path);
+  const std::string prefix = p.filename().string() + ".";
+  std::vector<std::string> found;
+  for (const auto& entry : std::filesystem::directory_iterator(p.parent_path())) {
+    std::string name = entry.path().filename().string();
+    if (name.compare(0, prefix.size(), prefix) == 0) found.push_back(name);
+  }
+  return found;
+}
+
+// A seal that fails on any write returns a typed error and leaves the
+// file it would have replaced byte-identical, openable, and free of
+// temporary siblings.
+TEST(SegmentSealFaultTest, FailedSealLeavesPreviousFileIntact) {
+  FaultGuard guard;
+  ScopedEnv compress("APLUS_SEGMENT_COMPRESS", "off");
+  std::string path = TempPath("aplus_seg_fault.seg");
+  std::string error;
+  Database previous(MakeGraph(71));
+  previous.BuildPrimaryIndexes();
+  ASSERT_TRUE(previous.SealToSegment(path, &error)) << error;
+  const std::vector<uint8_t> previous_bytes = ReadFile(path);
+
+  // Topology only: the graph section is about a third of the 11 MiB file
+  // and the raw index arenas the rest. The seal writes it in 2 MiB
+  // chunks, so the write two thirds of the way through falls in the
+  // middle of the arenas.
+  Graph graph;
+  PowerLawParams params;
+  params.num_vertices = 40000;
+  params.avg_degree = 8.0;
+  params.seed = 72;
+  GeneratePowerLawGraph(params, &graph);
+  Database next(std::move(graph));
+  next.BuildPrimaryIndexes();
+
+  // A probability-0 spec never fires but counts the writes of a full seal.
+  std::string count_path = TempPath("aplus_seg_fault_count.seg");
+  ASSERT_TRUE(fault::SetSpec("seal_write:0"));
+  ASSERT_TRUE(next.SealToSegment(count_path, &error)) << error;
+  const uint64_t writes = fault::Hits(fault::kSealWrite);
+  fault::Clear();
+  std::remove(count_path.c_str());
+  ASSERT_GE(writes, 6u);
+
+  for (uint64_t nth : {uint64_t{1}, writes * 2 / 3, writes}) {
+    SCOPED_TRACE("failing write " + std::to_string(nth) + " of " + std::to_string(writes));
+    ASSERT_TRUE(fault::SetSpec(("seal_write:@" + std::to_string(nth)).c_str()));
+    error.clear();
+    EXPECT_FALSE(next.SealToSegment(path, &error));
+    EXPECT_EQ(fault::Hits(fault::kSealWrite), nth);
+    fault::Clear();
+    EXPECT_EQ(error.rfind("seal: ", 0), 0u) << error;
+    EXPECT_NE(error.find(std::strerror(EIO)), std::string::npos) << error;
+    EXPECT_TRUE(ReadFile(path) == previous_bytes);
+    std::unique_ptr<Segment> seg = OpenSegment(path, &error);
+    EXPECT_NE(seg, nullptr) << error;
+    EXPECT_EQ(TempSiblings(path), std::vector<std::string>{});
+  }
   std::remove(path.c_str());
 }
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "datagen/example_graph.h"
+#include "digest_graphs.h"
 #include "datagen/financial_props.h"
 #include "datagen/power_law_generator.h"
 #include "index/index_store.h"
@@ -75,6 +76,38 @@ TEST(SerializeTest, RoundTripGeneratedGraphAndIndexes) {
     }
   }
   std::remove(path.c_str());
+}
+
+// FNV-1a 64 digests of the APLS v1 snapshots of the two digest graphs
+// (tests/digest_graphs.h): the snapshot bytes must not move.
+TEST(SerializeTest, SnapshotBytesMatchRecordedDigestsAndRoundTrip) {
+  struct Case {
+    const char* name;
+    Graph graph;
+    uint64_t digest;
+  };
+  Case cases[] = {{"topology", MakeTopologyDigestGraph(), 0x0e0f86f3609cbcb1ULL},
+                  {"property", MakePropertyDigestGraph(), 0x3f125eeb9daa542bULL}};
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string path = TempPath("aplus_digest.bin");
+    ASSERT_TRUE(SaveGraph(c.graph, path));
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "0x%016llxULL",
+                  static_cast<unsigned long long>(Fnv1a64File(path)));
+    EXPECT_EQ(Fnv1a64File(path), c.digest) << "snapshot digest " << hex;
+
+    // Loading and saving again reproduces the same bytes.
+    Graph loaded;
+    ASSERT_TRUE(LoadGraph(path, &loaded));
+    EXPECT_EQ(loaded.num_vertices(), c.graph.num_vertices());
+    EXPECT_EQ(loaded.num_edges(), c.graph.num_edges());
+    std::string again = TempPath("aplus_digest_again.bin");
+    ASSERT_TRUE(SaveGraph(loaded, again));
+    EXPECT_EQ(Fnv1a64File(again), Fnv1a64File(path));
+    std::remove(again.c_str());
+    std::remove(path.c_str());
+  }
 }
 
 TEST(SerializeTest, RejectsGarbage) {
