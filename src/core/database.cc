@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "optimizer/plan_printer.h"
 #include "storage/segment.h"
 #include "util/env.h"
 #include "util/epoch.h"
@@ -13,12 +12,20 @@ namespace aplus {
 namespace {
 
 // The typed plan error for a pattern the subset DP cannot plan (its
-// table has 2^n entries); empty when the pattern fits.
+// table has 2^n entries, its memo index 2m(m + 1)); empty when the
+// pattern fits.
 std::string PatternSizeError(const QueryGraph& query) {
   const int n = query.num_vertices();
-  if (n >= 1 && n <= DpOptimizer::kMaxQueryVertices) return {};
-  return "pattern has " + std::to_string(n) + " query vertices; the optimizer plans 1 to " +
-         std::to_string(DpOptimizer::kMaxQueryVertices);
+  if (n < 1 || n > DpOptimizer::kMaxQueryVertices) {
+    return "pattern has " + std::to_string(n) + " query vertices; the optimizer plans 1 to " +
+           std::to_string(DpOptimizer::kMaxQueryVertices);
+  }
+  const int m = query.num_edges();
+  if (m > DpOptimizer::kMaxQueryEdges) {
+    return "pattern has " + std::to_string(m) + " query edges; the optimizer plans at most " +
+           std::to_string(DpOptimizer::kMaxQueryEdges);
+  }
+  return {};
 }
 
 // A QueryGraph as the parser would hand over a bare MATCH of it: no
@@ -379,9 +386,7 @@ std::unique_ptr<PreparedQuery> Database::PrepareParsed(ParsedCypher parsed,
     prepared->error_ = "no plan found (disconnected or unsupported query)";
     return prepared;
   }
-  prepared->plan_text_ = RenderPlanTree(
-      prepared->query_, graph_.catalog(), optimizer->last_steps(),
-      static_cast<ProjectSinkOp*>(plan->sink(0))->ChainLines());
+  prepared->steps_ = optimizer->last_outline();
   plan->SetExecContext(&prepared->controls_.token, &prepared->controls_.budget);
   prepared->plan_ = std::move(plan);
   prepared->RefreshSlots();
@@ -401,7 +406,7 @@ std::unique_ptr<PreparedQuery> Database::ClonePrepared(const PreparedQuery& src)
   clone->has_stages_ = src.has_stages_;
   clone->count_star_only_ = src.count_star_only_;
   clone->limit_ = src.limit_;
-  clone->plan_text_ = src.plan_text_;
+  clone->steps_ = src.steps_;
   clone->store_version_ = src.store_version_;
   clone->num_edges_ = src.num_edges_;
   clone->timeout_millis_ = src.timeout_millis_;

@@ -5,6 +5,7 @@
 
 #include "core/admission.h"
 #include "core/database.h"
+#include "optimizer/plan_printer.h"
 #include "util/ascii.h"
 #include "util/env.h"
 #include "util/logging.h"
@@ -70,6 +71,18 @@ bool PreparedQuery::current() const {
   // correct rows across online ingest. Plan *quality* staleness from
   // large growth is a cache policy: see stale().
   return plan_ != nullptr && store_version_ == db_->index_store().version();
+}
+
+const std::string& PreparedQuery::plan_text() const {
+  if (!plan_text_.empty() || plan_ == nullptr) return plan_text_;
+  if (!current()) {
+    // The descriptors may point into indexes DDL has since replaced.
+    plan_text_ = "(plan invalidated: indexes changed since Prepare; re-prepare)\n";
+    return plan_text_;
+  }
+  plan_text_ = RenderPlanTree(query_, db_->graph().catalog(), steps_, *plan_,
+                              static_cast<ProjectSinkOp*>(plan_->sink(0))->ChainLines());
+  return plan_text_;
 }
 
 bool PreparedQuery::stale() const {

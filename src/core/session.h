@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/plan_cache.h"
+#include "optimizer/dp_optimizer.h"
 #include "query/cypher_parser.h"
 #include "query/plan.h"
 #include "query/row_sink.h"
@@ -149,7 +150,11 @@ class PreparedQuery {
   // doubled (Database::PlanStale, the optimizer's own refresh rule).
   bool stale() const;
 
-  const std::string& plan_text() const { return plan_text_; }
+  // Figure 6-style plan rendering, made on the first call from this
+  // query's own pattern, step outline and operators (so every clone
+  // renders the same text); empty for a failed prepare. Like every member
+  // but Cancel, not thread-safe.
+  const std::string& plan_text() const;
   // Output schema: what the consumer receives per batch. For aggregate /
   // ORDER BY queries this is the post-stage schema (group keys and
   // aggregate results in RETURN order), not the projected inputs.
@@ -212,7 +217,8 @@ class PreparedQuery {
 
   std::unique_ptr<Plan> plan_;
   ExecControls controls_;  // shared with every ProjectSinkOp replica
-  std::string plan_text_;
+  std::vector<StepOutline> steps_;  // the optimizer's outline of plan_
+  mutable std::string plan_text_;   // rendered by the first plan_text()
   uint64_t store_version_ = 0;
   uint64_t num_edges_ = 0;
   int64_t timeout_millis_ = -1;  // < 0: inherit session default / env

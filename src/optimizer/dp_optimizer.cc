@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "util/logging.h"
 
@@ -74,6 +73,56 @@ struct StepRecord {
   uint32_t residual_end = 0;
 };
 
+// The combined selectivity of the conjuncts `ids`. Vertex-ID ranges
+// against constants on one variable intersect as a window [lo, hi) of
+// selectivity (hi - lo) / |V|; every other conjunct multiplies its
+// precomputed selectivity, in order. The windows multiply last, the
+// variable that appears first multiplied last.
+double CombinedSelectivity(const Graph& graph, const std::vector<QueryComparison>& conjuncts,
+                           const std::vector<ConjunctInfo>& info, const std::vector<int>& ids) {
+  double selectivity = 1.0;
+  for (int c : ids) {
+    if (!info[c].id_range) selectivity *= info[c].selectivity;
+  }
+  const double nv = std::max<double>(1.0, static_cast<double>(graph.num_vertices()));
+  auto in_window = [&](size_t j, int var) {
+    return info[ids[j]].id_range && conjuncts[ids[j]].lhs.var == var;
+  };
+  for (size_t i = ids.size(); i-- > 0;) {
+    if (!info[ids[i]].id_range) continue;
+    const int var = conjuncts[ids[i]].lhs.var;
+    bool seen_before = false;
+    for (size_t j = 0; j < i && !seen_before; ++j) seen_before = in_window(j, var);
+    if (seen_before) continue;
+    double lo = 0.0;
+    double hi = nv;
+    for (size_t j = i; j < ids.size(); ++j) {
+      if (!in_window(j, var)) continue;
+      const QueryComparison& cmp = conjuncts[ids[j]];
+      double bound = static_cast<double>(cmp.rhs_const.AsInt64());
+      switch (cmp.op) {
+        case CmpOp::kLt:
+          hi = std::min(hi, bound);
+          break;
+        case CmpOp::kLe:
+          hi = std::min(hi, bound + 1.0);
+          break;
+        case CmpOp::kGt:
+          lo = std::max(lo, bound + 1.0);
+          break;
+        case CmpOp::kGe:
+          lo = std::max(lo, bound);
+          break;
+        default:
+          break;
+      }
+    }
+    double width = std::max(0.0, hi - lo);
+    selectivity *= std::min(1.0, std::max(width / nv, 1.0 / nv));
+  }
+  return selectivity;
+}
+
 }  // namespace
 
 double EstimateSelectivity(const Graph& graph, const QueryComparison& cmp) {
@@ -127,51 +176,51 @@ double EstimateSelectivity(const Graph& graph, const QueryComparison& cmp) {
   }
 }
 
-double EstimateCombinedSelectivity(const Graph& graph,
-                                   const std::vector<QueryComparison>& conjuncts) {
-  double nv = std::max<double>(1.0, static_cast<double>(graph.num_vertices()));
-  // Per-variable ID windows [lo, hi).
-  struct Window {
-    double lo = 0.0;
-    double hi = -1.0;  // -1 = unset (defaults to nv)
-  };
-  std::unordered_map<int, Window> windows;
-  double selectivity = 1.0;
-  for (const QueryComparison& cmp : conjuncts) {
-    if (!IsVertexIdRange(cmp)) {
-      selectivity *= EstimateSelectivity(graph, cmp);
-      continue;
-    }
-    Window& w = windows[cmp.lhs.var];
-    if (w.hi < 0.0) w.hi = nv;
-    double bound = static_cast<double>(cmp.rhs_const.AsInt64());
-    switch (cmp.op) {
-      case CmpOp::kLt:
-        w.hi = std::min(w.hi, bound);
-        break;
-      case CmpOp::kLe:
-        w.hi = std::min(w.hi, bound + 1.0);
-        break;
-      case CmpOp::kGt:
-        w.lo = std::max(w.lo, bound + 1.0);
-        break;
-      case CmpOp::kGe:
-        w.lo = std::max(w.lo, bound);
-        break;
-      default:
-        break;
-    }
-  }
-  for (const auto& [var, w] : windows) {
-    (void)var;
-    double width = std::max(0.0, w.hi - w.lo);
-    selectivity *= std::min(1.0, std::max(width / nv, 1.0 / nv));
-  }
-  return selectivity;
-}
+// The per-call working state of Optimize. Every vector keeps its
+// capacity across calls, so a warm optimizer plans without growing them.
+struct DpOptimizer::Scratch {
+  std::vector<ConjunctInfo> info;
+  std::vector<DpEntry> table;
+  // Access-path sort requirements, by slot: none, neighbour ID (E/I
+  // intersections), then one per MULTI-EXTEND key.
+  std::vector<SortCriterion> sorts;
+  // MULTI-EXTEND keys, and per key the union-find components of every
+  // query vertex: comp[k * n + v] is v's component under keys[k].
+  std::vector<prop_key_t> keys;
+  std::vector<int> comp;
+  // Step arena: the DP table stores only costs and parent links; each
+  // improving transition appends one record whose lists and residual
+  // conjuncts are ranges of `step_lists` / `step_residual`.
+  std::vector<StepRecord> records;
+  std::vector<int> step_lists;     // indices into `pool`
+  std::vector<int> step_residual;  // conjunct ids
+  // The transition under evaluation.
+  std::vector<int> picked;    // chosen access path per extended edge
+  std::vector<int> covered;   // conjunct ids the chosen lists guarantee
+  std::vector<int> residual;  // conjunct ids left to filter
+  std::vector<int> conn;      // query edges from the bound set to a target
+  ExtensionPredicate ext;
+  // Candidate memo. The cheapest access path for extending along query
+  // edge `qe_id` to `target` depends on the bound set only through which
+  // EP bound edge `eb_id` it pairs with (-1: vertex-bound lists), so each
+  // (qe_id, target, eb_id) group is matched against the INDEX STORE once
+  // per call. `group_of` maps a group to its offset in `best`, which
+  // holds one `pool` index per sort slot (or kNoCandidate).
+  CandidateScratch pool;
+  std::vector<int> group_of;
+  std::vector<int> best;
+  // The winning plan's step records, scan first.
+  std::vector<int> chain;
+  const QueryGraph* query = nullptr;  // the last Optimize's, for last_steps()
+};
 
 DpOptimizer::DpOptimizer(const Graph* graph, const IndexStore* store)
-    : graph_(graph), store_(store), stats_(GraphStats::Compute(*graph)) {}
+    : graph_(graph),
+      store_(store),
+      stats_(GraphStats::Compute(*graph)),
+      scratch_(std::make_unique<Scratch>()) {}
+
+DpOptimizer::~DpOptimizer() = default;
 
 std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
                                             std::unique_ptr<Operator> sink) {
@@ -179,11 +228,18 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
   const int num_edges = query.num_edges();
   APLUS_CHECK_GT(n, 0);
   APLUS_CHECK_LE(n, kMaxQueryVertices) << "query too large for the subset DP";
+  APLUS_CHECK_LE(num_edges, kMaxQueryEdges) << "query too large for the subset DP";
+  Scratch& s = *scratch_;
+  s.query = &query;
+  s.chain.clear();
+  last_outline_.clear();
+  last_steps_valid_ = false;
+  last_match_lookups_ = 0;
   IndexMatcher matcher(store_, &stats_);
   const auto& conjuncts = query.predicates();
   const int num_conjuncts = static_cast<int>(conjuncts.size());
-  std::vector<ConjunctInfo> info;
-  info.reserve(conjuncts.size());
+  std::vector<ConjunctInfo>& info = s.info;
+  info.clear();
   for (const QueryComparison& cmp : conjuncts) {
     ConjunctInfo ci;
     ci.mask = ConjunctVertexMask(query, cmp);
@@ -192,13 +248,13 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
     info.push_back(ci);
   }
   const uint32_t full = (1u << n) - 1;
-  std::vector<DpEntry> table(static_cast<size_t>(full) + 1);
+  std::vector<DpEntry>& table = s.table;
+  table.assign(static_cast<size_t>(full) + 1, DpEntry());
 
-  // Access-path sort requirements, by slot: none, neighbour ID (E/I
-  // intersections), then one per MULTI-EXTEND key.
   constexpr int kNoSort = 0;
   constexpr int kNbrIdSort = 1;
-  std::vector<SortCriterion> sorts(2);
+  std::vector<SortCriterion>& sorts = s.sorts;
+  sorts.assign(2, SortCriterion{});
   sorts[kNbrIdSort] = SortCriterion{SortSource::kNbrId, kInvalidPropKey};
 
   // MULTI-EXTEND keys: vertex properties related by an equality between
@@ -206,13 +262,15 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
   // vertices is computed once: chained equalities (a1.city = a2.city =
   // a3.city, MF2) transitively connect eligible members even when the
   // middle vertex is already bound.
-  std::vector<prop_key_t> keys;
+  std::vector<prop_key_t>& keys = s.keys;
+  keys.clear();
   for (const QueryComparison& cmp : conjuncts) {
     if (IsVertexPropEquality(cmp)) keys.push_back(cmp.lhs.key);
   }
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  std::vector<int> comp(keys.size() * n);  // comp[k * n + v]: v's component under keys[k]
+  std::vector<int>& comp = s.comp;
+  comp.assign(keys.size() * n, 0);
   for (size_t k = 0; k < keys.size(); ++k) {
     int* root = &comp[k * n];
     for (int v = 0; v < n; ++v) root[v] = v;
@@ -228,18 +286,18 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
     for (int v = 0; v < n; ++v) root[v] = find(v);
     sorts.push_back(SortCriterion{SortSource::kNbrProp, keys[k]});
   }
+  const int num_slots = static_cast<int>(sorts.size());
 
-  // Per-call step arena: the DP table stores only costs and parent
-  // links; each improving transition appends one record whose lists and
-  // residual conjuncts are ranges of `step_lists` / `step_residual`.
-  std::vector<StepRecord> records;
-  std::vector<int> step_lists;     // indices into `cands`
-  std::vector<int> step_residual;  // conjunct ids
-  // Scratch of the transition under evaluation.
-  std::vector<int> picked;    // chosen access path per extended edge
-  std::vector<int> covered;   // conjunct ids the chosen lists guarantee
-  std::vector<int> residual;  // conjunct ids left to filter
-  std::vector<int> conn;      // query edges from the bound set to a target
+  std::vector<StepRecord>& records = s.records;
+  std::vector<int>& step_lists = s.step_lists;
+  std::vector<int>& step_residual = s.step_residual;
+  std::vector<int>& picked = s.picked;
+  std::vector<int>& covered = s.covered;
+  std::vector<int>& residual = s.residual;
+  std::vector<int>& conn = s.conn;
+  records.clear();
+  step_lists.clear();
+  step_residual.clear();
 
   // Conjuncts that become evaluable when moving prev -> now, excluding
   // those in `covered`: a conjunct is applied exactly once, at the first
@@ -257,19 +315,8 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
       residual.push_back(c);
     }
   };
-  // EstimateCombinedSelectivity of the residual conjuncts: the product of
-  // the precomputed per-conjunct selectivities, in the same order, unless
-  // a vertex-ID window needs the exact intersection.
   auto residual_selectivity = [&]() {
-    for (int c : residual) {
-      if (!info[c].id_range) continue;
-      std::vector<QueryComparison> preds;
-      for (int r : residual) preds.push_back(conjuncts[r]);
-      return EstimateCombinedSelectivity(*graph_, preds);
-    }
-    double selectivity = 1.0;
-    for (int c : residual) selectivity *= info[c].selectivity;
-    return selectivity;
+    return CombinedSelectivity(*graph_, conjuncts, info, residual);
   };
   // Keeps the transition mask -> now if it beats table[now]: lower
   // i-cost, then lower cardinality; the first of equals wins.
@@ -313,7 +360,7 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
   // Builds the ExtensionPredicate for extending along query edge `qe_id`
   // towards vertex `target`, optionally pairing with bound edge `eb_id`
   // (for EP lists; -1 otherwise), into the reused `ext`.
-  ExtensionPredicate ext;
+  ExtensionPredicate& ext = s.ext;
   auto build_ext_pred = [&](int qe_id, int target, int eb_id) {
     ext.pred.Clear();
     ext.query_conjunct_ids.clear();
@@ -360,6 +407,47 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
     }
   };
 
+  // A $param range conjunct (<, <=, >, >=, =) on the first sort key of a
+  // list whose targets are set: the conjuncts fold_param_range_bounds
+  // may turn into bounds.
+  auto param_range_on_sort_key = [&](const QueryComparison& cmp, const CandidateList& c,
+                                     const SortCriterion& sort) {
+    if (cmp.rhs_param < 0 || !cmp.rhs_is_const) return false;
+    switch (cmp.op) {
+      case CmpOp::kLt:
+      case CmpOp::kLe:
+      case CmpOp::kGt:
+      case CmpOp::kGe:
+      case CmpOp::kEq:
+        break;
+      default:
+        return false;
+    }
+    switch (sort.source) {
+      case SortSource::kEdgeProp:
+        return cmp.lhs.is_edge && cmp.lhs.var == c.desc.target_edge_var && !cmp.lhs.is_id &&
+               cmp.lhs.key == sort.key;
+      case SortSource::kNbrProp:
+        return !cmp.lhs.is_edge && cmp.lhs.var == c.desc.target_vertex_var && !cmp.lhs.is_id &&
+               cmp.lhs.key == sort.key;
+      case SortSource::kNbrId:
+        return !cmp.lhs.is_edge && cmp.lhs.var == c.desc.target_vertex_var && cmp.lhs.is_id;
+      default:
+        return false;
+    }
+  };
+  // True when a literal or $param range conjunct bounds the candidate
+  // under no sort requirement.
+  auto has_range_bound = [&](const CandidateList& c) {
+    if (!c.allow_range_bounds) return false;
+    if (IndexMatcher::HasSortKeyBound(ext, c)) return true;
+    const std::vector<SortCriterion>& list_sorts = c.desc.sorts();
+    if (list_sorts.empty()) return false;
+    for (const QueryComparison& cmp : conjuncts) {
+      if (param_range_on_sort_key(cmp, c, list_sorts.front())) return true;
+    }
+    return false;
+  };
   // Folds $param range conjuncts on the candidate's first sort key into
   // bind-time-patched descriptor bounds (ParamSlots::RangeSlot). A
   // $param has no constant at plan time, so it can never certify
@@ -369,31 +457,13 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
   // (the MagicRecs time-window parameter, Section V-C1). The folded
   // conjunct is marked covered and leaves the residual set.
   auto fold_param_range_bounds = [&](CandidateList* c) {
-    if (!c->allow_param_range_bounds) return;
-    const std::vector<SortCriterion>& sorts = c->desc.sorts();
-    if (sorts.empty()) return;
-    const SortCriterion& sort = sorts.front();
+    if (!c->allow_range_bounds) return;
+    const std::vector<SortCriterion>& list_sorts = c->desc.sorts();
+    if (list_sorts.empty()) return;
+    const SortCriterion& sort = list_sorts.front();
     for (size_t qc = 0; qc < conjuncts.size(); ++qc) {
       const QueryComparison& cmp = conjuncts[qc];
-      if (cmp.rhs_param < 0 || !cmp.rhs_is_const) continue;
-      bool matches = false;
-      switch (sort.source) {
-        case SortSource::kEdgeProp:
-          matches = cmp.lhs.is_edge && cmp.lhs.var == c->desc.target_edge_var &&
-                    !cmp.lhs.is_id && cmp.lhs.key == sort.key;
-          break;
-        case SortSource::kNbrProp:
-          matches = !cmp.lhs.is_edge && cmp.lhs.var == c->desc.target_vertex_var &&
-                    !cmp.lhs.is_id && cmp.lhs.key == sort.key;
-          break;
-        case SortSource::kNbrId:
-          matches = !cmp.lhs.is_edge && cmp.lhs.var == c->desc.target_vertex_var &&
-                    cmp.lhs.is_id;
-          break;
-        default:
-          break;
-      }
-      if (!matches) continue;
+      if (!param_range_on_sort_key(cmp, *c, sort)) continue;
       // One param bound per side; literal bounds installed by the
       // matcher keep priority (the extra conjunct stays residual).
       bool folded = false;
@@ -442,33 +512,37 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
     }
   };
 
-  // Candidate memo. The cheapest access path for extending along query
-  // edge `qe_id` to `target` under a sort requirement depends on the
-  // bound set only through which EP bound edge `eb_id` it pairs with
-  // (-1: vertex-bound lists), so each (qe_id, target, eb_id, sort)
-  // group is matched against the INDEX STORE once per call; `memo`
-  // holds its first strictly cheapest candidate's index in `cands`, or
-  // kNoCandidate. `found` is the matcher's reused output.
+  // Matches group (qe_id, target, eb_id) on its first use: one lookup
+  // returns every usable list, and each sort slot keeps its first strict
+  // minimum of est_len among the lists that serve it. A list sorted on
+  // its first key also serves the no-sort slot with its range conjuncts
+  // turned into bounds; when a sorted slot took the unbounded list, the
+  // bounded one is a second pool entry. Returns the group's offset in
+  // `best`.
   constexpr int kUnmatched = -2;
   constexpr int kNoCandidate = -1;
-  std::vector<CandidateList> cands;
-  CandidateScratch found;
-  std::vector<int> memo(static_cast<size_t>(num_edges) * 2 * (num_edges + 1) * sorts.size(),
-                        kUnmatched);
-  auto match_group = [&](int qe_id, int target, int eb_id, int sort) -> int {
+  CandidateScratch& pool = s.pool;
+  std::vector<int>& best = s.best;
+  pool.Clear();
+  best.clear();
+  s.group_of.assign(static_cast<size_t>(num_edges) * 2 * (num_edges + 1), kUnmatched);
+  auto match_group = [&](int qe_id, int target, int eb_id) -> int {
     const QueryEdge& qe = query.edge(qe_id);
-    int& slot = memo[((static_cast<size_t>(qe_id) * 2 + (qe.to == target)) * (num_edges + 1) +
-                      (eb_id + 1)) *
-                         sorts.size() +
-                     sort];
-    if (slot != kUnmatched) return slot;
-    int pivot = qe.from == target ? qe.to : qe.from;
-    Direction dir = qe.from == pivot ? Direction::kFwd : Direction::kBwd;
-    label_t nbr_label = query.vertex(target).label;
-    const SortCriterion* required_sort = sort == kNoSort ? nullptr : &sorts[sort];
+    int& group = s.group_of[(static_cast<size_t>(qe_id) * 2 + (qe.to == target)) *
+                                (num_edges + 1) +
+                            (eb_id + 1)];
+    if (group != kUnmatched) return group;
+    group = static_cast<int>(best.size());
+    best.resize(best.size() + num_slots, kNoCandidate);
+    int* slot_best = &best[group];
+    const int pivot = qe.from == target ? qe.to : qe.from;
+    const Direction dir = qe.from == pivot ? Direction::kFwd : Direction::kBwd;
+    const label_t nbr_label = query.vertex(target).label;
     build_ext_pred(qe_id, target, eb_id);
+    const size_t first = pool.size();
+    ++last_match_lookups_;
     if (eb_id < 0) {
-      matcher.FindVertexLists(dir, qe.label, nbr_label, ext, required_sort, &found);
+      matcher.FindVertexLists(dir, qe.label, nbr_label, ext, &pool);
     } else {
       const QueryEdge& eb = query.edge(eb_id);
       EpKind kind;
@@ -477,44 +551,73 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
       } else {
         kind = dir == Direction::kFwd ? EpKind::kSrcBwd : EpKind::kSrcFwd;
       }
-      matcher.FindEdgeLists(kind, qe.label, nbr_label, ext, required_sort, &found);
+      matcher.FindEdgeLists(kind, qe.label, nbr_label, ext, &pool);
     }
-    vertex_id_t target_bound = query.vertex(target).bound;
-    size_t best = 0;
-    for (size_t i = 0; i < found.size(); ++i) {
-      CandidateList& c = found[i];
-      c.desc.bound_var = eb_id < 0 ? pivot : eb_id;
-      c.desc.target_vertex_var = target;
-      c.desc.target_edge_var = qe_id;
-      c.desc.target_bound = target_bound;
-      if (target_bound != kInvalidVertex) c.est_out = std::min(c.est_out, 1.0);
-      fold_param_range_bounds(&c);
-      if (c.est_len < found[best].est_len) best = i;
+    const size_t end = pool.size();
+    const vertex_id_t target_bound = query.vertex(target).bound;
+    // A pinned target passes at most one entry of any list.
+    auto clamp_to_pin = [&](CandidateList* c) {
+      if (target_bound != kInvalidVertex) c->est_out = std::min(c->est_out, 1.0);
+    };
+    auto keep_if_cheaper = [&](int slot, size_t i) {
+      if (slot_best[slot] == kNoCandidate || pool[i].est_len < pool[slot_best[slot]].est_len) {
+        slot_best[slot] = static_cast<int>(i);
+        return true;
+      }
+      return false;
+    };
+    for (size_t i = first; i < end; ++i) {
+      ListDescriptor& desc = pool[i].desc;
+      desc.bound_var = eb_id < 0 ? pivot : eb_id;
+      desc.target_vertex_var = target;
+      desc.target_edge_var = qe_id;
+      desc.target_bound = target_bound;
+      bool taken = false;
+      for (int slot = kNoSort + 1; slot < num_slots; ++slot) {
+        if (IndexMatcher::ServesSort(pool[i], &sorts[slot])) taken |= keep_if_cheaper(slot, i);
+      }
+      if (!has_range_bound(pool[i])) {
+        clamp_to_pin(&pool[i]);
+        keep_if_cheaper(kNoSort, i);
+        continue;
+      }
+      // The no-sort slot takes the list with its range conjuncts as
+      // bounds: in place, unless a sorted slot took the unbounded list.
+      size_t bounded = i;
+      if (taken) {
+        bounded = pool.size();
+        pool.AddAccessPathOf(i);
+      }
+      IndexMatcher::ApplySortKeyBounds(ext, &pool[bounded]);
+      clamp_to_pin(&pool[bounded]);
+      if (bounded != i) clamp_to_pin(&pool[i]);
+      fold_param_range_bounds(&pool[bounded]);
+      keep_if_cheaper(kNoSort, bounded);
     }
-    if (found.empty()) return slot = kNoCandidate;
-    cands.push_back(found[best]);  // a copy: `found` keeps its capacity
-    return slot = static_cast<int>(cands.size()) - 1;
+    return group;
   };
   // The cheapest access path for extending along `qe_id` from bound set
-  // `mask` to `target`: vertex-bound lists first, then the EP lists of
-  // every bound query edge incident to the pivot by ascending id; the
-  // first strict minimum of est_len wins. kNoCandidate when none exists.
+  // `mask` to `target` under sort slot `sort`: vertex-bound lists first,
+  // then the EP lists of every bound query edge incident to the pivot by
+  // ascending id; the first strict minimum of est_len wins. kNoCandidate
+  // when none exists.
   auto best_candidate = [&](uint32_t mask, int qe_id, int target, int sort) -> int {
     const QueryEdge& qe = query.edge(qe_id);
     int pivot = qe.from == target ? qe.to : qe.from;
-    int best = match_group(qe_id, target, -1, sort);
+    int winner = best[match_group(qe_id, target, -1) + sort];
     for (int eb_id = 0; eb_id < num_edges; ++eb_id) {
       if (eb_id == qe_id) continue;
       const QueryEdge& eb = query.edge(eb_id);
       bool bound = ((mask >> eb.from) & 1) && ((mask >> eb.to) & 1);
       if (!bound) continue;
       if (eb.from != pivot && eb.to != pivot) continue;
-      int c = match_group(qe_id, target, eb_id, sort);
-      if (c != kNoCandidate && (best == kNoCandidate || cands[c].est_len < cands[best].est_len)) {
-        best = c;
+      int c = best[match_group(qe_id, target, eb_id) + sort];
+      if (c != kNoCandidate &&
+          (winner == kNoCandidate || pool[c].est_len < pool[winner].est_len)) {
+        winner = c;
       }
     }
-    return best;
+    return winner;
   };
   // Picks one access path per (edge, target) pair into `picked`,
   // accumulating covered conjuncts, the summed list length (i-cost) and
@@ -531,11 +634,12 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
   auto pick = [&](uint32_t mask, int qe_id, int target, int sort) {
     int c = best_candidate(mask, qe_id, target, sort);
     if (c == kNoCandidate) return false;
-    const CandidateList& best = cands[c];
+    const CandidateList& chosen = pool[c];
     picked.push_back(c);
-    covered.insert(covered.end(), best.covered_conjuncts.begin(), best.covered_conjuncts.end());
-    sum_len += best.est_len;
-    prod_len *= std::max(best.est_out, 1e-9);
+    covered.insert(covered.end(), chosen.covered_conjuncts.begin(),
+                   chosen.covered_conjuncts.end());
+    sum_len += chosen.est_len;
+    prod_len *= std::max(chosen.est_out, 1e-9);
     return true;
   };
 
@@ -671,68 +775,90 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
   }
 
   const DpEntry& winner = table[full];
+  last_match_groups_ = static_cast<int>(best.size()) / num_slots;
   if (winner.step < 0) return nullptr;
   last_cost_ = winner.icost;
-  // Rebuild the winning step chain from the parent links.
-  int chain[kMaxQueryVertices] = {};
-  int chain_len = 0;
+  // The winning step chain from the parent links, scan first; each
+  // chosen descriptor is copied once, into its operator.
   for (uint32_t mask = full; mask != 0; mask = table[mask].parent) {
-    chain[chain_len++] = table[mask].step;
+    s.chain.push_back(table[mask].step);
   }
-  last_steps_.clear();
-  last_steps_.reserve(chain_len);
-  for (int i = chain_len - 1; i >= 0; --i) {
-    const StepRecord& record = records[chain[i]];
-    PlanStep step;
-    step.kind = record.kind;
-    step.scan_var = record.scan_var;
-    step.target_var = record.target_var;
-    step.lists.reserve(record.lists_end - record.lists_begin);
-    step.residual.reserve(record.residual_end - record.residual_begin);
-    for (uint32_t j = record.lists_begin; j < record.lists_end; ++j) {
-      step.lists.push_back(cands[step_lists[j]].desc);
-    }
-    for (uint32_t j = record.residual_begin; j < record.residual_end; ++j) {
-      step.residual.push_back(conjuncts[step_residual[j]]);
-    }
-    last_steps_.push_back(std::move(step));
-  }
-
+  std::reverse(s.chain.begin(), s.chain.end());
   PlanBuilder builder(graph_, &query);
-  for (const PlanStep& step : last_steps_) {
-    switch (step.kind) {
+  for (int step : s.chain) {
+    const StepRecord& record = records[step];
+    const uint32_t num_lists = record.lists_end - record.lists_begin;
+    std::vector<QueryComparison> step_residuals;
+    step_residuals.reserve(record.residual_end - record.residual_begin);
+    for (uint32_t j = record.residual_begin; j < record.residual_end; ++j) {
+      step_residuals.push_back(conjuncts[step_residual[j]]);
+    }
+    last_outline_.push_back(StepOutline{record.kind, record.scan_var, num_lists,
+                                        static_cast<uint32_t>(step_residuals.size())});
+    auto list = [&](uint32_t j) -> const ListDescriptor& {
+      return pool[step_lists[record.lists_begin + j]].desc;
+    };
+    auto list_vector = [&] {
+      std::vector<ListDescriptor> lists;
+      lists.reserve(num_lists);
+      for (uint32_t j = 0; j < num_lists; ++j) lists.push_back(list(j));
+      return lists;
+    };
+    switch (record.kind) {
       case PlanStep::Kind::kScan:
-        builder.Scan(step.scan_var, step.residual);
+        builder.Scan(record.scan_var, std::move(step_residuals));
         break;
       case PlanStep::Kind::kExtend:
-        builder.Extend(step.lists.front(), step.residual);
+        builder.Extend(list(0), std::move(step_residuals));
         break;
-      case PlanStep::Kind::kExtendVerify: {
+      case PlanStep::Kind::kExtendVerify:
         // Residuals run on the last probe, when every edge is bound.
-        builder.Extend(step.lists.front(), {});
-        for (size_t i = 1; i < step.lists.size(); ++i) {
-          bool last = i + 1 == step.lists.size();
-          builder.Extend(step.lists[i], last ? step.residual : std::vector<QueryComparison>{},
+        builder.Extend(list(0), {});
+        for (uint32_t j = 1; j < num_lists; ++j) {
+          bool last = j + 1 == num_lists;
+          builder.Extend(list(j),
+                         last ? std::move(step_residuals) : std::vector<QueryComparison>{},
                          /*closing=*/true);
         }
-        if (step.lists.size() == 1) builder.Filter(step.residual);
+        if (num_lists == 1) builder.Filter(std::move(step_residuals));
         break;
-      }
       case PlanStep::Kind::kExtendIntersect:
-        builder.ExtendIntersect(step.lists, step.target_var, step.residual);
+        builder.ExtendIntersect(list_vector(), record.target_var, std::move(step_residuals));
         break;
       case PlanStep::Kind::kMultiExtend:
-        builder.MultiExtend(step.lists, step.residual);
+        builder.MultiExtend(list_vector(), std::move(step_residuals));
         break;
     }
   }
   return sink != nullptr ? builder.BuildWithSink(std::move(sink)) : builder.Build();
 }
 
-std::string DpOptimizer::DescribeSteps(const QueryGraph& query) const {
+const std::vector<PlanStep>& DpOptimizer::last_steps() {
+  if (last_steps_valid_) return last_steps_;
+  const Scratch& s = *scratch_;
+  last_steps_.clear();
+  for (int index : s.chain) {
+    const StepRecord& record = s.records[index];
+    PlanStep step;
+    step.kind = record.kind;
+    step.scan_var = record.scan_var;
+    step.target_var = record.target_var;
+    for (uint32_t j = record.lists_begin; j < record.lists_end; ++j) {
+      step.lists.push_back(s.pool[s.step_lists[j]].desc);
+    }
+    for (uint32_t j = record.residual_begin; j < record.residual_end; ++j) {
+      step.residual.push_back(s.query->predicates()[s.step_residual[j]]);
+    }
+    last_steps_.push_back(std::move(step));
+  }
+  last_steps_valid_ = true;
+  return last_steps_;
+}
+
+std::string DpOptimizer::DescribeSteps(const QueryGraph& query) {
   std::string out;
   const Catalog& catalog = graph_->catalog();
-  for (const PlanStep& step : last_steps_) {
+  for (const PlanStep& step : last_steps()) {
     switch (step.kind) {
       case PlanStep::Kind::kScan:
         out += "Scan " + query.vertex(step.scan_var).name;

@@ -13,8 +13,8 @@
 
 namespace aplus {
 
-// One logical step of an enumerated plan; the optimizer materializes the
-// winning step sequence into a physical operator pipeline at the end.
+// One logical step of an enumerated plan, in the full form tests and
+// DescribeSteps inspect (DpOptimizer::last_steps).
 struct PlanStep {
   // kExtendVerify: binary-join fallback when no (effectively) sorted
   // lists exist for a multi-edge extension — extend along lists[0], then
@@ -29,6 +29,16 @@ struct PlanStep {
   std::vector<QueryComparison> residual;
 };
 
+// What the plan printer needs of one chosen step beside its lists: the
+// lists themselves are the next `num_lists` descriptors of the built
+// plan's operators (Operator::lists), in step order.
+struct StepOutline {
+  PlanStep::Kind kind = PlanStep::Kind::kScan;
+  int scan_var = -1;
+  uint32_t num_lists = 0;
+  uint32_t num_residual = 0;
+};
+
 // The DP join optimizer of Section IV-A: enumerates sub-queries one query
 // vertex at a time, considering (i) E/I extensions over every index the
 // INDEX STORE can supply with subsuming predicates, and (ii) MULTI-EXTEND
@@ -41,48 +51,72 @@ struct PlanStep {
 // bound sets and, from each reachable one, every one-vertex E/I
 // extension and every MULTI-EXTEND group: O(2^n * n * (m + c)) work over
 // a table of 2^n 24-byte entries. Access paths are matched against the
-// INDEX STORE once per (edge, target, EP bound edge, sort) and memoized
-// for the call, so the matcher's cost does not scale with 2^n.
+// INDEX STORE once per (edge, target, EP bound edge) group the DP
+// touches; that one lookup serves every sort requirement, so the
+// matcher's cost does not scale with 2^n or with the number of sort
+// keys.
+//
+// The per-call working state (DP table, candidate pool, memo, step
+// records) lives in the optimizer and keeps its capacity across calls,
+// so one optimizer must not run two Optimize calls at once (Database
+// serializes them under its prepare mutex).
 class DpOptimizer {
  public:
   // The largest pattern the subset DP plans (its table has 2^n entries,
   // 24 MB at n = 20). Callers reject larger patterns with a typed error
   // before calling Optimize.
   static constexpr int kMaxQueryVertices = 20;
+  // The most query edges it plans: the memo's group index has
+  // 2 * m * (m + 1) entries (33K at m = 128), and each E/I step scans
+  // every edge. Callers reject larger patterns the same way.
+  static constexpr int kMaxQueryEdges = 128;
 
   DpOptimizer(const Graph* graph, const IndexStore* store);
+  ~DpOptimizer();
 
   // Returns the lowest-i-cost plan, or nullptr if the query graph is
   // disconnected / unsupported. `sink` replaces the default counting
   // SinkOp as the pipeline's terminal operator when non-null (the
   // serving layer passes a ProjectSinkOp). Requires 1 <= n <=
-  // kMaxQueryVertices query vertices.
+  // kMaxQueryVertices query vertices and at most kMaxQueryEdges edges.
   std::unique_ptr<Plan> Optimize(const QueryGraph& query,
                                  std::unique_ptr<Operator> sink = nullptr);
 
-  // Introspection for tests and the plan printer.
-  const std::vector<PlanStep>& last_steps() const { return last_steps_; }
+  // The last plan's steps as the plan printer renders them (with the
+  // plan's operators), valid until the next Optimize.
+  const std::vector<StepOutline>& last_outline() const { return last_outline_; }
   double last_cost() const { return last_cost_; }
-  std::string DescribeSteps(const QueryGraph& query) const;
+  // IndexMatcher lookups the last Optimize made, and the distinct
+  // (edge, target, EP bound edge) groups it asked for: one lookup per
+  // group.
+  int last_match_lookups() const { return last_match_lookups_; }
+  int last_match_groups() const { return last_match_groups_; }
+
+  // Introspection for tests: the last plan's steps with copies of their
+  // list descriptors and residual conjuncts, materialized on the first
+  // call after Optimize from its working state and its query (which must
+  // still be alive); valid until the next Optimize.
+  const std::vector<PlanStep>& last_steps();
+  std::string DescribeSteps(const QueryGraph& query);
 
  private:
+  struct Scratch;
+
   const Graph* graph_;
   const IndexStore* store_;
   GraphStats stats_;
+  std::unique_ptr<Scratch> scratch_;
+  std::vector<StepOutline> last_outline_;
   std::vector<PlanStep> last_steps_;
+  bool last_steps_valid_ = false;
   double last_cost_ = 0.0;
+  int last_match_lookups_ = 0;
+  int last_match_groups_ = 0;
 };
 
 // Rough selectivity of one residual conjunct, used by cardinality
 // estimation.
 double EstimateSelectivity(const Graph& graph, const QueryComparison& cmp);
-
-// Combined selectivity of a conjunct set. Vertex-ID range conjuncts on
-// the same variable are intersected exactly (a window [lo, hi) has
-// selectivity (hi - lo) / |V|, not the product of its two bounds);
-// everything else multiplies independently.
-double EstimateCombinedSelectivity(const Graph& graph,
-                                   const std::vector<QueryComparison>& conjuncts);
 
 }  // namespace aplus
 

@@ -6,18 +6,11 @@ namespace aplus {
 
 namespace {
 
-// If the candidate list is sorted on a property and the extension
-// predicate contains a constant range comparison on that property, turn
-// it into a binary-searchable bound on the descriptor (Section III-A2 /
-// V-C1: sorted lists replace per-edge predicate evaluation). Marks the
-// consumed conjuncts as covered. Only valid on innermost sublists, where
-// the sort order actually holds.
-void ApplySortKeyBounds(const IndexConfig& config, const ExtensionPredicate& ext_pred,
-                        CandidateList* candidate) {
-  if (config.sorts.empty()) return;
-  const SortCriterion& sort = config.sorts.front();
+// The descriptor bound `cmp` puts on a list whose first sort criterion is
+// `sort`: true, with the encoded bound value, when `cmp` is a constant
+// range comparison (<, <=, >, >=, =) on the sort key.
+bool SortKeyBound(const SortCriterion& sort, const Comparison& cmp, int64_t* bound) {
   PropSite site;
-  prop_key_t key = sort.key;
   bool is_id = false;
   switch (sort.source) {
     case SortSource::kEdgeProp:
@@ -31,29 +24,136 @@ void ApplySortKeyBounds(const IndexConfig& config, const ExtensionPredicate& ext
       is_id = true;
       break;
     default:
-      return;
+      return false;
   }
+  if (!cmp.rhs_is_const || cmp.lhs.site != site || cmp.lhs.is_label) return false;
+  if (is_id != cmp.lhs.is_id) return false;
+  if (!is_id && cmp.lhs.key != sort.key) return false;
+  if (cmp.rhs_const.is_null()) return false;
+  switch (cmp.op) {
+    case CmpOp::kLt:
+    case CmpOp::kLe:
+    case CmpOp::kGt:
+    case CmpOp::kGe:
+    case CmpOp::kEq:
+      break;
+    default:
+      return false;
+  }
+  switch (cmp.rhs_const.type()) {
+    case ValueType::kInt64:
+    case ValueType::kCategory:
+    case ValueType::kBool:
+      *bound = cmp.rhs_const.AsInt64();
+      return true;
+    case ValueType::kDouble:
+      *bound = EncodeDoubleSortKey(cmp.rhs_const.AsDouble());
+      return true;
+    default:
+      return false;
+  }
+}
+
+// Conjuncts of ext_pred guaranteed by the index view predicate, i.e.
+// implied back by some index conjunct.
+void CollectGuaranteed(const Predicate& index_pred, const ExtensionPredicate& ext_pred,
+                       std::vector<int>* covered) {
+  const auto& conjuncts = ext_pred.pred.conjuncts();
+  for (size_t q = 0; q < conjuncts.size(); ++q) {
+    for (const Comparison& ic : index_pred.conjuncts()) {
+      if (ConjunctImplies(ic, conjuncts[q])) {
+        covered->push_back(ext_pred.query_conjunct_ids[q]);
+        break;
+      }
+    }
+  }
+}
+
+}  // namespace
+
+void CandidateScratch::AssignAccessPath(const CandidateList& from, CandidateList* to) {
+  ListDescriptor& desc = to->desc;
+  const ListDescriptor& src = from.desc;
+  desc.source = src.source;
+  desc.primary = src.primary;
+  desc.vp = src.vp;
+  desc.ep = src.ep;
+  desc.bound_var = src.bound_var;
+  desc.cats.assign(src.cats.begin(), src.cats.end());
+  desc.target_vertex_var = src.target_vertex_var;
+  desc.target_edge_var = src.target_edge_var;
+  desc.target_bound = src.target_bound;
+  desc.nbr_sorted = src.nbr_sorted;
+  desc.target_vertex_label = src.target_vertex_label;
+  desc.edge_label_filter = src.edge_label_filter;
+  desc.has_upper_bound = src.has_upper_bound;
+  desc.upper_bound = src.upper_bound;
+  desc.upper_strict = src.upper_strict;
+  desc.has_lower_bound = src.has_lower_bound;
+  desc.lower_bound = src.lower_bound;
+  desc.lower_strict = src.lower_strict;
+  desc.upper_bound_param = src.upper_bound_param;
+  desc.lower_bound_param = src.lower_bound_param;
+  desc.bound_param_double = src.bound_param_double;
+  to->covered_conjuncts.assign(from.covered_conjuncts.begin(), from.covered_conjuncts.end());
+  to->est_len = from.est_len;
+  to->est_out = from.est_out;
+  to->innermost = from.innermost;
+  to->allow_range_bounds = from.allow_range_bounds;
+}
+
+CandidateList& CandidateScratch::Add() {
+  if (size_ == lists_.size()) {
+    ++size_;
+    return lists_.emplace_back();
+  }
+  // Reset a retired slot in place, keeping its vectors' capacity.
+  static const CandidateList kDefault{};
+  CandidateList& candidate = lists_[size_++];
+  AssignAccessPath(kDefault, &candidate);
+  return candidate;
+}
+
+CandidateList& CandidateScratch::AddAccessPathOf(size_t i) {
+  CandidateList& copy = Add();  // may grow lists_: index `i` only after
+  AssignAccessPath(lists_[i], &copy);
+  return copy;
+}
+
+bool IndexMatcher::ServesSort(const CandidateList& candidate,
+                              const SortCriterion* required_sort) {
+  if (required_sort == nullptr) return true;
+  const ListDescriptor& desc = candidate.desc;
+  if (desc.source == ListDescriptor::Source::kEp && !desc.ep->fully_materialized()) {
+    return false;
+  }
+  if (required_sort->source == SortSource::kNbrId) return desc.nbr_sorted;
+  // Property-sorted requirement (MULTI-EXTEND): the first criterion must
+  // match exactly on an innermost sublist.
+  const std::vector<SortCriterion>& sorts = desc.sorts();
+  return candidate.innermost && !sorts.empty() && sorts.front() == *required_sort;
+}
+
+bool IndexMatcher::HasSortKeyBound(const ExtensionPredicate& ext_pred,
+                                   const CandidateList& candidate) {
+  const std::vector<SortCriterion>& sorts = candidate.desc.sorts();
+  if (sorts.empty()) return false;
+  int64_t bound;
+  for (const Comparison& cmp : ext_pred.pred.conjuncts()) {
+    if (SortKeyBound(sorts.front(), cmp, &bound)) return true;
+  }
+  return false;
+}
+
+void IndexMatcher::ApplySortKeyBounds(const ExtensionPredicate& ext_pred,
+                                      CandidateList* candidate) {
+  const std::vector<SortCriterion>& sorts = candidate->desc.sorts();
+  if (sorts.empty()) return;
   const auto& conjuncts = ext_pred.pred.conjuncts();
   for (size_t q = 0; q < conjuncts.size(); ++q) {
     const Comparison& cmp = conjuncts[q];
-    if (!cmp.rhs_is_const || cmp.lhs.site != site || cmp.lhs.is_label) continue;
-    if (is_id != cmp.lhs.is_id) continue;
-    if (!is_id && cmp.lhs.key != key) continue;
-    if (cmp.rhs_const.is_null()) continue;
     int64_t bound;
-    switch (cmp.rhs_const.type()) {
-      case ValueType::kInt64:
-      case ValueType::kCategory:
-      case ValueType::kBool:
-        bound = cmp.rhs_const.AsInt64();
-        break;
-      case ValueType::kDouble:
-        bound = EncodeDoubleSortKey(cmp.rhs_const.AsDouble());
-        break;
-      default:
-        continue;
-    }
-    bool consumed = true;
+    if (!SortKeyBound(sorts.front(), cmp, &bound)) continue;
     switch (cmp.op) {
       case CmpOp::kLt:
         candidate->desc.has_upper_bound = true;
@@ -84,93 +184,55 @@ void ApplySortKeyBounds(const IndexConfig& config, const ExtensionPredicate& ext
         candidate->desc.upper_strict = false;
         break;
       default:
-        consumed = false;
         break;
     }
-    if (consumed) {
-      candidate->covered_conjuncts.push_back(ext_pred.query_conjunct_ids[q]);
-      candidate->est_len *= 0.3;  // rough range selectivity
-      candidate->est_out *= 0.3;
-    }
+    candidate->covered_conjuncts.push_back(ext_pred.query_conjunct_ids[q]);
+    candidate->est_len *= 0.3;  // rough range selectivity
+    candidate->est_out *= 0.3;
   }
 }
 
-// Conjuncts of ext_pred guaranteed by the index view predicate, i.e.
-// implied back by some index conjunct.
-void CollectGuaranteed(const Predicate& index_pred, const ExtensionPredicate& ext_pred,
-                       std::vector<int>* covered) {
-  const auto& conjuncts = ext_pred.pred.conjuncts();
-  for (size_t q = 0; q < conjuncts.size(); ++q) {
-    for (const Comparison& ic : index_pred.conjuncts()) {
-      if (ConjunctImplies(ic, conjuncts[q])) {
-        covered->push_back(ext_pred.query_conjunct_ids[q]);
-        break;
-      }
-    }
-  }
-}
-
-// Sort compatibility outcome for one candidate.
-struct SortResolution {
-  bool usable = false;
-  bool nbr_sorted = false;
-  bool label_pinned = false;  // Ds case: leading nbr-label key pinned
-  bool allow_range_bounds = false;
-};
-
-// Determines whether the list (given the bound category prefix) can
-// serve the required sort, and whether it is effectively neighbour-ID
-// sorted. Sort orders only hold within innermost sublists.
-SortResolution ResolveSort(const IndexConfig& config, bool innermost, label_t nbr_label,
-                           const SortCriterion* required_sort) {
-  SortResolution out;
-  if (innermost && !config.sorts.empty()) {
+IndexMatcher::ListShape IndexMatcher::ResolveListShape(const IndexConfig& config,
+                                                       label_t edge_label, label_t nbr_label,
+                                                       CandidateList* candidate) {
+  ListDescriptor& desc = candidate->desc;
+  ListShape shape;
+  // Sort orders only hold within innermost sublists.
+  candidate->innermost = desc.cats.size() == config.partitions.size();
+  if (candidate->innermost && !config.sorts.empty()) {
     if (config.sorts.front().source == SortSource::kNbrId) {
-      out.nbr_sorted = true;
+      desc.nbr_sorted = true;
     } else if (config.sorts.front().source == SortSource::kNbrLabel &&
                nbr_label != kInvalidLabel && config.sorts.size() >= 2 &&
                config.sorts[1].source == SortSource::kNbrId) {
       // The Ds configuration: pinning the neighbour label with an
       // equality bound leaves a neighbour-ID-sorted run ("binary
       // searches inside lists", Section V-B).
-      out.nbr_sorted = true;
-      out.label_pinned = true;
+      desc.nbr_sorted = true;
+      shape.label_pinned = true;
+      desc.has_lower_bound = true;
+      desc.lower_bound = nbr_label;
+      desc.lower_strict = false;
+      desc.has_upper_bound = true;
+      desc.upper_bound = nbr_label;
+      desc.upper_strict = false;
     }
   }
-  if (required_sort == nullptr) {
-    out.usable = true;
-    out.allow_range_bounds = innermost && !out.label_pinned;
-    return out;
-  }
-  if (required_sort->source == SortSource::kNbrId) {
-    out.usable = out.nbr_sorted;
-    out.allow_range_bounds = false;  // bounds would clash with the pin
-    return out;
-  }
-  // Property-sorted requirement (MULTI-EXTEND): first criterion must
-  // match exactly on an innermost sublist.
-  out.usable = innermost && !config.sorts.empty() && config.sorts.front() == *required_sort;
-  out.allow_range_bounds = false;
-  return out;
-}
+  candidate->allow_range_bounds = candidate->innermost && !shape.label_pinned;
 
-}  // namespace
-
-CandidateList& CandidateScratch::Add() {
-  if (size_ == lists_.size()) {
-    ++size_;
-    return lists_.emplace_back();
+  // Which label filters remain for the operator to apply.
+  bool nbr_label_covered = shape.label_pinned;
+  for (size_t i = 0; i < desc.cats.size(); ++i) {
+    if (config.partitions[i].source == PartitionSource::kEdgeLabel) {
+      shape.edge_label_covered = true;
+    }
+    if (config.partitions[i].source == PartitionSource::kNbrLabel) nbr_label_covered = true;
   }
-  // Reset a retired slot, keeping its vectors' capacity.
-  CandidateList& candidate = lists_[size_++];
-  std::vector<category_t> cats = std::move(candidate.desc.cats);
-  std::vector<int> covered = std::move(candidate.covered_conjuncts);
-  cats.clear();
-  covered.clear();
-  candidate = CandidateList();
-  candidate.desc.cats = std::move(cats);
-  candidate.covered_conjuncts = std::move(covered);
-  return candidate;
+  if (!shape.edge_label_covered && edge_label != kInvalidLabel) {
+    desc.edge_label_filter = edge_label;
+  }
+  if (!nbr_label_covered && nbr_label != kInvalidLabel) desc.target_vertex_label = nbr_label;
+  return shape;
 }
 
 void IndexMatcher::BindPartitionPrefix(const IndexConfig& config, label_t edge_label,
@@ -220,11 +282,8 @@ void IndexMatcher::BindPartitionPrefix(const IndexConfig& config, label_t edge_l
 
 void IndexMatcher::FindVertexLists(Direction dir, label_t edge_label, label_t nbr_label,
                                    const ExtensionPredicate& ext_pred,
-                                   const SortCriterion* required_sort,
                                    CandidateScratch* out) const {
-  out->Clear();
   const Catalog& catalog = store_->graph()->catalog();
-
   auto consider = [&](ListDescriptor::Source source, const PrimaryIndex* primary,
                       const VpIndex* vp) {
     const IndexConfig& config = source == ListDescriptor::Source::kVp ? vp->config()
@@ -239,45 +298,15 @@ void IndexMatcher::FindVertexLists(Direction dir, label_t edge_label, label_t nb
     candidate.desc.source = source;
     candidate.desc.primary = primary;
     candidate.desc.vp = vp;
-
     BindPartitionPrefix(config, edge_label, nbr_label, ext_pred, &candidate);
-    bool innermost = candidate.desc.cats.size() == config.partitions.size();
-
-    SortResolution sort = ResolveSort(config, innermost, nbr_label, required_sort);
-    if (!sort.usable) {
-      out->PopBack();
-      return;
-    }
-    candidate.desc.nbr_sorted = sort.nbr_sorted;
-    if (sort.label_pinned) {
-      candidate.desc.has_lower_bound = true;
-      candidate.desc.lower_bound = nbr_label;
-      candidate.desc.lower_strict = false;
-      candidate.desc.has_upper_bound = true;
-      candidate.desc.upper_bound = nbr_label;
-      candidate.desc.upper_strict = false;
-    }
-
-    // Which label filters remain for the operator to apply.
-    bool edge_label_covered = false;
-    bool nbr_label_covered = sort.label_pinned;
-    for (size_t i = 0; i < candidate.desc.cats.size(); ++i) {
-      if (config.partitions[i].source == PartitionSource::kEdgeLabel) edge_label_covered = true;
-      if (config.partitions[i].source == PartitionSource::kNbrLabel) nbr_label_covered = true;
-    }
-    if (!edge_label_covered && edge_label != kInvalidLabel) {
-      candidate.desc.edge_label_filter = edge_label;
-    }
-    if (!nbr_label_covered && nbr_label != kInvalidLabel) {
-      candidate.desc.target_vertex_label = nbr_label;
-    }
+    const ListShape shape = ResolveListShape(config, edge_label, nbr_label, &candidate);
 
     // Covered conjuncts: those consumed by partition binding (already
     // recorded) plus those guaranteed by the view predicate.
     CollectGuaranteed(index_pred, ext_pred, &candidate.covered_conjuncts);
 
     // Estimated list length.
-    double est = stats_->AvgListLen(edge_label_covered || edge_label == kInvalidLabel
+    double est = stats_->AvgListLen(shape.edge_label_covered || edge_label == kInvalidLabel
                                         ? edge_label
                                         : kInvalidLabel);
     for (size_t i = 0; i < candidate.desc.cats.size(); ++i) {
@@ -290,7 +319,7 @@ void IndexMatcher::FindVertexLists(Direction dir, label_t edge_label, label_t nb
         if (fanout > 1) est /= static_cast<double>(fanout - 1);
       }
     }
-    if (sort.label_pinned) est *= stats_->VertexLabelFraction(nbr_label);
+    if (shape.label_pinned) est *= stats_->VertexLabelFraction(nbr_label);
     if (source == ListDescriptor::Source::kVp) {
       uint64_t base = primary->num_edges_indexed();
       if (base > 0 && !vp->view().pred.IsTrue()) {
@@ -300,16 +329,15 @@ void IndexMatcher::FindVertexLists(Direction dir, label_t edge_label, label_t nb
     candidate.est_len = est;
     // Label filters applied while consuming entries reduce the output
     // but not the list-read cost.
-    double out = est;
+    double out_est = est;
     if (candidate.desc.target_vertex_label != kInvalidLabel) {
-      out *= stats_->VertexLabelFraction(nbr_label);
+      out_est *= stats_->VertexLabelFraction(nbr_label);
     }
     if (candidate.desc.edge_label_filter != kInvalidLabel && stats_->num_edges > 0) {
-      out *= stats_->AvgListLen(edge_label) / std::max(stats_->AvgListLen(kInvalidLabel), 1e-9);
+      out_est *=
+          stats_->AvgListLen(edge_label) / std::max(stats_->AvgListLen(kInvalidLabel), 1e-9);
     }
-    candidate.est_out = out;
-    candidate.allow_param_range_bounds = sort.allow_range_bounds;
-    if (sort.allow_range_bounds) ApplySortKeyBounds(config, ext_pred, &candidate);
+    candidate.est_out = out_est;
   };
 
   const PrimaryIndex* primary = store_->primary(dir);
@@ -322,16 +350,10 @@ void IndexMatcher::FindVertexLists(Direction dir, label_t edge_label, label_t nb
 
 void IndexMatcher::FindEdgeLists(EpKind kind, label_t edge_label, label_t nbr_label,
                                  const ExtensionPredicate& ext_pred,
-                                 const SortCriterion* required_sort,
                                  CandidateScratch* out) const {
-  out->Clear();
   const Catalog& catalog = store_->graph()->catalog();
   for (const auto& ep : store_->ep_indexes()) {
     if (ep->kind() != kind) continue;
-    // Partially materialized EP indexes cannot serve sorted
-    // intersections: unmaterialized lists are derived at run time in
-    // base-list order.
-    if (required_sort != nullptr && !ep->fully_materialized()) continue;
     const IndexConfig& config = ep->config();
     if (!PredicateSubsumes(ep->view().pred, ext_pred.pred, nullptr)) continue;
 
@@ -339,33 +361,7 @@ void IndexMatcher::FindEdgeLists(EpKind kind, label_t edge_label, label_t nbr_la
     candidate.desc.source = ListDescriptor::Source::kEp;
     candidate.desc.ep = ep.get();
     BindPartitionPrefix(config, edge_label, nbr_label, ext_pred, &candidate);
-    bool innermost = candidate.desc.cats.size() == config.partitions.size();
-    SortResolution sort = ResolveSort(config, innermost, nbr_label, required_sort);
-    if (!sort.usable) {
-      out->PopBack();
-      continue;
-    }
-    candidate.desc.nbr_sorted = sort.nbr_sorted;
-    if (sort.label_pinned) {
-      candidate.desc.has_lower_bound = true;
-      candidate.desc.lower_bound = nbr_label;
-      candidate.desc.lower_strict = false;
-      candidate.desc.has_upper_bound = true;
-      candidate.desc.upper_bound = nbr_label;
-      candidate.desc.upper_strict = false;
-    }
-    bool edge_label_covered = false;
-    bool nbr_label_covered = sort.label_pinned;
-    for (size_t i = 0; i < candidate.desc.cats.size(); ++i) {
-      if (config.partitions[i].source == PartitionSource::kEdgeLabel) edge_label_covered = true;
-      if (config.partitions[i].source == PartitionSource::kNbrLabel) nbr_label_covered = true;
-    }
-    if (!edge_label_covered && edge_label != kInvalidLabel) {
-      candidate.desc.edge_label_filter = edge_label;
-    }
-    if (!nbr_label_covered && nbr_label != kInvalidLabel) {
-      candidate.desc.target_vertex_label = nbr_label;
-    }
+    ResolveListShape(config, edge_label, nbr_label, &candidate);
     CollectGuaranteed(ep->view().pred, ext_pred, &candidate.covered_conjuncts);
 
     double est = stats_->num_edges == 0
@@ -378,13 +374,11 @@ void IndexMatcher::FindEdgeLists(EpKind kind, label_t edge_label, label_t nbr_la
       if (fanout > 1) est /= static_cast<double>(fanout);
     }
     candidate.est_len = est;
-    double out = est;
+    double out_est = est;
     if (candidate.desc.target_vertex_label != kInvalidLabel) {
-      out *= stats_->VertexLabelFraction(nbr_label);
+      out_est *= stats_->VertexLabelFraction(nbr_label);
     }
-    candidate.est_out = out;
-    candidate.allow_param_range_bounds = sort.allow_range_bounds;
-    if (sort.allow_range_bounds) ApplySortKeyBounds(config, ext_pred, &candidate);
+    candidate.est_out = out_est;
   }
 }
 

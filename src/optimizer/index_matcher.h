@@ -33,22 +33,28 @@ struct CandidateList {
   // Estimated number of entries surviving the descriptor's label filters
   // (the cardinality contribution); est_out <= est_len.
   double est_out = 0.0;
+  // True when the bound category prefix reaches the innermost sublists,
+  // where the configured sort order holds.
+  bool innermost = false;
   // True when the list's first sort criterion holds within BoundedRange
-  // (innermost sublist, no neighbour-ID/label pin in the way): the
-  // optimizer may fold $param range conjuncts on the sort key into
-  // bind-time-patched descriptor bounds (ParamSlots::RangeSlot).
-  bool allow_param_range_bounds = false;
+  // (innermost sublist, no neighbour-label pin in the way). An access
+  // path with no sort requirement may then turn range conjuncts on the
+  // sort key into descriptor bounds: literal ones (ApplySortKeyBounds)
+  // and $param ones, patched at bind time (ParamSlots::RangeSlot). A
+  // sorted requirement takes the unbounded list.
+  bool allow_range_bounds = false;
 };
 
-// Caller-owned output of the IndexMatcher lookups: [begin, end) are the
-// last lookup's candidates. Slots past the end keep their vectors'
-// capacity, so a scratch reused across lookups (the optimizer keeps one
-// per Optimize call) allocates only while it grows.
+// Caller-owned candidate pool: the IndexMatcher lookups append to it, and
+// Clear() retires every candidate at once. Retired slots keep their
+// vectors' capacity, so a pool reused across lookups and calls (the
+// optimizer keeps one) allocates only while it grows.
 class CandidateScratch {
  public:
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   CandidateList& operator[](size_t i) { return lists_[i]; }
+  const CandidateList& operator[](size_t i) const { return lists_[i]; }
   const CandidateList* begin() const { return lists_.data(); }
   const CandidateList* end() const { return lists_.data() + size_; }
 
@@ -56,38 +62,60 @@ class CandidateScratch {
   // Appends a default-initialized candidate; the reference is valid
   // until the next Add.
   CandidateList& Add();
-  // Drops the candidate the last Add returned.
-  void PopBack() { --size_; }
+  // Appends candidate `i`'s access path (everything but the descriptor's
+  // merge scratch, which stays empty) and returns it.
+  CandidateList& AddAccessPathOf(size_t i);
 
  private:
+  // Assigns every field of `from` but the descriptor's merge scratch,
+  // which pool candidates never use (they are never fetched).
+  static void AssignAccessPath(const CandidateList& from, CandidateList* to);
+
   std::vector<CandidateList> lists_;
   size_t size_ = 0;
 };
 
-// Matches extension requirements against the INDEX STORE: checks sort
-// compatibility, binds partition-category prefixes from equality
-// predicates / labels, and verifies view-predicate subsumption
-// (Section IV-A).
+// Matches extension requirements against the INDEX STORE: verifies
+// view-predicate subsumption, binds partition-category prefixes from
+// equality predicates / labels, and resolves which sort orders each list
+// holds (Section IV-A). One lookup serves every sort requirement of an
+// extension: ServesSort tells which candidates qualify for which.
 class IndexMatcher {
  public:
   IndexMatcher(const IndexStore* store, const GraphStats* stats)
       : store_(store), stats_(stats) {}
 
-  // Lists for a vertex-bound extension in direction `dir` matching a
-  // query edge with label `edge_label` towards a vertex with label
-  // `nbr_label` (either may be kInvalidLabel). If `required_sort` is
-  // non-null, only lists whose first sort criterion equals it qualify.
-  // Replaces the contents of `out`.
+  // Appends to `out` one candidate per index usable for a vertex-bound
+  // extension in direction `dir` matching a query edge with label
+  // `edge_label` towards a vertex with label `nbr_label` (either may be
+  // kInvalidLabel): the primary index, then every VP index in creation
+  // order whose view predicate subsumes `ext_pred`. Sort-key bounds are
+  // not applied (see ApplySortKeyBounds).
   void FindVertexLists(Direction dir, label_t edge_label, label_t nbr_label,
-                       const ExtensionPredicate& ext_pred, const SortCriterion* required_sort,
-                       CandidateScratch* out) const;
+                       const ExtensionPredicate& ext_pred, CandidateScratch* out) const;
 
-  // Lists for an edge-bound extension of kind `kind` (EP indexes only).
-  // ext_pred may contain cross-edge conjuncts (eb vs eadj). Replaces the
-  // contents of `out`.
+  // Appends the candidates for an edge-bound extension of kind `kind`
+  // (EP indexes only, in creation order). ext_pred may contain
+  // cross-edge conjuncts (eb vs eadj).
   void FindEdgeLists(EpKind kind, label_t edge_label, label_t nbr_label,
-                     const ExtensionPredicate& ext_pred, const SortCriterion* required_sort,
-                     CandidateScratch* out) const;
+                     const ExtensionPredicate& ext_pred, CandidateScratch* out) const;
+
+  // True when `candidate` can serve `required_sort` (nullptr: no
+  // requirement): a neighbour-ID requirement takes effectively
+  // neighbour-ID-sorted lists, a property requirement takes innermost
+  // sublists whose first sort criterion equals it. Partially
+  // materialized EP indexes serve no sorted requirement: unmaterialized
+  // lists are derived at run time in base-list order.
+  static bool ServesSort(const CandidateList& candidate, const SortCriterion* required_sort);
+
+  // Turns constant range conjuncts of `ext_pred` on the candidate's first
+  // sort key into binary-searchable descriptor bounds (Section III-A2 /
+  // V-C1: sorted lists replace per-edge predicate evaluation) and marks
+  // them covered. Only for candidates with allow_range_bounds, under no
+  // sort requirement.
+  static void ApplySortKeyBounds(const ExtensionPredicate& ext_pred, CandidateList* candidate);
+  // True when ApplySortKeyBounds would bound `candidate`.
+  static bool HasSortKeyBound(const ExtensionPredicate& ext_pred, const CandidateList& candidate);
 
  private:
   // Tries to bind a category prefix for `config.partitions` from labels
@@ -96,6 +124,15 @@ class IndexMatcher {
   // candidate->covered_conjuncts.
   void BindPartitionPrefix(const IndexConfig& config, label_t edge_label, label_t nbr_label,
                            const ExtensionPredicate& ext_pred, CandidateList* candidate) const;
+  // Sort resolution and label coverage shared by both lookups, after
+  // BindPartitionPrefix: sets the candidate's neighbour-ID order, Ds
+  // label pin, leftover label filters and range-bound eligibility.
+  struct ListShape {
+    bool edge_label_covered = false;
+    bool label_pinned = false;  // Ds case: leading nbr-label key pinned
+  };
+  static ListShape ResolveListShape(const IndexConfig& config, label_t edge_label,
+                                    label_t nbr_label, CandidateList* candidate);
 
   const IndexStore* store_;
   const GraphStats* stats_;

@@ -1,13 +1,31 @@
 #include "optimizer/plan_printer.h"
 
+#include "util/logging.h"
+
 namespace aplus {
 
 std::string RenderPlanTree(const QueryGraph& query, const Catalog& catalog,
-                           const std::vector<PlanStep>& steps,
+                           const std::vector<StepOutline>& steps, const Plan& plan,
                            const std::vector<std::string>& sink_chain) {
+  // The steps' lists, in plan order: each step's are the next num_lists.
+  std::vector<const ListDescriptor*> lists;
+  for (const auto& op : plan.primary_ops()) {
+    auto [begin, count] = op->lists();
+    for (size_t i = 0; i < count; ++i) lists.push_back(begin + i);
+  }
+  size_t next_list = 0;
+  auto describe_lists = [&](const StepOutline& step, const char* separator) {
+    std::string out;
+    for (uint32_t i = 0; i < step.num_lists; ++i) {
+      APLUS_CHECK_LT(next_list, lists.size()) << "plan has fewer lists than its outline";
+      if (i > 0) out += separator;
+      out += lists[next_list++]->Describe(catalog, query);
+    }
+    return out;
+  };
   // Bottom-up: the scan prints last, each subsequent operator above it.
   std::vector<std::string> lines;
-  for (const PlanStep& step : steps) {
+  for (const StepOutline& step : steps) {
     std::string line;
     switch (step.kind) {
       case PlanStep::Kind::kScan: {
@@ -21,35 +39,20 @@ std::string RenderPlanTree(const QueryGraph& query, const Catalog& catalog,
         break;
       }
       case PlanStep::Kind::kExtend:
-        line = "EXTEND " + step.lists.front().Describe(catalog, query);
+        line = "EXTEND " + describe_lists(step, "");
         break;
-      case PlanStep::Kind::kExtendVerify: {
-        line = "EXTEND+VERIFY ";
-        for (size_t i = 0; i < step.lists.size(); ++i) {
-          if (i > 0) line += " ? ";
-          line += step.lists[i].Describe(catalog, query);
-        }
+      case PlanStep::Kind::kExtendVerify:
+        line = "EXTEND+VERIFY " + describe_lists(step, " ? ");
         break;
-      }
-      case PlanStep::Kind::kExtendIntersect: {
-        line = "EXTEND/INTERSECT ";
-        for (size_t i = 0; i < step.lists.size(); ++i) {
-          if (i > 0) line += " \xE2\x88\xA9 ";  // set-intersection glyph
-          line += step.lists[i].Describe(catalog, query);
-        }
+      case PlanStep::Kind::kExtendIntersect:
+        line = "EXTEND/INTERSECT " + describe_lists(step, " \xE2\x88\xA9 ");  // set intersection
         break;
-      }
-      case PlanStep::Kind::kMultiExtend: {
-        line = "MULTI-EXTEND ";
-        for (size_t i = 0; i < step.lists.size(); ++i) {
-          if (i > 0) line += " \xE2\x88\xA9 ";
-          line += step.lists[i].Describe(catalog, query);
-        }
+      case PlanStep::Kind::kMultiExtend:
+        line = "MULTI-EXTEND " + describe_lists(step, " \xE2\x88\xA9 ");
         break;
-      }
     }
-    if (!step.residual.empty()) {
-      line += "  [FILTER x" + std::to_string(step.residual.size()) + "]";
+    if (step.num_residual > 0) {
+      line += "  [FILTER x" + std::to_string(step.num_residual) + "]";
     }
     lines.push_back(std::move(line));
   }

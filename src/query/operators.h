@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "index/adj_list_slice.h"
@@ -90,6 +91,9 @@ struct ListDescriptor {
   // encoded via EncodeDoubleSortKey at Bind.
   bool bound_param_double = false;
 
+  // (CandidateScratch::AssignAccessPath in optimizer/index_matcher.cc
+  // copies every field above; a new field goes there too.)
+
   // Per-descriptor scratch for merged run+delta probes under concurrent
   // ingest (primary_index.h). Descriptors are cloned into each worker
   // replica along with their operator, so the scratch is never shared
@@ -165,6 +169,10 @@ class Operator {
     (void)budget;
   }
   virtual std::string Describe() const = 0;
+  // The adjacency lists this operator reads, in plan order, as the first
+  // descriptor and the count (the plan printer renders them); none by
+  // default.
+  virtual std::pair<const ListDescriptor*, size_t> lists() const { return {nullptr, 0}; }
 
  protected:
   void Emit(MatchState* state) { next_->Run(state); }
@@ -260,6 +268,7 @@ class ExtendOp : public Operator {
   }
   void CollectParamSlots(ParamSlots* slots) override;
   std::string Describe() const override;
+  std::pair<const ListDescriptor*, size_t> lists() const override { return {&list_, 1}; }
 
   // --- Deep morselization (Plan::Execute with a tiny scan domain) ---
 
@@ -370,6 +379,9 @@ class ExtendIntersectOp : public Operator {
     budget_ = budget;
   }
   std::string Describe() const override;
+  std::pair<const ListDescriptor*, size_t> lists() const override {
+    return {lists_.data(), lists_.size()};
+  }
 
  private:
   const Graph* graph_;
@@ -410,6 +422,9 @@ class MultiExtendOp : public Operator {
     budget_ = budget;
   }
   std::string Describe() const override;
+  std::pair<const ListDescriptor*, size_t> lists() const override {
+    return {lists_.data(), lists_.size()};
+  }
 
  private:
   // Sort key of entry i of list l under the list's first sort criterion,

@@ -385,9 +385,11 @@ TEST(ConcurrentPrepareTest, SessionsOnManyThreadsShareOnePlanCache) {
   const std::vector<vertex_id_t> probes = {0, 1, 5, 34, 144, 999};
   // Serial reference, prepared outside the plan cache.
   std::map<std::pair<size_t, vertex_id_t>, uint64_t> want;
+  std::map<size_t, std::string> want_plan;
   for (size_t t = 0; t < texts.size(); ++t) {
     std::unique_ptr<PreparedQuery> q = db.Prepare(texts[t]);
     ASSERT_TRUE(q->ok()) << q->error();
+    want_plan[t] = q->plan_text();
     for (vertex_id_t src : probes) {
       ASSERT_TRUE(q->Bind("src", Value::Int64(src)));
       want[{t, src}] = q->Execute().count;
@@ -398,6 +400,9 @@ TEST(ConcurrentPrepareTest, SessionsOnManyThreadsShareOnePlanCache) {
   constexpr int kRounds = 8;
   std::vector<std::thread> threads;
   std::vector<std::map<std::pair<size_t, vertex_id_t>, uint64_t>> got(kThreads);
+  // Each Session's plan text, rendered lazily from its own leased clone
+  // while the other threads prepare and render theirs.
+  std::vector<std::map<size_t, std::string>> got_plan(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int round = 0; round < kRounds; ++round) {
@@ -408,6 +413,7 @@ TEST(ConcurrentPrepareTest, SessionsOnManyThreadsShareOnePlanCache) {
           const size_t text = (i + static_cast<size_t>(t)) % texts.size();
           PreparedQuery* q = session.Prepare(texts[text]);
           ASSERT_TRUE(q->ok()) << q->error();
+          got_plan[t][text] = q->plan_text();
           for (vertex_id_t src : probes) {
             ASSERT_TRUE(q->Bind("src", Value::Int64(src)));
             QueryOutcome out = q->Execute(nullptr, 1);
@@ -419,7 +425,10 @@ TEST(ConcurrentPrepareTest, SessionsOnManyThreadsShareOnePlanCache) {
     });
   }
   for (std::thread& thread : threads) thread.join();
-  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], want) << "thread " << t;
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[t], want) << "thread " << t;
+    EXPECT_EQ(got_plan[t], want_plan) << "thread " << t;
+  }
   EXPECT_EQ(db.plan_cache().misses(), texts.size());
   EXPECT_EQ(db.plan_cache().hits(), kThreads * kRounds * texts.size() - texts.size());
 }

@@ -431,5 +431,46 @@ TEST(FanoutBoundTest, OversizedPartitionFanoutIsATypedDdlError) {
   EXPECT_EQ(db.ExecuteCypher(query).count, 2u);
 }
 
+// Two vertices joined by `edges` parallel E edges: a large but
+// well-formed pattern (20,000 edges is a 409 KB text, well inside the
+// server's 16 MiB frame limit).
+std::string ParallelEdgesText(int edges) {
+  std::string text = "MATCH ";
+  for (int i = 0; i < edges; ++i) {
+    if (i > 0) text += ", ";
+    text += "(a)-[e" + std::to_string(i) + ":E]->(b)";
+  }
+  return text + " RETURN COUNT(*)";
+}
+
+TEST(PatternEdgeLimitTest, OversizedEdgeCountIsATypedPlanError) {
+  Graph graph;
+  label_t v = graph.catalog().AddVertexLabel("V");
+  label_t e = graph.catalog().AddEdgeLabel("E");
+  for (int i = 0; i < 2; ++i) graph.AddVertex(v);
+  graph.AddEdge(0, 1, e);
+  graph.AddEdge(0, 1, e);
+  Database db(std::move(graph));
+  db.BuildPrimaryIndexes();
+  // The optimizer's memo index grows with the square of the edge count:
+  // past kMaxQueryEdges the prepare is refused, not attempted.
+  std::unique_ptr<PreparedQuery> huge = db.Prepare(ParallelEdgesText(20000));
+  EXPECT_EQ(huge->status(), QueryOutcome::Status::kPlanError);
+  EXPECT_NE(huge->error().find("20000 query edges"), std::string::npos) << huge->error();
+  EXPECT_NE(huge->error().find("at most " + std::to_string(DpOptimizer::kMaxQueryEdges)),
+            std::string::npos)
+      << huge->error();
+  EXPECT_TRUE(huge->plan_text().empty());
+  EXPECT_EQ(huge->Execute().status, QueryOutcome::Status::kPlanError);
+
+  // Exactly at the limit the pattern plans; one more edge is refused.
+  std::unique_ptr<PreparedQuery> fits = db.Prepare(ParallelEdgesText(DpOptimizer::kMaxQueryEdges));
+  ASSERT_TRUE(fits->ok()) << fits->error();
+  EXPECT_EQ(fits->Execute().count, 0u);  // 128 distinct edges between a and b: only 2 exist
+  EXPECT_EQ(db.Prepare(ParallelEdgesText(DpOptimizer::kMaxQueryEdges + 1))->status(),
+            QueryOutcome::Status::kPlanError);
+  EXPECT_EQ(db.ExecuteCypher(ParallelEdgesText(2)).count, 2u);
+}
+
 }  // namespace
 }  // namespace aplus

@@ -33,9 +33,10 @@ TEST_F(IndexMatcherTest, PrimaryAlwaysUsableWithoutSortRequirement) {
   IndexMatcher matcher(&store_, &stats_);
   ExtensionPredicate ext = NoPred();
   CandidateScratch candidates;
-  matcher.FindVertexLists(Direction::kFwd, kInvalidLabel, kInvalidLabel, ext, nullptr, &candidates);
+  matcher.FindVertexLists(Direction::kFwd, kInvalidLabel, kInvalidLabel, ext, &candidates);
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0].desc.source, ListDescriptor::Source::kPrimary);
+  EXPECT_TRUE(IndexMatcher::ServesSort(candidates[0], nullptr));
   // Whole-vertex slice spans label partitions -> not neighbour sorted.
   EXPECT_FALSE(candidates[0].desc.nbr_sorted);
 }
@@ -45,9 +46,9 @@ TEST_F(IndexMatcherTest, EdgeLabelPinsInnermostSortedSlice) {
   ExtensionPredicate ext = NoPred();
   SortCriterion nbr_id{SortSource::kNbrId, kInvalidPropKey};
   CandidateScratch candidates;
-  matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel, ext, &nbr_id,
-                          &candidates);
+  matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel, ext, &candidates);
   ASSERT_EQ(candidates.size(), 1u);
+  EXPECT_TRUE(IndexMatcher::ServesSort(candidates[0], &nbr_id));
   EXPECT_TRUE(candidates[0].desc.nbr_sorted);
   ASSERT_EQ(candidates[0].desc.cats.size(), 1u);
   EXPECT_EQ(candidates[0].desc.cats[0], ex_.wire_label);
@@ -60,8 +61,9 @@ TEST_F(IndexMatcherTest, NoSortedCandidateWithoutEdgeLabel) {
   ExtensionPredicate ext = NoPred();
   SortCriterion nbr_id{SortSource::kNbrId, kInvalidPropKey};
   CandidateScratch candidates;
-  matcher.FindVertexLists(Direction::kFwd, kInvalidLabel, kInvalidLabel, ext, &nbr_id, &candidates);
-  EXPECT_TRUE(candidates.empty());
+  matcher.FindVertexLists(Direction::kFwd, kInvalidLabel, kInvalidLabel, ext, &candidates);
+  ASSERT_EQ(candidates.size(), 1u);
+  EXPECT_FALSE(IndexMatcher::ServesSort(candidates[0], &nbr_id));
 }
 
 TEST_F(IndexMatcherTest, DsConfigPinsNbrLabelForSortedAccess) {
@@ -77,9 +79,9 @@ TEST_F(IndexMatcherTest, DsConfigPinsNbrLabelForSortedAccess) {
   ExtensionPredicate ext = NoPred();
   SortCriterion nbr_id{SortSource::kNbrId, kInvalidPropKey};
   CandidateScratch candidates;
-  matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, ex_.account_label, ext, &nbr_id,
-                          &candidates);
+  matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, ex_.account_label, ext, &candidates);
   ASSERT_EQ(candidates.size(), 1u);
+  EXPECT_TRUE(IndexMatcher::ServesSort(candidates[0], &nbr_id));
   EXPECT_TRUE(candidates[0].desc.nbr_sorted);
   EXPECT_TRUE(candidates[0].desc.has_lower_bound);
   EXPECT_TRUE(candidates[0].desc.has_upper_bound);
@@ -90,9 +92,9 @@ TEST_F(IndexMatcherTest, DsConfigPinsNbrLabelForSortedAccess) {
 
   // Without a target label, Ds cannot serve sorted intersections.
   CandidateScratch unlabelled;
-  matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel, ext, &nbr_id,
-                          &unlabelled);
-  EXPECT_TRUE(unlabelled.empty());
+  matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel, ext, &unlabelled);
+  ASSERT_EQ(unlabelled.size(), 1u);
+  EXPECT_FALSE(IndexMatcher::ServesSort(unlabelled[0], &nbr_id));
 }
 
 TEST_F(IndexMatcherTest, RangePredicateBecomesSortKeyBound) {
@@ -111,11 +113,18 @@ TEST_F(IndexMatcherTest, RangePredicateBecomesSortKeyBound) {
                     Value::Int64(100));
   ext.query_conjunct_ids.push_back(7);
   CandidateScratch candidates;
-  matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel, ext, nullptr,
-                          &candidates);
+  matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel, ext, &candidates);
   bool found_bounded = false;
-  for (const CandidateList& c : candidates) {
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    CandidateList& c = candidates[i];
     if (c.desc.source != ListDescriptor::Source::kVp) continue;
+    // The lookup leaves the list unbounded (a sorted requirement takes
+    // it as is); the no-sort access path applies the bound.
+    EXPECT_TRUE(c.allow_range_bounds);
+    EXPECT_FALSE(c.desc.has_upper_bound);
+    EXPECT_TRUE(IndexMatcher::HasSortKeyBound(ext, c));
+    EXPECT_FALSE(IndexMatcher::HasSortKeyBound(NoPred(), c));
+    IndexMatcher::ApplySortKeyBounds(ext, &c);
     EXPECT_TRUE(c.desc.has_upper_bound);
     EXPECT_EQ(c.desc.upper_bound, 100);
     EXPECT_TRUE(c.desc.upper_strict);
@@ -137,7 +146,7 @@ TEST_F(IndexMatcherTest, ViewPredicateSubsumptionGatesVpCandidates) {
 
   // Query wants amount > 100: the index (> 50) subsumes it.
   CandidateScratch subsumed;
-  matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel, AmountGt(100), nullptr,
+  matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel, AmountGt(100),
                           &subsumed);
   bool has_vp = false;
   for (const CandidateList& c : subsumed) {
@@ -147,7 +156,7 @@ TEST_F(IndexMatcherTest, ViewPredicateSubsumptionGatesVpCandidates) {
 
   // Query wants amount > 10: the index would miss edges in (10, 50].
   CandidateScratch broader;
-  matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel, AmountGt(10), nullptr,
+  matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel, AmountGt(10),
                           &broader);
   for (const CandidateList& c : broader) {
     EXPECT_NE(c.desc.source, ListDescriptor::Source::kVp);
@@ -168,18 +177,17 @@ TEST_F(IndexMatcherTest, EpCandidatesFilterByKind) {
                   PropRef{PropSite::kAdjEdge, ex_.date_key, false, false});
   ext.query_conjunct_ids.push_back(0);
   CandidateScratch match;
-  matcher.FindEdgeLists(EpKind::kDstFwd, kInvalidLabel, kInvalidLabel, ext, nullptr, &match);
+  matcher.FindEdgeLists(EpKind::kDstFwd, kInvalidLabel, kInvalidLabel, ext, &match);
   EXPECT_EQ(match.size(), 1u);
   CandidateScratch wrong_kind;
-  matcher.FindEdgeLists(EpKind::kSrcBwd, kInvalidLabel, kInvalidLabel, ext, nullptr, &wrong_kind);
+  matcher.FindEdgeLists(EpKind::kSrcBwd, kInvalidLabel, kInvalidLabel, ext, &wrong_kind);
   EXPECT_TRUE(wrong_kind.empty());
 
   // Without the cross-edge conjunct in the query the view is not
   // subsumed.
   ExtensionPredicate none;
   CandidateScratch unsubsumed;
-  matcher.FindEdgeLists(EpKind::kDstFwd, kInvalidLabel, kInvalidLabel, none, nullptr,
-                        &unsubsumed);
+  matcher.FindEdgeLists(EpKind::kDstFwd, kInvalidLabel, kInvalidLabel, none, &unsubsumed);
   EXPECT_TRUE(unsubsumed.empty());
 }
 
@@ -187,9 +195,9 @@ TEST_F(IndexMatcherTest, EstimatesReflectPartitionsAndFilters) {
   IndexMatcher matcher(&store_, &stats_);
   ExtensionPredicate ext = NoPred();
   CandidateScratch whole;
-  matcher.FindVertexLists(Direction::kFwd, kInvalidLabel, kInvalidLabel, ext, nullptr, &whole);
+  matcher.FindVertexLists(Direction::kFwd, kInvalidLabel, kInvalidLabel, ext, &whole);
   CandidateScratch wires;
-  matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel, ext, nullptr, &wires);
+  matcher.FindVertexLists(Direction::kFwd, ex_.wire_label, kInvalidLabel, ext, &wires);
   ASSERT_EQ(whole.size(), 1u);
   ASSERT_EQ(wires.size(), 1u);
   EXPECT_LT(wires[0].est_len, whole[0].est_len);

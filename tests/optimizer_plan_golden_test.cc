@@ -9,7 +9,13 @@
 // D+VPt, labelled and unlabelled triangles and a diamond under D, Ds and
 // Dp, and 50 seeded queries of the optimizer fuzz test.
 //
-// An intended plan change re-records the file:
+// The same corpus pins the text PreparedQuery::plan_text renders for
+// each case (tests/data/plan_text_golden.txt): every text of a
+// configuration is prepared before any plan text is read, and a clone
+// leased through a Session and Database::Explain must render the same
+// text.
+//
+// An intended plan change re-records both files:
 //   APLUS_UPDATE_GOLDEN=1 ./optimizer_plan_golden_test
 
 #include <gtest/gtest.h>
@@ -18,10 +24,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/database.h"
 #include "optimizer/dp_optimizer.h"
 #include "query/cypher_parser.h"
 #include "random_query.h"
@@ -30,6 +38,7 @@ namespace aplus {
 namespace {
 
 const char* const kGoldenPath = APLUS_TEST_DATA_DIR "/optimizer_plan_golden.txt";
+const char* const kPlanTextPath = APLUS_TEST_DATA_DIR "/plan_text_golden.txt";
 
 std::string RefText(const QueryPropRef& ref) {
   std::string out = (ref.is_edge ? "e" : "v") + std::to_string(ref.var) + ".";
@@ -94,16 +103,6 @@ class GoldenLog {
     order_.push_back(name);
     blocks_[name] = body;
   }
-  // Plans every text of `texts` on `db` under the case prefix `prefix`.
-  void AddTexts(Database* db, const std::string& prefix,
-                const std::vector<std::pair<std::string, std::string>>& texts) {
-    DpOptimizer optimizer(&db->graph(), &db->index_store());
-    for (const auto& [name, text] : texts) {
-      ParsedCypher parsed = ParseCypher(text, db->graph().catalog());
-      ASSERT_TRUE(parsed.ok()) << name << ": " << parsed.error;
-      Add(prefix + " " + name, PlanText(&optimizer, db->graph(), parsed.query));
-    }
-  }
   std::string Render() const {
     std::string out;
     for (const std::string& name : order_) out += "== " + name + "\n" + blocks_.at(name);
@@ -129,6 +128,44 @@ class GoldenLog {
  private:
   std::vector<std::string> order_;
   std::map<std::string, std::string> blocks_;
+};
+
+// The plans and the rendered plan texts of the corpus, by case.
+struct Recording {
+  GoldenLog plans;
+  GoldenLog plan_texts;
+
+  void AddPlanText(const std::string& name, const std::string& text) {
+    // A plan text ends in a newline; an EXPLAIN error does not.
+    plan_texts.Add(name, text.empty() || text.back() == '\n' ? text : text + "\n");
+  }
+
+  // Plans every text of `texts` on `db` under the case prefix `prefix`,
+  // and records the plan text each renders.
+  void AddTexts(Database* db, const std::string& prefix,
+                const std::vector<std::pair<std::string, std::string>>& texts) {
+    DpOptimizer optimizer(&db->graph(), &db->index_store());
+    std::vector<std::unique_ptr<PreparedQuery>> prepared;
+    for (const auto& [name, text] : texts) {
+      ParsedCypher parsed = ParseCypher(text, db->graph().catalog());
+      ASSERT_TRUE(parsed.ok()) << name << ": " << parsed.error;
+      plans.Add(prefix + " " + name, PlanText(&optimizer, db->graph(), parsed.query));
+      prepared.push_back(db->Prepare(text));
+      ASSERT_TRUE(prepared.back()->ok()) << name << ": " << prepared.back()->error();
+    }
+    // Every text was prepared before any plan text is read: a plan's
+    // text must not depend on the database's later Prepare calls.
+    for (size_t i = 0; i < texts.size(); ++i) {
+      const std::string name = prefix + " " + texts[i].first;
+      const std::string& rendered = prepared[i]->plan_text();
+      AddPlanText(name, rendered);
+      // A Session leases a clone of the plan cache's master; EXPLAIN
+      // prepares afresh.
+      Session session(db);
+      EXPECT_EQ(session.Prepare(texts[i].second)->plan_text(), rendered) << name;
+      EXPECT_EQ(db->Explain(texts[i].second), rendered) << name;
+    }
+  }
 };
 
 // Pf(ei, ej) with the benchmark's amount cut of 50.
@@ -173,7 +210,7 @@ std::string WindowAnchor(const std::string& anchor) {
   return anchor + ".ID >= 100, " + anchor + ".ID < 400";
 }
 
-void RecordFraud(GoldenLog* log) {
+void RecordFraud(Recording* log) {
   Graph graph;
   PowerLawParams params;
   params.num_vertices = 2000;
@@ -222,7 +259,7 @@ std::vector<std::pair<std::string, std::string>> MrTexts(const std::string& tag,
   return texts;
 }
 
-void RecordMagicRecs(GoldenLog* log) {
+void RecordMagicRecs(Recording* log) {
   Graph graph;
   PowerLawParams params;
   params.num_vertices = 2000;
@@ -242,7 +279,7 @@ void RecordMagicRecs(GoldenLog* log) {
   log->AddTexts(&db, "D+VPt", texts);
 }
 
-void RecordTriangles(GoldenLog* log) {
+void RecordTriangles(Recording* log) {
   Graph graph;
   PowerLawParams params;
   params.num_vertices = 1500;
@@ -273,7 +310,7 @@ void RecordTriangles(GoldenLog* log) {
   }
 }
 
-void RecordFuzz(GoldenLog* log) {
+void RecordFuzz(Recording* log) {
   for (uint64_t seed = 0; seed < 25; ++seed) {
     Rng rng(seed * 7919 + 13);
     FinancialPropKeys keys;
@@ -281,29 +318,34 @@ void RecordFuzz(GoldenLog* log) {
     DpOptimizer optimizer(&db->graph(), &db->index_store());
     for (int q = 0; q < 2; ++q) {
       QueryGraph query = RandomQuery(&rng, db->graph(), keys);
-      log->Add("fuzz seed=" + std::to_string(seed) + " q=" + std::to_string(q),
-               PlanText(&optimizer, db->graph(), query));
+      const std::string name = "fuzz seed=" + std::to_string(seed) + " q=" + std::to_string(q);
+      log->plans.Add(name, PlanText(&optimizer, db->graph(), query));
+      log->AddPlanText(name, db->Explain(query));
     }
   }
 }
 
-TEST(OptimizerPlanGoldenTest, PlansMatchRecording) {
-  GoldenLog log;
+Recording RecordCorpus() {
+  Recording log;
   RecordFraud(&log);
   RecordMagicRecs(&log);
   RecordTriangles(&log);
   RecordFuzz(&log);
-  ASSERT_FALSE(HasFatalFailure());
-  ASSERT_EQ(log.order().size(), 20u + 12u + 9u + 50u);
+  return log;
+}
 
+// Compares `log` with the recording at `path`, or re-records it under
+// APLUS_UPDATE_GOLDEN.
+void ExpectMatchesRecording(const GoldenLog& log, const char* path) {
+  ASSERT_EQ(log.order().size(), 20u + 12u + 9u + 50u);
   if (std::getenv("APLUS_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(kGoldenPath);
+    std::ofstream out(path);
     out << log.Render();
-    ASSERT_TRUE(out.good()) << "cannot write " << kGoldenPath;
-    GTEST_SKIP() << "re-recorded " << kGoldenPath;
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    GTEST_SKIP() << "re-recorded " << path;
   }
-  std::ifstream in(kGoldenPath);
-  ASSERT_TRUE(in.good()) << "cannot read " << kGoldenPath;
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "cannot read " << path;
   std::stringstream text;
   text << in.rdbuf();
   std::map<std::string, std::string> expected = GoldenLog::Parse(text.str());
@@ -311,8 +353,20 @@ TEST(OptimizerPlanGoldenTest, PlansMatchRecording) {
   for (const std::string& name : log.order()) {
     auto it = expected.find(name);
     ASSERT_NE(it, expected.end()) << "case missing from the recording: " << name;
-    EXPECT_EQ(it->second, log.blocks().at(name)) << "plan changed: " << name;
+    EXPECT_EQ(it->second, log.blocks().at(name)) << "changed: " << name;
   }
+}
+
+TEST(OptimizerPlanGoldenTest, PlansMatchRecording) {
+  Recording log = RecordCorpus();
+  ASSERT_FALSE(HasFatalFailure());
+  ExpectMatchesRecording(log.plans, kGoldenPath);
+}
+
+TEST(OptimizerPlanGoldenTest, PlanTextsMatchRecording) {
+  Recording log = RecordCorpus();
+  ASSERT_FALSE(HasFatalFailure());
+  ExpectMatchesRecording(log.plan_texts, kPlanTextPath);
 }
 
 }  // namespace

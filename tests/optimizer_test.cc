@@ -334,7 +334,7 @@ TEST_F(OptimizerTest, PlanTreeRenders) {
   DpOptimizer optimizer(&ex_.graph, &store_);
   auto plan = optimizer.Optimize(query);
   ASSERT_NE(plan, nullptr);
-  std::string tree = RenderPlanTree(query, ex_.graph.catalog(), optimizer.last_steps());
+  std::string tree = RenderPlanTree(query, ex_.graph.catalog(), optimizer.last_outline(), *plan);
   EXPECT_NE(tree.find("SCAN"), std::string::npos);
   EXPECT_NE(tree.find("EXTEND"), std::string::npos);
 }

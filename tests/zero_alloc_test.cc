@@ -11,6 +11,8 @@
 #include <cstdlib>
 #include <iterator>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "core/database.h"
 #include "datagen/financial_props.h"
@@ -487,26 +489,9 @@ TEST_F(ZeroAllocTest, MultiExtendSteadyStateDoesNotAllocate) {
 }
 
 
-TEST(PrepareAllocTest, AdHocPrepareStaysWithinAllocationBudget) {
-  // The ad hoc MF1-MF5 texts of the fraud workload (Section V-D), each
-  // pinned to one account, prepared under D+VPc+EPc: parse, DP
-  // optimization and plan construction. Heap allocations per text:
-  //
-  //                          MF1  MF2  MF3  MF4  MF5   sum
-  //   ParseCypher, before:    23   22   26   26   26
-  //   ParseCypher, after:     12   11   14   14   14
-  //   Prepare, before:       264  135  234  224  207  1064
-  //   Prepare, after:        143  107  141  146  125   662
-  //
-  // "Before" copied every token into a std::string, had the index
-  // matcher return fresh candidate vectors per lookup and normalized
-  // the text on every Prepare; "after" lexes string_view tokens, matches
-  // into a per-Optimize scratch and leaves the cache key to the plan
-  // cache. The budgets keep the parse under 20 and the sum 30% below
-  // "before".
-  constexpr uint64_t kParseBudget = 20;
-  constexpr uint64_t kPrepareSumBefore = 1064;
-  constexpr uint64_t kPrepareSumBudget = kPrepareSumBefore * 7 / 10;
+// The fraud workload's database (Section V-D) under D+VPc+EPc, at test
+// scale.
+std::unique_ptr<Database> FraudDatabase() {
   Graph graph;
   PowerLawParams params;
   params.num_vertices = 2000;
@@ -516,16 +501,22 @@ TEST(PrepareAllocTest, AdHocPrepareStaysWithinAllocationBudget) {
   FinancialPropKeys keys = AddFinancialProperties(42, &graph, kNumCities);
   graph.catalog().RegisterCategoryValue(keys.acc, "CQ");
   graph.catalog().RegisterCategoryValue(keys.acc, "SV");
-  Database db(std::move(graph));
-  db.BuildPrimaryIndexes();
-  ASSERT_TRUE(db.ExecuteDdl("CREATE 1-HOP VIEW VPc MATCH vs-[eadj]->vd INDEX AS FW-BW "
-                            "PARTITION BY eadj.label SORT BY vnbr.city")
+  auto db = std::make_unique<Database>(std::move(graph));
+  db->BuildPrimaryIndexes();
+  EXPECT_TRUE(db->ExecuteDdl("CREATE 1-HOP VIEW VPc MATCH vs-[eadj]->vd INDEX AS FW-BW "
+                             "PARTITION BY eadj.label SORT BY vnbr.city")
                   .ok);
-  ASSERT_TRUE(db.ExecuteDdl("CREATE 2-HOP VIEW EPc MATCH vs-[eb]->vd-[eadj]->vnbr "
-                            "WHERE eb.date<eadj.date, eadj.amount<eb.amount, "
-                            "eb.amount<eadj.amount+50 INDEX AS PARTITION BY eadj.label, "
-                            "vnbr.acc SORT BY vnbr.city")
+  EXPECT_TRUE(db->ExecuteDdl("CREATE 2-HOP VIEW EPc MATCH vs-[eb]->vd-[eadj]->vnbr "
+                             "WHERE eb.date<eadj.date, eadj.amount<eb.amount, "
+                             "eb.amount<eadj.amount+50 INDEX AS PARTITION BY eadj.label, "
+                             "vnbr.acc SORT BY vnbr.city")
                   .ok);
+  return db;
+}
+
+// The ad hoc MF1-MF5 texts of the fraud workload, each pinned to one
+// account.
+std::vector<std::string> AdHocFraudTexts() {
   // Pf(ei, ej) of Section V-D with alpha = 50.
   auto flow = [](const std::string& ei, const std::string& ej) {
     return ei + ".date < " + ej + ".date, " + ei + ".amount > " + ej + ".amount, " + ei +
@@ -534,7 +525,7 @@ TEST(PrepareAllocTest, AdHocPrepareStaysWithinAllocationBudget) {
   const std::string flow12 = flow("e1", "e2");
   const std::string flow23 = flow("e2", "e3");
   const std::string flow34 = flow("e3", "e4");
-  const std::string texts[] = {
+  return {
       "MATCH (a1)-[e1:E]->(a2)-[e2:E]->(a3)-[e3:E]->(a4)-[e4:E]->(a1) WHERE a1.ID = 17, "
       "a1.acc = CQ, a2.acc = CQ, a3.acc = CQ, a4.acc = CQ, a2.city = a4.city RETURN COUNT(*)",
       "MATCH (a1)-[e1:E]->(a2)-[e2:E]->(a3)-[e3:E]->(a4) WHERE a1.ID = 17, "
@@ -549,6 +540,34 @@ TEST(PrepareAllocTest, AdHocPrepareStaysWithinAllocationBudget) {
       "a1.acc = CQ, a2.acc = CQ, a3.acc = CQ, a4.acc = CQ, a5.acc = CQ, " + flow12 + ", " +
           flow23 + ", " + flow34 + " RETURN COUNT(*)",
   };
+}
+
+TEST(PrepareAllocTest, AdHocPrepareStaysWithinAllocationBudget) {
+  // The ad hoc MF1-MF5 texts prepared under D+VPc+EPc: parse, DP
+  // optimization and plan construction. Heap allocations per text:
+  //
+  //                          MF1  MF2  MF3  MF4  MF5   sum
+  //   ParseCypher, before:    23   22   26   26   26
+  //   ParseCypher, after:     12   11   14   14   14
+  //   Prepare, before:       264  135  234  224  207  1064
+  //   Prepare, after:        143  107  141  146  125   662
+  //   Prepare, now:           52   34   40   51   38   215
+  //
+  // "Before" copied every token into a std::string, had the index
+  // matcher return fresh candidate vectors per lookup and normalized
+  // the text on every Prepare; "after" lexes string_view tokens, matches
+  // into a per-Optimize scratch and leaves the cache key to the plan
+  // cache. "Now" keeps the optimizer's whole working state (DP table,
+  // candidate pool, memo, step records) across calls, copies each chosen
+  // list descriptor once, into its operator, and renders the plan text
+  // only when it is read. The budgets keep the parse under 20 and the
+  // Prepare sum within about 10% of "now", 64% below "after".
+  constexpr uint64_t kParseBudget = 20;
+  constexpr uint64_t kPrepareSumBudget = 240;
+  std::unique_ptr<Database> owned = FraudDatabase();
+  ASSERT_FALSE(HasFailure());
+  Database& db = *owned;
+  const std::vector<std::string> texts = AdHocFraudTexts();
   auto allocs_since = [](uint64_t before) {
     return g_alloc_count.load(std::memory_order_relaxed) - before;
   };
@@ -572,6 +591,31 @@ TEST(PrepareAllocTest, AdHocPrepareStaysWithinAllocationBudget) {
                 static_cast<unsigned long long>(prepare_allocs));
   }
   EXPECT_LE(prepare_sum, kPrepareSumBudget) << "Prepare(MF1..MF5) allocated " << prepare_sum;
+}
+
+TEST(PrepareLookupTest, OneIndexLookupPerExtensionGroup) {
+  // The optimizer matches each (query edge, direction, EP bound edge)
+  // group the DP touches against the INDEX STORE once, and that lookup
+  // serves every sort requirement (none, neighbour ID, each MULTI-EXTEND
+  // key). IndexMatcher lookups per Optimize of the MF1-MF5 texts:
+  //
+  //                             MF1  MF2  MF3  MF4  MF5  sum
+  //   one lookup per sort slot:  36   16   24   16   14  106
+  //   one lookup per group:      16   10   16   14   14   70
+  constexpr int kLookups[] = {16, 10, 16, 14, 14};
+  std::unique_ptr<Database> db = FraudDatabase();
+  ASSERT_FALSE(HasFailure());
+  DpOptimizer optimizer(&db->graph(), &db->index_store());
+  const std::vector<std::string> texts = AdHocFraudTexts();
+  for (size_t i = 0; i < texts.size(); ++i) {
+    ParsedCypher parsed = ParseCypher(texts[i], db->graph().catalog());
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    ASSERT_NE(optimizer.Optimize(parsed.query), nullptr) << "MF" << i + 1;
+    std::printf("MF%zu: %d lookups, %d groups\n", i + 1, optimizer.last_match_lookups(),
+                optimizer.last_match_groups());
+    EXPECT_EQ(optimizer.last_match_lookups(), optimizer.last_match_groups()) << "MF" << i + 1;
+    EXPECT_EQ(optimizer.last_match_lookups(), kLookups[i]) << "MF" << i + 1;
+  }
 }
 
 }  // namespace
