@@ -7,6 +7,7 @@
 #include <string>
 #include <thread>
 
+#include "index/page_build.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -41,11 +42,14 @@ bool EpIndex::EvalViewPred(edge_id_t eb, edge_id_t eadj, vertex_id_t nbr) const 
 }
 
 struct EpIndex::AnchorScratch {
+  explicit AnchorScratch(const ListKeys* list_keys) : keys(list_keys) {}
+
   struct Candidate {
     uint32_t bucket;
     uint32_t offset;
     SortKey key;  // key.eid / key.nbr are the entry's eadj / vnbr
   };
+  const ListKeys* keys;  // the build's partition and sort criteria
   vertex_id_t anchor = kInvalidVertex;
   std::vector<Candidate> candidates;  // in (bucket, key) order
   CompiledPredicate::AdjBatch batch;  // aligned with `candidates`
@@ -61,12 +65,12 @@ void EpIndex::PrepareAnchor(vertex_id_t anchor, AnchorScratch* scratch) const {
   const edge_id_t* eids;
   uint32_t len;
   base_primary_->GetListBase(anchor, &nbrs, &eids, &len);
+  const ListKeys& keys = *scratch->keys;
   for (uint32_t i = 0; i < len; ++i) {
     edge_id_t eadj = eids[i];
     vertex_id_t nbr = nbrs[i];
     if (!compiled_.PassesAdjSide(eadj, nbr)) continue;
-    candidates.push_back({base_primary_->BucketOf(config_, fanouts_, eadj, nbr), i,
-                          base_primary_->ComputeSortKey(config_, eadj, nbr)});
+    candidates.push_back({keys.BucketOf(eadj, nbr), i, keys.KeyOf(eadj, nbr)});
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const AnchorScratch::Candidate& a, const AnchorScratch::Candidate& b) {
@@ -109,10 +113,10 @@ uint64_t EpIndex::AssemblePage(OffsetListPage* page, const EntrySpan* slots,
   return offsets->size();
 }
 
-uint64_t EpIndex::BuildPage(uint32_t page_idx) {
+uint64_t EpIndex::BuildPage(uint32_t page_idx, const ListKeys& keys) {
   edge_id_t first = static_cast<edge_id_t>(page_idx) * kGroupSize;
   edge_id_t last = std::min<uint64_t>(graph_->num_edges(), first + kGroupSize);
-  AnchorScratch scratch;
+  AnchorScratch scratch(&keys);
   std::vector<ListEntry> entries;
   size_t begins[kGroupSize + 1] = {};
   for (edge_id_t eb = first; eb < last; ++eb) {
@@ -166,10 +170,11 @@ void EpIndex::BuildAll(uint32_t num_threads) {
   };
   std::vector<Placement> placements(ne);
   std::vector<std::vector<ListEntry>> buffers(num_threads);
+  const ListKeys keys(*graph_, config_, fanouts_);
   constexpr uint64_t kAnchorsPerClaim = 64;
   std::atomic<uint64_t> next_anchor{0};
   ThreadPool::Global().ParallelRun(static_cast<int>(num_threads), [&](int worker) {
-    AnchorScratch scratch;
+    AnchorScratch scratch(&keys);
     std::vector<ListEntry>& out = buffers[worker];
     while (true) {
       uint64_t begin = next_anchor.fetch_add(kAnchorsPerClaim);
@@ -231,9 +236,10 @@ double EpIndex::Build() {
     // hit; the rest stay unmaterialized (empty CSR) and are answered at
     // run time through ForEachRuntime. Sequential so the budget check is
     // deterministic.
+    const ListKeys keys(*graph_, config_, fanouts_);
     size_t used = 0;
     for (uint32_t p = 0; p < num_pages; ++p) {
-      num_edges_indexed_ += BuildPage(p);
+      num_edges_indexed_ += BuildPage(p, keys);
       used += pages_[p]->MemoryBytes();
       if (used >= budget_bytes_ && p + 1 < num_pages) {
         fully_materialized_ = false;
@@ -352,7 +358,7 @@ void EpIndex::RebuildGroup(uint32_t page_idx) {
     return;
   }
   num_edges_indexed_ -= page.num_entries();
-  num_edges_indexed_ += BuildPage(page_idx);
+  num_edges_indexed_ += BuildPage(page_idx, ListKeys(*graph_, config_, fanouts_));
   if (page_idx < pending_.size()) {
     pending_total_ -= pending_[page_idx];
     pending_[page_idx] = 0;

@@ -14,6 +14,8 @@
 
 namespace aplus {
 
+class ListKeys;
+
 // A secondary edge-partitioned A+ index (Section III-B2): a 2-hop view
 // partitioned by the ID of the bound edge eb, then by the configured
 // nested criteria over the adjacent edge eadj / neighbour vnbr, stored as
@@ -148,7 +150,7 @@ class EpIndex {
   void BuildAll(uint32_t num_threads);
   // Derives one page eb by eb and returns its entry count without
   // touching num_edges_indexed_.
-  uint64_t BuildPage(uint32_t page_idx);
+  uint64_t BuildPage(uint32_t page_idx, const ListKeys& keys);
   bool MarkPending(uint32_t page_idx);
 
   const Graph* graph_;

@@ -46,7 +46,8 @@ struct OffsetEntry {
 };
 
 // The partition and sort criteria of one IndexConfig, resolved against
-// the graph's columns once per build.
+// the graph's columns once per build. The EP build orders each anchor's
+// base list by it too.
 class ListKeys {
  public:
   ListKeys(const Graph& graph, const IndexConfig& config, const std::vector<uint32_t>& fanouts);

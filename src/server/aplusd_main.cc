@@ -3,6 +3,9 @@
 //   aplusd [--port=N] [--workers=N] [--scale=F] [--deadline-ms=N]
 //          [--graph=SEGMENT] [--seal=PATH]
 //
+// --workers is the maximum number of requests running at once (default
+// 4); the server runs one more thread than that for the poll loop.
+//
 // Serves the synthetic power-law financial workload of the benches
 // (vertices with sequential IDs, :E edges with an integer `amt`
 // property) so aplus_loadgen and external drivers have a deterministic
@@ -71,7 +74,9 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: aplusd [--port=N] [--workers=N] [--scale=F] [--deadline-ms=N] "
-                   "[--graph=SEGMENT] [--seal=PATH]\n");
+                   "[--graph=SEGMENT] [--seal=PATH]\n"
+                   "  --workers=N  the maximum number of requests running at once "
+                   "(default 4)\n");
       return 2;
     }
   }

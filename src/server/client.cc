@@ -35,6 +35,14 @@ void AppendParam(const std::string& name, const Value& value, wire::FrameWriter*
   }
 }
 
+// A request frame over a wire limit is refused before anything is sent,
+// so the connection stays usable.
+std::string OversizedError(const char* frame) {
+  return std::string(frame) + " frame exceeds a wire limit (" +
+         std::to_string(wire::kMaxFrameBytes) + "-byte frames, 65535-byte names); " +
+         "nothing was sent";
+}
+
 }  // namespace
 
 Client::~Client() { Close(); }
@@ -167,7 +175,11 @@ Client::PreparedInfo Client::Prepare(const std::string& text) {
   wire::FrameWriter w(&send_scratch_);
   w.BeginFrame(wire::FrameType::kPrepare);
   w.PutStr32(text);
-  w.EndFrame();
+  if (!w.EndFrame()) {
+    info.status = wire::WireStatus::kProtocolError;
+    info.error = OversizedError("PREPARE");
+    return info;
+  }
   if (!SendRaw(send_scratch_.data(), send_scratch_.size())) {
     info.status = wire::WireStatus::kProtocolError;
     info.error = "send failed";
@@ -283,10 +295,13 @@ Client::Result Client::Execute(uint32_t stmt_id,
   w.PutU64(max_rows);
   w.PutU32(static_cast<uint32_t>(params.size()));
   for (const auto& param : params) AppendParam(param.first, param.second, &w);
-  w.EndFrame();
+  Result result;
+  result.status = wire::WireStatus::kProtocolError;
+  if (!w.EndFrame()) {
+    result.error = OversizedError("EXECUTE");
+    return result;
+  }
   if (!SendRaw(send_scratch_.data(), send_scratch_.size())) {
-    Result result;
-    result.status = wire::WireStatus::kProtocolError;
     result.error = "send failed";
     return result;
   }

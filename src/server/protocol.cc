@@ -1,7 +1,5 @@
 #include "server/protocol.h"
 
-#include "util/logging.h"
-
 namespace aplus {
 namespace wire {
 
@@ -31,15 +29,20 @@ const char* ToString(WireStatus status) {
 
 void FrameWriter::BeginFrame(FrameType type) {
   frame_start_ = out_->size();
+  fits_ = true;
   out_->insert(out_->end(), {0, 0, 0, 0});  // length, patched by EndFrame
   out_->push_back(static_cast<uint8_t>(type));
 }
 
-void FrameWriter::EndFrame() {
+bool FrameWriter::EndFrame() {
   const size_t payload = out_->size() - frame_start_ - kFrameHeaderBytes;
-  APLUS_CHECK_LE(payload, static_cast<size_t>(kMaxFrameBytes)) << "frame too large";
+  if (!fits_ || payload > kMaxFrameBytes) {
+    out_->resize(frame_start_);
+    return false;
+  }
   uint32_t len = static_cast<uint32_t>(payload);
   std::memcpy(out_->data() + frame_start_, &len, sizeof(len));
+  return true;
 }
 
 void FrameWriter::PutU16(uint16_t v) { PutBytes(&v, sizeof(v)); }
@@ -53,7 +56,10 @@ void FrameWriter::PutBytes(const void* data, size_t len) {
 }
 
 void FrameWriter::PutStr16(const std::string& s) {
-  APLUS_CHECK_LE(s.size(), size_t{0xFFFF});
+  if (s.size() > 0xFFFF) {
+    fits_ = false;  // EndFrame drops the frame
+    return;
+  }
   PutU16(static_cast<uint16_t>(s.size()));
   PutBytes(s.data(), s.size());
 }
@@ -175,10 +181,13 @@ Storage StorageOf(ValueType type) {
 
 }  // namespace
 
-void AppendRowsFrame(const RowBatch& batch, std::vector<uint8_t>* out) {
+bool AppendRowsFrame(const RowBatch& batch, uint32_t begin, uint32_t num_rows,
+                     std::vector<uint8_t>* out) {
+  // Gives up on an oversized frame as soon as it overflows, not after
+  // copying every remaining cell.
+  const size_t frame_end = out->size() + kFrameHeaderBytes + kMaxFrameBytes;
   FrameWriter w(out);
   w.BeginFrame(FrameType::kRows);
-  const uint32_t num_rows = batch.num_rows();
   const uint32_t num_cols = static_cast<uint32_t>(batch.num_columns());
   w.PutU32(num_rows);
   w.PutU32(num_cols);
@@ -186,41 +195,46 @@ void AppendRowsFrame(const RowBatch& batch, std::vector<uint8_t>* out) {
     const RowBatch::Column& col = batch.column(c);
     w.PutU8(static_cast<uint8_t>(col.type));
     uint8_t has_nulls = 0;
-    for (uint32_t r = 0; r < num_rows; ++r) has_nulls |= col.nulls[r];
+    for (uint32_t r = begin; r < begin + num_rows; ++r) has_nulls |= col.nulls[r];
     w.PutU8(has_nulls);
-    if (has_nulls) w.PutBytes(col.nulls.data(), num_rows);
+    if (has_nulls) w.PutBytes(col.nulls.data() + begin, num_rows);
     switch (StorageOf(col.type)) {
       case Storage::kInts:
-        w.PutBytes(col.ints.data(), static_cast<size_t>(num_rows) * sizeof(int64_t));
+        w.PutBytes(col.ints.data() + begin, static_cast<size_t>(num_rows) * sizeof(int64_t));
         break;
       case Storage::kDoubles:
-        w.PutBytes(col.doubles.data(), static_cast<size_t>(num_rows) * sizeof(double));
+        w.PutBytes(col.doubles.data() + begin, static_cast<size_t>(num_rows) * sizeof(double));
         break;
       case Storage::kStrings:
         // Dictionary pointers dereference here, at serialization time —
         // the bytes go on the wire, so the frame stays valid however
         // long the client holds it.
-        for (uint32_t r = 0; r < num_rows; ++r) {
+        for (uint32_t r = begin; r < begin + num_rows; ++r) {
           const std::string* s = col.strings[r];
           if (s == nullptr) {
             w.PutU32(0);
           } else {
             w.PutU32(static_cast<uint32_t>(s->size()));
             w.PutBytes(s->data(), s->size());
+            if (out->size() > frame_end) break;
           }
         }
         break;
     }
+    if (out->size() > frame_end) break;
   }
-  w.EndFrame();
+  return w.EndFrame();
 }
 
 void AppendErrorFrame(WireStatus status, const std::string& message,
                       std::vector<uint8_t>* out) {
+  // u8 status + u32 length: the rest of the frame is the message, cut to
+  // fit (a parse error may quote a text near the limit).
+  constexpr size_t kMaxMessage = kMaxFrameBytes - 5;
   FrameWriter w(out);
   w.BeginFrame(FrameType::kError);
   w.PutU8(static_cast<uint8_t>(status));
-  w.PutStr32(message);
+  w.PutStr32(message.size() <= kMaxMessage ? message : message.substr(0, kMaxMessage));
   w.EndFrame();
 }
 

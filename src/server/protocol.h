@@ -94,9 +94,11 @@ class FrameWriter {
  public:
   explicit FrameWriter(std::vector<uint8_t>* out) : out_(out) {}
 
-  // Begin/End bracket one frame; End patches the length prefix.
+  // Begin/End bracket one frame; End patches the length prefix. A frame
+  // over a wire limit (a payload over kMaxFrameBytes, a str16 over 65535
+  // bytes) is not sent: End removes it from the buffer and returns false.
   void BeginFrame(FrameType type);
-  void EndFrame();
+  bool EndFrame();
 
   void PutU8(uint8_t v) { out_->push_back(v); }
   void PutU16(uint16_t v);
@@ -111,6 +113,7 @@ class FrameWriter {
  private:
   std::vector<uint8_t>* out_;
   size_t frame_start_ = 0;  // offset of the length prefix
+  bool fits_ = true;        // false once a field broke a wire limit
 };
 
 // One decoded frame header pointing into the receive buffer.
@@ -157,7 +160,7 @@ class FrameReader {
 
 // --- Composite frames ---
 
-// Serializes `batch` as one kRows frame:
+// Serializes rows [begin, begin + num_rows) of `batch` as one kRows frame:
 //   u32 num_rows, u32 num_cols,
 //   per column: u8 value_type, u8 has_nulls,
 //               [num_rows null bytes when has_nulls],
@@ -165,7 +168,10 @@ class FrameReader {
 // Column-at-a-time appends into the reused buffer: no per-row heap
 // allocation (string cells copy their dictionary bytes into `out`, which
 // is amortized by the buffer's high-water mark like every other append).
-void AppendRowsFrame(const RowBatch& batch, std::vector<uint8_t>* out);
+// Returns false, leaving `out` as it was, when the frame would exceed
+// kMaxFrameBytes; the caller splits the rows over several frames.
+bool AppendRowsFrame(const RowBatch& batch, uint32_t begin, uint32_t num_rows,
+                     std::vector<uint8_t>* out);
 
 void AppendErrorFrame(WireStatus status, const std::string& message,
                       std::vector<uint8_t>* out);

@@ -64,7 +64,7 @@ ServerOptions ServerOptions::FromEnv() {
 }
 
 Server::Server(Database* db, const ServerOptions& options)
-    : db_(db), options_(options) {}
+    : db_(db), options_(options), max_jobs_(std::max(1, options.num_workers)) {}
 
 Server::~Server() { Stop(); }
 
@@ -104,10 +104,9 @@ bool Server::Start(std::string* error) {
   SetNonBlocking(listen_fd_);
   SetNonBlocking(wake_fds_[0]);
   SetNonBlocking(wake_fds_[1]);
-  workers_.Start(options_.num_workers);
   running_.store(true, std::memory_order_release);
   stopping_.store(false, std::memory_order_release);
-  loop_ = std::thread([this] { LoopThread(); });
+  for (int i = 0; i <= max_jobs_; ++i) pool_.emplace_back([this] { PoolThread(); });
   return true;
 }
 
@@ -115,10 +114,10 @@ void Server::Stop() {
   if (!running_.exchange(false)) return;
   stopping_.store(true, std::memory_order_release);
   WakeLoop();
-  if (loop_.joinable()) loop_.join();
-  workers_.Stop();
-  // The loop reaped every connection before exiting; only the pipes and
-  // (possibly) the listener remain.
+  for (std::thread& t : pool_) t.join();
+  pool_.clear();
+  // The loop reaped every connection before the pool exited; only the
+  // pipes and (possibly) the listener remain.
   if (listen_fd_ >= 0) {
     close(listen_fd_);
     listen_fd_ = -1;
@@ -138,16 +137,139 @@ void Server::WakeLoop() {
   (void)rc;  // EAGAIN just means a wakeup is already pending
 }
 
-void Server::LoopThread() {
+void Server::PoolThread() {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (!exit_) {
+    if (JobStartable()) {
+      RunPooledJob(&lock);
+      continue;
+    }
+    bool take_role = false;
+    if (role_ == Role::kVacant) {
+      role_ = Role::kHeld;
+      take_role = true;
+    } else if (!has_standby_) {
+      has_standby_ = true;
+      take_role = Standby(&lock);
+      has_standby_ = false;
+      // An idle thread becomes the next standby.
+      if (take_role) idle_cv_.notify_one();
+    } else {
+      idle_cv_.wait(lock);
+    }
+    if (take_role) {
+      lock.unlock();
+      LoopRole();
+      lock.lock();
+    }
+  }
+}
+
+bool Server::Standby(std::unique_lock<std::mutex>* lock) {
+  uint64_t seen = lent_seq_;
+  int quiet = 0;
+  while (!exit_) {
+    if (role_ == Role::kLent) {
+      const Clock::time_point due = lent_start_ + kLoopSlice;
+      if (Clock::now() >= due) {
+        role_ = Role::kHeld;
+        loop_handoffs_.fetch_add(1, std::memory_order_relaxed);
+        return true;
+      }
+      standby_cv_.wait_until(*lock, due);
+      continue;
+    }
+    if (lent_seq_ != seen) {
+      seen = lent_seq_;
+      quiet = 0;
+    } else if (++quiet >= kParkSlices) {
+      // An idle server should not wake every slice: park until the next
+      // lend (RunInline) or exit.
+      standby_parked_ = true;
+      standby_cv_.wait(*lock, [&] { return !standby_parked_ || exit_; });
+      seen = lent_seq_;
+      quiet = 0;
+      continue;
+    }
+    standby_cv_.wait_for(*lock, kLoopSlice);
+  }
+  return false;
+}
+
+bool Server::JobStartable() const { return !jobs_.empty() && in_flight_ < max_jobs_; }
+
+std::unique_ptr<Server::Job> Server::StartJobLocked() {
+  std::unique_ptr<Job> job = std::move(jobs_.front());
+  jobs_.pop_front();
+  // Starting seals a batch group: later identical requests start their own.
+  if (!job->execs.empty() && !job->execs[0]->batch_key.empty()) {
+    batch_pending_.erase(job->execs[0]->batch_key);
+  }
+  ++in_flight_;
+  return job;
+}
+
+bool Server::RunInline() {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (!JobStartable()) return true;
+  std::unique_ptr<Job> job = StartJobLocked();
+  const uint64_t seq = ++lent_seq_;
+  role_ = Role::kLent;
+  lent_start_ = Clock::now();
+  if (standby_parked_) {
+    standby_parked_ = false;
+    standby_cv_.notify_one();
+  }
+  if (JobStartable()) idle_cv_.notify_one();
+  lock.unlock();
+
+  std::vector<Completion> done = RunJob(job.get());
+
+  lock.lock();
+  --in_flight_;
+  if (role_ == Role::kLent && lent_seq_ == seq) {
+    // Nobody took the role over: answer straight from this thread.
+    role_ = Role::kHeld;
+    lock.unlock();
+    for (Completion& completion : done) Deliver(&completion);
+    return true;
+  }
+  // The standby runs the loop now; hand it the response.
+  for (Completion& completion : done) completions_.push_back(std::move(completion));
+  lock.unlock();
+  WakeLoop();
+  return false;
+}
+
+void Server::RunPooledJob(std::unique_lock<std::mutex>* lock) {
+  std::unique_ptr<Job> job = StartJobLocked();
+  if (JobStartable()) idle_cv_.notify_one();
+  lock->unlock();
+  std::vector<Completion> done = RunJob(job.get());
+  lock->lock();
+  --in_flight_;
+  for (Completion& completion : done) completions_.push_back(std::move(completion));
+  lock->unlock();
+  WakeLoop();
+  lock->lock();
+}
+
+std::vector<Server::Completion> Server::RunJob(Job* job) {
+  if (!job->execs.empty()) return RunExecuteGroup(job);
+  std::vector<Completion> done;
+  done.push_back(RunPrepare(job->conn, job->stmt_id, job->text));
+  return done;
+}
+
+void Server::LoopRole() {
   std::vector<pollfd> pfds;
   std::vector<Connection*> pfd_conns;
-  bool listener_open = true;
   while (true) {
     const bool stopping = stopping_.load(std::memory_order_acquire);
-    if (stopping && listener_open) {
+    if (stopping && listener_open_) {
       close(listen_fd_);
       listen_fd_ = -1;
-      listener_open = false;
+      listener_open_ = false;
       // Drain in-flight executes promptly: every busy connection's
       // query gets a cooperative cancel.
       for (Connection* conn : conns_) {
@@ -172,13 +294,17 @@ void Server::LoopThread() {
         ++it;
       }
     }
-    if (stopping && conns_.empty()) return;
+    if (stopping && conns_.empty()) break;
+
+    // A free slot runs the next job right here: one job per poll, so
+    // that other connections' answers and requests keep moving.
+    if (!RunInline()) return;
 
     pfds.clear();
     pfd_conns.clear();
     pfds.push_back({wake_fds_[0], POLLIN, 0});
     pfd_conns.push_back(nullptr);
-    if (listener_open) {
+    if (listener_open_) {
       pfds.push_back({listen_fd_, POLLIN, 0});
       pfd_conns.push_back(nullptr);
     }
@@ -192,19 +318,26 @@ void Server::LoopThread() {
       pfd_conns.push_back(conn);
     }
 
-    int rc = poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 100);
-    if (rc < 0 && errno != EINTR) return;
+    // A startable job waits only for a look at the sockets.
+    bool startable;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      startable = JobStartable();
+    }
+    int rc = poll(pfds.data(), static_cast<nfds_t>(pfds.size()), startable ? 0 : 100);
+    if (rc < 0 && errno != EINTR) break;
 
-    // Self-pipe: drain it, then the completion queue.
+    // Self-pipe: drain it, then the completion queue. Every completion
+    // is posted before its wake byte, so none is left behind.
     if (pfds[0].revents & POLLIN) {
       uint8_t buf[64];
       while (read(wake_fds_[0], buf, sizeof(buf)) > 0) {
       }
+      DrainCompletions();
     }
-    DrainCompletions();
 
     size_t base = 1;
-    if (listener_open) {
+    if (listener_open_) {
       if (pfds[1].revents & POLLIN) AcceptNew();
       base = 2;
     }
@@ -221,6 +354,11 @@ void Server::LoopThread() {
       if (pfds[i].revents & POLLOUT) FlushOut(conn);
     }
   }
+  // Stopped: the pool exits with the loop.
+  std::lock_guard<std::mutex> lock(mu_);
+  exit_ = true;
+  idle_cv_.notify_all();
+  standby_cv_.notify_all();
 }
 
 void Server::AcceptNew() {
@@ -353,23 +491,18 @@ void Server::HandleHello(Connection* conn, const wire::FrameView& frame) {
 
 void Server::DispatchPrepare(Connection* conn, const wire::FrameView& frame) {
   wire::FrameReader r(frame.payload, frame.len);
-  std::string text;
-  if (!r.GetStr32(&text) || r.remaining() != 0) {
+  auto job = std::make_unique<Job>();
+  if (!r.GetStr32(&job->text) || r.remaining() != 0) {
     SendError(conn, wire::WireStatus::kProtocolError, "malformed PREPARE");
     conn->closing = true;
     return;
   }
-  const uint32_t stmt_id = conn->next_stmt_id++;
-  conn->stmts[stmt_id] = std::make_unique<Statement>();
+  job->conn = conn;
+  job->stmt_id = conn->next_stmt_id++;
+  conn->stmts[job->stmt_id] = std::make_unique<Statement>();
   conn->busy = true;
-  bool submitted = workers_.Submit([this, conn, stmt_id, text = std::move(text)] {
-    RunPrepare(conn, stmt_id, text);
-  });
-  if (!submitted) {
-    conn->busy = false;
-    conn->stmts.erase(stmt_id);
-    SendError(conn, wire::WireStatus::kOverloaded, "server is shutting down");
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  jobs_.push_back(std::move(job));
 }
 
 void Server::DispatchExecute(Connection* conn, const wire::FrameView& frame) {
@@ -380,7 +513,7 @@ void Server::DispatchExecute(Connection* conn, const wire::FrameView& frame) {
   uint32_t num_params = 0;
   bool ok = r.GetU32(&stmt_id) && r.GetU32(&deadline_ms) && r.GetU64(&max_rows) &&
             r.GetU32(&num_params);
-  auto req = std::make_shared<ExecRequest>();
+  auto req = std::make_unique<ExecRequest>();
   for (uint32_t i = 0; ok && i < num_params; ++i) {
     std::string name;
     uint8_t tag = 0;
@@ -431,14 +564,14 @@ void Server::DispatchExecute(Connection* conn, const wire::FrameView& frame) {
   }
   req->conn = conn;
   req->stmt = it->second.get();
-  req->stmt_id = stmt_id;
   req->deadline_millis = deadline_ms > 0 ? static_cast<int64_t>(deadline_ms)
                                          : options_.default_deadline_millis;
   req->max_rows = max_rows;
   conn->busy = true;
 
   if (options_.batching && req->stmt->lease->ok()) {
-    std::string key = req->stmt->lease->normalized_text();
+    std::string& key = req->batch_key;
+    key = req->stmt->lease->normalized_text();
     key.push_back('\x1f');
     key.append(reinterpret_cast<const char*>(&req->deadline_millis),
                sizeof(req->deadline_millis));
@@ -449,32 +582,26 @@ void Server::DispatchExecute(Connection* conn, const wire::FrameView& frame) {
       key.push_back('=');
       AppendValueKey(param.second, &key);
     }
-    req->batch_key = std::move(key);
-    std::lock_guard<std::mutex> lock(batch_mu_);
+  }
+
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!req->batch_key.empty()) {
     auto pending = batch_pending_.find(req->batch_key);
-    if (pending != batch_pending_.end() && !pending->second->sealed) {
-      // An identical request is queued but its leader has not started:
-      // ride along. The leader answers for this connection too.
-      pending->second->members.push_back(std::move(req));
+    if (pending != batch_pending_.end()) {
+      // An identical request is queued and has not started: ride along.
+      // Its leader answers for this connection too.
+      pending->second->execs.push_back(std::move(req));
       return;
     }
-    batch_pending_[req->batch_key] = std::make_shared<BatchGroup>();
   }
-
-  const std::string key = req->batch_key;
-  bool submitted =
-      workers_.Submit([this, key, req]() mutable { RunExecuteGroup(key, std::move(req)); });
-  if (!submitted) {
-    if (!key.empty()) {
-      std::lock_guard<std::mutex> lock(batch_mu_);
-      batch_pending_.erase(key);
-    }
-    conn->busy = false;
-    SendError(conn, wire::WireStatus::kOverloaded, "server is shutting down");
-  }
+  auto job = std::make_unique<Job>();
+  if (!req->batch_key.empty()) batch_pending_.emplace(req->batch_key, job.get());
+  job->execs.push_back(std::move(req));
+  jobs_.push_back(std::move(job));
 }
 
-void Server::RunPrepare(Connection* conn, uint32_t stmt_id, std::string text) {
+Server::Completion Server::RunPrepare(Connection* conn, uint32_t stmt_id,
+                                      const std::string& text) {
   PlanCache::Lease lease = db_->plan_cache().Acquire(text, PrepareOptions{});
   Completion completion;
   completion.conn = conn;
@@ -482,8 +609,7 @@ void Server::RunPrepare(Connection* conn, uint32_t stmt_id, std::string text) {
   if (!q->ok()) {
     wire::AppendErrorFrame(wire::ToWire(q->status()), q->error(), &completion.response);
     completion.drop_stmt_id = stmt_id;
-    PostCompletion(std::move(completion));
-    return;
+    return completion;
   }
   wire::FrameWriter w(&completion.response);
   w.BeginFrame(wire::FrameType::kPrepared);
@@ -495,25 +621,59 @@ void Server::RunPrepare(Connection* conn, uint32_t stmt_id, std::string text) {
     w.PutU8(static_cast<uint8_t>(col.type));
     w.PutStr16(col.name);
   }
-  w.EndFrame();
-  // The worker may touch the statement freely: its connection stays
-  // busy (and thus alive, untouched by the loop) until this completion.
+  if (!w.EndFrame()) {
+    wire::AppendErrorFrame(wire::WireStatus::kPlanError,
+                           "a parameter or column name exceeds 65535 bytes",
+                           &completion.response);
+    completion.drop_stmt_id = stmt_id;
+    return completion;
+  }
+  // The job may touch the statement freely: its connection stays busy
+  // (and thus alive, untouched by the loop) until this completion lands.
   conn->stmts.at(stmt_id)->lease = std::move(lease);
-  PostCompletion(std::move(completion));
+  return completion;
 }
 
-void Server::RunExecuteGroup(const std::string& group_key, std::shared_ptr<ExecRequest> leader) {
-  std::vector<std::shared_ptr<ExecRequest>> followers;
-  if (!group_key.empty()) {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    auto it = batch_pending_.find(group_key);
-    if (it != batch_pending_.end()) {
-      it->second->sealed = true;
-      followers = std::move(it->second->members);
-      batch_pending_.erase(it);
-    }
+// Spools an execute's row batches as kRows frames, one chunk per frame.
+struct Server::SpoolSink : RowConsumer {
+  SpoolSink(Statement* s, PreparedQuery* q) : stmt(s), query(q) {}
+
+  Statement* stmt;
+  PreparedQuery* query;
+  std::mutex mu;
+  bool row_too_large = false;
+
+  void OnBatch(const RowBatch& batch) override {
+    std::lock_guard<std::mutex> lock(mu);
+    Spool(batch, 0, batch.num_rows());
   }
 
+  // Rows [begin, end) as one frame, or, when that exceeds the frame
+  // limit, each half on its own: chunk row counts stay exact.
+  void Spool(const RowBatch& batch, uint32_t begin, uint32_t end) {
+    if (row_too_large) return;
+    SpoolChunk chunk;
+    chunk.offset = stmt->spool.size();
+    if (wire::AppendRowsFrame(batch, begin, end - begin, &stmt->spool)) {
+      chunk.rows = end - begin;
+      chunk.len = stmt->spool.size() - chunk.offset;
+      stmt->chunks.push_back(chunk);
+      return;
+    }
+    if (end - begin == 1) {
+      row_too_large = true;  // no frame can carry it: stop the query
+      query->Cancel();
+      return;
+    }
+    const uint32_t mid = begin + (end - begin) / 2;
+    Spool(batch, begin, mid);
+    Spool(batch, mid, end);
+  }
+};
+
+std::vector<Server::Completion> Server::RunExecuteGroup(Job* job) {
+  ExecRequest* leader = job->execs[0].get();
+  const size_t num_followers = job->execs.size() - 1;
   Statement* stmt = leader->stmt;
   PreparedQuery* q = stmt->lease.get();
   QueryOutcome outcome;
@@ -533,60 +693,48 @@ void Server::RunExecuteGroup(const std::string& group_key, std::shared_ptr<ExecR
     q->set_deadline_millis(leader->deadline_millis);
     leader->conn->inflight.store(q, std::memory_order_release);
 
-    struct Sink : RowConsumer {
-      Statement* stmt;
-      std::mutex mu;
-      void OnBatch(const RowBatch& batch) override {
-        std::lock_guard<std::mutex> lock(mu);
-        SpoolChunk chunk;
-        chunk.offset = stmt->spool.size();
-        chunk.rows = batch.num_rows();
-        wire::AppendRowsFrame(batch, &stmt->spool);
-        chunk.len = stmt->spool.size() - chunk.offset;
-        stmt->chunks.push_back(chunk);
-      }
-    } sink;
-    sink.stmt = stmt;
+    SpoolSink sink(stmt, q);
 
     // A lone request runs serial (cross-connection concurrency is the
-    // throughput lever); a sealed batch group amortizes one
-    // morsel-parallel pass across all its members.
-    const int num_threads =
-        followers.empty() ? 1 : static_cast<int>(std::min<size_t>(followers.size() + 1, 4));
+    // throughput lever); a batch group amortizes one morsel-parallel
+    // pass across all its members.
+    const int num_threads = static_cast<int>(std::min<size_t>(num_followers + 1, 4));
     outcome = q->Execute(&sink, num_threads);
     leader->conn->inflight.store(nullptr, std::memory_order_release);
+    if (sink.row_too_large) {
+      outcome.status = QueryOutcome::Status::kExecError;
+      outcome.error = "a result row exceeds the " + std::to_string(wire::kMaxFrameBytes) +
+                      "-byte frame limit";
+      stmt->spool.clear();
+      stmt->chunks.clear();
+    }
     stmt->count = outcome.count;
     stmt->seconds = outcome.seconds;
   }
 
-  queries_.fetch_add(1 + followers.size(), std::memory_order_relaxed);
-  if (!followers.empty()) {
-    batch_saved_.fetch_add(followers.size(), std::memory_order_relaxed);
-  }
+  queries_.fetch_add(1 + num_followers, std::memory_order_relaxed);
+  if (num_followers > 0) batch_saved_.fetch_add(num_followers, std::memory_order_relaxed);
 
-  // Build EVERY response before posting ANY completion: the moment the
-  // leader's completion lands, its connection stops being busy and the
-  // loop thread may free the leader's Statement (a pipelined CLOSE) —
-  // the follower spool copies below must already be done by then.
-  std::vector<Completion> completions;
-  completions.emplace_back();
-  completions.back().conn = leader->conn;
-  BuildExecuteResponse(outcome, leader.get(), &completions.back().response);
-  for (const std::shared_ptr<ExecRequest>& follower : followers) {
-    // Batched answer: the follower's statement adopts a copy of the
-    // leader's spool so its FETCH cursor pages independently.
-    if (outcome.ok()) {
-      follower->stmt->spool = stmt->spool;
-      follower->stmt->chunks = stmt->chunks;
-      follower->stmt->next_chunk = 0;
-      follower->stmt->count = stmt->count;
-      follower->stmt->seconds = stmt->seconds;
+  // Build EVERY response before delivering ANY: the moment the leader's
+  // completion lands, its connection stops being busy and the loop may
+  // free the leader's Statement (a pipelined CLOSE) — the follower spool
+  // copies below must already be done by then.
+  std::vector<Completion> done(job->execs.size());
+  for (size_t i = 0; i < job->execs.size(); ++i) {
+    ExecRequest* req = job->execs[i].get();
+    if (i > 0 && outcome.ok()) {
+      // Batched answer: the follower's statement adopts a copy of the
+      // leader's spool so its FETCH cursor pages independently.
+      req->stmt->spool = stmt->spool;
+      req->stmt->chunks = stmt->chunks;
+      req->stmt->next_chunk = 0;
+      req->stmt->count = stmt->count;
+      req->stmt->seconds = stmt->seconds;
     }
-    completions.emplace_back();
-    completions.back().conn = follower->conn;
-    BuildExecuteResponse(outcome, follower.get(), &completions.back().response);
+    done[i].conn = req->conn;
+    BuildExecuteResponse(outcome, req, &done[i].response);
   }
-  for (Completion& completion : completions) PostCompletion(std::move(completion));
+  return done;
 }
 
 void Server::BuildExecuteResponse(const QueryOutcome& outcome, ExecRequest* req,
@@ -624,8 +772,8 @@ void Server::HandleFetch(Connection* conn, const wire::FrameView& frame) {
               "unknown statement " + std::to_string(stmt_id));
     return;
   }
-  // Pure spool slicing: no execution, so it runs right here on the
-  // loop thread.
+  // Pure spool slicing: no execution, so the role holder runs it in
+  // place.
   Statement* stmt = it->second.get();
   uint64_t delivered = 0;
   while (stmt->next_chunk < stmt->chunks.size() && (max_rows == 0 || delivered < max_rows)) {
@@ -673,27 +821,21 @@ void Server::HandleStats(Connection* conn) {
   w.EndFrame();
 }
 
-void Server::PostCompletion(Completion completion) {
-  {
-    std::lock_guard<std::mutex> lock(completions_mu_);
-    completions_.push_back(std::move(completion));
-  }
-  WakeLoop();
-}
-
 void Server::DrainCompletions() {
   std::deque<Completion> batch;
   {
-    std::lock_guard<std::mutex> lock(completions_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     batch.swap(completions_);
   }
-  for (Completion& completion : batch) {
-    Connection* conn = completion.conn;
-    conn->out.insert(conn->out.end(), completion.response.begin(), completion.response.end());
-    if (completion.drop_stmt_id != 0) conn->stmts.erase(completion.drop_stmt_id);
-    FinishJob(conn);
-    FlushOut(conn);
-  }
+  for (Completion& completion : batch) Deliver(&completion);
+}
+
+void Server::Deliver(Completion* completion) {
+  Connection* conn = completion->conn;
+  conn->out.insert(conn->out.end(), completion->response.begin(), completion->response.end());
+  if (completion->drop_stmt_id != 0) conn->stmts.erase(completion->drop_stmt_id);
+  FinishJob(conn);
+  FlushOut(conn);
 }
 
 void Server::FinishJob(Connection* conn) {

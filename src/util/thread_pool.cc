@@ -91,59 +91,4 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-// --- TaskQueue ---
-
-TaskQueue::~TaskQueue() { Stop(); }
-
-void TaskQueue::Start(int num_workers) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!threads_.empty() || stop_) return;
-  if (num_workers < 1) num_workers = 1;
-  threads_.reserve(static_cast<size_t>(num_workers));
-  for (int i = 0; i < num_workers; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-bool TaskQueue::Submit(std::function<void()> job) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_ || threads_.empty()) return false;
-    queue_.push_back(std::move(job));
-  }
-  work_cv_.notify_one();
-  return true;
-}
-
-void TaskQueue::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
-  threads_.clear();
-}
-
-size_t TaskQueue::pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size() + running_;
-}
-
-void TaskQueue::WorkerLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    work_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
-    if (queue_.empty()) return;  // stop_ set and fully drained
-    std::function<void()> job = std::move(queue_.front());
-    queue_.pop_front();
-    ++running_;
-    lock.unlock();
-    job();
-    lock.lock();
-    --running_;
-  }
-}
-
 }  // namespace aplus

@@ -4,8 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -68,46 +66,6 @@ class ThreadPool {
   int job_workers_ = 0;
   std::atomic<int> job_next_id_{0};  // worker ids handed out per job
   int job_pending_ = 0;              // pool workers still running the job
-  bool stop_ = false;
-};
-
-// Request-level concurrency companion to the fork-join ThreadPool: N
-// persistent workers drain a FIFO of independent jobs. Unlike
-// ParallelRun (one job at a time, caller participates, no allocation),
-// TaskQueue jobs overlap freely and each submission owns a
-// std::function — the right shape for a server dispatching client
-// requests, not for a query's inner loop. Jobs that need morsel
-// parallelism still call ThreadPool::Global() from inside the task.
-class TaskQueue {
- public:
-  TaskQueue() = default;
-  ~TaskQueue();
-
-  TaskQueue(const TaskQueue&) = delete;
-  TaskQueue& operator=(const TaskQueue&) = delete;
-
-  // Spawns the workers. Call once, before the first Submit.
-  void Start(int num_workers);
-
-  // Enqueues `job` and wakes a worker; false (job dropped) after Stop.
-  bool Submit(std::function<void()> job);
-
-  // Stops accepting, runs every job already queued, joins the workers.
-  // Safe to call twice; the destructor calls it.
-  void Stop();
-
-  int num_workers() const { return static_cast<int>(threads_.size()); }
-  // Jobs submitted but not yet finished (approximate; for tests/stats).
-  size_t pending() const;
-
- private:
-  void WorkerLoop();
-
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::deque<std::function<void()>> queue_;
-  std::vector<std::thread> threads_;
-  size_t running_ = 0;  // jobs currently executing
   bool stop_ = false;
 };
 

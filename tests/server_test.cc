@@ -107,6 +107,24 @@ class ServerTest : public ::testing::Test {
     elabel_ = db_->graph().catalog().FindEdgeLabel("E");
   }
 
+  // A hub graph for the frame-limit cases: vertex 0 has `fanout`
+  // out-edges and carries `blob`; vertex 1 has three and carries `huge`.
+  void RebuildHub(uint32_t fanout, const std::string& blob, const std::string& huge) {
+    server_.reset();
+    Graph graph;
+    label_t vlabel = graph.catalog().AddVertexLabel("V");
+    label_t elabel = graph.catalog().AddEdgeLabel("E");
+    for (uint32_t v = 0; v <= fanout; ++v) graph.AddVertex(vlabel);
+    for (vertex_id_t v = 1; v <= fanout; ++v) graph.AddEdge(0, v, elabel);
+    for (vertex_id_t v = 2; v <= 4; ++v) graph.AddEdge(1, v, elabel);
+    prop_key_t blob_key = graph.AddVertexProperty("blob", ValueType::kString);
+    prop_key_t huge_key = graph.AddVertexProperty("huge", ValueType::kString);
+    graph.vertex_props().mutable_column(blob_key)->SetString(0, blob);
+    graph.vertex_props().mutable_column(huge_key)->SetString(1, huge);
+    db_ = std::make_unique<Database>(std::move(graph));
+    db_->BuildPrimaryIndexes();
+  }
+
   // Starts (or restarts) the in-process server on an ephemeral port.
   void StartServer(ServerOptions options = {}) {
     server_ = std::make_unique<Server>(db_.get(), options);
@@ -470,6 +488,139 @@ TEST_F(ServerTest, MalformedFramesFailTypedNotFatal) {
   ASSERT_TRUE(info.ok()) << info.error;
   Client::Result result = client->Execute(info.stmt_id, {{"src", Value::Int64(7)}});
   EXPECT_TRUE(result.ok()) << result.error;
+}
+
+TEST_F(ServerTest, OversizedRequestsFailTypedWithoutSending) {
+  StartServer();
+  auto client = Connect();
+  const std::string text(wire::kMaxFrameBytes, ' ');
+  Client::PreparedInfo oversized = client->Prepare(text);
+  EXPECT_EQ(oversized.status, wire::WireStatus::kProtocolError);
+  EXPECT_NE(oversized.error.find("nothing was sent"), std::string::npos) << oversized.error;
+  // Nothing reached the server, so the connection is in step.
+  Client::PreparedInfo info = client->Prepare(kPointCount);
+  ASSERT_TRUE(info.ok()) << info.error;
+  // A parameter name over the 65535-byte str16 limit is refused the same
+  // way on the client...
+  const std::string long_name(70000, 'p');
+  Client::Result refused = client->Execute(info.stmt_id, {{long_name, Value::Int64(7)}});
+  EXPECT_EQ(refused.status, wire::WireStatus::kProtocolError);
+  // ...and a statement whose PREPARED answer cannot carry it fails typed.
+  Client::PreparedInfo unframable =
+      client->Prepare("MATCH (a)-[r1:E]->(b) WHERE a.ID = $" + long_name + " RETURN b");
+  EXPECT_EQ(unframable.status, wire::WireStatus::kPlanError) << unframable.error;
+  Client::Result result = client->Execute(info.stmt_id, {{"src", Value::Int64(7)}});
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(Canon(result.rows.rows), Canon(OracleRows(kPointCount, {{"src", Value::Int64(7)}})));
+}
+
+TEST_F(ServerTest, OversizedRowsBatchSplitsOverFrames) {
+  // 1030 rows of a 17000-byte string: the first 1024-row batch is over
+  // the frame limit, the rows after it and each half of it are not.
+  constexpr uint32_t kRows = 1030;
+  const std::string blob(17000, 'x');
+  RebuildHub(kRows, blob, "");
+  StartServer();
+  auto client = Connect();
+  Client::PreparedInfo info =
+      client->Prepare("MATCH (a)-[r:E]->(b) WHERE a.ID = 0 RETURN a.blob, b");
+  ASSERT_TRUE(info.ok()) << info.error;
+
+  // max_rows = 1 delivers exactly the first frame: part of the batch.
+  Client::Result first = client->Execute(info.stmt_id, {}, 0, /*max_rows=*/1);
+  ASSERT_TRUE(first.ok()) << first.error;
+  EXPECT_EQ(first.count, kRows);
+  EXPECT_TRUE(first.more);
+  EXPECT_GT(first.rows_delivered, 0u);
+  EXPECT_LT(first.rows_delivered, 1024u);
+  EXPECT_EQ(first.rows.rows.size(), first.rows_delivered);
+  Client::Result rest = client->Fetch(info.stmt_id);
+  ASSERT_TRUE(rest.ok()) << rest.error;
+  EXPECT_FALSE(rest.more);
+  EXPECT_EQ(rest.rows.rows.size(), rest.rows_delivered);
+  EXPECT_EQ(first.rows_delivered + rest.rows_delivered, kRows);
+
+  std::vector<int64_t> nbrs;
+  for (const auto* part : {&first, &rest}) {
+    for (const std::vector<Value>& row : part->rows.rows) {
+      ASSERT_EQ(row.size(), 2u);
+      EXPECT_EQ(row[0].AsString(), blob);
+      nbrs.push_back(row[1].AsInt64());
+    }
+  }
+  std::sort(nbrs.begin(), nbrs.end());
+  for (uint32_t i = 0; i < nbrs.size(); ++i) EXPECT_EQ(nbrs[i], int64_t{i} + 1);
+
+  // The connection serves the next request.
+  Client::Result again = client->Execute(info.stmt_id, {}, 0, /*max_rows=*/1);
+  ASSERT_TRUE(again.ok()) << again.error;
+  EXPECT_EQ(again.rows_delivered, first.rows_delivered);
+}
+
+TEST_F(ServerTest, RowOverFrameLimitAnswersError) {
+  RebuildHub(4, "", std::string(wire::kMaxFrameBytes + 1, 'y'));
+  StartServer();
+  auto client = Connect();
+  Client::PreparedInfo huge =
+      client->Prepare("MATCH (a)-[r:E]->(b) WHERE a.ID = 1 RETURN a.huge, b");
+  ASSERT_TRUE(huge.ok()) << huge.error;
+  Client::Result result = client->Execute(huge.stmt_id, {});
+  EXPECT_EQ(result.status, wire::WireStatus::kExecError) << result.error;
+  EXPECT_NE(result.error.find("frame limit"), std::string::npos) << result.error;
+
+  // The server survives and the connection stays usable.
+  Client::PreparedInfo small = client->Prepare("MATCH (a)-[r:E]->(b) WHERE a.ID = 1 RETURN b");
+  ASSERT_TRUE(small.ok()) << small.error;
+  Client::Result rows = client->Execute(small.stmt_id, {});
+  ASSERT_TRUE(rows.ok()) << rows.error;
+  EXPECT_EQ(rows.count, 3u);
+  EXPECT_TRUE(Connect()->connected());
+}
+
+// A long execute must not hold up other connections: after one slice the
+// standby takes the loop role over from the thread running it.
+TEST_F(ServerTest, LongExecuteHandsTheLoopToTheStandby) {
+  Rebuild(20000);
+  ServerOptions options;
+  options.num_workers = 2;
+  StartServer(options);
+
+  // Low IDs are the power-law hubs; these sources have short lists.
+  constexpr int kFirstSrc = 10000;
+  constexpr int kLookups = 20;
+  std::vector<std::vector<std::string>> oracles;
+  for (int i = 0; i < kLookups; ++i) {
+    oracles.push_back(Canon(OracleRows(kPointLookup, {{"src", Value::Int64(kFirstSrc + i)}})));
+  }
+  auto slow = Connect();
+  auto fast = Connect();
+  Client::PreparedInfo triangles = slow->Prepare(
+      "MATCH (a)-[r1:E]->(b)-[r2:E]->(c), (a)-[r3:E]->(c) RETURN COUNT(*)");
+  ASSERT_TRUE(triangles.ok()) << triangles.error;
+  Client::PreparedInfo point = fast->Prepare(kPointLookup);
+  ASSERT_TRUE(point.ok()) << point.error;
+
+  const uint64_t handoffs_before = server_->loop_handoffs();
+  std::atomic<bool> slow_done{false};
+  std::thread occupant([&] {
+    Client::Result r = slow->Execute(triangles.stmt_id, {}, /*deadline_millis=*/60000);
+    EXPECT_TRUE(r.ok()) << r.error;
+    slow_done.store(true);
+  });
+  // The triangle count runs on the thread that read it until the
+  // standby takes the loop over.
+  for (int i = 0; i < 10000 && server_->loop_handoffs() == handoffs_before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(server_->loop_handoffs(), handoffs_before);
+  for (int i = 0; i < kLookups; ++i) {
+    Client::Result r = fast->Execute(point.stmt_id, {{"src", Value::Int64(kFirstSrc + i)}});
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(Canon(r.rows.rows), oracles[i]) << "src=" << kFirstSrc + i;
+  }
+  EXPECT_FALSE(slow_done.load()) << "the point lookups waited for the triangle count";
+  occupant.join();
+  EXPECT_GE(server_->loop_handoffs(), 1u);
 }
 
 TEST_F(ServerTest, BatchingGroupsIdenticalExecutesAndMatchesUnbatched) {
