@@ -7,9 +7,9 @@
 //     compression ratio over the adjacency payload alone. Acceptance:
 //     packed adjacency >= 1.5x smaller than raw on the power-law
 //     dataset.
-//   * open_to_first_query: OpenFromSegment (mmap + graph copy + index
-//     attach, no index build) through the first point lookup — the
-//     cold-start story of `aplusd --graph`.
+//   * open_to_first_query: OpenFromSegment (mmap, checksums, column
+//     and index validation; no copy, no index build) through the first
+//     point lookup — the cold-start story of `aplusd --graph`.
 //   * tri/two_hop/agg arms: intersection-heavy hot-path queries timed
 //     in-memory and segment-backed (auto compression, after a warm-up
 //     pass touches the mapping). Acceptance: segment-backed within

@@ -100,8 +100,12 @@ EpIndex* Database::CreateEpIndex(const std::string& name, EpKind kind, const Pre
 }
 
 bool Database::SealToSegment(const std::string& path, std::string* error) {
-  if (concurrent_ingest_active()) {
-    if (error != nullptr) *error = "seal: concurrent ingest is active";
+  if (concurrent_ingest_active() || segment_backed()) {
+    // Sealed packed pages hold no flat arrays for SealSegment to copy.
+    if (error != nullptr) {
+      *error = segment_backed() ? "seal: the database is already segment-backed"
+                                : "seal: concurrent ingest is active";
+    }
     return false;
   }
   if (store_->HasPendingUpdates()) store_->FlushAll();
@@ -111,8 +115,8 @@ bool Database::SealToSegment(const std::string& path, std::string* error) {
 std::unique_ptr<Database> Database::OpenFromSegment(const std::string& path, std::string* error) {
   std::unique_ptr<Segment> segment = aplus::OpenSegment(path, error);
   if (segment == nullptr) return nullptr;
-  // The graph moves into the database; index page views point into the
-  // mapping, which stays owned by the segment.
+  // The mapped graph moves into the database; its columns and the index
+  // page views point into the mapping, which stays owned by the segment.
   std::unique_ptr<Database> db(new Database(std::move(segment->graph())));
   for (Direction dir : {Direction::kFwd, Direction::kBwd}) {
     SegmentIndexPart& part = segment->part(dir);

@@ -88,18 +88,19 @@ class Database {
   // --- Sealed segments (storage/segment.h) ---
   //
   // Writes the graph plus both primary indexes to an immutable segment
-  // file. Requires built indexes and no active ingest; pending index
-  // updates are flushed first. Returns false with a description in
-  // *error.
+  // file. Requires built indexes, no active ingest and an in-memory
+  // database; pending index updates are flushed first. Returns false
+  // with a description in *error.
   bool SealToSegment(const std::string& path, std::string* error = nullptr);
 
-  // Opens a sealed segment: maps the file read-only, copies the graph
-  // section into memory, and attaches both primary indexes as views into
-  // the mapping — no index rebuild. The database holds the mapping for
-  // its lifetime. Segment-backed databases are read-only on the DDL /
-  // ingest axis: ExecuteDdl returns a typed error and
+  // Opens a sealed segment: maps the file read-only, verifies its
+  // checksums, and serves the graph columns and both primary indexes as
+  // views into the mapping — no copy and no index rebuild. The database
+  // holds the mapping for its lifetime. Segment-backed databases are
+  // read-only on the DDL / ingest axis: ExecuteDdl returns a typed error,
   // BeginConcurrentIngest / CreateVpIndex / CreateEpIndex /
-  // BuildPrimaryIndexes are rejected. Queries, sessions, morsel
+  // BuildPrimaryIndexes are rejected, and graph().AddVertex / AddEdge
+  // return kInvalidVertex / kInvalidEdge. Queries, sessions, morsel
   // parallelism and the server run unchanged. Returns null with a
   // description in *error on any validation failure.
   static std::unique_ptr<Database> OpenFromSegment(const std::string& path,

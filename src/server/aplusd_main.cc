@@ -11,10 +11,12 @@
 // property) so aplus_loadgen and external drivers have a deterministic
 // dataset to query. --graph skips generation and serves a sealed
 // segment file (storage/segment.h) instead: the file is mapped
-// read-only and both primary indexes come up without a rebuild, so
-// startup is O(graph copy), not O(index build). --seal generates (or
-// opens) the dataset, writes it to a segment file, and exits — the
-// companion of --graph for ahead-of-time dataset preparation. Env knobs:
+// read-only and the graph and both primary indexes are served from the
+// mapping, so startup copies no graph and builds no index. --seal
+// generates the dataset, writes it to a segment file, and exits — the
+// companion of --graph for ahead-of-time dataset preparation (a
+// database opened with --graph is refused: it is already sealed). Env
+// knobs:
 //   APLUS_MAX_CONCURRENT / APLUS_ADMISSION_QUEUE /
 //   APLUS_ADMISSION_TIMEOUT_MS  — admission control (core/admission.h)
 //   APLUS_SERVER_BATCH=on|off   — identical-request batching

@@ -1,6 +1,7 @@
 #include "storage/property_store.h"
 
 #include <memory>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -15,18 +16,18 @@ PropertyColumn::PropertyColumn(prop_key_t key, ValueType type, uint32_t domain_s
 }
 
 void PropertyColumn::Resize(size_t n) {
-  nulls_.resize(n, 1);
+  nulls_.Resize(n, 1);
   switch (type_) {
     case ValueType::kInt64:
     case ValueType::kBool:
     case ValueType::kCategory:
-      ints_.resize(n, 0);
+      ints_.Resize(n, 0);
       break;
     case ValueType::kDouble:
-      doubles_.resize(n, 0.0);
+      doubles_.Resize(n, 0.0);
       break;
     case ValueType::kString:
-      codes_.resize(n, 0);
+      codes_.Resize(n, 0);
       break;
     case ValueType::kNull:
       break;
@@ -37,40 +38,52 @@ void PropertyColumn::Resize(size_t n) {
 }
 
 void PropertyColumn::Reserve(size_t n) {
-  nulls_.reserve(n);
+  nulls_.Reserve(n);
   switch (type_) {
     case ValueType::kInt64:
     case ValueType::kBool:
     case ValueType::kCategory:
-      ints_.reserve(n);
+      ints_.Reserve(n);
       break;
     case ValueType::kDouble:
-      doubles_.reserve(n);
+      doubles_.Reserve(n);
       break;
     case ValueType::kString:
-      codes_.reserve(n);
+      codes_.Reserve(n);
       break;
     case ValueType::kNull:
       break;
   }
 }
 
+void PropertyColumn::AttachMapped(const uint8_t* nulls, const void* payload, size_t n,
+                                  std::vector<std::string> dict) {
+  APLUS_CHECK_EQ(size(), 0u) << "AttachMapped needs an empty column";
+  nulls_.Attach(nulls);
+  // Only the payload array of the column's type is ever read.
+  ints_.Attach(static_cast<const int64_t*>(payload));
+  doubles_.Attach(static_cast<const double*>(payload));
+  codes_.Attach(static_cast<const uint32_t*>(payload));
+  dict_ = std::move(dict);
+  published_size_.store(n, std::memory_order_release);
+}
+
 void PropertyColumn::SetInt64(uint64_t id, int64_t v) {
   APLUS_DCHECK(type_ == ValueType::kInt64);
-  ints_[id] = v;
-  nulls_[id] = 0;
+  ints_.Set(id, v);
+  nulls_.Set(id, 0);
 }
 
 void PropertyColumn::SetDouble(uint64_t id, double v) {
   APLUS_DCHECK(type_ == ValueType::kDouble);
-  doubles_[id] = v;
-  nulls_[id] = 0;
+  doubles_.Set(id, v);
+  nulls_.Set(id, 0);
 }
 
 void PropertyColumn::SetBool(uint64_t id, bool v) {
   APLUS_DCHECK(type_ == ValueType::kBool);
-  ints_[id] = v ? 1 : 0;
-  nulls_[id] = 0;
+  ints_.Set(id, v ? 1 : 0);
+  nulls_.Set(id, 0);
 }
 
 void PropertyColumn::SetString(uint64_t id, const std::string& v) {
@@ -84,18 +97,18 @@ void PropertyColumn::SetString(uint64_t id, const std::string& v) {
     dict_.push_back(v);
     dict_ids_.emplace(v, code);
   }
-  codes_[id] = code;
-  nulls_[id] = 0;
+  codes_.Set(id, code);
+  nulls_.Set(id, 0);
 }
 
 void PropertyColumn::SetCategory(uint64_t id, category_t v) {
   APLUS_DCHECK(type_ == ValueType::kCategory);
   APLUS_DCHECK(v < domain_size_) << "category out of domain";
-  ints_[id] = v;
-  nulls_[id] = 0;
+  ints_.Set(id, v);
+  nulls_.Set(id, 0);
 }
 
-void PropertyColumn::SetNull(uint64_t id) { nulls_[id] = 1; }
+void PropertyColumn::SetNull(uint64_t id) { nulls_.Set(id, 1); }
 
 void PropertyColumn::Set(uint64_t id, const Value& v) {
   if (v.is_null()) {
@@ -124,7 +137,7 @@ void PropertyColumn::Set(uint64_t id, const Value& v) {
 }
 
 Value PropertyColumn::Get(uint64_t id) const {
-  if (id >= nulls_.size() || nulls_[id]) return Value::Null();
+  if (id >= size() || nulls_[id]) return Value::Null();
   switch (type_) {
     case ValueType::kInt64:
       return Value::Int64(ints_[id]);
@@ -142,16 +155,10 @@ Value PropertyColumn::Get(uint64_t id) const {
   return Value::Null();
 }
 
-size_t PropertyColumn::MemoryBytes() const {
-  size_t bytes = nulls_.capacity() + ints_.capacity() * sizeof(int64_t) +
-                 doubles_.capacity() * sizeof(double) + codes_.capacity() * sizeof(uint32_t);
-  for (const std::string& s : dict_) bytes += s.size();
-  return bytes;
-}
-
 PropertyColumn* PropertyStore::AddColumn(const Catalog& catalog, prop_key_t key) {
   const PropertyMeta& meta = catalog.property(key);
   APLUS_CHECK(meta.target == target_) << "property " << meta.name << " targets the other kind";
+  if (mapped_) return nullptr;
   if (key >= columns_.size()) columns_.resize(key + 1);
   if (columns_[key] == nullptr) {
     columns_[key] = std::make_unique<PropertyColumn>(key, meta.type, meta.domain_size);
@@ -166,8 +173,23 @@ const PropertyColumn* PropertyStore::column(prop_key_t key) const {
 }
 
 PropertyColumn* PropertyStore::mutable_column(prop_key_t key) {
-  if (key >= columns_.size()) return nullptr;
+  if (mapped_ || key >= columns_.size()) return nullptr;
   return columns_[key].get();
+}
+
+void PropertyStore::AttachMapped(size_t n) {
+  APLUS_CHECK(size() == 0 && columns_.empty()) << "AttachMapped needs an empty store";
+  mapped_ = true;
+  size_.store(n, std::memory_order_release);
+}
+
+void PropertyStore::AttachColumn(const Catalog& catalog, prop_key_t key, const uint8_t* nulls,
+                                 const void* payload, std::vector<std::string> dict) {
+  const PropertyMeta& meta = catalog.property(key);
+  APLUS_CHECK(mapped_ && meta.target == target_);
+  if (key >= columns_.size()) columns_.resize(key + 1);
+  columns_[key] = std::make_unique<PropertyColumn>(key, meta.type, meta.domain_size);
+  columns_[key]->AttachMapped(nulls, payload, size(), std::move(dict));
 }
 
 void PropertyStore::Resize(size_t n) {
@@ -192,14 +214,6 @@ Value PropertyStore::Get(prop_key_t key, uint64_t id) const {
   const PropertyColumn* col = column(key);
   if (col == nullptr) return Value::Null();
   return col->Get(id);
-}
-
-size_t PropertyStore::MemoryBytes() const {
-  size_t bytes = 0;
-  for (const auto& col : columns_) {
-    if (col != nullptr) bytes += col->MemoryBytes();
-  }
-  return bytes;
 }
 
 }  // namespace aplus

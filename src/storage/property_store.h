@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "storage/catalog.h"
+#include "storage/column_array.h"
 #include "storage/types.h"
 #include "storage/value.h"
 
@@ -27,6 +28,10 @@ namespace aplus {
 // reachable (i.e. before the edge/vertex is published to the indexes);
 // string columns additionally grow their dictionary on write and are
 // therefore writable only while queries are quiesced.
+//
+// A mapped column (AttachMapped) views its null bytes and payload in a
+// sealed segment's mapping and is read-only; the accessors read both
+// kinds through the same pointers.
 class PropertyColumn {
  public:
   PropertyColumn(prop_key_t key, ValueType type, uint32_t domain_size);
@@ -62,8 +67,23 @@ class PropertyColumn {
   // Generic accessor for predicate evaluation and tests.
   Value Get(uint64_t id) const;
 
-  // Raw storage footprint in bytes (used by memory accounting).
-  size_t MemoryBytes() const;
+  // The sealed layout: one null byte per id (1 = null), and a payload of
+  // PayloadWidth(type) bytes per id — int64 for kInt64, kBool and
+  // kCategory, double for kDouble, the u32 dictionary code for kString.
+  static size_t PayloadWidth(ValueType type) { return type == ValueType::kString ? 4 : 8; }
+  const uint8_t* null_data() const { return nulls_.data(); }
+  const void* payload_data() const {
+    return type_ == ValueType::kDouble   ? static_cast<const void*>(doubles_.data())
+           : type_ == ValueType::kString ? static_cast<const void*>(codes_.data())
+                                         : static_cast<const void*>(ints_.data());
+  }
+  const std::vector<std::string>& dictionary() const { return dict_; }
+
+  // Turns an empty column into a read-only view of `n` ids over sealed
+  // `nulls` and `payload`, which must outlive it; `dict` is a string
+  // column's dictionary. The caller validates the codes.
+  void AttachMapped(const uint8_t* nulls, const void* payload, size_t n,
+                    std::vector<std::string> dict);
 
  private:
   prop_key_t key_;
@@ -71,10 +91,10 @@ class PropertyColumn {
   uint32_t domain_size_;
 
   std::atomic<size_t> published_size_{0};
-  std::vector<uint8_t> nulls_;     // 1 = null
-  std::vector<int64_t> ints_;      // kInt64 / kBool / kCategory payload
-  std::vector<double> doubles_;    // kDouble payload
-  std::vector<uint32_t> codes_;    // kString payload (dictionary codes)
+  ColumnArray<uint8_t> nulls_;     // 1 = null
+  ColumnArray<int64_t> ints_;      // kInt64 / kBool / kCategory payload
+  ColumnArray<double> doubles_;    // kDouble payload
+  ColumnArray<uint32_t> codes_;    // kString payload (dictionary codes)
   std::vector<std::string> dict_;  // string dictionary
   std::unordered_map<std::string, uint32_t> dict_ids_;
 };
@@ -89,26 +109,34 @@ class PropertyStore {
   // published size blocks the defaulted special members.
   PropertyStore(PropertyStore&& other) noexcept
       : target_(other.target_),
+        mapped_(other.mapped_),
         size_(other.size_.load(std::memory_order_relaxed)),
         columns_(std::move(other.columns_)) {
     other.size_.store(0, std::memory_order_relaxed);
   }
   PropertyStore& operator=(PropertyStore&& other) noexcept {
     target_ = other.target_;
+    mapped_ = other.mapped_;
     size_.store(other.size_.load(std::memory_order_relaxed), std::memory_order_relaxed);
     columns_ = std::move(other.columns_);
     other.size_.store(0, std::memory_order_relaxed);
     return *this;
   }
 
-  PropTargetKind target() const { return target_; }
-
-  // Creates the column for `key` (idempotent) and returns it.
+  // Creates the column for `key` (idempotent) and returns it; nullptr on
+  // a mapped store.
   PropertyColumn* AddColumn(const Catalog& catalog, prop_key_t key);
 
-  // Returns nullptr if the column was never created.
+  // Returns nullptr if the column was never created. A mapped store has
+  // no mutable columns.
   const PropertyColumn* column(prop_key_t key) const;
   PropertyColumn* mutable_column(prop_key_t key);
+
+  // Turns an empty store into a read-only store of `n` ids whose columns
+  // are added by AttachColumn (PropertyColumn::AttachMapped).
+  void AttachMapped(size_t n);
+  void AttachColumn(const Catalog& catalog, prop_key_t key, const uint8_t* nulls,
+                    const void* payload, std::vector<std::string> dict);
 
   // Grows every column to hold ids in [0, n).
   void Resize(size_t n);
@@ -120,10 +148,9 @@ class PropertyStore {
   bool IsNull(prop_key_t key, uint64_t id) const;
   Value Get(prop_key_t key, uint64_t id) const;
 
-  size_t MemoryBytes() const;
-
  private:
   PropTargetKind target_;
+  bool mapped_ = false;
   std::atomic<size_t> size_{0};
   std::vector<std::unique_ptr<PropertyColumn>> columns_;  // indexed by key (sparse)
 };

@@ -7,39 +7,23 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <istream>
-#include <ostream>
+#include <limits>
 #include <utility>
 
 #include "index/index_store.h"
 #include "storage/codec.h"
-#include "storage/serialize.h"
 #include "util/bit_util.h"
+#include "util/crc32c.h"
 #include "util/fault.h"
 #include "util/logging.h"
 
 namespace aplus {
 
 namespace {
-
-constexpr uint32_t kSegMagic = 0x47535041;  // "APSG"
-constexpr uint32_t kSegVersion = 1;
-
-// Fixed file header. All offsets are absolute file offsets; sections
-// never overlap and every section starts 8-byte aligned.
-struct SegmentHeader {
-  uint32_t magic;
-  uint32_t version;
-  uint64_t file_size;
-  uint64_t graph_off;
-  uint64_t graph_size;
-  uint64_t index_off[2];  // [0] = FW metadata, [1] = BW metadata
-  uint64_t index_size[2];
-};
-static_assert(sizeof(SegmentHeader) == 64);
 
 // One page's location inside the file. `csr_off` points at the
 // partition-level CSR (u32[csr_len]); `data_off` points at the adjacency
@@ -90,8 +74,7 @@ CompressMode CompressModeFromEnv() {
 constexpr uint32_t kAutoPackMaxDegree = 128;
 
 // Forward-only, buffered writer over a temporary file beside the sealed
-// path. It is the std::streambuf SaveGraphToStream writes through, so
-// the graph snapshot streams into the file with no in-memory copy.
+// path. Sections are checksummed as their bytes pass through the buffer.
 //
 // Every write(2) but the last hands the kernel one full, aligned 2 MiB
 // buffer, so the page cache holds the file in 2 MiB folios that a
@@ -101,16 +84,16 @@ constexpr uint32_t kAutoPackMaxDegree = 128;
 // Linux 6.18).
 //
 // The first failed write is sticky: later writes are dropped and Publish
-// reports it. Unless Publish succeeded, the destructor unlinks the
-// temporary file, so a failed seal leaves `path` untouched.
-class SealFile : public std::streambuf {
+// reports it. Unless Publish renamed the file, the destructor unlinks
+// it, so a failed seal leaves `path` untouched.
+class SealFile {
  public:
   static constexpr size_t kBufferBytes = 2 << 20;
 
-  SealFile() : buffer_(kBufferBytes) { setp(buffer_.data(), buffer_.data() + buffer_.size()); }
+  SealFile() : buffer_(kBufferBytes) {}
   SealFile(const SealFile&) = delete;
   SealFile& operator=(const SealFile&) = delete;
-  ~SealFile() override {
+  ~SealFile() {
     if (fd_ >= 0) close(fd_);
     if (!published_ && !temp_path_.empty()) unlink(temp_path_.c_str());
   }
@@ -130,10 +113,28 @@ class SealFile : public std::streambuf {
   }
 
   // Bytes written so far: the absolute file offset of the next write.
-  uint64_t offset() const { return flushed_ + static_cast<uint64_t>(pptr() - pbase()); }
+  uint64_t offset() const { return flushed_ + used_; }
 
   void Write(const void* p, size_t n) {
-    xsputn(static_cast<const char*>(p), static_cast<std::streamsize>(n));
+    const char* src = static_cast<const char*>(p);
+    while (n > 0) {
+      if (used_ == buffer_.size() && !Drain()) return;
+      const size_t k = std::min(n, buffer_.size() - used_);
+      char* dst = buffer_.data() + used_;
+      std::memcpy(dst, src, k);
+      crc_ = Crc32c(dst, k, crc_);
+      used_ += k;
+      src += k;
+      n -= k;
+    }
+  }
+  template <typename T>
+  void Put(T v) {
+    Write(&v, sizeof(v));
+  }
+  void PutString(const std::string& s) {
+    Put(static_cast<uint32_t>(s.size()));
+    Write(s.data(), s.size());
   }
 
   // Zero-pads to the next 8-byte boundary and returns the new offset.
@@ -142,11 +143,30 @@ class SealFile : public std::streambuf {
     Write(kZeros, RoundUp(offset(), 8) - offset());
     return offset();
   }
+  // One graph column: `n` bytes from the next 8-byte boundary.
+  void WriteColumn(const void* p, size_t n) {
+    Align8();
+    Write(p, n);
+  }
 
-  // Drains the buffer, patches `header` in at offset 0, closes the file
-  // and renames it over `path`.
-  bool Publish(const SegmentHeader& header, const std::string& path, std::string* error) {
-    if (Drain() && CheckedWrite(&header, sizeof(header), 0)) {
+  // Brackets section `s`: it starts 8-byte aligned, and its end is padded
+  // to a multiple of 8 bytes before its size and CRC32C go in `header`.
+  void BeginSection(int s, SegmentHeader* header) {
+    header->section_off[s] = Align8();
+    crc_ = 0;
+  }
+  void EndSection(int s, SegmentHeader* header) {
+    header->section_size[s] = Align8() - header->section_off[s];
+    header->section_crc[s] = crc_;
+  }
+
+  // Drains the buffer, checksums `header` and patches it in at offset 0,
+  // fsyncs and closes the file, renames it over `path` and fsyncs the
+  // directory.
+  bool Publish(SegmentHeader* header, const std::string& path, std::string* error) {
+    header->header_crc = Crc32c(header, offsetof(SegmentHeader, header_crc));
+    if (Drain() && CheckedWrite(header, sizeof(*header), 0)) {
+      if (fsync(fd_) != 0) Record(errno);
       int fd = fd_;
       fd_ = -1;
       if (close(fd) != 0) Record(errno);
@@ -159,29 +179,18 @@ class SealFile : public std::streambuf {
       return Fail(error, SysError("cannot rename " + temp_path_ + " over " + path));
     }
     published_ = true;
-    return true;
-  }
-
- protected:
-  std::streamsize xsputn(const char* s, std::streamsize n) override {
-    size_t left = static_cast<size_t>(n);
-    while (left > 0) {
-      if (pptr() == epptr() && !Drain()) return 0;
-      const size_t k = std::min(left, static_cast<size_t>(epptr() - pptr()));
-      std::memcpy(pptr(), s, k);
-      pbump(static_cast<int>(k));
-      s += k;
-      left -= k;
+    const size_t slash = path.rfind('/');
+    const std::string dir =
+        slash == std::string::npos ? "." : slash == 0 ? "/" : path.substr(0, slash);
+    int dir_fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (dir_fd < 0 || fsync(dir_fd) != 0) {
+      const int err = errno;
+      if (dir_fd >= 0) close(dir_fd);
+      errno = err;
+      return Fail(error, SysError("cannot fsync directory " + dir));
     }
-    return n;
-  }
-
-  int_type overflow(int_type ch) override {
-    if (!Drain()) return traits_type::eof();
-    if (traits_type::eq_int_type(ch, traits_type::eof())) return traits_type::not_eof(ch);
-    *pptr() = traits_type::to_char_type(ch);
-    pbump(1);
-    return ch;
+    close(dir_fd);
+    return true;
   }
 
  private:
@@ -194,10 +203,9 @@ class SealFile : public std::streambuf {
   }
 
   bool Drain() {
-    const size_t n = static_cast<size_t>(pptr() - pbase());
-    if (n != 0 && !CheckedWrite(pbase(), n, -1)) return false;
-    flushed_ += n;
-    setp(buffer_.data(), buffer_.data() + buffer_.size());
+    if (used_ != 0 && !CheckedWrite(buffer_.data(), used_, -1)) return false;
+    flushed_ += used_;
+    used_ = 0;
     return true;
   }
 
@@ -226,12 +234,67 @@ class SealFile : public std::streambuf {
   }
 
   std::vector<char> buffer_;
+  size_t used_ = 0;
   uint64_t flushed_ = 0;
+  uint32_t crc_ = 0;
   int fd_ = -1;
   int errno_ = 0;
   std::string temp_path_;
   bool published_ = false;
 };
+
+// Writes the graph section: counts, catalog, dictionaries, then the
+// fixed-width columns (see the layout in segment.h).
+void SealGraph(const Graph& graph, SealFile* file) {
+  const Catalog& catalog = graph.catalog();
+  const uint64_t nv = graph.num_vertices();
+  const uint64_t ne = graph.num_edges();
+  file->Put(nv);
+  file->Put(ne);
+  file->Put(catalog.num_vertex_labels());
+  for (label_t l = 0; l < catalog.num_vertex_labels(); ++l) {
+    file->PutString(catalog.VertexLabelName(l));
+  }
+  file->Put(catalog.num_edge_labels());
+  for (label_t l = 0; l < catalog.num_edge_labels(); ++l) {
+    file->PutString(catalog.EdgeLabelName(l));
+  }
+  file->Put(catalog.num_properties());
+  for (prop_key_t k = 0; k < catalog.num_properties(); ++k) {
+    const PropertyMeta& meta = catalog.property(k);
+    file->PutString(meta.name);
+    file->Put(static_cast<uint8_t>(meta.type));
+    file->Put(static_cast<uint8_t>(meta.target));
+    file->Put(meta.domain_size);
+    file->Put(static_cast<uint32_t>(meta.category_names.size()));
+    for (const std::string& name : meta.category_names) file->PutString(name);
+  }
+  auto column_of = [&graph](const PropertyMeta& meta, prop_key_t k) {
+    return (meta.target == PropTargetKind::kVertex ? graph.vertex_props() : graph.edge_props())
+        .column(k);
+  };
+  for (prop_key_t k = 0; k < catalog.num_properties(); ++k) {
+    const PropertyColumn* col = column_of(catalog.property(k), k);
+    file->Put(static_cast<uint8_t>(col != nullptr));
+    if (col == nullptr || col->type() != ValueType::kString) continue;
+    file->Put(static_cast<uint32_t>(col->dictionary().size()));
+    for (const std::string& s : col->dictionary()) file->PutString(s);
+  }
+
+  const Graph::Columns cols = graph.columns();
+  file->WriteColumn(cols.vertex_labels, nv * sizeof(label_t));
+  file->WriteColumn(cols.edge_srcs, ne * sizeof(vertex_id_t));
+  file->WriteColumn(cols.edge_dsts, ne * sizeof(vertex_id_t));
+  file->WriteColumn(cols.edge_labels, ne * sizeof(label_t));
+  for (prop_key_t k = 0; k < catalog.num_properties(); ++k) {
+    const PropertyMeta& meta = catalog.property(k);
+    const PropertyColumn* col = column_of(meta, k);
+    if (col == nullptr) continue;
+    const uint64_t n = meta.target == PropTargetKind::kVertex ? nv : ne;
+    file->WriteColumn(col->null_data(), n);
+    file->WriteColumn(col->payload_data(), n * PropertyColumn::PayloadWidth(col->type()));
+  }
+}
 
 uint32_t MaxOwnerDegree(const IdListPage& page, uint32_t fanout_product) {
   uint32_t max_deg = 0;
@@ -243,12 +306,11 @@ uint32_t MaxOwnerDegree(const IdListPage& page, uint32_t fanout_product) {
   return max_deg;
 }
 
-// Streams one direction's pages into `file` (data arena first, then the
-// metadata section) and returns the metadata (offset, size). Packed
-// pages are encoded into `scratch`, reused across pages.
-std::pair<uint64_t, uint64_t> SealIndex(const PrimaryIndex& index, CompressMode mode,
-                                        SealFile* file, std::vector<uint8_t>* scratch,
-                                        SegmentStats* stats) {
+// Streams one direction's index section into `file` (data arena first,
+// then the metadata) and returns the metadata's offset. Packed pages are
+// encoded into `scratch`, reused across pages.
+uint64_t SealIndex(const PrimaryIndex& index, CompressMode mode, SealFile* file,
+                   std::vector<uint8_t>* scratch, SegmentStats* stats) {
   const uint32_t num_pages = index.num_pages();
   std::vector<PageRecord> records(num_pages);
   for (uint32_t p = 0; p < num_pages; ++p) {
@@ -299,29 +361,19 @@ std::pair<uint64_t, uint64_t> SealIndex(const PrimaryIndex& index, CompressMode 
   uint64_t edge_page_counts[2] = {index.num_edges_indexed(), num_pages};
   file->Write(edge_page_counts, sizeof(edge_page_counts));
   file->Write(records.data(), records.size() * sizeof(PageRecord));
-  return {meta_off, file->offset() - meta_off};
+  return meta_off;
 }
 
 // ---------------------------------------------------------------------
 // Open side
 // ---------------------------------------------------------------------
 
-// Read-only streambuf over a byte range of the mapping, so the graph
-// section reuses LoadGraphFromStream unchanged. The const_cast is safe:
-// only the get area is set and nothing ever writes through it.
-class MemStreambuf : public std::streambuf {
+// Bounds-checked cursor over one section (or its metadata).
+class SectionReader {
  public:
-  MemStreambuf(const uint8_t* data, size_t size) {
-    char* p = const_cast<char*>(reinterpret_cast<const char*>(data));
-    setg(p, p, p + size);
-  }
-};
+  SectionReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
 
-// Bounds-checked cursor over one metadata section.
-class MetaReader {
- public:
-  MetaReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
+  bool ReadU8(uint8_t* v) { return ReadRaw(v, sizeof(*v)); }
   bool ReadU32(uint32_t* v) { return ReadRaw(v, sizeof(*v)); }
   bool ReadU64(uint64_t* v) { return ReadRaw(v, sizeof(*v)); }
   bool ReadRaw(void* out, size_t n) {
@@ -330,13 +382,166 @@ class MetaReader {
     pos_ += n;
     return true;
   }
-  bool exhausted() const { return pos_ == size_; }
+  bool ReadString(std::string* s) {
+    uint32_t n = 0;
+    if (!ReadU32(&n) || n > size_ - pos_) return false;
+    s->assign(reinterpret_cast<const char*>(data_ + pos_), n);
+    pos_ += n;
+    return true;
+  }
+  // The next `n` elements, 8-byte aligned, in place; null when they run
+  // past the end. `n` must be at most the section size (no overflow).
+  template <typename T>
+  const T* TakeColumn(uint64_t n) {
+    const size_t at = RoundUp(pos_, 8);
+    if (at > size_ || n * sizeof(T) > size_ - at) return nullptr;
+    pos_ = at + n * sizeof(T);
+    return reinterpret_cast<const T*>(data_ + at);
+  }
+  // True once the cursor is at the end, up to the zero padding that ends
+  // every section on an 8-byte boundary.
+  bool exhausted() const { return RoundUp(pos_, 8) == size_; }
 
  private:
   const uint8_t* data_;
   size_t size_;
   size_t pos_ = 0;
 };
+
+// Reads the catalog of a graph section. Names must be unique, so every
+// label and property keeps the id of its position in the file; anything
+// Catalog or PropertyColumn would abort on is rejected.
+bool LoadCatalog(SectionReader* r, Catalog* catalog) {
+  uint32_t n = 0;
+  std::string name;
+  if (!r->ReadU32(&n) || n >= kInvalidLabel) return false;
+  for (uint32_t i = 0; i < n; ++i) {
+    if (!r->ReadString(&name) || catalog->AddVertexLabel(name) != i) return false;
+  }
+  if (!r->ReadU32(&n) || n >= kInvalidLabel) return false;
+  for (uint32_t i = 0; i < n; ++i) {
+    if (!r->ReadString(&name) || catalog->AddEdgeLabel(name) != i) return false;
+  }
+  if (!r->ReadU32(&n) || n >= kInvalidPropKey) return false;
+  for (uint32_t i = 0; i < n; ++i) {
+    uint8_t type = 0;
+    uint8_t target = 0;
+    uint32_t domain = 0;
+    uint32_t num_names = 0;
+    if (!r->ReadString(&name) || !r->ReadU8(&type) || !r->ReadU8(&target) ||
+        !r->ReadU32(&domain) || !r->ReadU32(&num_names)) {
+      return false;
+    }
+    const bool category = type == static_cast<uint8_t>(ValueType::kCategory);
+    const bool typed = type != static_cast<uint8_t>(ValueType::kNull) &&
+                       type <= static_cast<uint8_t>(ValueType::kCategory);
+    if (!typed || target > static_cast<uint8_t>(PropTargetKind::kEdge) ||
+        (category ? domain == 0 : num_names != 0) || num_names > domain) {
+      return false;
+    }
+    const PropTargetKind kind = static_cast<PropTargetKind>(target);
+    if (catalog->FindProperty(name, kind) != kInvalidPropKey) return false;
+    prop_key_t key = catalog->AddProperty(name, kind, static_cast<ValueType>(type), domain);
+    for (uint32_t j = 0; j < num_names; ++j) {
+      if (!r->ReadString(&name) || catalog->RegisterCategoryValue(key, name) != j) return false;
+    }
+  }
+  return true;
+}
+
+// True when every one of the `n` values is below `bound`. Branch-free,
+// so the loop vectorizes.
+template <typename T>
+bool AllBelow(const T* values, uint64_t n, uint64_t bound) {
+  if (bound > std::numeric_limits<T>::max()) return true;
+  const T limit = static_cast<T>(bound);
+  bool bad = false;
+  for (uint64_t i = 0; i < n; ++i) bad |= values[i] >= limit;
+  return !bad;
+}
+
+// The codes of a sealed property column that reads would use as indexes:
+// a non-null category code must lie in the domain, and a string code in
+// the dictionary (a null string slot may hold 0 with no dictionary).
+bool ValidCodes(const PropertyMeta& meta, const uint8_t* nulls, const void* payload, uint64_t n,
+                size_t dict_size) {
+  bool bad = false;
+  if (meta.type == ValueType::kCategory) {
+    const int64_t* codes = static_cast<const int64_t*>(payload);
+    for (uint64_t i = 0; i < n; ++i) {
+      bad |= nulls[i] == 0 && static_cast<uint64_t>(codes[i]) >= meta.domain_size;
+    }
+  } else if (meta.type == ValueType::kString) {
+    const uint32_t* codes = static_cast<const uint32_t*>(payload);
+    for (uint64_t i = 0; i < n; ++i) {
+      bad |= codes[i] >= dict_size && (nulls[i] == 0 || codes[i] != 0);
+    }
+  }
+  return !bad;
+}
+
+// Attaches `graph` (empty) to a checksummed graph section in place,
+// after validating every label, endpoint and code it serves.
+bool LoadGraphSection(const uint8_t* data, uint64_t size, Graph* graph, std::string* error) {
+  SectionReader r(data, size);
+  uint64_t nv = 0;
+  uint64_t ne = 0;
+  if (!r.ReadU64(&nv) || !r.ReadU64(&ne) || nv > size || nv >= kInvalidVertex || ne > size) {
+    return Fail(error, "segment: corrupt graph counts");
+  }
+  Catalog& catalog = graph->catalog();
+  if (!LoadCatalog(&r, &catalog)) return Fail(error, "segment: corrupt catalog");
+  const prop_key_t num_props = static_cast<prop_key_t>(catalog.num_properties());
+  std::vector<uint8_t> present(num_props);
+  std::vector<std::vector<std::string>> dicts(num_props);
+  for (prop_key_t k = 0; k < num_props; ++k) {
+    if (!r.ReadU8(&present[k]) || present[k] > 1) {
+      return Fail(error, "segment: corrupt property column table");
+    }
+    if (present[k] == 0 || catalog.property(k).type != ValueType::kString) continue;
+    uint32_t dict_size = 0;
+    bool ok = r.ReadU32(&dict_size);
+    for (uint32_t i = 0; ok && i < dict_size; ++i) ok = r.ReadString(&dicts[k].emplace_back());
+    if (!ok) return Fail(error, "segment: corrupt string dictionary");
+  }
+
+  // Braced initializers run in order: the columns follow each other.
+  const Graph::Columns cols = {r.TakeColumn<label_t>(nv), r.TakeColumn<vertex_id_t>(ne),
+                               r.TakeColumn<vertex_id_t>(ne), r.TakeColumn<label_t>(ne)};
+  if (cols.vertex_labels == nullptr || cols.edge_srcs == nullptr || cols.edge_dsts == nullptr ||
+      cols.edge_labels == nullptr) {
+    return Fail(error, "segment: graph columns out of bounds");
+  }
+  if (!AllBelow(cols.vertex_labels, nv, catalog.num_vertex_labels()) ||
+      !AllBelow(cols.edge_labels, ne, catalog.num_edge_labels())) {
+    return Fail(error, "segment: graph column holds an invalid label");
+  }
+  if (!AllBelow(cols.edge_srcs, ne, nv) || !AllBelow(cols.edge_dsts, ne, nv)) {
+    return Fail(error, "segment: graph column holds an invalid endpoint");
+  }
+  graph->AttachMapped(cols, nv, ne);
+
+  for (prop_key_t k = 0; k < num_props; ++k) {
+    if (present[k] == 0) continue;
+    const PropertyMeta& meta = catalog.property(k);
+    const bool vertex = meta.target == PropTargetKind::kVertex;
+    const uint64_t n = vertex ? nv : ne;
+    const uint8_t* nulls = r.TakeColumn<uint8_t>(n);
+    const void* payload = PropertyColumn::PayloadWidth(meta.type) == 4
+                              ? static_cast<const void*>(r.TakeColumn<uint32_t>(n))
+                              : static_cast<const void*>(r.TakeColumn<uint64_t>(n));
+    if (nulls == nullptr || payload == nullptr) {
+      return Fail(error, "segment: property column out of bounds");
+    }
+    if (!ValidCodes(meta, nulls, payload, n, dicts[k].size())) {
+      return Fail(error, "segment: property column holds an invalid code");
+    }
+    (vertex ? graph->vertex_props() : graph->edge_props())
+        .AttachColumn(catalog, k, nulls, payload, std::move(dicts[k]));
+  }
+  if (!r.exhausted()) return Fail(error, "segment: trailing bytes in the graph section");
+  return true;
+}
 
 // Validates one criterion key against the catalog so PartitionFanout /
 // sort-key evaluation never index out of range (both would abort on a
@@ -347,7 +552,8 @@ bool ValidPropKey(const Catalog& catalog, uint32_t key, bool must_be_category) {
          catalog.property(static_cast<prop_key_t>(key)).type == ValueType::kCategory;
 }
 
-bool ParseConfig(MetaReader* r, const Catalog& catalog, IndexConfig* config, std::string* error) {
+bool ParseConfig(SectionReader* r, const Catalog& catalog, IndexConfig* config,
+                 std::string* error) {
   uint32_t num_partitions = 0;
   uint32_t num_sorts = 0;
   if (!r->ReadU32(&num_partitions) || !r->ReadU32(&num_sorts) || num_partitions > 16 ||
@@ -390,10 +596,10 @@ bool ParseConfig(MetaReader* r, const Catalog& catalog, IndexConfig* config, std
   return true;
 }
 
-// A section range [off, off + len) that must land inside the mapped file
-// past the header, with overflow-safe arithmetic.
-bool RangeOk(uint64_t off, uint64_t len, uint64_t file_size) {
-  return off >= sizeof(SegmentHeader) && off <= file_size && len <= file_size - off;
+// A range [off, off + len) that must land inside [lo, hi), with
+// overflow-safe arithmetic.
+bool RangeOk(uint64_t off, uint64_t len, uint64_t lo, uint64_t hi) {
+  return off >= lo && off <= hi && len <= hi - off;
 }
 
 bool ValidateCsr(const uint32_t* csr, uint32_t csr_len, uint32_t num_entries) {
@@ -427,10 +633,12 @@ bool ValidateIds(const IdListPage& page, uint64_t nv, uint64_t ne) {
   return true;
 }
 
-bool ParseIndexPart(const uint8_t* base, uint64_t file_size, uint64_t off, uint64_t size,
+// Parses one index section of the file: its data arena is
+// [arena_off, meta_off), its metadata [meta_off, end).
+bool ParseIndexPart(const uint8_t* base, uint64_t arena_off, uint64_t meta_off, uint64_t end,
                     const Graph& graph, SegmentIndexPart* part, SegmentStats* stats,
                     std::string* error) {
-  MetaReader r(base + off, size);
+  SectionReader r(base + meta_off, end - meta_off);
   if (!ParseConfig(&r, graph.catalog(), &part->config, error)) return false;
 
   uint64_t num_pages = 0;
@@ -462,8 +670,8 @@ bool ParseIndexPart(const uint8_t* base, uint64_t file_size, uint64_t off, uint6
         rec.csr_off % alignof(uint32_t) != 0 || rec.data_off % 8 != 0) {
       return Fail(error, "segment: malformed page record");
     }
-    if (!RangeOk(rec.csr_off, uint64_t{rec.csr_len} * sizeof(uint32_t), file_size) ||
-        !RangeOk(rec.data_off, rec.data_size, file_size)) {
+    if (!RangeOk(rec.csr_off, uint64_t{rec.csr_len} * sizeof(uint32_t), arena_off, meta_off) ||
+        !RangeOk(rec.data_off, rec.data_size, arena_off, meta_off)) {
       return Fail(error, "segment: page data out of bounds");
     }
     auto page = std::make_unique<IdListPage>();
@@ -508,18 +716,6 @@ bool ParseIndexPart(const uint8_t* base, uint64_t file_size, uint64_t off, uint6
   return true;
 }
 
-void ApplyMadvise(void* base, size_t size) {
-  const char* env = std::getenv("APLUS_SEGMENT_MADVISE");
-  int advice = MADV_RANDOM;  // auto: point probes dominate
-  if (env != nullptr && *env != '\0') {
-    if (std::strcmp(env, "off") == 0) return;
-    if (std::strcmp(env, "sequential") == 0) advice = MADV_SEQUENTIAL;
-    if (std::strcmp(env, "willneed") == 0) advice = MADV_WILLNEED;
-    // "auto" / "random" / unrecognized all keep MADV_RANDOM.
-  }
-  madvise(base, size, advice);  // advisory; failure is harmless
-}
-
 }  // namespace
 
 Segment::~Segment() {
@@ -541,30 +737,28 @@ bool SealSegment(const Graph& graph, const IndexStore& store, const std::string&
 
   SealFile file;
   if (!file.Create(path, error)) return false;
-  SegmentHeader header;
-  std::memset(&header, 0, sizeof(header));
+  SegmentHeader header{};
   file.Write(&header, sizeof(header));  // placeholder, patched by Publish
 
-  header.graph_off = file.Align8();
   // A failed write is sticky in `file`, and Publish reports it.
-  std::ostream graph_out(&file);
-  SaveGraphToStream(graph, graph_out);
-  header.graph_size = file.offset() - header.graph_off;
+  file.BeginSection(kGraphSection, &header);
+  SealGraph(graph, &file);
+  file.EndSection(kGraphSection, &header);
 
   SegmentStats stats;
   CompressMode mode = CompressModeFromEnv();
   std::vector<uint8_t> scratch;
   for (int d = 0; d < 2; ++d) {
     Direction dir = d == 0 ? Direction::kFwd : Direction::kBwd;
-    auto [off, size] = SealIndex(*store.primary(dir), mode, &file, &scratch, &stats);
-    header.index_off[d] = off;
-    header.index_size[d] = size;
+    file.BeginSection(kFwdIndexSection + d, &header);
+    header.index_meta_off[d] = SealIndex(*store.primary(dir), mode, &file, &scratch, &stats);
+    file.EndSection(kFwdIndexSection + d, &header);
   }
 
-  header.magic = kSegMagic;
-  header.version = kSegVersion;
+  header.magic = kSegmentMagic;
+  header.version = kSegmentVersion;
   header.file_size = file.offset();
-  if (!file.Publish(header, path, error)) return false;
+  if (!file.Publish(&header, path, error)) return false;
   APLUS_LOG(Info) << "sealed " << path << ": " << header.file_size << " bytes, "
                   << stats.packed_pages << " packed / " << stats.raw_pages << " raw pages";
   return true;
@@ -600,30 +794,56 @@ std::unique_ptr<Segment> OpenSegment(const std::string& path, std::string* error
 
   SegmentHeader header;
   std::memcpy(&header, bytes, sizeof(header));
-  if (header.magic != kSegMagic) return fail("segment: bad magic in " + path);
-  if (header.version != kSegVersion) return fail("segment: unsupported version");
+  if (header.magic != kSegmentMagic) return fail("segment: bad magic in " + path);
+  if (header.version != kSegmentVersion) {
+    return fail("segment: unsupported segment version " + std::to_string(header.version) +
+                " (this build reads version " + std::to_string(kSegmentVersion) + ")");
+  }
+  if (Crc32c(&header, offsetof(SegmentHeader, header_crc)) != header.header_crc) {
+    return fail("segment: header checksum mismatch");
+  }
   if (header.file_size != size) return fail("segment: truncated file (size mismatch)");
-  if (!RangeOk(header.graph_off, header.graph_size, size) ||
-      !RangeOk(header.index_off[0], header.index_size[0], size) ||
-      !RangeOk(header.index_off[1], header.index_size[1], size)) {
-    return fail("segment: section out of bounds");
+  // The sections tile the file after the header, each a multiple of 8
+  // bytes, so every byte past the header is under a section checksum.
+  uint64_t end = sizeof(SegmentHeader);
+  for (int s = 0; s < kNumSegmentSections; ++s) {
+    if (header.section_off[s] != end || header.section_size[s] % 8 != 0 ||
+        header.section_size[s] > size - end) {
+      return fail("segment: section out of bounds");
+    }
+    end += header.section_size[s];
   }
-
-  ApplyMadvise(base, size);
-
-  MemStreambuf graph_buf(bytes + header.graph_off, header.graph_size);
-  std::istream graph_in(&graph_buf);
-  if (!LoadGraphFromStream(graph_in, &seg->graph_, path)) {
-    return fail("segment: corrupt graph snapshot section");
-  }
-
-  seg->stats_.file_bytes = size;
-  seg->stats_.graph_bytes = header.graph_size;
-  std::string part_error;
+  if (end != size) return fail("segment: section out of bounds");
   for (int d = 0; d < 2; ++d) {
-    if (!ParseIndexPart(bytes, size, header.index_off[d], header.index_size[d], seg->graph_,
-                        &seg->parts_[d], &seg->stats_, &part_error)) {
-      return fail(part_error);
+    const int s = kFwdIndexSection + d;
+    if (header.index_meta_off[d] % 8 != 0 ||
+        !RangeOk(header.index_meta_off[d], 0, header.section_off[s],
+                 header.section_off[s] + header.section_size[s])) {
+      return fail("segment: index metadata out of bounds");
+    }
+  }
+
+  madvise(base, size, MADV_RANDOM);  // advisory; failure is harmless
+  static const char* const kSectionNames[] = {"graph", "FW index", "BW index"};
+  for (int s = 0; s < kNumSegmentSections; ++s) {
+    if (Crc32c(bytes + header.section_off[s], header.section_size[s]) != header.section_crc[s]) {
+      return fail(std::string("segment: checksum mismatch in the ") + kSectionNames[s] +
+                  " section");
+    }
+  }
+
+  std::string section_error;
+  if (!LoadGraphSection(bytes + header.section_off[kGraphSection],
+                        header.section_size[kGraphSection], &seg->graph_, &section_error)) {
+    return fail(section_error);
+  }
+  seg->stats_.file_bytes = size;
+  for (int d = 0; d < 2; ++d) {
+    const int s = kFwdIndexSection + d;
+    if (!ParseIndexPart(bytes, header.section_off[s], header.index_meta_off[d],
+                        header.section_off[s] + header.section_size[s], seg->graph_,
+                        &seg->parts_[d], &seg->stats_, &section_error)) {
+      return fail(section_error);
     }
   }
   return seg;

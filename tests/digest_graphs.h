@@ -1,9 +1,9 @@
 #ifndef APLUS_TESTS_DIGEST_GRAPHS_H_
 #define APLUS_TESTS_DIGEST_GRAPHS_H_
 
-// Small deterministic graphs whose sealed segment and snapshot files are
-// pinned by content digest (segment_test, serialize_test): any change to
-// the bytes either file format writes for them fails those tests.
+// Small deterministic graphs whose sealed segment files are pinned by
+// content digest (segment_test): any change to the bytes the segment
+// format writes for them fails that test.
 
 #include <cstdint>
 #include <fstream>
@@ -56,8 +56,7 @@ inline Graph MakeTopologyDigestGraph() {
 
 // Every property type with nulls: int64, double (NaN, -0.0, infinity),
 // bool, category and string on vertices, int64, double, category and
-// string on edges. One vertex string is over 64 KiB, so it crosses the
-// snapshot writer's buffer boundary.
+// string on edges. One vertex string is over 64 KiB.
 inline Graph MakePropertyDigestGraph() {
   Graph graph;
   Catalog& catalog = graph.catalog();

@@ -1,10 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
-#include "storage/csv_io.h"
 #include "storage/graph.h"
-#include "storage/graph_builder.h"
 
 namespace aplus {
 namespace {
@@ -111,42 +107,6 @@ TEST(GraphTest, AddVerticesAndEdges) {
   EXPECT_EQ(graph.edge_endpoint(ab, Direction::kFwd), b);
   EXPECT_EQ(graph.edge_endpoint(ab, Direction::kBwd), a);
   EXPECT_DOUBLE_EQ(graph.average_degree(), 0.5);
-}
-
-TEST(GraphBuilderTest, InfersPropertyTypes) {
-  Graph graph;
-  GraphBuilder builder(&graph);
-  vertex_id_t v = builder.AddVertex("Person");
-  builder.SetVertexProp(v, "age", Value::Int64(30));
-  builder.SetVertexProp(v, "name", Value::String("Ann"));
-  prop_key_t age = graph.catalog().FindProperty("age", PropTargetKind::kVertex);
-  EXPECT_EQ(graph.vertex_props().Get(age, v).AsInt64(), 30);
-}
-
-TEST(CsvIoTest, RoundTrip) {
-  Graph graph;
-  GraphBuilder builder(&graph);
-  vertex_id_t a = builder.AddVertex("V");
-  vertex_id_t b = builder.AddVertex("V");
-  builder.AddEdge(a, b, "F");
-  builder.AddEdge(b, a, "G");
-  std::string path = testing::TempDir() + "/aplus_csv_test.csv";
-  ASSERT_TRUE(SaveEdgeListCsv(graph, path));
-
-  Graph loaded;
-  CsvEdgeListOptions options;
-  EXPECT_EQ(LoadEdgeListCsv(path, options, &loaded), 2);
-  EXPECT_EQ(loaded.num_edges(), 2u);
-  EXPECT_EQ(loaded.edge_src(0), 0u);
-  EXPECT_EQ(loaded.edge_dst(0), 1u);
-  EXPECT_EQ(loaded.catalog().EdgeLabelName(loaded.edge_label(1)), "G");
-  std::remove(path.c_str());
-}
-
-TEST(CsvIoTest, SplitLine) {
-  std::vector<std::string> fields = SplitCsvLine("a,b,,c", ',');
-  ASSERT_EQ(fields.size(), 4u);
-  EXPECT_EQ(fields[2], "");
 }
 
 }  // namespace

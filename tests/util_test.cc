@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "util/bit_util.h"
+#include "util/crc32c.h"
 #include "util/env.h"
 #include "util/memory_tracker.h"
 #include "util/rng.h"
@@ -42,6 +45,49 @@ TEST(BitUtilTest, RoundUp) {
   EXPECT_EQ(RoundUp(1, 64), 64u);
   EXPECT_EQ(RoundUp(64, 64), 64u);
   EXPECT_EQ(RoundUp(65, 64), 128u);
+}
+
+// The scalar path, and the hardware path when the CPU has SSE4.2.
+std::vector<uint32_t (*)(const void*, size_t, uint32_t)> Crc32cPaths() {
+  std::vector<uint32_t (*)(const void*, size_t, uint32_t)> paths = {Crc32cScalar};
+  if (Crc32cHardwareAvailable()) paths.push_back(Crc32cHardware);
+  return paths;
+}
+
+// Known answers: the CRC-32C check value, and the RFC 3720 (iSCSI)
+// B.4 vectors of 32 zero bytes, 32 0xff bytes and bytes 0..31.
+TEST(Crc32cTest, KnownAnswers) {
+  uint8_t zeros[32] = {};
+  uint8_t ones[32];
+  uint8_t ascending[32];
+  std::memset(ones, 0xff, sizeof(ones));
+  for (int i = 0; i < 32; ++i) ascending[i] = static_cast<uint8_t>(i);
+  for (auto crc : Crc32cPaths()) {
+    EXPECT_EQ(crc("123456789", 9, 0), 0xE3069283u);
+    EXPECT_EQ(crc("", 0, 0), 0u);
+    EXPECT_EQ(crc(zeros, 32, 0), 0x8A9136AAu);
+    EXPECT_EQ(crc(ones, 32, 0), 0x62A8AB43u);
+    EXPECT_EQ(crc(ascending, 32, 0), 0x46DD794Eu);
+  }
+  EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
+}
+
+// Every start alignment and tail length agrees with the scalar path, and
+// a checksum continued piecewise equals the one-shot checksum.
+TEST(Crc32cTest, UnalignedTailsAndPiecewise) {
+  std::vector<uint8_t> buf(200);
+  Rng rng(5);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (auto crc : Crc32cPaths()) {
+    for (size_t start = 0; start < 16; ++start) {
+      for (size_t len = 0; len + start <= 64 + 16; ++len) {
+        const uint8_t* p = buf.data() + start;
+        ASSERT_EQ(crc(p, len, 0), Crc32cScalar(p, len, 0)) << start << "+" << len;
+        const size_t cut = len / 3;
+        ASSERT_EQ(crc(p + cut, len - cut, crc(p, cut, 0)), Crc32cScalar(p, len, 0));
+      }
+    }
+  }
 }
 
 TEST(RngTest, DeterministicForSeed) {
