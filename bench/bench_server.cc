@@ -310,7 +310,7 @@ int main(int argc, char** argv) {
     // then times `conns` connections and accumulates post-warm deltas.
     auto run_server_arm = [&](const std::string& name, const char* point_text, int conns,
                               int workers, bool mixed) -> ArmResult {
-      ServerOptions options = ServerOptions::FromEnv();
+      ServerOptions options;
       options.num_workers = workers;
       Server server(db.get(), options);
       std::string error;
@@ -358,7 +358,7 @@ int main(int argc, char** argv) {
       cap.max_queue = 0;
       cap.queue_timeout_ms = 0;
       db->admission().Configure(cap);
-      ServerOptions options = ServerOptions::FromEnv();
+      ServerOptions options;
       options.num_workers = 4;
       Server server(db.get(), options);
       std::string error;

@@ -96,16 +96,11 @@ int main() {
       if (end != env && parsed > 0.0) time_limit_seconds = parsed;
     }
     const double kTimeLimitSeconds = time_limit_seconds;
-    // Baselines honour the same per-query memory cap the serving engine
-    // reads (APLUS_MEM_CAP, bytes; 0/unset = uncapped): the matcher's
-    // candidate scratch is charged and "MEM" is reported on exhaustion,
-    // so the whole binary respects the cap, not just the A+ rows.
-    uint64_t mem_cap_bytes = 0;
-    if (const char* env = std::getenv("APLUS_MEM_CAP")) {
-      char* end = nullptr;
-      long long parsed = std::strtoll(env, &end, 10);
-      if (end != env && parsed > 0) mem_cap_bytes = static_cast<uint64_t>(parsed);
-    }
+    // Baselines honour the engine's per-query memory cap (APLUS_MEM_CAP
+    // in its config; 0 = uncapped): the matcher's candidate scratch is
+    // charged and "MEM" is reported on exhaustion, so the whole binary
+    // respects the cap, not just the A+ rows.
+    const uint64_t mem_cap_bytes = db.config().mem_cap_bytes;
     MemoryBudget baseline_budget;
     // TigerGraph-like: flat adjacency; distinct-frontier mode for SQ13.
     {

@@ -1,5 +1,6 @@
 #include "bench_util.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -76,6 +77,14 @@ std::string TablePrinter::Count(uint64_t n) {
 void PrintBanner(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
   std::fflush(stdout);
+}
+
+double ScaleFromEnv(double fallback) {
+  const char* env = std::getenv("APLUS_SCALE");
+  if (env == nullptr) return fallback;
+  double scale = std::atof(env);
+  if (scale <= 0.0) return fallback;
+  return std::min(scale, 1.0);
 }
 
 uint64_t IntFromEnv(const char* name, uint64_t fallback) {

@@ -29,6 +29,11 @@ class TablePrinter {
 // Prints a "=== title ===" banner.
 void PrintBanner(const std::string& title);
 
+// Reads the APLUS_SCALE environment variable (default `fallback`, clamped
+// to (0, 1]), so the full table harness stays laptop-sized by default but
+// can approach paper scale.
+double ScaleFromEnv(double fallback);
+
 // Reads a positive integer from the environment, falling back when the
 // variable is unset or unparsable. Benches use this for smoke-path knobs
 // (iteration counts, sub-workload sizes).

@@ -1,9 +1,6 @@
 #include "core/database.h"
 
-#include <limits>
-
 #include "storage/segment.h"
-#include "util/env.h"
 #include "util/epoch.h"
 #include "util/logging.h"
 
@@ -50,20 +47,11 @@ std::string ExplainPrepared(const PreparedQuery& prepared) {
 
 }  // namespace
 
-Database::Database(Graph graph) : graph_(std::move(graph)) {
+Database::Database(Graph graph, const EngineConfig& config)
+    : config_(config), graph_(std::move(graph)) {
   store_ = std::make_unique<IndexStore>(&graph_);
   maintainer_ = std::make_unique<Maintainer>(&graph_, store_.get());
-  // Optional admission control (disabled unless APLUS_MAX_CONCURRENT is
-  // set): queue depth defaults to the slot count, queue wait to 100 ms.
-  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
-  const int max_concurrent = static_cast<int>(EnvInt("APLUS_MAX_CONCURRENT", 0, kIntMax));
-  if (max_concurrent > 0) {
-    AdmissionConfig config;
-    config.max_concurrent = max_concurrent;
-    config.max_queue = static_cast<int>(EnvInt("APLUS_ADMISSION_QUEUE", max_concurrent, kIntMax));
-    config.queue_timeout_ms = EnvInt("APLUS_ADMISSION_TIMEOUT_MS", 100, kIntMax);
-    admission_.Configure(config);
-  }
+  admission_.Configure(config_.admission);
 }
 
 Database::~Database() = default;
@@ -109,15 +97,16 @@ bool Database::SealToSegment(const std::string& path, std::string* error) {
     return false;
   }
   if (store_->HasPendingUpdates()) store_->FlushAll();
-  return SealSegment(graph_, *store_, path, error);
+  return SealSegment(graph_, *store_, path, config_.segment_compress, error);
 }
 
-std::unique_ptr<Database> Database::OpenFromSegment(const std::string& path, std::string* error) {
+std::unique_ptr<Database> Database::OpenFromSegment(const std::string& path, std::string* error,
+                                                    const EngineConfig& config) {
   std::unique_ptr<Segment> segment = aplus::OpenSegment(path, error);
   if (segment == nullptr) return nullptr;
   // The mapped graph moves into the database; its columns and the index
   // page views point into the mapping, which stays owned by the segment.
-  std::unique_ptr<Database> db(new Database(std::move(segment->graph())));
+  auto db = std::make_unique<Database>(std::move(segment->graph()), config);
   for (Direction dir : {Direction::kFwd, Direction::kBwd}) {
     SegmentIndexPart& part = segment->part(dir);
     db->store_->AttachSegment(dir, part.config, std::move(part.pages), part.num_edges);

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/admission.h"
+#include "core/engine_config.h"
 #include "core/plan_cache.h"
 #include "core/session.h"
 #include "index/index_store.h"
@@ -41,7 +42,7 @@ struct ConcurrentIngestOptions {
 //
 // The serving flow prepares once and executes per request:
 //
-//   Database db(std::move(graph));
+//   Database db(std::move(graph));  // settings: EngineConfig::FromEnv()
 //   db.BuildPrimaryIndexes();
 //   db.ExecuteDdl("RECONFIGURE PRIMARY INDEXES ...");
 //
@@ -58,8 +59,11 @@ class Segment;
 
 class Database {
  public:
-  explicit Database(Graph graph);
+  // Nothing reads the environment after `config` is taken here.
+  explicit Database(Graph graph, const EngineConfig& config = EngineConfig::FromEnv());
   ~Database();
+
+  const EngineConfig& config() const { return config_; }
 
   Graph& graph() { return graph_; }
   const Graph& graph() const { return graph_; }
@@ -88,9 +92,10 @@ class Database {
   // --- Sealed segments (storage/segment.h) ---
   //
   // Writes the graph plus both primary indexes to an immutable segment
-  // file. Requires built indexes, no active ingest and an in-memory
-  // database; pending index updates are flushed first. Returns false
-  // with a description in *error.
+  // file, laid out as config().segment_compress says. Requires built
+  // indexes, no active ingest and an in-memory database; pending index
+  // updates are flushed first. Returns false with a description in
+  // *error.
   bool SealToSegment(const std::string& path, std::string* error = nullptr);
 
   // Opens a sealed segment: maps the file read-only, verifies its
@@ -101,10 +106,11 @@ class Database {
   // BeginConcurrentIngest / CreateVpIndex / CreateEpIndex /
   // BuildPrimaryIndexes are rejected, and graph().AddVertex / AddEdge
   // return kInvalidVertex / kInvalidEdge. Queries, sessions, morsel
-  // parallelism and the server run unchanged. Returns null with a
-  // description in *error on any validation failure.
-  static std::unique_ptr<Database> OpenFromSegment(const std::string& path,
-                                                   std::string* error = nullptr);
+  // parallelism and the server run unchanged, under `config`. Returns
+  // null with a description in *error on any validation failure.
+  static std::unique_ptr<Database> OpenFromSegment(
+      const std::string& path, std::string* error = nullptr,
+      const EngineConfig& config = EngineConfig::FromEnv());
 
   bool segment_backed() const { return segment_ != nullptr; }
 
@@ -181,9 +187,8 @@ class Database {
   size_t IndexMemoryBytes() const { return store_->TotalMemoryBytes(); }
 
   // Admission gate shared by every session's PreparedQuery::Execute.
-  // Configured from APLUS_MAX_CONCURRENT (plus APLUS_ADMISSION_QUEUE /
-  // APLUS_ADMISSION_TIMEOUT_MS) at construction, or programmatically via
-  // admission().Configure(). Disabled by default.
+  // Configured from config().admission at construction, or
+  // programmatically via admission().Configure(). Disabled by default.
   AdmissionController& admission() { return admission_; }
 
  private:
@@ -208,6 +213,7 @@ class Database {
   std::unique_ptr<PreparedQuery> PrepareParsed(ParsedCypher parsed,
                                                const PrepareOptions& options);
 
+  const EngineConfig config_;
   Graph graph_;
   // Mapping behind segment-backed primary pages; null for in-memory
   // databases. Declared before store_ so the store (whose pages view the

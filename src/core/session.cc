@@ -7,7 +7,6 @@
 #include "core/database.h"
 #include "optimizer/plan_printer.h"
 #include "util/ascii.h"
-#include "util/env.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -283,27 +282,24 @@ QueryOutcome PreparedQuery::Execute(RowConsumer* consumer, int num_threads) {
   }
   controls_.rows_remaining.store(budget, std::memory_order_relaxed);
   controls_.rows_emitted = 0;
-  // Stop token: clear last execution's state, then arm the deadline.
-  // The env knobs are read per execution so serving deployments can
-  // adjust them without re-preparing (getenv allocates nothing). A
+  // Stop token: clear last execution's state, then arm the deadline. A
   // Cancel() issued while no execute was running targets this one
   // (session.h contract), so it survives the reset.
   const bool pre_cancelled = controls_.token.reason() == StopReason::kCancelled;
   controls_.token.Reset();
   if (pre_cancelled) controls_.token.Cancel();
-  const int64_t timeout_ms = timeout_millis_ >= 0
-                                 ? timeout_millis_
-                                 : EnvInt("APLUS_QUERY_TIMEOUT_MS", 0);
+  const EngineConfig& config = db_->config();
+  const int64_t timeout_ms = timeout_millis_ >= 0 ? timeout_millis_ : config.query_timeout_ms;
   if (timeout_ms > 0) controls_.token.ArmDeadlineMillis(timeout_ms);
-  // Memory budget: explicit set_mem_cap_bytes wins, then APLUS_MEM_CAP.
-  // The source name is kept for the kResourceExhausted error message.
+  // Memory budget: explicit set_mem_cap_bytes wins, then the config's
+  // APLUS_MEM_CAP. The source name is kept for the kResourceExhausted
+  // error message.
   const bool explicit_cap = mem_cap_bytes_ >= 0;
-  const uint64_t mem_cap = static_cast<uint64_t>(
-      explicit_cap ? mem_cap_bytes_ : EnvInt("APLUS_MEM_CAP", 0));
+  const uint64_t mem_cap =
+      explicit_cap ? static_cast<uint64_t>(mem_cap_bytes_) : config.mem_cap_bytes;
   const char* mem_cap_source = explicit_cap ? "set_mem_cap_bytes" : "APLUS_MEM_CAP";
   controls_.budget.Reset(mem_cap);
-  MemoryBudget::SetProcessCeiling(
-      static_cast<uint64_t>(EnvInt("APLUS_MEM_CAP_TOTAL", 0)));
+  MemoryBudget::SetProcessCeiling(config.mem_cap_total_bytes);
   for (int i = 0; i < plan_->num_pipelines(); ++i) {
     static_cast<ProjectSinkOp*>(plan_->sink(i))->ResetBatch();
   }
@@ -421,9 +417,6 @@ PreparedQuery* Session::Prepare(const std::string& text, const PrepareOptions& o
     last_failed_ = std::move(lease);
     return query;
   }
-  // Session-wide default deadline, stamped per lease; a later
-  // set_deadline_millis on the prepared query overrides it.
-  if (default_deadline_millis_ >= 0) query->set_deadline_millis(default_deadline_millis_);
   if (statements_.size() >= kMaxCachedQueries) {
     statements_.erase(std::min_element(
         statements_.begin(), statements_.end(),

@@ -31,8 +31,8 @@ struct QueryOutcome {
     // Execution aborted cleanly on a resource cap (the per-query memory
     // budget or the process ceiling); staged queries deliver no rows.
     kResourceExhausted,
-    // Execution stopped at the deadline (set_deadline_millis / Session
-    // default / APLUS_QUERY_TIMEOUT_MS). `count` carries the partial
+    // Execution stopped at the deadline (set_deadline_millis, else
+    // EngineConfig::query_timeout_ms). `count` carries the partial
     // match progress; staged queries deliver no rows, stage-less
     // projections may have streamed a partial prefix.
     kTimeout,
@@ -41,7 +41,7 @@ struct QueryOutcome {
     kCancelled,
     // Admission control rejected the execute: the concurrent-execute
     // slots were full and the wait queue was full or timed out
-    // (APLUS_MAX_CONCURRENT). Nothing ran; retry later.
+    // (EngineConfig::admission). Nothing ran; retry later.
     kOverloaded,
   };
 
@@ -124,7 +124,7 @@ class PreparedQuery {
   // Wall-clock deadline for each Execute, in milliseconds: every worker
   // polls it cooperatively and the execute returns kTimeout with partial
   // counters once it passes. 0 disables; a negative value (the default)
-  // defers to the Session default, then APLUS_QUERY_TIMEOUT_MS.
+  // defers to the database's EngineConfig::query_timeout_ms.
   void set_deadline_millis(int64_t millis) { timeout_millis_ = millis; }
   int64_t deadline_millis() const { return timeout_millis_; }
 
@@ -135,8 +135,8 @@ class PreparedQuery {
 
   // Per-query memory budget, in bytes, charged by the group/sort/project
   // arenas and plan scratch; crossing it returns kResourceExhausted.
-  // 0 removes the cap; a negative value (the default) defers to
-  // APLUS_MEM_CAP.
+  // 0 removes the cap; a negative value (the default) defers to the
+  // database's EngineConfig::mem_cap_bytes.
   void set_mem_cap_bytes(int64_t bytes) { mem_cap_bytes_ = bytes; }
 
   // True while the plan is still valid against the database's index
@@ -221,8 +221,8 @@ class PreparedQuery {
   mutable std::string plan_text_;   // rendered by the first plan_text()
   uint64_t store_version_ = 0;
   uint64_t num_edges_ = 0;
-  int64_t timeout_millis_ = -1;  // < 0: inherit session default / env
-  int64_t mem_cap_bytes_ = -1;   // < 0: inherit env
+  int64_t timeout_millis_ = -1;  // < 0: the database's config
+  int64_t mem_cap_bytes_ = -1;   // < 0: the database's config
 
   ParamSlots slots_;
   int slots_pipelines_ = 0;
@@ -263,11 +263,6 @@ class Session {
   uint64_t cache_misses() const { return cache_misses_; }
   size_t cache_size() const { return statements_.size(); }
 
-  // Default per-execute deadline stamped onto queries leased after this
-  // call (explicit set_deadline_millis overrides it per query).
-  // Negative (the default) leaves queries on APLUS_QUERY_TIMEOUT_MS.
-  void set_default_deadline_millis(int64_t millis) { default_deadline_millis_ = millis; }
-
  private:
   struct Statement {
     PlanCache::Lease lease;
@@ -277,7 +272,6 @@ class Session {
   Database* db_;
   std::unordered_map<std::string, Statement> statements_;
   PlanCache::Lease last_failed_;  // error holder, not held in the table
-  int64_t default_deadline_millis_ = -1;
   uint64_t tick_ = 0;
   uint64_t cache_hits_ = 0;
   uint64_t cache_misses_ = 0;

@@ -1,7 +1,6 @@
 #include "datagen/power_law_generator.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <vector>
 
 #include "util/logging.h"
@@ -66,14 +65,6 @@ void GenerateDataset(const DatasetSpec& spec, double scale, uint64_t seed, Graph
   params.avg_degree = spec.avg_degree;
   params.seed = seed;
   GeneratePowerLawGraph(params, graph);
-}
-
-double ScaleFromEnv(double fallback) {
-  const char* env = std::getenv("APLUS_SCALE");
-  if (env == nullptr) return fallback;
-  double scale = std::atof(env);
-  if (scale <= 0.0) return fallback;
-  return std::min(scale, 1.0);
 }
 
 }  // namespace aplus

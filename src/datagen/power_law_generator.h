@@ -46,11 +46,6 @@ const DatasetSpec* TableOneDatasets(size_t* count);
 // Builds the scaled analogue of dataset `spec`.
 void GenerateDataset(const DatasetSpec& spec, double scale, uint64_t seed, Graph* graph);
 
-// Reads the APLUS_SCALE environment variable (default `fallback`, clamped
-// to (0, 1]). Benchmarks use this so the full table harness stays
-// laptop-sized by default but can approach paper scale.
-double ScaleFromEnv(double fallback);
-
 }  // namespace aplus
 
 #endif  // APLUS_DATAGEN_POWER_LAW_GENERATOR_H_

@@ -5,6 +5,8 @@
 //
 // --workers is the maximum number of requests running at once (default
 // 4); the server runs one more thread than that for the poll loop.
+// --deadline-ms (0: none) sets the deadline of every EXECUTE that
+// carries none, in place of APLUS_QUERY_TIMEOUT_MS.
 //
 // Serves the synthetic power-law financial workload of the benches
 // (vertices with sequential IDs, :E edges with an integer `amt`
@@ -15,13 +17,14 @@
 // mapping, so startup copies no graph and builds no index. --seal
 // generates the dataset, writes it to a segment file, and exits — the
 // companion of --graph for ahead-of-time dataset preparation (a
-// database opened with --graph is refused: it is already sealed). Env
-// knobs:
+// database opened with --graph is refused: it is already sealed). The
+// engine settings are read once at startup (core/engine_config.h):
 //   APLUS_MAX_CONCURRENT / APLUS_ADMISSION_QUEUE /
 //   APLUS_ADMISSION_TIMEOUT_MS  — admission control (core/admission.h)
-//   APLUS_SERVER_BATCH=on|off   — identical-request batching
 //   APLUS_QUERY_TIMEOUT_MS      — default per-query deadline
 //   APLUS_MEM_CAP[_TOTAL]       — per-query / process memory budget
+//   APLUS_SEGMENT_COMPRESS      — page layout of --seal
+// Identical queued requests are always batched (HELLO_OK flags bit0).
 
 #include <csignal>
 #include <cstdio>
@@ -54,7 +57,8 @@ bool FlagValue(const char* arg, const char* name, const char** value) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ServerOptions options = ServerOptions::FromEnv();
+  EngineConfig config = EngineConfig::FromEnv();
+  ServerOptions options;
   options.port = 7601;
   double scale = 0.02;
   std::string graph_path;
@@ -68,7 +72,8 @@ int main(int argc, char** argv) {
     } else if (FlagValue(argv[i], "--scale", &value)) {
       scale = std::atof(value);
     } else if (FlagValue(argv[i], "--deadline-ms", &value)) {
-      options.default_deadline_millis = std::atoll(value);
+      const int64_t millis = std::atoll(value);
+      if (millis >= 0) config.query_timeout_ms = millis;
     } else if (FlagValue(argv[i], "--graph", &value)) {
       graph_path = value;
     } else if (FlagValue(argv[i], "--seal", &value)) {
@@ -86,7 +91,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<Database> owned_db;
   if (!graph_path.empty()) {
     std::string error;
-    owned_db = Database::OpenFromSegment(graph_path, &error);
+    owned_db = Database::OpenFromSegment(graph_path, &error, config);
     if (owned_db == nullptr) {
       std::fprintf(stderr, "aplusd: --graph=%s: %s\n", graph_path.c_str(), error.c_str());
       return 1;
@@ -107,7 +112,7 @@ int main(int argc, char** argv) {
         amt->SetInt64(e, static_cast<int64_t>(rng.NextBounded(10000)));
       }
     }
-    owned_db = std::make_unique<Database>(std::move(graph));
+    owned_db = std::make_unique<Database>(std::move(graph), config);
     owned_db->BuildPrimaryIndexes();
   }
   Database& db = *owned_db;
@@ -130,10 +135,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "aplusd: %s\n", error.c_str());
     return 1;
   }
-  std::printf("aplusd listening on port %d (%llu vertices, %llu edges, %d workers, batch %s)\n",
+  std::printf("aplusd listening on port %d (%llu vertices, %llu edges, %d workers)\n",
               server.port(), static_cast<unsigned long long>(db.graph().num_vertices()),
-              static_cast<unsigned long long>(db.graph().num_edges()), options.num_workers,
-              options.batching ? "on" : "off");
+              static_cast<unsigned long long>(db.graph().num_edges()), options.num_workers);
   std::fflush(stdout);
 
   std::signal(SIGINT, OnSignal);

@@ -117,7 +117,6 @@ bool Client::Connect(const std::string& host, int port, std::string* error) {
     Close();
     return false;
   }
-  server_batching_ = (flags & 1u) != 0;
   return true;
 }
 

@@ -59,12 +59,10 @@ class Client {
   bool Connect(const std::string& host, int port, std::string* error);
   void Close();
   bool connected() const { return fd_ >= 0; }
-  // HELLO_OK flags bit 0: the server groups identical concurrent
-  // executes (APLUS_SERVER_BATCH).
-  bool server_batching() const { return server_batching_; }
 
   PreparedInfo Prepare(const std::string& text);
-  // deadline_millis 0 = server default; max_rows 0 = everything.
+  // deadline_millis 0 = the server database's query_timeout_ms;
+  // max_rows 0 = everything.
   Result Execute(uint32_t stmt_id, const std::vector<std::pair<std::string, Value>>& params,
                  uint32_t deadline_millis = 0, uint64_t max_rows = 0);
   Result Fetch(uint32_t stmt_id, uint64_t max_rows = 0);
@@ -88,7 +86,6 @@ class Client {
   Result ReadResult();
 
   int fd_ = -1;
-  bool server_batching_ = false;
   std::vector<uint8_t> in_;  // buffered unparsed bytes
   std::vector<uint8_t> send_scratch_;
 };

@@ -44,7 +44,7 @@ enum class FrameType : uint8_t {
   kStats = 0x07,    // empty
 
   // Server -> client.
-  kHelloOk = 0x81,   // u32 protocol_version, u32 flags (bit0 = batching)
+  kHelloOk = 0x81,   // u32 protocol_version, u32 flags (bit0 = batching, always 1)
   kPrepared = 0x82,  // u32 stmt_id, u32 num_params, str16 name per param,
                      // u32 num_cols, { u8 value_type, str16 name } per col
   kRows = 0x83,      // columnar row batch; see AppendRowsFrame

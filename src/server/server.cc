@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstddef>
-#include <cstdlib>
 #include <cstring>
 
 #include "util/logging.h"
@@ -29,6 +28,8 @@ bool SetNonBlocking(int fd) {
 // Frames a connection may queue while a job is in flight before the
 // server declares it hostile and closes it (bounds deferred memory).
 constexpr size_t kMaxDeferredFrames = 1024;
+
+constexpr int kListenBacklog = 64;
 
 // Canonical byte encoding of one bound parameter value, for batch-group
 // keys: identical key bytes == identical binds.
@@ -53,16 +54,6 @@ void AppendValueKey(const Value& value, std::string* key) {
 
 }  // namespace
 
-ServerOptions ServerOptions::FromEnv() {
-  ServerOptions options;
-  const char* batch = std::getenv("APLUS_SERVER_BATCH");
-  if (batch != nullptr) {
-    std::string v(batch);
-    options.batching = !(v == "off" || v == "0" || v == "false");
-  }
-  return options;
-}
-
 Server::Server(Database* db, const ServerOptions& options)
     : db_(db), options_(options), max_jobs_(std::max(1, options.num_workers)) {}
 
@@ -86,7 +77,7 @@ bool Server::Start(std::string* error) {
     listen_fd_ = -1;
     return false;
   }
-  if (listen(listen_fd_, options_.listen_backlog) != 0) {
+  if (listen(listen_fd_, kListenBacklog) != 0) {
     *error = std::string("listen: ") + std::strerror(errno);
     close(listen_fd_);
     listen_fd_ = -1;
@@ -202,9 +193,7 @@ std::unique_ptr<Server::Job> Server::StartJobLocked() {
   std::unique_ptr<Job> job = std::move(jobs_.front());
   jobs_.pop_front();
   // Starting seals a batch group: later identical requests start their own.
-  if (!job->execs.empty() && !job->execs[0]->batch_key.empty()) {
-    batch_pending_.erase(job->execs[0]->batch_key);
-  }
+  if (!job->execs.empty()) batch_pending_.erase(job->execs[0]->batch_key);
   ++in_flight_;
   return job;
 }
@@ -485,7 +474,7 @@ void Server::HandleHello(Connection* conn, const wire::FrameView& frame) {
   wire::FrameWriter w(&conn->out);
   w.BeginFrame(wire::FrameType::kHelloOk);
   w.PutU32(wire::kProtocolVersion);
-  w.PutU32(options_.batching ? 1u : 0u);
+  w.PutU32(1u);  // flags: bit0 (batching) is always set
   w.EndFrame();
 }
 
@@ -564,38 +553,33 @@ void Server::DispatchExecute(Connection* conn, const wire::FrameView& frame) {
   }
   req->conn = conn;
   req->stmt = it->second.get();
-  req->deadline_millis = deadline_ms > 0 ? static_cast<int64_t>(deadline_ms)
-                                         : options_.default_deadline_millis;
+  if (deadline_ms > 0) req->deadline_millis = deadline_ms;
   req->max_rows = max_rows;
   conn->busy = true;
 
-  if (options_.batching && req->stmt->lease->ok()) {
-    std::string& key = req->batch_key;
-    key = req->stmt->lease->normalized_text();
-    key.push_back('\x1f');
-    key.append(reinterpret_cast<const char*>(&req->deadline_millis),
-               sizeof(req->deadline_millis));
-    key.append(reinterpret_cast<const char*>(&req->max_rows), sizeof(req->max_rows));
-    for (const auto& param : req->params) {
-      key.push_back('\x1e');
-      key.append(param.first);
-      key.push_back('=');
-      AppendValueKey(param.second, &key);
-    }
+  // The statement holds a prepared plan: a failed PREPARE dropped it.
+  std::string& key = req->batch_key;
+  key = req->stmt->lease->normalized_text();
+  key.push_back('\x1f');
+  key.append(reinterpret_cast<const char*>(&req->deadline_millis), sizeof(req->deadline_millis));
+  key.append(reinterpret_cast<const char*>(&req->max_rows), sizeof(req->max_rows));
+  for (const auto& param : req->params) {
+    key.push_back('\x1e');
+    key.append(param.first);
+    key.push_back('=');
+    AppendValueKey(param.second, &key);
   }
 
   std::lock_guard<std::mutex> lock(mu_);
-  if (!req->batch_key.empty()) {
-    auto pending = batch_pending_.find(req->batch_key);
-    if (pending != batch_pending_.end()) {
-      // An identical request is queued and has not started: ride along.
-      // Its leader answers for this connection too.
-      pending->second->execs.push_back(std::move(req));
-      return;
-    }
+  auto pending = batch_pending_.find(key);
+  if (pending != batch_pending_.end()) {
+    // An identical request is queued and has not started: ride along.
+    // Its leader answers for this connection too.
+    pending->second->execs.push_back(std::move(req));
+    return;
   }
   auto job = std::make_unique<Job>();
-  if (!req->batch_key.empty()) batch_pending_.emplace(req->batch_key, job.get());
+  batch_pending_.emplace(key, job.get());
   job->execs.push_back(std::move(req));
   jobs_.push_back(std::move(job));
 }

@@ -20,9 +20,9 @@
 
 namespace aplus {
 
-// aplusd server configuration. Env defaults (APLUS_SERVER_BATCH,
-// APLUS_QUERY_TIMEOUT_MS) are resolved by ServerOptions::FromEnv so the
-// aplusd binary and in-process test servers agree on knob semantics.
+// aplusd server configuration. The engine settings a served query runs
+// under (deadline, memory caps, admission) are the database's
+// EngineConfig, exactly as for embedded callers.
 struct ServerOptions {
   // TCP port to listen on (loopback + any). 0 binds an ephemeral port —
   // tests read the real one back from Server::port().
@@ -31,16 +31,6 @@ struct ServerOptions {
   // server runs num_workers + 1 threads: one more than the running
   // requests, so one thread is always free to hold the loop role.
   int num_workers = 4;
-  // Deadline applied to EXECUTE frames that carry deadline_ms == 0.
-  // < 0 defers to APLUS_QUERY_TIMEOUT_MS.
-  int64_t default_deadline_millis = -1;
-  // Groups concurrent identical EXECUTEs into one morsel-parallel pass
-  // (see Server's batching notes). APLUS_SERVER_BATCH=off disables.
-  bool batching = true;
-  int listen_backlog = 64;
-
-  // Applies APLUS_SERVER_BATCH=on|off on top of the defaults above.
-  static ServerOptions FromEnv();
 };
 
 // The aplusd front-end: accepts wire-protocol connections
@@ -82,14 +72,15 @@ struct ServerOptions {
 //     exception is a batch group (below), which amortizes one pass
 //     across its members and may go morsel-parallel.
 //
-// Request batching (APLUS_SERVER_BATCH): EXECUTE frames that wait in
-// the job queue together (behind busy slots, or read in one poll) and
-// hit the same cached plan entry with byte-identical parameters,
-// deadline and max_rows are grouped; the group executes ONCE when it
-// starts (num_threads = min(group, 4)), and
+// Request batching (always on; HELLO_OK flags bit0 says so): EXECUTE
+// frames that wait in the job queue together (behind busy slots, or
+// read in one poll) and hit the same cached plan entry with
+// byte-identical parameters, deadline and max_rows are grouped; the
+// group executes ONCE when it starts (num_threads = min(group, 4)), and
 // every member connection receives its own copy of the result spool.
 // Per-connection ordering makes same-connection duplicates impossible,
-// so batching only ever merges across connections.
+// so batching only ever merges across connections. An EXECUTE whose
+// deadline_ms is 0 runs under the database's config.query_timeout_ms.
 //
 // Results stream into a per-statement spool of serialized kRows frames
 // (a batch too large for one frame is split over several); the EXECUTE
@@ -165,15 +156,14 @@ class Server {
     std::atomic<PreparedQuery*> inflight{nullptr};
   };
 
-  // A parsed EXECUTE plus (for batching) the raw parameter bytes that
-  // make up its group key.
+  // A parsed EXECUTE plus the bytes of its batch group key.
   struct ExecRequest {
     Connection* conn = nullptr;
     Statement* stmt = nullptr;
-    int64_t deadline_millis = 0;  // resolved (0 frame value applied)
-    uint64_t max_rows = 0;        // 0 = all
+    int64_t deadline_millis = -1;  // < 0: the database's config
+    uint64_t max_rows = 0;         // 0 = all
     std::vector<std::pair<std::string, Value>> params;
-    std::string batch_key;  // empty when batching is off
+    std::string batch_key;
   };
 
   // One PREPARE, or one EXECUTE with the identical ones batched onto it.

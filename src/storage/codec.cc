@@ -141,32 +141,41 @@ edge_id_t DecodeEidAt(const uint8_t* stream, uint32_t i) {
   return eid;
 }
 
-bool ValidatePacked(const uint8_t* stream, size_t avail, size_t* stream_bytes) {
-  if (avail < kHeaderBytes) return false;
+PackedCheck ValidatePacked(const uint8_t* stream, size_t avail, uint64_t num_vertices,
+                           uint64_t num_edges, size_t* stream_bytes) {
+  if (avail < kHeaderBytes) return PackedCheck::kMalformed;
   const uint32_t n = PackedNumEntries(stream);
   uint32_t num_blocks;
   std::memcpy(&num_blocks, stream + sizeof(uint32_t), sizeof(num_blocks));
-  if (num_blocks != (n + kBlockEntries - 1) / kBlockEntries) return false;
+  if (num_blocks != (n + kBlockEntries - 1) / kBlockEntries) return PackedCheck::kMalformed;
   const size_t table_end = kHeaderBytes + static_cast<size_t>(num_blocks) * sizeof(uint32_t);
-  if (table_end > avail) return false;
+  if (table_end > avail) return PackedCheck::kMalformed;
   const uint8_t* const end = stream + avail;
   const uint8_t* p = stream + table_end;
   for (uint32_t b = 0; b < num_blocks; ++b) {
     uint32_t skip = SkipAt(stream, b);
     // Blocks are laid out back to back right after the skip table.
-    if (skip != static_cast<size_t>(p - stream)) return false;
+    if (skip != static_cast<size_t>(p - stream)) return PackedCheck::kMalformed;
     uint32_t lo = b * kBlockEntries;
     uint32_t hi = lo + kBlockEntries < n ? lo + kBlockEntries : n;
-    uint64_t v;
+    // Accumulated exactly as DecodeRange does, so the range check sees
+    // the IDs a probe will read.
+    uint64_t nbr = 0, eid = 0, dn = 0, de = 0;
     for (uint32_t j = lo; j < hi; ++j) {
-      p = GetVarintChecked(p, end, &v);
-      if (p == nullptr) return false;
-      p = GetVarintChecked(p, end, &v);
-      if (p == nullptr) return false;
+      if ((p = GetVarintChecked(p, end, &dn)) == nullptr ||
+          (p = GetVarintChecked(p, end, &de)) == nullptr) {
+        return PackedCheck::kMalformed;
+      }
+      nbr = j == lo ? dn : nbr + UnZigZag(dn);
+      eid = j == lo ? de : eid + UnZigZag(de);
+      if (static_cast<vertex_id_t>(nbr) >= num_vertices ||
+          static_cast<edge_id_t>(eid) >= num_edges) {
+        return PackedCheck::kIdOutOfRange;
+      }
     }
   }
   if (stream_bytes != nullptr) *stream_bytes = static_cast<size_t>(p - stream);
-  return true;
+  return PackedCheck::kOk;
 }
 
 void PackedCursor::LoadBlock(const uint8_t* s, uint32_t b) {

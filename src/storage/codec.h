@@ -57,13 +57,15 @@ void DecodeRange(const uint8_t* stream, uint32_t begin, uint32_t count, vertex_i
 vertex_id_t DecodeNbrAt(const uint8_t* stream, uint32_t i);
 edge_id_t DecodeEidAt(const uint8_t* stream, uint32_t i);
 
-// Structural validation against `avail` readable bytes: header in
-// bounds, block count consistent with the entry count, every skip entry
-// in bounds and monotonically increasing, and every varint of every
-// block terminating inside the stream. Returns the total stream size in
-// bytes through *stream_bytes (optional) on success; false on any
-// violation (never reads past stream + avail).
-bool ValidatePacked(const uint8_t* stream, size_t avail, size_t* stream_bytes = nullptr);
+// One checked walk over a stream of `avail` readable bytes: header in
+// bounds, block count consistent with the entry count, skip entries in
+// bounds and increasing, every varint ending inside the stream (else
+// kMalformed); every decoded neighbour below `num_vertices` and edge ID
+// below `num_edges` (else kIdOutOfRange). On kOk, *stream_bytes
+// (optional) is the stream's size. Never reads past stream + avail.
+enum class PackedCheck { kOk, kMalformed, kIdOutOfRange };
+PackedCheck ValidatePacked(const uint8_t* stream, size_t avail, uint64_t num_vertices,
+                           uint64_t num_edges, size_t* stream_bytes = nullptr);
 
 // One-block decode cache for repeated point access into the same stream
 // (sequential enumeration, galloping probes). Owned by the probing

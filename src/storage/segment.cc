@@ -58,16 +58,6 @@ bool Fail(std::string* error, const std::string& message) {
 // Seal side
 // ---------------------------------------------------------------------
 
-enum class CompressMode { kAuto, kOn, kOff };
-
-CompressMode CompressModeFromEnv() {
-  const char* env = std::getenv("APLUS_SEGMENT_COMPRESS");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "auto") == 0) return CompressMode::kAuto;
-  if (std::strcmp(env, "on") == 0) return CompressMode::kOn;
-  if (std::strcmp(env, "off") == 0) return CompressMode::kOff;
-  return CompressMode::kAuto;  // unrecognized: behave like auto
-}
-
 // Auto-mode packing threshold: a page packs only when its largest owner
 // list is at most this long, so hub pages keep flat arrays for the SIMD
 // frontier kernels.
@@ -610,28 +600,18 @@ bool ValidateCsr(const uint32_t* csr, uint32_t csr_len, uint32_t num_entries) {
   return true;
 }
 
-// Full value-range validation of one page's adjacency: every neighbour
-// below num_vertices, every edge ID below num_edges. Queries index graph
-// columns by these IDs, so a sealed file that decodes out-of-range IDs
-// must be rejected at open, not at probe time.
-bool ValidateIds(const IdListPage& page, uint64_t nv, uint64_t ne) {
-  if (page.is_packed()) {
-    vertex_id_t nbrs[codec::kBlockEntries];
-    edge_id_t eids[codec::kBlockEntries];
-    for (uint32_t i = 0; i < page.num_entries; i += codec::kBlockEntries) {
-      uint32_t n = std::min(codec::kBlockEntries, page.num_entries - i);
-      codec::DecodeRange(page.packed, i, n, nbrs, eids);
-      for (uint32_t j = 0; j < n; ++j) {
-        if (nbrs[j] >= nv || eids[j] >= ne) return false;
-      }
-    }
-    return true;
-  }
+// Queries index graph columns by adjacency IDs, so a raw page holding a
+// neighbour >= nv or an edge ID >= ne fails open, not a probe (packed
+// pages get the same check in codec::ValidatePacked).
+bool RawIdsInRange(const IdListPage& page, uint64_t nv, uint64_t ne) {
   for (uint32_t i = 0; i < page.num_entries; ++i) {
     if (page.nbrs[i] >= nv || page.eids[i] >= ne) return false;
   }
   return true;
 }
+
+constexpr const char* kInvalidIdError =
+    "segment: adjacency entry references an invalid vertex or edge";
 
 // Parses one index section of the file: its data arena is
 // [arena_off, meta_off), its metadata [meta_off, end).
@@ -683,8 +663,10 @@ bool ParseIndexPart(const uint8_t* base, uint64_t arena_off, uint64_t meta_off, 
     }
     if ((rec.flags & kPageFlagPacked) != 0) {
       size_t stream_bytes = 0;
-      if (!codec::ValidatePacked(base + rec.data_off, rec.data_size, &stream_bytes) ||
-          stream_bytes != rec.data_size ||
+      const codec::PackedCheck check =
+          codec::ValidatePacked(base + rec.data_off, rec.data_size, nv, ne, &stream_bytes);
+      if (check == codec::PackedCheck::kIdOutOfRange) return Fail(error, kInvalidIdError);
+      if (check != codec::PackedCheck::kOk || stream_bytes != rec.data_size ||
           codec::PackedNumEntries(base + rec.data_off) != rec.num_entries) {
         return Fail(error, "segment: malformed packed adjacency stream");
       }
@@ -699,13 +681,11 @@ bool ParseIndexPart(const uint8_t* base, uint64_t arena_off, uint64_t meta_off, 
       page->nbrs = reinterpret_cast<const vertex_id_t*>(base + rec.data_off);
       page->eids = reinterpret_cast<const edge_id_t*>(
           base + rec.data_off + RoundUp(uint64_t{rec.num_entries} * sizeof(vertex_id_t), 8));
+      if (!RawIdsInRange(*page, nv, ne)) return Fail(error, kInvalidIdError);
       stats->raw_pages += 1;
       stats->raw_adj_bytes += rec.data_size;
     }
     stats->csr_bytes += uint64_t{rec.csr_len} * sizeof(uint32_t);
-    if (!ValidateIds(*page, nv, ne)) {
-      return Fail(error, "segment: adjacency entry references an invalid vertex or edge");
-    }
     total_entries += rec.num_entries;
     part->pages.push_back(std::move(page));
   }
@@ -723,7 +703,7 @@ Segment::~Segment() {
 }
 
 bool SealSegment(const Graph& graph, const IndexStore& store, const std::string& path,
-                 std::string* error) {
+                 CompressMode mode, std::string* error) {
   for (Direction dir : {Direction::kFwd, Direction::kBwd}) {
     const PrimaryIndex* index = store.primary(dir);
     if (index->num_pages() != (graph.num_vertices() + kGroupSize - 1) / kGroupSize ||
@@ -746,7 +726,6 @@ bool SealSegment(const Graph& graph, const IndexStore& store, const std::string&
   file.EndSection(kGraphSection, &header);
 
   SegmentStats stats;
-  CompressMode mode = CompressModeFromEnv();
   std::vector<uint8_t> scratch;
   for (int d = 0; d < 2; ++d) {
     Direction dir = d == 0 ? Direction::kFwd : Direction::kBwd;

@@ -133,9 +133,13 @@ class Segment {
   std::string path_;
 };
 
-// Writes the sealed segment file for `graph` + `store` at `path`. Both
-// primary indexes must be built and clean (no pending deltas) — the
-// Database seal path flushes first.
+// Page layout of a seal: kAuto packs pages whose largest list is short
+// (hub pages stay raw for the SIMD kernels), kOn every page, kOff none.
+enum class CompressMode { kAuto, kOn, kOff };
+
+// Writes the sealed segment file for `graph` + `store` at `path`, its
+// pages laid out as `mode` says. Both primary indexes must be built and
+// clean (no pending deltas) — the Database seal path flushes first.
 //
 // The file is streamed in one forward pass into a temporary file beside
 // `path` (`path`.XXXXXX, same filesystem), the header is patched in at
@@ -149,7 +153,7 @@ class Segment {
 // the new file is already in place but false is returned: it may not
 // survive a crash.)
 bool SealSegment(const Graph& graph, const IndexStore& store, const std::string& path,
-                 std::string* error);
+                 CompressMode mode, std::string* error);
 
 // Maps `path` read-only, verifies every checksum and validates every
 // section; returns null with a typed "segment: ..." description in

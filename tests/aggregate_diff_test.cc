@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -25,27 +24,13 @@
 #include "baseline/matcher.h"
 #include "core/database.h"
 #include "datagen/power_law_generator.h"
+#include "row_collector.h"
 #include "util/rng.h"
 
 namespace aplus {
 namespace {
 
 using Row = std::vector<Value>;
-
-// Engine-side collector (OnBatch fires from one thread at a time for
-// staged queries, but the raw-projection arm runs workers concurrently).
-struct RowCollector : RowConsumer {
-  std::mutex mu;
-  std::vector<Row> rows;
-  void OnBatch(const RowBatch& batch) override {
-    std::lock_guard<std::mutex> lock(mu);
-    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
-      Row row;
-      for (size_t c = 0; c < batch.num_columns(); ++c) row.push_back(batch.Cell(c, r));
-      rows.push_back(std::move(row));
-    }
-  }
-};
 
 // One RETURN item of the reference evaluator.
 struct RefItem {

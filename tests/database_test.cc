@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -152,7 +151,9 @@ TEST_F(DatabaseTest, ExampleFourCurrencyQuery) {
 // matches, under D and under D+VPc (city-sorted offset lists).
 class OneShotPathTest : public ::testing::Test {
  protected:
-  OneShotPathTest() {
+  OneShotPathTest() { Build(EngineConfig::FromEnv()); }
+
+  void Build(const EngineConfig& config) {
     Graph graph;
     PowerLawParams params;
     params.num_vertices = 1000;
@@ -163,7 +164,7 @@ class OneShotPathTest : public ::testing::Test {
     graph.catalog().RegisterCategoryValue(keys_.acc, "CQ");
     graph.catalog().RegisterCategoryValue(keys_.acc, "SV");
     elabel_ = graph.catalog().FindEdgeLabel("E");
-    db_ = std::make_unique<Database>(std::move(graph));
+    db_ = std::make_unique<Database>(std::move(graph), config);
     db_->BuildPrimaryIndexes();
   }
 
@@ -257,24 +258,25 @@ TEST_F(OneShotPathTest, QueryGraphMatchesCypherUnderVpc) {
   ExpectSameAsCypher();
 }
 
-// APLUS_MEM_CAP reaches the QueryGraph one-shot with the prepared path's
-// typed status and error text: MF1's MULTI-EXTEND over city-sorted VPc
-// offset lists grows run-decode scratch, which charges the budget.
-TEST_F(OneShotPathTest, QueryGraphHonorsEnvMemCap) {
+// The config's mem_cap_bytes reaches the QueryGraph one-shot with the
+// prepared path's typed status and error text: MF1's MULTI-EXTEND over
+// city-sorted VPc offset lists grows run-decode scratch, which charges
+// the budget.
+TEST_F(OneShotPathTest, QueryGraphHonorsConfigMemCap) {
+  EngineConfig config;
+  config.mem_cap_bytes = 1;
+  Build(config);
   ASSERT_TRUE(CreateVpc());
   const QueryGraph mf1 = Cases().back().graph;
   ASSERT_NE(db_->Explain(mf1).find("MULTI-EXTEND"), std::string::npos) << db_->Explain(mf1);
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    setenv("APLUS_MEM_CAP", "1", 1);
     QueryOutcome capped = db_->Execute(mf1, threads);
-    unsetenv("APLUS_MEM_CAP");
     EXPECT_EQ(capped.status, QueryOutcome::Status::kResourceExhausted);
     EXPECT_NE(capped.error.find("memory budget exceeded (APLUS_MEM_CAP=1 bytes)"),
               std::string::npos)
         << capped.error;
     EXPECT_TRUE(capped.plan.empty());
-    EXPECT_TRUE(db_->Execute(mf1, threads).ok());
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "baseline/flat_adj_engine.h"
 #include "datagen/example_graph.h"
 #include "index/index_store.h"
 #include "optimizer/dp_optimizer.h"
@@ -15,50 +16,9 @@ class OptimizerTest : public ::testing::Test {
     store_.BuildPrimary(IndexConfig::Default());
   }
 
-  // Brute-force reference: enumerate all isomorphic matches.
+  // Reference count: the baseline matcher, the tests' one oracle.
   uint64_t BruteForce(const QueryGraph& query) {
-    uint64_t count = 0;
-    MatchState state;
-    state.Reset(query.num_vertices(), query.num_edges());
-    BruteRecurse(query, 0, &state, &count);
-    return count;
-  }
-
-  void BruteRecurse(const QueryGraph& query, int var, MatchState* state, uint64_t* count) {
-    if (var == query.num_vertices()) {
-      // Bind edges in all possible ways.
-      BindEdges(query, 0, state, count);
-      return;
-    }
-    const QueryVertex& qv = query.vertex(var);
-    for (vertex_id_t v = 0; v < ex_.graph.num_vertices(); ++v) {
-      if (qv.bound != kInvalidVertex && qv.bound != v) continue;
-      if (qv.label != kInvalidLabel && ex_.graph.vertex_label(v) != qv.label) continue;
-      if (state->VertexAlreadyBound(v)) continue;
-      state->v[var] = v;
-      BruteRecurse(query, var + 1, state, count);
-      state->v[var] = kInvalidVertex;
-    }
-  }
-
-  void BindEdges(const QueryGraph& query, int qe, MatchState* state, uint64_t* count) {
-    if (qe == query.num_edges()) {
-      for (const QueryComparison& cmp : query.predicates()) {
-        if (!EvalQueryComparison(ex_.graph, cmp, *state)) return;
-      }
-      ++(*count);
-      return;
-    }
-    const QueryEdge& edge = query.edge(qe);
-    for (edge_id_t e = 0; e < ex_.graph.num_edges(); ++e) {
-      if (ex_.graph.edge_src(e) != state->v[edge.from]) continue;
-      if (ex_.graph.edge_dst(e) != state->v[edge.to]) continue;
-      if (edge.label != kInvalidLabel && ex_.graph.edge_label(e) != edge.label) continue;
-      if (state->EdgeAlreadyBound(e)) continue;
-      state->e[qe] = e;
-      BindEdges(query, qe + 1, state, count);
-      state->e[qe] = kInvalidEdge;
-    }
+    return FlatAdjEngine(&ex_.graph).CountMatches(query);
   }
 
   ExampleGraph ex_;

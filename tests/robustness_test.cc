@@ -13,9 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +21,7 @@
 #include "core/admission.h"
 #include "core/database.h"
 #include "datagen/power_law_generator.h"
+#include "row_collector.h"
 #include "util/deadline.h"
 #include "util/fault.h"
 #include "util/memory_tracker.h"
@@ -33,27 +32,6 @@ namespace aplus {
 namespace {
 
 using Status = QueryOutcome::Status;
-
-// Mutex-guarded so the same collector works under parallel execution.
-struct RowCollector : RowConsumer {
-  std::mutex mu;
-  std::vector<std::vector<Value>> rows;
-  void OnBatch(const RowBatch& batch) override {
-    std::lock_guard<std::mutex> lock(mu);
-    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
-      std::vector<Value> row;
-      for (size_t c = 0; c < batch.num_columns(); ++c) row.push_back(batch.Cell(c, r));
-      rows.push_back(std::move(row));
-    }
-  }
-};
-
-struct RowCounter : RowConsumer {
-  std::atomic<uint64_t> rows{0};
-  void OnBatch(const RowBatch& batch) override {
-    rows.fetch_add(batch.num_rows(), std::memory_order_relaxed);
-  }
-};
 
 // A power-law graph with an embedded dense clique: the clique gives the
 // multi-hop enumeration queries a combinatorial region big enough that a
@@ -168,26 +146,37 @@ TEST_F(RobustnessTest, TimeoutStagedQuery) {
   }
 }
 
-TEST_F(RobustnessTest, SessionDefaultDeadlineAndEnvFallback) {
-  session_->set_default_deadline_millis(50);
-  PreparedQuery* q = session_->Prepare(kHeavyText);
+// A database built with `config` over the fixture's graph.
+std::unique_ptr<Database> DatabaseWith(const EngineConfig& config) {
+  auto db = std::make_unique<Database>(MakeGraph(), config);
+  db->BuildPrimaryIndexes();
+  return db;
+}
+
+// The config's query_timeout_ms applies to every execute whose query
+// set no deadline; an explicit set_deadline_millis wins over it.
+TEST_F(RobustnessTest, ConfigDeadlineAppliesWhenQuerySetsNone) {
+  EngineConfig config;
+  config.query_timeout_ms = 50;
+  std::unique_ptr<Database> db = DatabaseWith(config);
+  Session session(db.get());
+  PreparedQuery* q = session.Prepare(kHeavyText);
   ASSERT_TRUE(q->ok()) << q->error();
-  EXPECT_EQ(q->deadline_millis(), 50);
+  EXPECT_EQ(q->deadline_millis(), -1);
   QueryOutcome out = q->Execute(nullptr, 1);
   EXPECT_EQ(out.status, Status::kTimeout);
+  EXPECT_NE(out.error.find("deadline exceeded (50 ms)"), std::string::npos) << out.error;
+  EXPECT_TRUE(session.Execute(kLightText).ok());
 
-  // Env fallback: only queries with no explicit/session deadline read it.
-  setenv("APLUS_QUERY_TIMEOUT_MS", "50", 1);
-  Session fresh(db_.get());
-  PreparedQuery* q2 = fresh.Prepare(kHeavyText);
-  ASSERT_TRUE(q2->ok());
-  EXPECT_EQ(fresh.Execute(kHeavyText).status, Status::kTimeout);
-  unsetenv("APLUS_QUERY_TIMEOUT_MS");
-  // Light queries under the same knob still succeed.
-  setenv("APLUS_QUERY_TIMEOUT_MS", "10000", 1);
-  EXPECT_TRUE(fresh.Execute(kLightText).ok());
-  unsetenv("APLUS_QUERY_TIMEOUT_MS");
-  EXPECT_EQ(q2->deadline_millis(), -1);
+  config.query_timeout_ms = 10000;
+  db = DatabaseWith(config);
+  Session generous(db.get());
+  EXPECT_TRUE(generous.Execute(kLightText).ok());
+  PreparedQuery* explicit_deadline = generous.Prepare(kHeavyText);
+  explicit_deadline->set_deadline_millis(20);
+  out = explicit_deadline->Execute(nullptr, 1);
+  EXPECT_EQ(out.status, Status::kTimeout);
+  EXPECT_NE(out.error.find("deadline exceeded (20 ms)"), std::string::npos) << out.error;
 }
 
 TEST_F(RobustnessTest, CancelFromAnotherThread) {
@@ -248,24 +237,30 @@ TEST_F(RobustnessTest, ResourceExhaustedSort) {
   EXPECT_TRUE(q->Execute(nullptr, 1).ok());
 }
 
-TEST_F(RobustnessTest, ResourceExhaustedEnvCapAndProcessCeiling) {
-  // APLUS_MEM_CAP applies when no explicit cap is set.
-  setenv("APLUS_MEM_CAP", "256", 1);
-  QueryOutcome out = session_->Execute("MATCH (a)-[r1:E]->(b) RETURN b, COUNT(*)");
-  EXPECT_EQ(out.status, Status::kResourceExhausted);
-  EXPECT_NE(out.error.find("APLUS_MEM_CAP"), std::string::npos) << out.error;
-  unsetenv("APLUS_MEM_CAP");
+TEST_F(RobustnessTest, ResourceExhaustedConfigCapAndProcessCeiling) {
+  constexpr const char* kGrouped = "MATCH (a)-[r1:E]->(b) RETURN b, COUNT(*)";
+  {
+    // The config's mem_cap_bytes applies when no explicit cap is set.
+    EngineConfig config;
+    config.mem_cap_bytes = 256;
+    std::unique_ptr<Database> db = DatabaseWith(config);
+    QueryOutcome out = Session(db.get()).Execute(kGrouped);
+    EXPECT_EQ(out.status, Status::kResourceExhausted);
+    EXPECT_NE(out.error.find("APLUS_MEM_CAP=256"), std::string::npos) << out.error;
 
-  // The process-wide ceiling trips even when the per-query cap is absent.
-  setenv("APLUS_MEM_CAP_TOTAL", "256", 1);
-  out = session_->Execute("MATCH (a)-[r1:E]->(b) RETURN b, COUNT(*)");
-  EXPECT_EQ(out.status, Status::kResourceExhausted);
-  unsetenv("APLUS_MEM_CAP_TOTAL");
+    // The process-wide ceiling trips even when the per-query cap is absent.
+    config = EngineConfig();
+    config.mem_cap_total_bytes = 256;
+    db = DatabaseWith(config);
+    out = Session(db.get()).Execute(kGrouped);
+    EXPECT_EQ(out.status, Status::kResourceExhausted);
+  }
 
-  // With both unset the same cached plan runs clean again. The retained
-  // arena charges stay attributed to this query's budget until its next
-  // reset (they really are resident), never more than what it used.
-  EXPECT_TRUE(session_->Execute("MATCH (a)-[r1:E]->(b) RETURN b, COUNT(*)").ok());
+  // An execute under a config with neither installs no ceiling and runs
+  // clean. The retained arena charges stay attributed to this query's
+  // budget until its next reset (they really are resident), never more
+  // than what it used.
+  EXPECT_TRUE(session_->Execute(kGrouped).ok());
   EXPECT_GT(MemoryBudget::ProcessUsed(), 0u);
   session_.reset();  // destroys the cached plans: accounting drains
   EXPECT_EQ(MemoryBudget::ProcessUsed(), 0u);
@@ -326,37 +321,6 @@ TEST_F(RobustnessTest, AdmissionQueueAdmitsWhenSlotFrees) {
   db_->admission().Configure({0, 0, 0});
 }
 
-// Integer knobs take their default unless the whole value is a
-// non-negative integer: a junk queue depth keeps the slot-count queue
-// and a junk wait keeps 100 ms (instead of parsing as 0 and rejecting
-// every waiter), and a suffixed memory cap is no cap at all.
-TEST_F(RobustnessTest, MalformedEnvKnobsFallBackToDefaults) {
-  setenv("APLUS_MAX_CONCURRENT", "1", 1);
-  setenv("APLUS_ADMISSION_QUEUE", "abc", 1);
-  setenv("APLUS_ADMISSION_TIMEOUT_MS", "abc", 1);
-  Database db(MakeGraph());
-  unsetenv("APLUS_MAX_CONCURRENT");
-  unsetenv("APLUS_ADMISSION_QUEUE");
-  unsetenv("APLUS_ADMISSION_TIMEOUT_MS");
-  db.BuildPrimaryIndexes();
-  Session session(&db);
-  PreparedQuery* light = session.Prepare(kLightText);
-  ASSERT_TRUE(light->ok()) << light->error();
-  {
-    AdmissionSlot held(&db.admission());
-    ASSERT_TRUE(held.admitted());
-    QueryOutcome queued = light->Execute(nullptr, 1);
-    EXPECT_EQ(queued.status, Status::kOverloaded);
-    EXPECT_NE(queued.error.find("timed out"), std::string::npos) << queued.error;
-  }
-  EXPECT_TRUE(light->Execute(nullptr, 1).ok());
-
-  setenv("APLUS_MEM_CAP", "1kB", 1);
-  QueryOutcome uncapped = session.Execute("MATCH (a)-[r1:E]->(b) RETURN b, COUNT(*)");
-  unsetenv("APLUS_MEM_CAP");
-  EXPECT_TRUE(uncapped.ok()) << uncapped.error;
-}
-
 // A programmatic pattern: a directed path over `hops` E-edges.
 QueryGraph PathQuery(const Database& db, int hops) {
   const label_t elabel = db.graph().catalog().FindEdgeLabel("E");
@@ -370,36 +334,38 @@ QueryGraph PathQuery(const Database& db, int hops) {
 }
 
 // The QueryGraph one-shot runs through PreparedQuery::Execute, so it
-// takes an execute slot like every other query: with the only slot held
-// and no queue, it is rejected before running.
+// takes an execute slot of the config's gate like every other query:
+// with the only slot held and no queue, it is rejected before running.
 TEST_F(RobustnessTest, QueryGraphOneShotHonorsAdmission) {
-  const QueryGraph one_hop = PathQuery(*db_, 1);
-  db_->admission().Configure({/*max_concurrent=*/1, /*max_queue=*/0, /*queue_timeout_ms=*/0});
+  EngineConfig config;
+  config.admission = {/*max_concurrent=*/1, /*max_queue=*/0, /*queue_timeout_ms=*/0};
+  std::unique_ptr<Database> db = DatabaseWith(config);
+  const QueryGraph one_hop = PathQuery(*db, 1);
   {
-    AdmissionSlot held(&db_->admission());
+    AdmissionSlot held(&db->admission());
     ASSERT_TRUE(held.admitted());
-    QueryOutcome rejected = db_->Execute(one_hop, TestThreads());
+    QueryOutcome rejected = db->Execute(one_hop, TestThreads());
     EXPECT_EQ(rejected.status, Status::kOverloaded);
     EXPECT_NE(rejected.error.find("APLUS_MAX_CONCURRENT"), std::string::npos) << rejected.error;
     EXPECT_EQ(rejected.count, 0u);
   }
   // Slot released: the same pattern admits and runs.
-  QueryOutcome admitted = db_->Execute(one_hop, TestThreads());
+  QueryOutcome admitted = db->Execute(one_hop, TestThreads());
   ASSERT_TRUE(admitted.ok()) << admitted.error;
-  EXPECT_EQ(admitted.count, db_->graph().num_edges());
-  db_->admission().Configure({0, 0, 0});
-  EXPECT_EQ(db_->admission().running(), 0);
+  EXPECT_EQ(admitted.count, db->graph().num_edges());
+  EXPECT_EQ(db->admission().running(), 0);
 }
 
-// APLUS_QUERY_TIMEOUT_MS reaches the QueryGraph one-shot with the
+// The config's query_timeout_ms reaches the QueryGraph one-shot with the
 // prepared path's typed status and error text (database_test covers
-// APLUS_MEM_CAP, which needs a plan that grows scratch).
-TEST_F(RobustnessTest, QueryGraphOneShotHonorsEnvDeadline) {
+// mem_cap_bytes, which needs a plan that grows scratch).
+TEST_F(RobustnessTest, QueryGraphOneShotHonorsConfigDeadline) {
+  EngineConfig config;
+  config.query_timeout_ms = 50;
+  std::unique_ptr<Database> db = DatabaseWith(config);
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    setenv("APLUS_QUERY_TIMEOUT_MS", "50", 1);
-    QueryOutcome timed_out = db_->Execute(PathQuery(*db_, 4), threads);
-    unsetenv("APLUS_QUERY_TIMEOUT_MS");
+    QueryOutcome timed_out = db->Execute(PathQuery(*db, 4), threads);
     EXPECT_EQ(timed_out.status, Status::kTimeout);
     EXPECT_NE(timed_out.error.find("deadline exceeded (50 ms)"), std::string::npos)
         << timed_out.error;

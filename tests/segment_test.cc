@@ -21,7 +21,6 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +29,7 @@
 #include "datagen/financial_props.h"
 #include "datagen/power_law_generator.h"
 #include "query/intersect_kernels.h"
+#include "row_collector.h"
 #include "storage/codec.h"
 #include "storage/segment.h"
 #include "digest_graphs.h"
@@ -42,15 +42,16 @@ namespace {
 
 std::string TempPath(const std::string& name) { return testing::TempDir() + "/" + name; }
 
-// Environment knob guard: restores (unsets) on scope exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) { setenv(name, value, 1); }
-  ~ScopedEnv() { unsetenv(name_); }
+// An engine config that seals with `mode` and sets nothing else.
+EngineConfig Sealing(CompressMode mode) {
+  EngineConfig config;
+  config.segment_compress = mode;
+  return config;
+}
 
- private:
-  const char* name_;
-};
+const char* ModeName(CompressMode mode) {
+  return mode == CompressMode::kOn ? "on" : mode == CompressMode::kOff ? "off" : "auto";
+}
 
 class ScopedSimdLevel {
  public:
@@ -84,6 +85,9 @@ struct Entries {
   std::vector<edge_id_t> eids;
 };
 
+// An ID bound only the all-ones IDs reach.
+constexpr uint64_t kNoBound = ~0ull;
+
 Entries RandomEntries(uint32_t n, uint64_t seed) {
   Entries e;
   Rng rng(seed);
@@ -99,9 +103,24 @@ void ExpectRoundTrip(const Entries& e) {
   std::vector<uint8_t> stream;
   size_t bytes = codec::PackAdjacency(e.nbrs.data(), e.eids.data(), n, &stream);
   ASSERT_EQ(bytes, stream.size());
+  // Bounds one past the largest IDs pass and one below them fail; an
+  // all-ones edge ID (the max-gap case) fails every bound.
+  uint64_t nv = 0, ne = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    nv = std::max<uint64_t>(nv, uint64_t{e.nbrs[i]} + 1);
+    if (e.eids[i] != ~0ull) ne = std::max<uint64_t>(ne, e.eids[i] + 1);
+  }
+  const bool all_ones = std::count(e.eids.begin(), e.eids.end(), ~0ull) > 0;
   size_t validated_bytes = 0;
-  ASSERT_TRUE(codec::ValidatePacked(stream.data(), stream.size(), &validated_bytes));
-  EXPECT_EQ(validated_bytes, stream.size());
+  ASSERT_EQ(codec::ValidatePacked(stream.data(), stream.size(), nv, ne, &validated_bytes),
+            all_ones ? codec::PackedCheck::kIdOutOfRange : codec::PackedCheck::kOk);
+  EXPECT_EQ(validated_bytes, all_ones ? 0 : stream.size());
+  if (n > 0) {
+    EXPECT_EQ(codec::ValidatePacked(stream.data(), stream.size(), nv - 1, ne),
+              codec::PackedCheck::kIdOutOfRange);
+    EXPECT_EQ(codec::ValidatePacked(stream.data(), stream.size(), nv, ne - 1),
+              codec::PackedCheck::kIdOutOfRange);
+  }
   EXPECT_EQ(codec::PackedNumEntries(stream.data()), n);
 
   // Whole-range decode, both sides and one-sided.
@@ -169,9 +188,12 @@ TEST(CodecTest, ValidateRejectsEveryTruncation) {
   std::vector<uint8_t> stream;
   codec::PackAdjacency(e.nbrs.data(), e.eids.data(), 100, &stream);
   for (size_t avail = 0; avail < stream.size(); ++avail) {
-    EXPECT_FALSE(codec::ValidatePacked(stream.data(), avail)) << "avail=" << avail;
+    EXPECT_EQ(codec::ValidatePacked(stream.data(), avail, kNoBound, kNoBound),
+              codec::PackedCheck::kMalformed)
+        << "avail=" << avail;
   }
-  EXPECT_TRUE(codec::ValidatePacked(stream.data(), stream.size()));
+  EXPECT_EQ(codec::ValidatePacked(stream.data(), stream.size(), kNoBound, kNoBound),
+            codec::PackedCheck::kOk);
 }
 
 TEST(CodecTest, ValidateSurvivesRandomCorruption) {
@@ -185,7 +207,8 @@ TEST(CodecTest, ValidateSurvivesRandomCorruption) {
     corrupt[pos] ^= static_cast<uint8_t>(1 + rng.NextBounded(255));
     // Either rejected, or structurally sound — in which case a full
     // decode must stay in bounds (ASan-checked in the sanitizer lane).
-    if (codec::ValidatePacked(corrupt.data(), corrupt.size())) {
+    if (codec::ValidatePacked(corrupt.data(), corrupt.size(), kNoBound, kNoBound) ==
+        codec::PackedCheck::kOk) {
       uint32_t n = codec::PackedNumEntries(corrupt.data());
       std::vector<vertex_id_t> nbrs(n);
       std::vector<edge_id_t> eids(n);
@@ -199,19 +222,6 @@ TEST(CodecTest, ValidateSurvivesRandomCorruption) {
 // ---------------------------------------------------------------------
 
 using Row = std::vector<Value>;
-
-struct RowCollector : RowConsumer {
-  std::mutex mu;
-  std::vector<Row> rows;
-  void OnBatch(const RowBatch& batch) override {
-    std::lock_guard<std::mutex> lock(mu);
-    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
-      Row row;
-      for (size_t c = 0; c < batch.num_columns(); ++c) row.push_back(batch.Cell(c, r));
-      rows.push_back(std::move(row));
-    }
-  }
-};
 
 bool RowLess(const Row& a, const Row& b) {
   for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
@@ -259,8 +269,9 @@ Graph MakeGraph(uint64_t seed, uint64_t num_vertices = 3000) {
 }
 
 // Seals `graph` with default primary indexes at TempPath(`name`).
-std::string SealGraph(Graph graph, const std::string& name) {
-  Database db(std::move(graph));
+std::string SealGraph(Graph graph, const std::string& name,
+                      const EngineConfig& config = EngineConfig::FromEnv()) {
+  Database db(std::move(graph), config);
   db.BuildPrimaryIndexes();
   std::string path = TempPath(name);
   std::string error;
@@ -268,11 +279,11 @@ std::string SealGraph(Graph graph, const std::string& name) {
   return path;
 }
 
-void ExpectSealReopenDifferential(uint64_t seed, const char* compress_mode) {
+void ExpectSealReopenDifferential(uint64_t seed, CompressMode mode) {
+  const char* compress_mode = ModeName(mode);
   SCOPED_TRACE(std::string("seed=") + std::to_string(seed) + " compress=" + compress_mode);
-  ScopedEnv compress("APLUS_SEGMENT_COMPRESS", compress_mode);
 
-  Database db(MakeGraph(seed));
+  Database db(MakeGraph(seed), Sealing(mode));
   db.BuildPrimaryIndexes();
   std::string path = TempPath("aplus_seg_" + std::to_string(seed) + "_" + compress_mode + ".seg");
   std::string error;
@@ -303,30 +314,30 @@ void ExpectSealReopenDifferential(uint64_t seed, const char* compress_mode) {
 }
 
 TEST(SegmentTest, SealReopenDifferentialAuto) {
-  for (uint64_t seed : {11u, 22u, 33u}) ExpectSealReopenDifferential(seed, "auto");
+  for (uint64_t seed : {11u, 22u, 33u}) ExpectSealReopenDifferential(seed, CompressMode::kAuto);
 }
 
 TEST(SegmentTest, SealReopenDifferentialForcedPacked) {
   // Every page packed, hubs included: the packed probe/gallop/cursor
   // paths carry the whole differential.
-  for (uint64_t seed : {11u, 33u}) ExpectSealReopenDifferential(seed, "on");
+  for (uint64_t seed : {11u, 33u}) ExpectSealReopenDifferential(seed, CompressMode::kOn);
 }
 
 TEST(SegmentTest, SealReopenDifferentialForcedRaw) {
-  ExpectSealReopenDifferential(22, "off");
+  ExpectSealReopenDifferential(22, CompressMode::kOff);
 }
 
 TEST(SegmentTest, DifferentialAtEverySimdLevel) {
   for (simd::Level level : SupportedLevels()) {
     SCOPED_TRACE(simd::ToString(level));
     ScopedSimdLevel scoped(level);
-    ExpectSealReopenDifferential(44, "on");
+    ExpectSealReopenDifferential(44, CompressMode::kOn);
   }
 }
 
 TEST(SegmentTest, CompressionRatioOnPowerLaw) {
-  ScopedEnv compress("APLUS_SEGMENT_COMPRESS", "on");
-  std::string path = SealGraph(MakeGraph(5), "aplus_seg_ratio.seg");
+  std::string path =
+      SealGraph(MakeGraph(5), "aplus_seg_ratio.seg", Sealing(CompressMode::kOn));
   std::string error;
   std::unique_ptr<Segment> seg = OpenSegment(path, &error);
   ASSERT_NE(seg, nullptr) << error;
@@ -576,6 +587,70 @@ TEST(SegmentTest, GraphColumnEditsFailTheChecksumOrValidation) {
   std::remove(path.c_str());
 }
 
+// An adjacency entry naming a vertex or edge past the graph fails open
+// under valid checksums, in a packed and in a raw page. The first FW
+// entry is vertex 0's one edge, added last: (kNv - 1, ne - 1), whose
+// varints are as long as those of kNv and ne.
+TEST(SegmentTest, OutOfRangeAdjacencyIdsFailToOpen) {
+  constexpr uint32_t kNv = 1000;
+  auto make_graph = [] {
+    Graph graph;
+    const label_t node = graph.catalog().AddVertexLabel("N");
+    const label_t edge = graph.catalog().AddEdgeLabel("E");
+    for (uint32_t v = 0; v < kNv; ++v) graph.AddVertex(node);
+    for (vertex_id_t v = 1; v + 1 < kNv; ++v) graph.AddEdge(v, v + 1, edge);
+    graph.AddEdge(0, kNv - 1, edge);
+    return graph;
+  };
+  const uint64_t ne = kNv - 1;
+  auto leb128 = [](uint64_t v) {
+    std::vector<uint8_t> out;
+    for (; v >= 0x80; v >>= 7) out.push_back(static_cast<uint8_t>(v) | 0x80);
+    out.push_back(static_cast<uint8_t>(v));
+    return out;
+  };
+  auto raw_bytes = [](const auto& value) {
+    const auto* p = reinterpret_cast<const uint8_t*>(&value);
+    return std::vector<uint8_t>(p, p + sizeof(value));
+  };
+  ASSERT_EQ(leb128(kNv).size(), 2u);
+  ASSERT_EQ(leb128(ne - 1).size(), 2u);
+  std::string edit_path = TempPath("aplus_seg_ids_hit.seg");
+  for (CompressMode mode : {CompressMode::kOn, CompressMode::kOff}) {
+    SCOPED_TRACE(ModeName(mode));
+    std::string path = SealGraph(make_graph(), "aplus_seg_ids.seg", Sealing(mode));
+    const std::vector<uint8_t> bytes = ReadFile(path);
+    std::string error;
+    std::unique_ptr<Segment> seg = OpenSegment(path, &error);
+    ASSERT_NE(seg, nullptr) << error;
+    const IdListPage& page = *seg->part(Direction::kFwd).pages[0];
+    auto at = [&seg](const void* p) { return static_cast<const uint8_t*>(p) - seg->data(); };
+    // (offset, bytes) of an out-of-range neighbour, then edge ID.
+    std::vector<std::pair<uint64_t, std::vector<uint8_t>>> edits;
+    if (mode == CompressMode::kOn) {
+      ASSERT_EQ(codec::DecodeNbrAt(page.packed, 0), kNv - 1);
+      ASSERT_EQ(codec::DecodeEidAt(page.packed, 0), ne - 1);
+      const uint64_t block0 = at(page.packed) + Peek(bytes, at(page.packed) + 8, 4);
+      edits = {{block0, leb128(kNv)}, {block0 + 2, leb128(ne)}};
+    } else {
+      ASSERT_EQ(page.nbrs[0], kNv - 1);
+      ASSERT_EQ(page.eids[0], ne - 1);
+      edits = {{at(page.nbrs), raw_bytes(kNv)}, {at(page.eids), raw_bytes(ne)}};
+    }
+    seg.reset();
+    for (const auto& [offset, patch] : edits) {
+      std::vector<uint8_t> corrupt = bytes;
+      std::memcpy(corrupt.data() + offset, patch.data(), patch.size());
+      RewriteChecksums(&corrupt);
+      WriteFile(edit_path, corrupt.data(), corrupt.size());
+      EXPECT_EQ(Database::OpenFromSegment(edit_path, &error), nullptr);
+      EXPECT_EQ(error, "segment: adjacency entry references an invalid vertex or edge");
+    }
+    std::remove(path.c_str());
+  }
+  std::remove(edit_path.c_str());
+}
+
 // An APSG v1 file: its 64-byte header (magic, version 1, file size, the
 // graph and index section ranges) followed by an "APLS" snapshot stream.
 TEST(SegmentTest, Version1FileFailsWithUnsupportedVersion) {
@@ -649,26 +724,29 @@ TEST(SegmentTest, GarbageSegmentFailsClosed) {
 // ---------------------------------------------------------------------
 
 // FNV-1a 64 digests of the sealed files of the two digest graphs
-// (tests/digest_graphs.h) under APLUS_SEGMENT_COMPRESS = auto, on, off.
+// (tests/digest_graphs.h) sealed in each CompressMode (auto, on, off).
 // They pin the APSG v2 bytes: a seal of these graphs must keep writing
 // exactly these files.
 struct SealDigest {
   const char* graph;
-  const char* mode;
+  CompressMode mode;
   uint64_t digest;
 };
 const SealDigest kSealDigests[] = {
-    {"topology", "auto", 0x78d98461eb208877ULL}, {"topology", "on", 0x912418a2972a021aULL},
-    {"topology", "off", 0x90450dc28721aef1ULL},  {"property", "auto", 0x4c724cea46f450aaULL},
-    {"property", "on", 0x4c724cea46f450aaULL},   {"property", "off", 0x20f814a048e8dee7ULL},
+    {"topology", CompressMode::kAuto, 0x78d98461eb208877ULL},
+    {"topology", CompressMode::kOn, 0x912418a2972a021aULL},
+    {"topology", CompressMode::kOff, 0x90450dc28721aef1ULL},
+    {"property", CompressMode::kAuto, 0x4c724cea46f450aaULL},
+    {"property", CompressMode::kOn, 0x4c724cea46f450aaULL},
+    {"property", CompressMode::kOff, 0x20f814a048e8dee7ULL},
 };
 
 TEST(SegmentTest, SealedBytesMatchRecordedDigests) {
   for (const SealDigest& expected : kSealDigests) {
-    SCOPED_TRACE(std::string(expected.graph) + " compress=" + expected.mode);
-    ScopedEnv compress("APLUS_SEGMENT_COMPRESS", expected.mode);
+    SCOPED_TRACE(std::string(expected.graph) + " compress=" + ModeName(expected.mode));
     Database db(std::string(expected.graph) == "topology" ? MakeTopologyDigestGraph()
-                                                          : MakePropertyDigestGraph());
+                                                          : MakePropertyDigestGraph(),
+                Sealing(expected.mode));
     db.BuildPrimaryIndexes();
     std::string path = TempPath("aplus_seg_digest.seg");
     std::string error;
@@ -740,10 +818,9 @@ Graph ShuffleDestinations(const Graph& graph, uint64_t seed) {
 // the old inode. Raw pages only, so the shuffled graph seals to a file
 // of exactly the same size.
 TEST(SegmentTest, ResealKeepsOpenReadersOnTheirSnapshot) {
-  ScopedEnv compress("APLUS_SEGMENT_COMPRESS", "off");
   std::string path = TempPath("aplus_seg_reseal.seg");
   std::string error;
-  Database a(MakeGraph(61, 4000));
+  Database a(MakeGraph(61, 4000), Sealing(CompressMode::kOff));
   a.BuildPrimaryIndexes();
   const std::vector<uint64_t> a_counts = ShapeCounts(&a);
   ASSERT_TRUE(a.SealToSegment(path, &error)) << error;
@@ -762,7 +839,7 @@ TEST(SegmentTest, ResealKeepsOpenReadersOnTheirSnapshot) {
                       {"larger", MakeGraph(64, 8000), 1}};
   for (Reseal& next : reseals) {
     SCOPED_TRACE(next.name);
-    Database db(std::move(next.graph));
+    Database db(std::move(next.graph), Sealing(CompressMode::kOff));
     db.BuildPrimaryIndexes();
     const std::vector<uint64_t> counts = ShapeCounts(&db);
     ASSERT_NE(counts, a_counts);
@@ -800,10 +877,9 @@ std::vector<std::string> TempSiblings(const std::string& path) {
 // temporary siblings.
 TEST(SegmentSealFaultTest, FailedSealLeavesPreviousFileIntact) {
   FaultGuard guard;
-  ScopedEnv compress("APLUS_SEGMENT_COMPRESS", "off");
   std::string path = TempPath("aplus_seg_fault.seg");
   std::string error;
-  Database previous(MakeGraph(71));
+  Database previous(MakeGraph(71), Sealing(CompressMode::kOff));
   previous.BuildPrimaryIndexes();
   ASSERT_TRUE(previous.SealToSegment(path, &error)) << error;
   const std::vector<uint8_t> previous_bytes = ReadFile(path);
@@ -818,7 +894,7 @@ TEST(SegmentSealFaultTest, FailedSealLeavesPreviousFileIntact) {
   params.avg_degree = 8.0;
   params.seed = 72;
   GeneratePowerLawGraph(params, &graph);
-  Database next(std::move(graph));
+  Database next(std::move(graph), Sealing(CompressMode::kOff));
   next.BuildPrimaryIndexes();
 
   // A probability-0 spec never fires but counts the writes of a full seal.

@@ -16,13 +16,13 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/database.h"
 #include "datagen/power_law_generator.h"
+#include "row_collector.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "util/rng.h"
@@ -71,24 +71,11 @@ std::vector<std::string> Canon(const std::vector<std::vector<Value>>& rows) {
   return out;
 }
 
-struct RowCollector : RowConsumer {
-  std::mutex mu;
-  std::vector<std::vector<Value>> rows;
-  void OnBatch(const RowBatch& batch) override {
-    std::lock_guard<std::mutex> lock(mu);
-    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
-      std::vector<Value> row;
-      for (size_t c = 0; c < batch.num_columns(); ++c) row.push_back(batch.Cell(c, r));
-      rows.push_back(std::move(row));
-    }
-  }
-};
-
 class ServerTest : public ::testing::Test {
  protected:
   ServerTest() { Rebuild(600); }
 
-  void Rebuild(uint64_t num_vertices) {
+  void Rebuild(uint64_t num_vertices, const EngineConfig& config = EngineConfig::FromEnv()) {
     server_.reset();
     Graph graph;
     PowerLawParams params;
@@ -102,7 +89,7 @@ class ServerTest : public ::testing::Test {
     for (edge_id_t e = 0; e < graph.num_edges(); ++e) {
       amt->SetInt64(e, static_cast<int64_t>(rng.NextBounded(1000)));
     }
-    db_ = std::make_unique<Database>(std::move(graph));
+    db_ = std::make_unique<Database>(std::move(graph), config);
     db_->BuildPrimaryIndexes();
     elabel_ = db_->graph().catalog().FindEdgeLabel("E");
   }
@@ -132,6 +119,18 @@ class ServerTest : public ::testing::Test {
     ASSERT_TRUE(server_->Start(&error)) << error;
   }
 
+  // A loopback socket to the server that has sent nothing yet.
+  int RawConnect() {
+    int fd = socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<uint16_t>(server_->port()));
+    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    EXPECT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    return fd;
+  }
+
   std::unique_ptr<Client> Connect() {
     auto client = std::make_unique<Client>();
     std::string error;
@@ -159,13 +158,25 @@ class ServerTest : public ::testing::Test {
   label_t elabel_ = kInvalidLabel;
 };
 
+// HELLO_OK's flags word has bit0 set: the server always batches
+// identical queued executes.
 TEST_F(ServerTest, HelloHandshakeReportsBatchingFlag) {
-  ServerOptions options;
-  options.batching = false;
-  StartServer(options);
-  auto client = Connect();
-  ASSERT_TRUE(client->connected());
-  EXPECT_FALSE(client->server_batching());
+  StartServer();
+  int fd = RawConnect();
+  std::vector<uint8_t> buf;
+  wire::FrameWriter w(&buf);
+  w.BeginFrame(wire::FrameType::kHello);
+  w.PutU32(wire::kProtocolVersion);
+  w.EndFrame();
+  ASSERT_EQ(send(fd, buf.data(), buf.size(), MSG_NOSIGNAL), static_cast<ssize_t>(buf.size()));
+  uint8_t response[wire::kFrameHeaderBytes + 8] = {0};
+  ASSERT_EQ(recv(fd, response, sizeof(response), MSG_WAITALL),
+            static_cast<ssize_t>(sizeof(response)));
+  EXPECT_EQ(response[4], static_cast<uint8_t>(wire::FrameType::kHelloOk));
+  uint32_t flags = 0;
+  std::memcpy(&flags, response + wire::kFrameHeaderBytes + 4, sizeof(flags));
+  EXPECT_EQ(flags & 1u, 1u);
+  close(fd);
 }
 
 TEST_F(ServerTest, PreparedPointLookupMatchesSessionOracle) {
@@ -256,17 +267,24 @@ TEST_F(ServerTest, FetchPagesThroughTheSpool) {
   EXPECT_EQ(bad.status, wire::WireStatus::kProtocolError);
 }
 
+// A frame's deadline_ms bounds its execute; a frame with deadline_ms 0
+// runs under the database's query_timeout_ms.
 TEST_F(ServerTest, DeadlineProducesTimeoutFrame) {
-  Rebuild(20000);
+  EngineConfig config;
+  config.query_timeout_ms = 1;
+  Rebuild(20000, config);
   StartServer();
   auto client = Connect();
-  // Whole-graph triangle counting: far beyond a 1ms deadline at this size.
+  // Whole-graph triangle counting: far beyond a few ms at this size.
   Client::PreparedInfo info = client->Prepare(
       "MATCH (a)-[r1:E]->(b)-[r2:E]->(c), (a)-[r3:E]->(c) RETURN COUNT(*)");
   ASSERT_TRUE(info.ok()) << info.error;
-  Client::Result result = client->Execute(info.stmt_id, {}, /*deadline_millis=*/1);
+  Client::Result result = client->Execute(info.stmt_id, {}, /*deadline_millis=*/2);
   EXPECT_EQ(result.status, wire::WireStatus::kTimeout) << result.error;
-  EXPECT_FALSE(result.error.empty());
+  EXPECT_NE(result.error.find("(2 ms)"), std::string::npos) << result.error;
+  result = client->Execute(info.stmt_id, {}, /*deadline_millis=*/0);
+  EXPECT_EQ(result.status, wire::WireStatus::kTimeout) << result.error;
+  EXPECT_NE(result.error.find("(1 ms)"), std::string::npos) << result.error;
   // The connection survives a timed-out request.
   Client::Result retry = client->Execute(info.stmt_id, {}, /*deadline_millis=*/60000);
   EXPECT_TRUE(retry.ok()) << retry.error;
@@ -440,13 +458,7 @@ TEST_F(ServerTest, MalformedFramesFailTypedNotFatal) {
   }
 
   {  // A request before HELLO is rejected on a hand-rolled socket.
-    int fd = socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(server_->port()));
-    inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    int fd = RawConnect();
     std::vector<uint8_t> buf;
     wire::FrameWriter w(&buf);
     w.BeginFrame(wire::FrameType::kStats);
@@ -623,14 +635,13 @@ TEST_F(ServerTest, LongExecuteHandsTheLoopToTheStandby) {
   EXPECT_GE(server_->loop_handoffs(), 1u);
 }
 
-TEST_F(ServerTest, BatchingGroupsIdenticalExecutesAndMatchesUnbatched) {
+TEST_F(ServerTest, BatchingGroupsIdenticalExecutesAndMatchesOracle) {
   // One worker plus a slow occupying query (whole-graph triangles on a
   // 20k graph): identical requests queue behind it, so the batching
   // seam deterministically groups them.
   Rebuild(20000);
   ServerOptions batched;
   batched.num_workers = 1;
-  batched.batching = true;
   StartServer(batched);
 
   auto oracle = OracleRows(kPointLookup, {{"src", Value::Int64(7)}});
@@ -667,18 +678,6 @@ TEST_F(ServerTest, BatchingGroupsIdenticalExecutesAndMatchesUnbatched) {
   occupant.join();
   for (std::thread& t : threads) t.join();
   EXPECT_GE(server_->batch_saved(), 1u);
-
-  // Differential: batching off produces the same rows.
-  ServerOptions unbatched;
-  unbatched.batching = false;
-  StartServer(unbatched);
-  auto client = Connect();
-  Client::PreparedInfo info = client->Prepare(kPointLookup);
-  ASSERT_TRUE(info.ok());
-  Client::Result r = client->Execute(info.stmt_id, {{"src", Value::Int64(7)}});
-  ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_EQ(Canon(r.rows.rows), Canon(oracle));
-  EXPECT_EQ(server_->batch_saved(), 0u);
 }
 
 TEST_F(ServerTest, EightClientSoakWithHighCacheHitRate) {

@@ -9,10 +9,7 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <cstdlib>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -20,41 +17,18 @@
 #include "baseline/matcher.h"
 #include "core/database.h"
 #include "datagen/power_law_generator.h"
+#include "row_collector.h"
 #include "util/rng.h"
 #include "test_threads.h"
 
 namespace aplus {
 namespace {
 
-// Collects every cell of every delivered batch. Mutex-guarded so the
-// same collector works under parallel execution (OnBatch fires
-// concurrently from the workers there).
-struct RowCollector : RowConsumer {
-  std::mutex mu;
-  std::vector<std::vector<Value>> rows;
-  void OnBatch(const RowBatch& batch) override {
-    std::lock_guard<std::mutex> lock(mu);
-    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
-      std::vector<Value> row;
-      for (size_t c = 0; c < batch.num_columns(); ++c) row.push_back(batch.Cell(c, r));
-      rows.push_back(std::move(row));
-    }
-  }
-};
-
-// Thread-safe row counter for parallel executions.
-struct RowCounter : RowConsumer {
-  std::atomic<uint64_t> rows{0};
-  std::atomic<uint64_t> batches{0};
-  void OnBatch(const RowBatch& batch) override {
-    rows.fetch_add(batch.num_rows(), std::memory_order_relaxed);
-    batches.fetch_add(1, std::memory_order_relaxed);
-  }
-};
-
 class ServingApiTest : public ::testing::Test {
  protected:
-  ServingApiTest() {
+  ServingApiTest() { Build(EngineConfig::FromEnv()); }
+
+  void Build(const EngineConfig& config) {
     Graph graph;
     PowerLawParams params;
     params.num_vertices = 600;
@@ -78,7 +52,7 @@ class ServingApiTest : public ::testing::Test {
     for (vertex_id_t v = 0; v < graph.num_vertices(); ++v) {
       tag->SetString(v, "tag_" + std::to_string(v % 7));
     }
-    db_ = std::make_unique<Database>(std::move(graph));
+    db_ = std::make_unique<Database>(std::move(graph), config);
     db_->BuildPrimaryIndexes();
     elabel_ = db_->graph().catalog().FindEdgeLabel("E");
     engine_ = std::make_unique<FlatAdjEngine>(&db_->graph());
@@ -257,38 +231,40 @@ TEST_F(ServingApiTest, CountStarIsTheDegenerateAggregate) {
 }
 
 TEST_F(ServingApiTest, GroupByMemoryCapReturnsResourceExhausted) {
-  // APLUS_MEM_CAP bounds the grouped-aggregate arena: crossing
-  // it aborts the execution cleanly with kResourceExhausted — no rows
-  // delivered, no crash — and the knob is re-read on every Execute.
-  Session session(db_.get());
+  // The config's mem_cap_bytes (APLUS_MEM_CAP) bounds the grouped-
+  // aggregate arena: crossing it aborts the execution cleanly with
+  // kResourceExhausted — no rows delivered, no crash.
   const std::string text = "MATCH (a)-[r:E]->(b) RETURN a, COUNT(*)";
-  ::setenv("APLUS_MEM_CAP", "256", 1);
+  EngineConfig config;
+  config.mem_cap_bytes = 256;
+  Build(config);
   RowCollector rc;
-  QueryOutcome out = session.Execute(text, &rc);
-  ::unsetenv("APLUS_MEM_CAP");
+  QueryOutcome out = Session(db_.get()).Execute(text, &rc);
   EXPECT_FALSE(out.ok());
   EXPECT_EQ(out.status, QueryOutcome::Status::kResourceExhausted);
   EXPECT_STREQ(ToString(out.status), "RESOURCE_EXHAUSTED");
   EXPECT_NE(out.error.find("APLUS_MEM_CAP"), std::string::npos) << out.error;
   EXPECT_EQ(out.rows, 0u);
   EXPECT_TRUE(rc.rows.empty());
-  // With the knob unset the same cached plan runs to completion.
+  // Uncapped, the same text runs to completion.
+  Build(EngineConfig());
   RowCollector rc2;
-  QueryOutcome ok = session.Execute(text, &rc2);
+  QueryOutcome ok = Session(db_.get()).Execute(text, &rc2);
   ASSERT_TRUE(ok.ok()) << ok.error;
   EXPECT_GT(ok.rows, 0u);
   EXPECT_EQ(ok.rows, rc2.rows.size());
   // A generous cap never triggers, serial or parallel.
-  ::setenv("APLUS_MEM_CAP", "104857600", 1);
+  config.mem_cap_bytes = 104857600;
+  Build(config);
+  Session generous(db_.get());
   for (int threads : {1, 4}) {
     RowCollector rc3;
-    PreparedQuery* prepared = session.Prepare(text);
+    PreparedQuery* prepared = generous.Prepare(text);
     ASSERT_TRUE(prepared->ok()) << prepared->error();
     QueryOutcome big = prepared->Execute(&rc3, threads);
     ASSERT_TRUE(big.ok()) << big.error;
     EXPECT_EQ(rc3.rows.size(), rc2.rows.size()) << "threads=" << threads;
   }
-  ::unsetenv("APLUS_MEM_CAP");
 }
 
 TEST_F(ServingApiTest, GroupedAggregateOrderByLimitEndToEnd) {
