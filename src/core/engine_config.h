@@ -20,8 +20,8 @@ struct EngineConfig {
   // For an execute whose query set no value of its own:
   int64_t query_timeout_ms = 0;  // APLUS_QUERY_TIMEOUT_MS; 0: no deadline
   uint64_t mem_cap_bytes = 0;    // APLUS_MEM_CAP; 0: uncapped
-  // APLUS_MEM_CAP_TOTAL: the process-wide ceiling over every query's
-  // budget, installed by each execute; 0: none.
+  // APLUS_MEM_CAP_TOTAL: the ceiling this database's queries hold the
+  // process-wide total of every query's budget to; 0: none.
   uint64_t mem_cap_total_bytes = 0;
   // APLUS_SEGMENT_COMPRESS=auto|on|off: the layout SealToSegment writes.
   CompressMode segment_compress = CompressMode::kAuto;

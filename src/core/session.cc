@@ -298,8 +298,7 @@ QueryOutcome PreparedQuery::Execute(RowConsumer* consumer, int num_threads) {
   const uint64_t mem_cap =
       explicit_cap ? static_cast<uint64_t>(mem_cap_bytes_) : config.mem_cap_bytes;
   const char* mem_cap_source = explicit_cap ? "set_mem_cap_bytes" : "APLUS_MEM_CAP";
-  controls_.budget.Reset(mem_cap);
-  MemoryBudget::SetProcessCeiling(config.mem_cap_total_bytes);
+  controls_.budget.Reset(mem_cap, config.mem_cap_total_bytes);
   for (int i = 0; i < plan_->num_pipelines(); ++i) {
     static_cast<ProjectSinkOp*>(plan_->sink(i))->ResetBatch();
   }

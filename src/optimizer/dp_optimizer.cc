@@ -73,6 +73,20 @@ struct StepRecord {
   uint32_t residual_end = 0;
 };
 
+// A query edge at a vertex, with the edge's other end.
+struct IncidentEdge {
+  int edge = -1;
+  int other = -1;
+};
+
+// One WHERE conjunct translated for extending along one query edge to
+// one target, valid in the EP group of bound edge `bound_edge` only.
+struct BoundTerm {
+  int conjunct = -1;
+  int bound_edge = -1;
+  Comparison cmp;
+};
+
 // The combined selectivity of the conjuncts `ids`. Vertex-ID ranges
 // against constants on one variable intersect as a window [lo, hi) of
 // selectivity (hi - lo) / |V|; every other conjunct multiplies its
@@ -180,6 +194,20 @@ double EstimateSelectivity(const Graph& graph, const QueryComparison& cmp) {
 // capacity across calls, so a warm optimizer plans without growing them.
 struct DpOptimizer::Scratch {
   std::vector<ConjunctInfo> info;
+  // Per query vertex v (the first n entries are live; the inner vectors
+  // keep their capacity across calls):
+  //   by_vertex[v]  ascending ids of the conjuncts whose mask holds v. An
+  //                 E/I step binding v applies exactly those whose whole
+  //                 mask is then bound.
+  //   incident[v]   the edges at v, ascending, each with its other end (v
+  //                 itself for a self-loop).
+  //   adjacent[v]   the vertices an edge joins to v (never v itself).
+  std::vector<std::vector<int>> by_vertex;
+  std::vector<std::vector<IncidentEdge>> incident;
+  std::vector<uint32_t> adjacent;
+  // $param conjuncts, ascending: the only ones that may fold into
+  // bind-time range bounds.
+  std::vector<int> param_conjuncts;
   std::vector<DpEntry> table;
   // Access-path sort requirements, by slot: none, neighbour ID (E/I
   // intersections), then one per MULTI-EXTEND key.
@@ -196,9 +224,24 @@ struct DpOptimizer::Scratch {
   std::vector<int> step_residual;  // conjunct ids
   // The transition under evaluation.
   std::vector<int> picked;    // chosen access path per extended edge
-  std::vector<int> covered;   // conjunct ids the chosen lists guarantee
+  // covered_mark[c] == covered_epoch when the chosen lists guarantee
+  // conjunct c; each transition takes a fresh epoch.
+  std::vector<uint32_t> covered_mark;
+  uint32_t covered_epoch = 0;
   std::vector<int> residual;  // conjunct ids left to filter
   std::vector<int> conn;      // query edges from the bound set to a target
+  // The WHERE conjuncts in view-site form, translated once per (edge,
+  // target) pair p = 2 * edge + (target is the edge's head), when the pair
+  // is first matched (pair_done[p]). pair_ext[p] holds the terms that
+  // need no bound edge: the vertex-bound group's extension predicate.
+  // `bound_terms[bound_begin[p]..bound_end[p])` holds, in conjunct order,
+  // the ones that need one bound edge; an EP group's extension predicate
+  // (`ext`) merges in those of its own bound edge.
+  std::vector<uint8_t> pair_done;
+  std::vector<ExtensionPredicate> pair_ext;
+  std::vector<BoundTerm> bound_terms;
+  std::vector<int> bound_begin;
+  std::vector<int> bound_end;
   ExtensionPredicate ext;
   // Candidate memo. The cheapest access path for extending along query
   // edge `qe_id` to `target` depends on the bound set only through which
@@ -247,6 +290,32 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
     if (!ci.id_range) ci.selectivity = EstimateSelectivity(*graph_, cmp);
     info.push_back(ci);
   }
+  // Conjuncts by needed vertex, edges by endpoint, and the $param
+  // conjuncts.
+  if (s.by_vertex.size() < static_cast<size_t>(n)) {
+    s.by_vertex.resize(n);
+    s.incident.resize(n);
+  }
+  s.adjacent.assign(n, 0);
+  for (int v = 0; v < n; ++v) {
+    s.by_vertex[v].clear();
+    s.incident[v].clear();
+  }
+  s.param_conjuncts.clear();
+  for (int c = 0; c < num_conjuncts; ++c) {
+    for (uint32_t bits = info[c].mask; bits != 0; bits &= bits - 1) {
+      s.by_vertex[__builtin_ctz(bits)].push_back(c);
+    }
+    if (conjuncts[c].rhs_param >= 0) s.param_conjuncts.push_back(c);
+  }
+  for (int e = 0; e < num_edges; ++e) {
+    const QueryEdge& qe = query.edge(e);
+    s.incident[qe.from].push_back(IncidentEdge{e, qe.to});
+    if (qe.to == qe.from) continue;
+    s.incident[qe.to].push_back(IncidentEdge{e, qe.from});
+    s.adjacent[qe.from] |= 1u << qe.to;
+    s.adjacent[qe.to] |= 1u << qe.from;
+  }
   const uint32_t full = (1u << n) - 1;
   std::vector<DpEntry>& table = s.table;
   table.assign(static_cast<size_t>(full) + 1, DpEntry());
@@ -292,27 +361,36 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
   std::vector<int>& step_lists = s.step_lists;
   std::vector<int>& step_residual = s.step_residual;
   std::vector<int>& picked = s.picked;
-  std::vector<int>& covered = s.covered;
+  std::vector<uint32_t>& covered_mark = s.covered_mark;
   std::vector<int>& residual = s.residual;
   std::vector<int>& conn = s.conn;
   records.clear();
   step_lists.clear();
   step_residual.clear();
+  covered_mark.assign(num_conjuncts, 0);
+  s.covered_epoch = 0;
+  auto covered = [&](int c) { return covered_mark[c] == s.covered_epoch; };
 
-  // Conjuncts that become evaluable when moving prev -> now, excluding
-  // those in `covered`: a conjunct is applied exactly once, at the first
-  // state where it became evaluable. Because we always extend by
+  // Conjuncts that become evaluable when moving prev -> now (prev != now),
+  // excluding covered ones: a conjunct is applied exactly once, at the
+  // first state where it became evaluable. Because we always extend by
   // consuming all connecting edges, "first evaluable" is deterministic
   // per mask.
   auto collect_residual = [&](uint32_t prev, uint32_t now) {
     residual.clear();
     for (int c = 0; c < num_conjuncts; ++c) {
       uint32_t need = info[c].mask;
-      if ((need & now) != need) continue;                              // not yet evaluable
-      if (prev != 0 && (need & ~prev) == 0 && prev != now) continue;  // already applied earlier
-      if (prev == now && prev != 0) continue;
-      if (std::find(covered.begin(), covered.end(), c) != covered.end()) continue;
-      residual.push_back(c);
+      if ((need & now) != need) continue;                  // not yet evaluable
+      if (prev != 0 && (need & ~prev) == 0) continue;     // already applied earlier
+      if (!covered(c)) residual.push_back(c);
+    }
+  };
+  // The same for an E/I step binding `target`: exactly the conjuncts that
+  // need target and nothing unbound in `now`.
+  auto collect_target_residual = [&](uint32_t now, int target) {
+    residual.clear();
+    for (int c : s.by_vertex[target]) {
+      if ((info[c].mask & ~now) == 0 && !covered(c)) residual.push_back(c);
     }
   };
   auto residual_selectivity = [&]() {
@@ -343,7 +421,7 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
 
   // Seeds: every query vertex as a scan.
   picked.clear();
-  covered.clear();
+  ++s.covered_epoch;
   for (int v = 0; v < n; ++v) {
     uint32_t mask = 1u << v;
     const QueryVertex& qv = query.vertex(v);
@@ -357,54 +435,90 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
     try_update(0, mask, icost, card, PlanStep::Kind::kScan, v, -1);
   }
 
-  // Builds the ExtensionPredicate for extending along query edge `qe_id`
-  // towards vertex `target`, optionally pairing with bound edge `eb_id`
-  // (for EP lists; -1 otherwise), into the reused `ext`.
-  ExtensionPredicate& ext = s.ext;
-  auto build_ext_pred = [&](int qe_id, int target, int eb_id) {
-    ext.pred.Clear();
-    ext.query_conjunct_ids.clear();
-    for (size_t c = 0; c < conjuncts.size(); ++c) {
+  // Translates the conjuncts for extending along query edge `qe_id`
+  // towards vertex `target` into pair `pair`'s terms: those whose every
+  // reference maps to the adjacent edge, the neighbour or one other
+  // (bound) edge.
+  const size_t num_pairs = static_cast<size_t>(num_edges) * 2;
+  s.pair_done.assign(num_pairs, 0);
+  if (s.pair_ext.size() < num_pairs) s.pair_ext.resize(num_pairs);
+  s.bound_begin.resize(num_pairs);
+  s.bound_end.resize(num_pairs);
+  std::vector<BoundTerm>& bound_terms = s.bound_terms;
+  bound_terms.clear();
+  auto translate_pair = [&](int pair, int qe_id, int target) {
+    ExtensionPredicate& base = s.pair_ext[pair];
+    base.pred.Clear();
+    base.query_conjunct_ids.clear();
+    s.bound_begin[pair] = static_cast<int>(bound_terms.size());
+    for (int c = 0; c < num_conjuncts; ++c) {
       const QueryComparison& cmp = conjuncts[c];
       // A $param conjunct has no constant until bind time: it can never
       // certify subsumption by a predicate-filtered index (a null
       // rhs_const would compare as +infinity and wrongly imply upper
       // bounds), so it stays a residual.
       if (cmp.rhs_param >= 0) continue;
-      // Translate into view-site form when every reference maps.
+      int bound_edge = -1;
       auto translate = [&](const QueryPropRef& ref, PropRef* out) -> bool {
-        if (ref.is_edge) {
-          if (ref.var == qe_id) {
-            out->site = PropSite::kAdjEdge;
-          } else if (ref.var == eb_id && eb_id >= 0) {
-            out->site = PropSite::kBoundEdge;
-          } else {
-            return false;
-          }
+        if (ref.var < 0) return false;
+        if (!ref.is_edge) {
+          if (ref.var != target) return false;
+          out->site = PropSite::kNbrVertex;
+        } else if (ref.var == qe_id) {
+          out->site = PropSite::kAdjEdge;
         } else {
-          if (ref.var == target) {
-            out->site = PropSite::kNbrVertex;
-          } else {
-            return false;
-          }
+          if (bound_edge >= 0 && bound_edge != ref.var) return false;
+          bound_edge = ref.var;
+          out->site = PropSite::kBoundEdge;
         }
         out->key = ref.key;
         out->is_id = ref.is_id;
         out->is_label = false;
         return true;
       };
-      Comparison translated;
-      if (!translate(cmp.lhs, &translated.lhs)) continue;
-      translated.op = cmp.op;
-      translated.rhs_is_const = cmp.rhs_is_const;
-      translated.rhs_const = cmp.rhs_const;
-      translated.rhs_addend = cmp.rhs_addend;
-      if (!cmp.rhs_is_const) {
-        if (!translate(cmp.rhs_ref, &translated.rhs_ref)) continue;
+      PropRef lhs;
+      PropRef rhs_ref;
+      if (!translate(cmp.lhs, &lhs)) continue;
+      if (!cmp.rhs_is_const && !translate(cmp.rhs_ref, &rhs_ref)) continue;
+      Comparison translated{lhs, cmp.op, cmp.rhs_is_const, cmp.rhs_const, rhs_ref, cmp.rhs_addend};
+      if (bound_edge < 0) {
+        base.pred.Add(std::move(translated));
+        base.query_conjunct_ids.push_back(c);
+      } else {
+        bound_terms.push_back(BoundTerm{c, bound_edge, std::move(translated)});
       }
-      ext.pred.Add(std::move(translated));
-      ext.query_conjunct_ids.push_back(static_cast<int>(c));
     }
+    s.bound_end[pair] = static_cast<int>(bound_terms.size());
+    s.pair_done[pair] = 1;
+  };
+  // The ExtensionPredicate of group (qe_id, target, eb_id): the pair's
+  // terms that need no bound edge, merged in conjunct order with those
+  // that need eb_id (-1: the vertex-bound group, which needs none).
+  auto group_ext = [&](int qe_id, int target, int eb_id) -> const ExtensionPredicate& {
+    const int pair = qe_id * 2 + (query.edge(qe_id).to == target);
+    if (!s.pair_done[pair]) translate_pair(pair, qe_id, target);
+    const ExtensionPredicate& base = s.pair_ext[pair];
+    if (eb_id < 0) return base;
+    ExtensionPredicate& ext = s.ext;
+    ext.pred.Clear();
+    ext.query_conjunct_ids.clear();
+    const std::vector<Comparison>& base_terms = base.pred.conjuncts();
+    size_t next = 0;
+    auto take_base_before = [&](int conjunct) {
+      for (; next < base_terms.size() && base.query_conjunct_ids[next] < conjunct; ++next) {
+        ext.pred.Add(base_terms[next]);
+        ext.query_conjunct_ids.push_back(base.query_conjunct_ids[next]);
+      }
+    };
+    for (int i = s.bound_begin[pair]; i < s.bound_end[pair]; ++i) {
+      const BoundTerm& term = bound_terms[i];
+      if (term.bound_edge != eb_id) continue;
+      take_base_before(term.conjunct);
+      ext.pred.Add(term.cmp);
+      ext.query_conjunct_ids.push_back(term.conjunct);
+    }
+    take_base_before(num_conjuncts);
+    return ext;
   };
 
   // A $param range conjunct (<, <=, >, >=, =) on the first sort key of a
@@ -438,13 +552,13 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
   };
   // True when a literal or $param range conjunct bounds the candidate
   // under no sort requirement.
-  auto has_range_bound = [&](const CandidateList& c) {
+  auto has_range_bound = [&](const ExtensionPredicate& ext, const CandidateList& c) {
     if (!c.allow_range_bounds) return false;
     if (IndexMatcher::HasSortKeyBound(ext, c)) return true;
     const std::vector<SortCriterion>& list_sorts = c.desc.sorts();
     if (list_sorts.empty()) return false;
-    for (const QueryComparison& cmp : conjuncts) {
-      if (param_range_on_sort_key(cmp, c, list_sorts.front())) return true;
+    for (int qc : s.param_conjuncts) {
+      if (param_range_on_sort_key(conjuncts[qc], c, list_sorts.front())) return true;
     }
     return false;
   };
@@ -461,7 +575,7 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
     const std::vector<SortCriterion>& list_sorts = c->desc.sorts();
     if (list_sorts.empty()) return;
     const SortCriterion& sort = list_sorts.front();
-    for (size_t qc = 0; qc < conjuncts.size(); ++qc) {
+    for (int qc : s.param_conjuncts) {
       const QueryComparison& cmp = conjuncts[qc];
       if (!param_range_on_sort_key(cmp, *c, sort)) continue;
       // One param bound per side; literal bounds installed by the
@@ -505,7 +619,7 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
                                      sort.key != kInvalidPropKey &&
                                      graph_->catalog().property(sort.key).type ==
                                          ValueType::kDouble;
-        c->covered_conjuncts.push_back(static_cast<int>(qc));
+        c->covered_conjuncts.push_back(qc);
         c->est_len *= 0.3;  // rough range selectivity, as for literal bounds
         c->est_out *= 0.3;
       }
@@ -538,11 +652,14 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
     const int pivot = qe.from == target ? qe.to : qe.from;
     const Direction dir = qe.from == pivot ? Direction::kFwd : Direction::kBwd;
     const label_t nbr_label = query.vertex(target).label;
-    build_ext_pred(qe_id, target, eb_id);
     const size_t first = pool.size();
     ++last_match_lookups_;
+    // The group's extension predicate; built only when some index can
+    // serve the group (the candidates below read it).
+    const ExtensionPredicate* ext = nullptr;
     if (eb_id < 0) {
-      matcher.FindVertexLists(dir, qe.label, nbr_label, ext, &pool);
+      ext = &group_ext(qe_id, target, eb_id);
+      matcher.FindVertexLists(dir, qe.label, nbr_label, *ext, &pool);
     } else {
       const QueryEdge& eb = query.edge(eb_id);
       EpKind kind;
@@ -551,7 +668,12 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
       } else {
         kind = dir == Direction::kFwd ? EpKind::kSrcBwd : EpKind::kSrcFwd;
       }
-      matcher.FindEdgeLists(kind, qe.label, nbr_label, ext, &pool);
+      const auto& eps = store_->ep_indexes();
+      if (std::any_of(eps.begin(), eps.end(),
+                      [kind](const auto& ep) { return ep->kind() == kind; })) {
+        ext = &group_ext(qe_id, target, eb_id);
+        matcher.FindEdgeLists(kind, qe.label, nbr_label, *ext, &pool);
+      }
     }
     const size_t end = pool.size();
     const vertex_id_t target_bound = query.vertex(target).bound;
@@ -576,7 +698,7 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
       for (int slot = kNoSort + 1; slot < num_slots; ++slot) {
         if (IndexMatcher::ServesSort(pool[i], &sorts[slot])) taken |= keep_if_cheaper(slot, i);
       }
-      if (!has_range_bound(pool[i])) {
+      if (!has_range_bound(*ext, pool[i])) {
         clamp_to_pin(&pool[i]);
         keep_if_cheaper(kNoSort, i);
         continue;
@@ -588,7 +710,7 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
         bounded = pool.size();
         pool.AddAccessPathOf(i);
       }
-      IndexMatcher::ApplySortKeyBounds(ext, &pool[bounded]);
+      IndexMatcher::ApplySortKeyBounds(*ext, &pool[bounded]);
       clamp_to_pin(&pool[bounded]);
       if (bounded != i) clamp_to_pin(&pool[i]);
       fold_param_range_bounds(&pool[bounded]);
@@ -603,14 +725,12 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
   // when none exists.
   auto best_candidate = [&](uint32_t mask, int qe_id, int target, int sort) -> int {
     const QueryEdge& qe = query.edge(qe_id);
-    int pivot = qe.from == target ? qe.to : qe.from;
+    const int pivot = qe.from == target ? qe.to : qe.from;
     int winner = best[match_group(qe_id, target, -1) + sort];
-    for (int eb_id = 0; eb_id < num_edges; ++eb_id) {
-      if (eb_id == qe_id) continue;
-      const QueryEdge& eb = query.edge(eb_id);
-      bool bound = ((mask >> eb.from) & 1) && ((mask >> eb.to) & 1);
-      if (!bound) continue;
-      if (eb.from != pivot && eb.to != pivot) continue;
+    // The pivot is bound, so an edge at it is bound when its other end is.
+    for (const IncidentEdge& at_pivot : s.incident[pivot]) {
+      const int eb_id = at_pivot.edge;
+      if (eb_id == qe_id || !((mask >> at_pivot.other) & 1)) continue;
       int c = best[match_group(qe_id, target, eb_id) + sort];
       if (c != kNoCandidate &&
           (winner == kNoCandidate || pool[c].est_len < pool[winner].est_len)) {
@@ -627,7 +747,7 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
   double prod_len = 1.0;
   auto start_pick = [&] {
     picked.clear();
-    covered.clear();
+    ++s.covered_epoch;
     sum_len = 0.0;
     prod_len = 1.0;
   };
@@ -636,8 +756,7 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
     if (c == kNoCandidate) return false;
     const CandidateList& chosen = pool[c];
     picked.push_back(c);
-    covered.insert(covered.end(), chosen.covered_conjuncts.begin(),
-                   chosen.covered_conjuncts.end());
+    for (int covered_id : chosen.covered_conjuncts) covered_mark[covered_id] = s.covered_epoch;
     sum_len += chosen.est_len;
     prod_len *= std::max(chosen.est_out, 1e-9);
     return true;
@@ -652,19 +771,27 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
     for (uint32_t mask = (1u << size) - 1; mask <= full;) {
       const DpEntry base = table[mask];
       if (base.step >= 0) {
-        // --- E/I extensions by one vertex ---
-        for (int target = 0; target < n; ++target) {
-          if ((mask >> target) & 1) continue;
+        // MULTI-EXTEND members found on the way: unbound vertices with
+        // exactly one edge into `mask`.
+        uint32_t eligible = 0;
+        int conn_edge_of[kMaxQueryVertices] = {};
+        // --- E/I extensions by one vertex: only to the unbound
+        // neighbours of `mask`, the transitions that can connect. ---
+        uint32_t frontier = 0;
+        for (uint32_t bits = mask; bits != 0; bits &= bits - 1) {
+          frontier |= s.adjacent[__builtin_ctz(bits)];
+        }
+        for (uint32_t targets = frontier & ~mask; targets != 0; targets &= targets - 1) {
+          const int target = __builtin_ctz(targets);
           conn.clear();
-          for (int qe_id = 0; qe_id < num_edges; ++qe_id) {
-            const QueryEdge& qe = query.edge(qe_id);
-            int other = -1;
-            if (qe.from == target) other = qe.to;
-            if (qe.to == target) other = qe.from;
-            if (other < 0 || other == target) continue;
-            if ((mask >> other) & 1) conn.push_back(qe_id);
+          for (const IncidentEdge& at_target : s.incident[target]) {
+            const int other = at_target.other;
+            if (other != target && ((mask >> other) & 1)) conn.push_back(at_target.edge);
           }
-          if (conn.empty()) continue;
+          if (conn.size() == 1) {
+            eligible |= 1u << target;
+            conn_edge_of[target] = conn[0];
+          }
           uint32_t now = mask | (1u << target);
           auto gather = [&](int sort) {
             start_pick();
@@ -690,7 +817,7 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
           } else {
             est_out = base.card * prod_len / std::pow(nv, static_cast<double>(conn.size() - 1));
           }
-          collect_residual(mask, now);
+          collect_target_residual(now, target);
           est_out *= residual_selectivity();
           PlanStep::Kind kind = conn.size() == 1
                                     ? PlanStep::Kind::kExtend
@@ -701,24 +828,6 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
 
         // --- MULTI-EXTEND extensions by a group of vertices related by
         // a shared-property equality (Section IV-A). ---
-        // Eligible member: unbound, exactly one edge into `mask`.
-        uint32_t eligible = 0;
-        int conn_edge_of[kMaxQueryVertices] = {};
-        for (int v = 0; v < n && !keys.empty(); ++v) {
-          if ((mask >> v) & 1) continue;
-          int count = 0;
-          for (int qe_id = 0; qe_id < num_edges; ++qe_id) {
-            const QueryEdge& qe = query.edge(qe_id);
-            int other = -1;
-            if (qe.from == v) other = qe.to;
-            if (qe.to == v) other = qe.from;
-            if (other >= 0 && ((mask >> other) & 1)) {
-              ++count;
-              conn_edge_of[v] = qe_id;
-            }
-          }
-          if (count == 1) eligible |= 1u << v;
-        }
         // Per key, each component with >= 2 eligible members can
         // merge-join on the shared key; members stay in ascending order.
         for (size_t k = 0; k < keys.size() && __builtin_popcount(eligible) >= 2; ++k) {
@@ -748,7 +857,7 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
               const QueryComparison& cmp = conjuncts[c];
               if (!IsVertexPropEquality(cmp) || cmp.lhs.key != keys[k]) continue;
               if (((members >> cmp.lhs.var) & 1) && ((members >> cmp.rhs_ref.var) & 1)) {
-                covered.push_back(c);
+                covered_mark[c] = s.covered_epoch;
               }
             }
             uint32_t now = mask | members;

@@ -48,13 +48,17 @@ struct StepOutline {
 // adjacency lists a plan's E/I and MULTI-EXTEND operators read.
 //
 // Per query of n vertices, m edges and c conjuncts the DP visits all 2^n
-// bound sets and, from each reachable one, every one-vertex E/I
-// extension and every MULTI-EXTEND group: O(2^n * n * (m + c)) work over
-// a table of 2^n 24-byte entries. Access paths are matched against the
-// INDEX STORE once per (edge, target, EP bound edge) group the DP
-// touches; that one lookup serves every sort requirement, so the
+// bound sets and, from each reachable one, the one-vertex E/I extensions
+// to its unbound neighbours (the only ones that connect) and every
+// MULTI-EXTEND group: O(2^n * n * (m + c)) work at worst over a table of
+// 2^n 24-byte entries, but an extension reads only the edges at its
+// target and the conjuncts that need it. Access paths are matched
+// against the INDEX STORE once per (edge, target, EP bound edge) group
+// the DP touches; that one lookup serves every sort requirement, so the
 // matcher's cost does not scale with 2^n or with the number of sort
-// keys.
+// keys. The WHERE conjuncts are translated into view-site form once per
+// (edge, target) pair, and a group takes the terms of its pair that fit
+// its bound edge.
 //
 // The per-call working state (DP table, candidate pool, memo, step
 // records) lives in the optimizer and keeps its capacity across calls,

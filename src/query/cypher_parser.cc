@@ -1,5 +1,6 @@
 #include "query/cypher_parser.h"
 
+#include <algorithm>
 #include <charconv>
 #include <string_view>
 #include <vector>
@@ -20,59 +21,98 @@ bool ParseNumberLiteral(std::string_view text, T* out) {
   return ec == std::errc() && ptr == end;
 }
 
-// A token's text is a view into the query text; kError marks an
-// unterminated string literal and ends the token stream.
+// A token's text is a view into the query text. kOp tokens also carry
+// their operator code (OpCode), so the grammar matches operators with one
+// integer compare.
 struct Token {
-  enum class Kind { kIdent, kNumber, kString, kParam, kOp, kEnd, kError };
+  enum class Kind { kIdent, kNumber, kString, kParam, kOp, kEnd };
   Kind kind = Kind::kEnd;
+  uint16_t op = 0;
   std::string_view text;
 };
 
-bool IsIdentChar(char c) { return IsAsciiAlnum(c) || c == '_'; }
+// The code of a one- or two-character operator: the first byte, plus the
+// second shifted up a byte.
+constexpr uint16_t OpCode(char first, char second = '\0') {
+  return static_cast<uint16_t>(static_cast<uint8_t>(first) |
+                               (static_cast<uint8_t>(second) << 8));
+}
 
+// Byte classes of the lexer, one table load per byte. The classes match
+// util/ascii.h: whitespace is the "C" locale's space class, and bytes >=
+// 0x80 belong to none.
+enum : uint8_t { kSpace = 1, kDigit = 2, kIdentStart = 4, kIdentChar = 8 };
+struct CharClasses {
+  uint8_t of[256] = {};
+  constexpr CharClasses() {
+    for (int c = 0; c < 256; ++c) {
+      const char ch = static_cast<char>(c);
+      if (IsAsciiSpace(ch)) of[c] |= kSpace;
+      if (IsAsciiDigit(ch)) of[c] |= kDigit | kIdentChar;
+      if (IsAsciiAlpha(ch) || ch == '_') of[c] |= kIdentStart | kIdentChar;
+    }
+  }
+};
+constexpr CharClasses kCharClasses;
+
+// Lexes on demand, one token per call, straight off the text: nothing is
+// buffered, so no storage outlives the parse. A string literal runs to
+// the next quote (there are no escapes); the Parser rejects a text with an
+// unterminated one before lexing it.
 class Lexer {
  public:
   explicit Lexer(std::string_view text) : text_(text) {}
 
   Token Next() {
-    while (pos_ < text_.size() && IsAsciiSpace(text_[pos_])) ++pos_;
-    if (pos_ >= text_.size()) return Token{Token::Kind::kEnd, {}};
-    const size_t start = pos_;
-    const char c = text_[pos_];
+    const char* const end = text_.data() + text_.size();
+    const char* p = text_.data() + pos_;
+    while (p < end && Is(*p, kSpace)) ++p;
+    if (p >= end) {
+      pos_ = text_.size();
+      return Token{};
+    }
+    const char* const start = p;
+    const char c = *p++;
+    Token token;
     if (c == '\'') {
       // Single-quoted string literal, no escapes.
-      size_t end = text_.find('\'', start + 1);
-      if (end == std::string_view::npos) {
-        pos_ = text_.size();
-        return Token{Token::Kind::kError, {}};
-      }
-      pos_ = end + 1;
-      return Token{Token::Kind::kString, text_.substr(start + 1, end - start - 1)};
-    }
-    if (IsAsciiDigit(c)) {
-      while (pos_ < text_.size() && (IsAsciiDigit(text_[pos_]) || text_[pos_] == '.')) ++pos_;
-      return Token{Token::Kind::kNumber, text_.substr(start, pos_ - start)};
-    }
-    if (IsAsciiAlpha(c) || c == '_') {
-      while (pos_ < text_.size() && IsIdentChar(text_[pos_])) ++pos_;
-      return Token{Token::Kind::kIdent, text_.substr(start, pos_ - start)};
-    }
-    if (c == '$' && start + 1 < text_.size() && IsIdentChar(text_[start + 1])) {
+      while (p < end && *p != '\'') ++p;
+      token.kind = Token::Kind::kString;
+      token.text = std::string_view(start + 1, static_cast<size_t>(p - start - 1));
+      if (p < end) ++p;
+    } else if (Is(c, kDigit)) {
+      while (p < end && (Is(*p, kDigit) || *p == '.')) ++p;
+      token.kind = Token::Kind::kNumber;
+    } else if (Is(c, kIdentStart)) {
+      while (p < end && Is(*p, kIdentChar)) ++p;
+      token.kind = Token::Kind::kIdent;
+    } else if (c == '$' && p < end && Is(*p, kIdentChar)) {
       // $name parameter placeholder. A bare '$' falls through as an
       // operator token and errors downstream.
-      pos_ = start + 1;
-      while (pos_ < text_.size() && IsIdentChar(text_[pos_])) ++pos_;
-      return Token{Token::Kind::kParam, text_.substr(start + 1, pos_ - start - 1)};
+      while (p < end && Is(*p, kIdentChar)) ++p;
+      token.kind = Token::Kind::kParam;
+      token.text = std::string_view(start + 1, static_cast<size_t>(p - start - 1));
+    } else {
+      // Two-character operators: <= >= <> <- ->.
+      const char next = p < end ? *p : '\0';
+      const bool two = (c == '<' && (next == '=' || next == '>' || next == '-')) ||
+                       (c == '>' && next == '=') || (c == '-' && next == '>');
+      if (two) ++p;
+      token.kind = Token::Kind::kOp;
+      token.op = OpCode(c, two ? next : '\0');
     }
-    // Two-character operators: <= >= <> <- ->.
-    const char next = start + 1 < text_.size() ? text_[start + 1] : '\0';
-    const bool two = (c == '<' && (next == '=' || next == '>' || next == '-')) ||
-                     (c == '>' && next == '=') || (c == '-' && next == '>');
-    pos_ = start + (two ? 2 : 1);
-    return Token{Token::Kind::kOp, text_.substr(start, pos_ - start)};
+    if (token.kind != Token::Kind::kString && token.kind != Token::Kind::kParam) {
+      token.text = std::string_view(start, static_cast<size_t>(p - start));
+    }
+    pos_ = static_cast<size_t>(p - text_.data());
+    return token;
   }
 
  private:
+  static bool Is(char c, uint8_t cls) {
+    return (kCharClasses.of[static_cast<uint8_t>(c)] & cls) != 0;
+  }
+
   std::string_view text_;
   size_t pos_ = 0;
 };
@@ -88,15 +128,8 @@ bool IsKeyword(std::string_view ident, std::string_view keyword) {
 
 class Parser {
  public:
-  Parser(std::string_view text, const Catalog& catalog) : catalog_(catalog) {
-    // Every token consumes at least one byte, plus the closing kEnd.
-    tokens_.reserve(text.size() + 1);
-    Lexer lexer(text);
-    for (Token token = lexer.Next();; token = lexer.Next()) {
-      tokens_.push_back(token);
-      if (token.kind == Token::Kind::kEnd || token.kind == Token::Kind::kError) break;
-    }
-  }
+  Parser(std::string_view text, const Catalog& catalog)
+      : catalog_(catalog), text_(text), lexer_(text), cur_(lexer_.Next()) {}
 
   ParsedCypher Parse() {
     ParseQuery();
@@ -106,7 +139,11 @@ class Parser {
  private:
   // Fills result_; on failure result_.error says why.
   void ParseQuery() {
-    if (tokens_.back().kind == Token::Kind::kError) {
+    // Quotes pair up from the left (no other token holds one), so an odd
+    // count means the last string literal never closes. That error wins
+    // over any other, wherever the literal sits.
+    if (text_.find('\'') != std::string_view::npos &&
+        std::count(text_.begin(), text_.end(), '\'') % 2 != 0) {
       result_.error = "unterminated string literal";
       return;
     }
@@ -114,6 +151,19 @@ class Parser {
       result_.error = "query must start with MATCH";
       return;
     }
+    // Every query vertex opens a '(', every edge a '[', and conjuncts are
+    // mostly comma-separated: those counts bound the pattern and the WHERE
+    // clause, so their vectors are allocated once. One branch-free pass
+    // (it vectorizes) counts all three.
+    size_t parens = 0;
+    size_t brackets = 0;
+    size_t commas = 0;
+    for (char c : text_) {
+      parens += c == '(';
+      brackets += c == '[';
+      commas += c == ',';
+    }
+    result_.query.Reserve(parens, brackets, commas + 1);
     do {
       if (!ParsePattern()) return;
     } while (Accept(","));
@@ -136,21 +186,41 @@ class Parser {
         return;
       }
       result_.has_limit = true;
-      ++pos_;
+      Advance();
     }
     if (Peek().kind != Token::Kind::kEnd) {
       result_.error = "unexpected trailing token '" + std::string(Peek().text) + "'";
     }
   }
 
-  const Token& Peek(size_t ahead = 0) const {
-    size_t i = pos_ + ahead;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
+  const Token& Peek() const { return cur_; }
+
+  // The token after Peek(), lexed on first use.
+  const Token& PeekNext() {
+    if (!has_next_) {
+      next_ = lexer_.Next();
+      has_next_ = true;
+    }
+    return next_;
+  }
+
+  void Advance() {
+    if (has_next_) {
+      cur_ = next_;
+      has_next_ = false;
+    } else {
+      cur_ = lexer_.Next();
+    }
+  }
+
+  static bool IsOp(const Token& token, std::string_view op) {
+    return token.kind == Token::Kind::kOp &&
+           token.op == OpCode(op[0], op.size() > 1 ? op[1] : '\0');
   }
 
   bool Accept(std::string_view op) {
-    if (Peek().kind == Token::Kind::kOp && Peek().text == op) {
-      ++pos_;
+    if (IsOp(Peek(), op)) {
+      Advance();
       return true;
     }
     return false;
@@ -158,7 +228,7 @@ class Parser {
 
   bool AcceptKeyword(std::string_view kw) {
     if (Peek().kind == Token::Kind::kIdent && IsKeyword(Peek().text, kw)) {
-      ++pos_;
+      Advance();
       return true;
     }
     return false;
@@ -178,19 +248,19 @@ class Parser {
       return -1;
     }
     std::string_view name = Peek().text;
-    ++pos_;
+    Advance();
     label_t label = kInvalidLabel;
     if (Accept(":")) {
       if (Peek().kind != Token::Kind::kIdent) {
         result_.error = "expected node label";
         return -1;
       }
-      label = catalog_.FindVertexLabel(std::string(Peek().text));
+      label = catalog_.FindVertexLabel(Peek().text);
       if (label == kInvalidLabel) {
         result_.error = "unknown vertex label " + std::string(Peek().text);
         return -1;
       }
-      ++pos_;
+      Advance();
     }
     if (!Expect(")")) return -1;
     int var = result_.query.FindVertex(name);
@@ -221,19 +291,19 @@ class Parser {
       if (!Expect("[")) return false;
       if (Peek().kind == Token::Kind::kIdent) {
         edge_name = Peek().text;
-        ++pos_;
+        Advance();
       }
       if (Accept(":")) {
         if (Peek().kind != Token::Kind::kIdent) {
           result_.error = "expected edge label";
           return false;
         }
-        edge_label = catalog_.FindEdgeLabel(std::string(Peek().text));
+        edge_label = catalog_.FindEdgeLabel(Peek().text);
         if (edge_label == kInvalidLabel) {
           result_.error = "unknown edge label " + std::string(Peek().text);
           return false;
         }
-        ++pos_;
+        Advance();
       }
       if (!Expect("]")) return false;
       if (backward) {
@@ -252,35 +322,45 @@ class Parser {
     }
   }
 
-  // <var>.<prop> | <var>.ID
-  bool ParseRef(QueryPropRef* ref) {
+  // Resolves a variable name into ref->var / ref->is_edge: a query
+  // vertex, else the first query edge of that name. False, with `ref`
+  // untouched, when neither exists.
+  bool ResolveVar(std::string_view name, QueryPropRef* ref) const {
+    int var = result_.query.FindVertex(name);
+    const bool is_edge = var < 0;
+    if (is_edge) var = result_.query.FindEdge(name);
+    if (var < 0) return false;
+    ref->var = var;
+    ref->is_edge = is_edge;
+    return true;
+  }
+
+  // <var>.<prop> | <var>.ID. `resolved`: the caller already resolved
+  // <var> into ref->var / ref->is_edge.
+  bool ParseRef(QueryPropRef* ref, bool resolved = false) {
     if (Peek().kind != Token::Kind::kIdent) {
       result_.error = "expected variable reference";
       return false;
     }
     std::string_view var_name = Peek().text;
-    ++pos_;
+    Advance();
     if (!Expect(".")) return false;
     if (Peek().kind != Token::Kind::kIdent) {
       result_.error = "expected property name after '.'";
       return false;
     }
     std::string_view prop = Peek().text;
-    ++pos_;
-    int vertex_var = result_.query.FindVertex(var_name);
-    int edge_var = result_.query.FindEdge(var_name);
-    if (vertex_var < 0 && edge_var < 0) {
+    Advance();
+    if (!resolved && !ResolveVar(var_name, ref)) {
       result_.error = "unknown variable " + std::string(var_name);
       return false;
     }
-    ref->is_edge = vertex_var < 0;
-    ref->var = ref->is_edge ? edge_var : vertex_var;
     if (IsKeyword(prop, "ID")) {
       ref->is_id = true;
       return true;
     }
     ref->key = catalog_.FindProperty(
-        std::string(prop), ref->is_edge ? PropTargetKind::kEdge : PropTargetKind::kVertex);
+        prop, ref->is_edge ? PropTargetKind::kEdge : PropTargetKind::kVertex);
     if (ref->key == kInvalidPropKey) {
       result_.error = "unknown property " + std::string(prop);
       return false;
@@ -306,7 +386,7 @@ class Parser {
       return false;
     }
     std::string_view var_name = Peek().text;
-    if (Peek(1).kind == Token::Kind::kOp && Peek(1).text == ".") {
+    if (IsOp(PeekNext(), ".")) {
       if (!ParseRef(&item->ref)) {
         // ParseRef reports unknown variables/properties; sharpen the
         // clause context for the common failure mode.
@@ -316,15 +396,11 @@ class Parser {
       item->name = std::string(var_name) + "." + (item->ref.is_id ? "ID" : PropName(item->ref.key));
       return true;
     }
-    ++pos_;
-    int vertex_var = result_.query.FindVertex(var_name);
-    int edge_var = result_.query.FindEdge(var_name);
-    if (vertex_var < 0 && edge_var < 0) {
+    Advance();
+    if (!ResolveVar(var_name, &item->ref)) {
       result_.error = "unknown variable " + std::string(var_name) + " in " + clause;
       return false;
     }
-    item->ref.is_edge = vertex_var < 0;
-    item->ref.var = item->ref.is_edge ? edge_var : vertex_var;
     item->ref.is_id = true;
     item->name = std::string(var_name);
     return true;
@@ -334,10 +410,9 @@ class Parser {
   // / MAX / AVG and ref := <var> | <var>.<prop> | <var>.ID.
   bool ParseReturnItem(ReturnItem* item, const char* clause) {
     AggFn fn = Peek().kind == Token::Kind::kIdent ? AggFnOf(Peek().text) : AggFn::kNone;
-    bool is_call = fn != AggFn::kNone && Peek(1).kind == Token::Kind::kOp &&
-                   Peek(1).text == "(";
+    bool is_call = fn != AggFn::kNone && IsOp(PeekNext(), "(");
     if (!is_call) return ParseProjectionRef(item, clause);
-    ++pos_;
+    Advance();
     if (!Expect("(")) return false;
     item->agg = fn;
     if (Accept("*")) {
@@ -465,9 +540,9 @@ class Parser {
     }
     // Right-hand side: literal, <var>.<prop> [+ int], or identifier
     // (category value name of the lhs property).
-    const Token& rhs = Peek();
+    const Token rhs = Peek();
     if (rhs.kind == Token::Kind::kNumber) {
-      ++pos_;
+      Advance();
       if (rhs.text.find('.') != std::string_view::npos) {
         double d = 0.0;
         if (!ParseNumberLiteral(rhs.text, &d)) {
@@ -484,10 +559,10 @@ class Parser {
         cmp.rhs_const = Value::Int64(v);
       }
     } else if (rhs.kind == Token::Kind::kString) {
-      ++pos_;
+      Advance();
       cmp.rhs_const = Value::String(std::string(rhs.text));
     } else if (rhs.kind == Token::Kind::kParam) {
-      ++pos_;
+      Advance();
       // `<vertex>.ID = $p` is a parameter pin: the plan is optimized
       // around a pinned vertex whose id is patched at bind time. A
       // vertex can carry only one pin — further ID equalities become
@@ -514,29 +589,26 @@ class Parser {
       cmp.rhs_param = idx;  // rhs_const stays null until bound
     } else if (rhs.kind == Token::Kind::kIdent) {
       // <var>.<prop> reference, or a bare category-value identifier.
-      bool is_ref = Peek(1).kind == Token::Kind::kOp && Peek(1).text == "." &&
-                    (result_.query.FindVertex(rhs.text) >= 0 ||
-                     result_.query.FindEdge(rhs.text) >= 0);
-      if (is_ref) {
+      if (IsOp(PeekNext(), ".") && ResolveVar(rhs.text, &cmp.rhs_ref)) {
         cmp.rhs_is_const = false;
-        if (!ParseRef(&cmp.rhs_ref)) return false;
+        if (!ParseRef(&cmp.rhs_ref, /*resolved=*/true)) return false;
         if (Accept("+")) {
           if (Peek().kind != Token::Kind::kNumber ||
               !ParseNumberLiteral(Peek().text, &cmp.rhs_addend)) {
             result_.error = "expected integer addend";
             return false;
           }
-          ++pos_;
+          Advance();
         }
       } else {
-        ++pos_;
+        Advance();
         if (cmp.lhs.key == kInvalidPropKey ||
             catalog_.property(cmp.lhs.key).type != ValueType::kCategory) {
           result_.error = "identifier constant '" + std::string(rhs.text) +
                           "' requires a categorical left-hand property";
           return false;
         }
-        category_t cat = catalog_.FindCategoryValue(cmp.lhs.key, std::string(rhs.text));
+        category_t cat = catalog_.FindCategoryValue(cmp.lhs.key, rhs.text);
         if (cat == kInvalidCategory) {
           result_.error = "unknown category value " + std::string(rhs.text);
           return false;
@@ -567,8 +639,11 @@ class Parser {
   }
 
   const Catalog& catalog_;
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
+  const std::string_view text_;
+  Lexer lexer_;
+  Token cur_;   // Peek()
+  Token next_;  // PeekNext(), when has_next_
+  bool has_next_ = false;
   ParsedCypher result_;
 };
 

@@ -44,13 +44,20 @@ namespace aplus {
 // Lexing is ASCII: identifiers are letters, digits and '_' not starting
 // with a digit, a $name parameter is '$' and one or more of those
 // characters, numbers are digits and '.', and whitespace is the "C"
-// locale's space class. A
-// string literal is '...' with no escape sequences; one with no closing
-// quote is the parse error "unterminated string literal". Any other
-// byte, including bytes >= 0x80, is a one-character operator token that
-// the grammar rejects. Everything the result holds (names, literals,
-// parameter names, the error) is an owned copy, never a view into
-// `text`.
+// locale's space class. A string literal is '...' with no escape
+// sequences; one with no closing quote is the parse error "unterminated
+// string literal", whatever else is wrong with the text. Any other byte,
+// including bytes >= 0x80, is a one-character operator token that the
+// grammar rejects.
+//
+// Ownership: the text is lexed in one pass, a token at a time as the
+// grammar asks for it (with one token of lookahead). A token is a view
+// into `text`, and only the parse itself holds one: no token or other
+// parse state outlives the call, and nothing is kept between calls, so
+// concurrent calls share no storage and take no lock. Everything the
+// result holds (names, literals, parameter names, the error) is an owned
+// copy, never a view into `text`; `text` may go away as soon as the call
+// returns.
 
 // One $name placeholder. The expected type is derived from the
 // comparison the parameter appears in (kInt64 for .ID comparisons, the

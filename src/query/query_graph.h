@@ -82,6 +82,11 @@ class QueryGraph {
                 vertex_id_t bound = kInvalidVertex);
   int AddEdge(int from, int to, label_t label = kInvalidLabel, std::string_view name = {});
   void AddPredicate(QueryComparison cmp) { predicates_.push_back(std::move(cmp)); }
+  void Reserve(size_t vertices, size_t edges, size_t predicates) {
+    vertices_.reserve(vertices);
+    edges_.reserve(edges);
+    predicates_.reserve(predicates);
+  }
 
   int FindVertex(std::string_view name) const;
   int FindEdge(std::string_view name) const;

@@ -4,32 +4,38 @@
 
 namespace aplus {
 
+namespace {
+
+// The id of `name` in `names`, kInvalidLabel when absent.
+label_t FindLabel(const std::vector<std::string>& names, std::string_view name) {
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (names[i] == name) return static_cast<label_t>(i);
+  }
+  return kInvalidLabel;
+}
+
+// Appends `name` unless present; returns its id either way.
+label_t AddLabel(std::vector<std::string>* names, const std::string& name) {
+  label_t id = FindLabel(*names, name);
+  if (id != kInvalidLabel) return id;
+  names->push_back(name);
+  return static_cast<label_t>(names->size() - 1);
+}
+
+}  // namespace
+
 label_t Catalog::AddVertexLabel(const std::string& name) {
-  auto it = vertex_label_ids_.find(name);
-  if (it != vertex_label_ids_.end()) return it->second;
-  label_t id = static_cast<label_t>(vertex_labels_.size());
-  vertex_labels_.push_back(name);
-  vertex_label_ids_.emplace(name, id);
-  return id;
+  return AddLabel(&vertex_labels_, name);
 }
 
-label_t Catalog::AddEdgeLabel(const std::string& name) {
-  auto it = edge_label_ids_.find(name);
-  if (it != edge_label_ids_.end()) return it->second;
-  label_t id = static_cast<label_t>(edge_labels_.size());
-  edge_labels_.push_back(name);
-  edge_label_ids_.emplace(name, id);
-  return id;
+label_t Catalog::AddEdgeLabel(const std::string& name) { return AddLabel(&edge_labels_, name); }
+
+label_t Catalog::FindVertexLabel(std::string_view name) const {
+  return FindLabel(vertex_labels_, name);
 }
 
-label_t Catalog::FindVertexLabel(const std::string& name) const {
-  auto it = vertex_label_ids_.find(name);
-  return it == vertex_label_ids_.end() ? kInvalidLabel : it->second;
-}
-
-label_t Catalog::FindEdgeLabel(const std::string& name) const {
-  auto it = edge_label_ids_.find(name);
-  return it == edge_label_ids_.end() ? kInvalidLabel : it->second;
+label_t Catalog::FindEdgeLabel(std::string_view name) const {
+  return FindLabel(edge_labels_, name);
 }
 
 const std::string& Catalog::VertexLabelName(label_t label) const {
@@ -44,26 +50,27 @@ const std::string& Catalog::EdgeLabelName(label_t label) const {
 
 prop_key_t Catalog::AddProperty(const std::string& name, PropTargetKind target, ValueType type,
                                 uint32_t domain_size) {
-  auto& ids = target == PropTargetKind::kVertex ? vertex_prop_ids_ : edge_prop_ids_;
-  auto it = ids.find(name);
-  if (it != ids.end()) {
-    const PropertyMeta& meta = props_[it->second];
-    APLUS_CHECK(meta.type == type) << "property " << name << " re-registered with another type";
-    return it->second;
+  const prop_key_t existing = FindProperty(name, target);
+  if (existing != kInvalidPropKey) {
+    APLUS_CHECK(props_[existing].type == type)
+        << "property " << name << " re-registered with another type";
+    return existing;
   }
   if (type == ValueType::kCategory) {
     APLUS_CHECK_GT(domain_size, 0u) << "categorical property " << name << " needs a domain";
   }
   prop_key_t key = static_cast<prop_key_t>(props_.size());
   props_.push_back(PropertyMeta{name, type, target, domain_size, {}});
-  ids.emplace(name, key);
   return key;
 }
 
-prop_key_t Catalog::FindProperty(const std::string& name, PropTargetKind target) const {
-  const auto& ids = target == PropTargetKind::kVertex ? vertex_prop_ids_ : edge_prop_ids_;
-  auto it = ids.find(name);
-  return it == ids.end() ? kInvalidPropKey : it->second;
+prop_key_t Catalog::FindProperty(std::string_view name, PropTargetKind target) const {
+  for (size_t key = 0; key < props_.size(); ++key) {
+    if (props_[key].target == target && props_[key].name == name) {
+      return static_cast<prop_key_t>(key);
+    }
+  }
+  return kInvalidPropKey;
 }
 
 const PropertyMeta& Catalog::property(prop_key_t key) const {
@@ -85,7 +92,7 @@ category_t Catalog::RegisterCategoryValue(prop_key_t key, const std::string& val
   return static_cast<category_t>(meta.category_names.size() - 1);
 }
 
-category_t Catalog::FindCategoryValue(prop_key_t key, const std::string& value_name) const {
+category_t Catalog::FindCategoryValue(prop_key_t key, std::string_view value_name) const {
   APLUS_CHECK_LT(key, props_.size());
   const PropertyMeta& meta = props_[key];
   for (size_t i = 0; i < meta.category_names.size(); ++i) {

@@ -2,7 +2,7 @@
 #define APLUS_STORAGE_CATALOG_H_
 
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "storage/types.h"
@@ -32,6 +32,9 @@ struct PropertyMeta {
 // Name <-> id dictionaries for vertex labels, edge labels, and property
 // keys. Every structural name in the system resolves through the catalog
 // exactly once, after which all hot paths operate on dense integer ids.
+// A catalog holds a schema's worth of names (tens, not thousands), so a
+// lookup scans the names in id order: no hashing, and no std::string
+// built for a name that is a view into query text.
 class Catalog {
  public:
   Catalog() = default;
@@ -39,8 +42,8 @@ class Catalog {
   // Labels. Adding an existing name returns the existing id.
   label_t AddVertexLabel(const std::string& name);
   label_t AddEdgeLabel(const std::string& name);
-  label_t FindVertexLabel(const std::string& name) const;  // kInvalidLabel if absent
-  label_t FindEdgeLabel(const std::string& name) const;
+  label_t FindVertexLabel(std::string_view name) const;  // kInvalidLabel if absent
+  label_t FindEdgeLabel(std::string_view name) const;
   const std::string& VertexLabelName(label_t label) const;
   const std::string& EdgeLabelName(label_t label) const;
   uint32_t num_vertex_labels() const { return static_cast<uint32_t>(vertex_labels_.size()); }
@@ -49,7 +52,7 @@ class Catalog {
   // Properties. `domain_size` is required (> 0) iff type == kCategory.
   prop_key_t AddProperty(const std::string& name, PropTargetKind target, ValueType type,
                          uint32_t domain_size = 0);
-  prop_key_t FindProperty(const std::string& name, PropTargetKind target) const;
+  prop_key_t FindProperty(std::string_view name, PropTargetKind target) const;
   const PropertyMeta& property(prop_key_t key) const;
   uint32_t num_properties() const { return static_cast<uint32_t>(props_.size()); }
 
@@ -57,16 +60,12 @@ class Catalog {
   // are assigned in registration order and must stay within the domain).
   category_t RegisterCategoryValue(prop_key_t key, const std::string& value_name);
   // Returns kInvalidCategory when the name is unknown.
-  category_t FindCategoryValue(prop_key_t key, const std::string& value_name) const;
+  category_t FindCategoryValue(prop_key_t key, std::string_view value_name) const;
 
  private:
   std::vector<std::string> vertex_labels_;
   std::vector<std::string> edge_labels_;
-  std::unordered_map<std::string, label_t> vertex_label_ids_;
-  std::unordered_map<std::string, label_t> edge_label_ids_;
   std::vector<PropertyMeta> props_;
-  std::unordered_map<std::string, prop_key_t> vertex_prop_ids_;
-  std::unordered_map<std::string, prop_key_t> edge_prop_ids_;
 };
 
 }  // namespace aplus

@@ -8,15 +8,17 @@ namespace aplus {
 // locale, which the engine never changes, without the locale lookup:
 // bytes >= 0x80 belong to no class.
 
-inline bool IsAsciiSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+inline constexpr bool IsAsciiSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 
-inline bool IsAsciiDigit(char c) { return c >= '0' && c <= '9'; }
+inline constexpr bool IsAsciiDigit(char c) { return c >= '0' && c <= '9'; }
 
-inline bool IsAsciiAlpha(char c) { return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'); }
+inline constexpr bool IsAsciiAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
 
-inline bool IsAsciiAlnum(char c) { return IsAsciiAlpha(c) || IsAsciiDigit(c); }
+inline constexpr bool IsAsciiAlnum(char c) { return IsAsciiAlpha(c) || IsAsciiDigit(c); }
 
-inline char AsciiToUpper(char c) {
+inline constexpr char AsciiToUpper(char c) {
   return c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c;
 }
 

@@ -53,13 +53,13 @@ std::string MemoryTracker::Report() const {
 
 namespace {
 std::atomic<uint64_t> g_process_used{0};
-std::atomic<uint64_t> g_process_ceiling{0};  // 0 = unlimited
 }  // namespace
 
-void MemoryBudget::Reset(uint64_t cap_bytes) {
+void MemoryBudget::Reset(uint64_t cap_bytes, uint64_t ceiling_bytes) {
   const uint64_t prev = used_.exchange(0, std::memory_order_relaxed);
   if (prev != 0) g_process_used.fetch_sub(prev, std::memory_order_relaxed);
   cap_ = cap_bytes;
+  ceiling_ = ceiling_bytes;
 }
 
 bool MemoryBudget::Charge(uint64_t bytes) {
@@ -69,8 +69,7 @@ bool MemoryBudget::Charge(uint64_t bytes) {
       used_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
   const uint64_t global =
       g_process_used.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  const uint64_t ceiling = g_process_ceiling.load(std::memory_order_relaxed);
-  if ((cap_ != 0 && local > cap_) || (ceiling != 0 && global > ceiling)) {
+  if ((cap_ != 0 && local > cap_) || (ceiling_ != 0 && global > ceiling_)) {
     used_.fetch_sub(bytes, std::memory_order_relaxed);
     g_process_used.fetch_sub(bytes, std::memory_order_relaxed);
     return false;
@@ -91,10 +90,6 @@ void MemoryBudget::Release(uint64_t bytes) {
       return;
     }
   }
-}
-
-void MemoryBudget::SetProcessCeiling(uint64_t bytes) {
-  g_process_ceiling.store(bytes, std::memory_order_relaxed);
 }
 
 uint64_t MemoryBudget::ProcessUsed() {

@@ -37,8 +37,10 @@ class MemoryTracker {
 // Per-query memory governor. All transient execution arenas (group-by
 // tables, sort buffers, projection batches, extend scratch) charge their
 // growth here; a failed charge means the query must stop with
-// RESOURCE_EXHAUSTED instead of growing without bound. Charges also count
-// against an optional process-wide ceiling shared by all queries.
+// RESOURCE_EXHAUSTED instead of growing without bound. Charges also add to
+// one process-wide total shared by all queries, which each query compares
+// against its own ceiling (its database's), so databases with different
+// ceilings in one process do not govern each other's queries.
 //
 // Thread model: one MemoryBudget is shared by all worker replicas of a
 // plan; Charge/Release are lock-free and safe from any worker. Reset()
@@ -48,10 +50,12 @@ class MemoryBudget {
   ~MemoryBudget() { Reset(0); }
 
   // Returns the previous charges to the process pool and installs a new
-  // per-query cap (0 = uncapped). Call at the start of each execution.
-  void Reset(uint64_t cap_bytes);
+  // per-query cap and process ceiling (0 = none). Call at the start of
+  // each execution.
+  void Reset(uint64_t cap_bytes, uint64_t ceiling_bytes = 0);
 
-  // Charges `bytes` against the per-query cap and the process ceiling.
+  // Charges `bytes` against the per-query cap and, with the process-wide
+  // total, against this query's process ceiling.
   // Returns false (after undoing the charge) if either would be exceeded
   // or the `alloc` fault point fires; the caller must treat that as
   // resource exhaustion. Never throws, never allocates.
@@ -63,13 +67,14 @@ class MemoryBudget {
   uint64_t used() const { return used_.load(std::memory_order_relaxed); }
   uint64_t cap() const { return cap_; }
 
-  // Process-wide ceiling shared by every MemoryBudget (0 = unlimited).
-  static void SetProcessCeiling(uint64_t bytes);
+  // Bytes charged by every MemoryBudget of the process.
   static uint64_t ProcessUsed();
 
  private:
   std::atomic<uint64_t> used_{0};
-  uint64_t cap_ = 0;  // 0 = uncapped; written only by Reset().
+  // 0 = none; written only by Reset().
+  uint64_t cap_ = 0;
+  uint64_t ceiling_ = 0;
 };
 
 }  // namespace aplus

@@ -6,23 +6,6 @@ namespace aplus {
 
 namespace {
 
-// Canonical form for range analysis: ref op const.
-struct RangeForm {
-  PropRef ref;
-  CmpOp op;
-  Value constant;
-};
-
-// Extracts `ref op const` from a comparison, flipping `const op ref`
-// spellings. Returns false for ref-vs-ref comparisons.
-bool ToRangeForm(const Comparison& cmp, RangeForm* out) {
-  if (!cmp.rhs_is_const) return false;
-  out->ref = cmp.lhs;
-  out->op = cmp.op;
-  out->constant = cmp.rhs_const;
-  return true;
-}
-
 // True if "x qop qc" implies "x iop ic" for all x.
 bool RangeImplies(CmpOp qop, const Value& qc, CmpOp iop, const Value& ic) {
   int c = Value::Compare(qc, ic);  // qc vs ic
@@ -87,11 +70,9 @@ bool ConjunctImplies(const Comparison& qc, const Comparison& ic) {
     return false;
   }
   // Range subsumption: both must be ref-vs-const on the same ref.
-  RangeForm q;
-  RangeForm i;
-  if (!ToRangeForm(qc, &q) || !ToRangeForm(ic, &i)) return false;
-  if (!RefEqual(q.ref, i.ref)) return false;
-  return RangeImplies(q.op, q.constant, i.op, i.constant);
+  if (!qc.rhs_is_const || !ic.rhs_is_const) return false;
+  if (!RefEqual(qc.lhs, ic.lhs)) return false;
+  return RangeImplies(qc.op, qc.rhs_const, ic.op, ic.rhs_const);
 }
 
 bool PredicateSubsumes(const Predicate& index_pred, const Predicate& query_pred,

@@ -4,18 +4,77 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/database.h"
 #include "datagen/example_graph.h"
+#include "datagen/financial_props.h"
+#include "datagen/label_assigner.h"
+#include "datagen/power_law_generator.h"
 #include "query/cypher_parser.h"
+#include "query_corpus.h"
 #include "util/rng.h"
 
 namespace aplus {
 namespace {
+
+// One text per message the parser emits, with the exact wording and the
+// offending token it quotes, over the Figure 1 catalog.
+constexpr std::pair<const char*, const char*> kErrorCases[] = {
+    {"SELECT * FROM t", "query must start with MATCH"},
+    {"MATCH (a)-[r]->(b) LIMIT x", "expected non-negative integer after LIMIT"},
+    {"MATCH (a)-[r]->(b) LIMIT 1.5", "expected non-negative integer after LIMIT"},
+    {"MATCH (a)-[r]->(b) foo", "unexpected trailing token 'foo'"},
+    {"MATCH a", "expected '(', got 'a'"},
+    {"MATCH (a", "expected ')', got ''"},
+    {"MATCH (a)-[r]-(b)", "expected '->', got '-'"},
+    {"MATCH (a)<-[r]->(b)", "expected '-', got '->'"},
+    {"MATCH (5)", "expected node variable"},
+    {"MATCH (a:)", "expected node label"},
+    {"MATCH (a:Nonexistent)", "unknown vertex label Nonexistent"},
+    {"MATCH (a)-[:]->(b)", "expected edge label"},
+    {"MATCH (a)-[:NoSuchLabel]->(b)", "unknown edge label NoSuchLabel"},
+    {"MATCH (a)-[r]->(b) WHERE 5 = a.ID", "expected variable reference"},
+    {"MATCH (a)-[r]->(b) WHERE a.5 = 1", "expected property name after '.'"},
+    {"MATCH (a)-[r]->(b) WHERE a ID = 1", "expected '.', got 'ID'"},
+    {"MATCH (a)-[r]->(b) WHERE z.ID = 1", "unknown variable z"},
+    {"MATCH (a)-[r]->(b) WHERE a.nonexistent > 5", "unknown property nonexistent"},
+    {"MATCH (a)-[r]->(b) RETURN 5", "expected variable reference in RETURN"},
+    {"MATCH (a)-[r]->(b) RETURN", "expected variable reference in RETURN"},
+    {"MATCH (a)-[r]->(b) RETURN a ORDER BY 5", "expected variable reference in ORDER BY"},
+    {"MATCH (a)-[r]->(b) RETURN c.city", "unknown variable c (in RETURN)"},
+    {"MATCH (a)-[r]->(b) RETURN a ORDER BY b.nope", "unknown property nope (in ORDER BY)"},
+    {"MATCH (a)-[r]->(b) RETURN c", "unknown variable c in RETURN"},
+    {"MATCH (a)-[r]->(b) RETURN SUM(*)", "SUM(*) is not supported; COUNT(*) only"},
+    {"MATCH (a)-[r]->(b) RETURN SUM(b.city)",
+     "SUM(b.city) requires an int64 or double argument"},
+    {"MATCH (a)-[r]->(b) RETURN DISTINCT COUNT(*)",
+     "RETURN DISTINCT cannot be combined with aggregates"},
+    {"MATCH (a)-[r]->(b) RETURN a ORDER a", "expected BY after ORDER"},
+    {"MATCH (a)-[r]->(b) ORDER BY a", "ORDER BY requires a RETURN projection"},
+    {"MATCH (a)-[r]->(b) RETURN a ORDER BY r.amount",
+     "ORDER BY key r.amount is not a RETURN item"},
+    {"MATCH (a)-[r]->(b) WHERE a.name = $x AND r.amount > $x",
+     "parameter $x used with conflicting types"},
+    {"MATCH (a)-[r]->(b) WHERE a.ID ! 5", "expected comparison operator, got '!'"},
+    {"MATCH (a)-[r]->(b) WHERE r.amount > 1.2.3", "malformed numeric literal '1.2.3'"},
+    {"MATCH (a)-[r]->(b) WHERE r.amount > 99999999999999999999999",
+     "integer literal out of range '99999999999999999999999'"},
+    {"MATCH (a)-[r]->(b) WHERE a.ID = $p, b.ID = $p", "parameter $p pins multiple variables"},
+    {"MATCH (a)-[r]->(b)-[s]->(c) WHERE r.amount > s.amount + x", "expected integer addend"},
+    {"MATCH (a)-[r]->(b) WHERE a.name = Bob",
+     "identifier constant 'Bob' requires a categorical left-hand property"},
+    {"MATCH (a)-[r]->(b) WHERE r.currency = JPY", "unknown category value JPY"},
+    {"MATCH (a)-[r]->(b) WHERE a.ID = (", "expected right-hand side"},
+};
 
 class CypherParserTest : public ::testing::Test {
  protected:
@@ -359,66 +418,17 @@ TEST_F(CypherParserTest, UnterminatedStringLiteralIsAParseError) {
 
 TEST_F(CypherParserTest, EveryErrorMessage) {
   // One text per message the parser emits, with the exact wording and
-  // the offending token it quotes.
-  const std::pair<const char*, const char*> cases[] = {
-      {"SELECT * FROM t", "query must start with MATCH"},
-      {"MATCH (a)-[r]->(b) LIMIT x", "expected non-negative integer after LIMIT"},
-      {"MATCH (a)-[r]->(b) LIMIT 1.5", "expected non-negative integer after LIMIT"},
-      {"MATCH (a)-[r]->(b) foo", "unexpected trailing token 'foo'"},
-      {"MATCH a", "expected '(', got 'a'"},
-      {"MATCH (a", "expected ')', got ''"},
-      {"MATCH (a)-[r]-(b)", "expected '->', got '-'"},
-      {"MATCH (a)<-[r]->(b)", "expected '-', got '->'"},
-      {"MATCH (5)", "expected node variable"},
-      {"MATCH (a:)", "expected node label"},
-      {"MATCH (a:Nonexistent)", "unknown vertex label Nonexistent"},
-      {"MATCH (a)-[:]->(b)", "expected edge label"},
-      {"MATCH (a)-[:NoSuchLabel]->(b)", "unknown edge label NoSuchLabel"},
-      {"MATCH (a)-[r]->(b) WHERE 5 = a.ID", "expected variable reference"},
-      {"MATCH (a)-[r]->(b) WHERE a.5 = 1", "expected property name after '.'"},
-      {"MATCH (a)-[r]->(b) WHERE a ID = 1", "expected '.', got 'ID'"},
-      {"MATCH (a)-[r]->(b) WHERE z.ID = 1", "unknown variable z"},
-      {"MATCH (a)-[r]->(b) WHERE a.nonexistent > 5", "unknown property nonexistent"},
-      {"MATCH (a)-[r]->(b) RETURN 5", "expected variable reference in RETURN"},
-      {"MATCH (a)-[r]->(b) RETURN", "expected variable reference in RETURN"},
-      {"MATCH (a)-[r]->(b) RETURN a ORDER BY 5", "expected variable reference in ORDER BY"},
-      {"MATCH (a)-[r]->(b) RETURN c.city", "unknown variable c (in RETURN)"},
-      {"MATCH (a)-[r]->(b) RETURN a ORDER BY b.nope", "unknown property nope (in ORDER BY)"},
-      {"MATCH (a)-[r]->(b) RETURN c", "unknown variable c in RETURN"},
-      {"MATCH (a)-[r]->(b) RETURN SUM(*)", "SUM(*) is not supported; COUNT(*) only"},
-      {"MATCH (a)-[r]->(b) RETURN SUM(b.city)",
-       "SUM(b.city) requires an int64 or double argument"},
-      {"MATCH (a)-[r]->(b) RETURN DISTINCT COUNT(*)",
-       "RETURN DISTINCT cannot be combined with aggregates"},
-      {"MATCH (a)-[r]->(b) RETURN a ORDER a", "expected BY after ORDER"},
-      {"MATCH (a)-[r]->(b) ORDER BY a", "ORDER BY requires a RETURN projection"},
-      {"MATCH (a)-[r]->(b) RETURN a ORDER BY r.amount",
-       "ORDER BY key r.amount is not a RETURN item"},
-      {"MATCH (a)-[r]->(b) WHERE a.name = $x AND r.amount > $x",
-       "parameter $x used with conflicting types"},
-      {"MATCH (a)-[r]->(b) WHERE a.ID ! 5", "expected comparison operator, got '!'"},
-      {"MATCH (a)-[r]->(b) WHERE r.amount > 1.2.3", "malformed numeric literal '1.2.3'"},
-      {"MATCH (a)-[r]->(b) WHERE r.amount > 99999999999999999999999",
-       "integer literal out of range '99999999999999999999999'"},
-      {"MATCH (a)-[r]->(b) WHERE a.ID = $p, b.ID = $p", "parameter $p pins multiple variables"},
-      {"MATCH (a)-[r]->(b)-[s]->(c) WHERE r.amount > s.amount + x", "expected integer addend"},
-      {"MATCH (a)-[r]->(b) WHERE a.name = Bob",
-       "identifier constant 'Bob' requires a categorical left-hand property"},
-      {"MATCH (a)-[r]->(b) WHERE r.currency = JPY", "unknown category value JPY"},
-      {"MATCH (a)-[r]->(b) WHERE a.ID = (", "expected right-hand side"},
-  };
-  for (const auto& [text, message] : cases) {
+  // the offending token it quotes (kErrorCases).
+  for (const auto& [text, message] : kErrorCases) {
     ParsedCypher parsed = ParseCypher(text, ex_.graph.catalog());
     EXPECT_FALSE(parsed.ok()) << text;
     EXPECT_EQ(parsed.error, message) << text;
   }
 }
 
-// Byte-level mutants of the MF1-MF5 and MR1-MR3 texts must parse or
-// fail with a message, never crash. Each mutant lives in its own heap
-// buffer that is freed before the result is read, so a parse result
-// that kept a view into the text shows up under AddressSanitizer.
-TEST(CypherParserMutationTest, MutantsParseOrFailCleanly) {
+// The catalog and the seed texts of the byte-level mutants: MF1-MF5 and
+// MR1-MR3 with parameters, grouping, ordering and DISTINCT.
+Catalog MutationCatalog() {
   Catalog catalog;
   catalog.AddEdgeLabel("E");
   prop_key_t acc = catalog.AddProperty("acc", PropTargetKind::kVertex, ValueType::kCategory, 2);
@@ -428,36 +438,33 @@ TEST(CypherParserMutationTest, MutantsParseOrFailCleanly) {
   catalog.AddProperty("amount", PropTargetKind::kEdge, ValueType::kInt64);
   catalog.AddProperty("date", PropTargetKind::kEdge, ValueType::kInt64);
   catalog.AddProperty("time", PropTargetKind::kEdge, ValueType::kInt64);
-  // Pf(ei, ej) of Section V-D with alpha = 50.
-  auto flow = [](const std::string& ei, const std::string& ej) {
-    return ei + ".date < " + ej + ".date, " + ei + ".amount > " + ej + ".amount, " + ei +
-           ".amount < " + ej + ".amount + 50";
-  };
-  const std::string flow12 = flow("e1", "e2");
-  const std::string flow23 = flow("e2", "e3");
-  const std::string flow34 = flow("e3", "e4");
-  const std::string seeds[] = {
-      "MATCH (a1)-[e1:E]->(a2)-[e2:E]->(a3)-[e3:E]->(a4)-[e4:E]->(a1) WHERE a1.ID = 17, "
-      "a1.acc = CQ, a2.acc = CQ, a3.acc = CQ, a4.acc = CQ, a2.city = a4.city RETURN COUNT(*)",
-      "MATCH (a1)-[e1:E]->(a2)-[e2:E]->(a3)-[e3:E]->(a4) WHERE a1.ID = 17, "
-      "a1.city = a2.city, a2.city = a3.city, a3.city = a4.city RETURN COUNT(*)",
-      "MATCH (a1)-[e1:E]->(a2), (a1)-[e2:E]->(a3)-[e3:E]->(a5), (a1)-[e4:E]->(a4) "
-      "WHERE a3.ID = 17, a2.city = a4.city, a4.city = a5.city, a1.acc = CQ, a2.acc = CQ, "
-      "a3.acc = CQ, a4.acc = CQ, a5.acc = SV, " + flow23 + " RETURN COUNT(*)",
-      "MATCH (a1)-[e1:E]->(a2)-[e2:E]->(a3), (a1)-[e3:E]->(a4)-[e4:E]->(a5) "
-      "WHERE a1.ID = 17, a1.city = 5, a2.city = a4.city, a2.acc = CQ, a3.acc = CQ, "
-      "a4.acc = SV, a5.acc = SV, " + flow12 + ", " + flow34 + " RETURN COUNT(*)",
-      "MATCH (a1)-[e1:E]->(a2)-[e2:E]->(a3)-[e3:E]->(a4)-[e4:E]->(a5) WHERE a1.ID = 17, "
-      "a1.acc = CQ, a2.acc = CQ, a3.acc = CQ, a4.acc = CQ, a5.acc = CQ, " + flow12 + ", " +
-          flow23 + ", " + flow34 + " RETURN COUNT(*)",
-      "MATCH (a1)-[e1:E]->(a2), (a3)-[f1:E]->(a2) WHERE a1.ID = $src, e1.time < $alpha "
-      "RETURN a3, COUNT(*) ORDER BY COUNT(*) DESC LIMIT 10",
-      "MATCH (a1)-[e1:E]->(a2), (a4)-[f1:E]->(a2), (a1)-[e2:E]->(a3), (a4)-[f2:E]->(a3) "
-      "WHERE a1.ID = 3, e1.time < 50000, e2.time < 50000 RETURN COUNT(*)",
-      "MATCH (a1)-[e1:E]->(a2), (a5)-[f1:E]->(a2), (a1)-[e2:E]->(a3), (a5)-[f2:E]->(a3), "
-      "(a1)-[e3:E]->(a4), (a5)-[f3:E]->(a4) WHERE a1.ID = 3, e1.time < 50000, "
-      "e2.time < 50000, e3.time < 50000 RETURN DISTINCT a5 LIMIT 5",
-  };
+  return catalog;
+}
+
+std::vector<std::string> MutationSeeds() {
+  std::vector<std::string> seeds;
+  for (const NamedText& mf : MfTexts("", PinnedAnchor)) seeds.push_back(mf.second);
+  for (const char* mr : {
+           "MATCH (a1)-[e1:E]->(a2), (a3)-[f1:E]->(a2) WHERE a1.ID = $src, e1.time < $alpha "
+           "RETURN a3, COUNT(*) ORDER BY COUNT(*) DESC LIMIT 10",
+           "MATCH (a1)-[e1:E]->(a2), (a4)-[f1:E]->(a2), (a1)-[e2:E]->(a3), (a4)-[f2:E]->(a3) "
+           "WHERE a1.ID = 3, e1.time < 50000, e2.time < 50000 RETURN COUNT(*)",
+           "MATCH (a1)-[e1:E]->(a2), (a5)-[f1:E]->(a2), (a1)-[e2:E]->(a3), (a5)-[f2:E]->(a3), "
+           "(a1)-[e3:E]->(a4), (a5)-[f3:E]->(a4) WHERE a1.ID = 3, e1.time < 50000, "
+           "e2.time < 50000, e3.time < 50000 RETURN DISTINCT a5 LIMIT 5",
+       }) {
+    seeds.push_back(mr);
+  }
+  return seeds;
+}
+
+// Byte-level mutants of the MF1-MF5 and MR1-MR3 texts must parse or
+// fail with a message, never crash. Each mutant lives in its own heap
+// buffer that is freed before the result is read, so a parse result
+// that kept a view into the text shows up under AddressSanitizer.
+TEST(CypherParserMutationTest, MutantsParseOrFailCleanly) {
+  const Catalog catalog = MutationCatalog();
+  const std::vector<std::string> seeds = MutationSeeds();
   for (const std::string& seed : seeds) {
     ParsedCypher parsed = ParseCypher(seed, catalog);
     ASSERT_TRUE(parsed.ok()) << parsed.error << ": " << seed;
@@ -508,6 +515,248 @@ TEST(CypherParserMutationTest, MutantsParseOrFailCleanly) {
   // Both outcomes occur, so the mutants reach past the first token.
   EXPECT_GT(rejected, 0);
   EXPECT_LT(rejected, kMutants);
+}
+
+
+// Every other text the tests above parse over the Figure 1 catalog.
+constexpr const char* kExampleTexts[] = {
+    "MATCH (c1:Customer)-[r1]->(a1:Account)-[r2]->(a2:Account) WHERE c1.name = 'Alice'",
+    "MATCH (c1:Customer)-[r1:O]->(a1)-[r2:W]->(a2) WHERE c1.name = 'Alice' RETURN COUNT(*)",
+    "MATCH (c1:Customer)-[r1:O]->(a1)-[r2:W]->(a2) WHERE c1.name = 'Alice', r2.currency = USD",
+    "MATCH (a1:Account)-[r1:W]->(a2:Account) WHERE a1.ID = 0",
+    "MATCH (a1:Account)<-[r1:W]-(a2:Account)",
+    "MATCH (a1)-[r1:W]->(a2)-[r2:W]->(a3), (a3)-[r3:W]->(a1)",
+    "MATCH (a1)-[r1]->(a2)-[r2]->(a3) WHERE r1.date < r2.date AND r2.amount < r1.amount + 50",
+    "MATCH (a:Nonexistent)",
+    "MATCH (a)-[:NoSuchLabel]->(b)",
+    "MATCH (a1:Account)-[r1:W]->(a2:Account) RETURN a1, a2.city, r1.amount, r1.ID",
+    "MATCH (a1)-[r1:W]->(a2) RETURN a1, a2 LIMIT 25",
+    "MATCH (a1)-[r1:W]->(a2) RETURN COUNT(*) LIMIT 0",
+    "MATCH (a1)-[r1:W]->(a2) LIMIT x",
+    "MATCH (a1)-[r1:W]->(a2) LIMIT 1.5",
+    "MATCH (a1)-[r1:W]->(a2) LIMIT 99999999999999999999999",
+    "MATCH (a1)-[r1:W]->(a2) WHERE r1.amount > 99999999999999999999999",
+    "MATCH (a1)-[r1:W]->(a2) WHERE r1.amount > 1.2.3",
+    "MATCH (a1)-[r1:W]->(a2)-[r2:W]->(a3) WHERE r1.amount > r2.amount + 99999999999999999999999",
+    "MATCH (a1)-[r1:W]->(a2) WHERE r1.amount > 1.5 LIMIT 3",
+    "MATCH (a)-[r]->(b) RETURN b.nonexistent",
+    "MATCH (a)-[r]->(b) RETURN DISTINCT b",
+    "MATCH (a)-[r]->(b) RETURN b",
+    "MATCH (a)-[r]->(b) RETURN DISTINCT b ORDER BY b LIMIT 5",
+    "MATCH (a)-[r]->(b) RETURN DISTINCT b, SUM(r.amount)",
+    "MATCH (a1:Account)-[r1:W]->(a2:Account) WHERE a1.ID = $src AND r1.amount > $min RETURN a2 "
+    "LIMIT 10",
+    "MATCH (c1:Customer)-[r1:W]->(a2) WHERE c1.name = $x AND r1.amount > $x",
+    "MATCH (a)-[r]->(b) WHERE a.ID = $",
+    "MATCH (a1:Account)-[r1:W]->(a2:Account) RETURN a2.city, COUNT(*), SUM(r1.amount), "
+    "AVG(r1.amount), MIN(a1.ID), MAX(r1.amount)",
+    "MATCH (a1:Account)-[r1:W]->(a2) RETURN COUNT(a2.city)",
+    "MATCH (a1:Account)-[r1:W]->(a2) RETURN SUM(a2.city)",
+    "MATCH (a1)-[r1:W]->(a2) RETURN SUM(*)",
+    "MATCH (a1:Account)-[r1:W]->(a2) RETURN a2, COUNT(*) ORDER BY COUNT(*) DESC, a2 LIMIT 5",
+    "MATCH (a1)-[r1:W]->(a2) RETURN a1, r1.amount ORDER BY r1.amount ASC",
+    "MATCH (a1)-[r1:W]->(a2) RETURN a1 ORDER BY r1.amount",
+    "MATCH (a1)-[r1:W]->(a2) ORDER BY a1",
+    "MATCH (a1)-[r1:W]->(a2) RETURN a1 ORDER a1",
+    "MATCH (a:Account)-[r:W]->(b:Account) RETURN COUNT(*)",
+    "MATCH garbage",
+    "MATCH (c1:Customer)-[r1]->(a1) WHERE c1.name = 'Alice RETURN COUNT(*)",
+};
+
+// One catalog and the texts parsed over it.
+struct CorpusSet {
+  std::string name;
+  Catalog catalog;
+  std::vector<std::string> texts;
+};
+
+// The catalog of a small power-law graph after `decorate`.
+template <typename Decorate>
+Catalog GeneratedCatalog(Decorate decorate) {
+  Graph graph;
+  PowerLawParams params;
+  params.num_vertices = 64;
+  params.avg_degree = 2.0;
+  GeneratePowerLawGraph(params, &graph);
+  decorate(&graph);
+  return graph.catalog();
+}
+
+// The parser golden's corpus: every text of this file (error cases
+// included) over the Figure 1 catalog, and every text of the plan
+// golden (MF1-MF5 pinned and windowed, MR1-MR3 with literal and $param
+// windows, triangles and a diamond) over the catalog it is planned on.
+std::vector<CorpusSet> GoldenCorpus() {
+  std::vector<CorpusSet> sets;
+  auto add = [&sets](const std::string& name, Catalog catalog,
+                     const std::vector<NamedText>& texts) {
+    CorpusSet set{name, std::move(catalog), {}};
+    for (const NamedText& text : texts) set.texts.push_back(text.second);
+    sets.push_back(std::move(set));
+  };
+  {
+    ExampleGraph ex = BuildExampleGraph();
+    Catalog& catalog = ex.graph.catalog();
+    for (const char* currency : {"USD", "EUR", "GBP"}) {
+      catalog.RegisterCategoryValue(ex.currency_key, currency);
+    }
+    CorpusSet set{"example", catalog, {}};
+    for (const char* text : kExampleTexts) set.texts.push_back(text);
+    for (const auto& [text, message] : kErrorCases) set.texts.push_back(text);
+    sets.push_back(std::move(set));
+  }
+  std::vector<NamedText> mf = MfTexts("", PinnedAnchor);
+  for (const NamedText& text : MfTexts("w", WindowAnchor)) mf.push_back(text);
+  add("fraud", GeneratedCatalog([](Graph* graph) {
+        FinancialPropKeys keys = AddFinancialProperties(42, graph, kNumCities);
+        graph->catalog().RegisterCategoryValue(keys.acc, "CQ");
+        graph->catalog().RegisterCategoryValue(keys.acc, "SV");
+      }),
+      mf);
+  std::vector<NamedText> mr = MrTexts("", "50000");
+  for (const NamedText& text : MrTexts("p", "$alpha")) mr.push_back(text);
+  add("recs", GeneratedCatalog([](Graph* graph) { AddTimeProperty(52, 1000000, graph); }), mr);
+  add("shapes", GeneratedCatalog([](Graph* graph) { AssignRandomLabels(3, 2, 32, graph); }),
+      ShapeTexts());
+  sets.push_back(CorpusSet{"mutation", MutationCatalog(), MutationSeeds()});
+  return sets;
+}
+
+std::string RefDump(const QueryPropRef& ref) {
+  std::string out = (ref.is_edge ? "e" : "v") + std::to_string(ref.var) + ".";
+  return out + (ref.is_id ? std::string("ID") : "k" + std::to_string(ref.key));
+}
+
+std::string ValueDump(const Value& value) {
+  return std::string(ToString(value.type())) + ":" + value.ToString();
+}
+
+// A canonical dump of everything a successful parse holds; a failed one
+// is its error text alone.
+std::string ParseDump(const std::string& text, const Catalog& catalog) {
+  const ParsedCypher parsed = ParseCypher(text, catalog);
+  std::ostringstream out;
+  out << "text " << text << "\n";
+  if (!parsed.ok()) {
+    out << "error " << parsed.error << "\n";
+    return out.str();
+  }
+  const QueryGraph& query = parsed.query;
+  for (int v = 0; v < query.num_vertices(); ++v) {
+    const QueryVertex& qv = query.vertex(v);
+    out << "vertex " << v << " " << qv.name << " label=" << qv.label << " bound=" << qv.bound
+        << " param=" << qv.bound_param << "\n";
+  }
+  for (int e = 0; e < query.num_edges(); ++e) {
+    const QueryEdge& qe = query.edge(e);
+    out << "edge " << e << " " << qe.name << " " << qe.from << "->" << qe.to
+        << " label=" << qe.label << "\n";
+  }
+  for (const QueryComparison& cmp : query.predicates()) {
+    out << "pred " << RefDump(cmp.lhs) << " op" << static_cast<int>(cmp.op) << " ";
+    if (cmp.rhs_is_const) {
+      out << ValueDump(cmp.rhs_const) << " param=" << cmp.rhs_param;
+    } else {
+      out << RefDump(cmp.rhs_ref) << " +" << cmp.rhs_addend;
+    }
+    out << "\n";
+  }
+  for (const CypherParam& param : parsed.params) {
+    out << "param $" << param.name << " " << ToString(param.expected) << " key=" << param.key
+        << " pin=" << param.pin_var << "\n";
+  }
+  for (const ReturnItem& item : parsed.returns) {
+    out << "return " << item.name << " " << RefDump(item.ref) << " agg=" << ToString(item.agg)
+        << " star=" << item.star << "\n";
+  }
+  for (const OrderByItem& order : parsed.order_by) {
+    out << "order " << order.item << (order.desc ? " desc" : " asc") << "\n";
+  }
+  out << "aggregate=" << parsed.has_aggregate << " distinct=" << parsed.distinct
+      << " limit=" << (parsed.has_limit ? std::to_string(parsed.limit) : "none") << "\n";
+  return out.str();
+}
+
+// The parse of every corpus text must match tests/data/parse_golden.txt,
+// which was recorded once, before the single-pass lexer, and is never
+// re-recorded: a parser change that moves any field fails here.
+TEST(CypherParserGoldenTest, ParsesMatchRecording) {
+  std::string dump;
+  for (const CorpusSet& set : GoldenCorpus()) {
+    for (size_t i = 0; i < set.texts.size(); ++i) {
+      dump += "== " + set.name + " " + std::to_string(i) + "\n" +
+              ParseDump(set.texts[i], set.catalog);
+    }
+  }
+  const char* const path = APLUS_TEST_DATA_DIR "/parse_golden.txt";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "cannot read " << path;
+  std::stringstream expected;
+  expected << in.rdbuf();
+  // Compare block by block so a failure names the text.
+  auto blocks = [](const std::string& text) {
+    std::vector<std::string> out;
+    std::istringstream lines(text);
+    std::string line;
+    while (std::getline(lines, line)) {
+      if (line.rfind("== ", 0) == 0 || out.empty()) out.emplace_back();
+      out.back() += line + "\n";
+    }
+    return out;
+  };
+  const std::vector<std::string> want = blocks(expected.str());
+  const std::vector<std::string> got = blocks(dump);
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(want[i], got[i]);
+}
+
+// Every prefix and every single-byte substitution of every golden corpus
+// text, over the catalog it belongs to, must parse or fail with a
+// message, never crash. Each mutant is a heap copy freed before the
+// result is read, so a result (or reused parse storage) that kept a view
+// into the text shows up under AddressSanitizer.
+TEST(CypherParserMutationTest, EveryPrefixAndSubstitutionParsesOrFails) {
+  const char kBytes[] = {'\'', '$', '.', '\x80', '(', '-', ',', '9', ' '};
+  size_t parsed_ok = 0;
+  size_t rejected = 0;
+  auto check = [&](const Catalog& catalog, std::string mutant) {
+    mutant.reserve(32);  // a heap buffer even for short prefixes
+    ParsedCypher parsed = ParseCypher(mutant, catalog);
+    mutant.clear();
+    mutant.shrink_to_fit();
+    size_t bytes = parsed.error.size();
+    for (int v = 0; v < parsed.query.num_vertices(); ++v) {
+      bytes += parsed.query.vertex(v).name.size();
+    }
+    for (int e = 0; e < parsed.query.num_edges(); ++e) bytes += parsed.query.edge(e).name.size();
+    for (const CypherParam& param : parsed.params) bytes += param.name.size();
+    for (const ReturnItem& item : parsed.returns) bytes += item.name.size();
+    for (const QueryComparison& cmp : parsed.query.predicates()) {
+      if (cmp.rhs_const.type() == ValueType::kString) bytes += cmp.rhs_const.AsString().size();
+    }
+    if (parsed.ok()) {
+      ++parsed_ok;
+    } else {
+      EXPECT_GT(bytes, 0u);
+      ++rejected;
+    }
+  };
+  for (const CorpusSet& set : GoldenCorpus()) {
+    for (const std::string& text : set.texts) {
+      for (size_t len = 0; len <= text.size(); ++len) check(set.catalog, text.substr(0, len));
+      for (size_t pos = 0; pos < text.size(); ++pos) {
+        for (char byte : kBytes) {
+          if (text[pos] == byte) continue;
+          std::string mutant = text;
+          mutant[pos] = byte;
+          check(set.catalog, std::move(mutant));
+        }
+      }
+    }
+  }
+  std::printf("%zu mutants parsed, %zu rejected\n", parsed_ok, rejected);
+  EXPECT_GT(parsed_ok, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

@@ -32,6 +32,7 @@
 #include "core/database.h"
 #include "optimizer/dp_optimizer.h"
 #include "query/cypher_parser.h"
+#include "query_corpus.h"
 #include "random_query.h"
 
 namespace aplus {
@@ -143,7 +144,7 @@ struct Recording {
   // Plans every text of `texts` on `db` under the case prefix `prefix`,
   // and records the plan text each renders.
   void AddTexts(Database* db, const std::string& prefix,
-                const std::vector<std::pair<std::string, std::string>>& texts) {
+                const std::vector<NamedText>& texts) {
     DpOptimizer optimizer(&db->graph(), &db->index_store());
     std::vector<std::unique_ptr<PreparedQuery>> prepared;
     for (const auto& [name, text] : texts) {
@@ -168,48 +169,6 @@ struct Recording {
   }
 };
 
-// Pf(ei, ej) with the benchmark's amount cut of 50.
-std::string Flow(const std::string& ei, const std::string& ej) {
-  return ei + ".date < " + ej + ".date, " + ei + ".amount > " + ej + ".amount, " + ei +
-         ".amount < " + ej + ".amount + 50";
-}
-
-// MF1..MF5 (Section V-C2, Figure 5) as the ad hoc fraud texts write
-// them; `pin(anchor)` supplies the anchor's ID terms.
-std::vector<std::pair<std::string, std::string>> MfTexts(
-    const std::string& tag, std::string (*pin)(const std::string&)) {
-  const std::string tail = " RETURN COUNT(*)";
-  return {
-      {"MF1" + tag,
-       "MATCH (a1)-[e1:E]->(a2)-[e2:E]->(a3)-[e3:E]->(a4)-[e4:E]->(a1) WHERE " + pin("a1") +
-           ", a1.acc = CQ, a2.acc = CQ, a3.acc = CQ, a4.acc = CQ, a2.city = a4.city" + tail},
-      {"MF2" + tag,
-       "MATCH (a1)-[e1:E]->(a2)-[e2:E]->(a3)-[e3:E]->(a4) WHERE " + pin("a1") +
-           ", a1.city = a2.city, a2.city = a3.city, a3.city = a4.city" + tail},
-      {"MF3" + tag,
-       "MATCH (a1)-[e1:E]->(a2), (a1)-[e2:E]->(a3)-[e3:E]->(a5), (a1)-[e4:E]->(a4) WHERE " +
-           pin("a3") +
-           ", a2.city = a4.city, a4.city = a5.city, a1.acc = CQ, a2.acc = CQ, a3.acc = CQ, "
-           "a4.acc = CQ, a5.acc = SV, " +
-           Flow("e2", "e3") + tail},
-      {"MF4" + tag,
-       "MATCH (a1)-[e1:E]->(a2)-[e2:E]->(a3), (a1)-[e3:E]->(a4)-[e4:E]->(a5) WHERE " +
-           pin("a1") +
-           ", a1.city = 5, a2.city = a4.city, a2.acc = CQ, a3.acc = CQ, a4.acc = SV, "
-           "a5.acc = SV, " +
-           Flow("e1", "e2") + ", " + Flow("e3", "e4") + tail},
-      {"MF5" + tag,
-       "MATCH (a1)-[e1:E]->(a2)-[e2:E]->(a3)-[e3:E]->(a4)-[e4:E]->(a5) WHERE " + pin("a1") +
-           ", a1.acc = CQ, a2.acc = CQ, a3.acc = CQ, a4.acc = CQ, a5.acc = CQ, " +
-           Flow("e1", "e2") + ", " + Flow("e2", "e3") + ", " + Flow("e3", "e4") + tail},
-  };
-}
-
-std::string PinnedAnchor(const std::string& anchor) { return anchor + ".ID = 17"; }
-std::string WindowAnchor(const std::string& anchor) {
-  return anchor + ".ID >= 100, " + anchor + ".ID < 400";
-}
-
 void RecordFraud(Recording* log) {
   Graph graph;
   PowerLawParams params;
@@ -222,7 +181,7 @@ void RecordFraud(Recording* log) {
   graph.catalog().RegisterCategoryValue(keys.acc, "SV");
   Database db(std::move(graph));
   db.BuildPrimaryIndexes();
-  std::vector<std::pair<std::string, std::string>> texts = MfTexts("", PinnedAnchor);
+  std::vector<NamedText> texts = MfTexts("", PinnedAnchor);
   for (auto& text : MfTexts("w", WindowAnchor)) texts.push_back(text);
   log->AddTexts(&db, "D", texts);
   ASSERT_TRUE(db.ExecuteDdl("CREATE 1-HOP VIEW VPc MATCH vs-[eadj]->vd INDEX AS FW-BW "
@@ -236,29 +195,6 @@ void RecordFraud(Recording* log) {
   log->AddTexts(&db, "D+VPc+EPc", texts);
 }
 
-// MR1..MR3 (Section V-C1, Figure 4): a1 recently followed a2..a(k);
-// find their common follower. `window` is the time bound's right side.
-std::vector<std::pair<std::string, std::string>> MrTexts(const std::string& tag,
-                                                         const std::string& window) {
-  std::vector<std::pair<std::string, std::string>> texts;
-  for (int mr = 1; mr <= 3; ++mr) {
-    int followed = mr;  // a2..a(mr+1)
-    std::string rec = "a" + std::to_string(followed + 2);
-    std::string match;
-    std::string where = "a1.ID = 3";
-    for (int i = 0; i < followed; ++i) {
-      std::string a = "a" + std::to_string(i + 2);
-      std::string n = std::to_string(i + 1);
-      if (i > 0) match += ", ";
-      match += "(a1)-[e" + n + ":E]->(" + a + "), (" + rec + ")-[f" + n + ":E]->(" + a + ")";
-      where += ", e" + n + ".time < " + window;
-    }
-    texts.push_back({"MR" + std::to_string(mr) + tag,
-                     "MATCH " + match + " WHERE " + where + " RETURN COUNT(*)"});
-  }
-  return texts;
-}
-
 void RecordMagicRecs(Recording* log) {
   Graph graph;
   PowerLawParams params;
@@ -269,7 +205,7 @@ void RecordMagicRecs(Recording* log) {
   prop_key_t time_key = AddTimeProperty(52, 1000000, &graph);
   Database db(std::move(graph));
   db.BuildPrimaryIndexes();
-  std::vector<std::pair<std::string, std::string>> texts = MrTexts("", "50000");
+  std::vector<NamedText> texts = MrTexts("", "50000");
   for (auto& text : MrTexts("p", "$alpha")) texts.push_back(text);
   log->AddTexts(&db, "D", texts);
   IndexConfig vpt = IndexConfig::Default();
@@ -288,14 +224,7 @@ void RecordTriangles(Recording* log) {
   GeneratePowerLawGraph(params, &graph);
   AssignRandomLabels(3, 2, 32, &graph);
   Database db(std::move(graph));
-  const std::vector<std::pair<std::string, std::string>> texts = {
-      {"labelled-triangle",
-       "MATCH (a:VL0)-[r1:EL0]->(b)-[r2:EL0]->(c), (a)-[r3:EL1]->(c) RETURN COUNT(*)"},
-      {"unlabelled-triangle", "MATCH (a)-[r1]->(b)-[r2]->(c), (a)-[r3]->(c) RETURN COUNT(*)"},
-      {"labelled-diamond",
-       "MATCH (a)-[r1:EL0]->(b:VL1)-[r3:EL1]->(d), (a)-[r2:EL0]->(c:VL1)-[r4:EL1]->(d) "
-       "RETURN COUNT(*)"},
-  };
+  const std::vector<NamedText> texts = ShapeTexts();
   IndexConfig ds = IndexConfig::Default();
   ds.sorts.clear();
   ds.sorts.push_back({SortSource::kNbrLabel, kInvalidPropKey});

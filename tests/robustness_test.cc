@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -264,6 +265,74 @@ TEST_F(RobustnessTest, ResourceExhaustedConfigCapAndProcessCeiling) {
   EXPECT_GT(MemoryBudget::ProcessUsed(), 0u);
   session_.reset();  // destroys the cached plans: accounting drains
   EXPECT_EQ(MemoryBudget::ProcessUsed(), 0u);
+}
+
+// Two databases in one process with different process ceilings: each
+// query holds the shared process total to its own database's ceiling, so
+// an execute on one database does not change the ceiling of a query in
+// flight on the other. An uncapped database's streaming triangle query
+// runs an execute on a database with a 256-byte ceiling from its first
+// row batch, then grows its intersection decode buffer (a charge) on the
+// longer lists of a second clique; it must still finish ok.
+TEST(ProcessCeilingTest, ExecuteOnAnotherDatabaseKeepsTheCeilingOfAQueryInFlight) {
+  // A 30-clique, then an 80-clique: the serial scan reaches the longer
+  // lists after the first batches went out. Sealed compressed, so the
+  // lists are packed and every intersection decodes into plan scratch.
+  Graph graph;
+  const label_t elabel = graph.catalog().AddEdgeLabel("E");
+  const label_t vlabel = graph.catalog().AddVertexLabel("V");
+  for (uint32_t size : {30u, 80u}) {
+    const vertex_id_t first = static_cast<vertex_id_t>(graph.num_vertices());
+    for (uint32_t i = 0; i < size; ++i) graph.AddVertex(vlabel);
+    for (vertex_id_t u = first; u < first + size; ++u) {
+      for (vertex_id_t v = first; v < first + size; ++v) {
+        if (u != v) graph.AddEdge(u, v, elabel);
+      }
+    }
+  }
+  EngineConfig config;
+  config.segment_compress = CompressMode::kOn;
+  const std::string path = testing::TempDir() + "/aplus_process_ceiling.seg";
+  std::string error;
+  {
+    Database sealer(std::move(graph), config);
+    sealer.BuildPrimaryIndexes();
+    ASSERT_TRUE(sealer.SealToSegment(path, &error)) << error;
+  }
+  std::unique_ptr<Database> uncapped = Database::OpenFromSegment(path, &error, config);
+  ASSERT_NE(uncapped, nullptr) << error;
+  EngineConfig tight;
+  tight.mem_cap_total_bytes = 256;
+  std::unique_ptr<Database> capped = DatabaseWith(tight);
+
+  struct InterleavingConsumer : RowConsumer {
+    Database* other = nullptr;
+    bool ran = false;
+    QueryOutcome other_outcome;
+    uint64_t used_after = 0;
+    void OnBatch(const RowBatch&) override {
+      if (ran) return;
+      ran = true;
+      other_outcome = Session(other).Execute("MATCH (x)-[s:E]->(y) RETURN COUNT(*)");
+      used_after = MemoryBudget::ProcessUsed();
+    }
+  };
+  InterleavingConsumer consumer;
+  consumer.other = capped.get();
+  PrepareOptions options;
+  options.batch_rows = 16;
+  std::unique_ptr<PreparedQuery> triangles = uncapped->Prepare(
+      "MATCH (a)-[r1:E]->(b)-[r2:E]->(c), (a)-[r3:E]->(c) RETURN a, b, c", options);
+  ASSERT_TRUE(triangles->ok()) << triangles->error();
+  QueryOutcome out = triangles->Execute(&consumer, 1);
+  EXPECT_TRUE(out.ok()) << out.error;
+  EXPECT_EQ(out.rows, 30u * 29 * 28 + 80u * 79 * 78);
+  ASSERT_TRUE(consumer.ran);
+  EXPECT_TRUE(consumer.other_outcome.ok()) << consumer.other_outcome.error;
+  // The triangle query charged after the other execute: the interleaving
+  // this test is about happened.
+  EXPECT_GT(MemoryBudget::ProcessUsed(), consumer.used_after);
+  std::remove(path.c_str());
 }
 
 TEST_F(RobustnessTest, OverloadedRejectAndQueueTimeout) {
