@@ -74,8 +74,7 @@ VpIndex* Database::CreateVpIndex(const std::string& name, const Predicate& pred,
 }
 
 EpIndex* Database::CreateEpIndex(const std::string& name, EpKind kind, const Predicate& pred,
-                                 const IndexConfig& config, double* seconds,
-                                 size_t budget_bytes) {
+                                 const IndexConfig& config, double* seconds) {
   if (segment_backed()) {
     APLUS_LOG(Error) << "secondary indexes are unsupported on a segment-backed database";
     return nullptr;
@@ -84,7 +83,7 @@ EpIndex* Database::CreateEpIndex(const std::string& name, EpKind kind, const Pre
   view.name = name;
   view.kind = kind;
   view.pred = pred;
-  return store_->CreateEpIndex(view, config, seconds, budget_bytes);
+  return store_->CreateEpIndex(view, config, seconds);
 }
 
 bool Database::SealToSegment(const std::string& path, std::string* error) {

@@ -78,11 +78,8 @@ class Database {
   // per direction; `seconds` (optional) receives the total build time.
   VpIndex* CreateVpIndex(const std::string& name, const Predicate& pred,
                          const IndexConfig& config, Direction dir, double* seconds = nullptr);
-  // `budget_bytes` > 0 partially materializes the 2-hop view under the
-  // given memory budget (Section III-B2 future work).
   EpIndex* CreateEpIndex(const std::string& name, EpKind kind, const Predicate& pred,
-                         const IndexConfig& config, double* seconds = nullptr,
-                         size_t budget_bytes = 0);
+                         const IndexConfig& config, double* seconds = nullptr);
 
   // Parses and executes one of the paper's index DDL commands. Rejected
   // with a typed error on a segment-backed database (sealed pages are

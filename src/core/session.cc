@@ -293,7 +293,8 @@ QueryOutcome PreparedQuery::Execute(RowConsumer* consumer, int num_threads) {
   if (timeout_ms > 0) controls_.token.ArmDeadlineMillis(timeout_ms);
   // Memory budget: explicit set_mem_cap_bytes wins, then the config's
   // APLUS_MEM_CAP. The source name is kept for the kResourceExhausted
-  // error message.
+  // error message, which names the process ceiling instead when that
+  // refused the charge.
   const bool explicit_cap = mem_cap_bytes_ >= 0;
   const uint64_t mem_cap =
       explicit_cap ? static_cast<uint64_t>(mem_cap_bytes_) : config.mem_cap_bytes;
@@ -322,8 +323,11 @@ QueryOutcome PreparedQuery::Execute(RowConsumer* consumer, int num_threads) {
     controls_.consumer = nullptr;
     if (stop_reason == StopReason::kResourceExhausted) {
       out.status = QueryOutcome::Status::kResourceExhausted;
-      out.error = "memory budget exceeded (" + std::string(mem_cap_source) + "=" +
-                  std::to_string(mem_cap) + " bytes)";
+      const bool ceiling =
+          controls_.budget.refused_by() == MemoryBudget::Limit::kProcessCeiling;
+      out.error = "memory budget exceeded (" +
+                  std::string(ceiling ? "APLUS_MEM_CAP_TOTAL" : mem_cap_source) + "=" +
+                  std::to_string(ceiling ? config.mem_cap_total_bytes : mem_cap) + " bytes)";
     } else if (stop_reason == StopReason::kTimeout) {
       out.status = QueryOutcome::Status::kTimeout;
       out.error = "query deadline exceeded (" + std::to_string(timeout_ms) + " ms)";

@@ -15,14 +15,12 @@
 namespace aplus {
 
 EpIndex::EpIndex(const Graph* graph, const PrimaryIndex* primary_fwd,
-                 const PrimaryIndex* primary_bwd, TwoHopViewDef view, IndexConfig config,
-                 size_t budget_bytes)
+                 const PrimaryIndex* primary_bwd, TwoHopViewDef view, IndexConfig config)
     : graph_(graph),
       primary_fwd_(primary_fwd),
       primary_bwd_(primary_bwd),
       view_(std::move(view)),
-      config_(std::move(config)),
-      budget_bytes_(budget_bytes) {
+      config_(std::move(config)) {
   APLUS_CHECK(view_.pred.HasCrossEdgeConjunct())
       << "2-hop view " << view_.name
       << " must have a predicate accessing both edges (Section III-B2)";
@@ -230,29 +228,11 @@ double EpIndex::Build() {
   for (uint32_t p = 0; p < num_pages; ++p) pages_.push_back(std::make_unique<OffsetListPage>());
   num_edges_indexed_ = 0;
 
-  fully_materialized_ = true;
-  if (budget_bytes_ > 0) {
-    // Partial materialization: build pages in order until the budget is
-    // hit; the rest stay unmaterialized (empty CSR) and are answered at
-    // run time through ForEachRuntime. Sequential so the budget check is
-    // deterministic.
-    const ListKeys keys(*graph_, config_, fanouts_);
-    size_t used = 0;
-    for (uint32_t p = 0; p < num_pages; ++p) {
-      num_edges_indexed_ += BuildPage(p, keys);
-      used += pages_[p]->MemoryBytes();
-      if (used >= budget_bytes_ && p + 1 < num_pages) {
-        fully_materialized_ = false;
-        break;
-      }
-    }
-  } else {
-    // The paper creates edge-partitioned indexes with 16 threads
-    // (Section V-A) while everything else stays single-threaded.
-    uint32_t num_threads = std::min<uint32_t>(UsableCores(), 16);
-    if (num_pages < 2 * num_threads) num_threads = 1;
-    BuildAll(num_threads);
-  }
+  // The paper creates edge-partitioned indexes with 16 threads
+  // (Section V-A) while everything else stays single-threaded.
+  uint32_t num_threads = std::min<uint32_t>(UsableCores(), 16);
+  if (num_pages < 2 * num_threads) num_threads = 1;
+  BuildAll(num_threads);
   pending_.assign(pages_.size(), 0);
   pending_total_ = 0;
   build_seconds_ = timer.ElapsedSeconds();
@@ -347,17 +327,7 @@ std::vector<uint32_t> EpIndex::InsertEdge(edge_id_t e) {
 
 void EpIndex::RebuildGroup(uint32_t page_idx) {
   if (page_idx >= pages_.size()) return;
-  OffsetListPage& page = *pages_[page_idx];
-  // Pages left unmaterialized under the budget stay runtime-evaluated;
-  // only clear their pending counters.
-  if (!fully_materialized_ && page.csr.empty()) {
-    if (page_idx < pending_.size()) {
-      pending_total_ -= pending_[page_idx];
-      pending_[page_idx] = 0;
-    }
-    return;
-  }
-  num_edges_indexed_ -= page.num_entries();
+  num_edges_indexed_ -= pages_[page_idx]->num_entries();
   num_edges_indexed_ += BuildPage(page_idx, ListKeys(*graph_, config_, fanouts_));
   if (page_idx < pending_.size()) {
     pending_total_ -= pending_[page_idx];

@@ -38,23 +38,15 @@ class ListKeys;
 // then runs only the typed cross-conjunct filter over that gather, and
 // the passing offsets come out already in list order. A grouping by eb
 // finally assembles the 64-edge offset-list pages. Single-page rebuilds
-// (RebuildGroup) and the budget-limited build derive a page eb by eb
-// through the same gather and filter, so pages are byte-identical
-// whichever path built them.
+// (RebuildGroup) derive a page eb by eb through the same gather and
+// filter, so pages are byte-identical whichever path built them.
 class EpIndex {
  public:
   // `primary_fwd`/`primary_bwd` are the primary indexes; the one matching
   // AdjDirection(view.kind) provides the base lists the offsets resolve
-  // against.
-  //
-  // `budget_bytes` implements the partial materialization the paper
-  // defers to future work (Section III-B2): when > 0, Build() stops
-  // materializing offset-list pages once the budget is reached; queries
-  // over unmaterialized bound edges fall back to evaluating the view
-  // predicate over the anchor's primary list at run time (ExtendOp's
-  // EP fallback). 0 = fully materialized.
+  // against. Build() materializes every bound edge's list.
   EpIndex(const Graph* graph, const PrimaryIndex* primary_fwd, const PrimaryIndex* primary_bwd,
-          TwoHopViewDef view, IndexConfig config, size_t budget_bytes = 0);
+          TwoHopViewDef view, IndexConfig config);
 
   double Build();
 
@@ -71,37 +63,13 @@ class EpIndex {
   const PrimaryIndex* base_primary() const { return base_primary_; }
 
   // Constant-time adjacency of edge `eb`; `cats` fixes a prefix of this
-  // index's partition criteria. Only valid for materialized bound edges.
+  // index's partition criteria.
   AdjListSlice GetList(edge_id_t eb, const std::vector<category_t>& cats) const;
   AdjListSlice GetFullList(edge_id_t eb) const { return GetList(eb, {}); }
 
-  // Partial materialization state (Section III-B2 future work).
-  bool IsMaterialized(edge_id_t eb) const {
-    uint32_t page_idx = static_cast<uint32_t>(eb / kGroupSize);
-    return page_idx < pages_.size() && !pages_[page_idx]->csr.empty();
-  }
-  bool fully_materialized() const { return fully_materialized_; }
   uint32_t num_pages() const { return static_cast<uint32_t>(pages_.size()); }
   // Offset-list page p: the lists of bound edges [64p, 64p + 64).
   const OffsetListPage& page(uint32_t p) const { return *pages_[p]; }
-  size_t budget_bytes() const { return budget_bytes_; }
-
-  // Runtime fallback for unmaterialized bound edges: calls
-  // fn(base_offset, eadj, vnbr) for every entry of eb's view adjacency,
-  // derived by scanning the anchor's primary list and evaluating the
-  // view predicate (entries come in base-list order, not this index's
-  // sort order).
-  template <typename Fn>
-  void ForEachRuntime(edge_id_t eb, Fn fn) const {
-    vertex_id_t anchor = AnchorOf(eb);
-    AdjListSlice base = base_primary_->GetFullList(anchor);
-    for (uint32_t i = 0; i < base.size(); ++i) {
-      edge_id_t eadj = base.EdgeAt(i);
-      if (eadj == eb) continue;
-      vertex_id_t nbr = base.NbrAt(i);
-      if (EvalViewPred(eb, eadj, nbr)) fn(i, eadj, nbr);
-    }
-  }
 
   size_t MemoryBytes() const;
   uint64_t num_edges_indexed() const { return num_edges_indexed_; }
@@ -167,8 +135,6 @@ class EpIndex {
   uint64_t pending_total_ = 0;
   uint64_t num_edges_indexed_ = 0;
   double build_seconds_ = 0.0;
-  size_t budget_bytes_ = 0;
-  bool fully_materialized_ = true;
 };
 
 }  // namespace aplus

@@ -30,10 +30,10 @@ VpIndex* IndexStore::CreateVpIndex(const OneHopViewDef& view, const IndexConfig&
 }
 
 EpIndex* IndexStore::CreateEpIndex(const TwoHopViewDef& view, const IndexConfig& config,
-                                   double* build_seconds, size_t budget_bytes) {
+                                   double* build_seconds) {
   BumpVersion();
-  auto index = std::make_unique<EpIndex>(graph_, primary_fwd_.get(), primary_bwd_.get(), view,
-                                         config, budget_bytes);
+  auto index =
+      std::make_unique<EpIndex>(graph_, primary_fwd_.get(), primary_bwd_.get(), view, config);
   double seconds = index->Build();
   if (build_seconds != nullptr) *build_seconds = seconds;
   ep_indexes_.push_back(std::move(index));

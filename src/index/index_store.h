@@ -36,11 +36,10 @@ class IndexStore {
   VpIndex* CreateVpIndex(const OneHopViewDef& view, const IndexConfig& config, Direction dir,
                          double* build_seconds = nullptr);
 
-  // Creates and builds a secondary edge-partitioned index.
-  // `budget_bytes` > 0 enables partial materialization (Section III-B2
-  // future work): pages beyond the budget answer at run time.
+  // Creates and builds a secondary edge-partitioned index, every bound
+  // edge's list materialized.
   EpIndex* CreateEpIndex(const TwoHopViewDef& view, const IndexConfig& config,
-                         double* build_seconds = nullptr, size_t budget_bytes = 0);
+                         double* build_seconds = nullptr);
 
   void DropSecondaryIndexes();
 

@@ -124,9 +124,6 @@ bool IndexMatcher::ServesSort(const CandidateList& candidate,
                               const SortCriterion* required_sort) {
   if (required_sort == nullptr) return true;
   const ListDescriptor& desc = candidate.desc;
-  if (desc.source == ListDescriptor::Source::kEp && !desc.ep->fully_materialized()) {
-    return false;
-  }
   if (required_sort->source == SortSource::kNbrId) return desc.nbr_sorted;
   // Property-sorted requirement (MULTI-EXTEND): the first criterion must
   // match exactly on an innermost sublist.

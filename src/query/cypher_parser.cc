@@ -291,6 +291,10 @@ class Parser {
       if (!Expect("[")) return false;
       if (Peek().kind == Token::Kind::kIdent) {
         edge_name = Peek().text;
+        if (result_.query.FindEdge(edge_name) >= 0) {
+          result_.error = "duplicate edge variable " + std::string(edge_name);
+          return false;
+        }
         Advance();
       }
       if (Accept(":")) {
@@ -323,8 +327,8 @@ class Parser {
   }
 
   // Resolves a variable name into ref->var / ref->is_edge: a query
-  // vertex, else the first query edge of that name. False, with `ref`
-  // untouched, when neither exists.
+  // vertex, else the query edge the text gives that name. False, with
+  // `ref` untouched, when neither exists.
   bool ResolveVar(std::string_view name, QueryPropRef* ref) const {
     int var = result_.query.FindVertex(name);
     const bool is_edge = var < 0;

@@ -25,6 +25,10 @@ namespace aplus {
 // (the paper's a1.ID = v5 bindings); `<var>.ID = $p` records a
 // parameter pin patched at bind time (core/session.h).
 //
+// An edge variable names one edge: repeating it in the pattern is a
+// parse error. An edge the text leaves unnamed cannot be referenced,
+// although its plan text shows it as e<position> (e1, e2, ...).
+//
 // RETURN takes a comma-separated list of items: bare variables
 // (projected as vertex/edge ids), <var>.<property> reads, and aggregate
 // calls COUNT(*) / COUNT(<item>) / SUM / MIN / MAX / AVG(<item>).

@@ -333,45 +333,6 @@ bool ExtendOp::AcceptEntry(MatchState* state, const AdjListSlice& slice, uint32_
 }
 
 void ExtendOp::Run(MatchState* state) {
-  // Partially materialized EP index (Section III-B2 future work): when
-  // the bound edge's page was not materialized under the budget, derive
-  // the adjacency at run time from the anchor's primary list. Partition
-  // categories and sort-key bounds become per-entry filters (the
-  // runtime order is the base list's, not this index's sort order).
-  if (list_.source == ListDescriptor::Source::kEp) {
-    edge_id_t eb = state->e[list_.bound_var];
-    const EpIndex* ep = list_.ep;
-    if (!ep->IsMaterialized(eb)) {
-      AdjListSlice base = ep->base_primary()->GetFullList(ep->AnchorOf(eb));
-      vertex_id_t close_target =
-          closing_ ? state->v[list_.target_vertex_var] : kInvalidVertex;
-      ep->ForEachRuntime(eb, [&](uint32_t i, edge_id_t eadj, vertex_id_t nbr) {
-        if (closing_ && nbr != close_target) return;
-        for (size_t c = 0; c < list_.cats.size(); ++c) {
-          if (ep->base_primary()->CategoryOf(ep->config().partitions[c], eadj, nbr) !=
-              list_.cats[c]) {
-            return;
-          }
-        }
-        if (list_.has_upper_bound || list_.has_lower_bound) {
-          int64_t key = EntrySortKey(*graph_, list_.sorts().front(), eadj, nbr);
-          // Range predicates on the sort key compare false for null
-          // values (mirrors BoundedRange's null-tail cap).
-          if (key == kNullSortKey) return;
-          if (list_.has_upper_bound &&
-              !(list_.upper_strict ? key < list_.upper_bound : key <= list_.upper_bound)) {
-            return;
-          }
-          if (list_.has_lower_bound &&
-              !(list_.lower_strict ? key > list_.lower_bound : key >= list_.lower_bound)) {
-            return;
-          }
-        }
-        AcceptEntry(state, base, i);
-      });
-      return;
-    }
-  }
   AdjListSlice slice = list_.Fetch(*state);
   if (closing_) {
     vertex_id_t target = state->v[list_.target_vertex_var];

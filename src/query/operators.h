@@ -274,12 +274,9 @@ class ExtendOp : public Operator {
 
   // Whether this operator's entry enumeration can be partitioned across
   // worker replicas via an EntryCursor. Cycle-closing extends probe
-  // instead of enumerating, and non-materialized EP lists enumerate
-  // through a runtime callback path that is not instrumented; both stay
-  // scan-partitioned.
-  bool CanDeepMorselize() const {
-    return !closing_ && list_.source != ListDescriptor::Source::kEp;
-  }
+  // instead of enumerating, so they stay scan-partitioned. (An EP extend
+  // is never a plan's second operator: its bound edge is not bound yet.)
+  bool CanDeepMorselize() const { return !closing_; }
   // When set, Run() claims entry-ordinal blocks from the shared cursor
   // and only processes the entries it owns (see EntryCursor). The local
   // ordinal sequence must be reset via ResetEntryClaims() before each

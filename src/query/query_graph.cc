@@ -35,7 +35,7 @@ int QueryGraph::AddEdge(int from, int to, label_t label, std::string_view name) 
   APLUS_CHECK_LT(to, num_vertices());
   std::string edge_name =
       name.empty() ? "e" + std::to_string(edges_.size() + 1) : std::string(name);
-  edges_.push_back(QueryEdge{std::move(edge_name), from, to, label});
+  edges_.push_back(QueryEdge{std::move(edge_name), from, to, label, !name.empty()});
   return static_cast<int>(edges_.size() - 1);
 }
 
@@ -48,7 +48,7 @@ int QueryGraph::FindVertex(std::string_view name) const {
 
 int QueryGraph::FindEdge(std::string_view name) const {
   for (size_t i = 0; i < edges_.size(); ++i) {
-    if (edges_[i].name == name) return static_cast<int>(i);
+    if (edges_[i].named && edges_[i].name == name) return static_cast<int>(i);
   }
   return -1;
 }

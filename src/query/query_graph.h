@@ -65,10 +65,11 @@ struct QueryVertex {
 };
 
 struct QueryEdge {
-  std::string name;
-  int from = -1;  // query-vertex index; the edge is directed from -> to
+  std::string name;  // as given, else generated ("e<index + 1>")
+  int from = -1;     // query-vertex index; the edge is directed from -> to
   int to = -1;
   label_t label = kInvalidLabel;  // optional label filter
+  bool named = false;             // `name` was given, not generated
 };
 
 // The subgraph pattern component of a query (Section IV-A): query
@@ -89,6 +90,8 @@ class QueryGraph {
   }
 
   int FindVertex(std::string_view name) const;
+  // The edge given the name `name`; generated names are never found, so
+  // an unnamed edge cannot capture a name the query gives another edge.
   int FindEdge(std::string_view name) const;
 
   int num_vertices() const { return static_cast<int>(vertices_.size()); }

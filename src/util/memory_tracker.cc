@@ -58,6 +58,7 @@ std::atomic<uint64_t> g_process_used{0};
 void MemoryBudget::Reset(uint64_t cap_bytes, uint64_t ceiling_bytes) {
   const uint64_t prev = used_.exchange(0, std::memory_order_relaxed);
   if (prev != 0) g_process_used.fetch_sub(prev, std::memory_order_relaxed);
+  refused_by_.store(Limit::kNone, std::memory_order_relaxed);
   cap_ = cap_bytes;
   ceiling_ = ceiling_bytes;
 }
@@ -69,7 +70,10 @@ bool MemoryBudget::Charge(uint64_t bytes) {
       used_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
   const uint64_t global =
       g_process_used.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  if ((cap_ != 0 && local > cap_) || (ceiling_ != 0 && global > ceiling_)) {
+  const bool over_cap = cap_ != 0 && local > cap_;
+  if (over_cap || (ceiling_ != 0 && global > ceiling_)) {
+    refused_by_.store(over_cap ? Limit::kQueryCap : Limit::kProcessCeiling,
+                      std::memory_order_relaxed);
     used_.fetch_sub(bytes, std::memory_order_relaxed);
     g_process_used.fetch_sub(bytes, std::memory_order_relaxed);
     return false;

@@ -47,6 +47,9 @@ class MemoryTracker {
 // must only run between executions.
 class MemoryBudget {
  public:
+  // The limit that refused a charge.
+  enum class Limit : uint8_t { kNone, kQueryCap, kProcessCeiling };
+
   ~MemoryBudget() { Reset(0); }
 
   // Returns the previous charges to the process pool and installs a new
@@ -60,6 +63,9 @@ class MemoryBudget {
   // or the `alloc` fault point fires; the caller must treat that as
   // resource exhaustion. Never throws, never allocates.
   bool Charge(uint64_t bytes);
+  // The limit that refused a charge since the last Reset() (kNone when
+  // none did, or only the fault point).
+  Limit refused_by() const { return refused_by_.load(std::memory_order_relaxed); }
 
   // Returns bytes previously charged (clamped to the outstanding amount).
   void Release(uint64_t bytes);
@@ -72,6 +78,7 @@ class MemoryBudget {
 
  private:
   std::atomic<uint64_t> used_{0};
+  std::atomic<Limit> refused_by_{Limit::kNone};
   // 0 = none; written only by Reset().
   uint64_t cap_ = 0;
   uint64_t ceiling_ = 0;

@@ -74,7 +74,13 @@ constexpr std::pair<const char*, const char*> kErrorCases[] = {
      "identifier constant 'Bob' requires a categorical left-hand property"},
     {"MATCH (a)-[r]->(b) WHERE r.currency = JPY", "unknown category value JPY"},
     {"MATCH (a)-[r]->(b) WHERE a.ID = (", "expected right-hand side"},
+    {"MATCH (a)-[]->(b) WHERE e1.amount > 5", "unknown variable e1"},
+    {"MATCH (a)-[r]->(b)-[r]->(c)", "duplicate edge variable r"},
 };
+
+// An unnamed edge before an edge the text names e1 (the first edge's
+// generated name).
+constexpr const char* kUnnamedThenE1Text = "MATCH (a)-[]->(b)-[e1]->(c) WHERE e1.amount > 5";
 
 class CypherParserTest : public ::testing::Test {
  protected:
@@ -166,6 +172,19 @@ TEST_F(CypherParserTest, CrossEdgePredicateWithAddend) {
   const QueryComparison& cut = parsed.query.predicates()[1];
   EXPECT_FALSE(cut.rhs_is_const);
   EXPECT_EQ(cut.rhs_addend, 50);
+}
+
+TEST_F(CypherParserTest, ReferencesResolveOnlyToNamedEdges) {
+  ParsedCypher parsed = ParseCypher(kUnnamedThenE1Text, ex_.graph.catalog());
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  ASSERT_EQ(parsed.query.num_edges(), 2);
+  // The generated name still renders; it does not capture the reference.
+  EXPECT_EQ(parsed.query.edge(0).name, "e1");
+  EXPECT_EQ(parsed.query.FindEdge("e1"), 1);
+  ASSERT_EQ(parsed.query.predicates().size(), 1u);
+  const QueryPropRef& lhs = parsed.query.predicates()[0].lhs;
+  EXPECT_TRUE(lhs.is_edge);
+  EXPECT_EQ(lhs.var, 1);
 }
 
 TEST_F(CypherParserTest, Errors) {
@@ -603,6 +622,7 @@ std::vector<CorpusSet> GoldenCorpus() {
     CorpusSet set{"example", catalog, {}};
     for (const char* text : kExampleTexts) set.texts.push_back(text);
     for (const auto& [text, message] : kErrorCases) set.texts.push_back(text);
+    set.texts.push_back(kUnnamedThenE1Text);
     sets.push_back(std::move(set));
   }
   std::vector<NamedText> mf = MfTexts("", PinnedAnchor);

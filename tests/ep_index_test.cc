@@ -307,7 +307,7 @@ class EpBuildIdentityTest : public ::testing::Test {
   std::unique_ptr<PrimaryIndex> bwd_;
 };
 
-TEST_F(EpBuildIdentityTest, BulkRebuildAndBudgetBuildsAgree) {
+TEST_F(EpBuildIdentityTest, BulkAndRebuildBuildsAgree) {
   for (EpKind kind : {EpKind::kDstFwd, EpKind::kDstBwd, EpKind::kSrcFwd, EpKind::kSrcBwd}) {
     for (const IndexConfig& config : Configs()) {
       SCOPED_TRACE(std::string(ToString(kind)) + " partitions=" +
@@ -333,31 +333,12 @@ TEST_F(EpBuildIdentityTest, BulkRebuildAndBudgetBuildsAgree) {
 
       // Single-page rebuilds re-derive byte-identical pages.
       std::vector<OffsetListPage> built;
-      std::vector<size_t> built_bytes;
-      for (uint32_t p = 0; p < ep.num_pages(); ++p) {
-        built.push_back(ep.page(p));
-        built_bytes.push_back(ep.page(p).MemoryBytes());
-      }
+      for (uint32_t p = 0; p < ep.num_pages(); ++p) built.push_back(ep.page(p));
       for (uint32_t p = 0; p < ep.num_pages(); ++p) {
         ep.RebuildGroup(p);
         ASSERT_TRUE(SamePage(ep.page(p), built[p])) << "page " << p;
       }
       EXPECT_EQ(ep.num_edges_indexed(), expected_total);
-
-      // A budget-limited build matches the full build on what it holds.
-      EpIndex partial(&graph_, fwd_.get(), bwd_.get(), View(kind), config,
-                      ep.MemoryBytes() / 2);
-      partial.Build();
-      EXPECT_FALSE(partial.fully_materialized());
-      uint32_t materialized = 0;
-      for (uint32_t p = 0; p < partial.num_pages(); ++p) {
-        if (!partial.IsMaterialized(static_cast<edge_id_t>(p) * kGroupSize)) continue;
-        ++materialized;
-        ASSERT_TRUE(SamePage(partial.page(p), built[p])) << "page " << p;
-        EXPECT_EQ(partial.page(p).MemoryBytes(), built_bytes[p]);
-      }
-      EXPECT_GT(materialized, 0u);
-      EXPECT_LT(materialized, ep.num_pages());
     }
   }
 }

@@ -199,5 +199,70 @@ TEST(IntegrationTest, MoneyFlowWithEpIndexAgrees) {
   EXPECT_EQ(flat.CountMatches(q), base);
 }
 
+TEST(IntegrationTest, CitySortedEpIndexAgreesOnCityEquality) {
+  Graph graph;
+  PowerLawParams params;
+  params.num_vertices = 1200;
+  params.avg_degree = 8.0;
+  // Uniform endpoints keep the EP lists shorter than the primary ones,
+  // so the optimizer picks the EP index.
+  params.preferential_fraction = 0.0;
+  params.seed = 5;
+  GeneratePowerLawGraph(params, &graph);
+  FinancialPropKeys keys = AddFinancialProperties(6, &graph, 25);
+  Database db(std::move(graph));
+  db.BuildPrimaryIndexes();
+
+  // a1->a2->a3 with Pf(e1,e2), a1 restricted and a1.city = a3.city.
+  QueryGraph q;
+  int a1 = q.AddVertex("a1");
+  int a2 = q.AddVertex("a2");
+  int a3 = q.AddVertex("a3");
+  q.AddEdge(a1, a2, kInvalidLabel, "e1");
+  q.AddEdge(a2, a3, kInvalidLabel, "e2");
+  QueryComparison date_pred;
+  date_pred.lhs = QueryPropRef{0, true, keys.date, false};
+  date_pred.op = CmpOp::kLt;
+  date_pred.rhs_is_const = false;
+  date_pred.rhs_ref = QueryPropRef{1, true, keys.date, false};
+  q.AddPredicate(date_pred);
+  QueryComparison amt_pred;
+  amt_pred.lhs = QueryPropRef{0, true, keys.amount, false};
+  amt_pred.op = CmpOp::kGt;
+  amt_pred.rhs_is_const = false;
+  amt_pred.rhs_ref = QueryPropRef{1, true, keys.amount, false};
+  q.AddPredicate(amt_pred);
+  QueryComparison a1_small;
+  a1_small.lhs = QueryPropRef{a1, false, kInvalidPropKey, true};
+  a1_small.op = CmpOp::kLt;
+  a1_small.rhs_const = Value::Int64(300);
+  q.AddPredicate(a1_small);
+  QueryComparison city_eq;
+  city_eq.lhs = QueryPropRef{a1, false, keys.city, false};
+  city_eq.op = CmpOp::kEq;
+  city_eq.rhs_is_const = false;
+  city_eq.rhs_ref = QueryPropRef{a3, false, keys.city, false};
+  q.AddPredicate(city_eq);
+
+  uint64_t base = db.Execute(q, TestThreads()).count;
+  EXPECT_GT(base, 0u);
+
+  // The same count through a city-sorted EP index.
+  Predicate flow;
+  flow.AddRef(PropRef{PropSite::kBoundEdge, keys.date, false, false}, CmpOp::kLt,
+              PropRef{PropSite::kAdjEdge, keys.date, false, false});
+  flow.AddRef(PropRef{PropSite::kBoundEdge, keys.amount, false, false}, CmpOp::kGt,
+              PropRef{PropSite::kAdjEdge, keys.amount, false, false});
+  IndexConfig city_sorted;
+  city_sorted.partitions.push_back({PartitionSource::kEdgeLabel, kInvalidPropKey});
+  city_sorted.sorts.push_back({SortSource::kNbrProp, keys.city});
+  db.CreateEpIndex("FlowCity", EpKind::kDstFwd, flow, city_sorted);
+  EXPECT_NE(db.Explain(q).find("EP:FlowCity"), std::string::npos) << db.Explain(q);
+  EXPECT_EQ(db.Execute(q, TestThreads()).count, base);
+
+  FlatAdjEngine flat(&db.graph());
+  EXPECT_EQ(flat.CountMatches(q), base);
+}
+
 }  // namespace
 }  // namespace aplus

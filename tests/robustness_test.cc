@@ -255,6 +255,7 @@ TEST_F(RobustnessTest, ResourceExhaustedConfigCapAndProcessCeiling) {
     db = DatabaseWith(config);
     out = Session(db.get()).Execute(kGrouped);
     EXPECT_EQ(out.status, Status::kResourceExhausted);
+    EXPECT_NE(out.error.find("(APLUS_MEM_CAP_TOTAL=256 bytes)"), std::string::npos) << out.error;
   }
 
   // An execute under a config with neither installs no ceiling and runs

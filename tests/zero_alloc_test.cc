@@ -197,34 +197,27 @@ TEST_F(ZeroAllocTest, ScanPredicateSteadyStateDoesNotAllocate) {
   EXPECT_LT(state.count, 2 * static_cast<uint64_t>(graph_.num_vertices()));
 }
 
-TEST_F(ZeroAllocTest, EpRuntimeExtendSteadyStateDoesNotAllocate) {
-  // The EP runtime fallback (unmaterialized bound edges re-derive the
-  // view adjacency from the anchor's primary list) must stay
-  // allocation-free: predicate evaluation over int properties only.
+TEST_F(ZeroAllocTest, EpExtendSteadyStateDoesNotAllocate) {
+  // An EXTEND over an EP list (the 2-hop step of a money-flow query):
+  // fetching eb's offset list and resolving it against the anchor's
+  // primary list must not touch the allocator.
   TwoHopViewDef view;
   view.name = "w_flow";
   view.kind = EpKind::kDstFwd;
   view.pred.AddRef(PropRef{PropSite::kAdjEdge, weight_key_, false, false}, CmpOp::kGt,
                    PropRef{PropSite::kBoundEdge, weight_key_, false, false});
-  EpIndex* full = store_->CreateEpIndex(view, IndexConfig::Default());
-  ASSERT_TRUE(full->fully_materialized());
-  EpIndex* partial =
-      store_->CreateEpIndex(view, IndexConfig::Default(), nullptr, full->MemoryBytes() / 8);
-  ASSERT_FALSE(partial->fully_materialized());
+  EpIndex* ep = store_->CreateEpIndex(view, IndexConfig::Default());
 
-  // Unmaterialized bound edges whose runtime adjacency is non-empty.
+  // Bound edges whose EP list is non-empty.
   std::vector<edge_id_t> bound_edges;
   for (edge_id_t e = graph_.num_edges(); e-- > 0 && bound_edges.size() < 50;) {
-    if (partial->IsMaterialized(e)) continue;
-    if (store_->primary(Direction::kFwd)->GetFullList(partial->AnchorOf(e)).len > 1) {
-      bound_edges.push_back(e);
-    }
+    if (ep->GetFullList(e).size() > 0) bound_edges.push_back(e);
   }
   ASSERT_FALSE(bound_edges.empty());
 
   ListDescriptor desc;
   desc.source = ListDescriptor::Source::kEp;
-  desc.ep = partial;
+  desc.ep = ep;
   desc.bound_var = 0;  // edge var
   desc.cats = {elabel_};
   desc.target_vertex_var = 1;
