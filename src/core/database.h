@@ -14,9 +14,9 @@
 #include "index/maintenance.h"
 #include "optimizer/dp_optimizer.h"
 #include "query/cypher_parser.h"
+#include "query/ddl_parser.h"
 #include "query/query_graph.h"
 #include "storage/graph.h"
-#include "view/ddl_parser.h"
 
 namespace aplus {
 

@@ -62,13 +62,6 @@ struct IndexConfig {
   static IndexConfig Flat();
 
   bool SamePartitioning(const IndexConfig& other) const { return partitions == other.partitions; }
-  bool SameSorting(const IndexConfig& other) const { return sorts == other.sorts; }
-
-  // True when the final sort keys start with the neighbour ID, which is
-  // what EXTEND/INTERSECT multiway intersections require.
-  bool SortedOnNbrId() const {
-    return sorts.empty() || sorts.front().source == SortSource::kNbrId;
-  }
 
   std::string ToString(const Catalog& catalog) const;
 };

@@ -1,135 +1,20 @@
 #include "query/cypher_parser.h"
 
-#include <algorithm>
-#include <charconv>
 #include <string_view>
 #include <vector>
 
-#include "util/ascii.h"
+#include "query/lexer.h"
 
 namespace aplus {
 
 namespace {
 
-// Overflow-safe literal conversions: serving text is untrusted, so an
-// over-long number must surface as a parse error, never as a thrown
-// std::out_of_range. Each requires the whole token to convert.
-template <typename T>
-bool ParseNumberLiteral(std::string_view text, T* out) {
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && ptr == end;
-}
+using lex::Token;
 
-// A token's text is a view into the query text. kOp tokens also carry
-// their operator code (OpCode), so the grammar matches operators with one
-// integer compare.
-struct Token {
-  enum class Kind { kIdent, kNumber, kString, kParam, kOp, kEnd };
-  Kind kind = Kind::kEnd;
-  uint16_t op = 0;
-  std::string_view text;
-};
-
-// The code of a one- or two-character operator: the first byte, plus the
-// second shifted up a byte.
-constexpr uint16_t OpCode(char first, char second = '\0') {
-  return static_cast<uint16_t>(static_cast<uint8_t>(first) |
-                               (static_cast<uint8_t>(second) << 8));
-}
-
-// Byte classes of the lexer, one table load per byte. The classes match
-// util/ascii.h: whitespace is the "C" locale's space class, and bytes >=
-// 0x80 belong to none.
-enum : uint8_t { kSpace = 1, kDigit = 2, kIdentStart = 4, kIdentChar = 8 };
-struct CharClasses {
-  uint8_t of[256] = {};
-  constexpr CharClasses() {
-    for (int c = 0; c < 256; ++c) {
-      const char ch = static_cast<char>(c);
-      if (IsAsciiSpace(ch)) of[c] |= kSpace;
-      if (IsAsciiDigit(ch)) of[c] |= kDigit | kIdentChar;
-      if (IsAsciiAlpha(ch) || ch == '_') of[c] |= kIdentStart | kIdentChar;
-    }
-  }
-};
-constexpr CharClasses kCharClasses;
-
-// Lexes on demand, one token per call, straight off the text: nothing is
-// buffered, so no storage outlives the parse. A string literal runs to
-// the next quote (there are no escapes); the Parser rejects a text with an
-// unterminated one before lexing it.
-class Lexer {
- public:
-  explicit Lexer(std::string_view text) : text_(text) {}
-
-  Token Next() {
-    const char* const end = text_.data() + text_.size();
-    const char* p = text_.data() + pos_;
-    while (p < end && Is(*p, kSpace)) ++p;
-    if (p >= end) {
-      pos_ = text_.size();
-      return Token{};
-    }
-    const char* const start = p;
-    const char c = *p++;
-    Token token;
-    if (c == '\'') {
-      // Single-quoted string literal, no escapes.
-      while (p < end && *p != '\'') ++p;
-      token.kind = Token::Kind::kString;
-      token.text = std::string_view(start + 1, static_cast<size_t>(p - start - 1));
-      if (p < end) ++p;
-    } else if (Is(c, kDigit)) {
-      while (p < end && (Is(*p, kDigit) || *p == '.')) ++p;
-      token.kind = Token::Kind::kNumber;
-    } else if (Is(c, kIdentStart)) {
-      while (p < end && Is(*p, kIdentChar)) ++p;
-      token.kind = Token::Kind::kIdent;
-    } else if (c == '$' && p < end && Is(*p, kIdentChar)) {
-      // $name parameter placeholder. A bare '$' falls through as an
-      // operator token and errors downstream.
-      while (p < end && Is(*p, kIdentChar)) ++p;
-      token.kind = Token::Kind::kParam;
-      token.text = std::string_view(start + 1, static_cast<size_t>(p - start - 1));
-    } else {
-      // Two-character operators: <= >= <> <- ->.
-      const char next = p < end ? *p : '\0';
-      const bool two = (c == '<' && (next == '=' || next == '>' || next == '-')) ||
-                       (c == '>' && next == '=') || (c == '-' && next == '>');
-      if (two) ++p;
-      token.kind = Token::Kind::kOp;
-      token.op = OpCode(c, two ? next : '\0');
-    }
-    if (token.kind != Token::Kind::kString && token.kind != Token::Kind::kParam) {
-      token.text = std::string_view(start, static_cast<size_t>(p - start));
-    }
-    pos_ = static_cast<size_t>(p - text_.data());
-    return token;
-  }
-
- private:
-  static bool Is(char c, uint8_t cls) {
-    return (kCharClasses.of[static_cast<uint8_t>(c)] & cls) != 0;
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
-
-// Case-insensitive match of an identifier against an upper-case keyword.
-bool IsKeyword(std::string_view ident, std::string_view keyword) {
-  if (ident.size() != keyword.size()) return false;
-  for (size_t i = 0; i < ident.size(); ++i) {
-    if (AsciiToUpper(ident[i]) != keyword[i]) return false;
-  }
-  return true;
-}
-
-class Parser {
+class Parser : lex::Cursor {
  public:
   Parser(std::string_view text, const Catalog& catalog)
-      : catalog_(catalog), text_(text), lexer_(text), cur_(lexer_.Next()) {}
+      : lex::Cursor(text, &result_.error), catalog_(catalog), text_(text) {}
 
   ParsedCypher Parse() {
     ParseQuery();
@@ -139,11 +24,7 @@ class Parser {
  private:
   // Fills result_; on failure result_.error says why.
   void ParseQuery() {
-    // Quotes pair up from the left (no other token holds one), so an odd
-    // count means the last string literal never closes. That error wins
-    // over any other, wherever the literal sits.
-    if (text_.find('\'') != std::string_view::npos &&
-        std::count(text_.begin(), text_.end(), '\'') % 2 != 0) {
+    if (lex::HasUnterminatedString(text_)) {
       result_.error = "unterminated string literal";
       return;
     }
@@ -181,7 +62,7 @@ class Parser {
     if (AcceptKeyword("LIMIT")) {
       if (Peek().kind != Token::Kind::kNumber ||
           Peek().text.find('.') != std::string_view::npos ||
-          !ParseNumberLiteral(Peek().text, &result_.limit)) {
+          !lex::ParseNumberLiteral(Peek().text, &result_.limit)) {
         result_.error = "expected non-negative integer after LIMIT";
         return;
       }
@@ -193,53 +74,6 @@ class Parser {
     }
   }
 
-  const Token& Peek() const { return cur_; }
-
-  // The token after Peek(), lexed on first use.
-  const Token& PeekNext() {
-    if (!has_next_) {
-      next_ = lexer_.Next();
-      has_next_ = true;
-    }
-    return next_;
-  }
-
-  void Advance() {
-    if (has_next_) {
-      cur_ = next_;
-      has_next_ = false;
-    } else {
-      cur_ = lexer_.Next();
-    }
-  }
-
-  static bool IsOp(const Token& token, std::string_view op) {
-    return token.kind == Token::Kind::kOp &&
-           token.op == OpCode(op[0], op.size() > 1 ? op[1] : '\0');
-  }
-
-  bool Accept(std::string_view op) {
-    if (IsOp(Peek(), op)) {
-      Advance();
-      return true;
-    }
-    return false;
-  }
-
-  bool AcceptKeyword(std::string_view kw) {
-    if (Peek().kind == Token::Kind::kIdent && IsKeyword(Peek().text, kw)) {
-      Advance();
-      return true;
-    }
-    return false;
-  }
-
-  bool Expect(std::string_view op) {
-    if (Accept(op)) return true;
-    result_.error = "expected '" + std::string(op) + "', got '" + std::string(Peek().text) + "'";
-    return false;
-  }
-
   // (name[:Label])
   int ParseNode() {
     if (!Expect("(")) return -1;
@@ -248,6 +82,10 @@ class Parser {
       return -1;
     }
     std::string_view name = Peek().text;
+    if (result_.query.FindEdge(name) >= 0) {
+      NameClash(name);
+      return -1;
+    }
     Advance();
     label_t label = kInvalidLabel;
     if (Accept(":")) {
@@ -270,6 +108,11 @@ class Parser {
       result_.query.mutable_vertex(var).label = label;
     }
     return var;
+  }
+
+  // A vertex and an edge never share a name.
+  void NameClash(std::string_view name) {
+    result_.error = "variable " + std::string(name) + " names both a vertex and an edge";
   }
 
   // node (edge node)*
@@ -317,6 +160,10 @@ class Parser {
       }
       int next = ParseNode();
       if (next < 0) return false;
+      if (!edge_name.empty() && result_.query.FindVertex(edge_name) >= 0) {
+        NameClash(edge_name);
+        return false;
+      }
       if (backward) {
         result_.query.AddEdge(next, prev, edge_label, edge_name);
       } else {
@@ -326,9 +173,9 @@ class Parser {
     }
   }
 
-  // Resolves a variable name into ref->var / ref->is_edge: a query
-  // vertex, else the query edge the text gives that name. False, with
-  // `ref` untouched, when neither exists.
+  // Resolves a variable name into ref->var / ref->is_edge: the query
+  // vertex or the query edge the text gives that name (no name is both).
+  // False, with `ref` untouched, when neither exists.
   bool ResolveVar(std::string_view name, QueryPropRef* ref) const {
     int var = result_.query.FindVertex(name);
     const bool is_edge = var < 0;
@@ -359,7 +206,7 @@ class Parser {
       result_.error = "unknown variable " + std::string(var_name);
       return false;
     }
-    if (IsKeyword(prop, "ID")) {
+    if (lex::IsKeyword(prop, "ID")) {
       ref->is_id = true;
       return true;
     }
@@ -374,11 +221,11 @@ class Parser {
 
   // AggFn of an identifier token, kNone when it is not an aggregate name.
   static AggFn AggFnOf(std::string_view ident) {
-    if (IsKeyword(ident, "COUNT")) return AggFn::kCount;
-    if (IsKeyword(ident, "SUM")) return AggFn::kSum;
-    if (IsKeyword(ident, "MIN")) return AggFn::kMin;
-    if (IsKeyword(ident, "MAX")) return AggFn::kMax;
-    if (IsKeyword(ident, "AVG")) return AggFn::kAvg;
+    if (lex::IsKeyword(ident, "COUNT")) return AggFn::kCount;
+    if (lex::IsKeyword(ident, "SUM")) return AggFn::kSum;
+    if (lex::IsKeyword(ident, "MIN")) return AggFn::kMin;
+    if (lex::IsKeyword(ident, "MAX")) return AggFn::kMax;
+    if (lex::IsKeyword(ident, "AVG")) return AggFn::kAvg;
     return AggFn::kNone;
   }
 
@@ -526,42 +373,12 @@ class Parser {
   bool ParseCondition() {
     QueryComparison cmp;
     if (!ParseRef(&cmp.lhs)) return false;
-    if (Accept("=")) {
-      cmp.op = CmpOp::kEq;
-    } else if (Accept("<>")) {
-      cmp.op = CmpOp::kNe;
-    } else if (Accept("<=")) {
-      cmp.op = CmpOp::kLe;
-    } else if (Accept(">=")) {
-      cmp.op = CmpOp::kGe;
-    } else if (Accept("<")) {
-      cmp.op = CmpOp::kLt;
-    } else if (Accept(">")) {
-      cmp.op = CmpOp::kGt;
-    } else {
-      result_.error = "expected comparison operator, got '" + std::string(Peek().text) + "'";
-      return false;
-    }
+    if (!ExpectCmpOp(&cmp.op)) return false;
     // Right-hand side: literal, <var>.<prop> [+ int], or identifier
     // (category value name of the lhs property).
     const Token rhs = Peek();
     if (rhs.kind == Token::Kind::kNumber) {
-      Advance();
-      if (rhs.text.find('.') != std::string_view::npos) {
-        double d = 0.0;
-        if (!ParseNumberLiteral(rhs.text, &d)) {
-          result_.error = "malformed numeric literal '" + std::string(rhs.text) + "'";
-          return false;
-        }
-        cmp.rhs_const = Value::Double(d);
-      } else {
-        int64_t v = 0;
-        if (!ParseNumberLiteral(rhs.text, &v)) {
-          result_.error = "integer literal out of range '" + std::string(rhs.text) + "'";
-          return false;
-        }
-        cmp.rhs_const = Value::Int64(v);
-      }
+      if (!ParseNumber(&cmp.rhs_const)) return false;
     } else if (rhs.kind == Token::Kind::kString) {
       Advance();
       cmp.rhs_const = Value::String(std::string(rhs.text));
@@ -596,14 +413,7 @@ class Parser {
       if (IsOp(PeekNext(), ".") && ResolveVar(rhs.text, &cmp.rhs_ref)) {
         cmp.rhs_is_const = false;
         if (!ParseRef(&cmp.rhs_ref, /*resolved=*/true)) return false;
-        if (Accept("+")) {
-          if (Peek().kind != Token::Kind::kNumber ||
-              !ParseNumberLiteral(Peek().text, &cmp.rhs_addend)) {
-            result_.error = "expected integer addend";
-            return false;
-          }
-          Advance();
-        }
+        if (!AcceptAddend(&cmp.rhs_addend)) return false;
       } else {
         Advance();
         if (cmp.lhs.key == kInvalidPropKey ||
@@ -644,10 +454,6 @@ class Parser {
 
   const Catalog& catalog_;
   const std::string_view text_;
-  Lexer lexer_;
-  Token cur_;   // Peek()
-  Token next_;  // PeekNext(), when has_next_
-  bool has_next_ = false;
   ParsedCypher result_;
 };
 

@@ -26,7 +26,7 @@ namespace aplus {
 // parameter pin patched at bind time (core/session.h).
 //
 // An edge variable names one edge: repeating it in the pattern is a
-// parse error. An edge the text leaves unnamed cannot be referenced,
+// parse error, and so is a name used for both a vertex and an edge. An edge the text leaves unnamed cannot be referenced,
 // although its plan text shows it as e<position> (e1, e2, ...).
 //
 // RETURN takes a comma-separated list of items: bare variables
@@ -45,7 +45,8 @@ namespace aplus {
 // LIMIT caps the emitted rows (LIMIT 0 is valid and yields no rows); it
 // applies to the final output, i.e. after aggregation and ordering.
 //
-// Lexing is ASCII: identifiers are letters, digits and '_' not starting
+// Lexing (query/lexer.h, shared with the index DDL of query/ddl_parser.h)
+// is ASCII: identifiers are letters, digits and '_' not starting
 // with a digit, a $name parameter is '$' and one or more of those
 // characters, numbers are digits and '.', and whitespace is the "C"
 // locale's space class. A string literal is '...' with no escape

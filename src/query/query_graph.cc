@@ -53,14 +53,6 @@ int QueryGraph::FindEdge(std::string_view name) const {
   return -1;
 }
 
-std::vector<int> QueryGraph::EdgesIncidentTo(int v) const {
-  std::vector<int> incident;
-  for (size_t i = 0; i < edges_.size(); ++i) {
-    if (edges_[i].from == v || edges_[i].to == v) incident.push_back(static_cast<int>(i));
-  }
-  return incident;
-}
-
 Value ReadQueryPropRef(const Graph& graph, const QueryPropRef& ref, const MatchState& state) {
   if (ref.is_edge) {
     edge_id_t e = state.e[ref.var];

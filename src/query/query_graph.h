@@ -101,9 +101,6 @@ class QueryGraph {
   const QueryEdge& edge(int i) const { return edges_[i]; }
   const std::vector<QueryComparison>& predicates() const { return predicates_; }
 
-  // Query edges incident to vertex var `v`.
-  std::vector<int> EdgesIncidentTo(int v) const;
-
  private:
   std::vector<QueryVertex> vertices_;
   std::vector<QueryEdge> edges_;

@@ -935,11 +935,6 @@ void ProjectSinkOp::ResetBatch() {
   for (auto& stage : stages_) stage->Reset();
 }
 
-void ProjectSinkOp::MergeStagesFrom(ProjectSinkOp* worker) {
-  APLUS_DCHECK(worker->stages_.size() == stages_.size());
-  for (size_t i = 0; i < stages_.size(); ++i) stages_[i]->Merge(*worker->stages_[i]);
-}
-
 void ProjectSinkOp::MergeAllStages(ProjectSinkOp* const* workers, int num_workers,
                                    int num_threads) {
   for (size_t i = 0; i < stages_.size(); ++i) {

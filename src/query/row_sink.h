@@ -426,9 +426,6 @@ class ProjectSinkOp : public Operator {
   // Drops any pending rows and accumulated stage state (pre-execution
   // reset; buffers keep their capacity).
   void ResetBatch();
-  // Folds `worker`'s stage chain into this pipeline's chain,
-  // stage-by-stage. Both chains must come from clones of one sink.
-  void MergeStagesFrom(ProjectSinkOp* worker);
   // Folds every worker chain at once, letting each stage parallelize its
   // own fold across `num_threads` pool workers (SinkStage::MergeAll).
   void MergeAllStages(ProjectSinkOp* const* workers, int num_workers, int num_threads);

@@ -55,7 +55,6 @@ class PropertyColumn {
   bool IsNull(uint64_t id) const { return nulls_[id] != 0; }
   int64_t GetInt64(uint64_t id) const { return ints_[id]; }
   double GetDouble(uint64_t id) const { return doubles_[id]; }
-  bool GetBool(uint64_t id) const { return ints_[id] != 0; }
   const std::string& GetString(uint64_t id) const { return dict_[codes_[id]]; }
 
   // Categorical accessor used by the partitioning levels: returns the

@@ -28,10 +28,6 @@ inline constexpr prop_key_t kInvalidPropKey = std::numeric_limits<prop_key_t>::m
 // BW by destination vertex (Section III-A).
 enum class Direction : uint8_t { kFwd = 0, kBwd = 1 };
 
-inline Direction Reverse(Direction d) {
-  return d == Direction::kFwd ? Direction::kBwd : Direction::kFwd;
-}
-
 inline const char* ToString(Direction d) { return d == Direction::kFwd ? "FW" : "BW"; }
 
 // Number of vertices (or edges, for edge-partitioned indexes) per list

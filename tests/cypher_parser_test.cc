@@ -76,7 +76,15 @@ constexpr std::pair<const char*, const char*> kErrorCases[] = {
     {"MATCH (a)-[r]->(b) WHERE a.ID = (", "expected right-hand side"},
     {"MATCH (a)-[]->(b) WHERE e1.amount > 5", "unknown variable e1"},
     {"MATCH (a)-[r]->(b)-[r]->(c)", "duplicate edge variable r"},
+    {"MATCH (a)-[a]->(b) WHERE a.ID = 3", "variable a names both a vertex and an edge"},
+    {"MATCH (a)-[b]->(b)", "variable b names both a vertex and an edge"},
+    {"MATCH (a)-[r]->(b), (r)-[s]->(b)", "variable r names both a vertex and an edge"},
 };
+
+// parse_golden.txt was recorded with this many kErrorCases rows. It holds
+// the later rows as a set of their own, after every other set, so no
+// earlier block moves.
+constexpr size_t kRecordedErrorCases = 41;
 
 // An unnamed edge before an edge the text names e1 (the first edge's
 // generated name).
@@ -604,9 +612,11 @@ Catalog GeneratedCatalog(Decorate decorate) {
 // The parser golden's corpus: every text of this file (error cases
 // included) over the Figure 1 catalog, and every text of the plan
 // golden (MF1-MF5 pinned and windowed, MR1-MR3 with literal and $param
-// windows, triangles and a diamond) over the catalog it is planned on.
+// windows, triangles and a diamond) over the catalog it is planned on,
+// then the error cases added after the recording (kRecordedErrorCases).
 std::vector<CorpusSet> GoldenCorpus() {
   std::vector<CorpusSet> sets;
+  CorpusSet late_errors;
   auto add = [&sets](const std::string& name, Catalog catalog,
                      const std::vector<NamedText>& texts) {
     CorpusSet set{name, std::move(catalog), {}};
@@ -621,9 +631,14 @@ std::vector<CorpusSet> GoldenCorpus() {
     }
     CorpusSet set{"example", catalog, {}};
     for (const char* text : kExampleTexts) set.texts.push_back(text);
-    for (const auto& [text, message] : kErrorCases) set.texts.push_back(text);
+    for (size_t i = 0; i < kRecordedErrorCases; ++i) set.texts.push_back(kErrorCases[i].first);
     set.texts.push_back(kUnnamedThenE1Text);
     sets.push_back(std::move(set));
+    late_errors.name = "late-errors";
+    late_errors.catalog = catalog;
+    for (size_t i = kRecordedErrorCases; i < std::size(kErrorCases); ++i) {
+      late_errors.texts.push_back(kErrorCases[i].first);
+    }
   }
   std::vector<NamedText> mf = MfTexts("", PinnedAnchor);
   for (const NamedText& text : MfTexts("w", WindowAnchor)) mf.push_back(text);
@@ -639,6 +654,7 @@ std::vector<CorpusSet> GoldenCorpus() {
   add("shapes", GeneratedCatalog([](Graph* graph) { AssignRandomLabels(3, 2, 32, graph); }),
       ShapeTexts());
   sets.push_back(CorpusSet{"mutation", MutationCatalog(), MutationSeeds()});
+  sets.push_back(std::move(late_errors));
   return sets;
 }
 
