@@ -175,22 +175,32 @@ class Parser : lex::Cursor {
     return true;
   }
 
+  // The reference as DDL text ("vs.label", "eb.currency"), for errors.
+  std::string RefText(const PropRef& ref) const {
+    return std::string(ToString(ref.site)) + "." +
+           (ref.is_label ? "label" : ref.is_id ? "ID" : catalog_.property(ref.key).name);
+  }
+
   // [PARTITION BY <ref>, ...] [SORT BY <ref>, ...]
+  // A list's entries are partitioned and sorted by their own edge and
+  // neighbour (Section III): eadj.label, vnbr.label and their properties,
+  // plus vnbr.ID for sorting. Any other reference is an error.
   bool ParseIndexBody() {
+    auto entry_site = [](const PropRef& ref) {
+      return ref.site == PropSite::kAdjEdge || ref.site == PropSite::kNbrVertex;
+    };
     if (AcceptKeyword("PARTITION") || AcceptKeyword("PARTITON")) {
       if (!Expect("BY")) return false;
       do {
         PropRef ref;
         if (!ParseRef(&ref)) return false;
-        if (ref.is_id) {
-          return Fail("cannot partition by " + std::string(ToString(ref.site)) + ".ID");
-        }
+        if (!entry_site(ref) || ref.is_id) return Fail("cannot partition by " + RefText(ref));
+        const bool nbr = ref.site == PropSite::kNbrVertex;
         PartitionCriterion crit;
         if (ref.is_label) {
-          crit.source = ref.site == PropSite::kNbrVertex ? PartitionSource::kNbrLabel
-                                                         : PartitionSource::kEdgeLabel;
+          crit.source = nbr ? PartitionSource::kNbrLabel : PartitionSource::kEdgeLabel;
         } else {
-          crit.source = ref.IsVertexSite() ? PartitionSource::kNbrProp : PartitionSource::kEdgeProp;
+          crit.source = nbr ? PartitionSource::kNbrProp : PartitionSource::kEdgeProp;
           crit.key = ref.key;
         }
         cmd_.config.partitions.push_back(crit);
@@ -201,13 +211,17 @@ class Parser : lex::Cursor {
       do {
         PropRef ref;
         if (!ParseRef(&ref)) return false;
+        const bool nbr = ref.site == PropSite::kNbrVertex;
+        if (!entry_site(ref) || (!nbr && (ref.is_label || ref.is_id))) {
+          return Fail("cannot sort by " + RefText(ref));
+        }
         SortCriterion crit;
         if (ref.is_id) {
           crit.source = SortSource::kNbrId;
         } else if (ref.is_label) {
           crit.source = SortSource::kNbrLabel;
         } else {
-          crit.source = ref.IsVertexSite() ? SortSource::kNbrProp : SortSource::kEdgeProp;
+          crit.source = nbr ? SortSource::kNbrProp : SortSource::kEdgeProp;
           crit.key = ref.key;
         }
         cmd_.config.sorts.push_back(crit);

@@ -41,9 +41,12 @@ namespace aplus {
 // '.'; a malformed or out-of-range one is an error, and there are no
 // negative literals), or a constant: an identifier or a 'quoted' text,
 // resolved as a category value name of a categorical left-hand property
-// and as a string otherwise. PARTITON is read as PARTITION (the paper's
-// spelling), and the sort defaults to vnbr.ID once INDEX AS (or
-// RECONFIGURE) is given.
+// and as a string otherwise. PARTITION BY takes eadj.label, vnbr.label
+// and eadj / vnbr properties; SORT BY takes vnbr.ID, vnbr.label and
+// eadj / vnbr properties; any other reference is the error "cannot
+// partition by <ref>" / "cannot sort by <ref>". PARTITON is read as
+// PARTITION (the paper's spelling), and the sort defaults to vnbr.ID
+// once INDEX AS (or RECONFIGURE) is given.
 struct DdlCommand {
   enum class Kind { kReconfigure, kCreateVp, kCreateEp };
 

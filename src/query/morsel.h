@@ -6,24 +6,35 @@
 
 namespace aplus {
 
-// Carves a scan domain [begin, end) into morsels handed to parallel
-// workers through one atomic cursor (morsel-driven scheduling). Morsel
-// sizes shrink as the domain drains: each grab takes
-// remaining / (kShrinkDivisor * num_workers), clamped to
-// [kMinMorsel, kMaxMorsel] — large morsels early keep cursor contention
+// Carves a domain [begin, end) into morsels handed to parallel workers
+// through one atomic cursor (morsel-driven scheduling). The domain is
+// the leading scan's vertex-ID range, or, for a scan pinned to one
+// vertex, the entry range of the first EXTEND's list, fetched once and
+// shared by every worker. Morsel sizes shrink as the domain drains: each
+// grab takes remaining / (kShrinkDivisor * num_workers), clamped to
+// [min_grab, max_grab] — large morsels early keep cursor contention
 // negligible, small morsels at the tail keep stragglers short.
+//
+// Entry morsels are a fixed kEntryMorsel entries instead: each entry
+// drives a whole sub-pipeline, and a hub's list puts its heaviest
+// neighbours (the low IDs of a power-law graph) first, so a large early
+// grab would hand most of the work to one worker.
 //
 // Reset() is called by the coordinating thread before workers start;
 // Next() is safe to call concurrently from any number of workers.
 class MorselCursor {
  public:
-  static constexpr uint64_t kMinMorsel = 64;
+  static constexpr uint64_t kMinMorsel = 64;  // vertices
   static constexpr uint64_t kMaxMorsel = 8192;
+  static constexpr uint64_t kEntryMorsel = 8;  // list entries
   static constexpr uint64_t kShrinkDivisor = 4;
 
-  void Reset(uint64_t begin, uint64_t end, int num_workers) {
+  void Reset(uint64_t begin, uint64_t end, int num_workers, uint64_t min_grab,
+             uint64_t max_grab) {
     end_ = end;
     divisor_ = kShrinkDivisor * static_cast<uint64_t>(num_workers < 1 ? 1 : num_workers);
+    min_grab_ = min_grab;
+    max_grab_ = max_grab;
     next_.store(begin, std::memory_order_relaxed);
   }
 
@@ -33,8 +44,8 @@ class MorselCursor {
     while (cur < end_) {
       uint64_t remaining = end_ - cur;
       uint64_t grab = remaining / divisor_;
-      if (grab < kMinMorsel) grab = kMinMorsel;
-      if (grab > kMaxMorsel) grab = kMaxMorsel;
+      if (grab < min_grab_) grab = min_grab_;
+      if (grab > max_grab_) grab = max_grab_;
       if (grab > remaining) grab = remaining;
       if (next_.compare_exchange_weak(cur, cur + grab, std::memory_order_acq_rel,
                                       std::memory_order_relaxed)) {
@@ -50,33 +61,8 @@ class MorselCursor {
   std::atomic<uint64_t> next_{0};
   uint64_t end_ = 0;
   uint64_t divisor_ = kShrinkDivisor;
-};
-
-// Work partitioner one pipeline stage below the scan, used when the
-// leading scan's domain is too small to split (e.g. a $src-pinned scan
-// of one vertex). Every worker replica then runs the full scan and
-// enumerates the first EXTEND's entries in the same order, numbering
-// them with a private sequence counter; ownership of entry ordinals is
-// claimed in fixed blocks from this shared cursor. Blocks are globally
-// disjoint and exhaustive, and each replica's local ordinal sequence is
-// identical (same scan order, same adjacency snapshot under the pinned
-// epoch), so every entry is processed by exactly one worker.
-//
-// The block size trades scheduling granularity against contention: one
-// fetch_add per kBlock entries, and at most kBlock - 1 entries of
-// imbalance per worker at the tail.
-class EntryCursor {
- public:
-  static constexpr uint64_t kBlock = 8;
-
-  void Reset() { next_.store(0, std::memory_order_relaxed); }
-
-  // Claims the next block; returns its first ordinal (owns kBlock from
-  // there). Monotone: a claim never returns less than any prior claim.
-  uint64_t ClaimBlock() { return next_.fetch_add(kBlock, std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> next_{0};
+  uint64_t min_grab_ = kMinMorsel;
+  uint64_t max_grab_ = kMaxMorsel;
 };
 
 }  // namespace aplus

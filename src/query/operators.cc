@@ -266,6 +266,12 @@ std::string ListDescriptor::Describe(const Catalog& catalog, const QueryGraph& q
   return out;
 }
 
+bool ScanOp::Bind(MatchState* state, vertex_id_t v) const {
+  state->v[var_] = v;
+  if (label_ != kInvalidLabel && graph_->vertex_label(v) != label_) return false;
+  return EvalResiduals(*graph_, preds_, *state);
+}
+
 void ScanOp::ScanRange(MatchState* state, uint64_t begin, uint64_t end) {
   for (uint64_t v = begin; v < end; ++v) {
     if (token_ != nullptr) {
@@ -274,29 +280,23 @@ void ScanOp::ScanRange(MatchState* state, uint64_t begin, uint64_t end) {
       // every 1024 source vertices instead.
       if (((v - begin) & 1023u) == 1023u && token_->PollClock()) break;
     }
-    if (label_ != kInvalidLabel && graph_->vertex_label(static_cast<vertex_id_t>(v)) != label_) {
-      continue;
-    }
-    state->v[var_] = static_cast<vertex_id_t>(v);
-    if (EvalResiduals(*graph_, preds_, *state)) Emit(state);
+    if (Bind(state, static_cast<vertex_id_t>(v))) Emit(state);
   }
   state->v[var_] = kInvalidVertex;
 }
 
 void ScanOp::Run(MatchState* state) {
-  if (morsel_cursor_ != nullptr) {
-    // Parallel execution: drain vertex-range morsels from the cursor
-    // this replica shares with the other workers' replicas.
-    uint64_t begin = 0;
-    uint64_t end = 0;
-    while (morsel_cursor_->Next(&begin, &end)) {
-      if (token_ != nullptr && token_->PollClock()) return;
-      ScanRange(state, begin, end);
-    }
-    return;
-  }
   auto [begin, end] = ScanDomain();
   ScanRange(state, begin, end);
+}
+
+void ScanOp::RunMorsels(MatchState* state, MorselCursor* cursor) {
+  uint64_t begin = 0;
+  uint64_t end = 0;
+  while (cursor->Next(&begin, &end)) {
+    if (token_ != nullptr && token_->PollClock()) return;
+    ScanRange(state, begin, end);
+  }
 }
 
 void ScanOp::CollectParamSlots(ParamSlots* slots) {
@@ -332,40 +332,44 @@ bool ExtendOp::AcceptEntry(MatchState* state, const AdjListSlice& slice, uint32_
   return pass;
 }
 
+void ExtendOp::EnumerateRange(MatchState* state, const AdjListSlice& slice, uint64_t begin,
+                              uint64_t end) {
+  for (uint32_t i = static_cast<uint32_t>(begin); i < end; ++i) {
+    if ((i & 63u) == 0 && token_ != nullptr && CheckStop()) break;
+    AcceptEntry(state, slice, i);
+  }
+}
+
 void ExtendOp::Run(MatchState* state) {
   AdjListSlice slice = list_.Fetch(*state);
-  if (closing_) {
-    vertex_id_t target = state->v[list_.target_vertex_var];
-    APLUS_DCHECK(target != kInvalidVertex);
-    // Membership probe: binary search when the list is neighbour-sorted,
-    // linear scan otherwise.
-    auto [bound_begin, bound_end] = list_.BoundedRange(slice);
-    if (list_.nbr_sorted) {
-      auto [first, last] = EqualRangeByNbr(slice, target, bound_begin, bound_end);
-      for (uint32_t i = first; i < last; ++i) AcceptEntry(state, slice, i);
-    } else {
-      for (uint32_t i = bound_begin; i < bound_end; ++i) {
-        if (slice.NbrAt(i) == target) AcceptEntry(state, slice, i);
-      }
-    }
+  auto [begin, end] = list_.BoundedRange(slice);
+  if (!closing_) {
+    EnumerateRange(state, slice, begin, end);
     return;
   }
-  // Enumeration loops go through ClaimEntry: a no-op in scan-partitioned
-  // and serial execution, entry-ordinal ownership when this operator is
-  // the deep-morselization split point (see EntryCursor).
-  if (list_.has_upper_bound || list_.has_lower_bound) {
-    auto [begin, end] = list_.BoundedRange(slice);
+  vertex_id_t target = state->v[list_.target_vertex_var];
+  APLUS_DCHECK(target != kInvalidVertex);
+  // Membership probe: binary search when the list is neighbour-sorted,
+  // linear scan otherwise.
+  if (list_.nbr_sorted) {
+    auto [first, last] = EqualRangeByNbr(slice, target, begin, end);
+    for (uint32_t i = first; i < last; ++i) AcceptEntry(state, slice, i);
+  } else {
     for (uint32_t i = begin; i < end; ++i) {
-      if ((i & 63u) == 0 && token_ != nullptr && CheckStop()) break;
-      if (ClaimEntry()) AcceptEntry(state, slice, i);
+      if (slice.NbrAt(i) == target) AcceptEntry(state, slice, i);
     }
-    return;
   }
-  for (uint32_t i = 0; i < slice.len; ++i) {
-    // Once a stop is requested the enumeration is abandoned outright
-    // (claim numbering no longer matters: every replica is stopping).
-    if ((i & 63u) == 0 && token_ != nullptr && CheckStop()) break;
-    if (ClaimEntry()) AcceptEntry(state, slice, i);
+}
+
+void ExtendOp::RunEntries(MatchState* state, AdjListSlice slice, MorselCursor* cursor) {
+  // The PackedCursor one-block cache is single-threaded: every replica
+  // decodes the shared stream through the cache of its own descriptor.
+  if (slice.is_packed()) slice.cursor = &list_.merge_scratch.packed_cursor;
+  uint64_t begin = 0;
+  uint64_t end = 0;
+  while (cursor->Next(&begin, &end)) {
+    if (token_ != nullptr && token_->PollClock()) return;
+    EnumerateRange(state, slice, begin, end);
   }
 }
 

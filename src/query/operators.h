@@ -1,7 +1,6 @@
 #ifndef APLUS_QUERY_OPERATORS_H_
 #define APLUS_QUERY_OPERATORS_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -96,8 +95,10 @@ struct ListDescriptor {
 
   // Per-descriptor scratch for merged run+delta probes under concurrent
   // ingest (primary_index.h). Descriptors are cloned into each worker
-  // replica along with their operator, so the scratch is never shared
-  // across threads; mutable because Fetch is logically const.
+  // replica along with their operator, so only its owner writes the
+  // scratch. (A pinned-source split has every worker read the one slice
+  // merged into the primary pipeline's scratch, which nothing rewrites
+  // until the execution ends.) Mutable because Fetch is logically const.
   mutable ListMergeScratch merge_scratch;
 
   AdjListSlice Fetch(const MatchState& state) const;
@@ -224,10 +225,14 @@ class ScanOp : public Operator {
     if (bound_ != kInvalidVertex) return {bound_, static_cast<uint64_t>(bound_) + 1};
     return {0, graph_->num_vertices()};
   }
-  // When set, Run() drains vertex-range morsels from the shared cursor
-  // instead of scanning the whole domain; Plan::Execute sets it for
-  // parallel execution and clears it for serial execution.
-  void set_morsel_cursor(MorselCursor* cursor) { morsel_cursor_ = cursor; }
+  // The vertex this scan is pinned to, or kInvalidVertex.
+  vertex_id_t pinned() const { return bound_; }
+  // Binds the scan variable to `v`; true when `v` passes the label
+  // filter and the predicates.
+  bool Bind(MatchState* state, vertex_id_t v) const;
+  // Parallel execution: drains vertex-range morsels from `cursor`,
+  // shared with the other workers' replicas.
+  void RunMorsels(MatchState* state, MorselCursor* cursor);
   // Cooperative stop (LIMIT / deadline / cancel / exhaustion): the scan
   // re-checks the token per source vertex, checks the wall clock per
   // morsel (and periodically within a serial range), and stops driving
@@ -245,7 +250,6 @@ class ScanOp : public Operator {
   label_t label_;
   vertex_id_t bound_;
   std::vector<QueryComparison> preds_;
-  MorselCursor* morsel_cursor_ = nullptr;
   ExecToken* token_ = nullptr;
 };
 
@@ -270,25 +274,20 @@ class ExtendOp : public Operator {
   std::string Describe() const override;
   std::pair<const ListDescriptor*, size_t> lists() const override { return {&list_, 1}; }
 
-  // --- Deep morselization (Plan::Execute with a tiny scan domain) ---
+  // --- Pinned-source split (Plan::Execute) ---
 
-  // Whether this operator's entry enumeration can be partitioned across
-  // worker replicas via an EntryCursor. Cycle-closing extends probe
-  // instead of enumerating, so they stay scan-partitioned. (An EP extend
-  // is never a plan's second operator: its bound edge is not bound yet.)
-  bool CanDeepMorselize() const { return !closing_; }
-  // When set, Run() claims entry-ordinal blocks from the shared cursor
-  // and only processes the entries it owns (see EntryCursor). The local
-  // ordinal sequence must be reset via ResetEntryClaims() before each
-  // parallel execution.
-  void set_entry_cursor(EntryCursor* cursor) { entry_cursor_ = cursor; }
-  void ResetEntryClaims() {
-    entry_seq_ = 0;
-    claim_begin_ = 0;
-    claim_end_ = 0;
-  }
-  // Cooperative stop, polled (with a clock check) once per claimed block
-  // so a long entry loop below a one-vertex scan still stops early.
+  // False for a cycle-closing extend: it probes its list for the bound
+  // target instead of enumerating it, so there are no entries to split.
+  // (An EP extend is never a plan's second operator: its bound edge is
+  // not bound yet.)
+  bool enumerates() const { return !closing_; }
+  // Enumerates the entry morsels drained from `cursor`, shared with the
+  // other workers, of `slice`: the one fetch of this extend's list for
+  // the source bound in `state`, made by the coordinating thread. A
+  // packed slice decodes through this replica's own block cache.
+  void RunEntries(MatchState* state, AdjListSlice slice, MorselCursor* cursor);
+  // Cooperative stop, polled per morsel and every 64 entries so a long
+  // entry loop below a one-vertex scan still stops early.
   void SetExecContext(ExecToken* token, MemoryBudget* budget) override {
     (void)budget;
     token_ = token;
@@ -296,6 +295,8 @@ class ExtendOp : public Operator {
 
  private:
   bool AcceptEntry(MatchState* state, const AdjListSlice& slice, uint32_t i);
+  void EnumerateRange(MatchState* state, const AdjListSlice& slice, uint64_t begin,
+                      uint64_t end);
   // Flag check on most calls, a clock check every 64th: a serial chain
   // plan has no other PollClock site hot enough to notice a deadline
   // (the scan samples per 1024 source vertices, which a small or pinned
@@ -303,32 +304,13 @@ class ExtendOp : public Operator {
   bool CheckStop() {
     return (poll_tick_++ & 63u) == 0 ? token_->PollClock() : token_->stop_requested();
   }
-  // Advances the local ordinal sequence by one entry and reports whether
-  // this replica owns it. Must be called exactly once per enumerated
-  // entry so all replicas agree on the numbering.
-  bool ClaimEntry() {
-    if (entry_cursor_ == nullptr) return true;
-    uint64_t s = entry_seq_++;
-    if (s >= claim_end_) {
-      // Own previous block ended at claim_end_ <= the shared counter, so
-      // the new block starts at or after s: never claims into the past.
-      claim_begin_ = entry_cursor_->ClaimBlock();
-      claim_end_ = claim_begin_ + EntryCursor::kBlock;
-      if (token_ != nullptr && token_->PollClock()) return false;
-    }
-    return s >= claim_begin_;
-  }
 
   const Graph* graph_;
   ListDescriptor list_;
   std::vector<QueryComparison> residual_;
   bool closing_;
-  EntryCursor* entry_cursor_ = nullptr;
   ExecToken* token_ = nullptr;
-  uint32_t poll_tick_ = 0;  // clock-sampling cadence of the entry loops
-  uint64_t entry_seq_ = 0;
-  uint64_t claim_begin_ = 0;
-  uint64_t claim_end_ = 0;
+  uint32_t poll_tick_ = 0;  // clock-sampling cadence of the entry loop
 };
 
 // Per-list probe state of one EXTEND/INTERSECT input, reused across

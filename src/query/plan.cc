@@ -16,24 +16,6 @@ Plan::Plan(std::vector<std::unique_ptr<Operator>> ops, int num_query_vertices,
   for (size_t i = 0; i + 1 < ops_.size(); ++i) ops_[i]->set_next(ops_[i + 1].get());
 }
 
-uint64_t Plan::ExecuteSerial(ScanOp* scan) {
-  if (scan != nullptr) scan->set_morsel_cursor(nullptr);
-  if (ExtendOp* deep = DeepExtend(0)) deep->set_entry_cursor(nullptr);
-  state_.Reset(num_query_vertices_, num_query_edges_);
-  ops_.front()->Run(&state_);
-  return state_.count;
-}
-
-ExtendOp* Plan::DeepExtend(int w) {
-  // Needs at least scan, extend, sink — and the extend must enumerate
-  // through the instrumented loops.
-  if (ops_.size() < 3) return nullptr;
-  std::vector<std::unique_ptr<Operator>>& ops = w == 0 ? ops_ : workers_[w - 1].ops;
-  auto* ext = dynamic_cast<ExtendOp*>(ops[1].get());
-  if (ext == nullptr || !ext->CanDeepMorselize()) return nullptr;
-  return ext;
-}
-
 uint64_t Plan::Execute(int num_threads) {
   WallTimer timer;
   // Pin an epoch for the whole execution: the pool workers run strictly
@@ -46,47 +28,53 @@ uint64_t Plan::Execute(int num_threads) {
   // Morsel dispatch partitions the driving scan; a plan led by anything
   // else (not produced by PlanBuilder/DpOptimizer) runs serially.
   if (scan == nullptr) k = 1;
+  state_.Reset(num_query_vertices_, num_query_edges_);
   uint64_t total = 0;
   if (k == 1) {
-    total = ExecuteSerial(scan);
-  } else {
-    EnsureWorkers(k - 1);
-    auto [begin, end] = scan->ScanDomain();
-    // Tiny scan domain (e.g. a $src-pinned scan of one vertex): scan
-    // morsels would starve all but a few workers, so push the work split
-    // one stage deeper — every replica runs the full scan and the first
-    // EXTEND's entry domain is claimed block-wise through entry_cursor_.
-    bool deep = (end - begin) < kDeepMorselFactor * static_cast<uint64_t>(k) &&
-                DeepExtend(0) != nullptr;
-    if (deep) {
-      entry_cursor_.Reset();
-    } else {
-      cursor_.Reset(begin, end, k);
-    }
-    // Wire both split points explicitly on every pipeline that will run:
-    // the mode can flip between Execute calls (thread count changes, a
-    // $param re-bind unpinning the scan), and replicas persist across
-    // calls with their previous wiring.
-    for (int w = 0; w < k; ++w) {
-      auto* s = w == 0 ? scan
-                       : dynamic_cast<ScanOp*>(workers_[w - 1].ops.front().get());
-      s->set_morsel_cursor(deep ? nullptr : &cursor_);
-      if (ExtendOp* ext = DeepExtend(w)) {
-        ext->set_entry_cursor(deep ? &entry_cursor_ : nullptr);
-        if (deep) ext->ResetEntryClaims();
-      }
-    }
-    auto body = [this](int w) {
-      MatchState& state = w == 0 ? state_ : workers_[w - 1].state;
-      state.Reset(num_query_vertices_, num_query_edges_);
-      Operator* root = w == 0 ? ops_.front().get() : workers_[w - 1].ops.front().get();
-      root->Run(&state);
-    };
-    ThreadPool::Global().ParallelRun(k, body);
+    ops_.front()->Run(&state_);
     total = state_.count;
-    for (int w = 1; w < k; ++w) total += workers_[w - 1].state.count;
+  } else {
+    total = ExecuteParallel(k, scan);
   }
   last_execute_seconds_ = timer.ElapsedSeconds();
+  return total;
+}
+
+uint64_t Plan::ExecuteParallel(int k, ScanOp* scan) {
+  EnsureWorkers(k - 1);
+  // A pinned scan is one vertex, one scan morsel: split the entries of
+  // the first EXTEND's list instead. The list is fetched once, here,
+  // and every worker enumerates that one slice, so a delta append or a
+  // merge during the execution cannot shift entries between workers.
+  // The slice stays valid under Execute's epoch guard; a delta-merged
+  // one lives in the primary extend's scratch.
+  const vertex_id_t pin = scan->pinned();
+  auto* split = dynamic_cast<ExtendOp*>(ops_[1].get());
+  const bool split_list = pin != kInvalidVertex && split != nullptr && split->enumerates();
+  AdjListSlice slice;
+  if (split_list) {
+    if (!scan->Bind(&state_, pin)) return 0;
+    const ListDescriptor& list = *split->lists().first;
+    slice = list.Fetch(state_);
+    auto [begin, end] = list.BoundedRange(slice);
+    cursor_.Reset(begin, end, k, MorselCursor::kEntryMorsel, MorselCursor::kEntryMorsel);
+  } else {
+    auto [begin, end] = scan->ScanDomain();
+    cursor_.Reset(begin, end, k, MorselCursor::kMinMorsel, MorselCursor::kMaxMorsel);
+  }
+  ThreadPool::Global().ParallelRun(k, [&](int w) {
+    MatchState& st = state(w);
+    st.Reset(num_query_vertices_, num_query_edges_);
+    auto* s = static_cast<ScanOp*>(ops(w).front().get());
+    if (split_list) {
+      s->Bind(&st, pin);  // accepted above
+      static_cast<ExtendOp*>(ops(w)[1].get())->RunEntries(&st, slice, &cursor_);
+    } else {
+      s->RunMorsels(&st, &cursor_);
+    }
+  });
+  uint64_t total = 0;
+  for (int w = 0; w < k; ++w) total += state(w).count;
   return total;
 }
 
@@ -98,11 +86,6 @@ void Plan::EnsureWorkers(int num_replicas) {
     for (size_t i = 0; i + 1 < worker.ops.size(); ++i) {
       worker.ops[i]->set_next(worker.ops[i + 1].get());
     }
-    auto* scan = dynamic_cast<ScanOp*>(worker.ops.front().get());
-    APLUS_CHECK(scan != nullptr);
-    // cursor_ is a member, so the pointer stays valid across Execute
-    // calls and replicas are wired up exactly once.
-    scan->set_morsel_cursor(&cursor_);
     for (const auto& op : worker.ops) op->SetExecContext(token_, budget_);
     workers_.push_back(std::move(worker));
   }
@@ -110,7 +93,7 @@ void Plan::EnsureWorkers(int num_replicas) {
 
 Operator* Plan::sink(int pipeline) {
   APLUS_DCHECK(pipeline >= 0 && pipeline < num_pipelines());
-  return pipeline == 0 ? ops_.back().get() : workers_[pipeline - 1].ops.back().get();
+  return ops(pipeline).back().get();
 }
 
 void Plan::CollectParamSlots(ParamSlots* slots) {

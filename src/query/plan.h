@@ -1,7 +1,6 @@
 #ifndef APLUS_QUERY_PLAN_H_
 #define APLUS_QUERY_PLAN_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,10 +29,13 @@ class Plan {
   // carved into morsels handed out through an atomic cursor, and each
   // worker drives its own cloned pipeline replica (private operator
   // scratch, private MatchState, private SinkOp callback copy) over the
-  // morsels it claims. Match counts accumulate per worker and merge once
-  // at the end. Passing num_threads > 1 to a plan whose SinkOp carries a
-  // callback is the caller's acknowledgement of the SinkOp thread-safety
-  // contract.
+  // morsels it claims. A scan pinned to one vertex followed by an
+  // enumerating ExtendOp splits that extend's list instead: the calling
+  // thread fetches it once, and the workers claim morsels of its entries,
+  // so all of them read the same list. Match counts accumulate per
+  // worker and merge once at the end. Passing num_threads > 1 to a plan
+  // whose SinkOp carries a callback is the caller's acknowledgement of
+  // the SinkOp thread-safety contract.
   uint64_t Execute(int num_threads);
 
   // One line per operator, root first (Figure 6 style).
@@ -80,18 +82,13 @@ class Plan {
     MatchState state;
   };
 
-  uint64_t ExecuteSerial(ScanOp* scan);
+  uint64_t ExecuteParallel(int k, ScanOp* scan);
   void EnsureWorkers(int num_replicas);
-  // The first-extend split point of pipeline `w` (0 = the primary), or
-  // nullptr when the plan's second operator is not a deep-morselizable
-  // ExtendOp (see ExtendOp::CanDeepMorselize).
-  ExtendOp* DeepExtend(int w);
-
-  // Scan domains smaller than kDeepMorselFactor × num_threads leave
-  // workers idle under scan morsels (a one-vertex $src-pinned scan
-  // starves all but one); such plans split the first EXTEND's entry
-  // domain instead.
-  static constexpr uint64_t kDeepMorselFactor = 4;
+  // Pipeline `w`'s operators and state (0 = the primary).
+  std::vector<std::unique_ptr<Operator>>& ops(int w) {
+    return w == 0 ? ops_ : workers_[w - 1].ops;
+  }
+  MatchState& state(int w) { return w == 0 ? state_ : workers_[w - 1].state; }
 
   std::vector<std::unique_ptr<Operator>> ops_;
   int num_query_vertices_;
@@ -100,7 +97,6 @@ class Plan {
   MatchState state_;  // worker 0 / serial state, reused across Execute calls
   std::vector<WorkerPipeline> workers_;
   MorselCursor cursor_;
-  EntryCursor entry_cursor_;
   ExecToken* token_ = nullptr;
   MemoryBudget* budget_ = nullptr;
 };

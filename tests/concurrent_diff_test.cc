@@ -18,9 +18,11 @@
 // Runs 3 seeds x {1, 4} reader threads; each reader's two-hop counts run
 // with TestThreads() workers (the concurrency-stress CI lane executes
 // this suite under TSan with APLUS_THREADS=4). Nightly scales
-// the graph through APLUS_CONC_VERTICES / APLUS_CONC_DEGREE. A last test
-// has four Sessions prepare and execute concurrently through the
-// database's one plan cache.
+// the graph through APLUS_CONC_VERTICES / APLUS_CONC_DEGREE. A pinned
+// four-worker count checks that one parallel execution reads a hub's
+// first-hop list once while the list grows under it, and a last test has
+// four Sessions prepare and execute concurrently through the database's
+// one plan cache.
 
 #include <gtest/gtest.h>
 
@@ -36,6 +38,7 @@
 
 #include "core/database.h"
 #include "datagen/power_law_generator.h"
+#include "query/plan.h"
 #include "util/rng.h"
 #include "test_threads.h"
 
@@ -364,6 +367,63 @@ TEST_P(ConcurrentDiffTest, InlineMergeModeStaysExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConcurrentDiffTest, ::testing::Values(11u, 29u, 47u));
+
+// A four-worker count of a hub's out-edges splits the hub's one list
+// among the workers. The first match inserts kInserted edges from the hub
+// to the lowest vertex IDs; they sort ahead of every entry of the
+// neighbour-sorted list, so a worker that fetched the list again after
+// the insert would see every entry at a new position. The execution must
+// read only the list it started with: exactly the pre-insert degree.
+TEST(ConcurrentOneListTest, PinnedSplitReadsTheFirstHopListOnce) {
+  constexpr vertex_id_t kInserted = 16;
+  PowerLawParams params;
+  params.num_vertices = 2000;
+  params.avg_degree = 8.0;
+  params.preferential_fraction = 0.8;
+  params.seed = 5;
+  Graph graph;
+  GeneratePowerLawGraph(params, &graph);
+  Database db(std::move(graph));
+  db.BuildPrimaryIndexes();
+  const PrimaryIndex* primary = db.index_store().primary(Direction::kFwd);
+  const label_t elabel = db.graph().catalog().FindEdgeLabel("E");
+  vertex_id_t hub = 0;
+  for (vertex_id_t v = 0; v < db.graph().num_vertices(); ++v) {
+    if (primary->GetFullList(v).len > primary->GetFullList(hub).len) hub = v;
+  }
+  ASSERT_GT(primary->GetFullList(hub).len, 256u);
+
+  QueryGraph query;
+  const int a = query.AddVertex("a", kInvalidLabel, hub);
+  const int b = query.AddVertex("b");
+  query.AddEdge(a, b, elabel, "e0");
+  ListDescriptor list;
+  list.primary = primary;
+  list.bound_var = a;
+  list.cats = {elabel};
+  list.target_vertex_var = b;
+  list.target_edge_var = 0;
+  list.nbr_sorted = true;
+  const uint64_t want = PlanBuilder(&db.graph(), &query).Scan(a).Extend(list).Build()->Execute(1);
+
+  ConcurrentIngestOptions options;
+  options.max_vertices = db.graph().num_vertices();
+  options.max_edges = db.graph().num_edges() + kInserted;
+  db.BeginConcurrentIngest(options);
+  std::atomic<bool> inserted{false};
+  auto plan = PlanBuilder(&db.graph(), &query)
+                  .Scan(a)
+                  .Extend(list)
+                  .Build([&](const MatchState&) {
+                    if (inserted.exchange(true)) return;
+                    for (vertex_id_t n = 0; n < kInserted; ++n) {
+                      db.maintainer().OnEdgeInserted(db.graph().AddEdge(hub, n, elabel));
+                    }
+                  });
+  EXPECT_EQ(plan->Execute(4), want);
+  EXPECT_TRUE(inserted.load());
+  db.EndConcurrentIngest();
+}
 
 // Sessions on different threads prepare concurrently through the
 // database's one plan cache: the same texts race to be optimized and

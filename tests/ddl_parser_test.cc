@@ -211,6 +211,13 @@ constexpr std::pair<const char*, const char*> kDdlErrorCases[] = {
     {"RECONFIGURE PRIMARY INDEXES SORT BY vnbr.5", "expected property name after '.'"},
     {"RECONFIGURE PRIMARY INDEXES SORT BY vx.city", "unknown site vx"},
     {"RECONFIGURE PRIMARY INDEXES PARTITION BY vnbr.ID", "cannot partition by vnbr.ID"},
+    {"RECONFIGURE PRIMARY INDEXES PARTITION BY vs.label", "cannot partition by vs.label"},
+    {"CREATE 2-HOP VIEW V MATCH vs-[eb]->vd-[eadj]->vnbr WHERE eb.date<eadj.date "
+     "INDEX AS PARTITION BY eb.currency",
+     "cannot partition by eb.currency"},
+    {"RECONFIGURE PRIMARY INDEXES SORT BY vd.city", "cannot sort by vd.city"},
+    {"RECONFIGURE PRIMARY INDEXES SORT BY eadj.label", "cannot sort by eadj.label"},
+    {"RECONFIGURE PRIMARY INDEXES SORT BY vnbr.city, eadj.ID", "cannot sort by eadj.ID"},
     {"CREATE 1-HOP VIEW V MATCH vs-[eadj]->vd WHERE eadj.nonexistent>5",
      "unknown property nonexistent"},
     {"CREATE 1-HOP VIEW V MATCH vs-[eadj]->vd WHERE eadj.amount ! 5",

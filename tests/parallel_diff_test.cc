@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <string>
 
+#include "core/database.h"
 #include "datagen/label_assigner.h"
 #include "datagen/power_law_generator.h"
 #include "index/index_store.h"
@@ -22,13 +25,7 @@ namespace {
 class ParallelDiffTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   ParallelDiffTest() {
-    PowerLawParams params;
-    params.num_vertices = 900;
-    params.avg_degree = 6.0;
-    params.preferential_fraction = 0.8;  // hubs attract parallel edges
-    params.seed = GetParam();
-    GeneratePowerLawGraph(params, &graph_);
-    AssignRandomLabels(2, 2, GetParam() + 100, &graph_);
+    GenerateLabelled(&graph_);
     grp_key_ = graph_.AddVertexProperty("grp", ValueType::kInt64);
     PropertyColumn* col = graph_.vertex_props().mutable_column(grp_key_);
     Rng rng(GetParam() + 7);
@@ -45,6 +42,18 @@ class ParallelDiffTest : public ::testing::TestWithParam<uint64_t> {
     OneHopViewDef all_grp;
     all_grp.name = "all_grp";
     vp_grp_ = store_->CreateVpIndex(all_grp, grp_config, Direction::kFwd);
+  }
+
+  // The suite's graph for this seed: power-law with two vertex and two
+  // edge labels.
+  void GenerateLabelled(Graph* graph) {
+    PowerLawParams params;
+    params.num_vertices = 900;
+    params.avg_degree = 6.0;
+    params.preferential_fraction = 0.8;  // hubs attract parallel edges
+    params.seed = GetParam();
+    GeneratePowerLawGraph(params, graph);
+    AssignRandomLabels(2, 2, GetParam() + 100, graph);
   }
 
   ListDescriptor FwdList(int bound_var, label_t elabel, int target_v, int target_e) {
@@ -240,16 +249,16 @@ TEST_P(ParallelDiffTest, NestedParallelExecuteInCallback) {
   EXPECT_GT(outer_expected, 0u);
 }
 
-// --- Deep morselization (tiny scan domains split one stage down) ---
+// --- Pinned-source split (one-vertex scans split one stage down) ---
 //
-// A single-vertex scan domain triggers the deep path in Execute(k):
-// every replica runs the full scan and the first EXTEND's entry domain
-// is claimed block-wise through the shared entry cursor. The tests pit
-// it against serial execution, under repeated runs, mode flips, every
-// worker width, and every SIMD dispatch level.
+// A scan pinned to one vertex makes Execute(k) split the first EXTEND's
+// list instead of the scan: the calling thread fetches the list once and
+// the workers claim morsels of its entries. The tests pit it against
+// serial execution, under repeated runs, mode flips, every worker width,
+// and every SIMD dispatch level.
 
 // Deep split feeding a plain EXTEND chain: hub sources maximize the
-// first extend's entry domain so several blocks are actually contended.
+// first extend's entry range so several morsels are actually contended.
 TEST_P(ParallelDiffTest, DeepMorselTwoHopMatchesSerial) {
   // Pick the highest-out-degree vertex: the deepest entry domain.
   const PrimaryIndex* primary = store_->primary(Direction::kFwd);
@@ -273,6 +282,46 @@ TEST_P(ParallelDiffTest, DeepMorselTwoHopMatchesSerial) {
   auto plan =
       builder.Scan(a).Extend(FwdList(a, el0_, b, 0)).Extend(FwdList(b, el1_, c, 1)).Build();
   ExpectParallelMatchesSerial(plan.get(), "deep two-hop");
+}
+
+// The pinned two-hop over a database reopened from a segment sealed
+// with every page packed: the workers split one shared varint-coded hub
+// list, each decoding it through its own block cache.
+TEST_P(ParallelDiffTest, PinnedHubTwoHopOverPackedSegmentMatchesSerial) {
+  Graph graph;
+  GenerateLabelled(&graph);
+  EngineConfig config;
+  config.segment_compress = CompressMode::kOn;
+  const std::string path =
+      testing::TempDir() + "/aplus_parallel_packed_" + std::to_string(GetParam()) + ".seg";
+  std::string error;
+  {
+    Database sealer(std::move(graph), config);
+    sealer.BuildPrimaryIndexes();
+    ASSERT_TRUE(sealer.SealToSegment(path, &error)) << error;
+  }
+  std::unique_ptr<Database> db = Database::OpenFromSegment(path, &error, config);
+  ASSERT_NE(db, nullptr) << error;
+  const PrimaryIndex* primary = db->index_store().primary(Direction::kFwd);
+  vertex_id_t hub = 0;
+  for (vertex_id_t v = 0; v < db->graph().num_vertices(); ++v) {
+    if (primary->GetFullList(v).len > primary->GetFullList(hub).len) hub = v;
+  }
+  ASSERT_TRUE(primary->GetFullList(hub).is_packed());
+  QueryGraph query;
+  int a = query.AddVertex("a", kInvalidLabel, hub);
+  int b = query.AddVertex("b");
+  int c = query.AddVertex("c");
+  query.AddEdge(a, b, el0_, "e0");
+  query.AddEdge(b, c, el1_, "e1");
+  ListDescriptor first = FwdList(a, el0_, b, 0);
+  ListDescriptor second = FwdList(b, el1_, c, 1);
+  first.primary = primary;
+  second.primary = primary;
+  PlanBuilder builder(&db->graph(), &query);
+  auto plan = builder.Scan(a).Extend(first).Extend(second).Build();
+  ExpectParallelMatchesSerial(plan.get(), "packed pinned two-hop");
+  std::remove(path.c_str());
 }
 
 // Deep split feeding EXTEND/INTERSECT: the pinned triangle.
@@ -299,8 +348,7 @@ TEST_P(ParallelDiffTest, DeepMorselTriangleMatchesSerial) {
 }
 
 // The mode must flip cleanly between executions of one plan: serial,
-// deep-parallel, and back, repeatedly — replicas persist across calls
-// with their previous cursor wiring.
+// deep-parallel, and back, repeatedly — replicas persist across calls.
 TEST_P(ParallelDiffTest, DeepMorselModeFlipsAcrossExecutions) {
   QueryGraph query;
   int a = query.AddVertex("a", kInvalidLabel,
@@ -320,7 +368,7 @@ TEST_P(ParallelDiffTest, DeepMorselModeFlipsAcrossExecutions) {
   }
 }
 
-// A closing EXTEND below the scan cannot deep-morselize (its probes are
+// A closing EXTEND below the scan cannot split its list (its probes are
 // membership checks, not enumerations): the plan must fall back to scan
 // morsels and stay exact even though only one worker gets the morsel.
 TEST_P(ParallelDiffTest, ClosingExtendNeverDeepMorselizes) {

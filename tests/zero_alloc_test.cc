@@ -241,28 +241,44 @@ TEST_F(ZeroAllocTest, EpExtendSteadyStateDoesNotAllocate) {
 }
 
 TEST_F(ZeroAllocTest, PlanExecuteSteadyStateDoesNotAllocate) {
-  // Full triangle plan (scan with predicate -> extend -> E/I -> sink),
-  // executed repeatedly: serial and parallel steady state must both be
-  // allocation-free (MatchStates, worker replicas, and the thread pool
-  // persist across Execute calls).
-  QueryGraph query;
-  int a = query.AddVertex("a");
-  int b = query.AddVertex("b");
-  int c = query.AddVertex("c");
-  query.AddEdge(a, b, elabel_, "e0");
-  query.AddEdge(a, c, elabel_, "e1");
-  query.AddEdge(b, c, elabel_, "e2");
-  QueryComparison scan_pred;
-  scan_pred.lhs = QueryPropRef{a, false, vgrp_key_, false};
-  scan_pred.op = CmpOp::kLe;
-  scan_pred.rhs_const = Value::Int64(6);
-  PlanBuilder builder(&graph_, &query);
-  auto plan = builder.Scan(a, {scan_pred})
-                  .Extend(List(a, b, 0, /*offset=*/false))
-                  .ExtendIntersect({List(a, c, 1, false), List(b, c, 2, true)}, c)
-                  .Build();
+  // Triangle plans (scan -> extend -> E/I -> sink), executed repeatedly:
+  // serial and parallel steady state must both be allocation-free
+  // (MatchStates, worker replicas, and the thread pool persist across
+  // Execute calls). One scans the graph under a predicate (scan
+  // morsels); the other is pinned to the highest-degree vertex, so its workers
+  // split that vertex's first-hop list.
+  vertex_id_t hub = 0;
+  for (vertex_id_t v = 0; v < graph_.num_vertices(); ++v) {
+    if (store_->primary(Direction::kFwd)->GetFullList(v).len >
+        store_->primary(Direction::kFwd)->GetFullList(hub).len) {
+      hub = v;
+    }
+  }
+  auto triangle = [&](QueryGraph* query, vertex_id_t pin) {
+    int a = query->AddVertex("a", kInvalidLabel, pin);
+    int b = query->AddVertex("b");
+    int c = query->AddVertex("c");
+    query->AddEdge(a, b, elabel_, "e0");
+    query->AddEdge(a, c, elabel_, "e1");
+    query->AddEdge(b, c, elabel_, "e2");
+    QueryComparison grp_le_6;
+    grp_le_6.lhs = QueryPropRef{a, false, vgrp_key_, false};
+    grp_le_6.op = CmpOp::kLe;
+    grp_le_6.rhs_const = Value::Int64(6);
+    std::vector<QueryComparison> scan_preds;
+    if (pin == kInvalidVertex) scan_preds.push_back(grp_le_6);
+    PlanBuilder builder(&graph_, query);
+    return builder.Scan(a, std::move(scan_preds))
+        .Extend(List(a, b, 0, /*offset=*/false))
+        .ExtendIntersect({List(a, c, 1, false), List(b, c, 2, true)}, c)
+        .Build();
+  };
+  QueryGraph scan_query;
+  QueryGraph pinned_query;
+  auto scan_plan = triangle(&scan_query, kInvalidVertex);
+  auto pinned_plan = triangle(&pinned_query, hub);
 
-  auto measure = [&](int threads) {
+  auto measure = [&](Plan* plan, int threads) {
     uint64_t count = plan->Execute(threads);  // warm-up: scratch + replicas + pool threads
     count = plan->Execute(threads);           // second warm-up pass reaches the high-water mark
     uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
@@ -273,9 +289,12 @@ TEST_F(ZeroAllocTest, PlanExecuteSteadyStateDoesNotAllocate) {
     EXPECT_GT(count, 0u);
     return allocs;
   };
-  EXPECT_EQ(measure(1), 0u) << "serial Execute steady state allocated";
-  EXPECT_EQ(measure(4), 0u) << "parallel Execute steady state allocated";
-  EXPECT_EQ(plan->Execute(4), plan->Execute(1)) << "parallel/serial count mismatch";
+  for (Plan* plan : {scan_plan.get(), pinned_plan.get()}) {
+    const char* what = plan == scan_plan.get() ? "scan" : "pinned";
+    EXPECT_EQ(measure(plan, 1), 0u) << what << ": serial Execute steady state allocated";
+    EXPECT_EQ(measure(plan, 4), 0u) << what << ": parallel Execute steady state allocated";
+    EXPECT_EQ(plan->Execute(4), plan->Execute(1)) << what << ": parallel/serial count mismatch";
+  }
 }
 
 TEST_F(ZeroAllocTest, PreparedServingPathSteadyStateDoesNotAllocate) {
