@@ -126,10 +126,8 @@ DdlResult Database::ExecuteDdl(const std::string& command) {
     return result;
   }
   // Reject an unbuildable partitioning before any index is touched.
-  std::vector<uint32_t> fanouts;
-  uint32_t fanout_product = 1;
-  if (!ResolveFanouts(graph_.catalog(), cmd.config.partitions, &fanouts, &fanout_product,
-                      &result.message)) {
+  PartitionLevels levels;
+  if (!ResolveFanouts(graph_.catalog(), cmd.config.partitions, &levels, &result.message)) {
     return result;
   }
   switch (cmd.kind) {

@@ -44,16 +44,10 @@ BitmapIndex::BitmapSlice BitmapIndex::GetBits(vertex_id_t v,
   uint32_t page_idx = v / kGroupSize;
   if (page_idx >= page_bits_.size()) return slice;
   const IdListPage& page = primary_->page(page_idx);
-  uint32_t fp = primary_->fanout_product();
-  uint32_t start = (v % kGroupSize) * fp;
-  uint32_t span = fp;
-  for (size_t i = 0; i < cats.size(); ++i) {
-    span /= primary_->fanouts()[i];
-    start += cats[i] * span;
-  }
+  auto [first, last] = primary_->levels().Buckets(v % kGroupSize, cats);
   slice.words = page_bits_[page_idx].data();
-  slice.bit_offset = page.csr[start];
-  slice.len = page.csr[start + span] - page.csr[start];
+  slice.bit_offset = page.csr[first];
+  slice.len = page.csr[last] - page.csr[first];
   return slice;
 }
 

@@ -95,11 +95,11 @@ void EpIndex::SelectEntries(edge_id_t eb, AnchorScratch* scratch,
 
 uint64_t EpIndex::AssemblePage(OffsetListPage* page, const EntrySpan* slots,
                                std::vector<uint32_t>* offsets) const {
-  uint32_t num_slots = kGroupSize * fanout_product_;
+  uint32_t num_slots = kGroupSize * levels_.product();
   page->csr.assign(num_slots + 1, 0);
   offsets->clear();
   for (uint32_t s = 0; s < kGroupSize; ++s) {
-    uint32_t base = s * fanout_product_;
+    uint32_t base = s * levels_.product();
     for (uint32_t k = 0; k < slots[s].size; ++k) {
       const ListEntry& entry = slots[s].data[k];
       page->csr[base + entry.bucket + 1]++;
@@ -168,7 +168,7 @@ void EpIndex::BuildAll(uint32_t num_threads) {
   };
   std::vector<Placement> placements(ne);
   std::vector<std::vector<ListEntry>> buffers(num_threads);
-  const ListKeys keys(*graph_, config_, fanouts_);
+  const ListKeys keys(*graph_, config_, levels_.fanouts);
   constexpr uint64_t kAnchorsPerClaim = 64;
   std::atomic<uint64_t> next_anchor{0};
   ThreadPool::Global().ParallelRun(static_cast<int>(num_threads), [&](int worker) {
@@ -218,9 +218,7 @@ void EpIndex::BuildAll(uint32_t num_threads) {
 double EpIndex::Build() {
   WallTimer timer;
   std::string error;
-  APLUS_CHECK(ResolveFanouts(graph_->catalog(), config_.partitions, &fanouts_, &fanout_product_,
-                             &error))
-      << error;
+  APLUS_CHECK(ResolveFanouts(graph_->catalog(), config_.partitions, &levels_, &error)) << error;
   uint64_t ne = graph_->num_edges();
   uint32_t num_pages = static_cast<uint32_t>((ne + kGroupSize - 1) / kGroupSize);
   pages_.clear();
@@ -244,7 +242,7 @@ AdjListSlice EpIndex::GetList(edge_id_t eb, const std::vector<category_t>& cats)
   if (page_idx >= pages_.size()) return AdjListSlice();
   const OffsetListPage& page = *pages_[page_idx];
   if (page.csr.empty()) return AdjListSlice();
-  APLUS_DCHECK(cats.size() <= fanouts_.size());
+  APLUS_DCHECK(cats.size() <= levels_.fanouts.size());
 
   AdjListSlice slice;
   const edge_id_t* base_eids;
@@ -254,16 +252,10 @@ AdjListSlice EpIndex::GetList(edge_id_t eb, const std::vector<category_t>& cats)
   slice.edges = base_eids;
   slice.offset_width = page.width;
 
-  uint32_t start = static_cast<uint32_t>(eb % kGroupSize) * fanout_product_;
-  uint32_t span = fanout_product_;
-  for (size_t i = 0; i < cats.size(); ++i) {
-    span /= fanouts_[i];
-    start += cats[i] * span;
-  }
-  uint32_t begin = page.csr[start];
-  uint32_t end = page.csr[start + span];
+  auto [first, last] = levels_.Buckets(static_cast<uint32_t>(eb % kGroupSize), cats);
+  uint32_t begin = page.csr[first];
   slice.offsets = page.bytes.data() + static_cast<size_t>(begin) * page.width;
-  slice.len = end - begin;
+  slice.len = page.csr[last] - begin;
   return slice;
 }
 
@@ -328,7 +320,7 @@ std::vector<uint32_t> EpIndex::InsertEdge(edge_id_t e) {
 void EpIndex::RebuildGroup(uint32_t page_idx) {
   if (page_idx >= pages_.size()) return;
   num_edges_indexed_ -= pages_[page_idx]->num_entries();
-  num_edges_indexed_ += BuildPage(page_idx, ListKeys(*graph_, config_, fanouts_));
+  num_edges_indexed_ += BuildPage(page_idx, ListKeys(*graph_, config_, levels_.fanouts));
   if (page_idx < pending_.size()) {
     pending_total_ -= pending_[page_idx];
     pending_[page_idx] = 0;

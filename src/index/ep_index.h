@@ -128,8 +128,7 @@ class EpIndex {
   TwoHopViewDef view_;
   CompiledPredicate compiled_;  // view_.pred
   IndexConfig config_;
-  std::vector<uint32_t> fanouts_;
-  uint32_t fanout_product_ = 1;
+  PartitionLevels levels_;
   std::vector<std::unique_ptr<OffsetListPage>> pages_;
   std::vector<uint32_t> pending_;
   uint64_t pending_total_ = 0;

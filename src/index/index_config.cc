@@ -35,8 +35,8 @@ uint32_t PartitionFanout(const Catalog& catalog, const PartitionCriterion& crite
 }
 
 bool ResolveFanouts(const Catalog& catalog, const std::vector<PartitionCriterion>& partitions,
-                    std::vector<uint32_t>* fanouts, uint32_t* product, std::string* error) {
-  fanouts->clear();
+                    PartitionLevels* levels, std::string* error) {
+  levels->fanouts.clear();
   uint64_t total = 1;
   for (const PartitionCriterion& criterion : partitions) {
     uint32_t fanout = PartitionFanout(catalog, criterion);
@@ -52,9 +52,12 @@ bool ResolveFanouts(const Catalog& catalog, const std::vector<PartitionCriterion
                std::to_string(kMaxFanoutProduct) + ")";
       return false;
     }
-    fanouts->push_back(fanout);
+    levels->fanouts.push_back(fanout);
   }
-  *product = static_cast<uint32_t>(total);
+  levels->spans.assign(levels->fanouts.size() + 1, 1);
+  for (size_t k = levels->fanouts.size(); k-- > 0;) {
+    levels->spans[k] = levels->spans[k + 1] * levels->fanouts[k];
+  }
   return true;
 }
 

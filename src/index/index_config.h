@@ -2,6 +2,7 @@
 #define APLUS_INDEX_INDEX_CONFIG_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "storage/catalog.h"
@@ -74,12 +75,33 @@ uint32_t PartitionFanout(const Catalog& catalog, const PartitionCriterion& crite
 // fan-outs: every page holds 64 * product + 1 CSR entries.
 inline constexpr uint64_t kMaxFanoutProduct = uint64_t{1} << 24;
 
-// Resolves the fan-out of every partitioning level and their product.
+// The nested partitioning levels of one index: the fan-out of each
+// level and, precomputed so that a list fetch does no division, the
+// number of innermost buckets under one category of each level.
+struct PartitionLevels {
+  std::vector<uint32_t> fanouts;
+  // spans[k]: innermost buckets under one k-level partition prefix;
+  // spans[0] is the fan-out product, spans[fanouts.size()] is 1.
+  std::vector<uint32_t> spans{1};
+
+  uint32_t product() const { return spans.front(); }
+  // The CSR index range [first, second) of the list of page position
+  // `slot` (owner ID % kGroupSize) under the partition prefix `cats`
+  // (at most fanouts.size() categories). Any prefix is one contiguous
+  // range of innermost buckets (Section III-A1).
+  std::pair<uint32_t, uint32_t> Buckets(uint32_t slot, const std::vector<category_t>& cats) const {
+    uint32_t first = slot * spans[0];
+    for (size_t i = 0; i < cats.size(); ++i) first += cats[i] * spans[i + 1];
+    return {first, first + spans[cats.size()]};
+  }
+};
+
+// Resolves the fan-out of every partitioning level and their spans.
 // Returns false with a description in *error when a level has an empty
 // domain or the product reaches kMaxFanoutProduct. The one place every
 // index build, DDL command and segment open checks a partitioning.
 bool ResolveFanouts(const Catalog& catalog, const std::vector<PartitionCriterion>& partitions,
-                    std::vector<uint32_t>* fanouts, uint32_t* product, std::string* error);
+                    PartitionLevels* levels, std::string* error);
 
 std::string ToString(const Catalog& catalog, const PartitionCriterion& criterion);
 std::string ToString(const Catalog& catalog, const SortCriterion& criterion);

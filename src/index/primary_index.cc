@@ -120,9 +120,7 @@ SortKey PrimaryIndex::ComputeSortKey(const IndexConfig& config, edge_id_t e,
 void PrimaryIndex::ResetLocked(const IndexConfig& config) {
   config_ = config;
   std::string error;
-  APLUS_CHECK(ResolveFanouts(graph_->catalog(), config_.partitions, &fanouts_, &fanout_product_,
-                             &error))
-      << error;
+  APLUS_CHECK(ResolveFanouts(graph_->catalog(), config_.partitions, &levels_, &error)) << error;
   // A rebuild is DDL: callers quiesce queries first, but retire the old
   // versions anyway so the protocol is uniform.
   for (PageSlot& slot : pages_) {
@@ -172,7 +170,7 @@ double PrimaryIndex::Build(const IndexConfig& config) {
   std::vector<uint64_t> page_begin(num_pages + 1, 0);
   for (edge_id_t e = 0; e < ne; ++e) page_begin[PageOf(OwnerOf(e)) + 1]++;
   for (uint32_t p = 0; p < num_pages; ++p) page_begin[p + 1] += page_begin[p];
-  ListKeys keys(*graph_, config_, fanouts_);
+  ListKeys keys(*graph_, config_, levels_.fanouts);
   std::unique_ptr<PageEntry[]> entries(new PageEntry[ne]);
   {
     std::vector<uint64_t> cursor(page_begin.begin(), page_begin.end() - 1);
@@ -180,7 +178,7 @@ double PrimaryIndex::Build(const IndexConfig& config) {
       vertex_id_t owner = OwnerOf(e);
       vertex_id_t nbr = NbrOf(e);
       entries[cursor[PageOf(owner)]++] = {
-          (owner % kGroupSize) * fanout_product_ + keys.BucketOf(e, nbr), nbr, e};
+          (owner % kGroupSize) * levels_.product() + keys.BucketOf(e, nbr), nbr, e};
     }
   }
 
@@ -188,7 +186,7 @@ double PrimaryIndex::Build(const IndexConfig& config) {
   PageSorter<PageEntry> sorter(&keys);
   for (uint32_t p = 0; p < num_pages; ++p) {
     pages_[p].run.store(SealRun(entries.get() + page_begin[p], page_begin[p + 1] - page_begin[p],
-                                fanout_product_, &sorter)
+                                levels_.product(), &sorter)
                             .release(),
                         std::memory_order_release);
   }
@@ -200,45 +198,40 @@ double PrimaryIndex::Build(const IndexConfig& config) {
 }
 
 std::unique_ptr<IdListPage> PrimaryIndex::BuildRun(const std::vector<edge_id_t>& edges) const {
-  ListKeys keys(*graph_, config_, fanouts_);
+  ListKeys keys(*graph_, config_, levels_.fanouts);
   std::vector<PageEntry> entries;
   entries.reserve(edges.size());
   for (edge_id_t e : edges) {
     vertex_id_t owner = OwnerOf(e);
     vertex_id_t nbr = NbrOf(e);
-    entries.push_back({(owner % kGroupSize) * fanout_product_ + keys.BucketOf(e, nbr), nbr, e});
+    entries.push_back({(owner % kGroupSize) * levels_.product() + keys.BucketOf(e, nbr), nbr, e});
   }
   PageSorter<PageEntry> sorter(&keys);
-  return SealRun(entries.data(), entries.size(), fanout_product_, &sorter);
+  return SealRun(entries.data(), entries.size(), levels_.product(), &sorter);
 }
 
 AdjListSlice PrimaryIndex::SliceFromRun(const IdListPage* run, vertex_id_t v,
                                         const std::vector<category_t>& cats,
                                         codec::PackedCursor* cursor) const {
   if (run == nullptr || run->csr_len == 0) return AdjListSlice();
-  uint32_t base = (v % kGroupSize) * fanout_product_;
-  uint32_t start = base;
-  uint32_t span = fanout_product_;
-  for (size_t i = 0; i < cats.size(); ++i) {
-    span /= fanouts_[i];
-    start += cats[i] * span;
-  }
+  auto [first, last] = levels_.Buckets(v % kGroupSize, cats);
+  uint32_t begin = run->csr[first];
   AdjListSlice slice;
-  slice.len = run->csr[start + span] - run->csr[start];
+  slice.len = run->csr[last] - begin;
   if (run->is_packed()) {
     slice.packed = run->packed;
-    slice.packed_base = run->csr[start];
+    slice.packed_base = begin;
     slice.cursor = cursor;
     return slice;
   }
-  slice.nbrs = run->nbrs + run->csr[start];
-  slice.edges = run->eids + run->csr[start];
+  slice.nbrs = run->nbrs + begin;
+  slice.edges = run->eids + begin;
   return slice;
 }
 
 AdjListSlice PrimaryIndex::GetList(vertex_id_t v, const std::vector<category_t>& cats) const {
   APLUS_DCHECK(v < graph_->num_vertices());
-  APLUS_DCHECK(cats.size() <= fanouts_.size()) << "partition path too long";
+  APLUS_DCHECK(cats.size() <= levels_.fanouts.size()) << "partition path too long";
   if (PageOf(v) >= pages_.size()) return AdjListSlice();
   return SliceFromRun(pages_[PageOf(v)].run.load(std::memory_order_acquire), v, cats);
 }
@@ -247,7 +240,7 @@ AdjListSlice PrimaryIndex::GetFullList(vertex_id_t v) const { return GetList(v, 
 
 AdjListSlice PrimaryIndex::GetListSnapshot(vertex_id_t v, const std::vector<category_t>& cats,
                                            ListMergeScratch* scratch) const {
-  APLUS_DCHECK(cats.size() <= fanouts_.size()) << "partition path too long";
+  APLUS_DCHECK(cats.size() <= levels_.fanouts.size()) << "partition path too long";
   uint32_t page_idx = PageOf(v);
   if (page_idx >= pages_.size()) return AdjListSlice();
   const PageSlot& slot = pages_[page_idx];
@@ -273,18 +266,13 @@ AdjListSlice PrimaryIndex::GetListSnapshot(vertex_id_t v, const std::vector<cate
   for (uint32_t i = 0; i < nd && !relevant; ++i) relevant = OwnerOf(delta->deletes[i]) == v;
   if (!relevant) return SliceFromRun(run, v, cats, cursor);
 
-  // Requested bucket range within the page (same arithmetic as
-  // SliceFromRun, but we need the bucket bounds to place adds).
-  uint32_t base = (v % kGroupSize) * fanout_product_;
-  uint32_t start = base;
-  uint32_t span = fanout_product_;
-  for (size_t i = 0; i < cats.size(); ++i) {
-    span /= fanouts_[i];
-    start += cats[i] * span;
-  }
+  // Requested bucket range within the page: the bucket bounds place the
+  // adds.
+  uint32_t base = (v % kGroupSize) * levels_.product();
+  auto [first, last] = levels_.Buckets(v % kGroupSize, cats);
   bool has_run = run != nullptr && run->csr_len != 0;
-  uint32_t begin = has_run ? run->csr[start] : 0;
-  uint32_t end = has_run ? run->csr[start + span] : 0;
+  uint32_t begin = has_run ? run->csr[first] : 0;
+  uint32_t end = has_run ? run->csr[last] : 0;
 
   scratch->deletes.clear();
   for (uint32_t i = 0; i < nd; ++i) {
@@ -302,8 +290,8 @@ AdjListSlice PrimaryIndex::GetListSnapshot(vertex_id_t v, const std::vector<cate
     edge_id_t e = delta->inserts[i];
     if (OwnerOf(e) != v || is_deleted(e)) continue;
     vertex_id_t nbr = NbrOf(e);
-    uint32_t bucket = base + BucketOf(config_, fanouts_, e, nbr);
-    if (bucket < start || bucket >= start + span) continue;
+    uint32_t bucket = base + BucketOf(config_, levels_.fanouts, e, nbr);
+    if (bucket < first || bucket >= last) continue;
     ListMergeScratch::Add add;
     add.bucket = bucket;
     add.key = ComputeSortKey(config_, e, nbr);
@@ -367,25 +355,36 @@ AdjListSlice PrimaryIndex::GetListSnapshot(vertex_id_t v, const std::vector<cate
   return slice;
 }
 
+void PrimaryIndex::PrefetchList(vertex_id_t v, const std::vector<category_t>& cats) const {
+  if (PageOf(v) >= pages_.size()) return;
+  const PageSlot& slot = pages_[PageOf(v)];
+  // Run before delta, as GetListSnapshot loads them.
+  AdjListSlice list = SliceFromRun(slot.run.load(std::memory_order_acquire), v, cats);
+  const PageDelta* delta = slot.delta.load(std::memory_order_acquire);
+  if (delta != nullptr) __builtin_prefetch(delta);
+  if (list.empty()) return;
+  if (list.is_packed()) {
+    // A non-empty list starts below the stream's entry count, so its
+    // block has a skip entry.
+    __builtin_prefetch(list.packed +
+                       codec::SkipAt(list.packed, list.packed_base / codec::kBlockEntries));
+    return;
+  }
+  __builtin_prefetch(list.nbrs);
+  __builtin_prefetch(list.edges);
+}
+
 void PrimaryIndex::GetListBase(vertex_id_t v, const vertex_id_t** nbrs, const edge_id_t** eids,
                                uint32_t* len) const {
   const IdListPage* run =
       PageOf(v) < pages_.size() ? pages_[PageOf(v)].run.load(std::memory_order_acquire) : nullptr;
-  if (run == nullptr || run->csr_len == 0) {
-    *nbrs = nullptr;
-    *eids = nullptr;
-    *len = 0;
-    return;
-  }
   // Only secondary-index paths resolve base pointers, and secondaries
   // are rejected on segment-backed graphs — a packed run here is a bug.
-  APLUS_CHECK(!run->is_packed()) << "GetListBase on a packed segment page";
-  uint32_t base = (v % kGroupSize) * fanout_product_;
-  uint32_t begin = run->csr[base];
-  uint32_t end = run->csr[base + fanout_product_];
-  *nbrs = run->nbrs + begin;
-  *eids = run->eids + begin;
-  *len = end - begin;
+  APLUS_CHECK(run == nullptr || !run->is_packed()) << "GetListBase on a packed segment page";
+  AdjListSlice list = SliceFromRun(run, v, {});
+  *nbrs = list.nbrs;
+  *eids = list.edges;
+  *len = list.len;
 }
 
 size_t PrimaryIndex::MemoryBytes() const {

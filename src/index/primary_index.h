@@ -95,7 +95,9 @@ struct ListMergeScratch {
 // merge the two views at probe time. All mutation — InsertEdge,
 // DeleteEdge, merges, Build — serializes on an internal writer mutex, so
 // one ingest thread and one background merger can run against any number
-// of readers. Replaced runs/deltas are retired through the global
+// of readers. PrefetchList starts the loads of one list the same way,
+// so that a query operator can overlap the misses of many lists before
+// it reads any of them. Replaced runs/deltas are retired through the global
 // EpochManager and freed only after every reader that could hold a
 // pointer into them has unpinned. During concurrent serving the page
 // vector must be pre-sized with ReservePages (growing it would move the
@@ -141,6 +143,18 @@ class PrimaryIndex {
   AdjListSlice GetListSnapshot(vertex_id_t v, const std::vector<category_t>& cats,
                                ListMergeScratch* scratch) const;
 
+  // Starts loading the list GetListSnapshot(v, cats) would return,
+  // without waiting for it, so that the cache misses of several lists
+  // overlap (ExtendOp's next-hop prefetch). It loads the page's run with
+  // the snapshot's acquire load, reads the list's CSR bounds, and
+  // prefetches the first line of its neighbour and edge IDs, or, for a
+  // packed run, the codec block holding its first entry (read through
+  // the block's skip entry). When the page has a delta it prefetches the
+  // delta's header too. An empty list prefetches no data, and a `v` past
+  // the pages is a no-op. The caller must hold an epoch pin, as for
+  // GetListSnapshot: a merge may retire the run it loads.
+  void PrefetchList(vertex_id_t v, const std::vector<category_t>& cats) const;
+
   // Base pointers of v's full ID list; secondary indexes resolve their
   // vertex-relative offsets against these.
   void GetListBase(vertex_id_t v, const vertex_id_t** nbrs, const edge_id_t** eids,
@@ -156,8 +170,8 @@ class PrimaryIndex {
   int64_t SortKeyComponent(const SortCriterion& criterion, edge_id_t e, vertex_id_t nbr) const;
   SortKey ComputeSortKey(const IndexConfig& config, edge_id_t e, vertex_id_t nbr) const;
 
-  const std::vector<uint32_t>& fanouts() const { return fanouts_; }
-  uint32_t fanout_product() const { return fanout_product_; }
+  const PartitionLevels& levels() const { return levels_; }
+  uint32_t fanout_product() const { return levels_.product(); }
   uint32_t num_pages() const { return static_cast<uint32_t>(pages_.size()); }
   const IdListPage& page(uint32_t p) const {
     return *pages_[p].run.load(std::memory_order_acquire);
@@ -249,8 +263,7 @@ class PrimaryIndex {
   const Graph* graph_;
   Direction direction_;
   IndexConfig config_;
-  std::vector<uint32_t> fanouts_;
-  uint32_t fanout_product_ = 1;
+  PartitionLevels levels_;
   std::vector<PageSlot> pages_;
   std::atomic<uint64_t> num_edges_indexed_{0};
   std::atomic<uint64_t> pending_updates_{0};

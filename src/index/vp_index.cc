@@ -50,15 +50,13 @@ struct VpIndex::BuildScratch {
 double VpIndex::Build() {
   WallTimer timer;
   std::string error;
-  APLUS_CHECK(ResolveFanouts(graph_->catalog(), config_.partitions, &fanouts_, &fanout_product_,
-                             &error))
-      << error;
+  APLUS_CHECK(ResolveFanouts(graph_->catalog(), config_.partitions, &levels_, &error)) << error;
   pages_.clear();
   uint32_t num_pages = primary_->num_pages();
   pages_.reserve(num_pages);
   for (uint32_t p = 0; p < num_pages; ++p) pages_.push_back(std::make_unique<OffsetListPage>());
   num_edges_indexed_ = 0;
-  BuildScratch scratch(*graph_, config_, fanouts_);
+  BuildScratch scratch(*graph_, config_, levels_.fanouts);
   for (uint32_t p = 0; p < num_pages; ++p) BuildGroup(p, &scratch);
   build_seconds_ = timer.ElapsedSeconds();
   return build_seconds_;
@@ -74,7 +72,7 @@ void VpIndex::BuildGroup(uint32_t page_idx, BuildScratch* scratch) {
   // With shared levels an entry's slot is the primary's innermost bucket
   // holding it, so the lists keep the primary's boundaries and only
   // their order changes.
-  const uint32_t fp = shared_levels_ ? primary_->fanout_product() : fanout_product_;
+  const uint32_t fp = shared_levels_ ? primary_->fanout_product() : levels_.product();
   std::vector<OffsetEntry>& entries = scratch->entries;
   entries.clear();
   for (vertex_id_t v = first; v < last; ++v) {
@@ -125,36 +123,14 @@ AdjListSlice VpIndex::GetList(vertex_id_t v, const std::vector<category_t>& cats
   slice.edges = base_eids;
   slice.offset_width = page.width;
 
-  if (shared_levels_) {
-    // Reuse the primary CSR (identical boundaries).
-    APLUS_DCHECK(cats.size() <= primary_->fanouts().size());
-    const IdListPage& ppage = primary_->page(page_idx);
-    uint32_t pfp = primary_->fanout_product();
-    uint32_t start = (v % kGroupSize) * pfp;
-    uint32_t span = pfp;
-    for (size_t i = 0; i < cats.size(); ++i) {
-      span /= primary_->fanouts()[i];
-      start += cats[i] * span;
-    }
-    uint32_t begin = ppage.csr[start];
-    uint32_t end = ppage.csr[start + span];
-    slice.offsets = page.bytes.data() + static_cast<size_t>(begin) * page.width;
-    slice.len = end - begin;
-    return slice;
-  }
-
-  APLUS_DCHECK(cats.size() <= fanouts_.size());
-  if (page.csr.empty()) return AdjListSlice();
-  uint32_t start = (v % kGroupSize) * fanout_product_;
-  uint32_t span = fanout_product_;
-  for (size_t i = 0; i < cats.size(); ++i) {
-    span /= fanouts_[i];
-    start += cats[i] * span;
-  }
-  uint32_t begin = page.csr[start];
-  uint32_t end = page.csr[start + span];
-  slice.offsets = page.bytes.data() + static_cast<size_t>(begin) * page.width;
-  slice.len = end - begin;
+  // With shared levels the primary's CSR holds the same boundaries.
+  if (!shared_levels_ && page.csr.empty()) return AdjListSlice();
+  const PartitionLevels& levels = shared_levels_ ? primary_->levels() : levels_;
+  const uint32_t* csr = shared_levels_ ? primary_->page(page_idx).csr : page.csr.data();
+  APLUS_DCHECK(cats.size() <= levels.fanouts.size());
+  auto [first, last] = levels.Buckets(v % kGroupSize, cats);
+  slice.offsets = page.bytes.data() + static_cast<size_t>(csr[first]) * page.width;
+  slice.len = csr[last] - csr[first];
   return slice;
 }
 
@@ -192,7 +168,7 @@ void VpIndex::RebuildGroup(uint32_t page_idx) {
   // (BuildGroup adds the new count back).
   OffsetListPage& page = *pages_[page_idx];
   num_edges_indexed_ -= page.num_entries();
-  BuildScratch scratch(*graph_, config_, fanouts_);
+  BuildScratch scratch(*graph_, config_, levels_.fanouts);
   BuildGroup(page_idx, &scratch);
   if (page_idx < pending_.size()) {
     pending_total_ -= pending_[page_idx];

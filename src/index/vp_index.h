@@ -84,8 +84,7 @@ class VpIndex {
   CompiledPredicate compiled_;  // view_.pred
   IndexConfig config_;
   bool shared_levels_ = false;
-  std::vector<uint32_t> fanouts_;
-  uint32_t fanout_product_ = 1;
+  PartitionLevels levels_;
   std::vector<std::unique_ptr<OffsetListPage>> pages_;
   std::vector<uint32_t> pending_;  // buffered-update counts per page
   uint64_t pending_total_ = 0;

@@ -314,7 +314,7 @@ std::string ScanOp::Describe() const {
   return out;
 }
 
-bool ExtendOp::AcceptEntry(MatchState* state, const AdjListSlice& slice, uint32_t i) {
+bool ExtendOp::BindEntry(MatchState* state, const AdjListSlice& slice, uint32_t i) {
   edge_id_t e = slice.EdgeAt(i);
   if (state->EdgeAlreadyBound(e)) return false;
   if (!list_.EntryPassesLabels(*graph_, slice, i)) return false;
@@ -325,18 +325,68 @@ bool ExtendOp::AcceptEntry(MatchState* state, const AdjListSlice& slice, uint32_
     state->v[list_.target_vertex_var] = n;
   }
   state->e[list_.target_edge_var] = e;
-  bool pass = EvalResiduals(*graph_, residual_, *state);
-  if (pass) Emit(state);
+  if (EvalResiduals(*graph_, residual_, *state)) return true;
+  Unbind(state);
+  return false;
+}
+
+void ExtendOp::Unbind(MatchState* state) const {
   state->e[list_.target_edge_var] = kInvalidEdge;
   if (!closing_) state->v[list_.target_vertex_var] = kInvalidVertex;
-  return pass;
+}
+
+void ExtendOp::AcceptEntry(MatchState* state, const AdjListSlice& slice, uint32_t i) {
+  if (!BindEntry(state, slice, i)) return;
+  Emit(state);
+  Unbind(state);
+}
+
+void ExtendOp::set_next(Operator* next) {
+  Operator::set_next(next);
+  prefetch_.clear();
+  if (closing_) return;
+  auto [lists, count] = next->lists();
+  for (size_t l = 0; l < count; ++l) {
+    if (lists[l].source == ListDescriptor::Source::kPrimary &&
+        lists[l].bound_var == list_.target_vertex_var) {
+      prefetch_.push_back(&lists[l]);
+    }
+  }
 }
 
 void ExtendOp::EnumerateRange(MatchState* state, const AdjListSlice& slice, uint64_t begin,
                               uint64_t end) {
-  for (uint32_t i = static_cast<uint32_t>(begin); i < end; ++i) {
-    if ((i & 63u) == 0 && token_ != nullptr && CheckStop()) break;
-    AcceptEntry(state, slice, i);
+  if (prefetch_.empty()) {
+    for (uint32_t i = static_cast<uint32_t>(begin); i < end; ++i) {
+      if ((i & 63u) == 0 && token_ != nullptr && CheckStop()) return;
+      AcceptEntry(state, slice, i);
+    }
+    return;
+  }
+  // Group prefetching: a first pass over a group of entries filters them
+  // and starts the next hop's list loads for each one that passes, so the
+  // misses of those lists overlap instead of queueing behind each other
+  // inside the push-based recursion; a second pass emits them. Filtering
+  // first keeps a selective residual from prefetching lists no operator
+  // reads.
+  const int var = list_.target_vertex_var;
+  const int edge_var = list_.target_edge_var;
+  for (uint64_t group = begin; group < end; group += kPrefetchGroup) {
+    uint32_t group_end = static_cast<uint32_t>(std::min<uint64_t>(end, group + kPrefetchGroup));
+    uint32_t passed = 0;
+    for (uint32_t i = static_cast<uint32_t>(group); i < group_end; ++i) {
+      if ((i & 63u) == 0 && token_ != nullptr && CheckStop()) return;
+      if (!BindEntry(state, slice, i)) continue;
+      group_[passed++] = {state->v[var], state->e[edge_var]};
+      for (const ListDescriptor* list : prefetch_) list->Prefetch(state->v[var]);
+      Unbind(state);
+    }
+    for (uint32_t k = 0; k < passed; ++k) {
+      state->v[var] = group_[k].first;
+      state->e[edge_var] = group_[k].second;
+      Emit(state);
+    }
+    Unbind(state);
   }
 }
 
@@ -403,6 +453,14 @@ ExtendIntersectOp::ExtendIntersectOp(const Graph* graph, std::vector<ListDescrip
   probes_.resize(lists_.size());
   ranges_.resize(lists_.size());
   idx_.resize(lists_.size());
+}
+
+std::unique_ptr<Operator> ExtendIntersectOp::Clone() const {
+  auto clone = std::make_unique<ExtendIntersectOp>(graph_, lists_, target_var_, residual_);
+  for (size_t l = 0; l < probes_.size(); ++l) {
+    clone->probes_[l].decode_buf.reserve(probes_[l].decode_buf.capacity());
+  }
+  return clone;
 }
 
 void ExtendIntersectOp::Run(MatchState* state) {
@@ -568,6 +626,15 @@ MultiExtendOp::MultiExtendOp(const Graph* graph, std::vector<ListDescriptor> lis
   run_nbrs_.resize(z);
   run_edges_.resize(z);
   run_decoded_.resize(z);
+}
+
+std::unique_ptr<Operator> MultiExtendOp::Clone() const {
+  auto clone = std::make_unique<MultiExtendOp>(graph_, lists_, residual_);
+  for (size_t l = 0; l < lists_.size(); ++l) {
+    clone->run_nbrs_[l].reserve(run_nbrs_[l].capacity());
+    clone->run_edges_[l].reserve(run_edges_[l].capacity());
+  }
+  return clone;
 }
 
 void MultiExtendOp::EmitCombinations(MatchState* state, size_t depth) {

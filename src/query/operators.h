@@ -1,6 +1,7 @@
 #ifndef APLUS_QUERY_OPERATORS_H_
 #define APLUS_QUERY_OPERATORS_H_
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -102,6 +103,12 @@ struct ListDescriptor {
   mutable ListMergeScratch merge_scratch;
 
   AdjListSlice Fetch(const MatchState& state) const;
+  // Starts loading the list Fetch would return once the bound variable
+  // is `v` (PrimaryIndex::PrefetchList). VP and EP lists prefetch
+  // nothing: their lists stall no workload measured so far.
+  void Prefetch(vertex_id_t v) const {
+    if (source == Source::kPrimary) primary->PrefetchList(v, cats);
+  }
   // First-sort-criterion key of entry i (used by MULTI-EXTEND merges).
   int64_t SortKeyAt(const AdjListSlice& slice, uint32_t i) const;
   // [begin, end) of entries satisfying the configured sort-key bounds
@@ -153,11 +160,17 @@ struct ParamSlots {
 class Operator {
  public:
   virtual ~Operator() = default;
-  void set_next(Operator* next) { next_ = next; }
+  // Wires the pipeline; operators that read the next operator's lists
+  // resolve them here.
+  virtual void set_next(Operator* next) { next_ = next; }
   virtual void Run(MatchState* state) = 0;
   // Deep copy with fresh (empty) scratch, used by Plan::Execute's
-  // parallel path to build one pipeline replica per worker. The clone's
-  // next_ is unset; the caller rewires the replica chain.
+  // parallel path to build one pipeline replica per worker. Decode
+  // buffers keep this operator's capacity (reserved, still empty): a
+  // replica cloned after a serial run starts at the high-water mark of
+  // every list it may draw, so its steady state does not depend on which
+  // morsels it happens to claim. The clone's next_ is unset; the caller
+  // rewires the replica chain.
   virtual std::unique_ptr<Operator> Clone() const = 0;
   // Appends this operator's patchable parameter slots (see ParamSlots).
   virtual void CollectParamSlots(ParamSlots* slots) { (void)slots; }
@@ -270,6 +283,9 @@ class ExtendOp : public Operator {
   std::unique_ptr<Operator> Clone() const override {
     return std::make_unique<ExtendOp>(graph_, list_, residual_, closing_);
   }
+  // Also resolves which of `next`'s primary lists are bound on this
+  // extend's target vertex: the lists the entry loop prefetches.
+  void set_next(Operator* next) override;
   void CollectParamSlots(ParamSlots* slots) override;
   std::string Describe() const override;
   std::pair<const ListDescriptor*, size_t> lists() const override { return {&list_, 1}; }
@@ -294,7 +310,18 @@ class ExtendOp : public Operator {
   }
 
  private:
-  bool AcceptEntry(MatchState* state, const AdjListSlice& slice, uint32_t i);
+  // Entries per next-hop prefetch group: EnumerateRange starts loading
+  // the next operator's lists for the entries of a group that pass, then
+  // emits them.
+  static constexpr uint32_t kPrefetchGroup = 16;
+
+  // Binds entry i's edge (and neighbour, unless closing) into `state`
+  // when it passes the list's filters and the residuals; leaves `state`
+  // unbound and returns false otherwise.
+  bool BindEntry(MatchState* state, const AdjListSlice& slice, uint32_t i);
+  void Unbind(MatchState* state) const;
+  // BindEntry, then Emit and Unbind on a pass.
+  void AcceptEntry(MatchState* state, const AdjListSlice& slice, uint32_t i);
   void EnumerateRange(MatchState* state, const AdjListSlice& slice, uint64_t begin,
                       uint64_t end);
   // Flag check on most calls, a clock check every 64th: a serial chain
@@ -309,6 +336,10 @@ class ExtendOp : public Operator {
   ListDescriptor list_;
   std::vector<QueryComparison> residual_;
   bool closing_;
+  // The next operator's lists bound on list_.target_vertex_var (set_next).
+  std::vector<const ListDescriptor*> prefetch_;
+  // (neighbour, edge) of each entry of the current group that passed.
+  std::array<std::pair<vertex_id_t, edge_id_t>, kPrefetchGroup> group_;
   ExecToken* token_ = nullptr;
   uint32_t poll_tick_ = 0;  // clock-sampling cadence of the entry loop
 };
@@ -346,9 +377,7 @@ class ExtendIntersectOp : public Operator {
                     std::vector<QueryComparison> residual);
 
   void Run(MatchState* state) override;
-  std::unique_ptr<Operator> Clone() const override {
-    return std::make_unique<ExtendIntersectOp>(graph_, lists_, target_var_, residual_);
-  }
+  std::unique_ptr<Operator> Clone() const override;
   void CollectParamSlots(ParamSlots* slots) override;
   // Polled per pivot-candidate group (with a periodic clock check) and
   // within the edge-combination product loop; decode-buffer growth is
@@ -390,9 +419,7 @@ class MultiExtendOp : public Operator {
                 std::vector<QueryComparison> residual);
 
   void Run(MatchState* state) override;
-  std::unique_ptr<Operator> Clone() const override {
-    return std::make_unique<MultiExtendOp>(graph_, lists_, residual_);
-  }
+  std::unique_ptr<Operator> Clone() const override;
   void CollectParamSlots(ParamSlots* slots) override;
   // Polled in the z-way merge loop and inside the per-combination
   // emission; run-decode buffer growth is charged against the budget.

@@ -64,12 +64,6 @@ inline const uint8_t* GetVarintChecked(const uint8_t* p, const uint8_t* end, uin
   return nullptr;
 }
 
-inline uint32_t SkipAt(const uint8_t* stream, uint32_t b) {
-  uint32_t v;
-  std::memcpy(&v, stream + kHeaderBytes + static_cast<size_t>(b) * sizeof(uint32_t), sizeof(v));
-  return v;
-}
-
 }  // namespace
 
 size_t PackAdjacency(const vertex_id_t* nbrs, const edge_id_t* eids, uint32_t n,

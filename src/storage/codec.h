@@ -47,6 +47,14 @@ inline uint32_t PackedNumEntries(const uint8_t* stream) {
   return n;
 }
 
+// Byte offset of block b (< num_blocks) from the stream start.
+inline uint32_t SkipAt(const uint8_t* stream, uint32_t b) {
+  uint32_t skip;
+  __builtin_memcpy(&skip, stream + kHeaderBytes + static_cast<size_t>(b) * sizeof(uint32_t),
+                   sizeof(skip));
+  return skip;
+}
+
 // Reference scalar decoder: decodes entries [begin, begin + count) into
 // out_nbrs / out_eids (either may be null to skip that side). The stream
 // must be valid (see ValidatePacked) and begin + count <= num_entries.

@@ -632,14 +632,12 @@ bool ParseIndexPart(const uint8_t* base, uint64_t arena_off, uint64_t meta_off, 
     return Fail(error, "segment: index page count mismatch");
   }
 
-  std::vector<uint32_t> fanouts;
-  uint32_t fanout_product = 1;
+  PartitionLevels levels;
   std::string fanout_error;
-  if (!ResolveFanouts(graph.catalog(), part->config.partitions, &fanouts, &fanout_product,
-                      &fanout_error)) {
+  if (!ResolveFanouts(graph.catalog(), part->config.partitions, &levels, &fanout_error)) {
     return Fail(error, "segment: " + fanout_error);
   }
-  const uint32_t expected_csr_len = kGroupSize * fanout_product + 1;
+  const uint32_t expected_csr_len = kGroupSize * levels.product() + 1;
 
   uint64_t total_entries = 0;
   part->pages.reserve(num_pages);

@@ -289,6 +289,9 @@ TEST_F(ZeroAllocTest, PlanExecuteSteadyStateDoesNotAllocate) {
     EXPECT_GT(count, 0u);
     return allocs;
   };
+  // Serial first: the parallel replicas are cloned after it, at the
+  // primary pipeline's decode-buffer capacities (Operator::Clone), so no
+  // morsel a replica happens to draw later can grow one.
   for (Plan* plan : {scan_plan.get(), pinned_plan.get()}) {
     const char* what = plan == scan_plan.get() ? "scan" : "pinned";
     EXPECT_EQ(measure(plan, 1), 0u) << what << ": serial Execute steady state allocated";
