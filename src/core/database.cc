@@ -389,7 +389,6 @@ std::unique_ptr<PreparedQuery> Database::ClonePrepared(const PreparedQuery& src)
   APLUS_CHECK(src.ok()) << "cannot clone a failed prepare: " << src.error();
   APLUS_CHECK(src.plan_ != nullptr);
   std::unique_ptr<PreparedQuery> clone(new PreparedQuery(this));
-  clone->normalized_text_ = src.normalized_text_;
   clone->query_ = src.query_;
   clone->columns_ = src.columns_;
   clone->has_limit_ = src.has_limit_;

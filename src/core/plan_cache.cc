@@ -35,7 +35,6 @@ PlanCache::Lease PlanCache::Acquire(const std::string& text, const PrepareOption
   misses_.fetch_add(1, std::memory_order_relaxed);
   auto entry = std::make_shared<Entry>();
   entry->master = db_->Prepare(text, options);
-  entry->master->normalized_text_ = key;
   if (!entry->master->ok()) {
     lease.query_.reset(entry->master.release());  // failed prepares are not cached
     return lease;

@@ -169,10 +169,6 @@ class PreparedQuery {
   // materialization and Execute synthesizes the single output row from
   // the match count.
   bool count_star_only() const { return count_star_only_; }
-  // The plan cache's key for this query's text (NormalizeQueryText):
-  // set on plans leased from the PlanCache (and so from Session and the
-  // server), empty for a direct Database::Prepare.
-  const std::string& normalized_text() const { return normalized_text_; }
 
  private:
   friend class Database;
@@ -203,7 +199,6 @@ class PreparedQuery {
   QueryOutcome::Status status_ = QueryOutcome::Status::kOk;
   std::string error_;       // prepare-time error (parse/plan)
   std::string bind_error_;  // last Bind failure
-  std::string normalized_text_;
 
   QueryGraph query_;  // placeholder-pinned pattern (kept for rendering/debugging)
   std::vector<ProjectColumn> columns_;

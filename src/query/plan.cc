@@ -3,7 +3,6 @@
 #include "util/epoch.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace aplus {
 
@@ -17,7 +16,6 @@ Plan::Plan(std::vector<std::unique_ptr<Operator>> ops, int num_query_vertices,
 }
 
 uint64_t Plan::Execute(int num_threads) {
-  WallTimer timer;
   // Pin an epoch for the whole execution: the pool workers run strictly
   // inside the spawn/join window, so one pin on the calling thread keeps
   // every run/delta version probed by any replica alive until we return
@@ -36,7 +34,6 @@ uint64_t Plan::Execute(int num_threads) {
   } else {
     total = ExecuteParallel(k, scan);
   }
-  last_execute_seconds_ = timer.ElapsedSeconds();
   return total;
 }
 

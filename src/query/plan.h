@@ -41,8 +41,6 @@ class Plan {
   // One line per operator, root first (Figure 6 style).
   std::string Describe() const;
 
-  double last_execute_seconds() const { return last_execute_seconds_; }
-
   // --- Prepared-query support (core/session.h) ---
 
   // Number of materialized pipelines: the serial pipeline plus every
@@ -93,7 +91,6 @@ class Plan {
   std::vector<std::unique_ptr<Operator>> ops_;
   int num_query_vertices_;
   int num_query_edges_;
-  double last_execute_seconds_ = 0.0;
   MatchState state_;  // worker 0 / serial state, reused across Execute calls
   std::vector<WorkerPipeline> workers_;
   MorselCursor cursor_;

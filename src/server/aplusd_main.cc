@@ -24,7 +24,6 @@
 //   APLUS_QUERY_TIMEOUT_MS      — default per-query deadline
 //   APLUS_MEM_CAP[_TOTAL]       — per-query / process memory budget
 //   APLUS_SEGMENT_COMPRESS      — page layout of --seal
-// Identical queued requests are always batched (HELLO_OK flags bit0).
 
 #include <csignal>
 #include <cstdio>
@@ -144,10 +143,9 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, OnSignal);
   while (!g_stop) std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-  std::printf("aplusd: shutting down (%llu queries served, %llu batched, "
+  std::printf("aplusd: shutting down (%llu queries served, "
               "plan cache %llu hits / %llu misses)\n",
               static_cast<unsigned long long>(server.queries()),
-              static_cast<unsigned long long>(server.batch_saved()),
               static_cast<unsigned long long>(db.plan_cache().hits()),
               static_cast<unsigned long long>(db.plan_cache().misses()));
   server.Stop();

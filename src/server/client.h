@@ -46,7 +46,7 @@ class Client {
     uint64_t cache_misses = 0;
     uint64_t cache_entries = 0;
     uint64_t queries = 0;
-    uint64_t batch_saved = 0;
+    uint64_t batch_saved = 0;  // always 0: the server does not batch
   };
 
   Client() = default;

@@ -44,7 +44,7 @@ enum class FrameType : uint8_t {
   kStats = 0x07,    // empty
 
   // Server -> client.
-  kHelloOk = 0x81,   // u32 protocol_version, u32 flags (bit0 = batching, always 1)
+  kHelloOk = 0x81,   // u32 protocol_version, u32 flags (always 0)
   kPrepared = 0x82,  // u32 stmt_id, u32 num_params, str16 name per param,
                      // u32 num_cols, { u8 value_type, str16 name } per col
   kRows = 0x83,      // columnar row batch; see AppendRowsFrame
@@ -52,7 +52,7 @@ enum class FrameType : uint8_t {
   kError = 0x85,     // u8 status, str32 message
   kClosed = 0x86,    // u32 stmt_id
   kStatsResult = 0x87,  // u64 cache_hits, u64 cache_misses, u64 cache_entries,
-                        // u64 queries, u64 batch_saved
+                        // u64 queries, u64 batch_saved (always 0)
 };
 
 // Typed wire error codes. Values 0..9 map 1:1 onto QueryOutcome::Status

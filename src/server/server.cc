@@ -31,27 +31,6 @@ constexpr size_t kMaxDeferredFrames = 1024;
 
 constexpr int kListenBacklog = 64;
 
-// Canonical byte encoding of one bound parameter value, for batch-group
-// keys: identical key bytes == identical binds.
-void AppendValueKey(const Value& value, std::string* key) {
-  key->push_back(static_cast<char>(value.type()));
-  switch (value.type()) {
-    case ValueType::kDouble: {
-      double d = value.AsDouble();
-      key->append(reinterpret_cast<const char*>(&d), sizeof(d));
-      break;
-    }
-    case ValueType::kString:
-      key->append(value.AsString());
-      break;
-    default: {
-      int64_t i = value.AsInt64();
-      key->append(reinterpret_cast<const char*>(&i), sizeof(i));
-      break;
-    }
-  }
-}
-
 }  // namespace
 
 Server::Server(Database* db, const ServerOptions& options)
@@ -189,19 +168,17 @@ bool Server::Standby(std::unique_lock<std::mutex>* lock) {
 
 bool Server::JobStartable() const { return !jobs_.empty() && in_flight_ < max_jobs_; }
 
-std::unique_ptr<Server::Job> Server::StartJobLocked() {
-  std::unique_ptr<Job> job = std::move(jobs_.front());
+Server::Connection* Server::StartJobLocked() {
+  Connection* conn = jobs_.front();
   jobs_.pop_front();
-  // Starting seals a batch group: later identical requests start their own.
-  if (!job->execs.empty()) batch_pending_.erase(job->execs[0]->batch_key);
   ++in_flight_;
-  return job;
+  return conn;
 }
 
 bool Server::RunInline() {
   std::unique_lock<std::mutex> lock(mu_);
   if (!JobStartable()) return true;
-  std::unique_ptr<Job> job = StartJobLocked();
+  Connection* conn = StartJobLocked();
   const uint64_t seq = ++lent_seq_;
   role_ = Role::kLent;
   lent_start_ = Clock::now();
@@ -212,7 +189,7 @@ bool Server::RunInline() {
   if (JobStartable()) idle_cv_.notify_one();
   lock.unlock();
 
-  std::vector<Completion> done = RunJob(job.get());
+  RunJob(conn);
 
   lock.lock();
   --in_flight_;
@@ -220,34 +197,35 @@ bool Server::RunInline() {
     // Nobody took the role over: answer straight from this thread.
     role_ = Role::kHeld;
     lock.unlock();
-    for (Completion& completion : done) Deliver(&completion);
+    Deliver(conn);
     return true;
   }
   // The standby runs the loop now; hand it the response.
-  for (Completion& completion : done) completions_.push_back(std::move(completion));
+  completions_.push_back(conn);
   lock.unlock();
   WakeLoop();
   return false;
 }
 
 void Server::RunPooledJob(std::unique_lock<std::mutex>* lock) {
-  std::unique_ptr<Job> job = StartJobLocked();
+  Connection* conn = StartJobLocked();
   if (JobStartable()) idle_cv_.notify_one();
   lock->unlock();
-  std::vector<Completion> done = RunJob(job.get());
+  RunJob(conn);
   lock->lock();
   --in_flight_;
-  for (Completion& completion : done) completions_.push_back(std::move(completion));
+  completions_.push_back(conn);
   lock->unlock();
   WakeLoop();
   lock->lock();
 }
 
-std::vector<Server::Completion> Server::RunJob(Job* job) {
-  if (!job->execs.empty()) return RunExecuteGroup(job);
-  std::vector<Completion> done;
-  done.push_back(RunPrepare(job->conn, job->stmt_id, job->text));
-  return done;
+void Server::RunJob(Connection* conn) {
+  if (conn->request.prepare) {
+    RunPrepare(conn);
+  } else {
+    RunExecute(conn);
+  }
 }
 
 void Server::LoopRole() {
@@ -474,41 +452,43 @@ void Server::HandleHello(Connection* conn, const wire::FrameView& frame) {
   wire::FrameWriter w(&conn->out);
   w.BeginFrame(wire::FrameType::kHelloOk);
   w.PutU32(wire::kProtocolVersion);
-  w.PutU32(1u);  // flags: bit0 (batching) is always set
+  w.PutU32(0u);  // flags: none (bit 0 would announce request batching)
   w.EndFrame();
 }
 
 void Server::DispatchPrepare(Connection* conn, const wire::FrameView& frame) {
   wire::FrameReader r(frame.payload, frame.len);
-  auto job = std::make_unique<Job>();
-  if (!r.GetStr32(&job->text) || r.remaining() != 0) {
+  Request& req = conn->request;
+  if (!r.GetStr32(&req.text) || r.remaining() != 0) {
     SendError(conn, wire::WireStatus::kProtocolError, "malformed PREPARE");
     conn->closing = true;
     return;
   }
-  job->conn = conn;
-  job->stmt_id = conn->next_stmt_id++;
-  conn->stmts[job->stmt_id] = std::make_unique<Statement>();
-  conn->busy = true;
-  std::lock_guard<std::mutex> lock(mu_);
-  jobs_.push_back(std::move(job));
+  req.prepare = true;
+  req.stmt_id = conn->next_stmt_id++;
+  auto stmt = std::make_unique<Statement>();
+  req.stmt = stmt.get();
+  conn->stmts[req.stmt_id] = std::move(stmt);
+  Enqueue(conn);
 }
 
 void Server::DispatchExecute(Connection* conn, const wire::FrameView& frame) {
   wire::FrameReader r(frame.payload, frame.len);
+  Request& req = conn->request;
   uint32_t stmt_id = 0;
   uint32_t deadline_ms = 0;
-  uint64_t max_rows = 0;
   uint32_t num_params = 0;
-  bool ok = r.GetU32(&stmt_id) && r.GetU32(&deadline_ms) && r.GetU64(&max_rows) &&
+  bool ok = r.GetU32(&stmt_id) && r.GetU32(&deadline_ms) && r.GetU64(&req.max_rows) &&
             r.GetU32(&num_params);
-  auto req = std::make_unique<ExecRequest>();
-  for (uint32_t i = 0; ok && i < num_params; ++i) {
-    std::string name;
+  // Parameters parse into the slots of the previous request, so a
+  // repeated request reuses their names' storage.
+  size_t parsed = 0;
+  for (; ok && parsed < num_params; ++parsed) {
+    if (parsed == req.params.size()) req.params.emplace_back();
+    auto& [name, value] = req.params[parsed];
     uint8_t tag = 0;
     ok = r.GetStr16(&name) && r.GetU8(&tag);
     if (!ok) break;
-    Value value;
     switch (static_cast<wire::ParamTag>(tag)) {
       case wire::ParamTag::kInt64: {
         int64_t v = 0;
@@ -538,66 +518,43 @@ void Server::DispatchExecute(Connection* conn, const wire::FrameView& frame) {
         ok = false;
         break;
     }
-    if (ok) req->params.emplace_back(std::move(name), std::move(value));
   }
   if (!ok || r.remaining() != 0) {
     SendError(conn, wire::WireStatus::kProtocolError, "malformed EXECUTE");
     conn->closing = true;
     return;
   }
+  req.params.resize(parsed);
   auto it = conn->stmts.find(stmt_id);
   if (it == conn->stmts.end()) {
     SendError(conn, wire::WireStatus::kProtocolError,
               "unknown statement " + std::to_string(stmt_id));
     return;
   }
-  req->conn = conn;
-  req->stmt = it->second.get();
-  if (deadline_ms > 0) req->deadline_millis = deadline_ms;
-  req->max_rows = max_rows;
-  conn->busy = true;
-
-  // The statement holds a prepared plan: a failed PREPARE dropped it.
-  std::string& key = req->batch_key;
-  key = req->stmt->lease->normalized_text();
-  key.push_back('\x1f');
-  key.append(reinterpret_cast<const char*>(&req->deadline_millis), sizeof(req->deadline_millis));
-  key.append(reinterpret_cast<const char*>(&req->max_rows), sizeof(req->max_rows));
-  for (const auto& param : req->params) {
-    key.push_back('\x1e');
-    key.append(param.first);
-    key.push_back('=');
-    AppendValueKey(param.second, &key);
-  }
-
-  std::lock_guard<std::mutex> lock(mu_);
-  auto pending = batch_pending_.find(key);
-  if (pending != batch_pending_.end()) {
-    // An identical request is queued and has not started: ride along.
-    // Its leader answers for this connection too.
-    pending->second->execs.push_back(std::move(req));
-    return;
-  }
-  auto job = std::make_unique<Job>();
-  batch_pending_.emplace(key, job.get());
-  job->execs.push_back(std::move(req));
-  jobs_.push_back(std::move(job));
+  req.prepare = false;
+  req.stmt = it->second.get();
+  req.deadline_millis = deadline_ms > 0 ? static_cast<int64_t>(deadline_ms) : -1;
+  Enqueue(conn);
 }
 
-Server::Completion Server::RunPrepare(Connection* conn, uint32_t stmt_id,
-                                      const std::string& text) {
-  PlanCache::Lease lease = db_->plan_cache().Acquire(text, PrepareOptions{});
-  Completion completion;
-  completion.conn = conn;
+void Server::Enqueue(Connection* conn) {
+  conn->busy = true;
+  std::lock_guard<std::mutex> lock(mu_);
+  jobs_.push_back(conn);
+}
+
+void Server::RunPrepare(Connection* conn) {
+  Request& req = conn->request;
+  req.reply.clear();
+  PlanCache::Lease lease = db_->plan_cache().Acquire(req.text, PrepareOptions{});
   PreparedQuery* q = lease.get();
   if (!q->ok()) {
-    wire::AppendErrorFrame(wire::ToWire(q->status()), q->error(), &completion.response);
-    completion.drop_stmt_id = stmt_id;
-    return completion;
+    wire::AppendErrorFrame(wire::ToWire(q->status()), q->error(), &req.reply);
+    return;
   }
-  wire::FrameWriter w(&completion.response);
+  wire::FrameWriter w(&req.reply);
   w.BeginFrame(wire::FrameType::kPrepared);
-  w.PutU32(stmt_id);
+  w.PutU32(req.stmt_id);
   w.PutU32(static_cast<uint32_t>(q->num_params()));
   for (size_t i = 0; i < q->num_params(); ++i) w.PutStr16(q->param_name(i));
   w.PutU32(static_cast<uint32_t>(q->columns().size()));
@@ -607,30 +564,24 @@ Server::Completion Server::RunPrepare(Connection* conn, uint32_t stmt_id,
   }
   if (!w.EndFrame()) {
     wire::AppendErrorFrame(wire::WireStatus::kPlanError,
-                           "a parameter or column name exceeds 65535 bytes",
-                           &completion.response);
-    completion.drop_stmt_id = stmt_id;
-    return completion;
+                           "a parameter or column name exceeds 65535 bytes", &req.reply);
+    return;
   }
   // The job may touch the statement freely: its connection stays busy
-  // (and thus alive, untouched by the loop) until this completion lands.
-  conn->stmts.at(stmt_id)->lease = std::move(lease);
-  return completion;
+  // (and thus alive, untouched by the loop) until the reply lands.
+  req.stmt->lease = std::move(lease);
 }
 
 // Spools an execute's row batches as kRows frames, one chunk per frame.
+// The execute is serial, so batches arrive one at a time.
 struct Server::SpoolSink : RowConsumer {
   SpoolSink(Statement* s, PreparedQuery* q) : stmt(s), query(q) {}
 
   Statement* stmt;
   PreparedQuery* query;
-  std::mutex mu;
   bool row_too_large = false;
 
-  void OnBatch(const RowBatch& batch) override {
-    std::lock_guard<std::mutex> lock(mu);
-    Spool(batch, 0, batch.num_rows());
-  }
+  void OnBatch(const RowBatch& batch) override { Spool(batch, 0, batch.num_rows()); }
 
   // Rows [begin, end) as one frame, or, when that exceeds the frame
   // limit, each half on its own: chunk row counts stay exact.
@@ -655,15 +606,14 @@ struct Server::SpoolSink : RowConsumer {
   }
 };
 
-std::vector<Server::Completion> Server::RunExecuteGroup(Job* job) {
-  ExecRequest* leader = job->execs[0].get();
-  const size_t num_followers = job->execs.size() - 1;
-  Statement* stmt = leader->stmt;
+void Server::RunExecute(Connection* conn) {
+  Request& req = conn->request;
+  Statement* stmt = req.stmt;
   PreparedQuery* q = stmt->lease.get();
   QueryOutcome outcome;
   bool bound = true;
-  for (const auto& param : leader->params) {
-    if (!q->Bind(param.first, param.second)) {
+  for (const auto& [name, value] : req.params) {
+    if (!q->Bind(name, value)) {
       outcome.status = QueryOutcome::Status::kBindError;
       outcome.error = q->bind_error();
       bound = false;
@@ -674,17 +624,11 @@ std::vector<Server::Completion> Server::RunExecuteGroup(Job* job) {
     stmt->spool.clear();
     stmt->chunks.clear();
     stmt->next_chunk = 0;
-    q->set_deadline_millis(leader->deadline_millis);
-    leader->conn->inflight.store(q, std::memory_order_release);
-
+    q->set_deadline_millis(req.deadline_millis);
+    conn->inflight.store(q, std::memory_order_release);
     SpoolSink sink(stmt, q);
-
-    // A lone request runs serial (cross-connection concurrency is the
-    // throughput lever); a batch group amortizes one morsel-parallel
-    // pass across all its members.
-    const int num_threads = static_cast<int>(std::min<size_t>(num_followers + 1, 4));
-    outcome = q->Execute(&sink, num_threads);
-    leader->conn->inflight.store(nullptr, std::memory_order_release);
+    outcome = q->Execute(&sink);
+    conn->inflight.store(nullptr, std::memory_order_release);
     if (sink.row_too_large) {
       outcome.status = QueryOutcome::Status::kExecError;
       outcome.error = "a result row exceeds the " + std::to_string(wire::kMaxFrameBytes) +
@@ -695,50 +639,25 @@ std::vector<Server::Completion> Server::RunExecuteGroup(Job* job) {
     stmt->count = outcome.count;
     stmt->seconds = outcome.seconds;
   }
-
-  queries_.fetch_add(1 + num_followers, std::memory_order_relaxed);
-  if (num_followers > 0) batch_saved_.fetch_add(num_followers, std::memory_order_relaxed);
-
-  // Build EVERY response before delivering ANY: the moment the leader's
-  // completion lands, its connection stops being busy and the loop may
-  // free the leader's Statement (a pipelined CLOSE) — the follower spool
-  // copies below must already be done by then.
-  std::vector<Completion> done(job->execs.size());
-  for (size_t i = 0; i < job->execs.size(); ++i) {
-    ExecRequest* req = job->execs[i].get();
-    if (i > 0 && outcome.ok()) {
-      // Batched answer: the follower's statement adopts a copy of the
-      // leader's spool so its FETCH cursor pages independently.
-      req->stmt->spool = stmt->spool;
-      req->stmt->chunks = stmt->chunks;
-      req->stmt->next_chunk = 0;
-      req->stmt->count = stmt->count;
-      req->stmt->seconds = stmt->seconds;
-    }
-    done[i].conn = req->conn;
-    BuildExecuteResponse(outcome, req, &done[i].response);
+  queries_.fetch_add(1, std::memory_order_relaxed);
+  req.reply.clear();
+  if (outcome.ok()) {
+    stmt->AppendPage(req.max_rows, &req.reply);
+  } else {
+    wire::AppendErrorFrame(wire::ToWire(outcome.status), outcome.error, &req.reply);
   }
-  return done;
 }
 
-void Server::BuildExecuteResponse(const QueryOutcome& outcome, ExecRequest* req,
-                                  std::vector<uint8_t>* out) {
-  if (!outcome.ok()) {
-    wire::AppendErrorFrame(wire::ToWire(outcome.status), outcome.error, out);
-    return;
-  }
-  Statement* stmt = req->stmt;
+void Server::Statement::AppendPage(uint64_t max_rows, std::vector<uint8_t>* out) {
   uint64_t delivered = 0;
-  while (stmt->next_chunk < stmt->chunks.size() &&
-         (req->max_rows == 0 || delivered < req->max_rows)) {
-    const SpoolChunk& chunk = stmt->chunks[stmt->next_chunk];
-    out->insert(out->end(), stmt->spool.begin() + static_cast<ptrdiff_t>(chunk.offset),
-                stmt->spool.begin() + static_cast<ptrdiff_t>(chunk.offset + chunk.len));
+  while (next_chunk < chunks.size() && (max_rows == 0 || delivered < max_rows)) {
+    const SpoolChunk& chunk = chunks[next_chunk];
+    out->insert(out->end(), spool.begin() + static_cast<ptrdiff_t>(chunk.offset),
+                spool.begin() + static_cast<ptrdiff_t>(chunk.offset + chunk.len));
     delivered += chunk.rows;
-    ++stmt->next_chunk;
+    ++next_chunk;
   }
-  const bool more = stmt->next_chunk < stmt->chunks.size();
-  wire::AppendDoneFrame(more, outcome.count, delivered, outcome.seconds, out);
+  wire::AppendDoneFrame(next_chunk < chunks.size(), count, delivered, seconds, out);
 }
 
 void Server::HandleFetch(Connection* conn, const wire::FrameView& frame) {
@@ -758,18 +677,7 @@ void Server::HandleFetch(Connection* conn, const wire::FrameView& frame) {
   }
   // Pure spool slicing: no execution, so the role holder runs it in
   // place.
-  Statement* stmt = it->second.get();
-  uint64_t delivered = 0;
-  while (stmt->next_chunk < stmt->chunks.size() && (max_rows == 0 || delivered < max_rows)) {
-    const SpoolChunk& chunk = stmt->chunks[stmt->next_chunk];
-    conn->out.insert(conn->out.end(),
-                     stmt->spool.begin() + static_cast<ptrdiff_t>(chunk.offset),
-                     stmt->spool.begin() + static_cast<ptrdiff_t>(chunk.offset + chunk.len));
-    delivered += chunk.rows;
-    ++stmt->next_chunk;
-  }
-  const bool more = stmt->next_chunk < stmt->chunks.size();
-  wire::AppendDoneFrame(more, stmt->count, delivered, stmt->seconds, &conn->out);
+  it->second->AppendPage(max_rows, &conn->out);
 }
 
 void Server::HandleCancel(Connection* conn) {
@@ -801,23 +709,28 @@ void Server::HandleStats(Connection* conn) {
   w.PutU64(db_->plan_cache().misses());
   w.PutU64(db_->plan_cache().size());
   w.PutU64(queries());
-  w.PutU64(batch_saved());
+  w.PutU64(0);  // batch_saved: the server does not batch; kept for the layout
   w.EndFrame();
 }
 
 void Server::DrainCompletions() {
-  std::deque<Completion> batch;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    batch.swap(completions_);
+  while (true) {
+    Connection* conn;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (completions_.empty()) return;
+      conn = completions_.front();
+      completions_.pop_front();
+    }
+    Deliver(conn);
   }
-  for (Completion& completion : batch) Deliver(&completion);
 }
 
-void Server::Deliver(Completion* completion) {
-  Connection* conn = completion->conn;
-  conn->out.insert(conn->out.end(), completion->response.begin(), completion->response.end());
-  if (completion->drop_stmt_id != 0) conn->stmts.erase(completion->drop_stmt_id);
+void Server::Deliver(Connection* conn) {
+  const Request& req = conn->request;
+  conn->out.insert(conn->out.end(), req.reply.begin(), req.reply.end());
+  // A failed PREPARE left its statement without a plan.
+  if (req.prepare && req.stmt->lease.get() == nullptr) conn->stmts.erase(req.stmt_id);
   FinishJob(conn);
   FlushOut(conn);
 }

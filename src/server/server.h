@@ -51,8 +51,8 @@ struct ServerOptions {
 //     once. When a slot is free the role holder runs the next job
 //     itself: it lends the role, runs the job, takes the role back and
 //     writes the response straight to the socket — no cross-thread wake
-//     on the common path. Jobs that find every slot busy queue (batch
-//     groups form there) and start on the thread that frees a slot.
+//     on the common path. Jobs that find every slot busy queue and
+//     start on the thread that frees a slot.
 //   * Overrun handoff: one idle thread is the standby. It wakes once per
 //     kLoopSlice and takes over a role that has been lent to one job for
 //     longer than a slice; the overrunning thread then posts its response
@@ -60,27 +60,21 @@ struct ServerOptions {
 //     job stalls the loop (and CANCEL) for at most one slice. The standby
 //     parks after kParkSlices slices without a lent job, and the next
 //     lend wakes it.
-//   * Each connection has at most ONE job in flight; frames that arrive
-//     while it is busy are deferred in arrival order, except CANCEL,
-//     which is handled out-of-band (PreparedQuery::Cancel is the one
-//     thread-safe entry point). A connection is never destroyed while
-//     busy, so a job may touch its Connection/Statement freely; the loop
-//     role and its state pass between threads under `mu_`.
-//   * Queries execute with num_threads = 1: the engine's fork-join pool
-//     serializes whole parallel jobs, so server throughput comes from
-//     cross-connection concurrency, not per-query parallelism. The one
-//     exception is a batch group (below), which amortizes one pass
-//     across its members and may go morsel-parallel.
-//
-// Request batching (always on; HELLO_OK flags bit0 says so): EXECUTE
-// frames that wait in the job queue together (behind busy slots, or
-// read in one poll) and hit the same cached plan entry with
-// byte-identical parameters, deadline and max_rows are grouped; the
-// group executes ONCE when it starts (num_threads = min(group, 4)), and
-// every member connection receives its own copy of the result spool.
-// Per-connection ordering makes same-connection duplicates impossible,
-// so batching only ever merges across connections. An EXECUTE whose
-// deadline_ms is 0 runs under the database's config.query_timeout_ms.
+//   * Each connection has at most ONE job in flight, so the job is the
+//     connection: its parsed request and reply buffer live in it and
+//     keep their capacity across requests (zero_alloc_test's
+//     ServerAllocTest bounds what an EXECUTE allocates on the server
+//     side). Frames that arrive while it is busy are
+//     deferred in arrival order, except CANCEL, which is handled
+//     out-of-band (PreparedQuery::Cancel is the one thread-safe entry
+//     point). A connection is never destroyed while busy, so a job may
+//     touch its Connection/Statement freely; the loop role and its state
+//     pass between threads under `mu_`.
+//   * Every EXECUTE runs its own serial pass (num_threads = 1): the
+//     engine's fork-join pool serializes whole parallel jobs, so server
+//     throughput comes from cross-connection concurrency, not
+//     per-query parallelism. An EXECUTE whose deadline_ms is 0 runs
+//     under the database's config.query_timeout_ms.
 //
 // Results stream into a per-statement spool of serialized kRows frames
 // (a batch too large for one frame is split over several); the EXECUTE
@@ -113,8 +107,6 @@ class Server {
   int port() const { return port_; }
 
   uint64_t queries() const { return queries_.load(std::memory_order_relaxed); }
-  // Executes answered from a batch leader's pass instead of running.
-  uint64_t batch_saved() const { return batch_saved_.load(std::memory_order_relaxed); }
   // Times the standby took over the loop role from an overrunning job.
   uint64_t loop_handoffs() const { return loop_handoffs_.load(std::memory_order_relaxed); }
 
@@ -136,6 +128,26 @@ class Server {
     size_t next_chunk = 0;  // FETCH cursor
     uint64_t count = 0;
     double seconds = 0.0;
+
+    // Appends the spool's next frames, up to max_rows rows (0 = all;
+    // rounded up to whole frames), then the DONE frame.
+    void AppendPage(uint64_t max_rows, std::vector<uint8_t>* out);
+  };
+
+  // The PREPARE or EXECUTE a busy connection has in flight: filled by
+  // the role holder that dispatched it, run by a job, answered from
+  // `reply`. Every buffer keeps its capacity across requests.
+  struct Request {
+    bool prepare = false;
+    // PREPARE: the new statement, dropped on delivery unless the job
+    // gave it a plan. EXECUTE: the statement run.
+    Statement* stmt = nullptr;
+    uint32_t stmt_id = 0;          // PREPARE
+    std::string text;              // PREPARE
+    int64_t deadline_millis = -1;  // EXECUTE; < 0: the database's config
+    uint64_t max_rows = 0;         // EXECUTE; 0 = all
+    std::vector<std::pair<std::string, Value>> params;  // EXECUTE
+    std::vector<uint8_t> reply;
   };
 
   struct Connection {
@@ -150,37 +162,11 @@ class Server {
     bool dead = false;     // socket failed; reap once not busy
     uint32_t next_stmt_id = 1;
     std::unordered_map<uint32_t, std::unique_ptr<Statement>> stmts;
+    Request request;  // valid while busy
     // Frames received while busy, replayed in order on completion.
     std::deque<std::vector<uint8_t>> deferred;
     // The executing statement's query, for out-of-band CANCEL.
     std::atomic<PreparedQuery*> inflight{nullptr};
-  };
-
-  // A parsed EXECUTE plus the bytes of its batch group key.
-  struct ExecRequest {
-    Connection* conn = nullptr;
-    Statement* stmt = nullptr;
-    int64_t deadline_millis = -1;  // < 0: the database's config
-    uint64_t max_rows = 0;         // 0 = all
-    std::vector<std::pair<std::string, Value>> params;
-    std::string batch_key;
-  };
-
-  // One PREPARE, or one EXECUTE with the identical ones batched onto it.
-  struct Job {
-    Connection* conn = nullptr;  // PREPARE
-    uint32_t stmt_id = 0;        // PREPARE
-    std::string text;            // PREPARE
-    // EXECUTE: the group leader first; empty for PREPARE.
-    std::vector<std::unique_ptr<ExecRequest>> execs;
-  };
-
-  // A finished job's bytes for one connection, plus whether the
-  // (failed-prepare) statement should be dropped.
-  struct Completion {
-    Connection* conn = nullptr;
-    std::vector<uint8_t> response;
-    uint32_t drop_stmt_id = 0;  // 0 = keep
   };
 
   struct SpoolSink;
@@ -199,9 +185,9 @@ class Server {
   // the role was handed off while the job ran.
   bool RunInline();
   void RunPooledJob(std::unique_lock<std::mutex>* lock);
-  bool JobStartable() const;                    // requires mu_
-  std::unique_ptr<Job> StartJobLocked();        // requires mu_
-  std::vector<Completion> RunJob(Job* job);
+  bool JobStartable() const;          // requires mu_
+  Connection* StartJobLocked();       // requires mu_
+  void RunJob(Connection* conn);      // fills conn->request.reply
 
   void AcceptNew();
   void ReadFrom(Connection* conn);
@@ -212,23 +198,20 @@ class Server {
   void HandleHello(Connection* conn, const wire::FrameView& frame);
   void DispatchPrepare(Connection* conn, const wire::FrameView& frame);
   void DispatchExecute(Connection* conn, const wire::FrameView& frame);
+  void Enqueue(Connection* conn);  // marks it busy and queues its request
   void HandleFetch(Connection* conn, const wire::FrameView& frame);
   void HandleCancel(Connection* conn);
   void HandleCloseStmt(Connection* conn, const wire::FrameView& frame);
   void HandleStats(Connection* conn);
 
   // Job bodies.
-  Completion RunPrepare(Connection* conn, uint32_t stmt_id, const std::string& text);
-  std::vector<Completion> RunExecuteGroup(Job* job);
-
-  // Appends the post-execute response for `req` (rows up to max_rows,
-  // then DONE/ERROR) into `out`, advancing stmt->next_chunk.
-  void BuildExecuteResponse(const QueryOutcome& outcome, ExecRequest* req,
-                            std::vector<uint8_t>* out);
+  void RunPrepare(Connection* conn);
+  void RunExecute(Connection* conn);
 
   void DrainCompletions();
-  // Appends a completion to its connection, ends the job, flushes.
-  void Deliver(Completion* completion);
+  // Appends a finished job's reply to its connection, ends the job,
+  // flushes.
+  void Deliver(Connection* conn);
   void FinishJob(Connection* conn);  // busy=false + replay deferred
   void SendError(Connection* conn, wire::WireStatus status, const std::string& message);
   void FlushOut(Connection* conn);
@@ -260,13 +243,10 @@ class Server {
   bool standby_parked_ = false;
   bool exit_ = false;
   int in_flight_ = 0;  // jobs running
-  std::deque<std::unique_ptr<Job>> jobs_;  // waiting for a slot
-  // Queued EXECUTE jobs by batch key; a job leaves when it starts.
-  std::unordered_map<std::string, Job*> batch_pending_;
-  std::deque<Completion> completions_;  // posted by non-holders
+  std::deque<Connection*> jobs_;         // waiting for a slot
+  std::deque<Connection*> completions_;  // finished by non-holders
 
   std::atomic<uint64_t> queries_{0};
-  std::atomic<uint64_t> batch_saved_{0};
   std::atomic<uint64_t> loop_handoffs_{0};
 
   // num_workers + 1 threads; declared last, joined by Stop().

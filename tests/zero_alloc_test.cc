@@ -3,11 +3,14 @@
 // scratch buffers to their high-water mark), further Run() calls must
 // not touch the global allocator. Global operator new/delete are
 // replaced with counting wrappers; counts are compared across the
-// second pass.
+// second pass. A thread-local tally beside the global count lets a
+// test subtract its own thread's allocations from those of threads it
+// drives (the server's).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <iterator>
 #include <new>
@@ -22,10 +25,18 @@
 #include "query/cypher_parser.h"
 #include "query/operators.h"
 #include "query/plan.h"
+#include "server/client.h"
+#include "server/server.h"
 #include "util/rng.h"
 
 namespace {
 std::atomic<uint64_t> g_alloc_count{0};
+thread_local uint64_t t_alloc_count = 0;
+
+void CountAlloc() {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  ++t_alloc_count;
+}
 }  // namespace
 
 // The counting allocator below intentionally backs global operator new
@@ -35,21 +46,21 @@ std::atomic<uint64_t> g_alloc_count{0};
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 
 void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  CountAlloc();
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 
 void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  CountAlloc();
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 
 void* AlignedCountingAlloc(std::size_t size, std::align_val_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  CountAlloc();
   // aligned_alloc requires size to be a multiple of the alignment.
   std::size_t a = static_cast<std::size_t>(align);
   void* p = std::aligned_alloc(a, (size + a - 1) / a * a);
@@ -354,6 +365,78 @@ TEST_F(ZeroAllocTest, PreparedServingPathSteadyStateDoesNotAllocate) {
   round();
   EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u)
       << "prepared Bind+Execute steady state allocated";
+}
+
+TEST(ServerAllocTest, SteadyStateExecuteAllocatesAtMostOncePerRequest) {
+  // Wire EXECUTEs of prepared statements through an in-process Server
+  // with one worker. Every thread but this client thread is the
+  // server's, so the global count minus this thread's own tally is what
+  // serving cost. Server-side heap allocations per EXECUTE, averaged
+  // over 1000 requests:
+  //
+  //                                    two-hop COUNT(*)  2-param projection
+  //   batch key + per-request job:           12.02             12.99
+  //   request held in the connection:         0.01              0.02
+  //
+  // The first row built a batch-group key string and a pending-batch
+  // map node and allocated a job, a parsed request and a reply vector
+  // per EXECUTE; the second parses into buffers that keep their
+  // capacity, and what remains is the job queue's deque taking a new
+  // block every 64 requests.
+  Graph graph;
+  PowerLawParams params;
+  params.num_vertices = 2000;
+  params.avg_degree = 5.0;
+  params.seed = 41;
+  GeneratePowerLawGraph(params, &graph);
+  prop_key_t amt = graph.AddEdgeProperty("amt", ValueType::kInt64);
+  PropertyColumn* col = graph.edge_props().mutable_column(amt);
+  Rng rng(43);
+  for (edge_id_t e = 0; e < graph.num_edges(); ++e) {
+    col->SetInt64(e, static_cast<int64_t>(rng.NextBounded(100)));
+  }
+  Database db(std::move(graph));
+  db.BuildPrimaryIndexes();
+  ServerOptions options;
+  options.num_workers = 1;
+  Server server(&db, options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+
+  constexpr int kSources = 64;
+  constexpr int kRequests = 1000;
+  const char* const texts[] = {
+      "MATCH (a)-[r1:E]->(b)-[r2:E]->(c) WHERE a.ID = $src RETURN COUNT(*)",
+      "MATCH (a)-[r1:E]->(b) WHERE a.ID = $src AND r1.amt < $max RETURN b, r1.amt",
+  };
+  for (const char* text : texts) {
+    Client::PreparedInfo info = client.Prepare(text);
+    ASSERT_TRUE(info.ok()) << info.error;
+    std::vector<std::pair<std::string, Value>> binds;
+    for (const std::string& name : info.param_names) binds.emplace_back(name, Value::Int64(0));
+    auto execute = [&](int i) {
+      binds[0].second = Value::Int64(i % kSources);
+      if (binds.size() > 1) binds[1].second = Value::Int64(50 + i % 7);
+      Client::Result result = client.Execute(info.stmt_id, binds);
+      ASSERT_TRUE(result.ok()) << result.error;
+    };
+    // Warm-up: every source once, so the spool, the reply and the
+    // socket buffers reach their high-water marks.
+    for (int i = 0; i < 2 * kSources; ++i) execute(i);
+    if (HasFatalFailure()) return;
+    const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    const uint64_t client_before = t_alloc_count;
+    for (int i = 0; i < kRequests; ++i) execute(i);
+    const uint64_t server_allocs =
+        g_alloc_count.load(std::memory_order_relaxed) - before - (t_alloc_count - client_before);
+    const double per_request = static_cast<double>(server_allocs) / kRequests;
+    std::printf("%s: %.2f server-side allocations per EXECUTE\n", text, per_request);
+    EXPECT_LE(per_request, 1.0) << text;
+  }
+  client.Close();
+  server.Stop();
 }
 
 TEST_F(ZeroAllocTest, PreparedAggregateSortSteadyStateDoesNotAllocate) {
