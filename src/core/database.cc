@@ -369,7 +369,8 @@ std::unique_ptr<PreparedQuery> Database::PrepareParsed(ParsedCypher parsed,
   if (!concurrent_ingest_active() && store_->HasPendingUpdates()) store_->FlushAll();
   DpOptimizer* optimizer = CachedOptimizer();
   auto sink = std::make_unique<ProjectSinkOp>(&graph_, std::move(inputs), options.batch_rows,
-                                              &prepared->controls_, std::move(stages));
+                                              &prepared->controls_, prepared->row_budget(),
+                                              std::move(stages));
   std::unique_ptr<Plan> plan = optimizer->Optimize(prepared->query_, std::move(sink));
   if (plan == nullptr) {
     prepared->status_ = QueryOutcome::Status::kPlanError;

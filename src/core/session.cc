@@ -268,14 +268,8 @@ QueryOutcome PreparedQuery::Execute(RowConsumer* consumer, int num_threads) {
     db_->index_store().FlushAll();
   }
   controls_.consumer = consumer;
-  // The atomic row budget (early scan termination) serves stage-less
-  // plans only: a LIMIT below aggregation or ordering caps the *output*
-  // rows, which requires the full match enumeration and is enforced by
-  // the LimitStage during the Finish cascade. The COUNT(*) pushdown is
-  // also excluded — its single output row needs the full enumeration.
-  controls_.limit_active = has_limit_ && !has_stages_ && !count_star_only_;
   int64_t budget = 0;
-  if (controls_.limit_active) {
+  if (row_budget()) {
     constexpr uint64_t kMaxBudget =
         static_cast<uint64_t>(std::numeric_limits<int64_t>::max());
     budget = static_cast<int64_t>(limit_ < kMaxBudget ? limit_ : kMaxBudget);

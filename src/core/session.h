@@ -190,6 +190,15 @@ class PreparedQuery {
     Value value;
   };
 
+  // True when the sink enforces LIMIT through the atomic row budget
+  // (early scan termination). Stage-less plans only: a LIMIT below
+  // aggregation or ordering caps the *output* rows, which requires the
+  // full match enumeration and is enforced by the LimitStage during the
+  // Finish cascade. The COUNT(*) pushdown is also excluded — its single
+  // output row needs the full enumeration. Fixed at Prepare: the sink is
+  // built with it, and its last EXTEND counts only without it.
+  bool row_budget() const { return has_limit_ && !has_stages_ && !count_star_only_; }
+
   // Re-collects plan slots when the pipeline count changed (a parallel
   // Execute added replicas) and re-applies every bound parameter.
   void RefreshSlots();

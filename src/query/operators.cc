@@ -341,9 +341,36 @@ void ExtendOp::AcceptEntry(MatchState* state, const AdjListSlice& slice, uint32_
   Unbind(state);
 }
 
+uint64_t ExtendOp::CountRange(const MatchState& state, const AdjListSlice& slice,
+                              uint32_t begin, uint32_t end) const {
+  uint64_t count = end - begin;
+  for (vertex_id_t u : state.v) {
+    if (u == kInvalidVertex) continue;
+    auto [first, last] = EqualRangeByNbr(slice, u, begin, end);
+    count -= last - first;
+  }
+  return count;
+}
+
+uint64_t ExtendOp::CountRangeByBinding(MatchState* state, const AdjListSlice& slice,
+                                       uint32_t begin, uint32_t end) {
+  uint64_t count = 0;
+  for (uint32_t i = begin; i < end; ++i) {
+    if (!BindEntry(state, slice, i)) continue;
+    ++count;
+    Unbind(state);
+  }
+  return count;
+}
+
 void ExtendOp::set_next(Operator* next) {
   Operator::set_next(next);
   prefetch_.clear();
+  counting_ = next->counts_only() && !closing_ && residual_.empty() &&
+              list_.edge_label_filter == kInvalidLabel &&
+              list_.target_vertex_label == kInvalidLabel &&
+              list_.target_bound == kInvalidVertex &&
+              list_.source != ListDescriptor::Source::kEp && list_.nbr_sorted;
   if (closing_) return;
   auto [lists, count] = next->lists();
   for (size_t l = 0; l < count; ++l) {
@@ -356,6 +383,15 @@ void ExtendOp::set_next(Operator* next) {
 
 void ExtendOp::EnumerateRange(MatchState* state, const AdjListSlice& slice, uint64_t begin,
                               uint64_t end) {
+  if (counting_) {
+    const uint64_t count =
+        CountRange(*state, slice, static_cast<uint32_t>(begin), static_cast<uint32_t>(end));
+    APLUS_DCHECK(count == CountRangeByBinding(state, slice, static_cast<uint32_t>(begin),
+                                              static_cast<uint32_t>(end)))
+        << "counting EXTEND disagrees with its entry loop";
+    state->count += count;
+    return;
+  }
   if (prefetch_.empty()) {
     for (uint32_t i = static_cast<uint32_t>(begin); i < end; ++i) {
       if ((i & 63u) == 0 && token_ != nullptr && CheckStop()) return;

@@ -187,6 +187,10 @@ class Operator {
   // descriptor and the count (the plan printer renders them); none by
   // default.
   virtual std::pair<const ListDescriptor*, size_t> lists() const { return {nullptr, 0}; }
+  // True when this operator only counts the matches it receives: it
+  // reads none of their bindings and forwards nothing. An EXTEND feeding
+  // it may then count its list instead of emitting each entry.
+  virtual bool counts_only() const { return false; }
 
  protected:
   void Emit(MatchState* state) { next_->Run(state); }
@@ -211,6 +215,7 @@ class SinkOp : public Operator {
   }
   std::unique_ptr<Operator> Clone() const override { return std::make_unique<SinkOp>(callback_); }
   std::string Describe() const override { return "Sink"; }
+  bool counts_only() const override { return callback_ == nullptr; }
 
  private:
   std::function<void(const MatchState&)> callback_;
@@ -270,6 +275,18 @@ class ScanOp : public Operator {
 // along one adjacency list, binding one new query vertex and edge.
 // When the target vertex is already bound (a cycle-closing edge) the
 // operator verifies list membership instead of enumerating.
+//
+// Counting mode (list-based processing: the last list stays
+// unflattened). When the next operator only counts (counts_only()) and
+// nothing filters an entry — no residual, no label filter, no pinned
+// target, not closing — every entry of a primary or VP list's bounded
+// range is a match except those whose neighbour is already bound: the
+// matches are isomorphic, and an already-bound edge joins two bound
+// vertices, so excluding the bound neighbours also keeps edges
+// distinct. The extend then adds (end - begin) minus the equal range of
+// each bound vertex, found by binary search on the neighbour-sorted
+// range, to MatchState::count, without binding or emitting an entry.
+// set_next decides the mode once, from the plan alone.
 class ExtendOp : public Operator {
  public:
   ExtendOp(const Graph* graph, ListDescriptor list, std::vector<QueryComparison> residual,
@@ -322,6 +339,13 @@ class ExtendOp : public Operator {
   void Unbind(MatchState* state) const;
   // BindEntry, then Emit and Unbind on a pass.
   void AcceptEntry(MatchState* state, const AdjListSlice& slice, uint32_t i);
+  // Counting mode: the entries of [begin, end) whose neighbour is not
+  // bound in `state`.
+  uint64_t CountRange(const MatchState& state, const AdjListSlice& slice, uint32_t begin,
+                      uint32_t end) const;
+  // The same count through BindEntry (the debug cross-check).
+  uint64_t CountRangeByBinding(MatchState* state, const AdjListSlice& slice, uint32_t begin,
+                               uint32_t end);
   void EnumerateRange(MatchState* state, const AdjListSlice& slice, uint64_t begin,
                       uint64_t end);
   // Flag check on most calls, a clock check every 64th: a serial chain
@@ -336,6 +360,7 @@ class ExtendOp : public Operator {
   ListDescriptor list_;
   std::vector<QueryComparison> residual_;
   bool closing_;
+  bool counting_ = false;  // counting mode (set_next)
   // The next operator's lists bound on list_.target_vertex_var (set_next).
   std::vector<const ListDescriptor*> prefetch_;
   // (neighbour, edge) of each entry of the current group that passed.

@@ -822,11 +822,12 @@ std::string LimitStage::Describe() const { return "LIMIT " + std::to_string(limi
 
 ProjectSinkOp::ProjectSinkOp(const Graph* graph, std::vector<ProjectColumn> cols,
                              uint32_t batch_capacity, ExecControls* controls,
-                             std::vector<std::unique_ptr<SinkStage>> stages)
+                             bool row_budget, std::vector<std::unique_ptr<SinkStage>> stages)
     : graph_(graph),
       cols_(std::move(cols)),
       batch_capacity_(batch_capacity < 1 ? 1 : batch_capacity),
       controls_(controls),
+      row_budget_(row_budget),
       stages_(std::move(stages)) {
   APLUS_CHECK(controls_ != nullptr);
   batch_.Init(cols_, batch_capacity_);
@@ -849,11 +850,11 @@ std::unique_ptr<Operator> ProjectSinkOp::Clone() const {
   cloned.reserve(stages_.size());
   for (const auto& stage : stages_) cloned.push_back(stage->Clone());
   return std::make_unique<ProjectSinkOp>(graph_, cols_, batch_capacity_, controls_,
-                                         std::move(cloned));
+                                         row_budget_, std::move(cloned));
 }
 
 void ProjectSinkOp::Run(MatchState* state) {
-  if (controls_->limit_active) {
+  if (row_budget_) {
     // Claim one row from the shared budget; the claim that drains it (and
     // every losing claim after) raises the stop flag so the scans wind
     // down. Exactly `limit` claims succeed across all workers. Only

@@ -105,8 +105,8 @@ class RowConsumer {
 // the PreparedQuery (stable address), reset before each execution.
 struct ExecControls {
   RowConsumer* consumer = nullptr;
-  bool limit_active = false;
-  std::atomic<int64_t> rows_remaining{0};  // claimed via fetch_sub when limit_active
+  // Claimed via fetch_sub by a row-budget sink (ProjectSinkOp).
+  std::atomic<int64_t> rows_remaining{0};
   // Unified stop token: LIMIT satisfaction, deadline expiry, Cancel(),
   // and budget exhaustion all land here; token.reason() disambiguates.
   ExecToken token;
@@ -405,13 +405,14 @@ class LimitStage : public SinkStage {
 // to the head of its sink-stage chain (or straight to the consumer when
 // the chain is empty). Counting is the degenerate projection (no
 // columns, no stages — only MatchState::count advances). With a
-// stage-less LIMIT, rows are claimed from the shared atomic budget so
-// the total emitted across all workers is exactly min(limit, matches),
-// and the stop flag cuts the scans short.
+// stage-less LIMIT (`row_budget`, fixed at Prepare), rows are claimed
+// from the shared atomic budget so the total emitted across all workers
+// is exactly min(limit, matches), and the stop flag cuts the scans
+// short.
 class ProjectSinkOp : public Operator {
  public:
   ProjectSinkOp(const Graph* graph, std::vector<ProjectColumn> cols, uint32_t batch_capacity,
-                ExecControls* controls,
+                ExecControls* controls, bool row_budget,
                 std::vector<std::unique_ptr<SinkStage>> stages = {});
 
   void Run(MatchState* state) override;
@@ -437,7 +438,8 @@ class ProjectSinkOp : public Operator {
   // cloning across PreparedQuery instances; see SinkStage).
   void RebindControls(ExecControls* controls);
 
-  bool counting_only() const { return cols_.empty() && stages_.empty(); }
+  // A budgeted LIMIT claims a row per match, so it must see each one.
+  bool counts_only() const override { return cols_.empty() && stages_.empty() && !row_budget_; }
   int num_stages() const { return static_cast<int>(stages_.size()); }
   const SinkStage* stage(int i) const { return stages_[i].get(); }
   // Describe() of the projection plus every stage, most-downstream last
@@ -452,6 +454,7 @@ class ProjectSinkOp : public Operator {
   std::vector<ProjectColumn> cols_;
   uint32_t batch_capacity_;
   ExecControls* controls_;
+  bool row_budget_;
   std::vector<std::unique_ptr<SinkStage>> stages_;
   RowBatch batch_;
   std::vector<SinkStage*> stage_scratch_;  // MergeAllStages worker list, reused

@@ -156,7 +156,7 @@ class SealFile {
   bool Publish(SegmentHeader* header, const std::string& path, std::string* error) {
     header->header_crc = Crc32c(header, offsetof(SegmentHeader, header_crc));
     if (Drain() && CheckedWrite(header, sizeof(*header), 0)) {
-      if (fsync(fd_) != 0) Record(errno);
+      if (!Fsync(fd_)) Record(errno);
       int fd = fd_;
       fd_ = -1;
       if (close(fd) != 0) Record(errno);
@@ -165,7 +165,7 @@ class SealFile {
       errno = errno_;
       return Fail(error, SysError("cannot write " + temp_path_));
     }
-    if (rename(temp_path_.c_str(), path.c_str()) != 0) {
+    if (!Rename(temp_path_, path)) {
       return Fail(error, SysError("cannot rename " + temp_path_ + " over " + path));
     }
     published_ = true;
@@ -173,7 +173,7 @@ class SealFile {
     const std::string dir =
         slash == std::string::npos ? "." : slash == 0 ? "/" : path.substr(0, slash);
     int dir_fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (dir_fd < 0 || fsync(dir_fd) != 0) {
+    if (dir_fd < 0 || !Fsync(dir_fd)) {
       const int err = errno;
       if (dir_fd >= 0) close(dir_fd);
       errno = err;
@@ -184,6 +184,23 @@ class SealFile {
   }
 
  private:
+  // fsync(2), failed with EIO by the seal_fsync fault point.
+  static bool Fsync(int fd) {
+    if (fault::ShouldFail(fault::kSealFsync)) {
+      errno = EIO;
+      return false;
+    }
+    return fsync(fd) == 0;
+  }
+  // rename(2), failed with EIO by the seal_rename fault point.
+  static bool Rename(const std::string& from, const std::string& to) {
+    if (fault::ShouldFail(fault::kSealRename)) {
+      errno = EIO;
+      return false;
+    }
+    return rename(from.c_str(), to.c_str()) == 0;
+  }
+
   static std::string SysError(const std::string& what) {
     return "seal: " + what + ": " + std::strerror(errno);
   }

@@ -27,6 +27,9 @@ inline constexpr const char* kDeltaFull = "delta_full";     // PrimaryIndex::Ins
 inline constexpr const char* kIngestAddEdge = "ingest_add_edge";  // Graph::AddEdge
 inline constexpr const char* kPoolDispatch = "pool_dispatch";     // ThreadPool::Run
 inline constexpr const char* kSealWrite = "seal_write";  // every write of SealSegment
+// SealSegment's file fsync, then its directory fsync after the rename.
+inline constexpr const char* kSealFsync = "seal_fsync";
+inline constexpr const char* kSealRename = "seal_rename";  // SealSegment's rename
 
 namespace internal {
 extern std::atomic<bool> g_enabled;

@@ -3,14 +3,19 @@
 // count for scan / extend / extend-intersect / multi-extend / filter
 // plans over random power-law multi-edge graphs (the same generator
 // setup as intersect_diff_test.cc), including on repeated executions of
-// the same plan (worker pipelines and MatchStates are reused).
+// the same plan (worker pipelines and MatchStates are reused). The
+// counting-mode cases at the end check counting EXTENDs against the
+// flat-adjacency oracle.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <string>
+#include <tuple>
+#include <vector>
 
+#include "baseline/flat_adj_engine.h"
 #include "core/database.h"
 #include "datagen/label_assigner.h"
 #include "datagen/power_law_generator.h"
@@ -452,6 +457,290 @@ TEST_P(ParallelDiffTest, AllKernelLevelsMatchSerial) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDiffTest, ::testing::Values(11u, 29u, 47u));
+
+// --- Counting mode: the last EXTEND counts its list ---
+//
+// Chains of one to three hops, counted through Database::Prepare(...
+// RETURN COUNT(*)) and through a hand-built Plan ending in a
+// callback-free SinkOp, against the flat-adjacency oracle. Both end in a
+// counting EXTEND wherever the last hop filters nothing. The small graph
+// has self-loops, parallel edges and 2-cycles, so the bound-vertex
+// subtraction is what keeps the counts isomorphic and edge-distinct;
+// the power-law graph is the suite's. A hub-pinned source makes
+// Execute(4) split the first list, so a one-hop chain counts inside
+// entry morsels.
+
+enum class CountGraph { kSmall, kPowerLaw };
+enum class CountShape { kInMemory, kDelta, kSealedRaw, kSealedPacked };
+// The default primary (D); a primary partitioned by edge label, then
+// neighbour label; D plus a VP view of the edges with w > 2.
+enum class CountIndex { kD, kLabelPartitioned, kVpView };
+
+struct Hop {
+  bool fwd;
+  const char* elabel;
+  const char* vlabel;  // the target's label, or nullptr
+};
+
+struct Chain {
+  std::vector<Hop> hops;
+  bool last_w = false;  // `w > 2` on the last edge
+};
+
+class CountingModeDiffTest
+    : public ::testing::TestWithParam<std::tuple<CountGraph, CountShape>> {
+ protected:
+  static constexpr const char* kVpDdl =
+      "CREATE 1-HOP VIEW Heavy MATCH vs-[eadj]->vd WHERE eadj.w>2 INDEX AS FW-BW "
+      "PARTITION BY eadj.label SORT BY vnbr.ID";
+
+  CountGraph graph_kind() const { return std::get<0>(GetParam()); }
+  CountShape shape() const { return std::get<1>(GetParam()); }
+
+  Graph MakeGraph() const {
+    Graph graph;
+    if (graph_kind() == CountGraph::kPowerLaw) {
+      PowerLawParams params;
+      params.num_vertices = 900;
+      params.avg_degree = 6.0;
+      params.preferential_fraction = 0.8;
+      params.seed = 11;
+      GeneratePowerLawGraph(params, &graph);
+      AssignRandomLabels(2, 2, 111, &graph);
+    } else {
+      const label_t vl[2] = {graph.catalog().AddVertexLabel("VL0"),
+                             graph.catalog().AddVertexLabel("VL1")};
+      const label_t el0 = graph.catalog().AddEdgeLabel("EL0");
+      const label_t el1 = graph.catalog().AddEdgeLabel("EL1");
+      for (int v = 0; v < 8; ++v) graph.AddVertex(vl[v % 2]);
+      const int edges[][3] = {
+          {0, 0, 0}, {0, 1, 0}, {0, 1, 0}, {0, 1, 0}, {1, 0, 0}, {1, 2, 0}, {1, 2, 0},
+          {2, 1, 0}, {2, 2, 0}, {0, 2, 0}, {2, 0, 0}, {3, 0, 0}, {0, 3, 0}, {1, 3, 0},
+          {3, 3, 0}, {4, 5, 0}, {5, 4, 0}, {0, 4, 0}, {0, 5, 0}, {0, 6, 0}, {6, 0, 0},
+          {7, 7, 0}, {0, 1, 1}, {1, 0, 1}, {1, 1, 1}, {0, 2, 1}, {2, 3, 1}, {3, 2, 1},
+          {3, 1, 1}, {1, 4, 1}, {1, 4, 1}, {4, 1, 1}, {5, 0, 1}, {6, 7, 1}, {7, 6, 1}};
+      for (const auto& e : edges) {
+        graph.AddEdge(static_cast<vertex_id_t>(e[0]), static_cast<vertex_id_t>(e[1]),
+                      e[2] == 0 ? el0 : el1);
+      }
+    }
+    const prop_key_t w = graph.AddEdgeProperty("w", ValueType::kInt64);
+    PropertyColumn* col = graph.edge_props().mutable_column(w);
+    for (edge_id_t e = 0; e < graph.num_edges(); ++e) {
+      col->SetInt64(e, static_cast<int64_t>(e % 5));
+    }
+    return graph;
+  }
+
+  // Opens db_ over MakeGraph() with `index`, in the parameter's shape.
+  void Open(CountIndex index) {
+    Close();
+    IndexConfig config = IndexConfig::Default();
+    if (index == CountIndex::kLabelPartitioned) {
+      config.partitions.push_back({PartitionSource::kNbrLabel, kInvalidPropKey});
+    }
+    const bool sealed = shape() == CountShape::kSealedRaw || shape() == CountShape::kSealedPacked;
+    EngineConfig engine;
+    engine.segment_compress =
+        shape() == CountShape::kSealedPacked ? CompressMode::kOn : CompressMode::kOff;
+    db_ = std::make_unique<Database>(MakeGraph(), engine);
+    db_->BuildPrimaryIndexes(config);
+    if (index == CountIndex::kVpView) {
+      ASSERT_TRUE(db_->ExecuteDdl(kVpDdl).ok);
+    }
+    if (sealed) {
+      path_ = testing::TempDir() + "/aplus_counting_mode.seg";
+      std::string error;
+      ASSERT_TRUE(db_->SealToSegment(path_, &error)) << error;
+      db_ = Database::OpenFromSegment(path_, &error, engine);
+      ASSERT_NE(db_, nullptr) << error;
+    }
+    if (shape() == CountShape::kDelta) {
+      // A second self-loop on 0, another parallel 0->1, a 2-cycle 0<->2
+      // and a self-loop on 5; on the power-law graph also one edge per
+      // half page. Few enough to stay in the pages' deltas.
+      const Catalog& catalog = db_->graph().catalog();
+      const label_t el0 = catalog.FindEdgeLabel("EL0");
+      const label_t el1 = catalog.FindEdgeLabel("EL1");
+      const uint64_t nv = db_->graph().num_vertices();
+      std::vector<std::tuple<vertex_id_t, vertex_id_t, label_t>> inserts = {
+          {0, 0, el0}, {0, 1, el0}, {2, 0, el1}, {0, 2, el1}, {5, 5, el1}};
+      if (graph_kind() == CountGraph::kPowerLaw) {
+        for (uint64_t src = 0; src < nv; src += kGroupSize / 2) {
+          inserts.emplace_back(static_cast<vertex_id_t>(src),
+                               static_cast<vertex_id_t>((src * 7 + 3) % nv),
+                               src % 2 == 0 ? el0 : el1);
+        }
+      }
+      ConcurrentIngestOptions options;
+      options.max_vertices = nv;
+      options.max_edges = db_->graph().num_edges() + inserts.size();
+      options.background_merge = false;
+      db_->BeginConcurrentIngest(options);
+      for (const auto& [src, dst, label] : inserts) {
+        db_->maintainer().OnEdgeInserted(db_->graph().AddEdge(src, dst, label));
+      }
+      ASSERT_TRUE(db_->index_store().HasPendingUpdates());
+    }
+    const PrimaryIndex* fwd = db_->index_store().primary(Direction::kFwd);
+    hub_ = 0;
+    for (vertex_id_t v = 0; v < db_->graph().num_vertices(); ++v) {
+      if (fwd->GetFullList(v).len > fwd->GetFullList(hub_).len) hub_ = v;
+    }
+    if (shape() == CountShape::kSealedPacked) {
+      ASSERT_TRUE(fwd->GetFullList(hub_).is_packed());
+    }
+  }
+
+  void Close() {
+    if (db_ != nullptr && db_->concurrent_ingest_active()) db_->EndConcurrentIngest();
+    db_.reset();
+    if (!path_.empty()) std::remove(path_.c_str());
+    path_.clear();
+  }
+  void TearDown() override { Close(); }
+
+  // Counts `chain` from an unpinned or hub-pinned source both ways, at 1
+  // and 4 threads, against the oracle.
+  void ExpectChainMatchesOracle(const Chain& chain, CountIndex index, bool pinned) {
+    const Graph& graph = db_->graph();
+    const Catalog& catalog = graph.catalog();
+    const prop_key_t w = catalog.FindProperty("w", PropTargetKind::kEdge);
+    const int last = static_cast<int>(chain.hops.size()) - 1;
+    QueryGraph query;
+    query.AddVertex("v0", kInvalidLabel, pinned ? hub_ : kInvalidVertex);
+    std::string text = "MATCH (v0)";
+    for (int i = 0; i <= last; ++i) {
+      const Hop& hop = chain.hops[i];
+      const std::string name = "v" + std::to_string(i + 1);
+      const std::string edge = "r" + std::to_string(i);
+      const label_t vlabel =
+          hop.vlabel != nullptr ? catalog.FindVertexLabel(hop.vlabel) : kInvalidLabel;
+      query.AddVertex(name, vlabel);
+      query.AddEdge(hop.fwd ? i : i + 1, hop.fwd ? i + 1 : i, catalog.FindEdgeLabel(hop.elabel),
+                    edge);
+      text += std::string(hop.fwd ? "-[" : "<-[") + edge + ":" + hop.elabel +
+              (hop.fwd ? "]->(" : "]-(") + name +
+              (hop.vlabel != nullptr ? std::string(":") + hop.vlabel : "") + ")";
+    }
+    QueryComparison heavy;
+    heavy.lhs = QueryPropRef{last, /*is_edge=*/true, w, /*is_id=*/false};
+    heavy.op = CmpOp::kGt;
+    heavy.rhs_const = Value::Int64(2);
+    std::vector<std::string> where;
+    if (pinned) where.push_back("v0.ID = $src");
+    if (chain.last_w) {
+      query.AddPredicate(heavy);
+      where.push_back("r" + std::to_string(last) + ".w > 2");
+    }
+    for (size_t i = 0; i < where.size(); ++i) text += (i == 0 ? " WHERE " : ", ") + where[i];
+    text += " RETURN COUNT(*)";
+    SCOPED_TRACE(text + (pinned ? " src=" + std::to_string(hub_) : ""));
+
+    const uint64_t want = FlatAdjEngine(&graph).CountMatches(query);
+    std::unique_ptr<PreparedQuery> prepared = db_->Prepare(text);
+    ASSERT_TRUE(prepared->ok()) << prepared->error();
+    if (pinned) {
+      ASSERT_TRUE(prepared->Bind("src", Value::Int64(hub_))) << prepared->bind_error();
+    }
+
+    PlanBuilder builder(&graph, &query);
+    builder.Scan(0);
+    for (int i = 0; i <= last; ++i) {
+      const Hop& hop = chain.hops[i];
+      const Direction dir = hop.fwd ? Direction::kFwd : Direction::kBwd;
+      const label_t elabel = catalog.FindEdgeLabel(hop.elabel);
+      const label_t vlabel =
+          hop.vlabel != nullptr ? catalog.FindVertexLabel(hop.vlabel) : kInvalidLabel;
+      const bool heavy_hop = chain.last_w && i == last;
+      ListDescriptor list;
+      list.bound_var = i;
+      list.target_vertex_var = i + 1;
+      list.target_edge_var = i;
+      list.cats = {elabel};
+      list.nbr_sorted = true;
+      std::vector<QueryComparison> residual;
+      if (heavy_hop && index == CountIndex::kVpView) {
+        list.source = ListDescriptor::Source::kVp;
+        list.vp = db_->index_store().FindVpIndex("Heavy", dir);
+        ASSERT_NE(list.vp, nullptr);
+      } else {
+        list.primary = db_->index_store().primary(dir);
+        if (heavy_hop) residual.push_back(heavy);
+      }
+      if (index == CountIndex::kLabelPartitioned && list.vp == nullptr) {
+        // Only a full partition path is one neighbour-sorted run.
+        if (vlabel != kInvalidLabel) {
+          list.cats.push_back(vlabel);
+        } else {
+          list.nbr_sorted = false;
+        }
+      } else {
+        list.target_vertex_label = vlabel;
+      }
+      builder.Extend(list, residual);
+    }
+    std::unique_ptr<Plan> plan = builder.Build();
+
+    for (int k : {1, 4}) {
+      QueryOutcome out = prepared->Execute(nullptr, k);
+      ASSERT_TRUE(out.ok()) << out.error;
+      EXPECT_EQ(out.count, want) << "prepared k=" << k;
+      EXPECT_EQ(plan->Execute(k), want) << "hand-built k=" << k;
+    }
+  }
+
+  std::unique_ptr<Database> db_;
+  std::string path_;
+  vertex_id_t hub_ = 0;
+};
+
+TEST_P(CountingModeDiffTest, ChainsMatchOracle) {
+  const std::vector<Chain> chains = {
+      {{{true, "EL0", nullptr}}},
+      {{{true, "EL0", nullptr}, {true, "EL0", nullptr}}},
+      // r1 may be r0 read backwards; only the bound-vertex subtraction
+      // excludes it.
+      {{{true, "EL0", nullptr}, {false, "EL0", nullptr}}},
+      {{{true, "EL0", nullptr}, {true, "EL1", nullptr}, {true, "EL0", nullptr}}},
+      {{{true, "EL0", "VL1"}, {true, "EL0", "VL0"}}},
+      {{{true, "EL1", nullptr}, {false, "EL0", nullptr}, {true, "EL1", "VL1"}}},
+      {{{true, "EL0", nullptr}, {true, "EL0", nullptr}}, /*last_w=*/true},
+      {{{true, "EL1", nullptr}, {true, "EL0", nullptr}, {false, "EL0", nullptr}},
+       /*last_w=*/true},
+  };
+  std::vector<CountIndex> indexes = {CountIndex::kD, CountIndex::kLabelPartitioned};
+  // Secondary indexes are neither sealed nor maintained under ingest.
+  if (shape() == CountShape::kInMemory) indexes.push_back(CountIndex::kVpView);
+  for (CountIndex index : indexes) {
+    SCOPED_TRACE("index config " + std::to_string(static_cast<int>(index)));
+    Open(index);
+    if (HasFatalFailure()) return;
+    for (const Chain& chain : chains) {
+      for (bool pinned : {false, true}) {
+        // An unpinned three-hop chain has millions of matches on the
+        // power-law graph: too many to enumerate under the sanitizers.
+        if (!pinned && chain.hops.size() == 3 && graph_kind() == CountGraph::kPowerLaw) continue;
+        ExpectChainMatchesOracle(chain, index, pinned);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+std::string CountCaseName(const ::testing::TestParamInfo<std::tuple<CountGraph, CountShape>>& info) {
+  static const char* const kGraphs[] = {"Small", "PowerLaw"};
+  static const char* const kShapes[] = {"InMemory", "Delta", "SealedRaw", "SealedPacked"};
+  return std::string(kGraphs[static_cast<int>(std::get<0>(info.param))]) +
+         kShapes[static_cast<int>(std::get<1>(info.param))];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GraphsAndShapes, CountingModeDiffTest,
+    ::testing::Combine(::testing::Values(CountGraph::kSmall, CountGraph::kPowerLaw),
+                       ::testing::Values(CountShape::kInMemory, CountShape::kDelta,
+                                         CountShape::kSealedRaw, CountShape::kSealedPacked)),
+    CountCaseName);
 
 }  // namespace
 }  // namespace aplus

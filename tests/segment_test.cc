@@ -923,5 +923,52 @@ TEST(SegmentSealFaultTest, FailedSealLeavesPreviousFileIntact) {
   std::remove(path.c_str());
 }
 
+// The seal's fsyncs and its rename: a failure before the rename (the
+// file fsync, the rename itself) leaves the previous segment in place,
+// and a failure after it (the directory fsync) leaves the new one. The
+// seal reports each failure and leaves no temporary file behind.
+TEST(SegmentSealFaultTest, FailedFsyncOrRenameLeavesOldOrNewSegment) {
+  FaultGuard guard;
+  const std::string path = TempPath("aplus_seg_fault_sync.seg");
+  const std::string next_path = TempPath("aplus_seg_fault_sync_next.seg");
+  std::string error;
+  Database previous(MakeGraph(73, 500), Sealing(CompressMode::kOff));
+  previous.BuildPrimaryIndexes();
+  Database next(MakeGraph(74, 700), Sealing(CompressMode::kOff));
+  next.BuildPrimaryIndexes();
+
+  // A clean seal of `next`, with probability-0 specs counting the steps.
+  ASSERT_TRUE(fault::SetSpec("seal_fsync:0,seal_rename:0"));
+  ASSERT_TRUE(next.SealToSegment(next_path, &error)) << error;
+  EXPECT_EQ(fault::Hits(fault::kSealFsync), 2u);  // the file, then the directory
+  EXPECT_EQ(fault::Hits(fault::kSealRename), 1u);
+  fault::Clear();
+  const std::vector<uint8_t> next_bytes = ReadFile(next_path);
+  std::remove(next_path.c_str());
+
+  struct Step {
+    const char* spec;
+    bool renamed;  // the step fails after the rename
+  };
+  for (const Step& step : {Step{"seal_fsync:@1", false}, Step{"seal_rename:@1", false},
+                           Step{"seal_fsync:@2", true}}) {
+    SCOPED_TRACE(step.spec);
+    ASSERT_TRUE(previous.SealToSegment(path, &error)) << error;
+    const std::vector<uint8_t> previous_bytes = ReadFile(path);
+    ASSERT_FALSE(previous_bytes == next_bytes);
+    ASSERT_TRUE(fault::SetSpec(step.spec));
+    error.clear();
+    EXPECT_FALSE(next.SealToSegment(path, &error));
+    fault::Clear();
+    EXPECT_EQ(error.rfind("seal: ", 0), 0u) << error;
+    EXPECT_NE(error.find(std::strerror(EIO)), std::string::npos) << error;
+    EXPECT_TRUE(ReadFile(path) == (step.renamed ? next_bytes : previous_bytes));
+    std::unique_ptr<Segment> seg = OpenSegment(path, &error);
+    EXPECT_NE(seg, nullptr) << error;
+    EXPECT_EQ(TempSiblings(path), std::vector<std::string>{});
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace aplus

@@ -182,6 +182,53 @@ TEST_F(ServingApiTest, LimitStopsEarlySerialAndParallel) {
   }
 }
 
+// A bare MATCH with a LIMIT below the match count counts exactly LIMIT
+// matches: each one claims a row of the sink's budget, so the last
+// EXTEND must enumerate them rather than count its whole list at once.
+TEST_F(ServingApiTest, BareMatchLimitCountsExactlyTheLimit) {
+  Session session(db_.get());
+  vertex_id_t hub = 0;
+  uint64_t hub_matches = 0;
+  for (vertex_id_t v = 0; v < db_->graph().num_vertices(); ++v) {
+    const uint64_t matches = engine_->CountMatches(TwoHop(v));
+    if (matches > hub_matches) {
+      hub = v;
+      hub_matches = matches;
+    }
+  }
+  const uint64_t total = engine_->CountMatches(TwoHop(kInvalidVertex));
+  ASSERT_GT(hub_matches, 5u);
+  const std::string base = "MATCH (a)-[r1:E]->(b)-[r2:E]->(c)";
+  const std::string pin = " WHERE a.ID = $src";
+  for (bool pinned : {false, true}) {
+    const uint64_t matches = pinned ? hub_matches : total;
+    const std::string text = base + (pinned ? pin : "");
+    PreparedQuery* all = session.Prepare(text);
+    ASSERT_TRUE(all->ok()) << all->error();
+    if (pinned) {
+      ASSERT_TRUE(all->Bind("src", Value::Int64(hub))) << all->bind_error();
+    }
+    for (int threads : {1, 4}) {
+      QueryOutcome out = all->Execute(nullptr, threads);
+      ASSERT_TRUE(out.ok()) << out.error;
+      EXPECT_EQ(out.count, matches) << text << " threads=" << threads;
+    }
+    for (uint64_t limit : std::vector<uint64_t>{1, 5, matches - 1}) {
+      PreparedQuery* prepared = session.Prepare(text + " LIMIT " + std::to_string(limit));
+      ASSERT_TRUE(prepared->ok()) << prepared->error();
+      if (pinned) {
+        ASSERT_TRUE(prepared->Bind("src", Value::Int64(hub))) << prepared->bind_error();
+      }
+      for (int threads : {1, 4}) {
+        QueryOutcome out = prepared->Execute(nullptr, threads);
+        ASSERT_TRUE(out.ok()) << out.error;
+        EXPECT_EQ(out.count, limit) << text << " LIMIT " << limit << " threads=" << threads;
+        EXPECT_EQ(out.rows, 0u);
+      }
+    }
+  }
+}
+
 TEST_F(ServingApiTest, CountStarIsTheDegenerateAggregate) {
   // A bare RETURN COUNT(*) (no grouping, no ordering) is pushed down
   // onto the counting sink: the plan materializes no rows at all
