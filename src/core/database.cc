@@ -61,12 +61,23 @@ double Database::BuildPrimaryIndexes(const IndexConfig& config) {
   return store_->BuildPrimary(config);
 }
 
-VpIndex* Database::CreateVpIndex(const std::string& name, const Predicate& pred,
-                                 const IndexConfig& config, Direction dir, double* seconds) {
+bool Database::SecondaryIndexesAllowed() const {
   if (segment_backed()) {
     APLUS_LOG(Error) << "secondary indexes are unsupported on a segment-backed database";
-    return nullptr;
+    return false;
   }
+  if (concurrent_ingest_active()) {
+    // In concurrent mode the maintainer updates only the primaries, so a
+    // view built now would miss every edge the phase inserts.
+    APLUS_LOG(Error) << "secondary indexes are unsupported during concurrent ingest";
+    return false;
+  }
+  return true;
+}
+
+VpIndex* Database::CreateVpIndex(const std::string& name, const Predicate& pred,
+                                 const IndexConfig& config, Direction dir, double* seconds) {
+  if (!SecondaryIndexesAllowed()) return nullptr;
   OneHopViewDef view;
   view.name = name;
   view.pred = pred;
@@ -75,10 +86,7 @@ VpIndex* Database::CreateVpIndex(const std::string& name, const Predicate& pred,
 
 EpIndex* Database::CreateEpIndex(const std::string& name, EpKind kind, const Predicate& pred,
                                  const IndexConfig& config, double* seconds) {
-  if (segment_backed()) {
-    APLUS_LOG(Error) << "secondary indexes are unsupported on a segment-backed database";
-    return nullptr;
-  }
+  if (!SecondaryIndexesAllowed()) return nullptr;
   TwoHopViewDef view;
   view.name = name;
   view.kind = kind;
@@ -118,6 +126,10 @@ DdlResult Database::ExecuteDdl(const std::string& command) {
   DdlResult result;
   if (segment_backed()) {
     result.message = "segment-backed database is immutable: DDL rejected";
+    return result;
+  }
+  if (concurrent_ingest_active()) {
+    result.message = "concurrent ingest is active: DDL rejected";
     return result;
   }
   DdlCommand cmd = ParseDdl(command, graph_.catalog());

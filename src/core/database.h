@@ -76,6 +76,8 @@ class Database {
 
   // Programmatic secondary index creation. FW-BW views produce one index
   // per direction; `seconds` (optional) receives the total build time.
+  // Returns null, with a logged error, on a segment-backed database or
+  // while concurrent ingest is active.
   VpIndex* CreateVpIndex(const std::string& name, const Predicate& pred,
                          const IndexConfig& config, Direction dir, double* seconds = nullptr);
   EpIndex* CreateEpIndex(const std::string& name, EpKind kind, const Predicate& pred,
@@ -83,7 +85,7 @@ class Database {
 
   // Parses and executes one of the paper's index DDL commands. Rejected
   // with a typed error on a segment-backed database (sealed pages are
-  // immutable).
+  // immutable) and while concurrent ingest is active.
   DdlResult ExecuteDdl(const std::string& command);
 
   // --- Sealed segments (storage/segment.h) ---
@@ -121,9 +123,11 @@ class Database {
   // per-list read-committed snapshots: each probe merges the page's
   // published run + delta atomically, so every row is backed by edges
   // that were live at some point during the phase; whole-query snapshot
-  // isolation is NOT provided. DDL, secondary indexes and string
-  // property writes are unsupported while the phase is active. Both
-  // transitions require quiescence (no queries in flight).
+  // isolation is NOT provided. String property writes are unsupported
+  // while the phase is active, and DDL and secondary-index creation are
+  // rejected (ExecuteDdl's typed error; CreateVpIndex / CreateEpIndex
+  // return null): the maintainer updates only the primaries in this
+  // mode. Both transitions require quiescence (no queries in flight).
   //
   // Capacity overrun is a typed error, not an abort: once max_vertices /
   // max_edges are exhausted, Graph::AddVertex / AddEdge return
@@ -190,6 +194,10 @@ class Database {
 
  private:
   friend class PlanCache;
+
+  // False, with a logged error, when CreateVpIndex / CreateEpIndex must
+  // refuse: on a segment-backed database or during concurrent ingest.
+  bool SecondaryIndexesAllowed() const;
 
   // Rebuilds the cached optimizer when it is PlanStale. Caller holds
   // prepare_mu_.

@@ -355,23 +355,42 @@ AdjListSlice PrimaryIndex::GetListSnapshot(vertex_id_t v, const std::vector<cate
   return slice;
 }
 
-void PrimaryIndex::PrefetchList(vertex_id_t v, const std::vector<category_t>& cats) const {
-  if (PageOf(v) >= pages_.size()) return;
+bool PrimaryIndex::PrefetchList(int stage, vertex_id_t v,
+                                const std::vector<category_t>& cats) const {
+  if (PageOf(v) >= pages_.size()) return false;
   const PageSlot& slot = pages_[PageOf(v)];
   // Run before delta, as GetListSnapshot loads them.
-  AdjListSlice list = SliceFromRun(slot.run.load(std::memory_order_acquire), v, cats);
-  const PageDelta* delta = slot.delta.load(std::memory_order_acquire);
-  if (delta != nullptr) __builtin_prefetch(delta);
-  if (list.empty()) return;
-  if (list.is_packed()) {
-    // A non-empty list starts below the stream's entry count, so its
-    // block has a skip entry.
-    __builtin_prefetch(list.packed +
-                       codec::SkipAt(list.packed, list.packed_base / codec::kBlockEntries));
-    return;
+  const IdListPage* run = slot.run.load(std::memory_order_acquire);
+  if (stage == 0) {
+    const PageDelta* delta = slot.delta.load(std::memory_order_acquire);
+    if (delta != nullptr) __builtin_prefetch(delta);
   }
-  __builtin_prefetch(list.nbrs);
-  __builtin_prefetch(list.edges);
+  if (run == nullptr || run->csr_len == 0) return false;
+  auto [first, last] = levels_.Buckets(v % kGroupSize, cats);
+  if (stage == 0) {
+    __builtin_prefetch(run->csr + first);
+    __builtin_prefetch(run->csr + last);
+    return true;
+  }
+  const uint32_t begin = run->csr[first];
+  if (run->csr[last] == begin) return false;
+  if (!run->is_packed()) {
+    __builtin_prefetch(run->nbrs + begin);
+    __builtin_prefetch(run->eids + begin);
+    return false;
+  }
+  // A non-empty list starts below the stream's entry count, so its block
+  // has a skip entry.
+  const uint32_t block = begin / codec::kBlockEntries;
+  if (stage == 1) {
+    __builtin_prefetch(codec::SkipEntry(run->packed, block));
+    return true;
+  }
+  // The second line may lie past the stream; a prefetch never faults.
+  const uint8_t* data = run->packed + codec::SkipAt(run->packed, block);
+  __builtin_prefetch(data);
+  __builtin_prefetch(data + 64);
+  return false;
 }
 
 void PrimaryIndex::GetListBase(vertex_id_t v, const vertex_id_t** nbrs, const edge_id_t** eids,

@@ -96,14 +96,15 @@ struct ListMergeScratch {
 // DeleteEdge, merges, Build — serializes on an internal writer mutex, so
 // one ingest thread and one background merger can run against any number
 // of readers. PrefetchList starts the loads of one list the same way,
-// so that a query operator can overlap the misses of many lists before
-// it reads any of them. Replaced runs/deltas are retired through the global
-// EpochManager and freed only after every reader that could hold a
-// pointer into them has unpinned. During concurrent serving the page
-// vector must be pre-sized with ReservePages (growing it would move the
-// slots under the readers); secondary indexes resolve offsets against
-// primary runs non-atomically and are therefore unsupported while
-// writers are active (enforced by Database::BeginConcurrentIngest).
+// stage by stage, so that a query operator can overlap the misses of
+// many lists before it reads any of them. Replaced runs/deltas are
+// retired through the global EpochManager and freed only after every
+// reader that could hold a pointer into them has unpinned. During
+// concurrent serving the page vector must be pre-sized with
+// ReservePages (growing it would move the slots under the readers);
+// secondary indexes resolve offsets against primary runs non-atomically
+// and are therefore unsupported while writers are active (enforced by
+// Database::BeginConcurrentIngest).
 class PrimaryIndex {
  public:
   PrimaryIndex(const Graph* graph, Direction direction);
@@ -143,17 +144,25 @@ class PrimaryIndex {
   AdjListSlice GetListSnapshot(vertex_id_t v, const std::vector<category_t>& cats,
                                ListMergeScratch* scratch) const;
 
-  // Starts loading the list GetListSnapshot(v, cats) would return,
+  // One stage of loading the list GetListSnapshot(v, cats) would return,
   // without waiting for it, so that the cache misses of several lists
-  // overlap (ExtendOp's next-hop prefetch). It loads the page's run with
-  // the snapshot's acquire load, reads the list's CSR bounds, and
-  // prefetches the first line of its neighbour and edge IDs, or, for a
-  // packed run, the codec block holding its first entry (read through
-  // the block's skip entry). When the page has a delta it prefetches the
-  // delta's header too. An empty list prefetches no data, and a `v` past
-  // the pages is a no-op. The caller must hold an epoch pin, as for
-  // GetListSnapshot: a merge may retire the run it loads.
-  void PrefetchList(vertex_id_t v, const std::vector<category_t>& cats) const;
+  // overlap (ExtendOp's next-hop prefetch). Each stage reads only what
+  // the stage before it prefetched, so a caller runs stage k over a
+  // whole group of lists before stage k + 1:
+  //   0: loads the page's run and delta with the snapshot's acquire
+  //      loads and prefetches the list's CSR bounds and the delta's
+  //      header, if any;
+  //   1: reads the CSR bounds and prefetches the first line of the
+  //      neighbour and edge IDs or, for a packed run, the skip entry of
+  //      the codec block holding the list's first entry;
+  //   2: (packed runs only) reads that skip entry and prefetches the
+  //      block's first two lines.
+  // Returns whether a later stage has work for this list. An empty list
+  // prefetches no data, and a `v` past the pages is a no-op. The caller
+  // must hold an epoch pin, as for GetListSnapshot: a merge may retire
+  // the run it loads.
+  static constexpr int kPrefetchStages = 3;
+  bool PrefetchList(int stage, vertex_id_t v, const std::vector<category_t>& cats) const;
 
   // Base pointers of v's full ID list; secondary indexes resolve their
   // vertex-relative offsets against these.

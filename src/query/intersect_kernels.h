@@ -61,10 +61,12 @@ struct Kernels {
   // Batch-decodes `count` entries of a delta/varint packed stream
   // (storage/codec.h layout — the sealed-segment cold-list
   // representation) starting at stream entry `begin`. Either output may
-  // be null to skip that side. Sequential varint decoding is a serial
-  // dependency chain, so every level currently shares the scalar
-  // implementation; the table entry is the dispatch seam for future
-  // SIMD variants (e.g. masked-shuffle varint unpacking).
+  // be null to skip that side; a neighbour-only decode reads no edge
+  // varint. Each block keeps its neighbour varints contiguous, ahead of
+  // its edge varints, but the delta sum is still a serial dependency
+  // chain, so every level currently shares the scalar implementation;
+  // the table entry is the dispatch seam for future SIMD variants (e.g.
+  // Masked VByte over a block's neighbour section).
   void (*decode_varint_block)(const uint8_t* packed, uint32_t begin, uint32_t count,
                               vertex_id_t* out_nbrs, edge_id_t* out_edges);
   Level level;

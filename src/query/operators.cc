@@ -399,12 +399,13 @@ void ExtendOp::EnumerateRange(MatchState* state, const AdjListSlice& slice, uint
     }
     return;
   }
-  // Group prefetching: a first pass over a group of entries filters them
-  // and starts the next hop's list loads for each one that passes, so the
-  // misses of those lists overlap instead of queueing behind each other
-  // inside the push-based recursion; a second pass emits them. Filtering
-  // first keeps a selective residual from prefetching lists no operator
-  // reads.
+  // Group prefetching: a first pass over a group of entries filters them,
+  // then the next hop's lists of the entries that passed load in stages
+  // (CSR bounds, then ID lines or skip entries, then packed blocks), each
+  // stage over the whole group, so the misses of those lists overlap
+  // instead of queueing behind each other inside the push-based
+  // recursion; a last pass emits them. Filtering first keeps a selective
+  // residual from prefetching lists no operator reads.
   const int var = list_.target_vertex_var;
   const int edge_var = list_.target_edge_var;
   for (uint64_t group = begin; group < end; group += kPrefetchGroup) {
@@ -414,8 +415,14 @@ void ExtendOp::EnumerateRange(MatchState* state, const AdjListSlice& slice, uint
       if ((i & 63u) == 0 && token_ != nullptr && CheckStop()) return;
       if (!BindEntry(state, slice, i)) continue;
       group_[passed++] = {state->v[var], state->e[edge_var]};
-      for (const ListDescriptor* list : prefetch_) list->Prefetch(state->v[var]);
       Unbind(state);
+    }
+    bool more = passed > 0;
+    for (int stage = 0; more && stage < PrimaryIndex::kPrefetchStages; ++stage) {
+      more = false;
+      for (uint32_t k = 0; k < passed; ++k) {
+        for (const ListDescriptor* list : prefetch_) more |= list->Prefetch(stage, group_[k].first);
+      }
     }
     for (uint32_t k = 0; k < passed; ++k) {
       state->v[var] = group_[k].first;

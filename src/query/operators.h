@@ -103,11 +103,12 @@ struct ListDescriptor {
   mutable ListMergeScratch merge_scratch;
 
   AdjListSlice Fetch(const MatchState& state) const;
-  // Starts loading the list Fetch would return once the bound variable
-  // is `v` (PrimaryIndex::PrefetchList). VP and EP lists prefetch
-  // nothing: their lists stall no workload measured so far.
-  void Prefetch(vertex_id_t v) const {
-    if (source == Source::kPrimary) primary->PrefetchList(v, cats);
+  // One stage of loading the list Fetch would return once the bound
+  // variable is `v` (PrimaryIndex::PrefetchList); returns whether a later
+  // stage has work. VP and EP lists prefetch nothing: their lists stall
+  // no workload measured so far.
+  bool Prefetch(int stage, vertex_id_t v) const {
+    return source == Source::kPrimary && primary->PrefetchList(stage, v, cats);
   }
   // First-sort-criterion key of entry i (used by MULTI-EXTEND merges).
   int64_t SortKeyAt(const AdjListSlice& slice, uint32_t i) const;

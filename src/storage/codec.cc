@@ -64,6 +64,51 @@ inline const uint8_t* GetVarintChecked(const uint8_t* p, const uint8_t* end, uin
   return nullptr;
 }
 
+// Skips `n` varints (each ends at a byte with the high bit clear).
+inline const uint8_t* SkipVarints(const uint8_t* p, uint32_t n) {
+  while (n > 0) n -= (*p++ & 0x80) == 0 ? 1 : 0;
+  return p;
+}
+
+// Appends one block section: ids[0] plain, then the zigzag deltas.
+template <typename Id>
+void PutSection(std::vector<uint8_t>* out, const Id* ids, uint32_t len) {
+  PutVarint(out, ids[0]);
+  for (uint32_t k = 1; k < len; ++k) PutVarint(out, ZigZagDiff(ids[k], ids[k - 1]));
+}
+
+// Decodes the first `count` (>= 1) IDs of a block section and stores ID
+// k, for k >= first, at out[k - first]. Returns the end of the last
+// varint read.
+template <typename Id>
+inline const uint8_t* DecodeSection(const uint8_t* p, uint32_t first, uint32_t count, Id* out) {
+  uint64_t id;
+  p = GetVarint(p, &id);
+  if (first == 0) out[0] = static_cast<Id>(id);
+  for (uint32_t k = 1; k < count; ++k) {
+    uint64_t delta;
+    p = GetVarint(p, &delta);
+    id += UnZigZag(delta);
+    if (k >= first) out[k - first] = static_cast<Id>(id);
+  }
+  return p;
+}
+
+// The checked walk of one block section of `len` IDs, accumulated
+// exactly as DecodeSection does, so the range check sees the IDs a probe
+// will read.
+template <typename Id>
+PackedCheck CheckSection(const uint8_t** p, const uint8_t* end, uint32_t len, uint64_t bound) {
+  uint64_t id = 0;
+  for (uint32_t k = 0; k < len; ++k) {
+    uint64_t v;
+    if ((*p = GetVarintChecked(*p, end, &v)) == nullptr) return PackedCheck::kMalformed;
+    id = k == 0 ? v : id + UnZigZag(v);
+    if (static_cast<Id>(id) >= bound) return PackedCheck::kIdOutOfRange;
+  }
+  return PackedCheck::kOk;
+}
+
 }  // namespace
 
 size_t PackAdjacency(const vertex_id_t* nbrs, const edge_id_t* eids, uint32_t n,
@@ -80,12 +125,8 @@ size_t PackAdjacency(const vertex_id_t* nbrs, const edge_id_t* eids, uint32_t n,
                 &skip, sizeof(skip));
     uint32_t lo = b * kBlockEntries;
     uint32_t hi = lo + kBlockEntries < n ? lo + kBlockEntries : n;
-    PutVarint(out, nbrs[lo]);
-    PutVarint(out, eids[lo]);
-    for (uint32_t i = lo + 1; i < hi; ++i) {
-      PutVarint(out, ZigZagDiff(nbrs[i], nbrs[i - 1]));
-      PutVarint(out, ZigZagDiff(eids[i], eids[i - 1]));
-    }
+    PutSection(out, nbrs + lo, hi - lo);
+    PutSection(out, eids + lo, hi - lo);
   }
   return out->size() - start;
 }
@@ -101,23 +142,13 @@ void DecodeRange(const uint8_t* stream, uint32_t begin, uint32_t count, vertex_i
     uint32_t b = i / kBlockEntries;
     uint32_t lo = b * kBlockEntries;
     uint32_t hi = lo + kBlockEntries < n ? lo + kBlockEntries : n;
+    // One past the last entry of this block the caller wants.
+    uint32_t stop = hi < end ? hi : end;
     const uint8_t* p = stream + SkipAt(stream, b);
-    uint64_t nbr, eid;
-    p = GetVarint(p, &nbr);
-    p = GetVarint(p, &eid);
-    for (uint32_t j = lo; j < hi; ++j) {
-      if (j > lo) {
-        uint64_t dn, de;
-        p = GetVarint(p, &dn);
-        p = GetVarint(p, &de);
-        nbr += UnZigZag(dn);
-        eid += UnZigZag(de);
-      }
-      if (j >= i && j < end) {
-        if (out_nbrs != nullptr) out_nbrs[j - begin] = static_cast<vertex_id_t>(nbr);
-        if (out_eids != nullptr) out_eids[j - begin] = static_cast<edge_id_t>(eid);
-      }
-      if (j + 1 >= end) break;
+    if (out_nbrs != nullptr) p = DecodeSection(p, i - lo, stop - lo, out_nbrs + (i - begin));
+    if (out_eids != nullptr) {
+      p = SkipVarints(p, out_nbrs != nullptr ? hi - stop : hi - lo);
+      DecodeSection(p, i - lo, stop - lo, out_eids + (i - begin));
     }
     i = hi;
   }
@@ -152,21 +183,9 @@ PackedCheck ValidatePacked(const uint8_t* stream, size_t avail, uint64_t num_ver
     if (skip != static_cast<size_t>(p - stream)) return PackedCheck::kMalformed;
     uint32_t lo = b * kBlockEntries;
     uint32_t hi = lo + kBlockEntries < n ? lo + kBlockEntries : n;
-    // Accumulated exactly as DecodeRange does, so the range check sees
-    // the IDs a probe will read.
-    uint64_t nbr = 0, eid = 0, dn = 0, de = 0;
-    for (uint32_t j = lo; j < hi; ++j) {
-      if ((p = GetVarintChecked(p, end, &dn)) == nullptr ||
-          (p = GetVarintChecked(p, end, &de)) == nullptr) {
-        return PackedCheck::kMalformed;
-      }
-      nbr = j == lo ? dn : nbr + UnZigZag(dn);
-      eid = j == lo ? de : eid + UnZigZag(de);
-      if (static_cast<vertex_id_t>(nbr) >= num_vertices ||
-          static_cast<edge_id_t>(eid) >= num_edges) {
-        return PackedCheck::kIdOutOfRange;
-      }
-    }
+    PackedCheck check = CheckSection<vertex_id_t>(&p, end, hi - lo, num_vertices);
+    if (check == PackedCheck::kOk) check = CheckSection<edge_id_t>(&p, end, hi - lo, num_edges);
+    if (check != PackedCheck::kOk) return check;
   }
   if (stream_bytes != nullptr) *stream_bytes = static_cast<size_t>(p - stream);
   return PackedCheck::kOk;
@@ -177,10 +196,17 @@ void PackedCursor::LoadBlock(const uint8_t* s, uint32_t b) {
   uint32_t lo = b * kBlockEntries;
   uint32_t hi = lo + kBlockEntries < n ? lo + kBlockEntries : n;
   APLUS_DCHECK(lo < n);
-  DecodeRange(s, lo, hi - lo, nbrs, eids);
+  eid_section = DecodeSection(s + SkipAt(s, b), 0, hi - lo, nbrs);
   stream = s;
   block = b;
   block_len = hi - lo;
+  eid_block = ~0u;
+}
+
+void PackedCursor::LoadEids(const uint8_t* s, uint32_t b) {
+  if (stream != s || block != b) LoadBlock(s, b);
+  DecodeSection(eid_section, 0, block_len, eids);
+  eid_block = b;
 }
 
 }  // namespace codec

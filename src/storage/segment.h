@@ -21,7 +21,7 @@ class IndexStore;
 // read-only mapping, so reopening skips the whole index build and pages
 // fault in lazily. It is the engine's one persisted format.
 //
-// File layout ("APSG", version 2, little-endian). The header and three
+// File layout ("APSG", version 3, little-endian). The header and three
 // sections tile the file in this order; every section starts 8-byte
 // aligned and is a multiple of 8 bytes long:
 //
@@ -59,7 +59,7 @@ class IndexStore;
 //     kernels keep operating on flat arrays; on/off force one side.
 
 inline constexpr uint32_t kSegmentMagic = 0x47535041;  // "APSG"
-inline constexpr uint32_t kSegmentVersion = 2;
+inline constexpr uint32_t kSegmentVersion = 3;
 
 // Sections in file order.
 enum SegmentSection : int { kGraphSection = 0, kFwdIndexSection = 1, kBwdIndexSection = 2 };

@@ -116,6 +116,59 @@ TEST_F(DatabaseTest, InsertThroughMaintainerThenQuery) {
   EXPECT_EQ(db_->Execute(query, TestThreads()).count, before + 1);
 }
 
+// During concurrent ingest the maintainer updates only the primaries, so
+// a view accepted then would miss the edges the phase inserts: the count
+// below would read 4 through the view where the graph holds 5 W edges of
+// amount > 50.
+TEST_F(DatabaseTest, ViewDdlDuringConcurrentIngestIsRejected) {
+  ConcurrentIngestOptions options;
+  options.max_vertices = db_->graph().num_vertices();
+  options.max_edges = db_->graph().num_edges() + 1;
+  options.background_merge = false;
+  db_->BeginConcurrentIngest(options);
+  DdlResult view = db_->ExecuteDdl(
+      "CREATE 1-HOP VIEW Big MATCH vs-[eadj]->vd WHERE eadj.amount>50 "
+      "INDEX AS FW-BW PARTITION BY eadj.label SORT BY vnbr.ID");
+  EXPECT_FALSE(view.ok);
+  EXPECT_EQ(view.message, "concurrent ingest is active: DDL rejected");
+  EXPECT_EQ(db_->index_store().FindVpIndex("Big", Direction::kFwd), nullptr);
+
+  Graph& g = db_->graph();
+  edge_id_t e = g.AddEdge(accounts_[0], accounts_[1], wire_label_);
+  ASSERT_NE(e, kInvalidEdge);
+  g.edge_props().mutable_column(amount_key_)->SetInt64(e, 1000);
+  g.edge_props().mutable_column(date_key_)->SetInt64(e, 99);
+  db_->maintainer().OnEdgeInserted(e);
+  db_->EndConcurrentIngest();
+  EXPECT_EQ(db_->ExecuteCypher("MATCH (a)-[e:W]->(b) WHERE e.amount > 50 RETURN COUNT(*)").count,
+            5u);
+}
+
+// The rest of the DDL / secondary-index surface during ingest: RECONFIGURE
+// is a typed error, and programmatic index creation returns null.
+TEST_F(DatabaseTest, IndexChangesDuringConcurrentIngestAreRejected) {
+  ConcurrentIngestOptions options;
+  options.max_vertices = db_->graph().num_vertices();
+  options.max_edges = db_->graph().num_edges();
+  db_->BeginConcurrentIngest(options);
+  DdlResult reconfigure =
+      db_->ExecuteDdl("RECONFIGURE PRIMARY INDEXES PARTITION BY eadj.label SORT BY vnbr.city");
+  EXPECT_FALSE(reconfigure.ok);
+  EXPECT_EQ(reconfigure.message, "concurrent ingest is active: DDL rejected");
+  EXPECT_EQ(db_->CreateVpIndex("Vp", Predicate::True(), IndexConfig::Default(), Direction::kFwd),
+            nullptr);
+  Predicate flow;  // eb.date < eadj.date: a valid 2-hop view predicate
+  flow.AddRef({PropSite::kBoundEdge, date_key_}, CmpOp::kLt, {PropSite::kAdjEdge, date_key_});
+  EXPECT_EQ(db_->CreateEpIndex("Ep", EpKind::kDstFwd, flow, IndexConfig::Default()), nullptr);
+  db_->EndConcurrentIngest();
+  EXPECT_TRUE(db_->index_store().primary(Direction::kFwd)->config().SamePartitioning(
+      IndexConfig::Default()));
+  EXPECT_EQ(db_->index_store().FindEpIndex("Ep"), nullptr);
+  // Both succeed once the phase is over.
+  EXPECT_NE(db_->CreateEpIndex("Ep", EpKind::kDstFwd, flow, IndexConfig::Default()), nullptr);
+  EXPECT_TRUE(db_->ExecuteDdl("RECONFIGURE PRIMARY INDEXES PARTITION BY eadj.label").ok);
+}
+
 TEST_F(DatabaseTest, MemoryReporting) {
   size_t primary_only = db_->IndexMemoryBytes();
   db_->ExecuteDdl(

@@ -1,13 +1,13 @@
-// Next-hop prefetch (PrimaryIndex::PrefetchList, ExtendOp's prefetch
-// groups) over the three shapes a primary page takes: an in-memory run,
+// Next-hop prefetch (PrimaryIndex::PrefetchList's stages, ExtendOp's
+// prefetch groups) over the three shapes a primary page takes: an in-memory run,
 // a run with a pending delta under concurrent ingest, and a packed page
 // of a sealed segment.
 //
 // A prefetch touches no data through __builtin_prefetch that a sanitizer
 // could check, but the loads that lead up to it (page slot, run, CSR,
-// packed skip entry) are plain loads: the bounds tests call PrefetchList
-// for every vertex ID up to 64 past the graph, with and without a
-// partition prefix, so that an ASan build catches any of them reading
+// packed skip entry) are plain loads: the bounds tests call every stage
+// of PrefetchList for every vertex ID up to 64 past the graph, with and
+// without a partition prefix, so that an ASan build catches any of them reading
 // out of bounds. The chain tests run Scan -> Extend -> Extend -> Extend,
 // where each of the first two extends prefetches the next one's lists,
 // against the brute-force matcher at 1 and 4 threads.
@@ -152,9 +152,11 @@ TEST_P(PrefetchTest, PrefetchListStaysInBoundsForEveryVertexAndPrefix) {
     uint64_t empty_lists = 0;
     uint64_t page_ending_lists = 0;
     for (uint64_t v = 0; v < nv + 64; ++v) {
-      index->PrefetchList(static_cast<vertex_id_t>(v), {});
-      for (category_t cat = 0; cat < index->levels().fanouts[0]; ++cat) {
-        index->PrefetchList(static_cast<vertex_id_t>(v), {cat});
+      for (int stage = 0; stage < PrimaryIndex::kPrefetchStages; ++stage) {
+        index->PrefetchList(stage, static_cast<vertex_id_t>(v), {});
+        for (category_t cat = 0; cat < index->levels().fanouts[0]; ++cat) {
+          index->PrefetchList(stage, static_cast<vertex_id_t>(v), {cat});
+        }
       }
       if (v >= nv) continue;
       AdjListSlice list = index->GetList(static_cast<vertex_id_t>(v), {});

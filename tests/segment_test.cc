@@ -183,6 +183,76 @@ TEST(CodecTest, RoundTripSortedRuns) {
   ExpectRoundTrip(e);
 }
 
+// A block's edge IDs are decoded on the first EidAt into it, so one
+// cursor serving neighbour and edge reads in any order, across blocks
+// and streams, must never return an edge ID of another block.
+TEST(CodecTest, CursorInterleavesNeighbourAndEdgeReadsAcrossBlocks) {
+  const Entries a = RandomEntries(3 * codec::kBlockEntries + 5, 31);
+  const Entries b = RandomEntries(codec::kBlockEntries + 1, 32);
+  std::vector<uint8_t> stream_a, stream_b;
+  codec::PackAdjacency(a.nbrs.data(), a.eids.data(), static_cast<uint32_t>(a.nbrs.size()),
+                       &stream_a);
+  codec::PackAdjacency(b.nbrs.data(), b.eids.data(), static_cast<uint32_t>(b.nbrs.size()),
+                       &stream_b);
+  codec::PackedCursor cursor;
+  // Block 0's edges, a neighbour-only walk through block 1 into block 2,
+  // then an edge of block 2, then back to blocks 1 and 0.
+  EXPECT_EQ(cursor.EidAt(stream_a.data(), 0), a.eids[0]);
+  EXPECT_EQ(cursor.NbrAt(stream_a.data(), 40), a.nbrs[40]);
+  EXPECT_EQ(cursor.NbrAt(stream_a.data(), 64), a.nbrs[64]);
+  EXPECT_EQ(cursor.EidAt(stream_a.data(), 65), a.eids[65]);
+  EXPECT_EQ(cursor.NbrAt(stream_a.data(), 65), a.nbrs[65]);
+  EXPECT_EQ(cursor.EidAt(stream_a.data(), 33), a.eids[33]);
+  EXPECT_EQ(cursor.NbrAt(stream_a.data(), 1), a.nbrs[1]);
+  EXPECT_EQ(cursor.EidAt(stream_a.data(), 1), a.eids[1]);
+  // The same block index in another stream.
+  EXPECT_EQ(cursor.EidAt(stream_b.data(), 1), b.eids[1]);
+  EXPECT_EQ(cursor.NbrAt(stream_a.data(), 2), a.nbrs[2]);
+  EXPECT_EQ(cursor.EidAt(stream_a.data(), 2), a.eids[2]);
+  // Random interleavings of the two sides and streams.
+  Rng rng(77);
+  for (int step = 0; step < 5000; ++step) {
+    const bool in_a = rng.NextBounded(4) != 0;
+    const Entries& e = in_a ? a : b;
+    const uint8_t* stream = in_a ? stream_a.data() : stream_b.data();
+    const uint32_t i = static_cast<uint32_t>(rng.NextBounded(e.nbrs.size()));
+    if (rng.NextBounded(2) == 0) {
+      ASSERT_EQ(cursor.NbrAt(stream, i), e.nbrs[i]) << "step " << step;
+    } else {
+      ASSERT_EQ(cursor.EidAt(stream, i), e.eids[i]) << "step " << step;
+    }
+  }
+}
+
+// A neighbour-only or edge-only decode stops or skips inside a block; it
+// must match the full decode at every begin and count over a stream of
+// three full blocks and a partial one, and write nothing past count.
+TEST(CodecTest, OneSidedDecodeMatchesFullDecodeAtEveryRange) {
+  const uint32_t n = 3 * codec::kBlockEntries + 5;
+  const Entries e = RandomEntries(n, 41);
+  std::vector<uint8_t> stream;
+  codec::PackAdjacency(e.nbrs.data(), e.eids.data(), n, &stream);
+  constexpr vertex_id_t kNbrGuard = 0xabababab;
+  constexpr edge_id_t kEidGuard = 0xcdcdcdcdcdcdcdcdULL;
+  for (uint32_t begin = 0; begin < n; ++begin) {
+    for (uint32_t count = 1; begin + count <= n; ++count) {
+      std::vector<vertex_id_t> full_nbrs(count), nbrs(count + 1, kNbrGuard);
+      std::vector<edge_id_t> full_eids(count), eids(count + 1, kEidGuard);
+      codec::DecodeRange(stream.data(), begin, count, full_nbrs.data(), full_eids.data());
+      codec::DecodeRange(stream.data(), begin, count, nbrs.data(), nullptr);
+      codec::DecodeRange(stream.data(), begin, count, nullptr, eids.data());
+      ASSERT_EQ(nbrs.back(), kNbrGuard) << begin << "+" << count;
+      ASSERT_EQ(eids.back(), kEidGuard) << begin << "+" << count;
+      nbrs.pop_back();
+      eids.pop_back();
+      ASSERT_EQ(nbrs, full_nbrs) << begin << "+" << count;
+      ASSERT_EQ(eids, full_eids) << begin << "+" << count;
+      ASSERT_TRUE(std::equal(full_nbrs.begin(), full_nbrs.end(), e.nbrs.begin() + begin));
+      ASSERT_TRUE(std::equal(full_eids.begin(), full_eids.end(), e.eids.begin() + begin));
+    }
+  }
+}
+
 TEST(CodecTest, ValidateRejectsEveryTruncation) {
   Entries e = RandomEntries(100, 99);
   std::vector<uint8_t> stream;
@@ -590,7 +660,8 @@ TEST(SegmentTest, GraphColumnEditsFailTheChecksumOrValidation) {
 // An adjacency entry naming a vertex or edge past the graph fails open
 // under valid checksums, in a packed and in a raw page. The first FW
 // entry is vertex 0's one edge, added last: (kNv - 1, ne - 1), whose
-// varints are as long as those of kNv and ne.
+// varints are as long as those of kNv and ne. In a packed page its edge
+// ID is the first varint after block 0's neighbour varints.
 TEST(SegmentTest, OutOfRangeAdjacencyIdsFailToOpen) {
   constexpr uint32_t kNv = 1000;
   auto make_graph = [] {
@@ -631,7 +702,13 @@ TEST(SegmentTest, OutOfRangeAdjacencyIdsFailToOpen) {
       ASSERT_EQ(codec::DecodeNbrAt(page.packed, 0), kNv - 1);
       ASSERT_EQ(codec::DecodeEidAt(page.packed, 0), ne - 1);
       const uint64_t block0 = at(page.packed) + Peek(bytes, at(page.packed) + 8, 4);
-      edits = {{block0, leb128(kNv)}, {block0 + 2, leb128(ne)}};
+      // One neighbour varint per entry of the block, each ending at a
+      // byte below 0x80.
+      const uint32_t block0_len = std::min(page.num_entries, codec::kBlockEntries);
+      ASSERT_EQ(block0_len, codec::kBlockEntries);
+      uint64_t eid0 = block0;
+      for (uint32_t ended = 0; ended < block0_len; ++eid0) ended += bytes[eid0] < 0x80 ? 1 : 0;
+      edits = {{block0, leb128(kNv)}, {eid0, leb128(ne)}};
     } else {
       ASSERT_EQ(page.nbrs[0], kNv - 1);
       ASSERT_EQ(page.eids[0], ne - 1);
@@ -665,6 +742,35 @@ TEST(SegmentTest, Version1FileFailsWithUnsupportedVersion) {
   std::string error;
   EXPECT_EQ(Database::OpenFromSegment(path, &error), nullptr);
   EXPECT_EQ(error.rfind("segment: unsupported segment version 1", 0), 0u) << error;
+  std::remove(path.c_str());
+}
+
+// An APSG v2 file. Version 3 changed only the block layout of packed
+// streams, so a raw-only v3 seal with its version field set to 2 and its
+// checksums rewritten is byte for byte the v2 seal of the same graph: its
+// digest is the one the v2 format recorded for that seal.
+TEST(SegmentTest, Version2FileFailsWithUnsupportedVersion) {
+  const std::pair<Graph (*)(), uint64_t> kV2RawSeals[] = {
+      {MakeTopologyDigestGraph, 0x90450dc28721aef1ULL},
+      {MakePropertyDigestGraph, 0x20f814a048e8dee7ULL},
+  };
+  std::string path = TempPath("aplus_seg_v2.seg");
+  for (const auto& [make_graph, v2_digest] : kV2RawSeals) {
+    Database db(make_graph(), Sealing(CompressMode::kOff));
+    db.BuildPrimaryIndexes();
+    std::string error;
+    ASSERT_TRUE(db.SealToSegment(path, &error)) << error;
+    std::vector<uint8_t> bytes = ReadFile(path);
+    SegmentHeader header = HeaderOf(bytes);
+    ASSERT_EQ(header.version, kSegmentVersion);
+    header.version = 2;
+    std::memcpy(bytes.data(), &header, sizeof(header));
+    RewriteChecksums(&bytes);
+    WriteFile(path, bytes.data(), bytes.size());
+    EXPECT_EQ(Fnv1a64File(path), v2_digest);
+    EXPECT_EQ(Database::OpenFromSegment(path, &error), nullptr);
+    EXPECT_EQ(error.rfind("segment: unsupported segment version 2", 0), 0u) << error;
+  }
   std::remove(path.c_str());
 }
 
@@ -725,7 +831,7 @@ TEST(SegmentTest, GarbageSegmentFailsClosed) {
 
 // FNV-1a 64 digests of the sealed files of the two digest graphs
 // (tests/digest_graphs.h) sealed in each CompressMode (auto, on, off).
-// They pin the APSG v2 bytes: a seal of these graphs must keep writing
+// They pin the APSG v3 bytes: a seal of these graphs must keep writing
 // exactly these files.
 struct SealDigest {
   const char* graph;
@@ -733,12 +839,12 @@ struct SealDigest {
   uint64_t digest;
 };
 const SealDigest kSealDigests[] = {
-    {"topology", CompressMode::kAuto, 0x78d98461eb208877ULL},
-    {"topology", CompressMode::kOn, 0x912418a2972a021aULL},
-    {"topology", CompressMode::kOff, 0x90450dc28721aef1ULL},
-    {"property", CompressMode::kAuto, 0x4c724cea46f450aaULL},
-    {"property", CompressMode::kOn, 0x4c724cea46f450aaULL},
-    {"property", CompressMode::kOff, 0x20f814a048e8dee7ULL},
+    {"topology", CompressMode::kAuto, 0x197ad3a9b371df0aULL},
+    {"topology", CompressMode::kOn, 0x3304db8205c2402cULL},
+    {"topology", CompressMode::kOff, 0xd834d5cbf13a3949ULL},
+    {"property", CompressMode::kAuto, 0xe03e14ec171db0f8ULL},
+    {"property", CompressMode::kOn, 0xe03e14ec171db0f8ULL},
+    {"property", CompressMode::kOff, 0xca703f3c54ebb713ULL},
 };
 
 TEST(SegmentTest, SealedBytesMatchRecordedDigests) {
