@@ -169,14 +169,17 @@ int main() {
     uint64_t t1_matches = 0;
     double t1_seconds = 0.0;
     for (int k : thread_counts) {
-      uint64_t matches = w.plan->Execute(k);  // warm-up: replicas + pool threads + scratch
+      QueryOutcome warm = w.plan->Execute(k);  // warm-up: replicas + pool threads + scratch
+      APLUS_CHECK(warm.ok()) << w.name << " t" << k << ": " << ToString(warm.status);
+      const uint64_t matches = warm.count;
       double best = -1.0;
       for (int r = 0; r < reps; ++r) {
         WallTimer timer;
-        uint64_t got = 0;
+        QueryOutcome got;
         for (int e = 0; e < w.exec_batch; ++e) got = w.plan->Execute(k);
         double elapsed = timer.ElapsedSeconds();
-        APLUS_CHECK_EQ(got, matches) << w.name << " t" << k << " count drifted across reps";
+        APLUS_CHECK(got.ok()) << w.name << " t" << k << ": " << ToString(got.status);
+        APLUS_CHECK_EQ(got.count, matches) << w.name << " t" << k << " count drifted across reps";
         if (best < 0.0 || elapsed < best) best = elapsed;
       }
       if (k == 1) {

@@ -3,7 +3,7 @@
 // the in-memory index it was sealed from.
 //
 //   * footprint: bytes/edge of the raw flat layout vs the delta/varint
-//     packed layout (APLUS_SEGMENT_COMPRESS=off vs on), and the
+//     packed layout (CompressMode::kOff vs kOn), and the
 //     compression ratio over the adjacency payload alone. Acceptance:
 //     packed adjacency >= 1.5x smaller than raw on the power-law
 //     dataset.
@@ -123,13 +123,12 @@ int main() {
   double seal_seconds = 0.0, compression_ratio = 0.0;
   {
     std::string error;
-    setenv("APLUS_SEGMENT_COMPRESS", "off", 1);
-    APLUS_CHECK(db.SealToSegment(raw_path, &error)) << error;
-    setenv("APLUS_SEGMENT_COMPRESS", "on", 1);
+    APLUS_CHECK(SealSegment(db.graph(), db.index_store(), raw_path, CompressMode::kOff, &error))
+        << error;
     WallTimer timer;
-    APLUS_CHECK(db.SealToSegment(packed_path, &error)) << error;
+    APLUS_CHECK(SealSegment(db.graph(), db.index_store(), packed_path, CompressMode::kOn, &error))
+        << error;
     seal_seconds = timer.ElapsedSeconds();
-    unsetenv("APLUS_SEGMENT_COMPRESS");
 
     std::unique_ptr<Segment> raw_seg = OpenSegment(raw_path, &error);
     APLUS_CHECK(raw_seg != nullptr) << error;

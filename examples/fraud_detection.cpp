@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
   QueryOutcome cycle_vpc = db.Execute(cycle);
   Report("D+VPc    ", "cycle", cycle_vpc);
   std::printf("  speedup vs D: %.2fx; plan:\n%s", cycle_d.seconds / cycle_vpc.seconds,
-              cycle_vpc.plan.c_str());
+              db.Explain(cycle).c_str());
 
   // Config D+VPc+EPc: the MoneyFlow edge-partitioned index.
   Predicate money_flow;
@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
   QueryOutcome flow_ep = db.Execute(flow);
   Report("D+VPc+EPc", "flow-path", flow_ep);
   std::printf("  speedup vs D: %.2fx; plan:\n%s", flow_d.seconds / flow_ep.seconds,
-              flow_ep.plan.c_str());
+              db.Explain(flow).c_str());
 
   std::printf("\nindex memory: %zu bytes\n", db.IndexMemoryBytes());
   return 0;

@@ -43,7 +43,8 @@ int main() {
   two_hop.AddEdge(a1, a2, wire, "r2");
   QueryOutcome r = db.Execute(two_hop);
   std::printf("\nExample 2 (Alice's wire destinations): %llu matches in %.3f ms\nplan:\n%s\n",
-              static_cast<unsigned long long>(r.count), r.seconds * 1e3, r.plan.c_str());
+              static_cast<unsigned long long>(r.count), r.seconds * 1e3,
+              db.Explain(two_hop).c_str());
 
   // 4. Section III-A1: reconfigure the primary index so currency-equality
   //    queries read a nested partition directly (Example 4).
@@ -61,7 +62,7 @@ int main() {
   usd_wires.AddPredicate(usd);
   r = db.Execute(usd_wires);
   std::printf("Example 4 (USD wires only): %llu matches\nplan:\n%s\n",
-              static_cast<unsigned long long>(r.count), r.plan.c_str());
+              static_cast<unsigned long long>(r.count), db.Explain(usd_wires).c_str());
 
   // 5. Example 6: a secondary vertex-partitioned index over a 1-hop view.
   DdlResult vp = db.ExecuteDdl(

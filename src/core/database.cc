@@ -33,13 +33,6 @@ ParsedCypher BareMatch(const QueryGraph& query) {
   return parsed;
 }
 
-// The one-shot tail shared by ExecuteCypher and Execute(QueryGraph).
-QueryOutcome ExecuteOnce(PreparedQuery* prepared, RowConsumer* consumer, int num_threads) {
-  QueryOutcome out = prepared->Execute(consumer, num_threads);
-  if (out.ok()) out.plan = prepared->plan_text();
-  return out;
-}
-
 std::string ExplainPrepared(const PreparedQuery& prepared) {
   if (!prepared.ok()) return "(error: " + prepared.error() + ")";
   return prepared.plan_text();
@@ -439,11 +432,11 @@ std::unique_ptr<PreparedQuery> Database::ClonePrepared(const PreparedQuery& src)
 }
 
 QueryOutcome Database::Execute(const QueryGraph& query, int num_threads) {
-  return ExecuteOnce(PrepareParsed(BareMatch(query), {}).get(), nullptr, num_threads);
+  return PrepareParsed(BareMatch(query), {})->Execute(nullptr, num_threads);
 }
 
 QueryOutcome Database::ExecuteCypher(const std::string& text, RowConsumer* consumer) {
-  return ExecuteOnce(Prepare(text).get(), consumer, 1);
+  return Prepare(text)->Execute(consumer, 1);
 }
 
 std::string Database::Explain(const QueryGraph& query) {

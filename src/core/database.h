@@ -171,8 +171,8 @@ class Database {
   // Cypher MATCH (no parameters, no RETURN) and executed through
   // PreparedQuery::Execute, so it shares that path's admission control
   // (kOverloaded), deadline and memory governance (with their error
-  // texts), and end-to-end `seconds`. On success `plan` is the same
-  // text Explain renders, ending in the `ProjectSink (count)` line.
+  // texts), and end-to-end `seconds`. Its plan text is Explain(query),
+  // ending in the `ProjectSink (count)` line.
   QueryOutcome Execute(const QueryGraph& query, int num_threads = 1);
 
   // One-shot Cypher: Prepare + Execute. Rows stream to `consumer` when

@@ -12,32 +12,6 @@
 
 namespace aplus {
 
-const char* ToString(QueryOutcome::Status status) {
-  switch (status) {
-    case QueryOutcome::Status::kOk:
-      return "OK";
-    case QueryOutcome::Status::kParseError:
-      return "PARSE_ERROR";
-    case QueryOutcome::Status::kPlanError:
-      return "PLAN_ERROR";
-    case QueryOutcome::Status::kBindError:
-      return "BIND_ERROR";
-    case QueryOutcome::Status::kInvalidated:
-      return "INVALIDATED";
-    case QueryOutcome::Status::kExecError:
-      return "EXEC_ERROR";
-    case QueryOutcome::Status::kResourceExhausted:
-      return "RESOURCE_EXHAUSTED";
-    case QueryOutcome::Status::kTimeout:
-      return "TIMEOUT";
-    case QueryOutcome::Status::kCancelled:
-      return "CANCELLED";
-    case QueryOutcome::Status::kOverloaded:
-      return "OVERLOADED";
-  }
-  return "?";
-}
-
 std::string NormalizeQueryText(const std::string& text) {
   std::string out;
   out.reserve(text.size());
@@ -298,45 +272,46 @@ QueryOutcome PreparedQuery::Execute(RowConsumer* consumer, int num_threads) {
     static_cast<ProjectSinkOp*>(plan_->sink(i))->ResetBatch();
   }
   // Timed end-to-end: a staged query does real work (partial merge, the
-  // sort, the Finish emission) after the plan's own timer stops, and the
-  // caller waits for all of it.
+  // sort, the Finish emission) after the plan returns, and the caller
+  // waits for all of it.
   WallTimer timer;
-  uint64_t count = plan_->Execute(num_threads);
+  // The one mapping of a stop (`out.status` not ok) to its error text,
+  // after the pipeline and after the Finish cascade (`emitting`). It
+  // consumes the stop reason: a cancel that fired during this execute
+  // must not bleed into the next one (a Cancel racing this reset may
+  // land on either execution; see util/deadline.h).
+  auto stopped = [&](bool emitting) {
+    const char* during = emitting ? ", during result emission" : "";
+    if (out.status == QueryOutcome::Status::kResourceExhausted) {
+      const bool ceiling =
+          controls_.budget.refused_by() == MemoryBudget::Limit::kProcessCeiling;
+      out.error = "memory budget exceeded (" +
+                  std::string(ceiling ? "APLUS_MEM_CAP_TOTAL" : mem_cap_source) + "=" +
+                  std::to_string(ceiling ? config.mem_cap_total_bytes : mem_cap) + " bytes" +
+                  during + ")";
+    } else if (out.status == QueryOutcome::Status::kTimeout) {
+      out.error = "query deadline exceeded (" + std::to_string(timeout_ms) + " ms" + during + ")";
+    } else {
+      out.error = emitting ? "query cancelled (during result emission)" : "query cancelled";
+    }
+    controls_.consumer = nullptr;
+    out.seconds = timer.ElapsedSeconds();
+    controls_.token.Reset();
+    return std::move(out);
+  };
+  out = plan_->Execute(num_threads);  // the count and the stop status
   // Partial batches drain on the calling thread once the workers joined
   // (into each pipeline's own stage chain for staged queries).
   for (int i = 0; i < plan_->num_pipelines(); ++i) {
     static_cast<ProjectSinkOp*>(plan_->sink(i))->Flush();
   }
-  // Abnormal stop (anything but a satisfied LIMIT): surface the typed
-  // status with partial-progress counters. Staged partial tables are
-  // incomplete, so no merge, no Finish, no rows — a clean error instead
-  // of silently wrong aggregates; stage-less projections have already
-  // streamed a partial row prefix to the consumer.
-  const StopReason stop_reason = controls_.token.reason();
-  if (stop_reason != StopReason::kNone && stop_reason != StopReason::kLimit) {
-    controls_.consumer = nullptr;
-    if (stop_reason == StopReason::kResourceExhausted) {
-      out.status = QueryOutcome::Status::kResourceExhausted;
-      const bool ceiling =
-          controls_.budget.refused_by() == MemoryBudget::Limit::kProcessCeiling;
-      out.error = "memory budget exceeded (" +
-                  std::string(ceiling ? "APLUS_MEM_CAP_TOTAL" : mem_cap_source) + "=" +
-                  std::to_string(ceiling ? config.mem_cap_total_bytes : mem_cap) + " bytes)";
-    } else if (stop_reason == StopReason::kTimeout) {
-      out.status = QueryOutcome::Status::kTimeout;
-      out.error = "query deadline exceeded (" + std::to_string(timeout_ms) + " ms)";
-    } else {
-      out.status = QueryOutcome::Status::kCancelled;
-      out.error = "query cancelled";
-    }
-    out.count = count;
-    out.rows = (!has_stages_ && !count_star_only_ && !columns_.empty()) ? count : 0;
-    out.seconds = timer.ElapsedSeconds();
-    // Consume the stop reason: a cancel that fired during this execute
-    // must not bleed into the next one (a Cancel racing this reset may
-    // land on either execution — see util/deadline.h).
-    controls_.token.Reset();
-    return out;
+  // A stopped pipeline reports partial-progress counters. Staged partial
+  // tables are incomplete, so no merge, no Finish, no rows: a clean error
+  // instead of silently wrong aggregates; stage-less projections have
+  // already streamed a partial row prefix to the consumer.
+  if (!out.ok()) {
+    out.rows = (!has_stages_ && !count_star_only_ && !columns_.empty()) ? out.count : 0;
+    return stopped(false);
   }
   if (has_stages_) {
     // Parallel partial-merge: fold every worker chain into pipeline 0 —
@@ -352,24 +327,11 @@ QueryOutcome PreparedQuery::Execute(RowConsumer* consumer, int num_threads) {
                             num_threads);
     primary->FinishStages();
     out.rows = controls_.rows_emitted;
-    // The deadline (or a cancel) can land mid-cascade — the sort / group
-    // emission polls the token too. The delivered prefix is incomplete:
-    // report the typed status with the partial row counter.
-    const StopReason finish_reason = controls_.token.reason();
-    if (finish_reason == StopReason::kTimeout || finish_reason == StopReason::kCancelled) {
-      controls_.consumer = nullptr;
-      out.status = finish_reason == StopReason::kTimeout
-                       ? QueryOutcome::Status::kTimeout
-                       : QueryOutcome::Status::kCancelled;
-      out.error = finish_reason == StopReason::kTimeout
-                      ? "query deadline exceeded (" + std::to_string(timeout_ms) +
-                            " ms, during result emission)"
-                      : "query cancelled (during result emission)";
-      out.count = count;
-      out.seconds = timer.ElapsedSeconds();
-      controls_.token.Reset();  // consume; see the abnormal-stop block
-      return out;
-    }
+    // The deadline, a cancel or a refused charge can land mid-cascade:
+    // the sort / group emission polls the token and charges the budget
+    // too. The delivered prefix is incomplete.
+    out.status = StatusOf(controls_.token.reason());
+    if (!out.ok()) return stopped(true);
   } else if (count_star_only_) {
     // COUNT(*) pushdown: the counting sink already produced the answer;
     // synthesize the single output row (LIMIT 0 suppresses it).
@@ -377,16 +339,15 @@ QueryOutcome PreparedQuery::Execute(RowConsumer* consumer, int num_threads) {
       out.rows = 0;
     } else {
       count_row_.Clear();
-      count_row_.AppendInt(0, static_cast<int64_t>(count));
+      count_row_.AppendInt(0, static_cast<int64_t>(out.count));
       count_row_.AdvanceRow();
       if (consumer != nullptr) consumer->OnBatch(count_row_);
       out.rows = 1;
     }
   } else {
-    out.rows = columns_.empty() ? 0 : count;
+    out.rows = columns_.empty() ? 0 : out.count;
   }
   controls_.consumer = nullptr;
-  out.count = count;
   out.seconds = timer.ElapsedSeconds();
   return out;
 }
@@ -425,10 +386,7 @@ PreparedQuery* Session::Prepare(const std::string& text, const PrepareOptions& o
 
 QueryOutcome Session::Execute(const std::string& text, RowConsumer* consumer,
                               int num_threads) {
-  PreparedQuery* prepared = Prepare(text);
-  QueryOutcome out = prepared->Execute(consumer, num_threads);
-  if (out.ok()) out.plan = prepared->plan_text();
-  return out;
+  return Prepare(text)->Execute(consumer, num_threads);
 }
 
 }  // namespace aplus

@@ -16,58 +16,6 @@ namespace aplus {
 
 class Database;
 
-// The single result type of the serving API: every query path
-// (prepared execution, one-shot Cypher, programmatic QueryGraph runs —
-// all of them PreparedQuery::Execute) reports through it. Errors land in
-// `status` + `error` — never in the plan text or a magic count.
-struct QueryOutcome {
-  enum class Status : uint8_t {
-    kOk = 0,
-    kParseError,   // Cypher text did not parse
-    kPlanError,    // no plan (disconnected / unsupported query)
-    kBindError,    // unknown/unbound/type-mismatched parameter
-    kInvalidated,  // indexes or graph changed since Prepare; re-prepare
-    kExecError,    // execution failed
-    // Execution aborted cleanly on a resource cap (the per-query memory
-    // budget or the process ceiling); staged queries deliver no rows.
-    kResourceExhausted,
-    // Execution stopped at the deadline (set_deadline_millis, else
-    // EngineConfig::query_timeout_ms). `count` carries the partial
-    // match progress; staged queries deliver no rows, stage-less
-    // projections may have streamed a partial prefix.
-    kTimeout,
-    // Execution stopped by PreparedQuery::Cancel() from another thread.
-    // Partial-progress semantics match kTimeout.
-    kCancelled,
-    // Admission control rejected the execute: the concurrent-execute
-    // slots were full and the wait queue was full or timed out
-    // (EngineConfig::admission). Nothing ran; retry later.
-    kOverloaded,
-  };
-
-  Status status = Status::kOk;
-  std::string error;  // empty when ok()
-  // Complete matches enumerated. Stage-less LIMIT queries stop early, so
-  // count == min(LIMIT, matches) there; aggregate / ORDER BY queries
-  // enumerate everything (their LIMIT caps the *output* rows).
-  uint64_t count = 0;
-  // Rows delivered through the sink pipeline: projected matches for
-  // plain projections, post-aggregation/-ordering/-limit output rows for
-  // staged queries (e.g. 1 for a global RETURN COUNT(*)), 0 for a bare
-  // MATCH count.
-  uint64_t rows = 0;
-  double seconds = 0.0;
-  // Figure 6-style plan rendering. Filled on success by the one-shot
-  // paths (Database::Execute/ExecuteCypher, Session::Execute);
-  // PreparedQuery::Execute leaves it empty so the steady-state hot path
-  // stays allocation-free — read PreparedQuery::plan_text() instead.
-  std::string plan;
-
-  bool ok() const { return status == Status::kOk; }
-};
-
-const char* ToString(QueryOutcome::Status status);
-
 struct PrepareOptions {
   // RowBatch capacity (rows per consumer delivery) of the projection
   // sink. Larger batches amortize the consumer callback; smaller ones

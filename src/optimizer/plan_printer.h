@@ -14,7 +14,7 @@ namespace aplus {
 // (DpOptimizer::last_outline and the Plan it returned, or a clone of
 // that Plan). `sink_chain` (ProjectSinkOp::ChainLines: projection first,
 // each sink stage after it) renders above the operator tree, most-
-// downstream stage (LIMIT / ORDER BY) outermost, so QueryOutcome::plan
+// downstream stage (LIMIT / ORDER BY) outermost, so the plan text
 // explains the full result path of aggregate plans.
 std::string RenderPlanTree(const QueryGraph& query, const Catalog& catalog,
                            const std::vector<StepOutline>& steps, const Plan& plan,

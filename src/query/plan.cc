@@ -15,7 +15,48 @@ Plan::Plan(std::vector<std::unique_ptr<Operator>> ops, int num_query_vertices,
   for (size_t i = 0; i + 1 < ops_.size(); ++i) ops_[i]->set_next(ops_[i + 1].get());
 }
 
-uint64_t Plan::Execute(int num_threads) {
+const char* ToString(QueryOutcome::Status status) {
+  switch (status) {
+    case QueryOutcome::Status::kOk:
+      return "OK";
+    case QueryOutcome::Status::kParseError:
+      return "PARSE_ERROR";
+    case QueryOutcome::Status::kPlanError:
+      return "PLAN_ERROR";
+    case QueryOutcome::Status::kBindError:
+      return "BIND_ERROR";
+    case QueryOutcome::Status::kInvalidated:
+      return "INVALIDATED";
+    case QueryOutcome::Status::kExecError:
+      return "EXEC_ERROR";
+    case QueryOutcome::Status::kResourceExhausted:
+      return "RESOURCE_EXHAUSTED";
+    case QueryOutcome::Status::kTimeout:
+      return "TIMEOUT";
+    case QueryOutcome::Status::kCancelled:
+      return "CANCELLED";
+    case QueryOutcome::Status::kOverloaded:
+      return "OVERLOADED";
+  }
+  return "?";
+}
+
+QueryOutcome::Status StatusOf(StopReason reason) {
+  switch (reason) {
+    case StopReason::kNone:
+    case StopReason::kLimit:
+      return QueryOutcome::Status::kOk;
+    case StopReason::kTimeout:
+      return QueryOutcome::Status::kTimeout;
+    case StopReason::kCancelled:
+      return QueryOutcome::Status::kCancelled;
+    case StopReason::kResourceExhausted:
+      return QueryOutcome::Status::kResourceExhausted;
+  }
+  return QueryOutcome::Status::kExecError;
+}
+
+QueryOutcome Plan::Execute(int num_threads) {
   // Pin an epoch for the whole execution: the pool workers run strictly
   // inside the spawn/join window, so one pin on the calling thread keeps
   // every run/delta version probed by any replica alive until we return
@@ -27,17 +68,18 @@ uint64_t Plan::Execute(int num_threads) {
   // else (not produced by PlanBuilder/DpOptimizer) runs serially.
   if (scan == nullptr) k = 1;
   state_.Reset(num_query_vertices_, num_query_edges_);
-  uint64_t total = 0;
+  QueryOutcome out;
   if (k == 1) {
     ops_.front()->Run(&state_);
-    total = state_.count;
+    out.count = state_.count;
   } else {
-    total = ExecuteParallel(k, scan);
+    out.count = RunParallel(k, scan);
   }
-  return total;
+  if (token_ != nullptr) out.status = StatusOf(token_->reason());
+  return out;
 }
 
-uint64_t Plan::ExecuteParallel(int k, ScanOp* scan) {
+uint64_t Plan::RunParallel(int k, ScanOp* scan) {
   EnsureWorkers(k - 1);
   // A pinned scan is one vertex, one scan morsel: split the entries of
   // the first EXTEND's list instead. The list is fetched once, here,

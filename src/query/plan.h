@@ -10,6 +10,59 @@
 
 namespace aplus {
 
+// The one result type of every execution: Plan::Execute fills `status`
+// and `count`; PreparedQuery::Execute (core/session.h), which every
+// query path runs through (prepared execution, one-shot Cypher,
+// programmatic QueryGraph runs, wire requests), adds `error`, `rows` and
+// `seconds`. Errors land in `status` + `error`, never in a magic count.
+// The plan text is PreparedQuery::plan_text() or Database::Explain.
+struct QueryOutcome {
+  enum class Status : uint8_t {
+    kOk = 0,
+    kParseError,   // Cypher text did not parse
+    kPlanError,    // no plan (disconnected / unsupported query)
+    kBindError,    // unknown/unbound/type-mismatched parameter
+    kInvalidated,  // indexes or graph changed since Prepare; re-prepare
+    kExecError,    // execution failed
+    // Execution aborted cleanly on a resource cap (the per-query memory
+    // budget or the process ceiling); staged queries deliver no rows.
+    kResourceExhausted,
+    // Execution stopped at the deadline (set_deadline_millis, else
+    // EngineConfig::query_timeout_ms). `count` carries the partial
+    // match progress; staged queries deliver no rows, stage-less
+    // projections may have streamed a partial prefix.
+    kTimeout,
+    // Execution stopped by PreparedQuery::Cancel() from another thread.
+    // Partial-progress semantics match kTimeout.
+    kCancelled,
+    // Admission control rejected the execute: the concurrent-execute
+    // slots were full and the wait queue was full or timed out
+    // (EngineConfig::admission). Nothing ran; retry later.
+    kOverloaded,
+  };
+
+  Status status = Status::kOk;
+  std::string error;  // empty when ok()
+  // Complete matches enumerated. Stage-less LIMIT queries stop early, so
+  // count == min(LIMIT, matches) there; aggregate / ORDER BY queries
+  // enumerate everything (their LIMIT caps the *output* rows).
+  uint64_t count = 0;
+  // Rows delivered through the sink pipeline: projected matches for
+  // plain projections, post-aggregation/-ordering/-limit output rows for
+  // staged queries (e.g. 1 for a global RETURN COUNT(*)), 0 for a bare
+  // MATCH count.
+  uint64_t rows = 0;
+  double seconds = 0.0;
+
+  bool ok() const { return status == Status::kOk; }
+};
+
+const char* ToString(QueryOutcome::Status status);
+
+// The status of an execution that stopped for `reason`: kNone and a
+// satisfied LIMIT are kOk, the others their namesake.
+QueryOutcome::Status StatusOf(StopReason reason);
+
 // A physical plan: a pipeline of push-based operators ending in a SinkOp.
 // Plans are produced by the DP optimizer (src/optimizer) or built by hand
 // via PlanBuilder for the benchmark harnesses.
@@ -23,20 +76,24 @@ class Plan {
  public:
   Plan(std::vector<std::unique_ptr<Operator>> ops, int num_query_vertices, int num_query_edges);
 
-  // Runs the pipeline and returns the number of complete matches, with
-  // `num_threads` workers (clamped to [1, kMaxThreads]) using
-  // morsel-driven parallelism: the leading ScanOp's vertex domain is
-  // carved into morsels handed out through an atomic cursor, and each
-  // worker drives its own cloned pipeline replica (private operator
-  // scratch, private MatchState, private SinkOp callback copy) over the
-  // morsels it claims. A scan pinned to one vertex followed by an
-  // enumerating ExtendOp splits that extend's list instead: the calling
-  // thread fetches it once, and the workers claim morsels of its entries,
-  // so all of them read the same list. Match counts accumulate per
-  // worker and merge once at the end. Passing num_threads > 1 to a plan
-  // whose SinkOp carries a callback is the caller's acknowledgement of
-  // the SinkOp thread-safety contract.
-  uint64_t Execute(int num_threads);
+  // Runs the pipeline with `num_threads` workers (clamped to
+  // [1, kMaxThreads]) using morsel-driven parallelism: the leading
+  // ScanOp's vertex domain is carved into morsels handed out through an
+  // atomic cursor, and each worker drives its own cloned pipeline replica
+  // (private operator scratch, private MatchState, private SinkOp
+  // callback copy) over the morsels it claims. A scan pinned to one
+  // vertex followed by an enumerating ExtendOp splits that extend's list
+  // instead: the calling thread fetches it once, and the workers claim
+  // morsels of its entries, so all of them read the same list. Match
+  // counts accumulate per worker and merge once at the end. Passing
+  // num_threads > 1 to a plan whose SinkOp carries a callback is the
+  // caller's acknowledgement of the SinkOp thread-safety contract.
+  //
+  // Returns the complete matches in `count` and, in `status`, why the
+  // execution stopped, read from the token SetExecContext installed
+  // (StatusOf; no token is kOk): a stopped execution's count is partial
+  // progress. `error`, `rows` and `seconds` stay empty.
+  QueryOutcome Execute(int num_threads);
 
   // One line per operator, root first (Figure 6 style).
   std::string Describe() const;
@@ -80,7 +137,7 @@ class Plan {
     MatchState state;
   };
 
-  uint64_t ExecuteParallel(int k, ScanOp* scan);
+  uint64_t RunParallel(int k, ScanOp* scan);
   void EnsureWorkers(int num_replicas);
   // Pipeline `w`'s operators and state (0 = the primary).
   std::vector<std::unique_ptr<Operator>>& ops(int w) {

@@ -58,7 +58,7 @@ TEST_F(BaselineTest, EnginesAgreeWithAplusOnTriangles) {
   DpOptimizer optimizer(&ex_.graph, &store);
   auto plan = optimizer.Optimize(query);
   ASSERT_NE(plan, nullptr);
-  uint64_t aplus_count = plan->Execute(TestThreads());
+  uint64_t aplus_count = RunCount(*plan);
   EXPECT_EQ(ll_.CountMatches(query), aplus_count);
   EXPECT_EQ(flat_.CountMatches(query), aplus_count);
 }
@@ -85,7 +85,7 @@ TEST(BaselineLargeTest, AgreementOnLabelledGraph) {
   DpOptimizer optimizer(&graph, &store);
   auto plan = optimizer.Optimize(path);
   ASSERT_NE(plan, nullptr);
-  uint64_t expected = plan->Execute(TestThreads());
+  uint64_t expected = RunCount(*plan);
   EXPECT_EQ(ll.CountMatches(path), expected);
   EXPECT_EQ(flat.CountMatches(path), expected);
 }

@@ -404,7 +404,7 @@ TEST(ConcurrentOneListTest, PinnedSplitReadsTheFirstHopListOnce) {
   list.target_vertex_var = b;
   list.target_edge_var = 0;
   list.nbr_sorted = true;
-  const uint64_t want = PlanBuilder(&db.graph(), &query).Scan(a).Extend(list).Build()->Execute(1);
+  const uint64_t want = RunCount(*PlanBuilder(&db.graph(), &query).Scan(a).Extend(list).Build(), 1);
 
   ConcurrentIngestOptions options;
   options.max_vertices = db.graph().num_vertices();
@@ -420,7 +420,7 @@ TEST(ConcurrentOneListTest, PinnedSplitReadsTheFirstHopListOnce) {
                       db.maintainer().OnEdgeInserted(db.graph().AddEdge(hub, n, elabel));
                     }
                   });
-  EXPECT_EQ(plan->Execute(4), want);
+  EXPECT_EQ(RunCount(*plan, 4), want);
   EXPECT_TRUE(inserted.load());
   db.EndConcurrentIngest();
 }

@@ -280,7 +280,7 @@ TEST_P(IntersectDiffTest, BoundSourcesMatchBaseline) {
         for (int v : src_vars) builder.Scan(v);
         auto plan = builder.ExtendIntersect(lists, c).Build();
         uint64_t expected = engine_->CountMatches(query);
-        EXPECT_EQ(plan->Execute(TestThreads()), expected)
+        EXPECT_EQ(RunCount(*plan), expected)
             << "z=" << z << " offset=" << offset << " tuple=" << tuple;
         total += expected;
       }
@@ -318,7 +318,7 @@ TEST_P(IntersectDiffTest, BoundedRangesMatchBaseline) {
       PlanBuilder builder(&graph_, &query);
       auto plan = builder.Scan(a0).Scan(a1).ExtendIntersect(lists, c).Build();
       uint64_t expected = engine_->CountMatches(query);
-      EXPECT_EQ(plan->Execute(TestThreads()), expected) << "offset=" << offset << " tuple=" << tuple;
+      EXPECT_EQ(RunCount(*plan), expected) << "offset=" << offset << " tuple=" << tuple;
     }
   }
 }
@@ -338,7 +338,7 @@ TEST_P(IntersectDiffTest, TriangleMatchesBaseline) {
   auto plan =
       builder.Scan(a).Extend(FwdList(a, el0_, b, 0)).ExtendIntersect(lists, c).Build();
   uint64_t expected = engine_->CountMatches(query);
-  EXPECT_EQ(plan->Execute(TestThreads()), expected);
+  EXPECT_EQ(RunCount(*plan), expected);
   EXPECT_GT(expected, 0u) << "no triangles in the generated graph";
 }
 
@@ -354,7 +354,7 @@ TEST_P(IntersectDiffTest, ClosingProbeMatchesBaseline) {
                   .Extend(FwdList(a, el0_, b, 0))
                   .Extend(FwdList(b, el1_, a, 1), {}, /*closing=*/true)
                   .Build();
-  EXPECT_EQ(plan->Execute(TestThreads()), engine_->CountMatches(query));
+  EXPECT_EQ(RunCount(*plan), engine_->CountMatches(query));
 }
 
 // MULTI-EXTEND on property-sorted offset lists vs the equivalent
@@ -390,7 +390,7 @@ TEST_P(IntersectDiffTest, MultiExtendMatchesBaseline) {
     PlanBuilder builder(&graph_, &query);
     auto plan = builder.Scan(a).MultiExtend({l1, l2}).Build();
     uint64_t expected = engine_->CountMatches(query);
-    EXPECT_EQ(plan->Execute(TestThreads()), expected) << "tuple=" << tuple;
+    EXPECT_EQ(RunCount(*plan), expected) << "tuple=" << tuple;
   }
 }
 
@@ -425,7 +425,7 @@ TEST_P(IntersectDiffTest, AllKernelLevelsMatchBaseline) {
           for (int v : src_vars) builder.Scan(v);
           auto plan = builder.ExtendIntersect(lists, c).Build();
           uint64_t expected = engine_->CountMatches(query);
-          EXPECT_EQ(plan->Execute(TestThreads()), expected)
+          EXPECT_EQ(RunCount(*plan), expected)
               << "level=" << ToString(level) << " z=" << z << " offset=" << offset
               << " tuple=" << tuple;
           total += expected;
@@ -442,11 +442,8 @@ TEST_P(IntersectDiffTest, AllKernelLevelsMatchBaseline) {
       query.AddEdge(b, c, el1_, "e2");
       PlanBuilder builder(&graph_, &query);
       std::vector<ListDescriptor> lists = {FwdList(a, el0_, c, 1), FwdList(b, el1_, c, 2)};
-      auto plan = builder.Scan(a)
-                      .Extend(FwdList(a, el0_, b, 0))
-                      .ExtendIntersect(lists, c)
-                      .Build();
-      EXPECT_EQ(plan->Execute(TestThreads()), engine_->CountMatches(query))
+      auto plan = builder.Scan(a).Extend(FwdList(a, el0_, b, 0)).ExtendIntersect(lists, c).Build();
+      EXPECT_EQ(RunCount(*plan), engine_->CountMatches(query))
           << "triangle level=" << ToString(level);
     }
     {
@@ -460,7 +457,7 @@ TEST_P(IntersectDiffTest, AllKernelLevelsMatchBaseline) {
                       .Extend(FwdList(a, el0_, b, 0))
                       .Extend(FwdList(b, el1_, a, 1), {}, /*closing=*/true)
                       .Build();
-      EXPECT_EQ(plan->Execute(TestThreads()), engine_->CountMatches(query))
+      EXPECT_EQ(RunCount(*plan), engine_->CountMatches(query))
           << "closing probe level=" << ToString(level);
     }
     for (uint64_t tuple = 0; tuple < 6; ++tuple) {
@@ -490,7 +487,7 @@ TEST_P(IntersectDiffTest, AllKernelLevelsMatchBaseline) {
       l2.target_edge_var = 1;
       PlanBuilder builder(&graph_, &query);
       auto plan = builder.Scan(a).MultiExtend({l1, l2}).Build();
-      EXPECT_EQ(plan->Execute(TestThreads()), engine_->CountMatches(query))
+      EXPECT_EQ(RunCount(*plan), engine_->CountMatches(query))
           << "multi-extend level=" << ToString(level) << " tuple=" << tuple;
     }
     EXPECT_GT(total, 0u) << "level=" << ToString(level)

@@ -40,7 +40,7 @@ TEST_F(OperatorsTest, ScanWithLabelFilter) {
   query.AddVertex("a", ex_.account_label);
   PlanBuilder builder(&ex_.graph, &query);
   auto plan = builder.Scan(0).Build();
-  EXPECT_EQ(plan->Execute(TestThreads()), 5u);  // five Account vertices
+  EXPECT_EQ(RunCount(*plan), 5u);  // five Account vertices
 }
 
 TEST_F(OperatorsTest, ScanBoundVertex) {
@@ -48,7 +48,7 @@ TEST_F(OperatorsTest, ScanBoundVertex) {
   query.AddVertex("a", kInvalidLabel, ex_.accounts[0]);
   PlanBuilder builder(&ex_.graph, &query);
   auto plan = builder.Scan(0).Build();
-  EXPECT_EQ(plan->Execute(TestThreads()), 1u);
+  EXPECT_EQ(RunCount(*plan), 1u);
 }
 
 TEST_F(OperatorsTest, SingleExtendOverWireSlice) {
@@ -61,7 +61,7 @@ TEST_F(OperatorsTest, SingleExtendOverWireSlice) {
   auto plan = builder.Scan(a1)
                   .Extend(PrimaryList(Direction::kFwd, a1, {ex_.wire_label}, a2, 0))
                   .Build();
-  EXPECT_EQ(plan->Execute(TestThreads()), 3u);
+  EXPECT_EQ(RunCount(*plan), 3u);
 }
 
 TEST_F(OperatorsTest, TwoHopFromAlice) {
@@ -80,7 +80,7 @@ TEST_F(OperatorsTest, TwoHopFromAlice) {
   // Alice owns v1 (out: t4,t17,t18,t20 -> 4 matches, none back to v7/v1 double
   // binding issues) and v4 (out: t2,t5,t9,t11,t16 = 5, but t16 -> v1 ok).
   // Brute force below is the ground truth.
-  uint64_t count = plan->Execute(TestThreads());
+  uint64_t count = RunCount(*plan);
   EXPECT_EQ(count, 9u);
 }
 
@@ -100,7 +100,7 @@ TEST_F(OperatorsTest, ExtendIntersectFindsCommonNeighbours) {
   auto plan = builder.Scan(a).Scan(b).ExtendIntersect(lists, c).Build();
   // v1 Wire-out: {v2(t17), v3(t4), v4(t20)}; v4 Wire-out: {v2(t5), v3(t11), v5(t9)}.
   // Common neighbours excluding bound a/b: v2, v3 -> 2 matches.
-  EXPECT_EQ(plan->Execute(TestThreads()), 2u);
+  EXPECT_EQ(RunCount(*plan), 2u);
 }
 
 TEST_F(OperatorsTest, ClosingExtendVerifiesMembership) {
@@ -117,7 +117,7 @@ TEST_F(OperatorsTest, ClosingExtendVerifiesMembership) {
                   .Extend(PrimaryList(Direction::kFwd, a, {ex_.wire_label}, b, 0))
                   .Extend(closing, {}, /*closing=*/true)
                   .Build();
-  EXPECT_EQ(plan->Execute(TestThreads()), 1u);  // b = v4 via t14, back via t2
+  EXPECT_EQ(RunCount(*plan), 1u);  // b = v4 via t14, back via t2
 }
 
 TEST_F(OperatorsTest, FilterResidualPredicate) {
@@ -136,7 +136,7 @@ TEST_F(OperatorsTest, FilterResidualPredicate) {
                   .Extend(PrimaryList(Direction::kFwd, a, {ex_.wire_label}, b, 0))
                   .Filter({cmp})
                   .Build();
-  EXPECT_EQ(plan->Execute(TestThreads()), 2u);
+  EXPECT_EQ(RunCount(*plan), 2u);
 }
 
 TEST_F(OperatorsTest, MultiExtendOnCitySortedLists) {
@@ -174,7 +174,7 @@ TEST_F(OperatorsTest, MultiExtendOnCitySortedLists) {
   // v3 W-out: t14->v4 (BOS). v3 DD-out: t1->v1 (SF), t3->v5 (LA),
   // t6->v2 (SF). Same-city pairs with distinct vertices: none (v4 is BOS,
   // DD targets are SF/LA/SF).
-  EXPECT_EQ(plan->Execute(TestThreads()), 0u);
+  EXPECT_EQ(RunCount(*plan), 0u);
 
   // From v2: W-out t8->v4 (BOS); DD-out t7->v3 (BOS), t13->v5 (LA).
   QueryGraph query2;
@@ -191,7 +191,7 @@ TEST_F(OperatorsTest, MultiExtendOnCitySortedLists) {
   m2.target_vertex_var = b4;
   PlanBuilder builder2(&ex_.graph, &query2);
   auto plan2 = builder2.Scan(b1).MultiExtend({m1, m2}).Build();
-  EXPECT_EQ(plan2->Execute(TestThreads()), 1u);  // (v4, v3) both BOS
+  EXPECT_EQ(RunCount(*plan2), 1u);  // (v4, v3) both BOS
 }
 
 TEST_F(OperatorsTest, EdgeDistinctnessAcrossQueryEdges) {
@@ -214,7 +214,7 @@ TEST_F(OperatorsTest, EdgeDistinctnessAcrossQueryEdges) {
                   .Extend(PrimaryList(Direction::kFwd, a, {}, b, 0), {}, /*closing=*/true)
                   .Extend(PrimaryList(Direction::kFwd, a, {}, b, 1), {}, /*closing=*/true)
                   .Build();
-  EXPECT_EQ(plan->Execute(TestThreads()), 2u);  // (t2,t11) and (t11,t2)
+  EXPECT_EQ(RunCount(*plan), 2u);  // (t2,t11) and (t11,t2)
 }
 
 TEST_F(OperatorsTest, VertexIsomorphismEnforced) {
@@ -237,7 +237,7 @@ TEST_F(OperatorsTest, VertexIsomorphismEnforced) {
                       ++violations;
                     }
                   });
-  plan->Execute(1);
+  RunCount(*plan, 1);
   EXPECT_EQ(violations, 0u);
 }
 

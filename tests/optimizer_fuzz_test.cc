@@ -30,7 +30,7 @@ TEST_P(OptimizerFuzzTest, PlansMatchBaselineMatcher) {
     QueryOutcome result = db->Execute(query, TestThreads());
     ASSERT_EQ(result.count, expected)
         << "seed=" << seed << " query=" << q << "\nplan:\n"
-        << result.plan;
+        << db->Explain(query);
   }
 }
 

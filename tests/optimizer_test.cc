@@ -33,7 +33,7 @@ TEST_F(OptimizerTest, SingleEdgeQuery) {
   DpOptimizer optimizer(&ex_.graph, &store_);
   auto plan = optimizer.Optimize(query);
   ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->Execute(TestThreads()), BruteForce(query));
+  EXPECT_EQ(RunCount(*plan), BruteForce(query));
 }
 
 TEST_F(OptimizerTest, TwoHopMatchesBruteForce) {
@@ -46,7 +46,7 @@ TEST_F(OptimizerTest, TwoHopMatchesBruteForce) {
   DpOptimizer optimizer(&ex_.graph, &store_);
   auto plan = optimizer.Optimize(query);
   ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->Execute(TestThreads()), BruteForce(query));
+  EXPECT_EQ(RunCount(*plan), BruteForce(query));
 }
 
 TEST_F(OptimizerTest, LabelledTriangleUsesIntersection) {
@@ -63,7 +63,7 @@ TEST_F(OptimizerTest, LabelledTriangleUsesIntersection) {
   DpOptimizer optimizer(&ex_.graph, &store_);
   auto plan = optimizer.Optimize(query);
   ASSERT_NE(plan, nullptr);
-  uint64_t count = plan->Execute(TestThreads());
+  uint64_t count = RunCount(*plan);
   EXPECT_EQ(count, BruteForce(query));
   EXPECT_GE(count, 1u);  // v1 -t17-> v2 -t8-> v4, v1 -t20-> v4
   // The last extension closes two edges -> must be an intersection.
@@ -88,7 +88,7 @@ TEST_F(OptimizerTest, UnlabelledTriangleFallsBackToVerify) {
   DpOptimizer optimizer(&ex_.graph, &store_);
   auto plan = optimizer.Optimize(query);
   ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->Execute(TestThreads()), BruteForce(query));
+  EXPECT_EQ(RunCount(*plan), BruteForce(query));
 }
 
 TEST_F(OptimizerTest, PredicatePushedIntoScanAndResiduals) {
@@ -104,7 +104,7 @@ TEST_F(OptimizerTest, PredicatePushedIntoScanAndResiduals) {
   DpOptimizer optimizer(&ex_.graph, &store_);
   auto plan = optimizer.Optimize(query);
   ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->Execute(TestThreads()), BruteForce(query));
+  EXPECT_EQ(RunCount(*plan), BruteForce(query));
 }
 
 TEST_F(OptimizerTest, UsesVpIndexWhenPredicateSubsumes) {
@@ -128,7 +128,7 @@ TEST_F(OptimizerTest, UsesVpIndexWhenPredicateSubsumes) {
   DpOptimizer optimizer(&ex_.graph, &store_);
   auto plan = optimizer.Optimize(query);
   ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->Execute(TestThreads()), BruteForce(query));
+  EXPECT_EQ(RunCount(*plan), BruteForce(query));
   // The chosen extend should read the VP index (it is smaller).
   bool uses_vp = false;
   for (const PlanStep& step : optimizer.last_steps()) {
@@ -160,7 +160,7 @@ TEST_F(OptimizerTest, RejectsVpIndexWhenQueryIsBroader) {
   DpOptimizer optimizer(&ex_.graph, &store_);
   auto plan = optimizer.Optimize(query);
   ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->Execute(TestThreads()), BruteForce(query));
+  EXPECT_EQ(RunCount(*plan), BruteForce(query));
   for (const PlanStep& step : optimizer.last_steps()) {
     for (const ListDescriptor& list : step.lists) {
       EXPECT_NE(list.source, ListDescriptor::Source::kVp);
@@ -195,7 +195,7 @@ TEST_F(OptimizerTest, MultiExtendChosenForCityEquality) {
   DpOptimizer optimizer(&ex_.graph, &store_);
   auto plan = optimizer.Optimize(query);
   ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->Execute(TestThreads()), BruteForce(query));
+  EXPECT_EQ(RunCount(*plan), BruteForce(query));
   bool has_multi = false;
   for (const PlanStep& step : optimizer.last_steps()) {
     if (step.kind == PlanStep::Kind::kMultiExtend) has_multi = true;
@@ -239,8 +239,8 @@ TEST_F(OptimizerTest, MultiExtendKeepsOffsetEqualityResidual) {
     if (step.kind == PlanStep::Kind::kMultiExtend) has_multi = true;
   }
   EXPECT_TRUE(has_multi);
-  EXPECT_EQ(plan->Execute(TestThreads()), BruteForce(query)) << optimizer.DescribeSteps(query);
-  EXPECT_EQ(plan->Execute(TestThreads()), 0u);
+  EXPECT_EQ(RunCount(*plan), BruteForce(query)) << optimizer.DescribeSteps(query);
+  EXPECT_EQ(RunCount(*plan), 0u);
 }
 
 TEST_F(OptimizerTest, EpIndexUsedForCrossEdgePredicate) {
@@ -276,7 +276,7 @@ TEST_F(OptimizerTest, EpIndexUsedForCrossEdgePredicate) {
   DpOptimizer optimizer(&ex_.graph, &store_);
   auto plan = optimizer.Optimize(query);
   ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->Execute(TestThreads()), BruteForce(query));
+  EXPECT_EQ(RunCount(*plan), BruteForce(query));
   bool uses_ep = false;
   for (const PlanStep& step : optimizer.last_steps()) {
     for (const ListDescriptor& list : step.lists) {

@@ -22,6 +22,7 @@
 #include "index/index_store.h"
 #include "query/intersect_kernels.h"
 #include "query/plan.h"
+#include "test_threads.h"
 #include "util/rng.h"
 
 namespace aplus {
@@ -76,14 +77,14 @@ class ParallelDiffTest : public ::testing::TestWithParam<uint64_t> {
   // Serial count once, then every parallel width twice (the second
   // execution proves the reused worker pipelines stay correct).
   void ExpectParallelMatchesSerial(Plan* plan, const char* what) {
-    uint64_t serial = plan->Execute(1);
+    uint64_t serial = RunCount(*plan, 1);
     for (int k : {2, 4, 8}) {
-      EXPECT_EQ(plan->Execute(k), serial) << what << " k=" << k;
-      EXPECT_EQ(plan->Execute(k), serial) << what << " k=" << k << " (re-executed)";
+      EXPECT_EQ(RunCount(*plan, k), serial) << what << " k=" << k;
+      EXPECT_EQ(RunCount(*plan, k), serial) << what << " k=" << k << " (re-executed)";
     }
     // Serial after parallel: the morsel cursor must not leak into the
     // serial path.
-    EXPECT_EQ(plan->Execute(1), serial) << what << " serial re-check";
+    EXPECT_EQ(RunCount(*plan, 1), serial) << what << " serial re-check";
     EXPECT_GT(serial, 0u) << what << ": differential never matched anything";
   }
 
@@ -183,9 +184,9 @@ TEST_P(ParallelDiffTest, BoundScanPlan) {
   PlanBuilder builder(&graph_, &query);
   auto plan =
       builder.Scan(a).Extend(FwdList(a, el0_, b, 0)).Extend(FwdList(b, el1_, c, 1)).Build();
-  uint64_t serial = plan->Execute(1);
+  uint64_t serial = RunCount(*plan, 1);
   for (int k : {2, 4, 8}) {
-    EXPECT_EQ(plan->Execute(k), serial) << "bound-scan k=" << k;
+    EXPECT_EQ(RunCount(*plan, k), serial) << "bound-scan k=" << k;
   }
 }
 
@@ -204,11 +205,11 @@ TEST_P(ParallelDiffTest, CallbackInvokedOncePerMatch) {
                   .Build([&seen](const MatchState&) {
                     seen.fetch_add(1, std::memory_order_relaxed);
                   });
-  uint64_t serial = plan->Execute(1);
+  uint64_t serial = RunCount(*plan, 1);
   EXPECT_EQ(seen.load(), serial);
   for (int k : {2, 4, 8}) {
     seen.store(0);
-    EXPECT_EQ(plan->Execute(k), serial) << "callback k=" << k;
+    EXPECT_EQ(RunCount(*plan, k), serial) << "callback k=" << k;
     EXPECT_EQ(seen.load(), serial) << "callback k=" << k;
   }
 }
@@ -233,7 +234,7 @@ TEST_P(ParallelDiffTest, NestedParallelExecuteInCallback) {
     PlanBuilder builder(&graph_, &inner_query);
     return builder.Scan(x).Extend(FwdList(x, el1_, y, 0)).Build();
   };
-  uint64_t inner_expected = build_inner()->Execute(1);
+  uint64_t inner_expected = RunCount(*build_inner(), 1);
 
   std::atomic<uint64_t> nested_failures{0};
   std::atomic<uint64_t> outer_seen{0};
@@ -241,14 +242,14 @@ TEST_P(ParallelDiffTest, NestedParallelExecuteInCallback) {
   auto outer_plan =
       outer_builder.Scan(a).Extend(FwdList(a, el0_, b, 0)).Build([&](const MatchState&) {
         if (outer_seen.fetch_add(1, std::memory_order_relaxed) % 512 != 0) return;
-        if (build_inner()->Execute(2) != inner_expected) {
+        if (RunCount(*build_inner(), 2) != inner_expected) {
           nested_failures.fetch_add(1, std::memory_order_relaxed);
         }
       });
 
-  uint64_t outer_expected = outer_plan->Execute(1);
+  uint64_t outer_expected = RunCount(*outer_plan, 1);
   outer_seen.store(0);
-  EXPECT_EQ(outer_plan->Execute(4), outer_expected);
+  EXPECT_EQ(RunCount(*outer_plan, 4), outer_expected);
   EXPECT_EQ(outer_seen.load(), outer_expected);
   EXPECT_EQ(nested_failures.load(), 0u);
   EXPECT_GT(outer_expected, 0u);
@@ -345,9 +346,9 @@ TEST_P(ParallelDiffTest, DeepMorselTriangleMatchesSerial) {
     std::vector<ListDescriptor> lists = {FwdList(a, el0_, c, 1), FwdList(b, el1_, c, 2)};
     auto plan =
         builder.Scan(a).Extend(FwdList(a, el0_, b, 0)).ExtendIntersect(lists, c).Build();
-    uint64_t serial = plan->Execute(1);
+    uint64_t serial = RunCount(*plan, 1);
     for (int k : {2, 4, 8}) {
-      EXPECT_EQ(plan->Execute(k), serial) << "deep triangle src=" << src << " k=" << k;
+      EXPECT_EQ(RunCount(*plan, k), serial) << "deep triangle src=" << src << " k=" << k;
     }
   }
 }
@@ -365,10 +366,10 @@ TEST_P(ParallelDiffTest, DeepMorselModeFlipsAcrossExecutions) {
   PlanBuilder builder(&graph_, &query);
   auto plan =
       builder.Scan(a).Extend(FwdList(a, el0_, b, 0)).Extend(FwdList(b, el1_, c, 1)).Build();
-  uint64_t serial = plan->Execute(1);
+  uint64_t serial = RunCount(*plan, 1);
   for (int round = 0; round < 3; ++round) {
     for (int k : {8, 1, 2, 4, 1}) {
-      EXPECT_EQ(plan->Execute(k), serial) << "round=" << round << " k=" << k;
+      EXPECT_EQ(RunCount(*plan, k), serial) << "round=" << round << " k=" << k;
     }
   }
 }
@@ -388,9 +389,9 @@ TEST_P(ParallelDiffTest, ClosingExtendNeverDeepMorselizes) {
                   .Extend(FwdList(a, el0_, b, 0))
                   .Extend(FwdList(b, el1_, a, 1), {}, /*closing=*/true)
                   .Build();
-  uint64_t serial = plan->Execute(1);
+  uint64_t serial = RunCount(*plan, 1);
   for (int k : {2, 4, 8}) {
-    EXPECT_EQ(plan->Execute(k), serial) << "closing deep k=" << k;
+    EXPECT_EQ(RunCount(*plan, k), serial) << "closing deep k=" << k;
   }
 }
 
@@ -411,11 +412,11 @@ TEST_P(ParallelDiffTest, DeepMorselCallbackInvokedOncePerMatch) {
                   .Build([&seen](const MatchState&) {
                     seen.fetch_add(1, std::memory_order_relaxed);
                   });
-  uint64_t serial = plan->Execute(1);
+  uint64_t serial = RunCount(*plan, 1);
   EXPECT_EQ(seen.load(), serial);
   for (int k : {2, 4, 8}) {
     seen.store(0);
-    EXPECT_EQ(plan->Execute(k), serial) << "deep callback k=" << k;
+    EXPECT_EQ(RunCount(*plan, k), serial) << "deep callback k=" << k;
     EXPECT_EQ(seen.load(), serial) << "deep callback k=" << k;
   }
 }
@@ -441,15 +442,14 @@ TEST_P(ParallelDiffTest, AllKernelLevelsMatchSerial) {
   uint64_t expected = 0;
   for (size_t i = 0; i < levels.size(); ++i) {
     simd::SetLevel(levels[i]);
-    uint64_t serial = plan->Execute(1);
+    uint64_t serial = RunCount(*plan, 1);
     if (i == 0) {
       expected = serial;
     } else {
       EXPECT_EQ(serial, expected) << "level=" << ToString(levels[i]);
     }
     for (int k : {2, 4, 8}) {
-      EXPECT_EQ(plan->Execute(k), expected)
-          << "level=" << ToString(levels[i]) << " k=" << k;
+      EXPECT_EQ(RunCount(*plan, k), expected) << "level=" << ToString(levels[i]) << " k=" << k;
     }
   }
   simd::SetLevel(prev);
@@ -686,7 +686,7 @@ class CountingModeDiffTest
       QueryOutcome out = prepared->Execute(nullptr, k);
       ASSERT_TRUE(out.ok()) << out.error;
       EXPECT_EQ(out.count, want) << "prepared k=" << k;
-      EXPECT_EQ(plan->Execute(k), want) << "hand-built k=" << k;
+      EXPECT_EQ(RunCount(*plan, k), want) << "hand-built k=" << k;
     }
   }
 

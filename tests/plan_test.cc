@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <string>
+#include <thread>
 
 #include "datagen/example_graph.h"
 #include "datagen/power_law_generator.h"
@@ -15,6 +18,21 @@ class PlanTest : public ::testing::Test {
  protected:
   PlanTest() : ex_(BuildExampleGraph()), store_(&ex_.graph) {
     store_.BuildPrimary(IndexConfig::Default());
+  }
+
+  // (a:Account)-[:DD]->(b:Account), 11 matches (11 DD transfers).
+  std::unique_ptr<Plan> DdPlan(QueryGraph* query) {
+    int a = query->AddVertex("a", ex_.account_label);
+    int b = query->AddVertex("b", ex_.account_label);
+    query->AddEdge(a, b, ex_.dd_label);
+    ListDescriptor list;
+    list.source = ListDescriptor::Source::kPrimary;
+    list.primary = store_.primary(Direction::kFwd);
+    list.bound_var = a;
+    list.cats = {ex_.dd_label};
+    list.target_vertex_var = b;
+    list.target_edge_var = 0;
+    return PlanBuilder(&ex_.graph, query).Scan(a).Extend(list).Build();
   }
 
   ExampleGraph ex_;
@@ -37,24 +55,14 @@ TEST_F(PlanTest, SinkCallbackSeesBindings) {
   std::vector<vertex_id_t> seen;
   auto plan = builder.Scan(a).Extend(list).Build(
       [&](const MatchState& state) { seen.push_back(state.v[1]); });
-  EXPECT_EQ(plan->Execute(TestThreads()), 3u);
+  EXPECT_EQ(RunCount(*plan), 3u);
   // v1's Wire targets: v2 (t17), v3 (t4), v4 (t20), neighbour-ID sorted.
   EXPECT_EQ(seen, (std::vector<vertex_id_t>{ex_.accounts[1], ex_.accounts[2], ex_.accounts[3]}));
 }
 
 TEST_F(PlanTest, DescribeListsOperators) {
   QueryGraph query;
-  int a = query.AddVertex("a", ex_.account_label);
-  int b = query.AddVertex("b");
-  query.AddEdge(a, b);
-  ListDescriptor list;
-  list.source = ListDescriptor::Source::kPrimary;
-  list.primary = store_.primary(Direction::kFwd);
-  list.bound_var = a;
-  list.target_vertex_var = b;
-  list.target_edge_var = 0;
-  PlanBuilder builder(&ex_.graph, &query);
-  auto plan = builder.Scan(a).Extend(list).Build();
+  auto plan = DdPlan(&query);
   std::string text = plan->Describe();
   EXPECT_NE(text.find("Scan"), std::string::npos);
   EXPECT_NE(text.find("Extend"), std::string::npos);
@@ -63,22 +71,42 @@ TEST_F(PlanTest, DescribeListsOperators) {
 
 TEST_F(PlanTest, ExecuteIsRepeatable) {
   QueryGraph query;
-  int a = query.AddVertex("a", ex_.account_label);
-  int b = query.AddVertex("b", ex_.account_label);
-  query.AddEdge(a, b, ex_.dd_label);
-  ListDescriptor list;
-  list.source = ListDescriptor::Source::kPrimary;
-  list.primary = store_.primary(Direction::kFwd);
-  list.bound_var = a;
-  list.cats = {ex_.dd_label};
-  list.target_vertex_var = b;
-  list.target_edge_var = 0;
-  PlanBuilder builder(&ex_.graph, &query);
-  auto plan = builder.Scan(a).Extend(list).Build();
-  uint64_t first = plan->Execute(TestThreads());
-  uint64_t second = plan->Execute(TestThreads());
+  auto plan = DdPlan(&query);
+  uint64_t first = RunCount(*plan);
+  uint64_t second = RunCount(*plan);
   EXPECT_EQ(first, second);
   EXPECT_EQ(first, 11u);  // 11 DD transfers
+}
+
+// A hand-built plan reports why its token stopped it, so a stopped
+// execution's partial count never passes for a complete one.
+TEST_F(PlanTest, ExecuteReportsWhyItStopped) {
+  QueryGraph query;
+  auto plan = DdPlan(&query);
+  EXPECT_EQ(RunCount(*plan, 1), 11u);  // no token
+  ExecToken token;
+  plan->SetExecContext(&token, nullptr);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    token.Reset();
+    token.Cancel();
+    QueryOutcome out = plan->Execute(threads);
+    EXPECT_EQ(out.status, QueryOutcome::Status::kCancelled);
+    EXPECT_LE(out.count, 11u);
+    token.Reset();
+    token.ArmDeadlineNanos(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    out = plan->Execute(threads);
+    EXPECT_EQ(out.status, QueryOutcome::Status::kTimeout);
+    EXPECT_LE(out.count, 11u);
+    token.Reset();
+    token.RequestStop(StopReason::kLimit);  // a satisfied LIMIT is success
+    EXPECT_TRUE(plan->Execute(threads).ok());
+    token.Reset();
+    EXPECT_EQ(RunCount(*plan, threads), 11u);
+  }
+  plan->SetExecContext(nullptr, nullptr);
+  EXPECT_EQ(RunCount(*plan, 4), 11u);
 }
 
 class BoundedRangeTest : public ::testing::Test {

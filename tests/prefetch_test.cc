@@ -24,6 +24,7 @@
 #include "datagen/label_assigner.h"
 #include "datagen/power_law_generator.h"
 #include "query/plan.h"
+#include "test_threads.h"
 
 namespace aplus {
 namespace {
@@ -194,7 +195,7 @@ TEST_P(PrefetchTest, ThreeHopChainMatchesOracle) {
         const uint64_t want = oracle.CountMatches(chain->query);
         EXPECT_GT(want, 0u);
         for (int threads : {1, 4}) {
-          EXPECT_EQ(chain->plan->Execute(threads), want)
+          EXPECT_EQ(RunCount(*chain->plan, threads), want)
               << name << (pin == kInvalidVertex ? " unpinned" : " hub-pinned")
               << (b_label == kInvalidLabel ? "" : " b:VL0") << " threads=" << threads;
         }

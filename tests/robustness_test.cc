@@ -439,7 +439,6 @@ TEST_F(RobustnessTest, QueryGraphOneShotHonorsConfigDeadline) {
     EXPECT_EQ(timed_out.status, Status::kTimeout);
     EXPECT_NE(timed_out.error.find("deadline exceeded (50 ms)"), std::string::npos)
         << timed_out.error;
-    EXPECT_TRUE(timed_out.plan.empty());
   }
 }
 

@@ -3,6 +3,8 @@
 
 #include <cstdlib>
 
+#include <gtest/gtest.h>
+
 #include "query/plan.h"
 
 namespace aplus {
@@ -18,6 +20,13 @@ inline int TestThreads() {
   const long v = std::strtol(env, nullptr, 10);
   if (v < 1) return 1;
   return v > Plan::kMaxThreads ? Plan::kMaxThreads : static_cast<int>(v);
+}
+
+// Runs `plan`, expects it to finish ok and returns its match count.
+inline uint64_t RunCount(Plan& plan, int threads = TestThreads()) {
+  const QueryOutcome out = plan.Execute(threads);
+  EXPECT_TRUE(out.ok()) << ToString(out.status);
+  return out.count;
 }
 
 }  // namespace aplus

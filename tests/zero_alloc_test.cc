@@ -27,6 +27,7 @@
 #include "query/plan.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "test_threads.h"
 #include "util/rng.h"
 
 namespace {
@@ -290,11 +291,11 @@ TEST_F(ZeroAllocTest, PlanExecuteSteadyStateDoesNotAllocate) {
   auto pinned_plan = triangle(&pinned_query, hub);
 
   auto measure = [&](Plan* plan, int threads) {
-    uint64_t count = plan->Execute(threads);  // warm-up: scratch + replicas + pool threads
-    count = plan->Execute(threads);           // second warm-up pass reaches the high-water mark
+    uint64_t count = RunCount(*plan, threads);  // warm-up: scratch + replicas + pool threads
+    count = RunCount(*plan, threads);           // second warm-up pass reaches the high-water mark
     uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
     for (int i = 0; i < 3; ++i) {
-      EXPECT_EQ(plan->Execute(threads), count) << "threads=" << threads;
+      EXPECT_EQ(RunCount(*plan, threads), count) << "threads=" << threads;
     }
     uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - before;
     EXPECT_GT(count, 0u);
@@ -307,7 +308,7 @@ TEST_F(ZeroAllocTest, PlanExecuteSteadyStateDoesNotAllocate) {
     const char* what = plan == scan_plan.get() ? "scan" : "pinned";
     EXPECT_EQ(measure(plan, 1), 0u) << what << ": serial Execute steady state allocated";
     EXPECT_EQ(measure(plan, 4), 0u) << what << ": parallel Execute steady state allocated";
-    EXPECT_EQ(plan->Execute(4), plan->Execute(1)) << what << ": parallel/serial count mismatch";
+    EXPECT_EQ(RunCount(*plan, 4), RunCount(*plan, 1)) << what << ": parallel/serial count mismatch";
   }
 }
 
