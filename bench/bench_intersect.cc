@@ -27,6 +27,7 @@
 #include "index/vp_index.h"
 #include "query/intersect_kernels.h"
 #include "query/operators.h"
+#include "query/row_sink.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -85,7 +86,6 @@ class ReferenceExtendIntersectOp : public Operator {
                              int target_vertex_var)
       : graph_(graph), lists_(std::move(lists)), target_var_(target_vertex_var) {}
 
-  std::string Describe() const override { return "Reference E/I"; }
   std::unique_ptr<Operator> Clone() const override {
     return std::make_unique<ReferenceExtendIntersectOp>(graph_, lists_, target_var_);
   }
@@ -179,7 +179,6 @@ class ReferenceMultiExtendOp : public Operator {
   ReferenceMultiExtendOp(const Graph* graph, std::vector<ListDescriptor> lists)
       : graph_(graph), lists_(std::move(lists)) {}
 
-  std::string Describe() const override { return "Reference Multi-Extend"; }
   std::unique_ptr<Operator> Clone() const override {
     return std::make_unique<ReferenceMultiExtendOp>(graph_, lists_);
   }
@@ -289,8 +288,8 @@ CaseResult RunCase(const Graph& graph, const IntersectCase& c, int reps) {
   result.simd = simd::ActiveLevel();
 
   // Optimized path: the real operators; reference path: the pre-PR
-  // replicas. Both emit into the same SinkOp.
-  SinkOp sink;
+  // replicas. Both emit into the same counting sink.
+  ProjectSinkOp sink(&graph, {}, 1, nullptr, /*row_budget=*/false);
   std::unique_ptr<Operator> op;
   std::unique_ptr<Operator> ref_op;
   if (c.multi_extend) {

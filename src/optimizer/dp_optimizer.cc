@@ -64,7 +64,7 @@ struct DpEntry {
 // One step of a DP transition that improved its slot; its lists and
 // residual conjuncts are index ranges into per-call pools.
 struct StepRecord {
-  PlanStep::Kind kind = PlanStep::Kind::kScan;
+  StepOutline::Kind kind = StepOutline::Kind::kScan;
   int scan_var = -1;
   int target_var = -1;
   uint32_t lists_begin = 0;
@@ -254,7 +254,6 @@ struct DpOptimizer::Scratch {
   std::vector<int> best;
   // The winning plan's step records, scan first.
   std::vector<int> chain;
-  const QueryGraph* query = nullptr;  // the last Optimize's, for last_steps()
 };
 
 DpOptimizer::DpOptimizer(const Graph* graph, const IndexStore* store)
@@ -273,10 +272,8 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
   APLUS_CHECK_LE(n, kMaxQueryVertices) << "query too large for the subset DP";
   APLUS_CHECK_LE(num_edges, kMaxQueryEdges) << "query too large for the subset DP";
   Scratch& s = *scratch_;
-  s.query = &query;
   s.chain.clear();
   last_outline_.clear();
-  last_steps_valid_ = false;
   last_match_lookups_ = 0;
   IndexMatcher matcher(store_, &stats_);
   const auto& conjuncts = query.predicates();
@@ -399,7 +396,7 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
   // Keeps the transition mask -> now if it beats table[now]: lower
   // i-cost, then lower cardinality; the first of equals wins.
   auto try_update = [&](uint32_t mask, uint32_t now, double icost, double card,
-                        PlanStep::Kind kind, int scan_var, int target_var) {
+                        StepOutline::Kind kind, int scan_var, int target_var) {
     DpEntry& slot = table[now];
     if (slot.step >= 0 &&
         !(icost < slot.icost || (icost == slot.icost && card < slot.card))) {
@@ -432,7 +429,7 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
     card *= residual_selectivity();
     if (card < 1.0) card = 1.0;
     double icost = qv.bound != kInvalidVertex ? 0.0 : static_cast<double>(stats_.num_vertices);
-    try_update(0, mask, icost, card, PlanStep::Kind::kScan, v, -1);
+    try_update(0, mask, icost, card, StepOutline::Kind::kScan, v, -1);
   }
 
   // Translates the conjuncts for extending along query edge `qe_id`
@@ -819,10 +816,10 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
           }
           collect_target_residual(now, target);
           est_out *= residual_selectivity();
-          PlanStep::Kind kind = conn.size() == 1
-                                    ? PlanStep::Kind::kExtend
-                                    : (verify_fallback ? PlanStep::Kind::kExtendVerify
-                                                       : PlanStep::Kind::kExtendIntersect);
+          StepOutline::Kind kind = conn.size() == 1
+                                       ? StepOutline::Kind::kExtend
+                                       : (verify_fallback ? StepOutline::Kind::kExtendVerify
+                                                          : StepOutline::Kind::kExtendIntersect);
           try_update(mask, now, icost, std::max(est_out, 1e-9), kind, -1, target);
         }
 
@@ -871,7 +868,7 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
                 std::pow(domain, static_cast<double>(__builtin_popcount(members) - 1));
             collect_residual(mask, now);
             est_out *= residual_selectivity();
-            try_update(mask, now, icost, std::max(est_out, 1e-9), PlanStep::Kind::kMultiExtend,
+            try_update(mask, now, icost, std::max(est_out, 1e-9), StepOutline::Kind::kMultiExtend,
                        -1, -1);
           }
         }
@@ -914,13 +911,13 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
       return lists;
     };
     switch (record.kind) {
-      case PlanStep::Kind::kScan:
+      case StepOutline::Kind::kScan:
         builder.Scan(record.scan_var, std::move(step_residuals));
         break;
-      case PlanStep::Kind::kExtend:
+      case StepOutline::Kind::kExtend:
         builder.Extend(list(0), std::move(step_residuals));
         break;
-      case PlanStep::Kind::kExtendVerify:
+      case StepOutline::Kind::kExtendVerify:
         // Residuals run on the last probe, when every edge is bound.
         builder.Extend(list(0), {});
         for (uint32_t j = 1; j < num_lists; ++j) {
@@ -929,83 +926,16 @@ std::unique_ptr<Plan> DpOptimizer::Optimize(const QueryGraph& query,
                          last ? std::move(step_residuals) : std::vector<QueryComparison>{},
                          /*closing=*/true);
         }
-        if (num_lists == 1) builder.Filter(std::move(step_residuals));
         break;
-      case PlanStep::Kind::kExtendIntersect:
+      case StepOutline::Kind::kExtendIntersect:
         builder.ExtendIntersect(list_vector(), record.target_var, std::move(step_residuals));
         break;
-      case PlanStep::Kind::kMultiExtend:
+      case StepOutline::Kind::kMultiExtend:
         builder.MultiExtend(list_vector(), std::move(step_residuals));
         break;
     }
   }
   return sink != nullptr ? builder.BuildWithSink(std::move(sink)) : builder.Build();
-}
-
-const std::vector<PlanStep>& DpOptimizer::last_steps() {
-  if (last_steps_valid_) return last_steps_;
-  const Scratch& s = *scratch_;
-  last_steps_.clear();
-  for (int index : s.chain) {
-    const StepRecord& record = s.records[index];
-    PlanStep step;
-    step.kind = record.kind;
-    step.scan_var = record.scan_var;
-    step.target_var = record.target_var;
-    for (uint32_t j = record.lists_begin; j < record.lists_end; ++j) {
-      step.lists.push_back(s.pool[s.step_lists[j]].desc);
-    }
-    for (uint32_t j = record.residual_begin; j < record.residual_end; ++j) {
-      step.residual.push_back(s.query->predicates()[s.step_residual[j]]);
-    }
-    last_steps_.push_back(std::move(step));
-  }
-  last_steps_valid_ = true;
-  return last_steps_;
-}
-
-std::string DpOptimizer::DescribeSteps(const QueryGraph& query) {
-  std::string out;
-  const Catalog& catalog = graph_->catalog();
-  for (const PlanStep& step : last_steps()) {
-    switch (step.kind) {
-      case PlanStep::Kind::kScan:
-        out += "Scan " + query.vertex(step.scan_var).name;
-        break;
-      case PlanStep::Kind::kExtend:
-        out += "Extend " + step.lists.front().Describe(catalog, query);
-        break;
-      case PlanStep::Kind::kExtendVerify:
-        out += "Extend+Verify -> " + query.vertex(step.target_var).name + " [";
-        for (size_t i = 0; i < step.lists.size(); ++i) {
-          if (i > 0) out += " ? ";
-          out += step.lists[i].Describe(catalog, query);
-        }
-        out += "]";
-        break;
-      case PlanStep::Kind::kExtendIntersect:
-        out += "Extend/Intersect -> " + query.vertex(step.target_var).name + " [";
-        for (size_t i = 0; i < step.lists.size(); ++i) {
-          if (i > 0) out += " n ";
-          out += step.lists[i].Describe(catalog, query);
-        }
-        out += "]";
-        break;
-      case PlanStep::Kind::kMultiExtend:
-        out += "Multi-Extend [";
-        for (size_t i = 0; i < step.lists.size(); ++i) {
-          if (i > 0) out += " n ";
-          out += step.lists[i].Describe(catalog, query);
-        }
-        out += "]";
-        break;
-    }
-    if (!step.residual.empty()) {
-      out += " +" + std::to_string(step.residual.size()) + " residual";
-    }
-    out += "\n";
-  }
-  return out;
 }
 
 }  // namespace aplus

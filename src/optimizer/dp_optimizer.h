@@ -2,7 +2,6 @@
 #define APLUS_OPTIMIZER_DP_OPTIMIZER_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "index/index_store.h"
@@ -13,27 +12,20 @@
 
 namespace aplus {
 
-// One logical step of an enumerated plan, in the full form tests and
-// DescribeSteps inspect (DpOptimizer::last_steps).
-struct PlanStep {
+// One chosen step of the last plan, as the plan printer renders it. The
+// step's lists and residual conjuncts are the next `num_lists`
+// descriptors and `num_residual` conjuncts of the built plan's operators
+// (Operator::lists, Operator::residuals), in step order. Every kind but
+// kExtendVerify is one operator.
+struct StepOutline {
   // kExtendVerify: binary-join fallback when no (effectively) sorted
-  // lists exist for a multi-edge extension — extend along lists[0], then
-  // verify the remaining query edges by membership probes (closing
-  // extends) over lists[1..].
+  // lists exist for a multi-edge extension — extend along the first
+  // list, then verify the remaining query edges by membership probes
+  // (closing extends, one operator each) over the others; the last probe
+  // carries the residuals.
   enum class Kind { kScan, kExtend, kExtendIntersect, kExtendVerify, kMultiExtend };
 
   Kind kind = Kind::kScan;
-  int scan_var = -1;
-  std::vector<ListDescriptor> lists;
-  int target_var = -1;  // kExtend / kExtendIntersect
-  std::vector<QueryComparison> residual;
-};
-
-// What the plan printer needs of one chosen step beside its lists: the
-// lists themselves are the next `num_lists` descriptors of the built
-// plan's operators (Operator::lists), in step order.
-struct StepOutline {
-  PlanStep::Kind kind = PlanStep::Kind::kScan;
   int scan_var = -1;
   uint32_t num_lists = 0;
   uint32_t num_residual = 0;
@@ -79,9 +71,9 @@ class DpOptimizer {
   ~DpOptimizer();
 
   // Returns the lowest-i-cost plan, or nullptr if the query graph is
-  // disconnected / unsupported. `sink` replaces the default counting
-  // SinkOp as the pipeline's terminal operator when non-null (the
-  // serving layer passes a ProjectSinkOp). Requires 1 <= n <=
+  // disconnected / unsupported. `sink` is the pipeline's terminal
+  // operator (the serving layer passes its projecting ProjectSinkOp);
+  // null appends PlanBuilder::Build's counting one. Requires 1 <= n <=
   // kMaxQueryVertices query vertices and at most kMaxQueryEdges edges.
   std::unique_ptr<Plan> Optimize(const QueryGraph& query,
                                  std::unique_ptr<Operator> sink = nullptr);
@@ -96,13 +88,6 @@ class DpOptimizer {
   int last_match_lookups() const { return last_match_lookups_; }
   int last_match_groups() const { return last_match_groups_; }
 
-  // Introspection for tests: the last plan's steps with copies of their
-  // list descriptors and residual conjuncts, materialized on the first
-  // call after Optimize from its working state and its query (which must
-  // still be alive); valid until the next Optimize.
-  const std::vector<PlanStep>& last_steps();
-  std::string DescribeSteps(const QueryGraph& query);
-
  private:
   struct Scratch;
 
@@ -111,8 +96,6 @@ class DpOptimizer {
   GraphStats stats_;
   std::unique_ptr<Scratch> scratch_;
   std::vector<StepOutline> last_outline_;
-  std::vector<PlanStep> last_steps_;
-  bool last_steps_valid_ = false;
   double last_cost_ = 0.0;
   int last_match_lookups_ = 0;
   int last_match_groups_ = 0;

@@ -28,7 +28,7 @@ std::string RenderPlanTree(const QueryGraph& query, const Catalog& catalog,
   for (const StepOutline& step : steps) {
     std::string line;
     switch (step.kind) {
-      case PlanStep::Kind::kScan: {
+      case StepOutline::Kind::kScan: {
         const QueryVertex& qv = query.vertex(step.scan_var);
         line = "SCAN " + qv.name;
         if (qv.bound_param >= 0) {
@@ -38,16 +38,16 @@ std::string RenderPlanTree(const QueryGraph& query, const Catalog& catalog,
         }
         break;
       }
-      case PlanStep::Kind::kExtend:
+      case StepOutline::Kind::kExtend:
         line = "EXTEND " + describe_lists(step, "");
         break;
-      case PlanStep::Kind::kExtendVerify:
+      case StepOutline::Kind::kExtendVerify:
         line = "EXTEND+VERIFY " + describe_lists(step, " ? ");
         break;
-      case PlanStep::Kind::kExtendIntersect:
+      case StepOutline::Kind::kExtendIntersect:
         line = "EXTEND/INTERSECT " + describe_lists(step, " \xE2\x88\xA9 ");  // set intersection
         break;
-      case PlanStep::Kind::kMultiExtend:
+      case StepOutline::Kind::kMultiExtend:
         line = "MULTI-EXTEND " + describe_lists(step, " \xE2\x88\xA9 ");
         break;
     }

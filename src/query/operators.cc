@@ -306,14 +306,6 @@ void ScanOp::CollectParamSlots(ParamSlots* slots) {
   }
 }
 
-std::string ScanOp::Describe() const {
-  std::string out = "Scan v" + std::to_string(var_);
-  if (bound_ != kInvalidVertex) out += " id=" + std::to_string(bound_);
-  if (label_ != kInvalidLabel) out += " label=" + std::to_string(label_);
-  if (!preds_.empty()) out += " +" + std::to_string(preds_.size()) + " preds";
-  return out;
-}
-
 bool ExtendOp::BindEntry(MatchState* state, const AdjListSlice& slice, uint32_t i) {
   edge_id_t e = slice.EdgeAt(i);
   if (state->EdgeAlreadyBound(e)) return false;
@@ -469,14 +461,6 @@ void ExtendOp::RunEntries(MatchState* state, AdjListSlice slice, MorselCursor* c
 void ExtendOp::CollectParamSlots(ParamSlots* slots) {
   CollectListPin(&list_, slots);
   CollectPredSlots(&residual_, slots);
-}
-
-std::string ExtendOp::Describe() const {
-  std::string out = closing_ ? "Extend(close) " : "Extend ";
-  out += "list_src_var=" + std::to_string(list_.bound_var);
-  out += " -> v" + std::to_string(list_.target_vertex_var);
-  if (!residual_.empty()) out += " +" + std::to_string(residual_.size()) + " residual";
-  return out;
 }
 
 ExtendIntersectOp::ExtendIntersectOp(const Graph* graph, std::vector<ListDescriptor> lists,
@@ -643,11 +627,6 @@ void ExtendIntersectOp::CollectParamSlots(ParamSlots* slots) {
   CollectPredSlots(&residual_, slots);
 }
 
-std::string ExtendIntersectOp::Describe() const {
-  return "Extend/Intersect z=" + std::to_string(lists_.size()) + " -> v" +
-         std::to_string(target_var_);
-}
-
 MultiExtendOp::MultiExtendOp(const Graph* graph, std::vector<ListDescriptor> lists,
                              std::vector<QueryComparison> residual)
     : graph_(graph), lists_(std::move(lists)), residual_(std::move(residual)) {
@@ -803,24 +782,6 @@ void MultiExtendOp::Run(MatchState* state) {
 void MultiExtendOp::CollectParamSlots(ParamSlots* slots) {
   for (ListDescriptor& list : lists_) CollectListPin(&list, slots);
   CollectPredSlots(&residual_, slots);
-}
-
-std::string MultiExtendOp::Describe() const {
-  std::string out = "Multi-Extend z=" + std::to_string(lists_.size()) + " ->";
-  for (const ListDescriptor& list : lists_) {
-    out += " v" + std::to_string(list.target_vertex_var);
-  }
-  return out;
-}
-
-void FilterOp::Run(MatchState* state) {
-  if (EvalResiduals(*graph_, preds_, *state)) Emit(state);
-}
-
-void FilterOp::CollectParamSlots(ParamSlots* slots) { CollectPredSlots(&preds_, slots); }
-
-std::string FilterOp::Describe() const {
-  return "Filter (" + std::to_string(preds_.size()) + " preds)";
 }
 
 }  // namespace aplus

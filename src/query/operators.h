@@ -2,7 +2,6 @@
 #define APLUS_QUERY_OPERATORS_H_
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -183,11 +182,13 @@ class Operator {
     (void)token;
     (void)budget;
   }
-  virtual std::string Describe() const = 0;
   // The adjacency lists this operator reads, in plan order, as the first
   // descriptor and the count (the plan printer renders them); none by
   // default.
   virtual std::pair<const ListDescriptor*, size_t> lists() const { return {nullptr, 0}; }
+  // The residual conjuncts this operator evaluates on each match it
+  // binds, as the first conjunct and the count; none by default.
+  virtual std::pair<const QueryComparison*, size_t> residuals() const { return {nullptr, 0}; }
   // True when this operator only counts the matches it receives: it
   // reads none of their bindings and forwards nothing. An EXTEND feeding
   // it may then count its list instead of emitting each entry.
@@ -196,30 +197,6 @@ class Operator {
  protected:
   void Emit(MatchState* state) { next_->Run(state); }
   Operator* next_ = nullptr;
-};
-
-// Terminal operator: counts (and optionally samples) complete matches.
-//
-// Thread-safety contract for callbacks under Plan::Execute(num_threads
-// > 1): every worker invokes its own copy of the callback (made by
-// Clone()), concurrently with the other workers' copies. The MatchState
-// passed in is the invoking worker's private state and is safe to read;
-// anything the callback captures by reference or pointer is shared
-// across all copies and must be synchronized by the caller.
-class SinkOp : public Operator {
- public:
-  explicit SinkOp(std::function<void(const MatchState&)> callback = nullptr)
-      : callback_(std::move(callback)) {}
-  void Run(MatchState* state) override {
-    state->count++;
-    if (callback_) callback_(*state);
-  }
-  std::unique_ptr<Operator> Clone() const override { return std::make_unique<SinkOp>(callback_); }
-  std::string Describe() const override { return "Sink"; }
-  bool counts_only() const override { return callback_ == nullptr; }
-
- private:
-  std::function<void(const MatchState&)> callback_;
 };
 
 // Pipeline driver: binds query vertex `var` to every graph vertex that
@@ -235,7 +212,9 @@ class ScanOp : public Operator {
     return std::make_unique<ScanOp>(graph_, var_, label_, bound_, preds_);
   }
   void CollectParamSlots(ParamSlots* slots) override;
-  std::string Describe() const override;
+  std::pair<const QueryComparison*, size_t> residuals() const override {
+    return {preds_.data(), preds_.size()};
+  }
 
   // Scan domain [begin, end) in vertex-ID space — the whole graph, or a
   // single ID when the variable is pinned. The morsel dispatcher carves
@@ -305,8 +284,10 @@ class ExtendOp : public Operator {
   // extend's target vertex: the lists the entry loop prefetches.
   void set_next(Operator* next) override;
   void CollectParamSlots(ParamSlots* slots) override;
-  std::string Describe() const override;
   std::pair<const ListDescriptor*, size_t> lists() const override { return {&list_, 1}; }
+  std::pair<const QueryComparison*, size_t> residuals() const override {
+    return {residual_.data(), residual_.size()};
+  }
 
   // --- Pinned-source split (Plan::Execute) ---
 
@@ -412,9 +393,11 @@ class ExtendIntersectOp : public Operator {
     token_ = token;
     budget_ = budget;
   }
-  std::string Describe() const override;
   std::pair<const ListDescriptor*, size_t> lists() const override {
     return {lists_.data(), lists_.size()};
+  }
+  std::pair<const QueryComparison*, size_t> residuals() const override {
+    return {residual_.data(), residual_.size()};
   }
 
  private:
@@ -453,9 +436,11 @@ class MultiExtendOp : public Operator {
     token_ = token;
     budget_ = budget;
   }
-  std::string Describe() const override;
   std::pair<const ListDescriptor*, size_t> lists() const override {
     return {lists_.data(), lists_.size()};
+  }
+  std::pair<const QueryComparison*, size_t> residuals() const override {
+    return {residual_.data(), residual_.size()};
   }
 
  private:
@@ -493,23 +478,6 @@ class MultiExtendOp : public Operator {
   ExecToken* token_ = nullptr;
   MemoryBudget* budget_ = nullptr;
   uint32_t poll_tick_ = 0;  // coarsens the clock checks
-};
-
-// FILTER: applies residual predicates (Section IV-A).
-class FilterOp : public Operator {
- public:
-  FilterOp(const Graph* graph, std::vector<QueryComparison> preds)
-      : graph_(graph), preds_(std::move(preds)) {}
-  void Run(MatchState* state) override;
-  std::unique_ptr<Operator> Clone() const override {
-    return std::make_unique<FilterOp>(graph_, preds_);
-  }
-  void CollectParamSlots(ParamSlots* slots) override;
-  std::string Describe() const override;
-
- private:
-  const Graph* graph_;
-  std::vector<QueryComparison> preds_;
 };
 
 }  // namespace aplus

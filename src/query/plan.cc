@@ -1,5 +1,6 @@
 #include "query/plan.h"
 
+#include "query/row_sink.h"
 #include "util/epoch.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -60,7 +61,7 @@ QueryOutcome Plan::Execute(int num_threads) {
   // Pin an epoch for the whole execution: the pool workers run strictly
   // inside the spawn/join window, so one pin on the calling thread keeps
   // every run/delta version probed by any replica alive until we return
-  // (util/epoch.h). Nested pins (sub-plans in sink callbacks) are free.
+  // (util/epoch.h). Nested pins (sub-plans run from OnBatch) are free.
   EpochGuard epoch_guard;
   int k = num_threads < 1 ? 1 : (num_threads > kMaxThreads ? kMaxThreads : num_threads);
   auto* scan = dynamic_cast<ScanOp*>(ops_.front().get());
@@ -151,15 +152,6 @@ void Plan::SetExecContext(ExecToken* token, MemoryBudget* budget) {
   }
 }
 
-std::string Plan::Describe() const {
-  std::string out;
-  for (const auto& op : ops_) {
-    out += op->Describe();
-    out += "\n";
-  }
-  return out;
-}
-
 PlanBuilder& PlanBuilder::Scan(int var, std::vector<QueryComparison> preds) {
   const QueryVertex& qv = query_->vertex(var);
   ops_.push_back(std::make_unique<ScanOp>(graph_, var, qv.label, qv.bound, std::move(preds)));
@@ -186,13 +178,9 @@ PlanBuilder& PlanBuilder::MultiExtend(std::vector<ListDescriptor> lists,
   return *this;
 }
 
-PlanBuilder& PlanBuilder::Filter(std::vector<QueryComparison> preds) {
-  ops_.push_back(std::make_unique<FilterOp>(graph_, std::move(preds)));
-  return *this;
-}
-
-std::unique_ptr<Plan> PlanBuilder::Build(std::function<void(const MatchState&)> callback) {
-  return BuildWithSink(std::make_unique<SinkOp>(std::move(callback)));
+std::unique_ptr<Plan> PlanBuilder::Build() {
+  return BuildWithSink(std::make_unique<ProjectSinkOp>(graph_, std::vector<ProjectColumn>{}, 1,
+                                                       nullptr, /*row_budget=*/false));
 }
 
 std::unique_ptr<Plan> PlanBuilder::BuildWithSink(std::unique_ptr<Operator> sink) {

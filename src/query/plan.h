@@ -63,9 +63,10 @@ const char* ToString(QueryOutcome::Status status);
 // satisfied LIMIT are kOk, the others their namesake.
 QueryOutcome::Status StatusOf(StopReason reason);
 
-// A physical plan: a pipeline of push-based operators ending in a SinkOp.
-// Plans are produced by the DP optimizer (src/optimizer) or built by hand
-// via PlanBuilder for the benchmark harnesses.
+// A physical plan: a pipeline of push-based operators ending in a
+// ProjectSinkOp (query/row_sink.h). Plans are produced by the DP
+// optimizer (src/optimizer) or built by hand via PlanBuilder for the
+// benchmark harnesses and tests.
 //
 // Plans are internally parallel (Execute(num_threads)) but not
 // externally thread-safe: one Plan must not be executed from two threads
@@ -80,23 +81,20 @@ class Plan {
   // [1, kMaxThreads]) using morsel-driven parallelism: the leading
   // ScanOp's vertex domain is carved into morsels handed out through an
   // atomic cursor, and each worker drives its own cloned pipeline replica
-  // (private operator scratch, private MatchState, private SinkOp
-  // callback copy) over the morsels it claims. A scan pinned to one
-  // vertex followed by an enumerating ExtendOp splits that extend's list
-  // instead: the calling thread fetches it once, and the workers claim
-  // morsels of its entries, so all of them read the same list. Match
-  // counts accumulate per worker and merge once at the end. Passing
-  // num_threads > 1 to a plan whose SinkOp carries a callback is the
-  // caller's acknowledgement of the SinkOp thread-safety contract.
+  // (private operator scratch, private MatchState, private sink) over the
+  // morsels it claims. A scan pinned to one vertex followed by an
+  // enumerating ExtendOp splits that extend's list instead: the calling
+  // thread fetches it once, and the workers claim morsels of its
+  // entries, so all of them read the same list. Match counts accumulate
+  // per worker and merge once at the end. A projecting sink's workers
+  // deliver their full batches concurrently (RowConsumer::OnBatch); the
+  // partial batches wait in each pipeline's sink for the caller's Flush.
   //
   // Returns the complete matches in `count` and, in `status`, why the
   // execution stopped, read from the token SetExecContext installed
   // (StatusOf; no token is kOk): a stopped execution's count is partial
   // progress. `error`, `rows` and `seconds` stay empty.
   QueryOutcome Execute(int num_threads);
-
-  // One line per operator, root first (Figure 6 style).
-  std::string Describe() const;
 
   // --- Prepared-query support (core/session.h) ---
 
@@ -167,10 +165,9 @@ class PlanBuilder {
                                std::vector<QueryComparison> residual = {});
   PlanBuilder& MultiExtend(std::vector<ListDescriptor> lists,
                            std::vector<QueryComparison> residual = {});
-  PlanBuilder& Filter(std::vector<QueryComparison> preds);
 
-  // Appends a counting SinkOp and finalizes.
-  std::unique_ptr<Plan> Build(std::function<void(const MatchState&)> callback = nullptr);
+  // Appends a counting ProjectSinkOp and finalizes.
+  std::unique_ptr<Plan> Build();
   // Finalizes with a caller-supplied terminal operator (e.g. the serving
   // path's ProjectSinkOp).
   std::unique_ptr<Plan> BuildWithSink(std::unique_ptr<Operator> sink);

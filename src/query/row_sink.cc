@@ -829,7 +829,7 @@ ProjectSinkOp::ProjectSinkOp(const Graph* graph, std::vector<ProjectColumn> cols
       controls_(controls),
       row_budget_(row_budget),
       stages_(std::move(stages)) {
-  APLUS_CHECK(controls_ != nullptr);
+  APLUS_CHECK(controls_ != nullptr || counts_only());
   batch_.Init(cols_, batch_capacity_);
   WireStages();
 }

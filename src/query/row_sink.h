@@ -82,14 +82,15 @@ class RowBatch {
   uint32_t capacity_ = 0;
 };
 
-// Receives full (and, at the end of an execution, partial) row batches.
-// Implemented by the serving caller; a plain virtual interface instead
-// of std::function so installing a consumer per execution never
-// allocates. Under Execute(num_threads > 1) every worker streams its own
-// batches concurrently — OnBatch must be thread-safe in that mode (the
-// final partial flush always happens on the calling thread). Queries
-// with sink stages (aggregation / ORDER BY) only deliver from the
-// coordinating thread, after the workers' partial states merged.
+// Receives full (and, at the end of an execution, partial) row batches:
+// the one way a plan hands out per-match rows. Implemented by the
+// serving caller; a plain virtual interface, so installing a consumer
+// per execution never allocates. Under Execute(num_threads > 1) every
+// worker streams its own batches concurrently — OnBatch must be
+// thread-safe in that mode (the final partial flush always happens on
+// the calling thread). Queries with sink stages (aggregation / ORDER
+// BY) only deliver from the coordinating thread, after the workers'
+// partial states merged.
 class RowConsumer {
  public:
   virtual ~RowConsumer() = default;
@@ -404,7 +405,9 @@ class LimitStage : public SinkStage {
 // every complete match into its columnar RowBatch and hands full batches
 // to the head of its sink-stage chain (or straight to the consumer when
 // the chain is empty). Counting is the degenerate projection (no
-// columns, no stages — only MatchState::count advances). With a
+// columns, no stages, no row budget — only MatchState::count advances);
+// it never reads its controls, which may then be null (the counting
+// sink of PlanBuilder::Build and DpOptimizer::Optimize). With a
 // stage-less LIMIT (`row_budget`, fixed at Prepare), rows are claimed
 // from the shared atomic budget so the total emitted across all workers
 // is exactly min(limit, matches), and the stop flag cuts the scans
@@ -417,7 +420,8 @@ class ProjectSinkOp : public Operator {
 
   void Run(MatchState* state) override;
   std::unique_ptr<Operator> Clone() const override;
-  std::string Describe() const override;
+  // One line naming the projected columns (the first of ChainLines).
+  std::string Describe() const;
 
   // Delivers the pending partial batch (if any) into this pipeline's
   // stage chain / consumer and clears it. Called on the coordinating

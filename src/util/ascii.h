@@ -16,8 +16,6 @@ inline constexpr bool IsAsciiAlpha(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
 }
 
-inline constexpr bool IsAsciiAlnum(char c) { return IsAsciiAlpha(c) || IsAsciiDigit(c); }
-
 inline constexpr char AsciiToUpper(char c) {
   return c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c;
 }

@@ -1,13 +1,13 @@
 #include "util/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace aplus {
 
 namespace {
-std::atomic<int> g_min_level{static_cast<int>(LogLevel::kInfo)};
+// The lowest level emitted to stderr.
+constexpr LogLevel kMinLevel = LogLevel::kInfo;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -24,10 +24,6 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-LogLevel GetLogLevel() { return static_cast<LogLevel>(g_min_level.load()); }
-
-void SetLogLevel(LogLevel level) { g_min_level.store(static_cast<int>(level)); }
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line) : level_(level) {
@@ -35,7 +31,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line) : level_(leve
 }
 
 LogMessage::~LogMessage() {
-  if (static_cast<int>(level_) >= g_min_level.load()) {
+  if (level_ >= kMinLevel) {
     std::fprintf(stderr, "%s\n", stream_.str().c_str());
   }
 }

@@ -59,10 +59,6 @@ class FatalMessage {
 
 }  // namespace internal
 
-// Returns/sets the minimum level that is actually emitted to stderr.
-LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
-
 #define APLUS_LOG(level) \
   ::aplus::internal::LogMessage(::aplus::LogLevel::k##level, __FILE__, __LINE__)
 

@@ -40,7 +40,7 @@ void ThreadPool::Run(int num_workers, JobFn fn, void* ctx) {
     return;
   }
   if (tls_in_parallel_job || fault::ShouldFail(fault::kPoolDispatch)) {
-    // Nested parallel region (e.g. a SinkOp callback executing a
+    // Nested parallel region (e.g. a RowConsumer::OnBatch executing a
     // sub-plan): run every worker id inline on this thread. The fault
     // point exercises the same degraded path from the top level —
     // results must match the truly parallel run.

@@ -21,7 +21,7 @@ namespace aplus {
 // One job runs at a time; ParallelRun calls from different threads
 // serialize on an internal mutex. The calling thread always participates
 // as worker 0, so ParallelRun(1, body) degenerates to a direct call.
-// A nested ParallelRun from inside a job (e.g. a SinkOp callback
+// A nested ParallelRun from inside a job (e.g. a RowConsumer::OnBatch
 // executing a sub-plan) runs every worker id inline on the calling
 // thread instead of deadlocking on the job mutex.
 class ThreadPool {

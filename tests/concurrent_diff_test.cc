@@ -39,6 +39,7 @@
 #include "core/database.h"
 #include "datagen/power_law_generator.h"
 #include "query/plan.h"
+#include "row_collector.h"
 #include "util/rng.h"
 #include "test_threads.h"
 
@@ -410,17 +411,20 @@ TEST(ConcurrentOneListTest, PinnedSplitReadsTheFirstHopListOnce) {
   options.max_vertices = db.graph().num_vertices();
   options.max_edges = db.graph().num_edges() + kInserted;
   db.BeginConcurrentIngest(options);
+  // Batches of one row: the first match's delivery inserts.
   std::atomic<bool> inserted{false};
+  BatchHook insert_once([&](const RowBatch&) {
+    if (inserted.exchange(true)) return;
+    for (vertex_id_t n = 0; n < kInserted; ++n) {
+      db.maintainer().OnEdgeInserted(db.graph().AddEdge(hub, n, elabel));
+    }
+  });
+  ExecControls controls;
   auto plan = PlanBuilder(&db.graph(), &query)
                   .Scan(a)
                   .Extend(list)
-                  .Build([&](const MatchState&) {
-                    if (inserted.exchange(true)) return;
-                    for (vertex_id_t n = 0; n < kInserted; ++n) {
-                      db.maintainer().OnEdgeInserted(db.graph().AddEdge(hub, n, elabel));
-                    }
-                  });
-  EXPECT_EQ(RunCount(*plan, 4), want);
+                  .BuildWithSink(VertexIdSink(db.graph(), {b}, &insert_once, &controls, 1));
+  EXPECT_EQ(RunDelivering(*plan, 4), want);
   EXPECT_TRUE(inserted.load());
   db.EndConcurrentIngest();
 }

@@ -3,6 +3,7 @@
 #include "datagen/example_graph.h"
 #include "index/index_store.h"
 #include "query/plan.h"
+#include "row_collector.h"
 #include "test_threads.h"
 
 namespace aplus {
@@ -133,8 +134,7 @@ TEST_F(OperatorsTest, FilterResidualPredicate) {
   query.AddPredicate(cmp);
   PlanBuilder builder(&ex_.graph, &query);
   auto plan = builder.Scan(a)
-                  .Extend(PrimaryList(Direction::kFwd, a, {ex_.wire_label}, b, 0))
-                  .Filter({cmp})
+                  .Extend(PrimaryList(Direction::kFwd, a, {ex_.wire_label}, b, 0), {cmp})
                   .Build();
   EXPECT_EQ(RunCount(*plan), 2u);
 }
@@ -226,18 +226,19 @@ TEST_F(OperatorsTest, VertexIsomorphismEnforced) {
   int c = query.AddVertex("c");
   query.AddEdge(a, b);
   query.AddEdge(b, c);
+  ExecControls controls;
+  RowCollector rows;
   PlanBuilder builder(&ex_.graph, &query);
-  uint64_t violations = 0;
   auto plan = builder.Scan(a)
                   .Extend(PrimaryList(Direction::kFwd, a, {}, b, 0))
                   .Extend(PrimaryList(Direction::kFwd, b, {}, c, 1))
-                  .Build([&](const MatchState& state) {
-                    if (state.v[0] == state.v[2] || state.v[0] == state.v[1] ||
-                        state.v[1] == state.v[2]) {
-                      ++violations;
-                    }
-                  });
-  RunCount(*plan, 1);
+                  .BuildWithSink(VertexIdSink(ex_.graph, {a, b, c}, &rows, &controls));
+  const uint64_t count = RunDelivering(*plan, 1);
+  EXPECT_EQ(rows.rows.size(), count);
+  uint64_t violations = 0;
+  for (const std::vector<Value>& row : rows.rows) {
+    if (row[0] == row[2] || row[0] == row[1] || row[1] == row[2]) ++violations;
+  }
   EXPECT_EQ(violations, 0u);
 }
 

@@ -1,8 +1,11 @@
 // Plan identity: for a fixed set of queries and index configurations the
 // DP optimizer must choose exactly the recorded plan. Each case prints
-// DescribeSteps(), every list descriptor and residual conjunct of every
-// step, and the plan's i-cost (%.17g); any difference from
-// tests/data/optimizer_plan_golden.txt fails the test.
+// every step of the optimizer's outline with the list descriptors and
+// residual conjuncts of that step's operators, and the plan's i-cost
+// (%.17g); any difference from tests/data/optimizer_plan_golden.txt
+// fails the test. Each step's operators must also hold exactly the
+// lists and residuals its outline counts: the plan printer renders them
+// by those counts.
 //
 // The cases: MF1-MF5 (pinned and ID-window anchors) under D and
 // D+VPc+EPc, MR1-MR3 (literal and $param time windows) under D and
@@ -77,21 +80,40 @@ std::string ListText(const ListDescriptor& list, const Catalog& catalog,
   return out.str();
 }
 
-// The plan `optimizer` chose for `query`, or "(no plan)".
+// The plan `optimizer` chose for `query`, or "(no plan)": each outline
+// step walks its operators as RenderPlanTree does (a kExtendVerify step
+// is one extend per list, any other step one operator).
 std::string PlanText(DpOptimizer* optimizer, const Graph& graph, const QueryGraph& query) {
-  if (optimizer->Optimize(query) == nullptr) return "(no plan)\n";
-  std::string out = optimizer->DescribeSteps(query);
-  for (const PlanStep& step : optimizer->last_steps()) {
+  std::unique_ptr<Plan> plan = optimizer->Optimize(query);
+  if (plan == nullptr) return "(no plan)\n";
+  const auto& ops = plan->primary_ops();
+  size_t next_op = 0;
+  std::string out;
+  for (const StepOutline& step : optimizer->last_outline()) {
+    const size_t num_ops = step.kind == StepOutline::Kind::kExtendVerify ? step.num_lists : 1;
+    std::vector<const ListDescriptor*> lists;
+    std::vector<const QueryComparison*> residuals;
+    for (size_t i = 0; i < num_ops && next_op + 1 < ops.size(); ++i, ++next_op) {
+      auto [list, num_lists] = ops[next_op]->lists();
+      for (size_t j = 0; j < num_lists; ++j) lists.push_back(list + j);
+      auto [cmp, num_residual] = ops[next_op]->residuals();
+      for (size_t j = 0; j < num_residual; ++j) residuals.push_back(cmp + j);
+    }
+    EXPECT_EQ(lists.size(), step.num_lists) << "operator " << next_op;
+    EXPECT_EQ(residuals.size(), step.num_residual) << "operator " << next_op;
+    const bool extends = step.kind != StepOutline::Kind::kScan &&
+                         step.kind != StepOutline::Kind::kMultiExtend && !lists.empty();
     out += "  step kind=" + std::to_string(static_cast<int>(step.kind)) +
            " scan=" + std::to_string(step.scan_var) +
-           " target=" + std::to_string(step.target_var) + "\n";
-    for (const ListDescriptor& list : step.lists) {
-      out += "    list " + ListText(list, graph.catalog(), query) + "\n";
+           " target=" + std::to_string(extends ? lists.front()->target_vertex_var : -1) + "\n";
+    for (const ListDescriptor* list : lists) {
+      out += "    list " + ListText(*list, graph.catalog(), query) + "\n";
     }
-    for (const QueryComparison& cmp : step.residual) {
-      out += "    residual " + ComparisonText(cmp) + "\n";
+    for (const QueryComparison* cmp : residuals) {
+      out += "    residual " + ComparisonText(*cmp) + "\n";
     }
   }
+  EXPECT_EQ(next_op + 1, ops.size()) << "operators beside the outline's steps and the sink";
   char cost[64];
   std::snprintf(cost, sizeof(cost), "cost %.17g\n", optimizer->last_cost());
   return out + cost;
@@ -150,6 +172,7 @@ struct Recording {
     for (const auto& [name, text] : texts) {
       ParsedCypher parsed = ParseCypher(text, db->graph().catalog());
       ASSERT_TRUE(parsed.ok()) << name << ": " << parsed.error;
+      SCOPED_TRACE(prefix + " " + name);
       plans.Add(prefix + " " + name, PlanText(&optimizer, db->graph(), parsed.query));
       prepared.push_back(db->Prepare(text));
       ASSERT_TRUE(prepared.back()->ok()) << name << ": " << prepared.back()->error();
@@ -248,6 +271,7 @@ void RecordFuzz(Recording* log) {
     for (int q = 0; q < 2; ++q) {
       QueryGraph query = RandomQuery(&rng, db->graph(), keys);
       const std::string name = "fuzz seed=" + std::to_string(seed) + " q=" + std::to_string(q);
+      SCOPED_TRACE(name);
       log->plans.Add(name, PlanText(&optimizer, db->graph(), query));
       log->AddPlanText(name, db->Explain(query));
     }

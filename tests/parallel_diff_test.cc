@@ -1,11 +1,11 @@
 // Differential tests for morsel-driven parallel plan execution:
 // Execute(k) for k in {2, 4, 8} must return exactly the serial match
-// count for scan / extend / extend-intersect / multi-extend / filter
-// plans over random power-law multi-edge graphs (the same generator
-// setup as intersect_diff_test.cc), including on repeated executions of
-// the same plan (worker pipelines and MatchStates are reused). The
-// counting-mode cases at the end check counting EXTENDs against the
-// flat-adjacency oracle.
+// count for scan / extend / extend-intersect / multi-extend plans, with
+// and without residual conjuncts, over random power-law multi-edge
+// graphs (the same generator setup as intersect_diff_test.cc), including
+// on repeated executions of the same plan (worker pipelines and
+// MatchStates are reused). The counting-mode cases at the end check
+// counting EXTENDs against the flat-adjacency oracle.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +22,7 @@
 #include "index/index_store.h"
 #include "query/intersect_kernels.h"
 #include "query/plan.h"
+#include "row_collector.h"
 #include "test_threads.h"
 #include "util/rng.h"
 
@@ -111,8 +112,8 @@ TEST_P(ParallelDiffTest, TrianglePlan) {
   ExpectParallelMatchesSerial(plan.get(), "triangle");
 }
 
-// Scan with predicates -> Extend -> Filter.
-TEST_P(ParallelDiffTest, ScanPredicateAndFilterPlan) {
+// Scan with predicates -> Extend with a residual conjunct.
+TEST_P(ParallelDiffTest, ScanPredicateAndResidualPlan) {
   QueryGraph query;
   int a = query.AddVertex("a");
   int b = query.AddVertex("b");
@@ -121,16 +122,16 @@ TEST_P(ParallelDiffTest, ScanPredicateAndFilterPlan) {
   scan_pred.lhs = QueryPropRef{a, false, kInvalidPropKey, /*is_id=*/true};
   scan_pred.op = CmpOp::kLt;
   scan_pred.rhs_const = Value::Int64(static_cast<int64_t>(graph_.num_vertices() / 2));
-  QueryComparison filter_pred;
-  filter_pred.lhs = QueryPropRef{b, false, grp_key_, false};
-  filter_pred.op = CmpOp::kLe;
-  filter_pred.rhs_const = Value::Int64(2);
+  QueryComparison residual;
+  residual.lhs = QueryPropRef{b, false, grp_key_, false};
+  residual.op = CmpOp::kLe;
+  residual.rhs_const = Value::Int64(2);
   query.AddPredicate(scan_pred);
-  query.AddPredicate(filter_pred);
+  query.AddPredicate(residual);
   PlanBuilder builder(&graph_, &query);
   auto plan =
-      builder.Scan(a, {scan_pred}).Extend(FwdList(a, el0_, b, 0)).Filter({filter_pred}).Build();
-  ExpectParallelMatchesSerial(plan.get(), "scan-pred+filter");
+      builder.Scan(a, {scan_pred}).Extend(FwdList(a, el0_, b, 0), {residual}).Build();
+  ExpectParallelMatchesSerial(plan.get(), "scan-pred+residual");
 }
 
 // Scan -> Extend -> closing Extend (2-cycle membership probe).
@@ -190,37 +191,36 @@ TEST_P(ParallelDiffTest, BoundScanPlan) {
   }
 }
 
-// Per-worker SinkOp callback copies: a callback counting into a
-// thread-safe (atomic) shared counter must observe every match exactly
+// Per-worker projecting sinks: their batches, delivered concurrently by
+// the workers and then flushed by the caller, hold every match exactly
 // once regardless of the worker count.
-TEST_P(ParallelDiffTest, CallbackInvokedOncePerMatch) {
+TEST_P(ParallelDiffTest, RowsDeliveredOncePerMatch) {
   QueryGraph query;
   int a = query.AddVertex("a");
   int b = query.AddVertex("b");
   query.AddEdge(a, b, el0_, "e0");
-  std::atomic<uint64_t> seen{0};
+  ExecControls controls;
+  RowCounter seen;
   PlanBuilder builder(&graph_, &query);
   auto plan = builder.Scan(a)
                   .Extend(FwdList(a, el0_, b, 0))
-                  .Build([&seen](const MatchState&) {
-                    seen.fetch_add(1, std::memory_order_relaxed);
-                  });
-  uint64_t serial = RunCount(*plan, 1);
-  EXPECT_EQ(seen.load(), serial);
+                  .BuildWithSink(VertexIdSink(graph_, {b}, &seen, &controls));
+  uint64_t serial = RunDelivering(*plan, 1);
+  EXPECT_EQ(seen.rows.load(), serial);
   for (int k : {2, 4, 8}) {
-    seen.store(0);
-    EXPECT_EQ(RunCount(*plan, k), serial) << "callback k=" << k;
-    EXPECT_EQ(seen.load(), serial) << "callback k=" << k;
+    seen.rows.store(0);
+    EXPECT_EQ(RunDelivering(*plan, k), serial) << "rows k=" << k;
+    EXPECT_EQ(seen.rows.load(), serial) << "rows k=" << k;
   }
 }
 
-// A callback that itself executes a parallel sub-plan (the nested
+// An OnBatch that itself executes a parallel sub-plan (the nested
 // ParallelRun case): must not deadlock, and both levels must count
-// exactly. Each invocation builds its own sub-plan — Plans are not
-// externally thread-safe, the outer workers invoke the callback
-// concurrently, and holding a shared lock across a nested Execute would
-// invert lock order against the pool's job mutex.
-TEST_P(ParallelDiffTest, NestedParallelExecuteInCallback) {
+// exactly. Each call builds its own sub-plan — Plans are not externally
+// thread-safe, the outer workers deliver their batches concurrently, and
+// holding a shared lock across a nested Execute would invert lock order
+// against the pool's job mutex.
+TEST_P(ParallelDiffTest, NestedParallelExecuteInOnBatch) {
   QueryGraph outer_query;
   int a = outer_query.AddVertex("a");
   int b = outer_query.AddVertex("b");
@@ -236,21 +236,31 @@ TEST_P(ParallelDiffTest, NestedParallelExecuteInCallback) {
   };
   uint64_t inner_expected = RunCount(*build_inner(), 1);
 
+  // Every eighth batch of 64 rows runs the sub-plan.
   std::atomic<uint64_t> nested_failures{0};
   std::atomic<uint64_t> outer_seen{0};
+  std::atomic<uint64_t> batches{0};
+  BatchHook nesting([&](const RowBatch& batch) {
+    outer_seen.fetch_add(batch.num_rows(), std::memory_order_relaxed);
+    if (batches.fetch_add(1, std::memory_order_relaxed) % 8 != 0) return;
+    if (RunCount(*build_inner(), 2) != inner_expected) {
+      nested_failures.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  ExecControls controls;
   PlanBuilder outer_builder(&graph_, &outer_query);
-  auto outer_plan =
-      outer_builder.Scan(a).Extend(FwdList(a, el0_, b, 0)).Build([&](const MatchState&) {
-        if (outer_seen.fetch_add(1, std::memory_order_relaxed) % 512 != 0) return;
-        if (RunCount(*build_inner(), 2) != inner_expected) {
-          nested_failures.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
+  auto outer_plan = outer_builder.Scan(a)
+                        .Extend(FwdList(a, el0_, b, 0))
+                        .BuildWithSink(VertexIdSink(graph_, {b}, &nesting, &controls));
 
-  uint64_t outer_expected = RunCount(*outer_plan, 1);
+  uint64_t outer_expected = RunDelivering(*outer_plan, 1);
   outer_seen.store(0);
-  EXPECT_EQ(RunCount(*outer_plan, 4), outer_expected);
+  batches.store(0);
+  EXPECT_EQ(RunDelivering(*outer_plan, 4), outer_expected);
   EXPECT_EQ(outer_seen.load(), outer_expected);
+  // The flush delivers at most one batch per pipeline, so the first
+  // batch (which nests) came from inside the parallel run.
+  EXPECT_GT(batches.load(), static_cast<uint64_t>(outer_plan->num_pipelines()));
   EXPECT_EQ(nested_failures.load(), 0u);
   EXPECT_GT(outer_expected, 0u);
 }
@@ -395,8 +405,8 @@ TEST_P(ParallelDiffTest, ClosingExtendNeverDeepMorselizes) {
   }
 }
 
-// Deep-parallel callbacks still fire exactly once per match.
-TEST_P(ParallelDiffTest, DeepMorselCallbackInvokedOncePerMatch) {
+// Deep-parallel workers still deliver each match exactly once.
+TEST_P(ParallelDiffTest, DeepMorselRowsDeliveredOncePerMatch) {
   QueryGraph query;
   int a = query.AddVertex("a", kInvalidLabel,
                           static_cast<vertex_id_t>((GetParam() * 7) % graph_.num_vertices()));
@@ -404,20 +414,19 @@ TEST_P(ParallelDiffTest, DeepMorselCallbackInvokedOncePerMatch) {
   int c = query.AddVertex("c");
   query.AddEdge(a, b, el0_, "e0");
   query.AddEdge(b, c, el1_, "e1");
-  std::atomic<uint64_t> seen{0};
+  ExecControls controls;
+  RowCounter seen;
   PlanBuilder builder(&graph_, &query);
   auto plan = builder.Scan(a)
                   .Extend(FwdList(a, el0_, b, 0))
                   .Extend(FwdList(b, el1_, c, 1))
-                  .Build([&seen](const MatchState&) {
-                    seen.fetch_add(1, std::memory_order_relaxed);
-                  });
-  uint64_t serial = RunCount(*plan, 1);
-  EXPECT_EQ(seen.load(), serial);
+                  .BuildWithSink(VertexIdSink(graph_, {c}, &seen, &controls));
+  uint64_t serial = RunDelivering(*plan, 1);
+  EXPECT_EQ(seen.rows.load(), serial);
   for (int k : {2, 4, 8}) {
-    seen.store(0);
-    EXPECT_EQ(RunCount(*plan, k), serial) << "deep callback k=" << k;
-    EXPECT_EQ(seen.load(), serial) << "deep callback k=" << k;
+    seen.rows.store(0);
+    EXPECT_EQ(RunDelivering(*plan, k), serial) << "deep rows k=" << k;
+    EXPECT_EQ(seen.rows.load(), serial) << "deep rows k=" << k;
   }
 }
 
@@ -461,8 +470,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDiffTest, ::testing::Values(11u, 29u, 47
 // --- Counting mode: the last EXTEND counts its list ---
 //
 // Chains of one to three hops, counted through Database::Prepare(...
-// RETURN COUNT(*)) and through a hand-built Plan ending in a
-// callback-free SinkOp, against the flat-adjacency oracle. Both end in a
+// RETURN COUNT(*)) and through a hand-built Plan ending in a counting
+// ProjectSinkOp, against the flat-adjacency oracle. Both end in a
 // counting EXTEND wherever the last hop filters nothing. The small graph
 // has self-loops, parallel edges and 2-cycles, so the bound-vertex
 // subtraction is what keeps the counts isomorphic and edge-distinct;

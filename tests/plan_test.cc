@@ -9,6 +9,7 @@
 #include "datagen/power_law_generator.h"
 #include "index/index_store.h"
 #include "query/plan.h"
+#include "row_collector.h"
 #include "test_threads.h"
 
 namespace aplus {
@@ -39,7 +40,7 @@ class PlanTest : public ::testing::Test {
   IndexStore store_;
 };
 
-TEST_F(PlanTest, SinkCallbackSeesBindings) {
+TEST_F(PlanTest, ProjectingSinkSeesBindings) {
   QueryGraph query;
   int a = query.AddVertex("a", kInvalidLabel, ex_.accounts[0]);
   int b = query.AddVertex("b");
@@ -51,22 +52,17 @@ TEST_F(PlanTest, SinkCallbackSeesBindings) {
   list.cats = {ex_.wire_label};
   list.target_vertex_var = b;
   list.target_edge_var = 0;
-  PlanBuilder builder(&ex_.graph, &query);
-  std::vector<vertex_id_t> seen;
-  auto plan = builder.Scan(a).Extend(list).Build(
-      [&](const MatchState& state) { seen.push_back(state.v[1]); });
-  EXPECT_EQ(RunCount(*plan), 3u);
+  ExecControls controls;
+  RowCollector seen;
+  auto plan = PlanBuilder(&ex_.graph, &query)
+                  .Scan(a)
+                  .Extend(list)
+                  .BuildWithSink(VertexIdSink(ex_.graph, {b}, &seen, &controls));
+  EXPECT_EQ(RunDelivering(*plan), 3u);
   // v1's Wire targets: v2 (t17), v3 (t4), v4 (t20), neighbour-ID sorted.
-  EXPECT_EQ(seen, (std::vector<vertex_id_t>{ex_.accounts[1], ex_.accounts[2], ex_.accounts[3]}));
-}
-
-TEST_F(PlanTest, DescribeListsOperators) {
-  QueryGraph query;
-  auto plan = DdPlan(&query);
-  std::string text = plan->Describe();
-  EXPECT_NE(text.find("Scan"), std::string::npos);
-  EXPECT_NE(text.find("Extend"), std::string::npos);
-  EXPECT_NE(text.find("Sink"), std::string::npos);
+  std::vector<std::vector<Value>> want;
+  for (int i : {1, 2, 3}) want.push_back({Value::Int64(ex_.accounts[i])});
+  EXPECT_EQ(seen.rows, want);
 }
 
 TEST_F(PlanTest, ExecuteIsRepeatable) {

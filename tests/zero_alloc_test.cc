@@ -25,6 +25,7 @@
 #include "query/cypher_parser.h"
 #include "query/operators.h"
 #include "query/plan.h"
+#include "query/row_sink.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "test_threads.h"
@@ -174,7 +175,7 @@ TEST_F(ZeroAllocTest, ExtendIntersectSteadyStateDoesNotAllocate) {
                              offset));
       }
       ExtendIntersectOp op(&graph_, lists, static_cast<int>(z), {});
-      SinkOp sink;
+      ProjectSinkOp sink(&graph_, {}, 1, nullptr, /*row_budget=*/false);  // counting
       op.set_next(&sink);
       MatchState state;
       state.Reset(static_cast<int>(z) + 1, static_cast<int>(z));
@@ -197,7 +198,7 @@ TEST_F(ZeroAllocTest, ScanPredicateSteadyStateDoesNotAllocate) {
   grp_pred.op = CmpOp::kLe;
   grp_pred.rhs_const = Value::Int64(5);
   ScanOp op(&graph_, 0, kInvalidLabel, kInvalidVertex, {id_pred, grp_pred});
-  SinkOp sink;
+  ProjectSinkOp sink(&graph_, {}, 1, nullptr, /*row_budget=*/false);  // counting
   op.set_next(&sink);
   MatchState state;
   state.Reset(1, 0);
@@ -235,7 +236,7 @@ TEST_F(ZeroAllocTest, EpExtendSteadyStateDoesNotAllocate) {
   desc.target_vertex_var = 1;
   desc.target_edge_var = 1;
   ExtendOp op(&graph_, desc, {});
-  SinkOp sink;
+  ProjectSinkOp sink(&graph_, {}, 1, nullptr, /*row_budget=*/false);  // counting
   op.set_next(&sink);
   MatchState state;
   state.Reset(2, 2);
@@ -576,7 +577,7 @@ TEST_F(ZeroAllocTest, MultiExtendSteadyStateDoesNotAllocate) {
         lists.push_back(desc);
       }
       MultiExtendOp op(&graph_, lists, {});
-      SinkOp sink;
+      ProjectSinkOp sink(&graph_, {}, 1, nullptr, /*row_budget=*/false);  // counting
       op.set_next(&sink);
       MatchState state;
       state.Reset(static_cast<int>(2 * z), static_cast<int>(z));
