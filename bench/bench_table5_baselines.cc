@@ -17,7 +17,7 @@
 #include "core/database.h"
 #include "datagen/label_assigner.h"
 #include "datagen/power_law_generator.h"
-#include "util/memory_tracker.h"
+#include "util/memory_budget.h"
 #include "util/timer.h"
 #include "workloads.h"
 

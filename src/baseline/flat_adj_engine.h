@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "query/query_graph.h"
-#include "util/memory_tracker.h"
+#include "util/memory_budget.h"
 #include "storage/graph.h"
 
 namespace aplus {

@@ -7,7 +7,7 @@
 
 #include "query/query_graph.h"
 #include "util/deadline.h"
-#include "util/memory_tracker.h"
+#include "util/memory_budget.h"
 
 namespace aplus {
 

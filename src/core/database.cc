@@ -249,7 +249,9 @@ std::unique_ptr<PreparedQuery> Database::PrepareParsed(ParsedCypher parsed,
     }
   }
   // --- Result-path construction: projected input columns plus the sink
-  // stage chain Project -> [GroupedAggregate] -> [Sort] -> [Limit]. ---
+  // stage chain Project -> [GroupedAggregate] -> [Sort]. GROUP BY and
+  // DISTINCT are the aggregate stage; LIMIT caps the last stage's
+  // emission, or claims from the atomic row budget without stages. ---
   auto type_of_ref = [this](const QueryPropRef& ref) {
     return ref.is_id ? ValueType::kInt64 : graph_.catalog().property(ref.key).type;
   };
@@ -283,6 +285,7 @@ std::unique_ptr<PreparedQuery> Database::PrepareParsed(ParsedCypher parsed,
     prepared->columns_ = inputs;
   } else {
     std::vector<ProjectColumn> out_schema;  // one column per RETURN item
+    std::vector<AggSpec> specs;             // non-empty: an aggregate stage heads the chain
     if (has_agg) {
       // Inputs deduplicate by reference: group keys and aggregate
       // arguments sharing a ref read one projected column.
@@ -293,7 +296,6 @@ std::unique_ptr<PreparedQuery> Database::PrepareParsed(ParsedCypher parsed,
         inputs.push_back(project_col(item));
         return static_cast<int>(inputs.size() - 1);
       };
-      std::vector<AggSpec> specs;
       for (const ReturnItem& item : parsed.returns) {
         AggSpec spec;
         spec.fn = item.agg;
@@ -325,45 +327,43 @@ std::unique_ptr<PreparedQuery> Database::PrepareParsed(ParsedCypher parsed,
         out_schema.push_back(std::move(out_col));
         specs.push_back(std::move(spec));
       }
-      std::vector<ValueType> input_types;
-      input_types.reserve(inputs.size());
-      for (const ProjectColumn& col : inputs) input_types.push_back(col.type);
-      stages.push_back(std::make_unique<GroupedAggregateStage>(
-          std::move(specs), std::move(input_types), options.batch_rows,
-          &prepared->controls_));
     } else {
-      // ORDER BY over a plain projection: inputs stay in RETURN order
-      // (they are the output schema), no dedup.
+      // DISTINCT and/or ORDER BY over a plain projection: inputs stay in
+      // RETURN order (they are the output schema). DISTINCT makes every
+      // column a group key of an aggregate stage with no aggregates, so
+      // worker partials dedup exactly under parallelism.
       for (const ReturnItem& item : parsed.returns) {
-        inputs.push_back(project_col(item));
+        ProjectColumn col = project_col(item);
+        if (distinct) {
+          specs.push_back(AggSpec{AggFn::kNone, static_cast<int>(inputs.size()), col.type,
+                                  item.name});
+        }
+        inputs.push_back(col);
         ProjectColumn out_col;
         out_col.name = item.name;
-        out_col.type = type_of_ref(item.ref);
+        out_col.type = col.type;
         out_schema.push_back(std::move(out_col));
       }
     }
-    if (distinct) {
-      // Dedup precedes ordering/limit: Project -> DISTINCT -> [Sort] ->
-      // [Limit]. The stage is the all-group-keys degenerate aggregation,
-      // so worker partials merge exactly under parallelism.
-      stages.push_back(std::make_unique<DistinctStage>(out_schema, options.batch_rows,
-                                                       &prepared->controls_));
+    const uint64_t limit = parsed.has_limit ? parsed.limit : SinkStage::kNoLimit;
+    if (!specs.empty()) {
+      std::vector<ValueType> input_types;
+      input_types.reserve(inputs.size());
+      for (const ProjectColumn& col : inputs) input_types.push_back(col.type);
+      // Without ORDER BY the LIMIT caps the emitted groups.
+      stages.push_back(std::make_unique<GroupedAggregateStage>(
+          std::move(specs), std::move(input_types), has_order ? SinkStage::kNoLimit : limit,
+          options.batch_rows, &prepared->controls_));
     }
     if (has_order) {
-      // The sort owns any LIMIT (top-k partial_sort emits exactly the
-      // capped rows); a trailing LimitStage would only re-copy them.
+      // The sort owns any LIMIT: its top-k partial_sort emits exactly the
+      // capped rows.
       std::vector<SortKeySpec> keys;
       for (const OrderByItem& order : parsed.order_by) {
         keys.push_back(SortKeySpec{order.item, order.desc});
       }
-      stages.push_back(std::make_unique<SortStage>(
-          out_schema, std::move(keys), parsed.has_limit ? parsed.limit : SortStage::kNoLimit,
-          options.batch_rows, &prepared->controls_));
-    } else if (parsed.has_limit) {
-      // LIMIT over an unordered aggregation: caps the emitted groups.
-      stages.push_back(std::make_unique<LimitStage>(out_schema, parsed.limit,
-                                                    options.batch_rows,
-                                                    &prepared->controls_));
+      stages.push_back(std::make_unique<SortStage>(out_schema, std::move(keys), limit,
+                                                   options.batch_rows, &prepared->controls_));
     }
     prepared->columns_ = std::move(out_schema);
   }

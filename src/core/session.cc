@@ -323,8 +323,8 @@ QueryOutcome PreparedQuery::Execute(RowConsumer* consumer, int num_threads) {
     for (int i = 1; i < plan_->num_pipelines(); ++i) {
       worker_sinks_.push_back(static_cast<ProjectSinkOp*>(plan_->sink(i)));
     }
-    primary->MergeAllStages(worker_sinks_.data(), static_cast<int>(worker_sinks_.size()),
-                            num_threads);
+    primary->MergeStages(worker_sinks_.data(), static_cast<int>(worker_sinks_.size()),
+                         num_threads);
     primary->FinishStages();
     out.rows = controls_.rows_emitted;
     // The deadline, a cancel or a refused charge can land mid-cascade:

@@ -140,11 +140,13 @@ class PreparedQuery {
 
   // True when the sink enforces LIMIT through the atomic row budget
   // (early scan termination). Stage-less plans only: a LIMIT below
-  // aggregation or ordering caps the *output* rows, which requires the
-  // full match enumeration and is enforced by the LimitStage during the
-  // Finish cascade. The COUNT(*) pushdown is also excluded — its single
-  // output row needs the full enumeration. Fixed at Prepare: the sink is
-  // built with it, and its last EXTEND counts only without it.
+  // aggregation, DISTINCT or ordering caps the *output* rows, which
+  // requires the full match enumeration and is the emission cap of the
+  // last stage (the sort's top-k, else the aggregate's group count)
+  // during the Finish cascade. The COUNT(*) pushdown is also excluded —
+  // its single output row needs the full enumeration. Fixed at Prepare:
+  // the sink is built with it, and its last EXTEND counts only without
+  // it.
   bool row_budget() const { return has_limit_ && !has_stages_ && !count_star_only_; }
 
   // Re-collects plan slots when the pipeline count changed (a parallel
@@ -165,7 +167,7 @@ class PreparedQuery {
   uint64_t limit_ = 0;
   std::vector<ParamInfo> params_;
   RowBatch count_row_;  // the one-row COUNT(*) pushdown result, reused
-  std::vector<ProjectSinkOp*> worker_sinks_;  // MergeAllStages scratch
+  std::vector<ProjectSinkOp*> worker_sinks_;  // MergeStages scratch
 
   std::unique_ptr<Plan> plan_;
   ExecControls controls_;  // shared with every ProjectSinkOp replica

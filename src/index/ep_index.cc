@@ -28,17 +28,6 @@ EpIndex::EpIndex(const Graph* graph, const PrimaryIndex* primary_fwd,
   base_primary_ = AdjDirection(view_.kind) == Direction::kFwd ? primary_fwd : primary_bwd;
 }
 
-bool EpIndex::EvalViewPred(edge_id_t eb, edge_id_t eadj, vertex_id_t nbr) const {
-  EvalContext ctx;
-  ctx.graph = graph_;
-  ctx.bound_edge = eb;
-  ctx.adj_edge = eadj;
-  ctx.nbr = nbr;
-  ctx.src = graph_->edge_src(eb);
-  ctx.dst = graph_->edge_dst(eb);
-  return compiled_.Eval(ctx);
-}
-
 struct EpIndex::AnchorScratch {
   explicit AnchorScratch(const ListKeys* list_keys) : keys(list_keys) {}
 
@@ -283,36 +272,25 @@ std::vector<uint32_t> EpIndex::InsertEdge(edge_id_t e) {
       full_pages.push_back(page_idx);
     }
   };
-  // Delta query 1 (Section IV-C): e becomes the adjacent edge eadj of
-  // every bound edge eb whose anchor equals e's near endpoint under the
-  // base direction. Those candidate ebs are the in-edges of the shared
+  // Delta query 1 (Section IV-C): e becomes a candidate adjacent edge
+  // eadj of every bound edge eb whose anchor equals e's near endpoint
+  // under the base direction. Those ebs are the in-edges of the shared
   // vertex for Destination-* kinds (eb points into its anchor) and the
-  // out-edges for Source-* kinds.
+  // out-edges for Source-* kinds. Every such page is marked pending,
+  // whatever the view predicate says of (eb, e): inserting e into the
+  // shared vertex's primary list shifts the offsets every eb anchored
+  // there resolves against, and the page re-derivation at merge time
+  // evaluates the predicate on the exact lists.
   vertex_id_t shared = base_primary_->OwnerOf(e);
-  vertex_id_t far = base_primary_->NbrOf(e);
   const PrimaryIndex* candidates = AnchorIsDst(view_.kind) ? primary_bwd_ : primary_fwd_;
   AdjListSlice ebs = candidates->GetFullList(shared);
   for (uint32_t i = 0; i < ebs.size(); ++i) {
     edge_id_t eb = ebs.EdgeAt(i);
     if (eb == e) continue;
-    // The predicate evaluation is the paper's delta-query work; the page
-    // is marked pending either way because inserting e into the shared
-    // vertex's primary list shifts the offsets every eb anchored there
-    // resolves against.
-    (void)EvalViewPred(eb, e, far);
     mark(static_cast<uint32_t>(eb / kGroupSize));
   }
-  // Delta query 2: create e's own (possibly empty) list by scanning its
-  // anchor's base adjacency. The predicate evaluations here mirror the
-  // second loop of Section IV-C; the page rederivation at merge time
-  // recomputes the exact lists.
-  vertex_id_t anchor = AnchorOf(e);
-  AdjListSlice adj = base_primary_->GetFullList(anchor);
-  for (uint32_t i = 0; i < adj.size(); ++i) {
-    edge_id_t eadj = adj.EdgeAt(i);
-    if (eadj == e) continue;
-    (void)EvalViewPred(e, eadj, adj.NbrAt(i));
-  }
+  // Delta query 2: e's own (possibly empty) list, derived with its page
+  // at merge time.
   mark(static_cast<uint32_t>(e / kGroupSize));
   return full_pages;
 }

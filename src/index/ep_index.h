@@ -75,12 +75,13 @@ class EpIndex {
   uint64_t num_edges_indexed() const { return num_edges_indexed_; }
   double build_seconds() const { return build_seconds_; }
 
-  // Maintenance (Section IV-C). Inserting e runs the two delta queries:
-  // (1) e may become an adjacent edge of existing bound edges; (2) e gets
-  // its own (possibly empty) list. Updates are buffered per 64-edge page;
-  // the returned page indexes have full buffers and should be merged
-  // (RebuildGroup) after the primary indexes are flushed — the
-  // Maintainer orchestrates this ordering.
+  // Maintenance (Section IV-C). Inserting e marks the pages of the two
+  // delta queries pending: (1) every existing bound edge e may become an
+  // adjacent edge of; (2) e's own (possibly empty) list. Their lists are
+  // re-derived, view predicate included, when the page merges. Updates
+  // are buffered per 64-edge page; the returned page indexes have full
+  // buffers and should be merged (RebuildGroup) after the primary
+  // indexes are flushed — the Maintainer orchestrates this ordering.
   std::vector<uint32_t> InsertEdge(edge_id_t e);
   void RebuildGroup(uint32_t page_idx);
   void FlushUpdates();
@@ -106,7 +107,6 @@ class EpIndex {
   // conjuncts' adjacent operands gathered (defined in the .cc).
   struct AnchorScratch;
 
-  bool EvalViewPred(edge_id_t eb, edge_id_t eadj, vertex_id_t nbr) const;
   void PrepareAnchor(vertex_id_t anchor, AnchorScratch* scratch) const;
   // Appends eb's list, in list order, from its prepared anchor.
   void SelectEntries(edge_id_t eb, AnchorScratch* scratch, std::vector<ListEntry>* out) const;

@@ -21,11 +21,12 @@ namespace aplus {
 // maintainer propagates through every index:
 //   1. the edge enters the update buffers of both primary indexes (pages
 //      merge automatically when a buffer fills);
-//   2. each VP index evaluates its view predicate and buffers a page
-//      update;
-//   3. each EP index runs the two delta queries of Section IV-C
-//      (inserting the edge into adjacent bound edges' lists, and creating
-//      the edge's own list) with buffered page merges.
+//   2. each VP index buffers an update of the edge's owner page;
+//   3. each EP index buffers updates of the pages the two delta queries
+//      of Section IV-C touch (the adjacent bound edges' lists, and the
+//      edge's own list).
+// The view predicates are evaluated when a buffered page merges: the
+// merge re-derives the page's lists from the primary indexes.
 // Finalize() (or IndexStore::FlushAll) merges all buffers; the indexes
 // are exact with respect to the graph afterwards.
 //

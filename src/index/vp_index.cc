@@ -142,10 +142,9 @@ size_t VpIndex::MemoryBytes() const {
 
 int64_t VpIndex::InsertEdge(edge_id_t e) {
   vertex_id_t owner = primary_->OwnerOf(e);
-  // The predicate is evaluated eagerly as in Section IV-C. The page is
-  // marked pending regardless of the outcome because a primary-page merge
-  // may shift the offsets of the owner's other edges.
-  (void)EvalViewPred(e, primary_->NbrOf(e));
+  // The owner's page is marked pending whatever the view predicate says
+  // of e: a primary-page merge may shift the offsets of the owner's other
+  // edges, and RebuildGroup evaluates the predicate on the exact lists.
   uint32_t page_idx = owner / kGroupSize;
   while (pages_.size() <= page_idx) pages_.push_back(std::make_unique<OffsetListPage>());
   if (pending_.size() < pages_.size()) pending_.resize(pages_.size(), 0);

@@ -56,8 +56,9 @@ class VpIndex {
   uint64_t num_edges_indexed() const { return num_edges_indexed_; }
   double build_seconds() const { return build_seconds_; }
 
-  // Maintenance (Section IV-C): evaluates the view predicate against the
-  // new edge and buffers an update for the owner's page. Returns the
+  // Maintenance (Section IV-C): buffers an update for the new edge's
+  // owner page; the view predicate is evaluated when the page is rebuilt
+  // (RebuildGroup). Returns the
   // page index whose buffer just filled (and should be merged via
   // RebuildGroup after flushing the primary page), or -1. The Maintainer
   // orchestrates the merge ordering; exactness is guaranteed once both

@@ -4,7 +4,7 @@
 
 #include "query/intersect_kernels.h"
 #include "util/logging.h"
-#include "util/memory_tracker.h"
+#include "util/memory_budget.h"
 
 namespace aplus {
 

@@ -151,11 +151,6 @@ Value RowBatch::Cell(size_t col, uint32_t row) const {
   }
 }
 
-void SinkStage::MergeAll(SinkStage* const* workers, int num_workers, int num_threads) {
-  (void)num_threads;
-  for (int w = 0; w < num_workers; ++w) Merge(*workers[w]);
-}
-
 void SinkStage::Deliver(RowBatch* batch) {
   if (batch->empty()) return;
   if (next_ != nullptr) {
@@ -170,11 +165,12 @@ void SinkStage::Deliver(RowBatch* batch) {
 // --- GroupedAggregateStage ---
 
 GroupedAggregateStage::GroupedAggregateStage(std::vector<AggSpec> specs,
-                                             std::vector<ValueType> input_types,
+                                             std::vector<ValueType> input_types, uint64_t limit,
                                              uint32_t batch_capacity, ExecControls* controls)
     : SinkStage(controls),
       specs_(std::move(specs)),
       input_types_(std::move(input_types)),
+      limit_(limit),
       batch_capacity_(batch_capacity < 1 ? 1 : batch_capacity) {
   std::vector<ProjectColumn> out_schema;
   for (size_t s = 0; s < specs_.size(); ++s) {
@@ -206,8 +202,8 @@ GroupedAggregateStage::GroupedAggregateStage(std::vector<AggSpec> specs,
 }
 
 std::unique_ptr<SinkStage> GroupedAggregateStage::Clone() const {
-  return std::make_unique<GroupedAggregateStage>(specs_, input_types_, batch_capacity_,
-                                                 controls_);
+  return std::make_unique<GroupedAggregateStage>(specs_, input_types_, limit_,
+                                                 batch_capacity_, controls_);
 }
 
 void GroupedAggregateStage::Reset() {
@@ -436,27 +432,21 @@ void GroupedAggregateStage::FoldGroupFrom(uint32_t g, const GroupedAggregateStag
   }
 }
 
-void GroupedAggregateStage::Merge(SinkStage& worker) {
-  auto& other = static_cast<GroupedAggregateStage&>(worker);
-  auto other_col = [&other](size_t k) -> const ColumnArena& { return other.keys_[k]; };
-  for (uint32_t og = 0; og < other.num_groups_; ++og) {
-    uint32_t g = key_inputs_.empty() ? 0 : FindOrAddGroup(other_col, og, other.HashGroup(og));
-    FoldGroupFrom(g, other, og);
-  }
-}
-
 void GroupedAggregateStage::MergePartitionFrom(const GroupedAggregateStage& src,
                                                uint32_t num_parts, uint32_t part) {
   auto src_col = [&src](size_t k) -> const ColumnArena& { return src.keys_[k]; };
   for (uint32_t og = 0; og < src.num_groups_; ++og) {
+    if (key_inputs_.empty()) {  // a global aggregate's one group
+      FoldGroupFrom(0, src, og);
+      continue;
+    }
     uint64_t h = src.HashGroup(og);
     if (h % num_parts != part) continue;
     FoldGroupFrom(FindOrAddGroup(src_col, og, h), src, og);
   }
 }
 
-void GroupedAggregateStage::MergeAll(SinkStage* const* workers, int num_workers,
-                                     int num_threads) {
+void GroupedAggregateStage::Merge(SinkStage* const* workers, int num_workers, int num_threads) {
   merged_parts_ = 0;
   size_t total = num_groups_;
   for (int w = 0; w < num_workers; ++w) {
@@ -467,13 +457,15 @@ void GroupedAggregateStage::MergeAll(SinkStage* const* workers, int num_workers,
   // tables carry real group volume.
   if (num_threads <= 1 || num_workers == 0 || key_inputs_.empty() ||
       total < kParallelMergeMinGroups) {
-    SinkStage::MergeAll(workers, num_workers, num_threads);
+    for (int w = 0; w < num_workers; ++w) {
+      MergePartitionFrom(static_cast<const GroupedAggregateStage&>(*workers[w]), 1, 0);
+    }
     return;
   }
   int p = num_threads < 64 ? num_threads : 64;
   while (static_cast<int>(parts_.size()) < p) {
     auto part = std::unique_ptr<GroupedAggregateStage>(
-        new GroupedAggregateStage(specs_, input_types_, batch_capacity_, controls_));
+        new GroupedAggregateStage(specs_, input_types_, kNoLimit, batch_capacity_, controls_));
     // Partitions re-materialize groups the source tables already charged
     // against the group-by memory cap: charging them again would double
     // count.
@@ -493,12 +485,9 @@ void GroupedAggregateStage::MergeAll(SinkStage* const* workers, int num_workers,
   merged_parts_ = p;
 }
 
-void GroupedAggregateStage::EmitGroupsFrom(const GroupedAggregateStage& src) {
-  for (uint32_t g = 0; g < src.num_groups_; ++g) {
-    // A drained downstream LIMIT discards everything else: stop
-    // materializing output rows nobody consumes (e.g. GROUP BY hub-heavy
-    // keys with LIMIT 5 but no ORDER BY).
-    if (next_ != nullptr && next_->Done()) break;
+void GroupedAggregateStage::EmitGroupsFrom(const GroupedAggregateStage& src,
+                                           uint64_t* remaining) {
+  for (uint32_t g = 0; g < src.num_groups_ && *remaining > 0; ++g, --*remaining) {
     // Staged plans never raise kLimit, so a stop here is a deadline /
     // cancel / exhaustion landing mid-Finish: abandon the cascade.
     if ((g & 255u) == 0 && controls_->token.PollClock()) return;
@@ -543,12 +532,15 @@ void GroupedAggregateStage::EmitGroupsFrom(const GroupedAggregateStage& src) {
 }
 
 void GroupedAggregateStage::Finish() {
+  // An unordered LIMIT stops the emission after `limit_` groups, counted
+  // across the partitions when the last merge was partitioned.
+  uint64_t remaining = limit_;
   if (merged_parts_ > 0) {
-    // The last merge was partitioned: the partitions hold the complete
-    // fold (this stage's own table was one of the sources).
-    for (int i = 0; i < merged_parts_; ++i) EmitGroupsFrom(*parts_[i]);
+    // The partitions hold the complete fold (this stage's own table was
+    // one of the sources).
+    for (int i = 0; i < merged_parts_; ++i) EmitGroupsFrom(*parts_[i], &remaining);
   } else {
-    EmitGroupsFrom(*this);
+    EmitGroupsFrom(*this, &remaining);
   }
   Deliver(&out_);
 }
@@ -561,62 +553,18 @@ std::string GroupedAggregateStage::Describe() const {
     if (target.size() > 1) target += ", ";
     target += spec.name;
   }
-  return "GROUP AGGREGATE keys=" + keys + "] aggs=" + aggs + "]";
+  std::string out = agg_specs_.empty() ? "DISTINCT " + keys + "]"
+                                       : "GROUP AGGREGATE keys=" + keys + "] aggs=" + aggs + "]";
+  if (limit_ != kNoLimit) out += " LIMIT " + std::to_string(limit_);
+  return out;
 }
 
 void GroupedAggregateStage::RebindControls(ExecControls* controls) {
   SinkStage::RebindControls(controls);
-  // Partition stages (parallel MergeAll scratch) charge through the same
+  // Partition stages (parallel Merge scratch) charge through the same
   // controls; a freshly cloned stage has none, but rebinding a warmed
   // instance must not leave them pointing at the old owner.
   for (auto& part : parts_) part->RebindControls(controls);
-}
-
-// --- DistinctStage ---
-
-namespace {
-
-std::vector<AggSpec> DistinctSpecs(const std::vector<ProjectColumn>& schema) {
-  std::vector<AggSpec> specs;
-  specs.reserve(schema.size());
-  for (size_t i = 0; i < schema.size(); ++i) {
-    AggSpec spec;
-    spec.fn = AggFn::kNone;  // every column a group key, zero aggregates
-    spec.input = static_cast<int>(i);
-    spec.out_type = schema[i].type;
-    spec.name = schema[i].name;
-    specs.push_back(std::move(spec));
-  }
-  return specs;
-}
-
-std::vector<ValueType> DistinctInputTypes(const std::vector<ProjectColumn>& schema) {
-  std::vector<ValueType> types;
-  types.reserve(schema.size());
-  for (const ProjectColumn& col : schema) types.push_back(col.type);
-  return types;
-}
-
-}  // namespace
-
-DistinctStage::DistinctStage(const std::vector<ProjectColumn>& schema, uint32_t batch_capacity,
-                             ExecControls* controls)
-    : GroupedAggregateStage(DistinctSpecs(schema), DistinctInputTypes(schema), batch_capacity,
-                            controls),
-      schema_(schema),
-      capacity_(batch_capacity) {}
-
-std::unique_ptr<SinkStage> DistinctStage::Clone() const {
-  return std::make_unique<DistinctStage>(schema_, capacity_, controls_);
-}
-
-std::string DistinctStage::Describe() const {
-  std::string cols = "[";
-  for (const ProjectColumn& col : schema_) {
-    if (cols.size() > 1) cols += ", ";
-    cols += col.name;
-  }
-  return "DISTINCT " + cols + "]";
 }
 
 // --- SortStage ---
@@ -683,17 +631,20 @@ void SortStage::OnBatch(const RowBatch& batch) {
   num_buffered_ += batch.num_rows();
 }
 
-void SortStage::Merge(SinkStage& worker) {
-  auto& other = static_cast<SortStage&>(worker);
-  for (size_t c = 0; c < cols_.size(); ++c) {
-    ColumnArena& dst = cols_[c];
-    const ColumnArena& src = other.cols_[c];
-    dst.nulls.insert(dst.nulls.end(), src.nulls.begin(), src.nulls.end());
-    dst.ints.insert(dst.ints.end(), src.ints.begin(), src.ints.end());
-    dst.doubles.insert(dst.doubles.end(), src.doubles.begin(), src.doubles.end());
-    dst.strings.insert(dst.strings.end(), src.strings.begin(), src.strings.end());
+void SortStage::Merge(SinkStage* const* workers, int num_workers, int num_threads) {
+  (void)num_threads;  // concatenation: the sort runs once, at Finish
+  for (int w = 0; w < num_workers; ++w) {
+    const auto& other = static_cast<const SortStage&>(*workers[w]);
+    for (size_t c = 0; c < cols_.size(); ++c) {
+      ColumnArena& dst = cols_[c];
+      const ColumnArena& src = other.cols_[c];
+      dst.nulls.insert(dst.nulls.end(), src.nulls.begin(), src.nulls.end());
+      dst.ints.insert(dst.ints.end(), src.ints.begin(), src.ints.end());
+      dst.doubles.insert(dst.doubles.end(), src.doubles.begin(), src.doubles.end());
+      dst.strings.insert(dst.strings.end(), src.strings.begin(), src.strings.end());
+    }
+    num_buffered_ += other.num_buffered_;
   }
-  num_buffered_ += other.num_buffered_;
 }
 
 int SortStage::CompareCell(int col, uint32_t a, uint32_t b) const {
@@ -744,8 +695,6 @@ bool SortStage::RowLess(uint32_t a, uint32_t b) const {
 }
 
 void SortStage::Finish() {
-  // A pre-drained downstream LIMIT makes the whole sort moot.
-  if (next_ != nullptr && next_->Done()) return;
   // Deadline / cancel landing before the sort: skip it entirely (the
   // sort itself is uninterruptible, so check the clock first).
   if (controls_->token.PollClock()) return;
@@ -764,7 +713,6 @@ void SortStage::Finish() {
     std::sort(order_.begin(), order_.end(), less);
   }
   for (size_t i = 0; i < emit; ++i) {
-    if (next_ != nullptr && next_->Done()) break;
     if ((i & 255u) == 0 && controls_->token.PollClock()) return;
     uint32_t row = order_[i];
     for (size_t c = 0; c < cols_.size(); ++c) AppendCell(&out_, c, cols_[c], row);
@@ -785,38 +733,6 @@ std::string SortStage::Describe() const {
   if (limit_ != kNoLimit) out += " LIMIT " + std::to_string(limit_);
   return out;
 }
-
-// --- LimitStage ---
-
-LimitStage::LimitStage(std::vector<ProjectColumn> schema, uint64_t limit,
-                       uint32_t batch_capacity, ExecControls* controls)
-    : SinkStage(controls), schema_(std::move(schema)), limit_(limit), remaining_(limit) {
-  out_.Init(schema_, batch_capacity < 1 ? 1 : batch_capacity);
-}
-
-std::unique_ptr<SinkStage> LimitStage::Clone() const {
-  return std::make_unique<LimitStage>(schema_, limit_, out_.capacity(), controls_);
-}
-
-void LimitStage::Reset() {
-  remaining_ = limit_;
-  out_.Clear();
-}
-
-void LimitStage::OnBatch(const RowBatch& batch) {
-  uint32_t take = batch.num_rows();
-  if (remaining_ < take) take = static_cast<uint32_t>(remaining_);
-  for (uint32_t r = 0; r < take; ++r) {
-    for (size_t c = 0; c < batch.num_columns(); ++c) AppendCell(&out_, c, batch.column(c), r);
-    out_.AdvanceRow();
-    if (out_.full()) Deliver(&out_);
-  }
-  remaining_ -= take;
-}
-
-void LimitStage::Finish() { Deliver(&out_); }
-
-std::string LimitStage::Describe() const { return "LIMIT " + std::to_string(limit_); }
 
 // --- ProjectSinkOp ---
 
@@ -936,15 +852,15 @@ void ProjectSinkOp::ResetBatch() {
   for (auto& stage : stages_) stage->Reset();
 }
 
-void ProjectSinkOp::MergeAllStages(ProjectSinkOp* const* workers, int num_workers,
-                                   int num_threads) {
+void ProjectSinkOp::MergeStages(ProjectSinkOp* const* workers, int num_workers,
+                                int num_threads) {
   for (size_t i = 0; i < stages_.size(); ++i) {
     stage_scratch_.clear();
     for (int w = 0; w < num_workers; ++w) {
       APLUS_DCHECK(workers[w]->stages_.size() == stages_.size());
       stage_scratch_.push_back(workers[w]->stages_[i].get());
     }
-    stages_[i]->MergeAll(stage_scratch_.data(), num_workers, num_threads);
+    stages_[i]->Merge(stage_scratch_.data(), num_workers, num_threads);
   }
 }
 

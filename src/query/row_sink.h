@@ -10,7 +10,7 @@
 #include "query/operators.h"
 #include "storage/graph.h"
 #include "util/deadline.h"
-#include "util/memory_tracker.h"
+#include "util/memory_budget.h"
 
 namespace aplus {
 
@@ -138,20 +138,26 @@ struct ColumnArena {
   std::vector<uint8_t> nulls;
 };
 
-// One post-projection stage of the composable sink pipeline
-//   Project -> [GroupedAggregate] -> [Sort] -> [Limit] -> RowConsumer.
+// One post-projection stage of the sink pipeline
+//   Project -> [GroupedAggregate] -> [Sort] -> RowConsumer.
+// GROUP BY and DISTINCT are the aggregate stage; a LIMIT is an emission
+// cap of the last stage (the sort's top-k, else the aggregate's group
+// count), so a chain holds at most two stages.
 //
 // During execution every worker pipeline owns a private clone of the
 // chain: its ProjectSinkOp streams input batches into the chain head,
-// and accumulating stages (aggregate, sort) buffer worker-local partial
-// state without synchronization. After the workers join, the
-// coordinating thread folds every worker chain into pipeline 0's chain
-// stage-by-stage (Merge) and runs the Finish cascade on pipeline 0 only:
-// each stage emits its result downstream, the terminal stage delivers to
+// and both stages buffer worker-local partial state without
+// synchronization. After the workers join, the coordinating thread folds
+// every worker chain into pipeline 0's chain stage-by-stage (Merge) and
+// runs the Finish cascade on pipeline 0 only: each stage emits its
+// result downstream, the terminal stage delivers to
 // ExecControls::consumer. All buffers are plan-lifetime (zero
 // steady-state allocation once warm, like the operators).
 class SinkStage : public RowConsumer {
  public:
+  // The emission cap of a stage without LIMIT.
+  static constexpr uint64_t kNoLimit = ~0ull;
+
   explicit SinkStage(ExecControls* controls) : controls_(controls) {}
 
   void set_next(SinkStage* next) { next_ = next; }
@@ -162,23 +168,15 @@ class SinkStage : public RowConsumer {
   // Drops accumulated state ahead of an execution (buffers keep their
   // capacity).
   virtual void Reset() = 0;
-  // Folds a worker replica's partial state (the same position of its
-  // chain) into this stage. Coordinating thread only.
-  virtual void Merge(SinkStage& worker) = 0;
-  // Folds every worker replica's partial state at once. The default is
-  // the serial Merge fold; stages with an order-free merge (grouped
-  // aggregation) override it to partition the work across `num_threads`
-  // pool workers. Coordinating thread only; returns with the fold
-  // complete.
-  virtual void MergeAll(SinkStage* const* workers, int num_workers, int num_threads);
+  // Folds the partial state of every worker replica (the same position
+  // of each worker's chain) into this stage; a stage may spread the fold
+  // over `num_threads` pool workers. Coordinating thread only; returns
+  // with the fold complete.
+  virtual void Merge(SinkStage* const* workers, int num_workers, int num_threads) = 0;
   // Emits this stage's result downstream (OnBatch on next_, or the final
   // consumer at the chain tail). Coordinating thread only; upstream
   // stages finish first.
   virtual void Finish() = 0;
-  // True once the stage will discard any further input (a drained
-  // LIMIT). Upstream Finish loops poll it to stop materializing output
-  // nobody consumes.
-  virtual bool Done() const { return false; }
   virtual std::string Describe() const = 0;
   // Re-points the stage at another prepared query's controls. Used when a
   // cloned sink-stage chain moves to a fresh PreparedQuery (the shared
@@ -211,24 +209,27 @@ struct AggSpec {
 // hash index; worker partials merge exactly (MIN/MAX/COUNT/SUM are
 // order-free, AVG merges sum+count). With no group keys the stage is a
 // global aggregate and always emits exactly one row (COUNT = 0 and null
-// SUM/MIN/MAX/AVG on empty input).
+// SUM/MIN/MAX/AVG on empty input). With no aggregate spec it is RETURN
+// DISTINCT: every column a group key. Output order is the group-discovery
+// order of the merged table (deterministic serially; follow with ORDER BY
+// for a stable parallel order). A `limit` below kNoLimit (an unordered
+// LIMIT) caps the emitted groups.
 class GroupedAggregateStage : public SinkStage {
  public:
   GroupedAggregateStage(std::vector<AggSpec> specs, std::vector<ValueType> input_types,
-                        uint32_t batch_capacity, ExecControls* controls);
+                        uint64_t limit, uint32_t batch_capacity, ExecControls* controls);
 
   void OnBatch(const RowBatch& batch) override;
   std::unique_ptr<SinkStage> Clone() const override;
   void Reset() override;
-  void Merge(SinkStage& worker) override;
-  // Hash-partitioned parallel merge: when the fold is large enough,
+  // Folds serially, or hash-partitioned when the fold is large enough:
   // group ordinal ownership is split by HashGroup(g) % P across P
   // plan-lifetime partition stages, each merging its share of every
   // source table (this stage + all workers) on a pool worker. Group
   // hashes are deterministic across replicas (key cells hash by payload
   // bits / shared dictionary pointers), so partitions are disjoint and
   // exhaustive. Finish then emits partition by partition.
-  void MergeAll(SinkStage* const* workers, int num_workers, int num_threads) override;
+  void Merge(SinkStage* const* workers, int num_workers, int num_threads) override;
   void Finish() override;
   std::string Describe() const override;
   void RebindControls(ExecControls* controls) override;
@@ -266,14 +267,14 @@ class GroupedAggregateStage : public SinkStage {
   void GrowSlots();
   void AccumulateRow(uint32_t group, const RowBatch& batch, uint32_t row);
   void EnsureGlobalGroup();
-  // Folds source group `og` of `src` into local group `g` (the per-spec
-  // accumulator combine shared by Merge and MergePartitionFrom).
+  // Folds source group `og` of `src` into local group `g`.
   void FoldGroupFrom(uint32_t g, const GroupedAggregateStage& src, uint32_t og);
   // Merges the groups of `src` whose hash lands in partition `part` of
-  // `num_parts` (the parallel MergeAll worker body).
+  // `num_parts` (all of them for 1 part: the serial fold).
   void MergePartitionFrom(const GroupedAggregateStage& src, uint32_t num_parts, uint32_t part);
-  // Emits `src`'s groups through this stage's output batch.
-  void EmitGroupsFrom(const GroupedAggregateStage& src);
+  // Emits `src`'s groups through this stage's output batch, at most
+  // `*remaining` of them (decremented per group).
+  void EmitGroupsFrom(const GroupedAggregateStage& src, uint64_t* remaining);
 
   // Below this many total groups the partitioned merge's fan-out costs
   // more than the serial fold it replaces.
@@ -281,6 +282,7 @@ class GroupedAggregateStage : public SinkStage {
 
   std::vector<AggSpec> specs_;
   std::vector<ValueType> input_types_;
+  uint64_t limit_;                  // kNoLimit = emit every group
   std::vector<int> key_inputs_;     // input columns of the kNone specs, in spec order
   std::vector<ColumnArena> keys_;   // one per key_inputs_ entry
   std::vector<AccArena> accs_;      // one per aggregate spec, in spec order
@@ -299,31 +301,11 @@ class GroupedAggregateStage : public SinkStage {
   // re-materialize already-charged groups and do not track).
   uint64_t bytes_per_group_ = 0;
   bool track_mem_ = true;
-  // Plan-lifetime partition stages of the parallel MergeAll; > 0 in
+  // Plan-lifetime partition stages of the parallel Merge; > 0 in
   // merged_parts_ means the last merge was partitioned and Finish reads
   // the partitions instead of this stage's own table.
   std::vector<std::unique_ptr<GroupedAggregateStage>> parts_;
   int merged_parts_ = 0;
-};
-
-// RETURN DISTINCT over a plain projection: the degenerate grouped
-// aggregation — every output column is a group key and there are zero
-// aggregates — so deduplication inherits the open-addressing group
-// table, the memory-budget charging, and the exact hash-partitioned
-// parallel merge for free. Output order is the group-discovery order of
-// the merged table (deterministic serially; follow with ORDER BY for a
-// stable parallel order, as with any aggregation).
-class DistinctStage : public GroupedAggregateStage {
- public:
-  DistinctStage(const std::vector<ProjectColumn>& schema, uint32_t batch_capacity,
-                ExecControls* controls);
-
-  std::unique_ptr<SinkStage> Clone() const override;
-  std::string Describe() const override;
-
- private:
-  std::vector<ProjectColumn> schema_;  // kept for Clone
-  uint32_t capacity_;
 };
 
 // One ORDER BY key over the stage's input schema.
@@ -340,19 +322,16 @@ struct SortKeySpec {
 // runs once, on the merged buffer (std::sort / std::partial_sort over an
 // index permutation: in-place, allocation-free). A `limit` below
 // kNoLimit caps the emission (the query's `ORDER BY ... LIMIT n`): the
-// stage partial_sorts and emits only the top n rows itself, so no
-// trailing LimitStage is needed.
+// stage partial_sorts and emits only the top n rows.
 class SortStage : public SinkStage {
  public:
-  static constexpr uint64_t kNoLimit = ~0ull;
-
   SortStage(std::vector<ProjectColumn> schema, std::vector<SortKeySpec> keys, uint64_t limit,
             uint32_t batch_capacity, ExecControls* controls);
 
   void OnBatch(const RowBatch& batch) override;
   std::unique_ptr<SinkStage> Clone() const override;
   void Reset() override;
-  void Merge(SinkStage& worker) override;
+  void Merge(SinkStage* const* workers, int num_workers, int num_threads) override;
   void Finish() override;
   std::string Describe() const override;
 
@@ -374,31 +353,6 @@ class SortStage : public SinkStage {
   // Estimated bytes one buffered row adds across cols_ + order_, charged
   // against ExecControls::budget as the buffer grows.
   uint64_t bytes_per_row_ = 0;
-};
-
-// Caps the output at `limit` rows. Stage form of LIMIT, used whenever
-// aggregation or ordering precedes it (the stage-less fast path claims
-// rows from ExecControls::rows_remaining instead and stops the scans
-// early). Pass-through during Finish only: upstream stages never emit
-// mid-execution.
-class LimitStage : public SinkStage {
- public:
-  LimitStage(std::vector<ProjectColumn> schema, uint64_t limit, uint32_t batch_capacity,
-             ExecControls* controls);
-
-  void OnBatch(const RowBatch& batch) override;
-  std::unique_ptr<SinkStage> Clone() const override;
-  void Reset() override;
-  void Merge(SinkStage& worker) override { (void)worker; }
-  void Finish() override;
-  bool Done() const override { return remaining_ == 0; }
-  std::string Describe() const override;
-
- private:
-  std::vector<ProjectColumn> schema_;
-  uint64_t limit_;
-  uint64_t remaining_;
-  RowBatch out_;
 };
 
 // Terminal operator of the serving path: materializes the projection of
@@ -431,9 +385,9 @@ class ProjectSinkOp : public Operator {
   // Drops any pending rows and accumulated stage state (pre-execution
   // reset; buffers keep their capacity).
   void ResetBatch();
-  // Folds every worker chain at once, letting each stage parallelize its
-  // own fold across `num_threads` pool workers (SinkStage::MergeAll).
-  void MergeAllStages(ProjectSinkOp* const* workers, int num_workers, int num_threads);
+  // Folds every worker chain into this one, stage by stage, letting each
+  // stage spread its fold across `num_threads` pool workers.
+  void MergeStages(ProjectSinkOp* const* workers, int num_workers, int num_threads);
   // Runs the Finish cascade: every stage emits downstream, the tail
   // delivers to ExecControls::consumer and counts rows_emitted.
   void FinishStages();
@@ -444,8 +398,6 @@ class ProjectSinkOp : public Operator {
 
   // A budgeted LIMIT claims a row per match, so it must see each one.
   bool counts_only() const override { return cols_.empty() && stages_.empty() && !row_budget_; }
-  int num_stages() const { return static_cast<int>(stages_.size()); }
-  const SinkStage* stage(int i) const { return stages_[i].get(); }
   // Describe() of the projection plus every stage, most-downstream last
   // (used by the plan printer to render the sink chain).
   std::vector<std::string> ChainLines() const;
@@ -461,7 +413,7 @@ class ProjectSinkOp : public Operator {
   bool row_budget_;
   std::vector<std::unique_ptr<SinkStage>> stages_;
   RowBatch batch_;
-  std::vector<SinkStage*> stage_scratch_;  // MergeAllStages worker list, reused
+  std::vector<SinkStage*> stage_scratch_;  // MergeStages worker list, reused
 };
 
 }  // namespace aplus

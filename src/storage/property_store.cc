@@ -110,32 +110,6 @@ void PropertyColumn::SetCategory(uint64_t id, category_t v) {
 
 void PropertyColumn::SetNull(uint64_t id) { nulls_.Set(id, 1); }
 
-void PropertyColumn::Set(uint64_t id, const Value& v) {
-  if (v.is_null()) {
-    SetNull(id);
-    return;
-  }
-  switch (type_) {
-    case ValueType::kInt64:
-      SetInt64(id, v.AsInt64());
-      break;
-    case ValueType::kDouble:
-      SetDouble(id, v.AsDouble());
-      break;
-    case ValueType::kBool:
-      SetBool(id, v.AsBool());
-      break;
-    case ValueType::kString:
-      SetString(id, v.AsString());
-      break;
-    case ValueType::kCategory:
-      SetCategory(id, static_cast<category_t>(v.AsInt64()));
-      break;
-    case ValueType::kNull:
-      APLUS_CHECK(false);
-  }
-}
-
 Value PropertyColumn::Get(uint64_t id) const {
   if (id >= size() || nulls_[id]) return Value::Null();
   switch (type_) {

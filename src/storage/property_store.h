@@ -50,7 +50,6 @@ class PropertyColumn {
   void SetString(uint64_t id, const std::string& v);
   void SetCategory(uint64_t id, category_t v);
   void SetNull(uint64_t id);
-  void Set(uint64_t id, const Value& v);
 
   bool IsNull(uint64_t id) const { return nulls_[id] != 0; }
   int64_t GetInt64(uint64_t id) const { return ints_[id]; }

@@ -1,55 +1,8 @@
-#include "util/memory_tracker.h"
-
-#include <cstdio>
+#include "util/memory_budget.h"
 
 #include "util/fault.h"
-#include "util/logging.h"
 
 namespace aplus {
-
-int MemoryTracker::RegisterCategory(const std::string& name) {
-  for (size_t i = 0; i < names_.size(); ++i) {
-    if (names_[i] == name) return static_cast<int>(i);
-  }
-  names_.push_back(name);
-  bytes_.push_back(0);
-  return static_cast<int>(names_.size() - 1);
-}
-
-void MemoryTracker::Set(int category, size_t bytes) {
-  APLUS_CHECK_GE(category, 0);
-  APLUS_CHECK_LT(static_cast<size_t>(category), bytes_.size());
-  bytes_[category] = bytes;
-}
-
-void MemoryTracker::Add(int category, int64_t delta) {
-  APLUS_CHECK_GE(category, 0);
-  APLUS_CHECK_LT(static_cast<size_t>(category), bytes_.size());
-  bytes_[category] = static_cast<size_t>(static_cast<int64_t>(bytes_[category]) + delta);
-}
-
-size_t MemoryTracker::Get(int category) const {
-  APLUS_CHECK_GE(category, 0);
-  APLUS_CHECK_LT(static_cast<size_t>(category), bytes_.size());
-  return bytes_[category];
-}
-
-size_t MemoryTracker::Total() const {
-  size_t total = 0;
-  for (size_t b : bytes_) total += b;
-  return total;
-}
-
-std::string MemoryTracker::Report() const {
-  std::string out;
-  char line[256];
-  for (size_t i = 0; i < names_.size(); ++i) {
-    std::snprintf(line, sizeof(line), "%s: %zu bytes (%.2f MB)\n", names_[i].c_str(), bytes_[i],
-                  static_cast<double>(bytes_[i]) / (1024.0 * 1024.0));
-    out += line;
-  }
-  return out;
-}
 
 namespace {
 std::atomic<uint64_t> g_process_used{0};

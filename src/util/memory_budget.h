@@ -1,38 +1,10 @@
-#ifndef APLUS_UTIL_MEMORY_TRACKER_H_
-#define APLUS_UTIL_MEMORY_TRACKER_H_
+#ifndef APLUS_UTIL_MEMORY_BUDGET_H_
+#define APLUS_UTIL_MEMORY_BUDGET_H_
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace aplus {
-
-// Accounts the bytes held by each index so that benchmark harnesses can
-// report the memory columns (Mm / Mem) of the paper's Tables II-IV. Each
-// index registers a named category and reports its physical footprint
-// (partitioning levels + ID or offset lists) through it.
-class MemoryTracker {
- public:
-  MemoryTracker() = default;
-
-  // Registers (or fetches) a category and returns its id.
-  int RegisterCategory(const std::string& name);
-
-  void Set(int category, size_t bytes);
-  void Add(int category, int64_t delta);
-
-  size_t Get(int category) const;
-  size_t Total() const;
-
-  // Human-readable breakdown, one "name: N bytes (X MB)" line per category.
-  std::string Report() const;
-
- private:
-  std::vector<std::string> names_;
-  std::vector<size_t> bytes_;
-};
 
 // Per-query memory governor. All transient execution arenas (group-by
 // tables, sort buffers, projection batches, extend scratch) charge their
@@ -86,4 +58,4 @@ class MemoryBudget {
 
 }  // namespace aplus
 
-#endif  // APLUS_UTIL_MEMORY_TRACKER_H_
+#endif  // APLUS_UTIL_MEMORY_BUDGET_H_

@@ -252,27 +252,36 @@ class AggregateDiffTest : public ::testing::TestWithParam<uint32_t> {
     return rows;
   }
 
+  // The reference result before ORDER BY and LIMIT: aggregated if any
+  // item aggregates, deduplicated under DISTINCT.
+  std::vector<Row> ReferenceRows(const QueryGraph& q, const std::vector<RefItem>& items,
+                                 bool distinct = false) const {
+    std::vector<Row> rows = OracleRows(q, items);
+    bool has_agg = false;
+    for (const RefItem& item : items) has_agg |= item.fn != AggFn::kNone;
+    if (has_agg) rows = RefAggregate(rows, items);
+    if (distinct) {
+      // Reference dedup: canonical sort, then drop equal neighbours.
+      std::sort(rows.begin(), rows.end(),
+                [&](const Row& a, const Row& b) { return RefRowLess(a, b, {}); });
+      rows.erase(std::unique(rows.begin(), rows.end(), RowsEqual), rows.end());
+    }
+    return rows;
+  }
+
   // Runs `text` through the serving path at 1 and 4 threads and checks
   // the rows against the reference pipeline (aggregate if any item
   // aggregates, order, limit).
   void CheckQuery(const std::string& text, const QueryGraph& oracle_query,
                   const std::vector<RefItem>& items, const std::vector<RefOrder>& order,
                   int64_t limit = -1, bool distinct = false) {
-    std::vector<Row> want = OracleRows(oracle_query, items);
-    bool has_agg = false;
-    for (const RefItem& item : items) has_agg |= item.fn != AggFn::kNone;
-    if (has_agg) want = RefAggregate(want, items);
-    if (distinct) {
-      // Reference dedup: canonical sort, then drop equal neighbours.
-      std::sort(want.begin(), want.end(),
-                [&](const Row& a, const Row& b) { return RefRowLess(a, b, {}); });
-      want.erase(std::unique(want.begin(), want.end(),
-                             [&](const Row& a, const Row& b) { return RowsEqual(a, b); }),
-                 want.end());
-    }
+    std::vector<Row> want = ReferenceRows(oracle_query, items, distinct);
     std::sort(want.begin(), want.end(),
               [&](const Row& a, const Row& b) { return RefRowLess(a, b, order); });
-    if (limit >= 0 && static_cast<size_t>(limit) < want.size()) {
+    // An unordered LIMIT may return any `limit` rows of the full result:
+    // keep `want` whole and check the rows as a subset of it.
+    const bool any_subset = order.empty() && limit >= 0;
+    if (!any_subset && limit >= 0 && static_cast<size_t>(limit) < want.size()) {
       want.resize(static_cast<size_t>(limit));
     }
 
@@ -291,12 +300,35 @@ class AggregateDiffTest : public ::testing::TestWithParam<uint32_t> {
         std::sort(got.begin(), got.end(), canon);
         std::sort(want.begin(), want.end(), canon);
       }
+      if (any_subset) {
+        CheckSubset(got, want, static_cast<size_t>(limit), text, threads);
+        continue;
+      }
       ASSERT_EQ(got.size(), want.size()) << text << " threads=" << threads;
       for (size_t i = 0; i < want.size(); ++i) {
         EXPECT_TRUE(RowsEqual(got[i], want[i]))
             << text << " threads=" << threads << " row " << i << ": got "
             << RowToString(got[i]) << ", want " << RowToString(want[i]);
       }
+    }
+  }
+
+  // Subset check of an unordered LIMIT: min(limit, |want|) rows, no row
+  // twice, every row in the full result. Both sides arrive canonically
+  // sorted, and the rows of `want` are distinct (groups or DISTINCT).
+  static void CheckSubset(const std::vector<Row>& got, const std::vector<Row>& want,
+                          size_t limit, const std::string& text, int threads) {
+    auto canon = [](const Row& a, const Row& b) { return RefRowLess(a, b, {}); };
+    ASSERT_EQ(got.size(), std::min(limit, want.size())) << text << " threads=" << threads;
+    for (size_t i = 0; i < got.size(); ++i) {
+      if (i > 0) {
+        EXPECT_FALSE(RowsEqual(got[i - 1], got[i]))
+            << text << " threads=" << threads << " duplicate row " << RowToString(got[i]);
+      }
+      auto it = std::lower_bound(want.begin(), want.end(), got[i], canon);
+      EXPECT_TRUE(it != want.end() && RowsEqual(*it, got[i]))
+          << text << " threads=" << threads << " row " << RowToString(got[i])
+          << " is not in the full result";
     }
   }
 
@@ -430,6 +462,65 @@ TEST_P(AggregateDiffTest, DistinctPairOrderByLimit) {
       "RETURN DISTINCT a.grp, c.grp ORDER BY a.grp, c.grp LIMIT 12",
       TwoHop(), {VertexProp(0, grp_key_), VertexProp(2, grp_key_)},
       {{0, false}, {1, false}}, 12, /*distinct=*/true);
+}
+
+TEST_P(AggregateDiffTest, GroupByDoubleKey) {
+  CheckQuery("MATCH (a)-[r:E]->(b) RETURN r.w, COUNT(*), SUM(r.amt)", OneHop(),
+             {EdgeProp(0, w_key_), CountStar(), EdgeProp(0, amt_key_, AggFn::kSum)}, {});
+}
+
+// LIMIT without ORDER BY over an aggregation: the aggregate emits any
+// `n` of its groups. n = 0, 3, exactly the group count, and above it.
+TEST_P(AggregateDiffTest, UnorderedGroupByLimit) {
+  const std::vector<RefItem> items = {VertexProp(0, grp_key_), CountStar()};
+  const size_t groups = ReferenceRows(OneHop(), items).size();
+  ASSERT_GT(groups, 3u);
+  for (size_t n : {size_t{0}, size_t{3}, groups, groups + 5}) {
+    const std::string text =
+        "MATCH (a)-[r:E]->(b) RETURN a.grp, COUNT(*) LIMIT " + std::to_string(n);
+    CheckQuery(text, OneHop(), items, {}, static_cast<int64_t>(n));
+  }
+  const std::string plan = db_->Explain("MATCH (a)-[r:E]->(b) RETURN a.grp, COUNT(*) LIMIT 3");
+  EXPECT_NE(plan.find("GROUP AGGREGATE"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("LIMIT 3"), std::string::npos) << plan;
+}
+
+TEST_P(AggregateDiffTest, UnorderedGlobalAggregateLimit) {
+  // One row at any LIMIT above 0, even though the aggregate is global.
+  const std::vector<RefItem> items = {CountStar(), EdgeProp(0, amt_key_, AggFn::kSum)};
+  for (int64_t n : {0, 1, 5}) {
+    CheckQuery("MATCH (a)-[r:E]->(b) RETURN COUNT(*), SUM(r.amt) LIMIT " + std::to_string(n),
+               OneHop(), items, {}, n);
+  }
+}
+
+TEST_P(AggregateDiffTest, UnorderedDistinctLimit) {
+  const std::vector<RefItem> items = {VertexId(1)};
+  const size_t groups = ReferenceRows(OneHop(), items, /*distinct=*/true).size();
+  ASSERT_GT(groups, 3u);
+  for (size_t n : {size_t{0}, size_t{3}, groups, groups + 5}) {
+    CheckQuery("MATCH (a)-[r:E]->(b) RETURN DISTINCT b LIMIT " + std::to_string(n), OneHop(),
+               items, {}, static_cast<int64_t>(n), /*distinct=*/true);
+  }
+  const std::string plan = db_->Explain("MATCH (a)-[r:E]->(b) RETURN DISTINCT b LIMIT 3");
+  EXPECT_NE(plan.find("DISTINCT"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("LIMIT 3"), std::string::npos) << plan;
+}
+
+// More groups than the aggregate's parallel-merge threshold (1024): at 4
+// threads the worker tables fold hash-partitioned, and an unordered LIMIT
+// counts its groups across the partitions.
+TEST_P(AggregateDiffTest, ManyGroupsPartitionedMerge) {
+  const std::vector<RefItem> items = {VertexId(0), VertexId(2), CountStar(),
+                                      EdgeProp(1, amt_key_, AggFn::kSum)};
+  const std::string text = "MATCH (a)-[r1:E]->(b)-[r2:E]->(c) RETURN a, c, COUNT(*), SUM(r2.amt)";
+  const size_t groups = ReferenceRows(TwoHop(), items).size();
+  ASSERT_GT(groups, 1024u);
+  CheckQuery(text, TwoHop(), items, {});
+  for (size_t n : {size_t{0}, size_t{3}, groups / 2, groups - 1, groups, groups + 5}) {
+    CheckQuery(text + " LIMIT " + std::to_string(n), TwoHop(), items, {},
+               static_cast<int64_t>(n));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AggregateDiffTest, ::testing::Values(11u, 37u, 101u));

@@ -25,7 +25,7 @@
 #include "row_collector.h"
 #include "util/deadline.h"
 #include "util/fault.h"
-#include "util/memory_tracker.h"
+#include "util/memory_budget.h"
 #include "util/rng.h"
 #include "test_threads.h"
 

@@ -6,7 +6,6 @@
 
 #include "util/bit_util.h"
 #include "util/crc32c.h"
-#include "util/memory_tracker.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -124,20 +123,6 @@ TEST(RngTest, RoughlyUniform) {
     EXPECT_GT(count, 8000);
     EXPECT_LT(count, 12000);
   }
-}
-
-TEST(MemoryTrackerTest, Accounting) {
-  MemoryTracker tracker;
-  int a = tracker.RegisterCategory("primary");
-  int b = tracker.RegisterCategory("secondary");
-  EXPECT_EQ(tracker.RegisterCategory("primary"), a);  // idempotent
-  tracker.Set(a, 1000);
-  tracker.Add(b, 500);
-  tracker.Add(b, -100);
-  EXPECT_EQ(tracker.Get(a), 1000u);
-  EXPECT_EQ(tracker.Get(b), 400u);
-  EXPECT_EQ(tracker.Total(), 1400u);
-  EXPECT_NE(tracker.Report().find("primary"), std::string::npos);
 }
 
 TEST(TimerTest, MeasuresSomething) {
