@@ -1,7 +1,6 @@
 // Serving-layer benchmark: prepared-query throughput vs per-request
-// parse+optimize+run, projected-row streaming rates at 1/4 threads, and
-// a RowBatch capacity sweep — all on the power-law triangle workload of
-// the PR 2/3 benches.
+// parse+optimize+run and projected-row streaming rates at 1/4 threads,
+// on a power-law triangle workload.
 //
 //   * "adhoc" / "prepared": per-request single-source triangle counting
 //     (`a.ID = $src`). The ad-hoc arm rebuilds the query text and goes
@@ -10,8 +9,6 @@
 //     headline metric is the per-request speedup (target: >= 5x).
 //   * "rows_t1" / "rows_t4": full 2-hop projection streamed through a
 //     RowConsumer, serial vs 4 workers, reported as rows/s.
-//   * "batch_<n>": the same streaming scan at different RowBatch
-//     capacities (consumer-callback amortization sweep).
 //   * "agg_adhoc" / "agg_prepared": per-request grouped top-k
 //     recommendation (GROUP BY + ORDER BY COUNT DESC + LIMIT through the
 //     sink-stage pipeline); same >= 5x prepared-speedup target.
@@ -206,31 +203,7 @@ int main() {
                   TablePrinter::Count(rows) + " rows"});
   }
 
-  // --- Arm 4: RowBatch capacity sweep (serial streaming). ---
-  for (uint32_t batch : {64u, 256u, 1024u, 4096u}) {
-    PrepareOptions options;
-    options.batch_rows = batch;
-    std::unique_ptr<PreparedQuery> swept = db.Prepare(kTwoHopRows, options);
-    APLUS_CHECK(swept->ok()) << swept->error();
-    NullConsumer consumer;
-    APLUS_CHECK(swept->Execute(&consumer, 1).ok());  // warm-up
-    double best = -1.0;
-    for (int r = 0; r < reps; ++r) {
-      WallTimer timer;
-      QueryOutcome out = swept->Execute(&consumer, 1);
-      double elapsed = timer.ElapsedSeconds();
-      APLUS_CHECK(out.ok()) << out.error;
-      if (best < 0.0 || elapsed < best) best = elapsed;
-    }
-    results.push_back({"batch_" + std::to_string(batch), best, t1_rows, 0, 0.0});
-    table.AddRow({"batch=" + std::to_string(batch), TablePrinter::Seconds(best),
-                  TablePrinter::Count(static_cast<uint64_t>(
-                      best > 0.0 ? static_cast<double>(t1_rows) / best : 0.0)) +
-                      " rows/s",
-                  ""});
-  }
-
-  // --- Arm 5: per-request grouped top-k through the sink-stage
+  // --- Arm 4: per-request grouped top-k through the sink-stage
   // pipeline, ad-hoc vs prepared (the aggregate serving target). The
   // pattern is a single-source fan-out rollup: execution stays bounded
   // by the source's degree, so the arm isolates planning amortization
@@ -287,7 +260,7 @@ int main() {
                     "/req",
                 TablePrinter::Speedup(agg_adhoc_best, agg_prepared_best) + " vs adhoc"});
 
-  // --- Arm 6: whole-graph grouped rollup at 1/4 workers (parallel
+  // --- Arm 5: whole-graph grouped rollup at 1/4 workers (parallel
   // partial-aggregate merge). ---
   PreparedQuery* rollup =
       session.Prepare("MATCH (a)-[r:E]->(b) RETURN b, COUNT(*), SUM(r.amt)");
@@ -315,7 +288,7 @@ int main() {
                   TablePrinter::Count(groups) + " groups", ""});
   }
 
-  // --- Arm 7: whole-graph top-100 by edge amount at 1/4 workers
+  // --- Arm 6: whole-graph top-100 by edge amount at 1/4 workers
   // (sort-stage partial_sort). ---
   PreparedQuery* topk = session.Prepare(
       "MATCH (a)-[r:E]->(b) RETURN a, b, r.amt ORDER BY r.amt DESC, a LIMIT 100");

@@ -212,18 +212,16 @@ void Database::EndConcurrentIngest() {
   ingest_active_.store(false, std::memory_order_release);
 }
 
-std::unique_ptr<PreparedQuery> Database::Prepare(const std::string& text,
-                                                 const PrepareOptions& options) {
+std::unique_ptr<PreparedQuery> Database::Prepare(const std::string& text) {
   ParsedCypher parsed = ParseCypher(text, graph_.catalog());
-  if (parsed.ok()) return PrepareParsed(std::move(parsed), options);
+  if (parsed.ok()) return PrepareParsed(std::move(parsed));
   std::unique_ptr<PreparedQuery> prepared(new PreparedQuery(this));
   prepared->status_ = QueryOutcome::Status::kParseError;
   prepared->error_ = std::move(parsed.error);
   return prepared;
 }
 
-std::unique_ptr<PreparedQuery> Database::PrepareParsed(ParsedCypher parsed,
-                                                       const PrepareOptions& options) {
+std::unique_ptr<PreparedQuery> Database::PrepareParsed(ParsedCypher parsed) {
   std::unique_ptr<PreparedQuery> prepared(new PreparedQuery(this));
   prepared->query_ = std::move(parsed.query);
   prepared->error_ = PatternSizeError(prepared->query_);
@@ -353,7 +351,7 @@ std::unique_ptr<PreparedQuery> Database::PrepareParsed(ParsedCypher parsed,
       // Without ORDER BY the LIMIT caps the emitted groups.
       stages.push_back(std::make_unique<GroupedAggregateStage>(
           std::move(specs), std::move(input_types), has_order ? SinkStage::kNoLimit : limit,
-          options.batch_rows, &prepared->controls_));
+          ProjectSinkOp::kBatchRows, &prepared->controls_));
     }
     if (has_order) {
       // The sort owns any LIMIT: its top-k partial_sort emits exactly the
@@ -362,8 +360,8 @@ std::unique_ptr<PreparedQuery> Database::PrepareParsed(ParsedCypher parsed,
       for (const OrderByItem& order : parsed.order_by) {
         keys.push_back(SortKeySpec{order.item, order.desc});
       }
-      stages.push_back(std::make_unique<SortStage>(out_schema, std::move(keys), limit,
-                                                   options.batch_rows, &prepared->controls_));
+      stages.push_back(std::make_unique<SortStage>(
+          out_schema, std::move(keys), limit, ProjectSinkOp::kBatchRows, &prepared->controls_));
     }
     prepared->columns_ = std::move(out_schema);
   }
@@ -373,9 +371,9 @@ std::unique_ptr<PreparedQuery> Database::PrepareParsed(ParsedCypher parsed,
   // flushing here would serialize Prepare against the ingest thread.
   if (!concurrent_ingest_active() && store_->HasPendingUpdates()) store_->FlushAll();
   DpOptimizer* optimizer = CachedOptimizer();
-  auto sink = std::make_unique<ProjectSinkOp>(&graph_, std::move(inputs), options.batch_rows,
-                                              &prepared->controls_, prepared->row_budget(),
-                                              std::move(stages));
+  auto sink = std::make_unique<ProjectSinkOp>(&graph_, std::move(inputs),
+                                              ProjectSinkOp::kBatchRows, &prepared->controls_,
+                                              prepared->row_budget(), std::move(stages));
   std::unique_ptr<Plan> plan = optimizer->Optimize(prepared->query_, std::move(sink));
   if (plan == nullptr) {
     prepared->status_ = QueryOutcome::Status::kPlanError;
@@ -432,7 +430,7 @@ std::unique_ptr<PreparedQuery> Database::ClonePrepared(const PreparedQuery& src)
 }
 
 QueryOutcome Database::Execute(const QueryGraph& query, int num_threads) {
-  return PrepareParsed(BareMatch(query), {})->Execute(nullptr, num_threads);
+  return PrepareParsed(BareMatch(query))->Execute(nullptr, num_threads);
 }
 
 QueryOutcome Database::ExecuteCypher(const std::string& text, RowConsumer* consumer) {
@@ -440,7 +438,7 @@ QueryOutcome Database::ExecuteCypher(const std::string& text, RowConsumer* consu
 }
 
 std::string Database::Explain(const QueryGraph& query) {
-  return ExplainPrepared(*PrepareParsed(BareMatch(query), {}));
+  return ExplainPrepared(*PrepareParsed(BareMatch(query)));
 }
 
 std::string Database::Explain(const std::string& text) { return ExplainPrepared(*Prepare(text)); }

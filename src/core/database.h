@@ -154,8 +154,7 @@ class Database {
   // ingest thread. Prefer Session::Prepare or plan_cache(), which
   // optimize each normalized text once and revalidate it against the
   // store/graph version counters.
-  std::unique_ptr<PreparedQuery> Prepare(const std::string& text,
-                                         const PrepareOptions& options = {});
+  std::unique_ptr<PreparedQuery> Prepare(const std::string& text);
 
   // The one plan cache every Session and server connection leases from.
   PlanCache& plan_cache() { return plan_cache_; }
@@ -215,8 +214,7 @@ class Database {
   // The back half of Prepare, shared with the QueryGraph one-shots:
   // pattern-size check, parameters, result path (projected columns plus
   // the sink stage chain), flush, optimize, render, slots and versions.
-  std::unique_ptr<PreparedQuery> PrepareParsed(ParsedCypher parsed,
-                                               const PrepareOptions& options);
+  std::unique_ptr<PreparedQuery> PrepareParsed(ParsedCypher parsed);
 
   const EngineConfig config_;
   Graph graph_;

@@ -25,7 +25,7 @@ void PlanCache::Returner::operator()(PreparedQuery* query) const {
   }
 }
 
-PlanCache::Lease PlanCache::Acquire(const std::string& text, const PrepareOptions& options) {
+PlanCache::Lease PlanCache::Acquire(const std::string& text) {
   const std::string key = NormalizeQueryText(text);
   Lease lease = Checkout(key);
   if (lease.get() != nullptr) return lease;
@@ -34,7 +34,7 @@ PlanCache::Lease PlanCache::Acquire(const std::string& text, const PrepareOption
   if (lease.get() != nullptr) return lease;
   misses_.fetch_add(1, std::memory_order_relaxed);
   auto entry = std::make_shared<Entry>();
-  entry->master = db_->Prepare(text, options);
+  entry->master = db_->Prepare(text);
   if (!entry->master->ok()) {
     lease.query_.reset(entry->master.release());  // failed prepares are not cached
     return lease;

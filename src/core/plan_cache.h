@@ -12,7 +12,6 @@ namespace aplus {
 
 class Database;
 class PreparedQuery;
-struct PrepareOptions;
 
 // The database's one plan cache, keyed on normalized query text: a text
 // is parsed and optimized once per plan epoch however many Sessions and
@@ -64,9 +63,8 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  // Checks an instance out for `text`. `options` apply on misses only:
-  // the first prepare of a text fixes the batch size of every clone.
-  Lease Acquire(const std::string& text, const PrepareOptions& options);
+  // Checks an instance out for `text`.
+  Lease Acquire(const std::string& text);
 
   // Acquires served from a cached plan, and those that ran the optimizer.
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }

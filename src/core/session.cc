@@ -352,7 +352,7 @@ QueryOutcome PreparedQuery::Execute(RowConsumer* consumer, int num_threads) {
   return out;
 }
 
-PreparedQuery* Session::Prepare(const std::string& text, const PrepareOptions& options) {
+PreparedQuery* Session::Prepare(const std::string& text) {
   std::string key = NormalizeQueryText(text);
   ++tick_;
   auto it = statements_.find(key);
@@ -364,7 +364,7 @@ PreparedQuery* Session::Prepare(const std::string& text, const PrepareOptions& o
     }
     statements_.erase(it);  // stale: the store moved on, or the graph outgrew the plan
   }
-  PlanCache::Lease lease = db_->plan_cache().Acquire(text, options);
+  PlanCache::Lease lease = db_->plan_cache().Acquire(text);
   if (lease.hit()) {
     ++cache_hits_;
   } else {

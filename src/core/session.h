@@ -16,13 +16,6 @@ namespace aplus {
 
 class Database;
 
-struct PrepareOptions {
-  // RowBatch capacity (rows per consumer delivery) of the projection
-  // sink. Larger batches amortize the consumer callback; smaller ones
-  // lower first-row latency.
-  uint32_t batch_rows = 1024;
-};
-
 // A parsed + optimized query whose physical plan is reused across
 // executions: Bind patches $param slots directly in the plan (no
 // re-parse, no re-optimization), Execute streams typed row batches to a
@@ -202,9 +195,8 @@ class Session {
   // stays valid until the statement is re-leased (stale), LRU-released,
   // or the session dies — so per-request code should call Prepare each
   // time (hits are cheap) rather than holding the pointer across
-  // unrelated Prepares. `options` apply only when the text is optimized.
-  // Prepare failures are returned but not held.
-  PreparedQuery* Prepare(const std::string& text, const PrepareOptions& options = {});
+  // unrelated Prepares. Prepare failures are returned but not held.
+  PreparedQuery* Prepare(const std::string& text);
 
   // One-shot convenience: Prepare (cached) + Execute. Parameterized
   // queries must go through Prepare/Bind.

@@ -368,6 +368,10 @@ class SortStage : public SinkStage {
 // short.
 class ProjectSinkOp : public Operator {
  public:
+  // RowBatch capacity (rows per delivery) of every prepared query's sink
+  // and stages: large enough to amortize the consumer callback.
+  static constexpr uint32_t kBatchRows = 1024;
+
   ProjectSinkOp(const Graph* graph, std::vector<ProjectColumn> cols, uint32_t batch_capacity,
                 ExecControls* controls, bool row_budget,
                 std::vector<std::unique_ptr<SinkStage>> stages = {});

@@ -15,16 +15,6 @@ WireStatus ToWire(QueryOutcome::Status status) {
   return static_cast<WireStatus>(static_cast<uint8_t>(status));
 }
 
-QueryOutcome::Status FromWire(WireStatus status) {
-  if (status == WireStatus::kProtocolError) return QueryOutcome::Status::kExecError;
-  return static_cast<QueryOutcome::Status>(static_cast<uint8_t>(status));
-}
-
-const char* ToString(WireStatus status) {
-  if (status == WireStatus::kProtocolError) return "PROTOCOL_ERROR";
-  return aplus::ToString(FromWire(status));
-}
-
 // --- FrameWriter ---
 
 void FrameWriter::BeginFrame(FrameType type) {

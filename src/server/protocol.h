@@ -73,9 +73,6 @@ enum class WireStatus : uint8_t {
 };
 
 WireStatus ToWire(QueryOutcome::Status status);
-// kProtocolError (no QueryOutcome analogue) maps to kExecError.
-QueryOutcome::Status FromWire(WireStatus status);
-const char* ToString(WireStatus status);
 
 // Value payload tags of EXECUTE parameters (subset of ValueType; nulls
 // are not bindable and categories bind as int64 or string).

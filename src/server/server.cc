@@ -546,7 +546,7 @@ void Server::Enqueue(Connection* conn) {
 void Server::RunPrepare(Connection* conn) {
   Request& req = conn->request;
   req.reply.clear();
-  PlanCache::Lease lease = db_->plan_cache().Acquire(req.text, PrepareOptions{});
+  PlanCache::Lease lease = db_->plan_cache().Acquire(req.text);
   PreparedQuery* q = lease.get();
   if (!q->ok()) {
     wire::AppendErrorFrame(wire::ToWire(q->status()), q->error(), &req.reply);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "baseline/flat_adj_engine.h"
 #include "baseline/linked_list_engine.h"
 #include "datagen/example_graph.h"
@@ -7,6 +9,7 @@
 #include "datagen/power_law_generator.h"
 #include "index/index_store.h"
 #include "optimizer/dp_optimizer.h"
+#include "oracle.h"
 #include "test_threads.h"
 
 namespace aplus {
@@ -15,6 +18,8 @@ namespace {
 class BaselineTest : public ::testing::Test {
  protected:
   BaselineTest() : ex_(BuildExampleGraph()), ll_(&ex_.graph), flat_(&ex_.graph) {}
+
+  QueryGraph Pattern(const std::string& text) const { return OracleParse(ex_.graph, text).query; }
 
   ExampleGraph ex_;
   LinkedListEngine ll_;
@@ -37,10 +42,7 @@ TEST_F(BaselineTest, AdjacencyIterationMatchesGraph) {
 }
 
 TEST_F(BaselineTest, EnginesAgreeOnSimpleQueries) {
-  QueryGraph query;
-  int a = query.AddVertex("a", ex_.account_label);
-  int b = query.AddVertex("b", ex_.account_label);
-  query.AddEdge(a, b, ex_.wire_label);
+  const QueryGraph query = Pattern("MATCH (a:Account)-[:W]->(b:Account)");
   EXPECT_EQ(ll_.CountMatches(query), flat_.CountMatches(query));
   EXPECT_EQ(ll_.CountMatches(query), 9u);  // 9 Wire transfers
 }
@@ -48,13 +50,7 @@ TEST_F(BaselineTest, EnginesAgreeOnSimpleQueries) {
 TEST_F(BaselineTest, EnginesAgreeWithAplusOnTriangles) {
   IndexStore store(&ex_.graph);
   store.BuildPrimary(IndexConfig::Default());
-  QueryGraph query;
-  int a = query.AddVertex("a");
-  int b = query.AddVertex("b");
-  int c = query.AddVertex("c");
-  query.AddEdge(a, b);
-  query.AddEdge(b, c);
-  query.AddEdge(a, c);
+  const QueryGraph query = Pattern("MATCH (a)-[]->(b)-[]->(c), (a)-[]->(c)");
   DpOptimizer optimizer(&ex_.graph, &store);
   auto plan = optimizer.Optimize(query);
   ASSERT_NE(plan, nullptr);
@@ -76,12 +72,8 @@ TEST(BaselineLargeTest, AgreementOnLabelledGraph) {
   store.BuildPrimary(IndexConfig::Default());
 
   // Labelled 2-path.
-  QueryGraph path;
-  int a = path.AddVertex("a", graph.catalog().FindVertexLabel("VL0"));
-  int b = path.AddVertex("b", graph.catalog().FindVertexLabel("VL1"));
-  int c = path.AddVertex("c", graph.catalog().FindVertexLabel("VL2"));
-  path.AddEdge(a, b, graph.catalog().FindEdgeLabel("EL0"));
-  path.AddEdge(b, c, graph.catalog().FindEdgeLabel("EL1"));
+  const QueryGraph path =
+      OracleParse(graph, "MATCH (a:VL0)-[:EL0]->(b:VL1)-[:EL1]->(c:VL2)").query;
   DpOptimizer optimizer(&graph, &store);
   auto plan = optimizer.Optimize(path);
   ASSERT_NE(plan, nullptr);
@@ -96,13 +88,7 @@ TEST_F(BaselineTest, DistinctPathPairsDedups) {
   std::vector<label_t> edge_labels{ex_.wire_label, ex_.wire_label};
   std::vector<label_t> vertex_labels{kInvalidLabel, kInvalidLabel, kInvalidLabel};
   uint64_t pairs = flat_.CountDistinctPathPairs(edge_labels, vertex_labels);
-  QueryGraph query;
-  int a = query.AddVertex("a");
-  int b = query.AddVertex("b");
-  int c = query.AddVertex("c");
-  query.AddEdge(a, b, ex_.wire_label);
-  query.AddEdge(b, c, ex_.wire_label);
-  uint64_t embeddings = flat_.CountMatches(query);
+  uint64_t embeddings = flat_.CountMatches(Pattern("MATCH (a)-[:W]->(b)-[:W]->(c)"));
   EXPECT_LE(pairs, embeddings + 10);  // pairs may differ but stay bounded
   EXPECT_GT(pairs, 0u);
 }
@@ -113,12 +99,7 @@ TEST_F(BaselineTest, MemoryAccounting) {
 }
 
 TEST_F(BaselineTest, BudgetExhaustionStopsSearch) {
-  QueryGraph query;
-  int a = query.AddVertex("a");
-  int b = query.AddVertex("b");
-  int c = query.AddVertex("c");
-  query.AddEdge(a, b);
-  query.AddEdge(b, c);
+  const QueryGraph query = Pattern("MATCH (a)-[]->(b)-[]->(c)");
 
   // A generous cap leaves the result intact and balances its charges.
   MemoryBudget roomy;

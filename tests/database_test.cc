@@ -7,6 +7,7 @@
 #include "datagen/example_graph.h"
 #include "datagen/financial_props.h"
 #include "datagen/power_law_generator.h"
+#include "oracle.h"
 #include "test_threads.h"
 
 namespace aplus {
@@ -16,15 +17,10 @@ class DatabaseTest : public ::testing::Test {
  protected:
   DatabaseTest() {
     ExampleGraph ex = BuildExampleGraph();
-    account_label_ = ex.account_label;
-    customer_label_ = ex.customer_label;
     wire_label_ = ex.wire_label;
-    dd_label_ = ex.dd_label;
-    owns_label_ = ex.owns_label;
     amount_key_ = ex.amount_key;
     currency_key_ = ex.currency_key;
     date_key_ = ex.date_key;
-    city_key_ = ex.city_key;
     accounts_ = ex.accounts;
     db_ = std::make_unique<Database>(std::move(ex.graph));
     db_->graph().catalog().RegisterCategoryValue(currency_key_, "USD");
@@ -33,17 +29,21 @@ class DatabaseTest : public ::testing::Test {
     db_->BuildPrimaryIndexes();
   }
 
-  label_t account_label_, customer_label_, wire_label_, dd_label_, owns_label_;
-  prop_key_t amount_key_, currency_key_, date_key_, city_key_;
+  // The pattern of `text` (tests/oracle.h), for the QueryGraph entry points.
+  QueryGraph Pattern(const std::string& text) const {
+    return OracleParse(db_->graph(), text).query;
+  }
+
+  static constexpr const char* kWires = "MATCH (a:Account)-[:W]->(b:Account)";
+
+  label_t wire_label_;
+  prop_key_t amount_key_, currency_key_, date_key_;
   std::array<vertex_id_t, 5> accounts_;
   std::unique_ptr<Database> db_;
 };
 
 TEST_F(DatabaseTest, RunSimpleQuery) {
-  QueryGraph query;
-  int a = query.AddVertex("a", account_label_);
-  int b = query.AddVertex("b", account_label_);
-  query.AddEdge(a, b, wire_label_);
+  const QueryGraph query = Pattern(kWires);
   QueryOutcome result = db_->Execute(query, TestThreads());
   EXPECT_EQ(result.count, 9u);
   EXPECT_FALSE(db_->Explain(query).empty());
@@ -56,10 +56,7 @@ TEST_F(DatabaseTest, ReconfigureViaDdl) {
   EXPECT_GE(result.seconds, 0.0);
   EXPECT_EQ(db_->index_store().primary(Direction::kFwd)->config().partitions.size(), 2u);
   // Queries still run correctly after reconfiguration.
-  QueryGraph query;
-  int a = query.AddVertex("a", account_label_);
-  int b = query.AddVertex("b", account_label_);
-  query.AddEdge(a, b, wire_label_);
+  const QueryGraph query = Pattern(kWires);
   EXPECT_EQ(db_->Execute(query, TestThreads()).count, 9u);
 }
 
@@ -92,19 +89,13 @@ TEST_F(DatabaseTest, DdlErrorsSurfaceCleanly) {
 }
 
 TEST_F(DatabaseTest, ExplainShowsPlan) {
-  QueryGraph query;
-  int a = query.AddVertex("a", account_label_);
-  int b = query.AddVertex("b", account_label_);
-  query.AddEdge(a, b, wire_label_);
+  const QueryGraph query = Pattern(kWires);
   std::string plan = db_->Explain(query);
   EXPECT_NE(plan.find("SCAN"), std::string::npos);
 }
 
 TEST_F(DatabaseTest, InsertThroughMaintainerThenQuery) {
-  QueryGraph query;
-  int a = query.AddVertex("a", account_label_);
-  int b = query.AddVertex("b", account_label_);
-  query.AddEdge(a, b, wire_label_);
+  const QueryGraph query = Pattern(kWires);
   uint64_t before = db_->Execute(query, TestThreads()).count;
 
   Graph& g = db_->graph();
@@ -182,18 +173,10 @@ TEST_F(DatabaseTest, ExampleFourCurrencyQuery) {
   // Section III reconfiguration the slice is read without predicates.
   db_->ExecuteDdl(
       "RECONFIGURE PRIMARY INDEXES PARTITION BY eadj.label, eadj.currency SORT BY vnbr.ID");
-  QueryGraph query;
-  int c1 = query.AddVertex("c1", customer_label_);
-  int a1 = query.AddVertex("a1", account_label_);
-  int a2 = query.AddVertex("a2", account_label_);
-  query.AddEdge(c1, a1, owns_label_, "r1");
-  query.AddEdge(a1, a2, wire_label_, "r2");
-  QueryComparison usd;
-  usd.lhs = QueryPropRef{1, true, currency_key_, false};
-  usd.op = CmpOp::kEq;
-  usd.rhs_const = Value::Category(0);  // USD
-  query.AddPredicate(usd);
-  QueryOutcome result = db_->Execute(query, TestThreads());
+  QueryOutcome result = db_->Execute(
+      Pattern("MATCH (c1:Customer)-[r1:O]->(a1:Account)-[r2:W]->(a2:Account) "
+              "WHERE r2.currency = USD"),
+      TestThreads());
   // USD wires: t5 (v4->v2), t8 (v2->v4), t9 (v4->v5), t14 (v3->v4),
   // t20 (v1->v4). Owned sources: v1..v5 all owned; all 5 qualify.
   EXPECT_EQ(result.count, 5u);
@@ -216,7 +199,6 @@ class OneShotPathTest : public ::testing::Test {
     keys_ = AddFinancialProperties(42, &graph, /*num_cities=*/8);
     graph.catalog().RegisterCategoryValue(keys_.acc, "CQ");
     graph.catalog().RegisterCategoryValue(keys_.acc, "SV");
-    elabel_ = graph.catalog().FindEdgeLabel("E");
     db_ = std::make_unique<Database>(std::move(graph), config);
     db_->BuildPrimaryIndexes();
   }
@@ -228,78 +210,34 @@ class OneShotPathTest : public ::testing::Test {
         .ok;
   }
 
-  // One pattern in both spellings.
-  struct Case {
-    std::string name;
-    QueryGraph graph;
-    std::string text;
-  };
+  // 2-hop, triangle, and MF1 (Figure 5a): a directed 4-cycle of CQ
+  // accounts with a2.city = a4.city.
+  static constexpr const char* kTexts[] = {
+      "MATCH (a)-[r1:E]->(b)-[r2:E]->(c)",
+      "MATCH (a)-[r1:E]->(b)-[r2:E]->(c), (a)-[r3:E]->(c)",
+      "MATCH (a1)-[e1:E]->(a2)-[e2:E]->(a3)-[e3:E]->(a4)-[e4:E]->(a1) WHERE "
+      "a1.acc = CQ, a2.acc = CQ, a3.acc = CQ, a4.acc = CQ, a2.city = a4.city"};
 
-  std::vector<Case> Cases() const {
-    std::vector<Case> cases;
-    {
-      Case two_hop{"2-hop", {}, "MATCH (a)-[r1:E]->(b)-[r2:E]->(c)"};
-      int a = two_hop.graph.AddVertex("a");
-      int b = two_hop.graph.AddVertex("b");
-      int c = two_hop.graph.AddVertex("c");
-      two_hop.graph.AddEdge(a, b, elabel_, "r1");
-      two_hop.graph.AddEdge(b, c, elabel_, "r2");
-      cases.push_back(std::move(two_hop));
-    }
-    {
-      Case triangle{"triangle", {}, "MATCH (a)-[r1:E]->(b)-[r2:E]->(c), (a)-[r3:E]->(c)"};
-      int a = triangle.graph.AddVertex("a");
-      int b = triangle.graph.AddVertex("b");
-      int c = triangle.graph.AddVertex("c");
-      triangle.graph.AddEdge(a, b, elabel_, "r1");
-      triangle.graph.AddEdge(b, c, elabel_, "r2");
-      triangle.graph.AddEdge(a, c, elabel_, "r3");
-      cases.push_back(std::move(triangle));
-    }
-    {
-      // MF1 (Figure 5a): a directed 4-cycle of CQ accounts with
-      // a2.city = a4.city.
-      Case mf1{"MF1", {},
-               "MATCH (a1)-[e1:E]->(a2)-[e2:E]->(a3)-[e3:E]->(a4)-[e4:E]->(a1) WHERE "
-               "a1.acc = CQ, a2.acc = CQ, a3.acc = CQ, a4.acc = CQ, a2.city = a4.city"};
-      QueryGraph& q = mf1.graph;
-      for (int i = 1; i <= 4; ++i) q.AddVertex("a" + std::to_string(i));
-      for (int i = 1; i <= 4; ++i) q.AddEdge(i - 1, i % 4, elabel_, "e" + std::to_string(i));
-      const category_t cq = db_->graph().catalog().FindCategoryValue(keys_.acc, "CQ");
-      for (int v = 0; v < 4; ++v) {
-        QueryComparison acc;
-        acc.lhs = QueryPropRef{v, false, keys_.acc, false};
-        acc.rhs_const = Value::Category(cq);
-        q.AddPredicate(acc);
-      }
-      QueryComparison city;
-      city.lhs = QueryPropRef{1, false, keys_.city, false};
-      city.rhs_is_const = false;
-      city.rhs_ref = QueryPropRef{3, false, keys_.city, false};
-      q.AddPredicate(city);
-      cases.push_back(std::move(mf1));
-    }
-    return cases;
-  }
-
+  // Each text's parsed pattern through Execute(QueryGraph) and Explain,
+  // against the text itself and the oracle.
   void ExpectSameAsCypher() {
-    for (const Case& c : Cases()) {
-      SCOPED_TRACE(c.name);
-      const std::string plan = db_->Explain(c.graph);
-      EXPECT_EQ(plan, db_->Explain(c.text));
+    for (const char* text : kTexts) {
+      SCOPED_TRACE(text);
+      const QueryGraph pattern = OracleParse(db_->graph(), text).query;
+      const std::string plan = db_->Explain(pattern);
+      EXPECT_EQ(plan, db_->Explain(text));
       EXPECT_NE(plan.find("ProjectSink (count)"), std::string::npos) << plan;
-      QueryOutcome cypher = db_->ExecuteCypher(c.text);
-      ASSERT_TRUE(cypher.ok()) << cypher.error;
+      const OracleResult want = Oracle(db_->graph(), text);
+      ExpectExecutionsMatch(db_.get(), text, {}, want);
       for (int threads : {1, 4}) {
-        QueryOutcome out = db_->Execute(c.graph, threads);
+        QueryOutcome out = db_->Execute(pattern, threads);
         ASSERT_TRUE(out.ok()) << out.error;
-        EXPECT_EQ(out.count, cypher.count) << "threads=" << threads;
+        EXPECT_EQ(out.count, want.count) << "threads=" << threads;
       }
     }
   }
 
   FinancialPropKeys keys_;
-  label_t elabel_ = kInvalidLabel;
   std::unique_ptr<Database> db_;
 };
 
@@ -319,7 +257,7 @@ TEST_F(OneShotPathTest, QueryGraphHonorsConfigMemCap) {
   config.mem_cap_bytes = 1;
   Build(config);
   ASSERT_TRUE(CreateVpc());
-  const QueryGraph mf1 = Cases().back().graph;
+  const QueryGraph mf1 = OracleParse(db_->graph(), kTexts[2]).query;
   ASSERT_NE(db_->Explain(mf1).find("MULTI-EXTEND"), std::string::npos) << db_->Explain(mf1);
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -334,11 +272,11 @@ TEST_F(OneShotPathTest, QueryGraphHonorsConfigMemCap) {
 // A partition-category literal outside the property's domain names no
 // partition: `acc = 2` (the null slot's index), `acc = 3` and
 // `acc = 100000` (past the fanout) and a negative literal stay residual
-// filters and count exactly what a primary-only (D) database counts,
-// through VP, EP and primary lists partitioned on vnbr.acc.
+// filters and count what the oracle counts, through VP, EP and primary
+// lists partitioned on vnbr.acc.
 class CategoryLiteralTest : public ::testing::Test {
  protected:
-  static std::unique_ptr<Database> Open(const std::string& ddl) {
+  static Graph MakeGraph() {
     Graph graph;
     PowerLawParams params;
     params.num_vertices = 400;
@@ -348,13 +286,7 @@ class CategoryLiteralTest : public ::testing::Test {
     FinancialPropKeys keys = AddFinancialProperties(8, &graph, /*num_cities=*/5);
     PropertyColumn* acc = graph.vertex_props().mutable_column(keys.acc);
     for (vertex_id_t v = 0; v < graph.num_vertices(); v += 4) acc->SetNull(v);
-    auto db = std::make_unique<Database>(std::move(graph));
-    db->BuildPrimaryIndexes();
-    if (!ddl.empty()) {
-      DdlResult r = db->ExecuteDdl(ddl);
-      EXPECT_TRUE(r.ok) << r.message;
-    }
-    return db;
+    return graph;
   }
 
   static std::vector<std::string> Texts(vertex_id_t anchor, int64_t literal) {
@@ -368,32 +300,31 @@ class CategoryLiteralTest : public ::testing::Test {
 };
 
 TEST_F(CategoryLiteralTest, OutOfDomainLiteralsCountLikePrimaryOnly) {
-  std::unique_ptr<Database> reference = Open("");
+  // D, then each index partitioned on vnbr.acc.
   const std::vector<std::string> ddls = {
-      "CREATE 1-HOP VIEW VPa MATCH vs-[eadj]->vd INDEX AS FW-BW "
-      "PARTITION BY eadj.label, vnbr.acc",
+      "",
+      "CREATE 1-HOP VIEW VPa MATCH vs-[eadj]->vd INDEX AS FW-BW PARTITION BY eadj.label, vnbr.acc",
       "CREATE 2-HOP VIEW EPa MATCH vs-[eb]->vd-[eadj]->vnbr WHERE eb.date<eadj.date "
       "INDEX AS PARTITION BY eadj.label, vnbr.acc",
       "RECONFIGURE PRIMARY INDEXES PARTITION BY eadj.label, vnbr.acc"};
   const uint32_t domain = kNumAccountTypes;
   for (const std::string& ddl : ddls) {
     SCOPED_TRACE(ddl);
-    std::unique_ptr<Database> tuned = Open(ddl);
+    ShapedDatabase tuned;
+    tuned.Open(MakeGraph(), DbShape::kInMemory,
+               ddl.empty() ? std::vector<std::string>{} : std::vector<std::string>{ddl});
+    ASSERT_FALSE(HasFatalFailure());
     uint64_t in_domain_matches = 0;
     for (vertex_id_t anchor : {0u, 1u, 2u, 3u, 6u, 17u}) {
       for (int64_t literal : {int64_t{0}, int64_t{1}, int64_t{domain}, int64_t{domain} + 1,
                               int64_t{100000}}) {
         for (const std::string& text : Texts(anchor, literal)) {
-          SCOPED_TRACE(text);
-          QueryOutcome expected = reference->ExecuteCypher(text);
-          QueryOutcome got = tuned->ExecuteCypher(text);
-          ASSERT_TRUE(expected.ok()) << expected.error;
-          ASSERT_TRUE(got.ok()) << got.error;
-          EXPECT_EQ(got.count, expected.count);
+          const OracleResult want = Oracle(tuned->graph(), text);
+          ExpectExecutionsMatch(tuned.get(), text, {}, want);
           if (literal < domain) {
-            in_domain_matches += got.count;
+            in_domain_matches += want.count;
           } else {
-            EXPECT_EQ(got.count, 0u);
+            EXPECT_EQ(want.count, 0u) << text;
           }
         }
       }
@@ -416,7 +347,6 @@ TEST_F(CategoryLiteralTest, OutOfDomainLiteralsCountLikePrimaryOnly) {
     query.AddPredicate(negative);
     QueryOutcome got = tuned->Execute(query, TestThreads());
     ASSERT_TRUE(got.ok()) << got.error;
-    EXPECT_EQ(got.count, reference->Execute(query, TestThreads()).count);
     EXPECT_EQ(got.count, 0u);
   }
 }

@@ -5,24 +5,22 @@
 // graphs (the same generator setup as intersect_diff_test.cc), including
 // on repeated executions of the same plan (worker pipelines and
 // MatchStates are reused). The counting-mode cases at the end check
-// counting EXTENDs against the flat-adjacency oracle.
+// counting EXTENDs against the oracle (tests/oracle.h).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <string>
 #include <tuple>
 #include <vector>
 
-#include "baseline/flat_adj_engine.h"
 #include "core/database.h"
 #include "datagen/label_assigner.h"
 #include "datagen/power_law_generator.h"
 #include "index/index_store.h"
+#include "oracle.h"
 #include "query/intersect_kernels.h"
 #include "query/plan.h"
-#include "row_collector.h"
 #include "test_threads.h"
 #include "util/rng.h"
 
@@ -75,10 +73,31 @@ class ParallelDiffTest : public ::testing::TestWithParam<uint64_t> {
     return desc;
   }
 
-  // Serial count once, then every parallel width twice (the second
-  // execution proves the reused worker pipelines stay correct).
-  void ExpectParallelMatchesSerial(Plan* plan, const char* what) {
+  // The bound pattern of `text` (tests/oracle.h), for a hand-built plan.
+  QueryGraph Pattern(const std::string& text) const { return OracleParse(graph_, text).query; }
+
+  static std::string PinnedTwoHop(vertex_id_t src) {
+    return "MATCH (a)-[e0:EL0]->(b)-[e1:EL1]->(c) WHERE a.ID = " + std::to_string(src);
+  }
+
+  // Scan a -> Extend b -> Extend c over PinnedTwoHop's pattern, on
+  // `primary` (the suite's own store's by default).
+  std::unique_ptr<Plan> TwoHopPlan(const QueryGraph& query, const Graph* graph = nullptr,
+                                   const PrimaryIndex* primary = nullptr) {
+    ListDescriptor first = FwdList(0, el0_, 1, 0);
+    ListDescriptor second = FwdList(1, el1_, 2, 1);
+    if (primary != nullptr) first.primary = second.primary = primary;
+    PlanBuilder builder(graph != nullptr ? graph : &graph_, &query);
+    return builder.Scan(0).Extend(first).Extend(second).Build();
+  }
+
+  // The oracle's count of `text`, then the serial count once, then every
+  // parallel width twice (the second execution proves the reused worker
+  // pipelines stay correct).
+  void ExpectParallelMatchesSerial(Plan* plan, const std::string& text) {
+    const char* what = text.c_str();
     uint64_t serial = RunCount(*plan, 1);
+    EXPECT_EQ(serial, Oracle(graph_, text).count) << what << ": oracle";
     for (int k : {2, 4, 8}) {
       EXPECT_EQ(RunCount(*plan, k), serial) << what << " k=" << k;
       EXPECT_EQ(RunCount(*plan, k), serial) << what << " k=" << k << " (re-executed)";
@@ -97,94 +116,67 @@ class ParallelDiffTest : public ::testing::TestWithParam<uint64_t> {
   VpIndex* vp_grp_ = nullptr;
 };
 
+constexpr const char* kTriangle = "MATCH (a)-[e0:EL0]->(b), (a)-[e1:EL0]->(c), (b)-[e2:EL1]->(c)";
+constexpr const char* kTwoCycle = "MATCH (a)-[e0:EL0]->(b)-[e1:EL1]->(a)";
+
 // Scan -> Extend -> Extend/Intersect (unbound triangle).
 TEST_P(ParallelDiffTest, TrianglePlan) {
-  QueryGraph query;
-  int a = query.AddVertex("a");
-  int b = query.AddVertex("b");
-  int c = query.AddVertex("c");
-  query.AddEdge(a, b, el0_, "e0");
-  query.AddEdge(a, c, el0_, "e1");
-  query.AddEdge(b, c, el1_, "e2");
+  const QueryGraph query = Pattern(kTriangle);
   PlanBuilder builder(&graph_, &query);
-  std::vector<ListDescriptor> lists = {FwdList(a, el0_, c, 1), FwdList(b, el1_, c, 2)};
-  auto plan = builder.Scan(a).Extend(FwdList(a, el0_, b, 0)).ExtendIntersect(lists, c).Build();
-  ExpectParallelMatchesSerial(plan.get(), "triangle");
+  std::vector<ListDescriptor> lists = {FwdList(0, el0_, 2, 1), FwdList(1, el1_, 2, 2)};
+  auto plan = builder.Scan(0).Extend(FwdList(0, el0_, 1, 0)).ExtendIntersect(lists, 2).Build();
+  ExpectParallelMatchesSerial(plan.get(), kTriangle);
 }
 
 // Scan with predicates -> Extend with a residual conjunct.
 TEST_P(ParallelDiffTest, ScanPredicateAndResidualPlan) {
-  QueryGraph query;
-  int a = query.AddVertex("a");
-  int b = query.AddVertex("b");
-  query.AddEdge(a, b, el0_, "e0");
-  QueryComparison scan_pred;
-  scan_pred.lhs = QueryPropRef{a, false, kInvalidPropKey, /*is_id=*/true};
-  scan_pred.op = CmpOp::kLt;
-  scan_pred.rhs_const = Value::Int64(static_cast<int64_t>(graph_.num_vertices() / 2));
-  QueryComparison residual;
-  residual.lhs = QueryPropRef{b, false, grp_key_, false};
-  residual.op = CmpOp::kLe;
-  residual.rhs_const = Value::Int64(2);
-  query.AddPredicate(scan_pred);
-  query.AddPredicate(residual);
+  const std::string text = "MATCH (a)-[e0:EL0]->(b) WHERE a.ID < " +
+                           std::to_string(graph_.num_vertices() / 2) + ", b.grp <= 2";
+  const QueryGraph query = Pattern(text);
+  const QueryComparison& scan_pred = query.predicates()[0];
+  const QueryComparison& residual = query.predicates()[1];
   PlanBuilder builder(&graph_, &query);
-  auto plan =
-      builder.Scan(a, {scan_pred}).Extend(FwdList(a, el0_, b, 0), {residual}).Build();
-  ExpectParallelMatchesSerial(plan.get(), "scan-pred+residual");
+  auto plan = builder.Scan(0, {scan_pred}).Extend(FwdList(0, el0_, 1, 0), {residual}).Build();
+  ExpectParallelMatchesSerial(plan.get(), text);
 }
 
 // Scan -> Extend -> closing Extend (2-cycle membership probe).
 TEST_P(ParallelDiffTest, ClosingExtendPlan) {
-  QueryGraph query;
-  int a = query.AddVertex("a");
-  int b = query.AddVertex("b");
-  query.AddEdge(a, b, el0_, "e0");
-  query.AddEdge(b, a, el1_, "e1");
+  const QueryGraph query = Pattern(kTwoCycle);
   PlanBuilder builder(&graph_, &query);
-  auto plan = builder.Scan(a)
-                  .Extend(FwdList(a, el0_, b, 0))
-                  .Extend(FwdList(b, el1_, a, 1), {}, /*closing=*/true)
+  auto plan = builder.Scan(0)
+                  .Extend(FwdList(0, el0_, 1, 0))
+                  .Extend(FwdList(1, el1_, 0, 1), {}, /*closing=*/true)
                   .Build();
-  ExpectParallelMatchesSerial(plan.get(), "closing-extend");
+  ExpectParallelMatchesSerial(plan.get(), kTwoCycle);
 }
 
 // Scan -> Multi-Extend over property-sorted offset lists.
 TEST_P(ParallelDiffTest, MultiExtendPlan) {
-  QueryGraph query;
-  int a = query.AddVertex("a");
-  int b = query.AddVertex("b");
-  int d = query.AddVertex("d");
-  query.AddEdge(a, b, el0_, "e0");
-  query.AddEdge(a, d, el1_, "e1");
+  // The grp-sorted lists join on equal grp.
+  const std::string text = "MATCH (a)-[e0:EL0]->(b), (a)-[e1:EL1]->(d) WHERE b.grp = d.grp";
+  const QueryGraph query = Pattern(text);
   ListDescriptor l1;
   l1.source = ListDescriptor::Source::kVp;
   l1.vp = vp_grp_;
-  l1.bound_var = a;
+  l1.bound_var = 0;
   l1.cats = {el0_};
-  l1.target_vertex_var = b;
+  l1.target_vertex_var = 1;
   l1.target_edge_var = 0;
   ListDescriptor l2 = l1;
   l2.cats = {el1_};
-  l2.target_vertex_var = d;
+  l2.target_vertex_var = 2;
   l2.target_edge_var = 1;
   PlanBuilder builder(&graph_, &query);
-  auto plan = builder.Scan(a).MultiExtend({l1, l2}).Build();
-  ExpectParallelMatchesSerial(plan.get(), "multi-extend");
+  auto plan = builder.Scan(0).MultiExtend({l1, l2}).Build();
+  ExpectParallelMatchesSerial(plan.get(), text);
 }
 
 // A bound leading scan (single-vertex domain): only one worker gets a
 // morsel, the rest must drain empty and still merge correctly.
 TEST_P(ParallelDiffTest, BoundScanPlan) {
-  QueryGraph query;
-  int a = query.AddVertex("a", kInvalidLabel, /*bound=*/static_cast<vertex_id_t>(GetParam()));
-  int b = query.AddVertex("b");
-  int c = query.AddVertex("c");
-  query.AddEdge(a, b, el0_, "e0");
-  query.AddEdge(b, c, el1_, "e1");
-  PlanBuilder builder(&graph_, &query);
-  auto plan =
-      builder.Scan(a).Extend(FwdList(a, el0_, b, 0)).Extend(FwdList(b, el1_, c, 1)).Build();
+  const QueryGraph query = Pattern(PinnedTwoHop(static_cast<vertex_id_t>(GetParam())));
+  std::unique_ptr<Plan> plan = TwoHopPlan(query);
   uint64_t serial = RunCount(*plan, 1);
   for (int k : {2, 4, 8}) {
     EXPECT_EQ(RunCount(*plan, k), serial) << "bound-scan k=" << k;
@@ -195,16 +187,13 @@ TEST_P(ParallelDiffTest, BoundScanPlan) {
 // the workers and then flushed by the caller, hold every match exactly
 // once regardless of the worker count.
 TEST_P(ParallelDiffTest, RowsDeliveredOncePerMatch) {
-  QueryGraph query;
-  int a = query.AddVertex("a");
-  int b = query.AddVertex("b");
-  query.AddEdge(a, b, el0_, "e0");
+  const QueryGraph query = Pattern("MATCH (a)-[e0:EL0]->(b)");
   ExecControls controls;
   RowCounter seen;
   PlanBuilder builder(&graph_, &query);
-  auto plan = builder.Scan(a)
-                  .Extend(FwdList(a, el0_, b, 0))
-                  .BuildWithSink(VertexIdSink(graph_, {b}, &seen, &controls));
+  auto plan = builder.Scan(0)
+                  .Extend(FwdList(0, el0_, 1, 0))
+                  .BuildWithSink(VertexIdSink(graph_, {1}, &seen, &controls));
   uint64_t serial = RunDelivering(*plan, 1);
   EXPECT_EQ(seen.rows.load(), serial);
   for (int k : {2, 4, 8}) {
@@ -221,18 +210,11 @@ TEST_P(ParallelDiffTest, RowsDeliveredOncePerMatch) {
 // holding a shared lock across a nested Execute would invert lock order
 // against the pool's job mutex.
 TEST_P(ParallelDiffTest, NestedParallelExecuteInOnBatch) {
-  QueryGraph outer_query;
-  int a = outer_query.AddVertex("a");
-  int b = outer_query.AddVertex("b");
-  outer_query.AddEdge(a, b, el0_, "e0");
-
-  QueryGraph inner_query;
-  int x = inner_query.AddVertex("x");
-  int y = inner_query.AddVertex("y");
-  inner_query.AddEdge(x, y, el1_, "e0");
+  const QueryGraph outer_query = Pattern("MATCH (a)-[e0:EL0]->(b)");
+  const QueryGraph inner_query = Pattern("MATCH (x)-[e0:EL1]->(y)");
   auto build_inner = [&] {
     PlanBuilder builder(&graph_, &inner_query);
-    return builder.Scan(x).Extend(FwdList(x, el1_, y, 0)).Build();
+    return builder.Scan(0).Extend(FwdList(0, el1_, 1, 0)).Build();
   };
   uint64_t inner_expected = RunCount(*build_inner(), 1);
 
@@ -249,9 +231,9 @@ TEST_P(ParallelDiffTest, NestedParallelExecuteInOnBatch) {
   });
   ExecControls controls;
   PlanBuilder outer_builder(&graph_, &outer_query);
-  auto outer_plan = outer_builder.Scan(a)
-                        .Extend(FwdList(a, el0_, b, 0))
-                        .BuildWithSink(VertexIdSink(graph_, {b}, &nesting, &controls));
+  auto outer_plan = outer_builder.Scan(0)
+                        .Extend(FwdList(0, el0_, 1, 0))
+                        .BuildWithSink(VertexIdSink(graph_, {1}, &nesting, &controls));
 
   uint64_t outer_expected = RunDelivering(*outer_plan, 1);
   outer_seen.store(0);
@@ -288,16 +270,9 @@ TEST_P(ParallelDiffTest, DeepMorselTwoHopMatchesSerial) {
     }
   }
   ASSERT_GT(best, 0u);
-  QueryGraph query;
-  int a = query.AddVertex("a", kInvalidLabel, hub);
-  int b = query.AddVertex("b");
-  int c = query.AddVertex("c");
-  query.AddEdge(a, b, el0_, "e0");
-  query.AddEdge(b, c, el1_, "e1");
-  PlanBuilder builder(&graph_, &query);
-  auto plan =
-      builder.Scan(a).Extend(FwdList(a, el0_, b, 0)).Extend(FwdList(b, el1_, c, 1)).Build();
-  ExpectParallelMatchesSerial(plan.get(), "deep two-hop");
+  const std::string text = PinnedTwoHop(hub);
+  const QueryGraph query = Pattern(text);
+  ExpectParallelMatchesSerial(TwoHopPlan(query).get(), text);
 }
 
 // The pinned two-hop over a database reopened from a segment sealed
@@ -306,38 +281,18 @@ TEST_P(ParallelDiffTest, DeepMorselTwoHopMatchesSerial) {
 TEST_P(ParallelDiffTest, PinnedHubTwoHopOverPackedSegmentMatchesSerial) {
   Graph graph;
   GenerateLabelled(&graph);
-  EngineConfig config;
-  config.segment_compress = CompressMode::kOn;
-  const std::string path =
-      testing::TempDir() + "/aplus_parallel_packed_" + std::to_string(GetParam()) + ".seg";
-  std::string error;
-  {
-    Database sealer(std::move(graph), config);
-    sealer.BuildPrimaryIndexes();
-    ASSERT_TRUE(sealer.SealToSegment(path, &error)) << error;
-  }
-  std::unique_ptr<Database> db = Database::OpenFromSegment(path, &error, config);
-  ASSERT_NE(db, nullptr) << error;
+  ShapedDatabase db;
+  db.Open(std::move(graph), DbShape::kSealedPacked);
+  ASSERT_FALSE(HasFatalFailure());
   const PrimaryIndex* primary = db->index_store().primary(Direction::kFwd);
   vertex_id_t hub = 0;
   for (vertex_id_t v = 0; v < db->graph().num_vertices(); ++v) {
     if (primary->GetFullList(v).len > primary->GetFullList(hub).len) hub = v;
   }
   ASSERT_TRUE(primary->GetFullList(hub).is_packed());
-  QueryGraph query;
-  int a = query.AddVertex("a", kInvalidLabel, hub);
-  int b = query.AddVertex("b");
-  int c = query.AddVertex("c");
-  query.AddEdge(a, b, el0_, "e0");
-  query.AddEdge(b, c, el1_, "e1");
-  ListDescriptor first = FwdList(a, el0_, b, 0);
-  ListDescriptor second = FwdList(b, el1_, c, 1);
-  first.primary = primary;
-  second.primary = primary;
-  PlanBuilder builder(&db->graph(), &query);
-  auto plan = builder.Scan(a).Extend(first).Extend(second).Build();
-  ExpectParallelMatchesSerial(plan.get(), "packed pinned two-hop");
-  std::remove(path.c_str());
+  const std::string text = PinnedTwoHop(hub);
+  const QueryGraph query = OracleParse(db->graph(), text).query;
+  ExpectParallelMatchesSerial(TwoHopPlan(query, &db->graph(), primary).get(), text);
 }
 
 // Deep split feeding EXTEND/INTERSECT: the pinned triangle.
@@ -345,17 +300,12 @@ TEST_P(ParallelDiffTest, DeepMorselTriangleMatchesSerial) {
   for (uint64_t salt = 0; salt < 8; ++salt) {
     vertex_id_t src = static_cast<vertex_id_t>((GetParam() * 131 + salt * 37) %
                                                graph_.num_vertices());
-    QueryGraph query;
-    int a = query.AddVertex("a", kInvalidLabel, src);
-    int b = query.AddVertex("b");
-    int c = query.AddVertex("c");
-    query.AddEdge(a, b, el0_, "e0");
-    query.AddEdge(a, c, el0_, "e1");
-    query.AddEdge(b, c, el1_, "e2");
+    const QueryGraph query =
+        Pattern(std::string(kTriangle) + " WHERE a.ID = " + std::to_string(src));
     PlanBuilder builder(&graph_, &query);
-    std::vector<ListDescriptor> lists = {FwdList(a, el0_, c, 1), FwdList(b, el1_, c, 2)};
+    std::vector<ListDescriptor> lists = {FwdList(0, el0_, 2, 1), FwdList(1, el1_, 2, 2)};
     auto plan =
-        builder.Scan(a).Extend(FwdList(a, el0_, b, 0)).ExtendIntersect(lists, c).Build();
+        builder.Scan(0).Extend(FwdList(0, el0_, 1, 0)).ExtendIntersect(lists, 2).Build();
     uint64_t serial = RunCount(*plan, 1);
     for (int k : {2, 4, 8}) {
       EXPECT_EQ(RunCount(*plan, k), serial) << "deep triangle src=" << src << " k=" << k;
@@ -366,16 +316,9 @@ TEST_P(ParallelDiffTest, DeepMorselTriangleMatchesSerial) {
 // The mode must flip cleanly between executions of one plan: serial,
 // deep-parallel, and back, repeatedly — replicas persist across calls.
 TEST_P(ParallelDiffTest, DeepMorselModeFlipsAcrossExecutions) {
-  QueryGraph query;
-  int a = query.AddVertex("a", kInvalidLabel,
-                          static_cast<vertex_id_t>(GetParam() % graph_.num_vertices()));
-  int b = query.AddVertex("b");
-  int c = query.AddVertex("c");
-  query.AddEdge(a, b, el0_, "e0");
-  query.AddEdge(b, c, el1_, "e1");
-  PlanBuilder builder(&graph_, &query);
-  auto plan =
-      builder.Scan(a).Extend(FwdList(a, el0_, b, 0)).Extend(FwdList(b, el1_, c, 1)).Build();
+  const QueryGraph query =
+      Pattern(PinnedTwoHop(static_cast<vertex_id_t>(GetParam() % graph_.num_vertices())));
+  std::unique_ptr<Plan> plan = TwoHopPlan(query);
   uint64_t serial = RunCount(*plan, 1);
   for (int round = 0; round < 3; ++round) {
     for (int k : {8, 1, 2, 4, 1}) {
@@ -388,16 +331,12 @@ TEST_P(ParallelDiffTest, DeepMorselModeFlipsAcrossExecutions) {
 // membership checks, not enumerations): the plan must fall back to scan
 // morsels and stay exact even though only one worker gets the morsel.
 TEST_P(ParallelDiffTest, ClosingExtendNeverDeepMorselizes) {
-  QueryGraph query;
-  int a = query.AddVertex("a", kInvalidLabel,
-                          static_cast<vertex_id_t>(GetParam() % graph_.num_vertices()));
-  int b = query.AddVertex("b");
-  query.AddEdge(a, b, el0_, "e0");
-  query.AddEdge(b, a, el1_, "e1");
+  const QueryGraph query = Pattern(std::string(kTwoCycle) + " WHERE a.ID = " +
+                                   std::to_string(GetParam() % graph_.num_vertices()));
   PlanBuilder builder(&graph_, &query);
-  auto plan = builder.Scan(a)
-                  .Extend(FwdList(a, el0_, b, 0))
-                  .Extend(FwdList(b, el1_, a, 1), {}, /*closing=*/true)
+  auto plan = builder.Scan(0)
+                  .Extend(FwdList(0, el0_, 1, 0))
+                  .Extend(FwdList(1, el1_, 0, 1), {}, /*closing=*/true)
                   .Build();
   uint64_t serial = RunCount(*plan, 1);
   for (int k : {2, 4, 8}) {
@@ -407,20 +346,15 @@ TEST_P(ParallelDiffTest, ClosingExtendNeverDeepMorselizes) {
 
 // Deep-parallel workers still deliver each match exactly once.
 TEST_P(ParallelDiffTest, DeepMorselRowsDeliveredOncePerMatch) {
-  QueryGraph query;
-  int a = query.AddVertex("a", kInvalidLabel,
-                          static_cast<vertex_id_t>((GetParam() * 7) % graph_.num_vertices()));
-  int b = query.AddVertex("b");
-  int c = query.AddVertex("c");
-  query.AddEdge(a, b, el0_, "e0");
-  query.AddEdge(b, c, el1_, "e1");
+  const QueryGraph query =
+      Pattern(PinnedTwoHop(static_cast<vertex_id_t>((GetParam() * 7) % graph_.num_vertices())));
   ExecControls controls;
   RowCounter seen;
   PlanBuilder builder(&graph_, &query);
-  auto plan = builder.Scan(a)
-                  .Extend(FwdList(a, el0_, b, 0))
-                  .Extend(FwdList(b, el1_, c, 1))
-                  .BuildWithSink(VertexIdSink(graph_, {c}, &seen, &controls));
+  auto plan = builder.Scan(0)
+                  .Extend(FwdList(0, el0_, 1, 0))
+                  .Extend(FwdList(1, el1_, 2, 1))
+                  .BuildWithSink(VertexIdSink(graph_, {2}, &seen, &controls));
   uint64_t serial = RunDelivering(*plan, 1);
   EXPECT_EQ(seen.rows.load(), serial);
   for (int k : {2, 4, 8}) {
@@ -436,17 +370,11 @@ TEST_P(ParallelDiffTest, AllKernelLevelsMatchSerial) {
   std::vector<simd::Level> levels = {simd::Level::kScalar};
   if (simd::HostMaxLevel() >= simd::Level::kSse) levels.push_back(simd::Level::kSse);
   if (simd::HostMaxLevel() >= simd::Level::kAvx2) levels.push_back(simd::Level::kAvx2);
-  QueryGraph query;
-  int a = query.AddVertex("a");
-  int b = query.AddVertex("b");
-  int c = query.AddVertex("c");
-  query.AddEdge(a, b, el0_, "e0");
-  query.AddEdge(a, c, el0_, "e1");
-  query.AddEdge(b, c, el1_, "e2");
+  const QueryGraph query = Pattern(kTriangle);
   PlanBuilder builder(&graph_, &query);
-  std::vector<ListDescriptor> lists = {FwdList(a, el0_, c, 1), FwdList(b, el1_, c, 2)};
+  std::vector<ListDescriptor> lists = {FwdList(0, el0_, 2, 1), FwdList(1, el1_, 2, 2)};
   auto plan =
-      builder.Scan(a).Extend(FwdList(a, el0_, b, 0)).ExtendIntersect(lists, c).Build();
+      builder.Scan(0).Extend(FwdList(0, el0_, 1, 0)).ExtendIntersect(lists, 2).Build();
   simd::Level prev = simd::ActiveLevel();
   uint64_t expected = 0;
   for (size_t i = 0; i < levels.size(); ++i) {
@@ -469,42 +397,26 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDiffTest, ::testing::Values(11u, 29u, 47
 
 // --- Counting mode: the last EXTEND counts its list ---
 //
-// Chains of one to three hops, counted through Database::Prepare(...
-// RETURN COUNT(*)) and through a hand-built Plan ending in a counting
-// ProjectSinkOp, against the flat-adjacency oracle. Both end in a
-// counting EXTEND wherever the last hop filters nothing. The small graph
-// has self-loops, parallel edges and 2-cycles, so the bound-vertex
+// Chains of one to three hops, each one Cypher text counted through
+// Database::Prepare(... RETURN COUNT(*)) against the oracle
+// (tests/oracle.h) and through a hand-built Plan over the text's bound
+// pattern, ending in a counting ProjectSinkOp. Both end in a counting
+// EXTEND wherever the last hop filters nothing. The small graph has
+// self-loops, parallel edges and 2-cycles, so the bound-vertex
 // subtraction is what keeps the counts isomorphic and edge-distinct;
 // the power-law graph is the suite's. A hub-pinned source makes
 // Execute(4) split the first list, so a one-hop chain counts inside
 // entry morsels.
 
 enum class CountGraph { kSmall, kPowerLaw };
-enum class CountShape { kInMemory, kDelta, kSealedRaw, kSealedPacked };
 // The default primary (D); a primary partitioned by edge label, then
 // neighbour label; D plus a VP view of the edges with w > 2.
 enum class CountIndex { kD, kLabelPartitioned, kVpView };
 
-struct Hop {
-  bool fwd;
-  const char* elabel;
-  const char* vlabel;  // the target's label, or nullptr
-};
-
-struct Chain {
-  std::vector<Hop> hops;
-  bool last_w = false;  // `w > 2` on the last edge
-};
-
-class CountingModeDiffTest
-    : public ::testing::TestWithParam<std::tuple<CountGraph, CountShape>> {
+class CountingModeDiffTest : public ::testing::TestWithParam<std::tuple<CountGraph, DbShape>> {
  protected:
-  static constexpr const char* kVpDdl =
-      "CREATE 1-HOP VIEW Heavy MATCH vs-[eadj]->vd WHERE eadj.w>2 INDEX AS FW-BW "
-      "PARTITION BY eadj.label SORT BY vnbr.ID";
-
   CountGraph graph_kind() const { return std::get<0>(GetParam()); }
-  CountShape shape() const { return std::get<1>(GetParam()); }
+  DbShape shape() const { return std::get<1>(GetParam()); }
 
   Graph MakeGraph() const {
     Graph graph;
@@ -543,139 +455,83 @@ class CountingModeDiffTest
 
   // Opens db_ over MakeGraph() with `index`, in the parameter's shape.
   void Open(CountIndex index) {
-    Close();
-    IndexConfig config = IndexConfig::Default();
+    std::vector<std::string> ddl;
     if (index == CountIndex::kLabelPartitioned) {
-      config.partitions.push_back({PartitionSource::kNbrLabel, kInvalidPropKey});
+      ddl.push_back(
+          "RECONFIGURE PRIMARY INDEXES PARTITION BY eadj.label, vnbr.label SORT BY vnbr.ID");
+    } else if (index == CountIndex::kVpView) {
+      ddl.push_back(
+          "CREATE 1-HOP VIEW Heavy MATCH vs-[eadj]->vd WHERE eadj.w>2 INDEX AS FW-BW "
+          "PARTITION BY eadj.label SORT BY vnbr.ID");
     }
-    const bool sealed = shape() == CountShape::kSealedRaw || shape() == CountShape::kSealedPacked;
-    EngineConfig engine;
-    engine.segment_compress =
-        shape() == CountShape::kSealedPacked ? CompressMode::kOn : CompressMode::kOff;
-    db_ = std::make_unique<Database>(MakeGraph(), engine);
-    db_->BuildPrimaryIndexes(config);
-    if (index == CountIndex::kVpView) {
-      ASSERT_TRUE(db_->ExecuteDdl(kVpDdl).ok);
-    }
-    if (sealed) {
-      path_ = testing::TempDir() + "/aplus_counting_mode.seg";
-      std::string error;
-      ASSERT_TRUE(db_->SealToSegment(path_, &error)) << error;
-      db_ = Database::OpenFromSegment(path_, &error, engine);
-      ASSERT_NE(db_, nullptr) << error;
-    }
-    if (shape() == CountShape::kDelta) {
-      // A second self-loop on 0, another parallel 0->1, a 2-cycle 0<->2
-      // and a self-loop on 5; on the power-law graph also one edge per
-      // half page. Few enough to stay in the pages' deltas.
-      const Catalog& catalog = db_->graph().catalog();
-      const label_t el0 = catalog.FindEdgeLabel("EL0");
-      const label_t el1 = catalog.FindEdgeLabel("EL1");
-      const uint64_t nv = db_->graph().num_vertices();
-      std::vector<std::tuple<vertex_id_t, vertex_id_t, label_t>> inserts = {
-          {0, 0, el0}, {0, 1, el0}, {2, 0, el1}, {0, 2, el1}, {5, 5, el1}};
-      if (graph_kind() == CountGraph::kPowerLaw) {
-        for (uint64_t src = 0; src < nv; src += kGroupSize / 2) {
-          inserts.emplace_back(static_cast<vertex_id_t>(src),
-                               static_cast<vertex_id_t>((src * 7 + 3) % nv),
-                               src % 2 == 0 ? el0 : el1);
-        }
+    Graph graph = MakeGraph();
+    // The delta shape's inserts: a second self-loop on 0, another
+    // parallel 0->1, a 2-cycle 0<->2 and a self-loop on 5; on the
+    // power-law graph also one edge per half page.
+    const label_t el0 = graph.catalog().FindEdgeLabel("EL0");
+    const label_t el1 = graph.catalog().FindEdgeLabel("EL1");
+    std::vector<EdgeInsert> delta = {
+        {0, 0, el0}, {0, 1, el0}, {2, 0, el1}, {0, 2, el1}, {5, 5, el1}};
+    if (graph_kind() == CountGraph::kPowerLaw) {
+      for (const EdgeInsert& edge : HalfPageInserts(graph.num_vertices(), el0)) {
+        delta.push_back(edge);
       }
-      ConcurrentIngestOptions options;
-      options.max_vertices = nv;
-      options.max_edges = db_->graph().num_edges() + inserts.size();
-      options.background_merge = false;
-      db_->BeginConcurrentIngest(options);
-      for (const auto& [src, dst, label] : inserts) {
-        db_->maintainer().OnEdgeInserted(db_->graph().AddEdge(src, dst, label));
-      }
-      ASSERT_TRUE(db_->index_store().HasPendingUpdates());
     }
+    db_.Open(std::move(graph), shape(), ddl, delta);
+    if (HasFatalFailure()) return;
     const PrimaryIndex* fwd = db_->index_store().primary(Direction::kFwd);
     hub_ = 0;
     for (vertex_id_t v = 0; v < db_->graph().num_vertices(); ++v) {
       if (fwd->GetFullList(v).len > fwd->GetFullList(hub_).len) hub_ = v;
     }
-    if (shape() == CountShape::kSealedPacked) {
+    if (shape() == DbShape::kSealedPacked) {
       ASSERT_TRUE(fwd->GetFullList(hub_).is_packed());
     }
   }
 
-  void Close() {
-    if (db_ != nullptr && db_->concurrent_ingest_active()) db_->EndConcurrentIngest();
-    db_.reset();
-    if (!path_.empty()) std::remove(path_.c_str());
-    path_.clear();
-  }
-  void TearDown() override { Close(); }
-
-  // Counts `chain` from an unpinned or hub-pinned source both ways, at 1
-  // and 4 threads, against the oracle.
-  void ExpectChainMatchesOracle(const Chain& chain, CountIndex index, bool pinned) {
-    const Graph& graph = db_->graph();
-    const Catalog& catalog = graph.catalog();
-    const prop_key_t w = catalog.FindProperty("w", PropTargetKind::kEdge);
-    const int last = static_cast<int>(chain.hops.size()) - 1;
-    QueryGraph query;
-    query.AddVertex("v0", kInvalidLabel, pinned ? hub_ : kInvalidVertex);
-    std::string text = "MATCH (v0)";
-    for (int i = 0; i <= last; ++i) {
-      const Hop& hop = chain.hops[i];
-      const std::string name = "v" + std::to_string(i + 1);
-      const std::string edge = "r" + std::to_string(i);
-      const label_t vlabel =
-          hop.vlabel != nullptr ? catalog.FindVertexLabel(hop.vlabel) : kInvalidLabel;
-      query.AddVertex(name, vlabel);
-      query.AddEdge(hop.fwd ? i : i + 1, hop.fwd ? i + 1 : i, catalog.FindEdgeLabel(hop.elabel),
-                    edge);
-      text += std::string(hop.fwd ? "-[" : "<-[") + edge + ":" + hop.elabel +
-              (hop.fwd ? "]->(" : "]-(") + name +
-              (hop.vlabel != nullptr ? std::string(":") + hop.vlabel : "") + ")";
-    }
-    QueryComparison heavy;
-    heavy.lhs = QueryPropRef{last, /*is_edge=*/true, w, /*is_id=*/false};
-    heavy.op = CmpOp::kGt;
-    heavy.rhs_const = Value::Int64(2);
-    std::vector<std::string> where;
-    if (pinned) where.push_back("v0.ID = $src");
-    if (chain.last_w) {
-      query.AddPredicate(heavy);
-      where.push_back("r" + std::to_string(last) + ".w > 2");
-    }
-    for (size_t i = 0; i < where.size(); ++i) text += (i == 0 ? " WHERE " : ", ") + where[i];
-    text += " RETURN COUNT(*)";
-    SCOPED_TRACE(text + (pinned ? " src=" + std::to_string(hub_) : ""));
-
-    const uint64_t want = FlatAdjEngine(&graph).CountMatches(query);
-    std::unique_ptr<PreparedQuery> prepared = db_->Prepare(text);
-    ASSERT_TRUE(prepared->ok()) << prepared->error();
+  // Counts `chain` (a MATCH, possibly with a WHERE) from an unpinned or
+  // hub-pinned v0, prepared and hand-built, at 1 and 4 threads, against
+  // the oracle.
+  void ExpectChainMatchesOracle(std::string text, CountIndex index, bool pinned) {
+    OracleParams params;
     if (pinned) {
-      ASSERT_TRUE(prepared->Bind("src", Value::Int64(hub_))) << prepared->bind_error();
+      const size_t where = text.find(" WHERE ");
+      text = where == std::string::npos ? text + " WHERE v0.ID = $src"
+                                        : text.insert(where + 7, "v0.ID = $src, ");
+      params["src"] = Value::Int64(hub_);
     }
+    text += " RETURN COUNT(*)";
+    SCOPED_TRACE(text + ParamsToString(params));
+    const std::vector<Row> want = ExpectMatchesOracle(db_.get(), text, params);
+    ASSERT_EQ(want.size(), 1u);
 
+    // The hand-built plan: Scan v0, then one EXTEND per hop over the
+    // bound pattern, each carrying its own edge's conjuncts.
+    const Graph& graph = db_->graph();
+    const ParsedCypher parsed = OracleParse(graph, text, params);
+    const QueryGraph& query = parsed.query;
     PlanBuilder builder(&graph, &query);
     builder.Scan(0);
-    for (int i = 0; i <= last; ++i) {
-      const Hop& hop = chain.hops[i];
-      const Direction dir = hop.fwd ? Direction::kFwd : Direction::kBwd;
-      const label_t elabel = catalog.FindEdgeLabel(hop.elabel);
-      const label_t vlabel =
-          hop.vlabel != nullptr ? catalog.FindVertexLabel(hop.vlabel) : kInvalidLabel;
-      const bool heavy_hop = chain.last_w && i == last;
+    for (int i = 0; i < query.num_edges(); ++i) {
+      const Direction dir = query.edge(i).from == i ? Direction::kFwd : Direction::kBwd;
+      const label_t vlabel = query.vertex(i + 1).label;
+      std::vector<QueryComparison> residual;
+      for (const QueryComparison& cmp : query.predicates()) {
+        if (cmp.lhs.is_edge && cmp.lhs.var == i) residual.push_back(cmp);
+      }
       ListDescriptor list;
       list.bound_var = i;
       list.target_vertex_var = i + 1;
       list.target_edge_var = i;
-      list.cats = {elabel};
+      list.cats = {query.edge(i).label};
       list.nbr_sorted = true;
-      std::vector<QueryComparison> residual;
-      if (heavy_hop && index == CountIndex::kVpView) {
+      if (!residual.empty() && index == CountIndex::kVpView) {
         list.source = ListDescriptor::Source::kVp;
         list.vp = db_->index_store().FindVpIndex("Heavy", dir);
         ASSERT_NE(list.vp, nullptr);
+        residual.clear();
       } else {
         list.primary = db_->index_store().primary(dir);
-        if (heavy_hop) residual.push_back(heavy);
       }
       if (index == CountIndex::kLabelPartitioned && list.vp == nullptr) {
         // Only a full partition path is one neighbour-sorted run.
@@ -690,46 +546,42 @@ class CountingModeDiffTest
       builder.Extend(list, residual);
     }
     std::unique_ptr<Plan> plan = builder.Build();
-
     for (int k : {1, 4}) {
-      QueryOutcome out = prepared->Execute(nullptr, k);
-      ASSERT_TRUE(out.ok()) << out.error;
-      EXPECT_EQ(out.count, want) << "prepared k=" << k;
-      EXPECT_EQ(RunCount(*plan, k), want) << "hand-built k=" << k;
+      EXPECT_EQ(RunCount(*plan, k), static_cast<uint64_t>(want[0][0].AsInt64()))
+          << "hand-built k=" << k;
     }
   }
 
-  std::unique_ptr<Database> db_;
-  std::string path_;
+  ShapedDatabase db_;
   vertex_id_t hub_ = 0;
 };
 
 TEST_P(CountingModeDiffTest, ChainsMatchOracle) {
-  const std::vector<Chain> chains = {
-      {{{true, "EL0", nullptr}}},
-      {{{true, "EL0", nullptr}, {true, "EL0", nullptr}}},
+  const std::vector<std::string> chains = {
+      "MATCH (v0)-[r0:EL0]->(v1)",
+      "MATCH (v0)-[r0:EL0]->(v1)-[r1:EL0]->(v2)",
       // r1 may be r0 read backwards; only the bound-vertex subtraction
       // excludes it.
-      {{{true, "EL0", nullptr}, {false, "EL0", nullptr}}},
-      {{{true, "EL0", nullptr}, {true, "EL1", nullptr}, {true, "EL0", nullptr}}},
-      {{{true, "EL0", "VL1"}, {true, "EL0", "VL0"}}},
-      {{{true, "EL1", nullptr}, {false, "EL0", nullptr}, {true, "EL1", "VL1"}}},
-      {{{true, "EL0", nullptr}, {true, "EL0", nullptr}}, /*last_w=*/true},
-      {{{true, "EL1", nullptr}, {true, "EL0", nullptr}, {false, "EL0", nullptr}},
-       /*last_w=*/true},
+      "MATCH (v0)-[r0:EL0]->(v1)<-[r1:EL0]-(v2)",
+      "MATCH (v0)-[r0:EL0]->(v1)-[r1:EL1]->(v2)-[r2:EL0]->(v3)",
+      "MATCH (v0)-[r0:EL0]->(v1:VL1)-[r1:EL0]->(v2:VL0)",
+      "MATCH (v0)-[r0:EL1]->(v1)<-[r1:EL0]-(v2)-[r2:EL1]->(v3:VL1)",
+      "MATCH (v0)-[r0:EL0]->(v1)-[r1:EL0]->(v2) WHERE r1.w > 2",
+      "MATCH (v0)-[r0:EL1]->(v1)-[r1:EL0]->(v2)<-[r2:EL0]-(v3) WHERE r2.w > 2",
   };
   std::vector<CountIndex> indexes = {CountIndex::kD, CountIndex::kLabelPartitioned};
   // Secondary indexes are neither sealed nor maintained under ingest.
-  if (shape() == CountShape::kInMemory) indexes.push_back(CountIndex::kVpView);
+  if (shape() == DbShape::kInMemory) indexes.push_back(CountIndex::kVpView);
   for (CountIndex index : indexes) {
     SCOPED_TRACE("index config " + std::to_string(static_cast<int>(index)));
     Open(index);
     if (HasFatalFailure()) return;
-    for (const Chain& chain : chains) {
+    for (const std::string& chain : chains) {
       for (bool pinned : {false, true}) {
         // An unpinned three-hop chain has millions of matches on the
         // power-law graph: too many to enumerate under the sanitizers.
-        if (!pinned && chain.hops.size() == 3 && graph_kind() == CountGraph::kPowerLaw) continue;
+        const bool three_hops = chain.find("(v3") != std::string::npos;
+        if (!pinned && three_hops && graph_kind() == CountGraph::kPowerLaw) continue;
         ExpectChainMatchesOracle(chain, index, pinned);
         if (HasFatalFailure()) return;
       }
@@ -737,18 +589,17 @@ TEST_P(CountingModeDiffTest, ChainsMatchOracle) {
   }
 }
 
-std::string CountCaseName(const ::testing::TestParamInfo<std::tuple<CountGraph, CountShape>>& info) {
+std::string CountCaseName(const ::testing::TestParamInfo<std::tuple<CountGraph, DbShape>>& info) {
   static const char* const kGraphs[] = {"Small", "PowerLaw"};
-  static const char* const kShapes[] = {"InMemory", "Delta", "SealedRaw", "SealedPacked"};
   return std::string(kGraphs[static_cast<int>(std::get<0>(info.param))]) +
-         kShapes[static_cast<int>(std::get<1>(info.param))];
+         ToString(std::get<1>(info.param));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     GraphsAndShapes, CountingModeDiffTest,
     ::testing::Combine(::testing::Values(CountGraph::kSmall, CountGraph::kPowerLaw),
-                       ::testing::Values(CountShape::kInMemory, CountShape::kDelta,
-                                         CountShape::kSealedRaw, CountShape::kSealedPacked)),
+                       ::testing::Values(DbShape::kInMemory, DbShape::kDelta,
+                                         DbShape::kSealedRaw, DbShape::kSealedPacked)),
     CountCaseName);
 
 }  // namespace

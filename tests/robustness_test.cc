@@ -22,7 +22,7 @@
 #include "core/admission.h"
 #include "core/database.h"
 #include "datagen/power_law_generator.h"
-#include "row_collector.h"
+#include "oracle.h"
 #include "util/deadline.h"
 #include "util/fault.h"
 #include "util/memory_budget.h"
@@ -320,10 +320,10 @@ TEST(ProcessCeilingTest, ExecuteOnAnotherDatabaseKeepsTheCeilingOfAQueryInFlight
   };
   InterleavingConsumer consumer;
   consumer.other = capped.get();
-  PrepareOptions options;
-  options.batch_rows = 16;
+  // The first clique alone emits 24,360 rows: its first 1024-row batch
+  // goes out long before the scan reaches the second clique.
   std::unique_ptr<PreparedQuery> triangles = uncapped->Prepare(
-      "MATCH (a)-[r1:E]->(b)-[r2:E]->(c), (a)-[r3:E]->(c) RETURN a, b, c", options);
+      "MATCH (a)-[r1:E]->(b)-[r2:E]->(c), (a)-[r3:E]->(c) RETURN a, b, c");
   ASSERT_TRUE(triangles->ok()) << triangles->error();
   QueryOutcome out = triangles->Execute(&consumer, 1);
   EXPECT_TRUE(out.ok()) << out.error;
@@ -443,17 +443,10 @@ TEST_F(RobustnessTest, QueryGraphOneShotHonorsConfigDeadline) {
 }
 
 // After every failure mode, the same session + prepared plan must
-// produce exactly the rows of a fresh database that never failed.
+// produce exactly the oracle's rows.
 TEST_F(RobustnessTest, ReExecuteAfterFailureMatchesFreshDatabase) {
   constexpr const char* kProbe = "MATCH (a)-[r1:E]->(b)-[r2:E]->(c) WHERE a.ID = 5 RETURN b, c";
-  // Fresh-database oracle.
-  Database fresh_db(MakeGraph());
-  fresh_db.BuildPrimaryIndexes();
-  Session fresh_session(&fresh_db);
-  RowCollector oracle;
-  QueryOutcome oracle_out = fresh_session.Execute(kProbe, &oracle);
-  ASSERT_TRUE(oracle_out.ok()) << oracle_out.error;
-  ASSERT_GT(oracle.rows.size(), 0u);
+  ASSERT_GT(OracleRows(db_->graph(), kProbe).size(), 0u);
 
   // Failure gauntlet on the shared db: timeout, cancel, exhaustion.
   PreparedQuery* heavy = session_->Prepare(kHeavyText);
@@ -467,18 +460,7 @@ TEST_F(RobustnessTest, ReExecuteAfterFailureMatchesFreshDatabase) {
   EXPECT_EQ(agg->Execute(nullptr, 1).status, Status::kResourceExhausted);
   agg->set_mem_cap_bytes(0);
 
-  for (int threads : {1, 4}) {
-    RowCollector got;
-    QueryOutcome out = session_->Execute(kProbe, &got, threads);
-    ASSERT_TRUE(out.ok()) << out.error;
-    ASSERT_EQ(got.rows.size(), oracle.rows.size());
-    std::vector<std::pair<int64_t, int64_t>> a, b;
-    for (const auto& row : oracle.rows) a.emplace_back(row[0].AsInt64(), row[1].AsInt64());
-    for (const auto& row : got.rows) b.emplace_back(row[0].AsInt64(), row[1].AsInt64());
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b);
-  }
+  ExpectMatchesOracle(db_.get(), kProbe, {}, session_->Prepare(kProbe));
 }
 
 // The happy path with a deadline and a memory cap armed must stay
@@ -532,22 +514,14 @@ TEST_F(RobustnessTest, AllocFaultSurfacesAsResourceExhaustedThenRecovers) {
 }
 
 // The pool-dispatch fault degrades parallel runs to inline sequential
-// execution; results must be identical to the truly parallel run.
+// execution; results must match the oracle's, as the parallel run's do.
 TEST_F(RobustnessTest, PoolDispatchFaultPreservesResults) {
-  PreparedQuery* q =
-      session_->Prepare("MATCH (a)-[r1:E]->(b)-[r2:E]->(c) WHERE a.ID = 2 RETURN b, c");
-  ASSERT_TRUE(q->ok());
-  RowCounter parallel_rc;
-  QueryOutcome parallel_out = q->Execute(&parallel_rc, 4);
-  ASSERT_TRUE(parallel_out.ok()) << parallel_out.error;
+  const char* text = "MATCH (a)-[r1:E]->(b)-[r2:E]->(c) WHERE a.ID = 2 RETURN b, c";
+  PreparedQuery* q = session_->Prepare(text);
+  ExpectMatchesOracle(db_.get(), text, {}, q);
   ASSERT_TRUE(fault::SetSpec("pool_dispatch"));
-  RowCounter degraded_rc;
-  QueryOutcome degraded_out = q->Execute(&degraded_rc, 4);
+  ExpectMatchesOracle(db_.get(), text, {}, q);
   fault::Clear();
-  ASSERT_TRUE(degraded_out.ok()) << degraded_out.error;
-  EXPECT_EQ(degraded_out.count, parallel_out.count);
-  EXPECT_EQ(degraded_rc.rows.load(), parallel_rc.rows.load());
-  EXPECT_GE(fault::Hits(fault::kPoolDispatch), 0u);  // counters reset by Clear
 }
 
 // --- Concurrent ingest: typed capacity errors + fault points ---

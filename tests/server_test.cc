@@ -1,7 +1,7 @@
 // aplusd server tests: the wire protocol end-to-end against an
 // in-process Server on an ephemeral loopback port. Row payloads are
 // byte-decoded by the client and compared against a Session executing
-// the same text in-process (the serving-API oracle); protocol abuse
+// the same text in-process; protocol abuse
 // (malformed / truncated / oversized / out-of-order frames) must fail
 // with typed PROTOCOL_ERROR frames and never take the server down.
 
@@ -22,7 +22,7 @@
 
 #include "core/database.h"
 #include "datagen/power_law_generator.h"
-#include "row_collector.h"
+#include "oracle.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "util/rng.h"
@@ -40,7 +40,7 @@ constexpr const char* kDistinctMid = "MATCH (a)-[r1:E]->(b)-[r2:E]->(c) RETURN D
 constexpr const char* kWholeGraphRows = "MATCH (a)-[r1:E]->(b)-[r2:E]->(c) RETURN a, b, c";
 
 // Canonical order-insensitive encoding of a row set (both sides of the
-// oracle diff deliver rows in nondeterministic order).
+// wire-vs-Session diff deliver rows in nondeterministic order).
 std::string Repr(const Value& v) {
   switch (v.type()) {
     case ValueType::kNull:
@@ -85,9 +85,12 @@ class ServerTest : public ::testing::Test {
     GeneratePowerLawGraph(params, &graph);
     amt_key_ = graph.AddEdgeProperty("amt", ValueType::kInt64);
     PropertyColumn* amt = graph.edge_props().mutable_column(amt_key_);
+    PropertyColumn* flag =
+        graph.edge_props().mutable_column(graph.AddEdgeProperty("flag", ValueType::kBool));
     Rng rng(23);
     for (edge_id_t e = 0; e < graph.num_edges(); ++e) {
       amt->SetInt64(e, static_cast<int64_t>(rng.NextBounded(1000)));
+      flag->SetBool(e, e % 3 == 0);
     }
     db_ = std::make_unique<Database>(std::move(graph), config);
     db_->BuildPrimaryIndexes();
@@ -138,8 +141,8 @@ class ServerTest : public ::testing::Test {
     return client;
   }
 
-  // The in-process oracle: the same text through a Session.
-  std::vector<std::vector<Value>> OracleRows(const std::string& text,
+  // The in-process reference: the same text through a Session.
+  std::vector<std::vector<Value>> SessionRows(const std::string& text,
                                              const std::vector<std::pair<std::string, Value>>&
                                                  params = {}) {
     Session session(db_.get());
@@ -195,7 +198,7 @@ TEST_F(ServerTest, PreparedPointLookupMatchesSessionOracle) {
         client->Execute(info.stmt_id, {{"src", Value::Int64(src)}});
     ASSERT_TRUE(result.ok()) << result.error;
     EXPECT_FALSE(result.more);
-    auto oracle = OracleRows(kPointLookup, {{"src", Value::Int64(src)}});
+    auto oracle = SessionRows(kPointLookup, {{"src", Value::Int64(src)}});
     EXPECT_EQ(Canon(result.rows.rows), Canon(oracle)) << "src=" << src;
   }
 }
@@ -207,14 +210,36 @@ TEST_F(ServerTest, CountStarAndGroupedAggregateMatchOracle) {
   ASSERT_TRUE(count.ok()) << count.error;
   Client::Result counted = client->Execute(count.stmt_id, {{"src", Value::Int64(7)}});
   ASSERT_TRUE(counted.ok()) << counted.error;
-  auto count_oracle = OracleRows(kPointCount, {{"src", Value::Int64(7)}});
+  auto count_oracle = SessionRows(kPointCount, {{"src", Value::Int64(7)}});
   EXPECT_EQ(Canon(counted.rows.rows), Canon(count_oracle));
 
   Client::PreparedInfo agg = client->Prepare(kGroupedAgg);
   ASSERT_TRUE(agg.ok()) << agg.error;
   Client::Result grouped = client->Execute(agg.stmt_id, {});
   ASSERT_TRUE(grouped.ok()) << grouped.error;
-  EXPECT_EQ(Canon(grouped.rows.rows), Canon(OracleRows(kGroupedAgg)));
+  EXPECT_EQ(Canon(grouped.rows.rows), Canon(SessionRows(kGroupedAgg)));
+}
+
+// A bool $param crosses the wire (the client's kBool encoding, the
+// server's decode) and a bool column comes back: the rows match the
+// Session's, and their number the oracle's.
+TEST_F(ServerTest, BoolParamOverWireMatchesSessionAndOracle) {
+  const std::string text = "MATCH (a)-[r:E]->(b) WHERE r.flag = $f RETURN a, b, r.flag";
+  StartServer();
+  auto client = Connect();
+  Client::PreparedInfo info = client->Prepare(text);
+  ASSERT_TRUE(info.ok()) << info.error;
+  for (bool f : {true, false}) {
+    SCOPED_TRACE(f ? "f=true" : "f=false");
+    const std::vector<std::pair<std::string, Value>> params = {{"f", Value::Bool(f)}};
+    Client::Result result = client->Execute(info.stmt_id, params);
+    ASSERT_TRUE(result.ok()) << result.error;
+    EXPECT_EQ(Canon(result.rows.rows), Canon(SessionRows(text, params)));
+    const std::vector<Row> oracle = ExpectMatchesOracle(db_.get(), text, {{"f", Value::Bool(f)}});
+    EXPECT_GT(oracle.size(), 0u);
+    EXPECT_EQ(result.rows.rows.size(), oracle.size());
+    for (const auto& row : result.rows.rows) EXPECT_EQ(row[2].AsBool(), f);
+  }
 }
 
 TEST_F(ServerTest, DistinctOverWireMatchesOracle) {
@@ -225,7 +250,7 @@ TEST_F(ServerTest, DistinctOverWireMatchesOracle) {
   Client::Result result = client->Execute(info.stmt_id, {});
   ASSERT_TRUE(result.ok()) << result.error;
   auto canon = Canon(result.rows.rows);
-  EXPECT_EQ(canon, Canon(OracleRows(kDistinctMid)));
+  EXPECT_EQ(canon, Canon(SessionRows(kDistinctMid)));
   // DISTINCT actually deduplicates: every canonical row is unique.
   EXPECT_EQ(std::unique(canon.begin(), canon.end()), canon.end());
 }
@@ -235,7 +260,7 @@ TEST_F(ServerTest, FetchPagesThroughTheSpool) {
   auto client = Connect();
   Client::PreparedInfo info = client->Prepare(kWholeGraphRows);
   ASSERT_TRUE(info.ok()) << info.error;
-  auto oracle = OracleRows(kWholeGraphRows);
+  auto oracle = SessionRows(kWholeGraphRows);
   ASSERT_GT(oracle.size(), 100u);
 
   // First page: max_rows rounds up to whole batches, so delivered >=
@@ -306,7 +331,7 @@ TEST_F(ServerTest, OversizedPatternReturnsPlanErrorFrame) {
   ASSERT_TRUE(info.ok()) << info.error;
   Client::Result result = client->Execute(info.stmt_id, {{"src", Value::Int64(7)}});
   ASSERT_TRUE(result.ok()) << result.error;
-  auto oracle = OracleRows(kPointCount, {{"src", Value::Int64(7)}});
+  auto oracle = SessionRows(kPointCount, {{"src", Value::Int64(7)}});
   EXPECT_EQ(Canon(result.rows.rows), Canon(oracle));
 }
 
@@ -387,7 +412,7 @@ TEST_F(ServerTest, SharedPlanCacheHitsAcrossConnectionsAndInvalidates) {
   Client::Result result = c->Execute(info.stmt_id, {{"src", Value::Int64(7)}});
   ASSERT_TRUE(result.ok()) << result.error;
   EXPECT_EQ(Canon(result.rows.rows),
-            Canon(OracleRows(kPointLookup, {{"src", Value::Int64(7)}})));
+            Canon(SessionRows(kPointLookup, {{"src", Value::Int64(7)}})));
 }
 
 // Literal-inlined texts must not grow the plan cache without bound, and
@@ -410,7 +435,7 @@ TEST_F(ServerTest, PlanCacheIsBoundedAndLeasesOutliveEviction) {
   for (size_t i = 0; i < 3; ++i) {
     Client::Result result = client->Execute(stmt_ids[i], {});
     ASSERT_TRUE(result.ok()) << result.error;
-    EXPECT_EQ(Canon(result.rows.rows), Canon(OracleRows(text_of(i))));
+    EXPECT_EQ(Canon(result.rows.rows), Canon(SessionRows(text_of(i))));
   }
 }
 
@@ -523,7 +548,7 @@ TEST_F(ServerTest, OversizedRequestsFailTypedWithoutSending) {
   EXPECT_EQ(unframable.status, wire::WireStatus::kPlanError) << unframable.error;
   Client::Result result = client->Execute(info.stmt_id, {{"src", Value::Int64(7)}});
   ASSERT_TRUE(result.ok()) << result.error;
-  EXPECT_EQ(Canon(result.rows.rows), Canon(OracleRows(kPointCount, {{"src", Value::Int64(7)}})));
+  EXPECT_EQ(Canon(result.rows.rows), Canon(SessionRows(kPointCount, {{"src", Value::Int64(7)}})));
 }
 
 TEST_F(ServerTest, OversizedRowsBatchSplitsOverFrames) {
@@ -602,7 +627,7 @@ TEST_F(ServerTest, LongExecuteHandsTheLoopToTheStandby) {
   constexpr int kLookups = 20;
   std::vector<std::vector<std::string>> oracles;
   for (int i = 0; i < kLookups; ++i) {
-    oracles.push_back(Canon(OracleRows(kPointLookup, {{"src", Value::Int64(kFirstSrc + i)}})));
+    oracles.push_back(Canon(SessionRows(kPointLookup, {{"src", Value::Int64(kFirstSrc + i)}})));
   }
   auto slow = Connect();
   auto fast = Connect();
@@ -644,7 +669,7 @@ TEST_F(ServerTest, QueuedIdenticalExecutesEachRunTheirOwnPass) {
   one_worker.num_workers = 1;
   StartServer(one_worker);
 
-  auto oracle = OracleRows(kPointLookup, {{"src", Value::Int64(7)}});
+  auto oracle = SessionRows(kPointLookup, {{"src", Value::Int64(7)}});
 
   auto blocker = Connect();
   Client::PreparedInfo blocker_info = blocker->Prepare(
@@ -684,12 +709,12 @@ TEST_F(ServerTest, QueuedIdenticalExecutesEachRunTheirOwnPass) {
 TEST_F(ServerTest, EightClientSoakWithHighCacheHitRate) {
   StartServer();
   auto point_oracle = [&](vertex_id_t src) {
-    return Canon(OracleRows(kPointLookup, {{"src", Value::Int64(src)}}));
+    return Canon(SessionRows(kPointLookup, {{"src", Value::Int64(src)}}));
   };
   std::vector<std::vector<std::string>> oracles;
   for (vertex_id_t src = 0; src < 16; ++src) oracles.push_back(point_oracle(src));
-  auto agg_oracle = Canon(OracleRows(kGroupedAgg));
-  auto distinct_oracle = Canon(OracleRows(kDistinctMid));
+  auto agg_oracle = Canon(SessionRows(kGroupedAgg));
+  auto distinct_oracle = Canon(SessionRows(kDistinctMid));
 
   constexpr int kClients = 8;
   constexpr int kRounds = 8;

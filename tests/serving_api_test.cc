@@ -2,24 +2,17 @@
 // projected row streaming through RowBatch consumers, LIMIT semantics
 // under serial and morsel-parallel execution, plan-cache behaviour, and
 // the QueryOutcome error contract. Row-level correctness is checked
-// against a BaselineMatcher-derived oracle (binary-join backtracking
-// over the flat-adjacency engine — an independent implementation).
+// against the oracle (tests/oracle.h).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <array>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "baseline/flat_adj_engine.h"
-#include "baseline/matcher.h"
-#include "core/database.h"
 #include "datagen/power_law_generator.h"
-#include "row_collector.h"
-#include "util/rng.h"
+#include "oracle.h"
 #include "test_threads.h"
+#include "util/rng.h"
 
 namespace aplus {
 namespace {
@@ -54,50 +47,21 @@ class ServingApiTest : public ::testing::Test {
     }
     db_ = std::make_unique<Database>(std::move(graph), config);
     db_->BuildPrimaryIndexes();
-    elabel_ = db_->graph().catalog().FindEdgeLabel("E");
-    engine_ = std::make_unique<FlatAdjEngine>(&db_->graph());
   }
 
-  // The 2-hop pattern (a)-[r1:E]->(b)-[r2:E]->(c) with `a` pinned, for
-  // the oracle side.
-  QueryGraph TwoHop(vertex_id_t src) const {
-    QueryGraph q;
-    int a = q.AddVertex("a", kInvalidLabel, src);
-    int b = q.AddVertex("b");
-    int c = q.AddVertex("c");
-    q.AddEdge(a, b, elabel_, "r1");
-    q.AddEdge(b, c, elabel_, "r2");
-    return q;
-  }
-
-  // Oracle rows (b, c, r2.amt) of the pinned 2-hop, independently
-  // enumerated by the baseline matcher.
-  std::vector<std::array<int64_t, 3>> OracleTwoHopRows(vertex_id_t src) const {
-    QueryGraph q = TwoHop(src);
-    const PropertyColumn* amt = db_->graph().edge_props().column(amt_key_);
-    std::vector<std::array<int64_t, 3>> rows;
-    BaselineMatcher<FlatAdjEngine> matcher(engine_.get(), &db_->graph(), &q);
-    matcher.Enumerate([&](const MatchState& m) {
-      rows.push_back({static_cast<int64_t>(m.v[1]), static_cast<int64_t>(m.v[2]),
-                      amt->GetInt64(m.e[1])});
-    });
-    return rows;
-  }
-
-  static std::vector<std::array<int64_t, 3>> ToTriples(const RowCollector& rc) {
-    std::vector<std::array<int64_t, 3>> rows;
-    for (const auto& row : rc.rows) {
-      rows.push_back({row[0].AsInt64(), row[1].AsInt64(), row[2].AsInt64()});
-    }
-    return rows;
+  // The oracle's single COUNT(*) cell for `text`, checked at 1 and 4
+  // threads through `prepared` (a fresh prepare when null).
+  int64_t CheckedCount(const std::string& text, const OracleParams& params = {},
+                       PreparedQuery* prepared = nullptr) {
+    const std::vector<Row> rows = ExpectMatchesOracle(db_.get(), text, params, prepared);
+    EXPECT_EQ(rows.size(), 1u) << text;
+    return rows.size() == 1 ? rows[0][0].AsInt64() : -1;
   }
 
   prop_key_t amt_key_ = kInvalidPropKey;
   prop_key_t cur_key_ = kInvalidPropKey;
   prop_key_t tag_key_ = kInvalidPropKey;
-  label_t elabel_ = kInvalidLabel;
   std::unique_ptr<Database> db_;
-  std::unique_ptr<FlatAdjEngine> engine_;
 };
 
 constexpr const char* kTwoHopText =
@@ -114,18 +78,10 @@ TEST_F(ServingApiTest, PreparedTwoHopParamBindMatchesOracle) {
 
   uint64_t nonzero = 0;
   for (vertex_id_t src : {0u, 1u, 7u, 42u, 131u, 599u}) {
-    ASSERT_TRUE(prepared->Bind("src", Value::Int64(src))) << prepared->bind_error();
-    RowCollector rc;
-    QueryOutcome out = prepared->Execute(&rc);
-    ASSERT_TRUE(out.ok()) << out.error;
-    std::vector<std::array<int64_t, 3>> got = ToTriples(rc);
-    std::vector<std::array<int64_t, 3>> want = OracleTwoHopRows(src);
-    std::sort(got.begin(), got.end());
-    std::sort(want.begin(), want.end());
-    EXPECT_EQ(got, want) << "src=" << src;
-    EXPECT_EQ(out.rows, want.size());
-    EXPECT_EQ(out.count, want.size());
-    if (!want.empty()) ++nonzero;
+    if (!ExpectMatchesOracle(db_.get(), kTwoHopText, {{"src", Value::Int64(src)}}, prepared)
+             .empty()) {
+      ++nonzero;
+    }
   }
   EXPECT_GT(nonzero, 0u) << "degenerate workload: every tested source had zero 2-hops";
 
@@ -139,46 +95,23 @@ TEST_F(ServingApiTest, PreparedTwoHopParamBindMatchesOracle) {
 
 TEST_F(ServingApiTest, RebindAfterParallelExecuteSeesNewValue) {
   // Replicas created by a parallel Execute must be patched by later
-  // Binds (the slot set is re-collected when the pipeline count grows).
+  // Binds (the slot set is re-collected when the pipeline count grows):
+  // each bind after the first follows a 4-thread execute.
   Session session(db_.get());
   PreparedQuery* prepared = session.Prepare(kTwoHopText);
   ASSERT_TRUE(prepared->ok()) << prepared->error();
-  auto rows_for = [&](vertex_id_t src, int threads) {
-    EXPECT_TRUE(prepared->Bind("src", Value::Int64(src)));
-    RowCollector rc;
-    QueryOutcome out = prepared->Execute(&rc, threads);
-    EXPECT_TRUE(out.ok()) << out.error;
-    auto got = ToTriples(rc);
-    std::sort(got.begin(), got.end());
-    return got;
-  };
   for (vertex_id_t src : {3u, 99u, 250u}) {
-    auto want = OracleTwoHopRows(src);
-    std::sort(want.begin(), want.end());
-    EXPECT_EQ(rows_for(src, 4), want) << "parallel, src=" << src;
-    EXPECT_EQ(rows_for(src, 1), want) << "serial, src=" << src;
+    ExpectMatchesOracle(db_.get(), kTwoHopText, {{"src", Value::Int64(src)}}, prepared);
   }
 }
 
 TEST_F(ServingApiTest, LimitStopsEarlySerialAndParallel) {
-  // One-hop enumeration: total matches = number of E edges.
-  Session session(db_.get());
-  uint64_t total = db_->graph().num_edges();
-  const std::string base = "MATCH (a)-[r:E]->(b) RETURN a, b LIMIT ";
-  for (uint64_t limit :
-       std::vector<uint64_t>{0, 1, 100, total - 1, total, total + 500}) {
-    std::string text = base + std::to_string(limit);
-    PreparedQuery* prepared = session.Prepare(text);
-    ASSERT_TRUE(prepared->ok()) << prepared->error();
-    uint64_t want = std::min(limit, total);
-    for (int threads : {1, 4}) {
-      RowCounter rc;
-      QueryOutcome out = prepared->Execute(&rc, threads);
-      ASSERT_TRUE(out.ok()) << out.error;
-      EXPECT_EQ(out.rows, want) << "limit=" << limit << " threads=" << threads;
-      EXPECT_EQ(out.count, want) << "limit=" << limit << " threads=" << threads;
-      EXPECT_EQ(rc.rows.load(), want) << "limit=" << limit << " threads=" << threads;
-    }
+  // One-hop enumeration: total matches = number of E edges, and a LIMIT
+  // returns any min(limit, total) of them.
+  const uint64_t total = db_->graph().num_edges();
+  for (uint64_t limit : std::vector<uint64_t>{0, 1, 100, total - 1, total, total + 500}) {
+    ExpectMatchesOracle(db_.get(),
+                        "MATCH (a)-[r:E]->(b) RETURN a, b LIMIT " + std::to_string(limit));
   }
 }
 
@@ -186,45 +119,21 @@ TEST_F(ServingApiTest, LimitStopsEarlySerialAndParallel) {
 // matches: each one claims a row of the sink's budget, so the last
 // EXTEND must enumerate them rather than count its whole list at once.
 TEST_F(ServingApiTest, BareMatchLimitCountsExactlyTheLimit) {
-  Session session(db_.get());
-  vertex_id_t hub = 0;
-  uint64_t hub_matches = 0;
-  for (vertex_id_t v = 0; v < db_->graph().num_vertices(); ++v) {
-    const uint64_t matches = engine_->CountMatches(TwoHop(v));
-    if (matches > hub_matches) {
-      hub = v;
-      hub_matches = matches;
-    }
-  }
-  const uint64_t total = engine_->CountMatches(TwoHop(kInvalidVertex));
-  ASSERT_GT(hub_matches, 5u);
   const std::string base = "MATCH (a)-[r1:E]->(b)-[r2:E]->(c)";
-  const std::string pin = " WHERE a.ID = $src";
+  const std::vector<Row> hub =
+      OracleRows(db_->graph(), base + " RETURN a, COUNT(*) ORDER BY COUNT(*) DESC LIMIT 1");
+  ASSERT_EQ(hub.size(), 1u);
+  const uint64_t hub_matches = static_cast<uint64_t>(hub[0][1].AsInt64());
+  ASSERT_GT(hub_matches, 5u);
+  const uint64_t total = static_cast<uint64_t>(CheckedCount(base + " RETURN COUNT(*)"));
   for (bool pinned : {false, true}) {
     const uint64_t matches = pinned ? hub_matches : total;
-    const std::string text = base + (pinned ? pin : "");
-    PreparedQuery* all = session.Prepare(text);
-    ASSERT_TRUE(all->ok()) << all->error();
-    if (pinned) {
-      ASSERT_TRUE(all->Bind("src", Value::Int64(hub))) << all->bind_error();
-    }
-    for (int threads : {1, 4}) {
-      QueryOutcome out = all->Execute(nullptr, threads);
-      ASSERT_TRUE(out.ok()) << out.error;
-      EXPECT_EQ(out.count, matches) << text << " threads=" << threads;
-    }
+    const std::string text = base + (pinned ? " WHERE a.ID = $src" : "");
+    const OracleParams params = pinned ? OracleParams{{"src", hub[0][0]}} : OracleParams{};
+    // Every match without a LIMIT, exactly LIMIT matches and no rows with one.
+    ExpectMatchesOracle(db_.get(), text, params);
     for (uint64_t limit : std::vector<uint64_t>{1, 5, matches - 1}) {
-      PreparedQuery* prepared = session.Prepare(text + " LIMIT " + std::to_string(limit));
-      ASSERT_TRUE(prepared->ok()) << prepared->error();
-      if (pinned) {
-        ASSERT_TRUE(prepared->Bind("src", Value::Int64(hub))) << prepared->bind_error();
-      }
-      for (int threads : {1, 4}) {
-        QueryOutcome out = prepared->Execute(nullptr, threads);
-        ASSERT_TRUE(out.ok()) << out.error;
-        EXPECT_EQ(out.count, limit) << text << " LIMIT " << limit << " threads=" << threads;
-        EXPECT_EQ(out.rows, 0u);
-      }
+      ExpectMatchesOracle(db_.get(), text + " LIMIT " + std::to_string(limit), params);
     }
   }
 }
@@ -253,12 +162,7 @@ TEST_F(ServingApiTest, CountStarIsTheDegenerateAggregate) {
   EXPECT_FALSE(prepared->has_stages());
   ASSERT_EQ(prepared->columns().size(), 1u);
   EXPECT_EQ(prepared->columns()[0].type, ValueType::kInt64);
-  QueryGraph q;
-  int a = q.AddVertex("a");
-  int b = q.AddVertex("b");
-  int c = q.AddVertex("c");
-  q.AddEdge(a, b, elabel_, "r1");
-  q.AddEdge(b, c, elabel_, "r2");
+  const QueryGraph q = OracleParse(db_->graph(), "MATCH (a)-[r1:E]->(b)-[r2:E]->(c)").query;
   QueryOutcome programmatic = db_->Execute(q, TestThreads());
   ASSERT_TRUE(programmatic.ok()) << programmatic.error;
   EXPECT_EQ(out.count, programmatic.count);
@@ -344,37 +248,9 @@ TEST_F(ServingApiTest, MemoryCapDuringEmissionIsAnError) {
 TEST_F(ServingApiTest, GroupedAggregateOrderByLimitEndToEnd) {
   // Per-source rollup with a deterministic top-k: group by a, order by
   // COUNT(*) DESC (ties break on the remaining column, a, ascending).
-  Session session(db_.get());
-  RowCollector rc;
   const char* text =
       "MATCH (a)-[r:E]->(b) RETURN a, COUNT(*), SUM(r.amt) ORDER BY COUNT(*) DESC, a LIMIT 10";
-  QueryOutcome out = session.Execute(text, &rc);
-  ASSERT_TRUE(out.ok()) << out.error;
-  EXPECT_EQ(out.count, db_->graph().num_edges());
-  EXPECT_EQ(out.rows, rc.rows.size());
-  EXPECT_LE(rc.rows.size(), 10u);
-  // Reference rollup straight off the graph.
-  const Graph& g = db_->graph();
-  const PropertyColumn* amt = g.edge_props().column(amt_key_);
-  std::map<int64_t, std::pair<int64_t, int64_t>> ref;  // a -> (count, sum)
-  for (edge_id_t e = 0; e < g.num_edges(); ++e) {
-    auto& acc = ref[static_cast<int64_t>(g.edge_src(e))];
-    acc.first++;
-    if (!amt->IsNull(e)) acc.second += amt->GetInt64(e);
-  }
-  std::vector<std::array<int64_t, 3>> want;
-  for (const auto& [src, acc] : ref) want.push_back({src, acc.first, acc.second});
-  std::sort(want.begin(), want.end(), [](const auto& x, const auto& y) {
-    if (x[1] != y[1]) return x[1] > y[1];  // COUNT(*) DESC
-    return x[0] < y[0];                    // a ASC
-  });
-  want.resize(std::min<size_t>(want.size(), 10));
-  ASSERT_EQ(rc.rows.size(), want.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(rc.rows[i][0].AsInt64(), want[i][0]) << "row " << i;
-    EXPECT_EQ(rc.rows[i][1].AsInt64(), want[i][1]) << "row " << i;
-    EXPECT_EQ(rc.rows[i][2].AsInt64(), want[i][2]) << "row " << i;
-  }
+  EXPECT_EQ(ExpectMatchesOracle(db_.get(), text).size(), 10u);
   // The plan text explains the whole sink chain.
   const std::string plan = db_->Explain(text);
   EXPECT_NE(plan.find("GROUP AGGREGATE"), std::string::npos) << plan;
@@ -400,36 +276,17 @@ TEST_F(ServingApiTest, ParamRangeBoundFoldsIntoSortedIndex) {
   Predicate all;
   db_->CreateVpIndex("AmtSorted", all, amt_sorted, Direction::kFwd);
   Session session(db_.get());
-  const Graph& g = db_->graph();
-  const PropertyColumn* amt = g.edge_props().column(amt_key_);
-  struct Dir {
-    const char* text;
-    bool upper;  // true: amt < $x, false: amt > $x
-  };
-  for (const Dir& dir :
-       {Dir{"MATCH (a)-[r:E]->(b) WHERE a.ID = $src AND r.amt < $x RETURN COUNT(*)", true},
-        Dir{"MATCH (a)-[r:E]->(b) WHERE a.ID = $src AND r.amt > $x RETURN COUNT(*)",
-            false}}) {
-    PreparedQuery* prepared = session.Prepare(dir.text);
+  for (const char* text :
+       {"MATCH (a)-[r:E]->(b) WHERE a.ID = $src AND r.amt < $x RETURN COUNT(*)",
+        "MATCH (a)-[r:E]->(b) WHERE a.ID = $src AND r.amt > $x RETURN COUNT(*)"}) {
+    PreparedQuery* prepared = session.Prepare(text);
     ASSERT_TRUE(prepared->ok()) << prepared->error();
     // Folded: the window is a descriptor bound, not a residual filter.
     EXPECT_EQ(prepared->plan_text().find("FILTER"), std::string::npos)
         << prepared->plan_text();
     for (vertex_id_t src : {0u, 5u, 42u, 300u}) {
       for (int64_t x : {0, 50, 500, 2000}) {
-        ASSERT_TRUE(prepared->Bind("src", Value::Int64(src))) << prepared->bind_error();
-        ASSERT_TRUE(prepared->Bind("x", Value::Int64(x))) << prepared->bind_error();
-        uint64_t want = 0;
-        for (edge_id_t e = 0; e < g.num_edges(); ++e) {
-          if (g.edge_src(e) != src || amt->IsNull(e)) continue;
-          if (dir.upper ? amt->GetInt64(e) < x : amt->GetInt64(e) > x) ++want;
-        }
-        for (int threads : {1, 4}) {
-          QueryOutcome out = prepared->Execute(nullptr, threads);
-          ASSERT_TRUE(out.ok()) << out.error;
-          EXPECT_EQ(out.count, want) << dir.text << " src=" << src << " x=" << x
-                                     << " threads=" << threads;
-        }
+        CheckedCount(text, {{"src", Value::Int64(src)}, {"x", Value::Int64(x)}}, prepared);
       }
     }
   }
@@ -456,18 +313,14 @@ TEST_F(ServingApiTest, ProjectedPropertyTypesRoundTrip) {
 }
 
 TEST_F(ServingApiTest, CategoryParamBindsByNameAndCode) {
+  const std::string text = "MATCH (a)-[r:E]->(b) WHERE r.cur = $c RETURN COUNT(*)";
   Session session(db_.get());
-  PreparedQuery* prepared = session.Prepare(
-      "MATCH (a)-[r:E]->(b) WHERE r.cur = $c RETURN COUNT(*)");
+  PreparedQuery* prepared = session.Prepare(text);
   ASSERT_TRUE(prepared->ok()) << prepared->error();
-  ASSERT_TRUE(prepared->Bind("c", Value::String("EUR"))) << prepared->bind_error();
-  QueryOutcome by_name = prepared->Execute();
-  ASSERT_TRUE(by_name.ok()) << by_name.error;
-  ASSERT_TRUE(prepared->Bind("c", Value::Int64(1)));  // EUR's code
-  QueryOutcome by_code = prepared->Execute();
-  ASSERT_TRUE(by_code.ok()) << by_code.error;
-  EXPECT_EQ(by_name.count, by_code.count);
-  EXPECT_GT(by_name.count, 0u);
+  const int64_t by_name = CheckedCount(text, {{"c", Value::String("EUR")}}, prepared);
+  const int64_t by_code = CheckedCount(text, {{"c", Value::Int64(1)}}, prepared);  // EUR's code
+  EXPECT_EQ(by_name, by_code);
+  EXPECT_GT(by_name, 0);
   // Unknown category names and out-of-domain codes are bind errors.
   EXPECT_FALSE(prepared->Bind("c", Value::String("JPY")));
   EXPECT_FALSE(prepared->Bind("c", Value::Int64(99)));
@@ -520,12 +373,7 @@ TEST_F(ServingApiTest, OversizedPatternIsATypedPlanError) {
   EXPECT_EQ(session.Execute(text).status, QueryOutcome::Status::kPlanError);
   EXPECT_NE(db_->Explain(text).find("1 to 20"), std::string::npos) << db_->Explain(text);
 
-  QueryGraph path;
-  path.AddVertex("v0", kInvalidLabel, 3);
-  for (int i = 1; i < 21; ++i) {
-    path.AddVertex("v" + std::to_string(i));
-    path.AddEdge(i - 1, i, elabel_);
-  }
+  const QueryGraph path = OracleParse(db_->graph(), text).query;
   QueryOutcome out = db_->Execute(path, TestThreads());
   EXPECT_EQ(out.status, QueryOutcome::Status::kPlanError);
   EXPECT_NE(out.error.find("1 to 20"), std::string::npos) << out.error;
@@ -587,20 +435,9 @@ TEST_F(ServingApiTest, ParamPredicateNeverSubsumedByFilteredIndex) {
   large.AddConst(PropRef{PropSite::kAdjEdge, amt_key_, false, false}, CmpOp::kGt,
                  Value::Int64(500));
   db_->CreateVpIndex("LargeAmt", large, IndexConfig::Default(), Direction::kFwd);
-  Session session(db_.get());
-  PreparedQuery* prepared = session.Prepare(
-      "MATCH (a)-[r:E]->(b) WHERE r.amt > $min RETURN COUNT(*)");
-  ASSERT_TRUE(prepared->ok()) << prepared->error();
-  const PropertyColumn* amt = db_->graph().edge_props().column(amt_key_);
   for (int64_t min : {10, 400, 700}) {
-    ASSERT_TRUE(prepared->Bind("min", Value::Int64(min)));
-    QueryOutcome out = prepared->Execute();
-    ASSERT_TRUE(out.ok()) << out.error;
-    uint64_t want = 0;
-    for (edge_id_t e = 0; e < db_->graph().num_edges(); ++e) {
-      if (!amt->IsNull(e) && amt->GetInt64(e) > min) ++want;
-    }
-    EXPECT_EQ(out.count, want) << "min=" << min;
+    CheckedCount("MATCH (a)-[r:E]->(b) WHERE r.amt > $min RETURN COUNT(*)",
+                 {{"min", Value::Int64(min)}});
   }
 }
 
@@ -642,10 +479,7 @@ TEST_F(ServingApiTest, PreparedExecuteFlushesPendingDeletes) {
   QueryOutcome after = prepared->Execute();
   ASSERT_TRUE(after.ok()) << after.error;
   EXPECT_EQ(after.count, before - 1);
-  QueryGraph one_hop;
-  int a = one_hop.AddVertex("a");
-  int b = one_hop.AddVertex("b");
-  one_hop.AddEdge(a, b, elabel_, "r");
+  const QueryGraph one_hop = OracleParse(db_->graph(), "MATCH (a)-[r:E]->(b)").query;
   EXPECT_EQ(db_->Execute(one_hop, TestThreads()).count, after.count);
 }
 
@@ -653,25 +487,11 @@ TEST_F(ServingApiTest, RepeatedIdConstraintsIntersectInsteadOfOverwriting) {
   // A vertex carries at most one pin; further ID equalities must behave
   // as conjuncts (empty intersection when contradictory), not silently
   // replace the pin.
-  uint64_t out_of_3 = 0;
-  {
-    const Graph& g = db_->graph();
-    for (edge_id_t e = 0; e < g.num_edges(); ++e) {
-      if (g.edge_src(e) == 3) ++out_of_3;
-    }
-  }
-  QueryOutcome contradictory =
-      db_->ExecuteCypher("MATCH (a)-[r:E]->(b) WHERE a.ID = 3 AND a.ID = 4 RETURN COUNT(*)");
-  ASSERT_TRUE(contradictory.ok()) << contradictory.error;
-  EXPECT_EQ(contradictory.count, 0u);
-  Session session(db_.get());
-  PreparedQuery* prepared = session.Prepare(
-      "MATCH (a)-[r:E]->(b) WHERE a.ID = 3 AND a.ID = $p RETURN COUNT(*)");
-  ASSERT_TRUE(prepared->ok()) << prepared->error();
-  ASSERT_TRUE(prepared->Bind("p", Value::Int64(4)));
-  EXPECT_EQ(prepared->Execute().count, 0u);  // 3 ∩ 4 = ∅
-  ASSERT_TRUE(prepared->Bind("p", Value::Int64(3)));
-  EXPECT_EQ(prepared->Execute().count, out_of_3);  // agreeing conjuncts
+  EXPECT_EQ(CheckedCount("MATCH (a)-[r:E]->(b) WHERE a.ID = 3 AND a.ID = 4 RETURN COUNT(*)"), 0);
+  const std::string text = "MATCH (a)-[r:E]->(b) WHERE a.ID = 3 AND a.ID = $p RETURN COUNT(*)";
+  std::unique_ptr<PreparedQuery> prepared = db_->Prepare(text);
+  EXPECT_EQ(CheckedCount(text, {{"p", Value::Int64(4)}}, prepared.get()), 0);  // 3 ∩ 4 = ∅
+  EXPECT_GT(CheckedCount(text, {{"p", Value::Int64(3)}}, prepared.get()), 0);  // agreeing conjuncts
 }
 
 TEST_F(ServingApiTest, SessionCacheIsBounded) {
